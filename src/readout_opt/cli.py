@@ -207,7 +207,6 @@ def cmd_optimize(args) -> int:
         "device": str(args.device),
         "opt_config": str(args.opt_config) if args.opt_config else None,
         "strategy": strategy.value,
-        "seed": args.seed,
         "threads": args.threads,
         "resolved_config": config_echo(cfg),
         "evaluations": result.evaluations,
@@ -454,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--opt-config")
     p_opt.add_argument("--strategy", choices=[s.value for s in Strategy],
                        default=Strategy.ALL_MODELS.value)
-    p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--threads", type=int, default=1)
     p_opt.add_argument("--out", required=True)
     p_opt.set_defaults(func=cmd_optimize)

@@ -105,10 +105,18 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     tp_max = float(grid.tp_max_ns)
     if not 0 < grid.tp_min_ns <= tp_max <= total_time:
         raise OptimizerConfigError("pulse-length range must fit the total time")
+    dt = float(raw.get("dt_ns", 1.0))
+    if not dt > 0:
+        raise OptimizerConfigError(f"dt_ns must be > 0, got {dt}")
+    lo_step, hi_step = _tp_step_range(grid, dt)
+    if lo_step > hi_step:
+        raise OptimizerConfigError(
+            f"pulse-length range [{grid.tp_min_ns}, {tp_max}] ns holds no "
+            f"multiple of dt_ns = {dt}")
 
     return OptimizerConfig(
         total_time=total_time,
-        dt=float(raw.get("dt_ns", 1.0)),
+        dt=dt,
         grid=grid,
         weights=weights,
         mist=mist,
@@ -120,16 +128,28 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     )
 
 
+def _tp_step_range(grid: GridSpec, dt: float) -> tuple[float, float]:
+    """First and last multiple of dt (in steps) inside the pulse-length range."""
+    return (math.ceil(grid.tp_min_ns / dt - 1e-9),
+            math.floor(grid.tp_max_ns / dt + 1e-9))
+
+
 def build_search_grid(
     graph: DeviceGraph, qid: QubitId, cfg: OptimizerConfig
 ) -> SearchGrid:
-    """Per-qubit grid: omega over the search band, amplitudes via amp_ref."""
+    """Per-qubit grid: omega over the search band, amplitudes via amp_ref.
+
+    Pulse lengths are snapped to the nearest multiple of dt inside the
+    configured range, duplicates dropped, so every reported t_p is the one
+    the dynamics simulate.
+    """
     lo, hi = graph.search_band[qid]
     q = graph.qubits[qid]
     g = cfg.grid
     omega = np.linspace(lo, hi, g.n_omega)
     amp = np.linspace(g.amp_min, g.amp_max, g.n_amp) * q.amp_ref
-    tp = np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp)
+    steps = np.rint(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp) / cfg.dt)
+    tp = np.unique(np.clip(steps, *_tp_step_range(g, cfg.dt))) * cfg.dt
     return SearchGrid(
         omega_points=tuple(float(v) for v in omega),
         amp_points=tuple(float(v) for v in amp),

@@ -122,25 +122,39 @@ def _check_step(delta: float, kappa: float, dt: float) -> None:
         )
 
 
-def solve_field(
-    pulse: PulseShape, delta: float, kappa: float, dt: float
-) -> np.ndarray:
-    """Field samples on [0, t_p + t_r] at spacing dt for a rectangular pulse.
-
-    t_p and the total time are snapped to the nearest grid point (the shipped
-    configs keep them on-grid).
-    """
-    _check_step(delta, kappa, dt)
+def _sample_counts(pulse: PulseShape, dt: float) -> tuple[int, int]:
+    """(n_p, n_tot): pulse and total length in steps, rounded to the grid."""
     n_tot = round(pulse.total / dt)
     n_p = round(pulse.t_p / dt)
     if n_p < 1 or n_tot < n_p:
         raise StepSizeError(
             f"pulse (t_p={pulse.t_p}, t_r={pulse.t_r}) unresolvable at dt={dt}"
         )
-    step = _unit_step_response(delta, kappa, dt, n_tot)
+    return n_p, n_tot
+
+
+def _unit_pulse_response(step: np.ndarray, n_p: int, n_tot: int) -> np.ndarray:
+    """Unit-amplitude pulse response: the step minus its copy delayed by n_p."""
     out = step.copy()
     if n_p < n_tot:
         out[n_p:] -= step[: n_tot + 1 - n_p]
+    return out
+
+
+def solve_field(
+    pulse: PulseShape, delta: float, kappa: float, dt: float
+) -> np.ndarray:
+    """Field samples on [0, t_p + t_r] at spacing dt for a rectangular pulse.
+
+    t_p and the total time are rounded to the nearest grid point, so an
+    off-grid t_p is simulated as the nearest multiple of dt;
+    config.build_search_grid snaps its pulse lengths to the grid for that
+    reason.
+    """
+    _check_step(delta, kappa, dt)
+    n_p, n_tot = _sample_counts(pulse, dt)
+    out = _unit_pulse_response(
+        _unit_step_response(delta, kappa, dt, n_tot), n_p, n_tot)
     out *= pulse.b0
     return out
 

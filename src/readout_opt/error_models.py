@@ -20,6 +20,12 @@ from .dynamics import (
     DEFAULT_POLE_GUARD,
     FieldTrajectory,
     PoleProximityError,
+    PulseShape,
+    _check_step,
+    _sample_counts,
+    _unit_pulse_response,
+    _unit_step_response,
+    dispersive_shift,
     field_pair,
     max_photon,
     residual_photon,
@@ -370,3 +376,144 @@ def evaluate_cost(
         n_max=n_max,
         total=total,
     )
+
+
+def cost_plane(
+    q: QubitPhysical,
+    omega_q: float,
+    amp_points,
+    tp_points,
+    total_time: float,
+    weights: CostWeights,
+    mist: MistParams,
+    specs,
+    dt: float,
+    include_heuristics: bool = True,
+    mist_ceiling: float = DEFAULT_MIST_CEILING,
+    mist_sharpness: float = DEFAULT_MIST_SHARPNESS,
+    pole_guard: float = DEFAULT_POLE_GUARD,
+) -> np.ndarray:
+    """Cost totals over one omega's whole amplitude x pulse-length plane.
+
+    Entry [i, j] is, bit for bit, the total evaluate_cost returns for
+    ReadoutParams(omega_q, amp_points[i], tp_points[j],
+    total_time - tp_points[j]); infeasible points are +inf.  Everything
+    that depends only on omega (chi, the step responses, the heuristic
+    terms) is computed once, and each pulse length scores all amplitudes
+    at once in reused (n_amp, n_steps + 1) buffers.  The array operations
+    repeat evaluate_cost's IEEE operations in the same order: the
+    trapezoid cumsum runs along each row, the half-SNR index counts the
+    samples below half (equal to searchsorted on the nondecreasing cum),
+    the Gamma1 prefixes are summed row-wise in groups of equal length,
+    and the MIST logistic calls math.exp.  An invalid point raises the
+    error evaluate_cost raises at the first such point in row-major order.
+    """
+    shape = (len(amp_points), len(tp_points))
+    try:
+        chi = dispersive_shift(q, omega_q, pole_guard)
+    except PoleProximityError:
+        return np.full(shape, math.inf)
+    counts = []
+    for j, t_p in enumerate(tp_points):
+        pulse = PulseShape(b0=amp_points[0], t_p=t_p, t_r=total_time - t_p)
+        if j == 0:
+            _check_step(chi, q.kappa, dt)
+        counts.append(_sample_counts(pulse, dt))
+    for b0 in amp_points[1:]:
+        PulseShape(b0=b0, t_p=tp_points[0], t_r=total_time - tp_points[0])
+
+    mist_n_th = None
+    mist_term = 0.0
+    coupling_term = 0.0
+    if include_heuristics:
+        if omega_q <= q.omega_r:
+            mist_term = mist_ceiling
+        else:
+            mist_n_th = mist_threshold(omega_q, q.omega_r, mist)
+            if mist_n_th <= 0.0:
+                mist_term, mist_n_th = mist_ceiling, None
+        coupling_term = coupling_error(omega_q, specs)
+
+    amps = np.asarray(amp_points, dtype=float)[:, None]
+    rows = np.arange(len(amps))
+    xp, fp = _gamma1_arrays(q)
+    scale = 2.0 * q.eta * q.kappa
+    totals = np.empty(shape)
+    bufs = None
+    for j, (n_p, n_tot) in enumerate(counts):
+        if bufs is None or bufs.shape[2] != n_tot + 1:
+            bufs = np.empty((6, len(amps), n_tot + 1))
+        re0, im0, re1, im1, cum, tmp = bufs
+        u0 = _unit_pulse_response(
+            _unit_step_response(chi, q.kappa, dt, n_tot), n_p, n_tot)
+        u1 = _unit_pulse_response(
+            _unit_step_response(-chi, q.kappa, dt, n_tot), n_p, n_tot)
+        # beta = b0 * unit response, one row per amplitude
+        np.multiply(amps, u0.real, out=re0)
+        np.multiply(amps, u0.imag, out=im0)
+        np.multiply(amps, u1.real, out=re1)
+        np.multiply(amps, u1.imag, out=im1)
+        # n0 = |beta0|^2, then d = beta0 - beta1 in place of beta0
+        n0 = np.add(np.square(re0, out=cum), np.square(im0, out=tmp), out=cum)
+        n0_max, n0_last = n0.max(axis=1), n0[:, -1].copy()
+        re0 -= re1
+        im0 -= im1
+        # n1 = |beta1|^2 in place of beta1; |d|^2 in place of d
+        n1 = np.add(np.square(re1, out=re1), np.square(im1, out=im1), out=re1)
+        mag2 = np.add(np.square(re0, out=re0), np.square(im0, out=im0), out=re0)
+        trap = np.add(mag2[:, 1:], mag2[:, :-1], out=tmp[:, 1:])
+        trap *= 0.5 * dt
+        cum[:, 0] = 0.0
+        np.cumsum(trap, axis=1, out=cum[:, 1:])
+        cum_last = cum[:, -1]
+        snr_value = scale * cum_last
+        sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
+
+        # relaxation, as in evaluate_cost's snr > 0 branch
+        pos = snr_value > 0.0
+        relax = np.zeros(len(amps))
+        bad = np.zeros(len(amps), dtype=bool)
+        if pos.any():
+            half = 0.5 * cum_last
+            idx = np.count_nonzero(cum < half[:, None], axis=1)
+            lo = cum[rows, np.maximum(idx - 1, 0)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = (half - lo) / (cum[rows, idx] - lo)
+            t0 = np.where(idx > 0, ((idx - 1) + frac) * dt, 0.0)
+            n_full = np.minimum((t0 / dt).astype(np.int64), n_tot)
+            t_rem = t0 - n_full * dt
+            n_cols = min(int(n_full[pos].max()) + 2, n_tot + 1)
+            stark = omega_q + (2.0 * chi) * n1[:, :n_cols]
+            for m in np.unique(n_full[pos]).tolist():
+                k = np.flatnonzero(pos & (n_full == m))
+                prefix = stark[k, : m + 1]
+                bad[k] = (prefix.min(axis=1) < xp[0]) | (prefix.max(axis=1) > xp[-1])
+                rates = np.interp(prefix, xp, fp)
+                relax[k] = dt * (rates.sum(axis=1) - 0.5 * (rates[:, 0] + rates[:, -1]))
+                part = (t_rem[k] > 0.0) & (m < n_tot)
+                if part.any():
+                    kp = k[part]
+                    last = prefix[part, -1]
+                    omega_end = last + (t_rem[kp] / dt) * (stark[kp, m + 1] - last)
+                    bad[kp] |= ~((xp[0] <= omega_end) & (omega_end <= xp[-1]))
+                    rate_end = np.interp(omega_end, xp, fp)
+                    relax[kp] += 0.5 * (rates[part, -1] + rate_end) * t_rem[kp]
+
+        photon = 0.5 * (n0_last + n1[:, -1])
+        if mist_n_th is not None:
+            n_max = np.maximum(n0_max, n1.max(axis=1))
+            z = (n_max - mist_n_th) / (mist_sharpness * mist_n_th)
+            z = np.minimum(np.maximum(z, -500.0), 500.0)
+            # math.exp as in mist_penalty: np.exp's SIMD loop differs from
+            # it in the last bit for some inputs
+            mist_term = mist_ceiling / (1.0 + np.array([math.exp(-v) for v in z.tolist()]))
+        total = (
+            weights.separation * sep
+            + weights.relaxation * relax
+            + weights.photon * photon
+            + weights.mist * mist_term
+            + weights.coupling * coupling_term
+        )
+        total[bad] = math.inf
+        totals[:, j] = total
+    return totals

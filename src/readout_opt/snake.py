@@ -4,13 +4,18 @@ Measure qubits are optimized first, hopping diagonally between them where
 possible, then the data qubits.  Each qubit's cost is minimized by an
 exhaustive scan over its (omega_q, amplitude, pulse length) grid while
 accumulating frequency-collision constraints from already-locked neighbors
-up to next-nearest order.
+up to next-nearest order.  The scan scores one omega's whole amplitude x
+pulse-length plane per error_models.cost_plane call, bit-identical to
+evaluate_cost point by point, and calls evaluate_cost once per qubit for
+the winner's breakdown.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .device import DeviceGraph, NeighborOrder, QubitId, QubitPhysical, neighbors
 from .error_models import (
@@ -20,6 +25,7 @@ from .error_models import (
     MistParams,
     ReadoutParams,
     collision_specs,
+    cost_plane,
     evaluate_cost,
 )
 
@@ -129,36 +135,46 @@ def _scan_chunk(
 ):
     """Exhaustive scan over a slice of the omega axis.
 
-    Returns (best_total, (i_omega, i_amp, i_tp), params, breakdown) with the
-    lexicographically first grid index winning ties, or None if every point
-    in the chunk is infeasible.
+    Each omega's amplitude x pulse-length plane is scored in one cost_plane
+    call; only the winner is re-evaluated by evaluate_cost, for its
+    breakdown.  Returns (best_total, (i_omega, i_amp, i_tp), params,
+    breakdown) with the lexicographically first grid index winning ties,
+    or None if every point in the chunk is infeasible.
     """
     specs = (
         collision_specs(q, locked, collision_defaults) if include_heuristics else ()
     )
     best = None
     for i_w, omega in enumerate(omega_points):
-        for i_a, amp in enumerate(amp_points):
-            for i_t, t_p in enumerate(tp_points):
-                params = ReadoutParams(
-                    omega_q=omega, b0=amp, t_p=t_p, t_r=total_time - t_p
-                )
-                bd = evaluate_cost(
-                    q, params, weights, mist, specs, dt,
-                    include_heuristics=include_heuristics,
-                    mist_ceiling=mist_ceiling,
-                    mist_sharpness=mist_sharpness,
-                    pole_guard=pole_guard,
-                )
-                if not math.isfinite(bd.total):
-                    continue
-                key = (bd.total, (i_w + omega_offset, i_a, i_t))
-                if best is None or key < best[0]:
-                    best = (key, params, bd)
+        totals = cost_plane(
+            q, omega, amp_points, tp_points, total_time, weights, mist, specs, dt,
+            include_heuristics=include_heuristics,
+            mist_ceiling=mist_ceiling,
+            mist_sharpness=mist_sharpness,
+            pole_guard=pole_guard,
+        )
+        totals[~np.isfinite(totals)] = math.inf
+        # first occurrence: row-major order is the (amp, t_p) index order
+        flat = int(np.argmin(totals))
+        total = float(totals.flat[flat])
+        if total < (best[0] if best else math.inf):
+            best = (total, i_w, flat)
     if best is None:
         return None
-    (total, idx), params, bd = best
-    return total, idx, params, bd
+    total, i_w, flat = best
+    i_a, i_t = divmod(flat, len(tp_points))
+    t_p = tp_points[i_t]
+    params = ReadoutParams(
+        omega_q=omega_points[i_w], b0=amp_points[i_a], t_p=t_p, t_r=total_time - t_p
+    )
+    bd = evaluate_cost(
+        q, params, weights, mist, specs, dt,
+        include_heuristics=include_heuristics,
+        mist_ceiling=mist_ceiling,
+        mist_sharpness=mist_sharpness,
+        pole_guard=pole_guard,
+    )
+    return total, (i_w + omega_offset, i_a, i_t), params, bd
 
 
 def optimize_qubit(

@@ -4,14 +4,21 @@ import pytest
 import yaml
 
 from readout_opt import (
+    DeviceGraph,
+    NeighborOrder,
     OptimizerConfig,
     Strategy,
     build_search_grid,
+    collision_specs,
+    evaluate_cost,
     load_optimizer_config,
+    neighbors,
+    optimize_device,
 )
+from readout_opt.cli import result_to_dict
 from readout_opt.config import OptimizerConfigError, config_echo
 
-from conftest import TWO_PI, make_graph, make_qubit
+from conftest import CONFIG_DIR, TWO_PI, make_graph, make_qubit
 from readout_opt import Role
 
 
@@ -83,6 +90,81 @@ class TestBuildSearchGrid:
         assert grid.tp_points[0] == 100.0
         assert grid.tp_points[-1] == 480.0
         assert grid.size == 5 * 3 * 2
+
+    def one_qubit_grid(self, **grid):
+        graph = make_graph([(0, 0, Role.DATA)])
+        dt = grid.pop("dt_ns", 1.0)
+        cfg = load_optimizer_config(yaml.safe_dump(
+            {"dt_ns": dt, "grid": {"n_omega": 2, "n_amp": 2, **grid}}))
+        return build_search_grid(graph, graph.at(0, 0), cfg).tp_points
+
+    def test_tp_snapped_to_dt(self):
+        # linspace(100, 480, 42) steps by 9.268 ns
+        assert self.one_qubit_grid(n_tp=42)[:3] == (100.0, 109.0, 119.0)
+        assert self.one_qubit_grid(n_tp=4, dt_ns=0.5, tp_max_ns=200.2) == (
+            100.0, 133.5, 167.0, 200.0)
+
+    def test_duplicate_tp_dropped(self):
+        assert self.one_qubit_grid(n_tp=6, tp_min_ns=100, tp_max_ns=102) == (
+            100.0, 101.0, 102.0)
+
+    def test_snapped_tp_stays_in_range(self):
+        assert self.one_qubit_grid(n_tp=2, tp_min_ns=100.4, tp_max_ns=102.6) == (
+            101.0, 102.0)
+
+    def test_range_without_dt_multiple_rejected(self):
+        with pytest.raises(OptimizerConfigError, match="multiple of dt"):
+            load_optimizer_config("grid: {tp_min_ns: 100.2, tp_max_ns: 100.7}")
+
+    def test_nonpositive_dt_rejected(self):
+        with pytest.raises(OptimizerConfigError, match="dt_ns"):
+            load_optimizer_config("dt_ns: 0")
+
+
+class TestShippedConfigsReportWhatTheySimulate:
+    """Every reported t_p is on the dt grid and re-evaluates to its total."""
+
+    @pytest.mark.parametrize("name, n_qubits", [
+        ("optimizer_small.yaml", None),  # the whole device
+        ("optimizer.yaml", 2),           # a measure qubit and a neighbor
+    ])
+    def test_reported_params_reproduce_totals(self, d3_graph, name, n_qubits):
+        cfg = load_optimizer_config((CONFIG_DIR / name).read_text())
+        graph = d3_graph
+        if n_qubits is not None:
+            first = graph.sorted_ids()[1]
+            keep = [first] + neighbors(graph, first, NeighborOrder.NEAREST)
+            graph = DeviceGraph(
+                qubits={q: graph.qubits[q] for q in keep[:n_qubits]},
+                search_band={q: graph.search_band[q] for q in keep[:n_qubits]})
+        grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
+        assert all(len(g.tp_points) == cfg.grid.n_tp for g in grids.values())
+        result = optimize_device(
+            graph, grids, cfg.weights, cfg.mist,
+            total_time=cfg.total_time, dt=cfg.dt,
+            collision_defaults=cfg.collision,
+            mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
+            pole_guard=cfg.pole_guard)
+        reported = result_to_dict(result, Strategy.ALL_MODELS)["qubits"]
+        assert len(reported) == len(graph.qubits)
+        for row in reported:
+            assert (row["t_p_ns"] / cfg.dt).is_integer()
+            assert row["t_r_ns"] == cfg.total_time - row["t_p_ns"]
+
+        locked = {}
+        for qid in result.order:
+            r = result.per_qubit[qid]
+            active = [
+                (graph.qubits[nb], locked[nb], nb.row != qid.row and nb.col != qid.col)
+                for nb in neighbors(graph, qid, NeighborOrder.BOTH) if nb in locked
+            ]
+            specs = collision_specs(graph.qubits[qid], active, cfg.collision)
+            again = evaluate_cost(
+                graph.qubits[qid], r.params, cfg.weights, cfg.mist, specs, cfg.dt,
+                mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
+                pole_guard=cfg.pole_guard)
+            assert again.total == r.breakdown.total
+            locked[qid] = r.params
 
 
 class TestConfigEcho:
