@@ -128,7 +128,7 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     )
 
 
-def _tp_step_range(grid: GridSpec, dt: float) -> tuple[float, float]:
+def _tp_step_range(grid: GridSpec, dt: float) -> tuple[int, int]:
     """First and last multiple of dt (in steps) inside the pulse-length range."""
     return (math.ceil(grid.tp_min_ns / dt - 1e-9),
             math.floor(grid.tp_max_ns / dt + 1e-9))

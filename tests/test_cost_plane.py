@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readout_opt import (
@@ -99,7 +99,9 @@ pulse_lengths = st.one_of(
     st.integers(1, 500).map(float),                   # on the dt grid
     st.floats(0.6, TOTAL, allow_subnormal=False),     # anywhere
 )
-weights = st.builds(CostWeights, *(st.floats(0.0, 2.0),) * 5)
+# zero weights isolate single terms, so a last-bit change in one shows
+weight = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 2.0))
+weights = st.builds(CostWeights, *(weight,) * 5)
 
 
 @st.composite
@@ -121,8 +123,7 @@ def planes(draw):
     return q, omega, amps, tps, draw(weights), specs, include_heuristics
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(planes())
 def test_every_cell_bit_identical_to_evaluate_cost(case):
     q, omega, amps, tps, w, specs, include_heuristics = case
