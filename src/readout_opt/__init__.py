@@ -51,6 +51,7 @@ from .error_models import (
     CollisionDefaults,
     CollisionSpec,
     CostBreakdown,
+    CostModel,
     CostWeights,
     MistParams,
     ReadoutParams,

@@ -12,6 +12,7 @@ import logging
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,7 @@ def cmd_optimize(args) -> int:
     graph = _load_graph(args.device)
     cfg = _load_opt_config(args.opt_config)
     strategy = Strategy(args.strategy)
+    model = replace(cfg.model, heuristics=strategy is Strategy.ALL_MODELS)
     out = Path(args.out)
 
     grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
@@ -178,14 +180,8 @@ def cmd_optimize(args) -> int:
 
     t_begin = time.perf_counter()
     try:
-        result = optimize_device(
-            graph, grids, cfg.weights, cfg.mist,
-            total_time=cfg.total_time, dt=cfg.dt,
-            include_heuristics=(strategy is Strategy.ALL_MODELS),
-            collision_defaults=cfg.collision,
-            mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-            pole_guard=cfg.pole_guard, threads=args.threads, start=start,
-        )
+        result = optimize_device(graph, grids, model,
+                                 threads=args.threads, start=start)
     except InfeasibleQubitError as exc:
         log.error("optimization infeasible at qubit %s", exc.qid)
         if exc.partial is not None and exc.partial.per_qubit:
@@ -231,6 +227,7 @@ def cmd_sweep(args) -> int:
     graph = _load_graph(args.device)
     cfg = _load_opt_config(args.opt_config)
     strategy = Strategy(args.strategy)
+    model = replace(cfg.model, heuristics=strategy is Strategy.ALL_MODELS)
     qid = _parse_qubit(args.qubit, graph)
     q = graph.qubits[qid]
     band_lo, band_hi = graph.search_band[qid]
@@ -260,7 +257,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(
                 f"frequency range outside search band [{lo_ghz:.4f}, {hi_ghz:.4f}] GHz")
     elif axis == "length":
-        if args.min <= 0 or args.max > cfg.total_time:
+        if args.min <= 0 or args.max > model.total_time:
             raise ValueError("pulse length range outside (0, total]")
     elif args.min < 0:
         raise ValueError("amplitude must be >= 0")
@@ -275,14 +272,9 @@ def cmd_sweep(args) -> int:
         else:
             tp = float(v)
         params = ReadoutParams(
-            omega_q=omega, b0=amp * q.amp_ref, t_p=tp, t_r=cfg.total_time - tp
+            omega_q=omega, b0=amp * q.amp_ref, t_p=tp, t_r=model.total_time - tp
         )
-        bd = evaluate_cost(
-            q, params, cfg.weights, cfg.mist, (), cfg.dt,
-            include_heuristics=(strategy is Strategy.ALL_MODELS),
-            mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-            pole_guard=cfg.pole_guard,
-        )
+        bd = evaluate_cost(q, params, model)
         rows.append({
             "f_q_GHz": rad_ns_to_ghz(omega),
             "amp": amp,
@@ -310,9 +302,9 @@ def cmd_sweep(args) -> int:
 
     pinned = ReadoutParams(
         omega_q=pin_omega, b0=pin_amp * q.amp_ref,
-        t_p=pin_tp, t_r=cfg.total_time - pin_tp,
+        t_p=pin_tp, t_r=model.total_time - pin_tp,
     )
-    traj = field_pair(q, pinned, cfg.dt, guard=cfg.pole_guard)
+    traj = field_pair(q, pinned, model.dt, guard=model.pole_guard)
     with (out / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
 
-from .device import DeviceGraph, QubitId, ghz_to_rad_ns
-from .error_models import CollisionDefaults, CostWeights, MistParams
+from .device import DeviceGraph, QubitId, ghz_to_rad_ns, rad_ns_to_ghz
+from .error_models import CostModel, CostWeights, ParameterError, require
 from .snake import SearchGrid
 
 
@@ -36,19 +37,81 @@ class GridSpec:
     tp_min_ns: float = 100.0
     tp_max_ns: float = 480.0
 
+    def __post_init__(self) -> None:
+        require(self, "> 0", "n_omega", "n_amp", "n_tp", "tp_min_ns")
+        require(self, ">= 0", "amp_min")
+        if not self.amp_max >= self.amp_min:
+            raise ParameterError(self, "amp_max", ">= amp_min")
+        if not self.tp_max_ns >= self.tp_min_ns:
+            raise ParameterError(self, "tp_max_ns", ">= tp_min_ns")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    total_time: float = 500.0
-    dt: float = 1.0
     grid: GridSpec = GridSpec()
-    weights: CostWeights = CostWeights()
-    mist: MistParams = MistParams(a=0.075, b=0.54)
-    mist_ceiling: float = 1.0
-    mist_sharpness: float = 0.05
-    collision: CollisionDefaults = CollisionDefaults()
-    pole_guard: float = 0.05
+    model: CostModel = CostModel()
     start: tuple[int, int] | None = None
+
+
+def _start_pair(value) -> tuple[int, int] | None:
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"must be a [row, col] pair, got {value!r}")
+    return (int(value[0]), int(value[1]))
+
+
+class _Key(NamedTuple):
+    """One config-file key: the OptimizerConfig field it fills and its units."""
+
+    yaml: str  # "key" or "section.key"
+    field: str  # attribute path under OptimizerConfig
+    load: Callable[[Any], Any] = float  # file value -> internal value
+    dump: Callable[[Any], Any] = lambda v: v  # internal value -> file value
+
+
+#: Every key of the optimizer config file, in file order.  Omitted keys
+#: keep the dataclass defaults.
+_KEYS = (
+    _Key("total_readout_time_ns", "model.total_time"),
+    _Key("dt_ns", "model.dt"),
+    *(_Key(f"grid.{n}", f"grid.{n}", int) for n in ("n_omega", "n_amp", "n_tp")),
+    *(_Key(f"grid.{n}", f"grid.{n}")
+      for n in ("amp_min", "amp_max", "tp_min_ns", "tp_max_ns")),
+    *(_Key(f"weights.{f.name}", f"model.weights.{f.name}")
+      for f in fields(CostWeights)),
+    _Key("mist.a", "model.mist.a"),
+    _Key("mist.b_per_rad_ns", "model.mist.b"),
+    _Key("mist.ceiling", "model.mist.ceiling"),
+    _Key("mist.sharpness", "model.mist.sharpness"),
+    _Key("collision.width_MHz", "model.collision.width",
+         lambda v: ghz_to_rad_ns(float(v)) * 1e-3, lambda w: rad_ns_to_ghz(w) * 1e3),
+    _Key("collision.resonance_penalty", "model.collision.resonance_penalty"),
+    _Key("collision.next_nearest_scale", "model.collision.next_nearest_scale"),
+    _Key("pole_guard_GHz", "model.pole_guard",
+         lambda v: ghz_to_rad_ns(float(v)), rad_ns_to_ghz),
+    _Key("start_qubit", "start", _start_pair, lambda s: list(s) if s else None),
+)
+_YAML_KEY = {key.field: key.yaml for key in _KEYS}
+
+
+def _build(cls, values: dict, prefix: str = ""):
+    """cls with the loaded values found under prefix, defaults elsewhere.
+
+    A field whose default is a dataclass is built the same way, one level
+    down.  A value its dataclass rejects is reported under its file key.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        path = prefix + f.name
+        if is_dataclass(f.default):
+            kwargs[f.name] = _build(type(f.default), values, path + ".")
+        elif path in values:
+            kwargs[f.name] = values[path]
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise OptimizerConfigError(f"{_YAML_KEY[prefix + exc.field]}: {exc}") from None
 
 
 def load_optimizer_config(text: str) -> OptimizerConfig:
@@ -59,73 +122,31 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     if not isinstance(raw, dict):
         raise OptimizerConfigError("optimizer config must be a mapping")
 
-    grid_raw = raw.get("grid", {})
-    grid = GridSpec(
-        n_omega=int(grid_raw.get("n_omega", GridSpec.n_omega)),
-        n_amp=int(grid_raw.get("n_amp", GridSpec.n_amp)),
-        n_tp=int(grid_raw.get("n_tp", GridSpec.n_tp)),
-        amp_min=float(grid_raw.get("amp_min", GridSpec.amp_min)),
-        amp_max=float(grid_raw.get("amp_max", GridSpec.amp_max)),
-        tp_min_ns=float(grid_raw.get("tp_min_ns", GridSpec.tp_min_ns)),
-        tp_max_ns=float(grid_raw.get("tp_max_ns", GridSpec.tp_max_ns)),
-    )
-    if grid.n_omega < 1 or grid.n_amp < 1 or grid.n_tp < 1:
-        raise OptimizerConfigError("grid sizes must be >= 1")
-    if grid.amp_min < 0 or grid.amp_max < grid.amp_min:
-        raise OptimizerConfigError("invalid amplitude range")
+    values = {}
+    for key in _KEYS:
+        section, _, name = key.yaml.rpartition(".")
+        node = raw.get(section, {}) if section else raw
+        if not isinstance(node, dict):
+            raise OptimizerConfigError(
+                f"{section}: must be a mapping, got {type(node).__name__}")
+        if name in node:
+            try:
+                values[key.field] = key.load(node[name])
+            except (TypeError, ValueError) as exc:
+                raise OptimizerConfigError(f"{key.yaml}: {exc}") from None
+    cfg = _build(OptimizerConfig, values)
 
-    w_raw = raw.get("weights", {})
-    weights = CostWeights(
-        separation=float(w_raw.get("separation", 1.0)),
-        relaxation=float(w_raw.get("relaxation", 1.0)),
-        photon=float(w_raw.get("photon", 1.0)),
-        mist=float(w_raw.get("mist", 1.0)),
-        coupling=float(w_raw.get("coupling", 1.0)),
-    )
-
-    m_raw = raw.get("mist", {})
-    mist = MistParams(
-        a=float(m_raw.get("a", 0.075)),
-        b=float(m_raw.get("b_per_rad_ns", 0.54)),
-    )
-
-    c_raw = raw.get("collision", {})
-    collision = CollisionDefaults(
-        width=2.0 * math.pi * float(c_raw.get("width_MHz", 30.0)) * 1e-3,
-        resonance_penalty=float(c_raw.get("resonance_penalty", 1.0)),
-        next_nearest_scale=float(c_raw.get("next_nearest_scale", 0.5)),
-    )
-
-    start_raw = raw.get("start_qubit")
-    start = None
-    if start_raw is not None:
-        start = (int(start_raw[0]), int(start_raw[1]))
-
-    total_time = float(raw.get("total_readout_time_ns", 500.0))
-    tp_max = float(grid.tp_max_ns)
-    if not 0 < grid.tp_min_ns <= tp_max <= total_time:
-        raise OptimizerConfigError("pulse-length range must fit the total time")
-    dt = float(raw.get("dt_ns", 1.0))
-    if not dt > 0:
-        raise OptimizerConfigError(f"dt_ns must be > 0, got {dt}")
+    grid, total_time, dt = cfg.grid, cfg.model.total_time, cfg.model.dt
+    if not grid.tp_max_ns <= total_time:
+        raise OptimizerConfigError(
+            f"grid.tp_max_ns: pulse-length range must fit "
+            f"total_readout_time_ns = {total_time}")
     lo_step, hi_step = _tp_step_range(grid, dt)
     if lo_step > hi_step:
         raise OptimizerConfigError(
-            f"pulse-length range [{grid.tp_min_ns}, {tp_max}] ns holds no "
+            f"pulse-length range [{grid.tp_min_ns}, {grid.tp_max_ns}] ns holds no "
             f"multiple of dt_ns = {dt}")
-
-    return OptimizerConfig(
-        total_time=total_time,
-        dt=dt,
-        grid=grid,
-        weights=weights,
-        mist=mist,
-        mist_ceiling=float(m_raw.get("ceiling", 1.0)),
-        mist_sharpness=float(m_raw.get("sharpness", 0.05)),
-        collision=collision,
-        pole_guard=ghz_to_rad_ns(float(raw.get("pole_guard_GHz", 0.008))),
-        start=start,
-    )
+    return cfg
 
 
 def _tp_step_range(grid: GridSpec, dt: float) -> tuple[int, int]:
@@ -148,8 +169,8 @@ def build_search_grid(
     g = cfg.grid
     omega = np.linspace(lo, hi, g.n_omega)
     amp = np.linspace(g.amp_min, g.amp_max, g.n_amp) * q.amp_ref
-    steps = np.rint(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp) / cfg.dt)
-    tp = np.unique(np.clip(steps, *_tp_step_range(g, cfg.dt))) * cfg.dt
+    steps = np.rint(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp) / cfg.model.dt)
+    tp = np.unique(np.clip(steps, *_tp_step_range(g, cfg.model.dt))) * cfg.model.dt
     return SearchGrid(
         omega_points=tuple(float(v) for v in omega),
         amp_points=tuple(float(v) for v in amp),
@@ -158,37 +179,13 @@ def build_search_grid(
 
 
 def config_echo(cfg: OptimizerConfig) -> dict:
-    """Fully resolved config values for the run-manifest echo."""
-    return {
-        "total_readout_time_ns": cfg.total_time,
-        "dt_ns": cfg.dt,
-        "grid": {
-            "n_omega": cfg.grid.n_omega,
-            "n_amp": cfg.grid.n_amp,
-            "n_tp": cfg.grid.n_tp,
-            "amp_min": cfg.grid.amp_min,
-            "amp_max": cfg.grid.amp_max,
-            "tp_min_ns": cfg.grid.tp_min_ns,
-            "tp_max_ns": cfg.grid.tp_max_ns,
-        },
-        "weights": {
-            "separation": cfg.weights.separation,
-            "relaxation": cfg.weights.relaxation,
-            "photon": cfg.weights.photon,
-            "mist": cfg.weights.mist,
-            "coupling": cfg.weights.coupling,
-        },
-        "mist": {
-            "a": cfg.mist.a,
-            "b_per_rad_ns": cfg.mist.b,
-            "ceiling": cfg.mist_ceiling,
-            "sharpness": cfg.mist_sharpness,
-        },
-        "collision": {
-            "width_MHz": cfg.collision.width / (2.0 * math.pi) * 1e3,
-            "resonance_penalty": cfg.collision.resonance_penalty,
-            "next_nearest_scale": cfg.collision.next_nearest_scale,
-        },
-        "pole_guard_GHz": cfg.pole_guard / (2.0 * math.pi),
-        "start_qubit": list(cfg.start) if cfg.start else None,
-    }
+    """Fully resolved config values for the run-manifest echo, in file units."""
+    echo: dict = {}
+    for key in _KEYS:
+        value = cfg
+        for attr in key.field.split("."):
+            value = getattr(value, attr)
+        section, _, name = key.yaml.rpartition(".")
+        node = echo.setdefault(section, {}) if section else echo
+        node[name] = key.dump(value)
+    return echo

@@ -17,11 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .device import QubitPhysical, coupling_strength
+from .device import QubitPhysical, coupling_strength, ghz_to_rad_ns
 
-#: pulse length and drive detuning are guarded against the chi poles by this
-#: margin (rad/ns); about 8 MHz.
-DEFAULT_POLE_GUARD = 0.05
+#: qubit frequencies closer than this (rad/ns) to a chi pole are rejected;
+#: 8 MHz.
+DEFAULT_POLE_GUARD = ghz_to_rad_ns(0.008)
 
 
 class PoleProximityError(ValueError):
@@ -30,6 +30,10 @@ class PoleProximityError(ValueError):
 
 class StepSizeError(ValueError):
     """Raised when the RK4 step is too coarse for the requested dynamics."""
+
+
+class DetuningStepError(StepSizeError):
+    """Raised when the RK4 step is fine for kappa but too coarse for |delta|."""
 
 
 @dataclass(frozen=True)
@@ -110,16 +114,19 @@ def _unit_step_response(delta: float, kappa: float, dt: float, n_steps: int):
 
 
 def _check_step(delta: float, kappa: float, dt: float) -> None:
+    """Require dt <= min(1/kappa, 1/|delta|)/10.
+
+    kappa is checked first: a step too coarse for it is too coarse at every
+    qubit frequency, while DetuningStepError depends on delta = +-chi alone,
+    so the cost model can treat that frequency as infeasible.
+    """
     if dt <= 0:
         raise StepSizeError(f"dt must be > 0, got {dt}")
-    limit = 1.0 / kappa
-    if delta != 0.0:
-        limit = min(limit, 1.0 / abs(delta))
-    if dt > 0.1 * limit * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt = {dt} ns too coarse; need dt <= min(1/kappa, 1/|delta|)/10 "
-            f"= {0.1 * limit:.4g} ns"
-        )
+    for error, name, rate in ((StepSizeError, "kappa", kappa),
+                              (DetuningStepError, "|delta|", abs(delta))):
+        if rate != 0.0 and dt > 0.1 * (1.0 / rate) * (1.0 + 1e-9):
+            raise error(f"dt = {dt} ns too coarse; need dt <= 1/{name}/10 "
+                        f"= {0.1 * (1.0 / rate):.4g} ns")
 
 
 def _sample_counts(pulse: PulseShape, dt: float) -> tuple[int, int]:

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
 
-from .device import FrequencyRangeError, QubitPhysical, relaxation_rate
+from .device import QubitPhysical, relaxation_rate
 from .dynamics import (
     DEFAULT_POLE_GUARD,
+    DetuningStepError,
     FieldTrajectory,
     PoleProximityError,
     PulseShape,
@@ -27,14 +28,26 @@ from .dynamics import (
     _unit_step_response,
     dispersive_shift,
     field_pair,
-    max_photon,
-    residual_photon,
-    stark_trajectory,
 )
 
-DEFAULT_TOTAL_TIME = 500.0  # ns, fixed t_p + t_r
-DEFAULT_MIST_CEILING = 1.0
-DEFAULT_MIST_SHARPNESS = 0.05
+
+class ParameterError(ValueError):
+    """A model parameter outside its domain; field names the attribute."""
+
+    def __init__(self, obj, field: str, rule: str):
+        super().__init__(
+            f"{type(obj).__name__}.{field} must be {rule}, "
+            f"got {getattr(obj, field)!r}")
+        self.field = field
+
+
+def require(obj, rule: str, *names: str) -> None:
+    """Raise ParameterError for the first named field of obj that breaks
+    rule, "> 0" or ">= 0"; NaN breaks both."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (v > 0 if rule == "> 0" else v >= 0):
+            raise ParameterError(obj, name, rule)
 
 
 @dataclass(frozen=True)
@@ -53,18 +66,21 @@ class ReadoutParams:
 
 @dataclass(frozen=True)
 class MistParams:
-    """Constants of the MIST photon-number threshold.
+    """Constants of the MIST photon-number threshold and its penalty.
 
     a is dimensionless, b has units of ns/rad; both come from external
-    numerical simulations and are config inputs here.
+    numerical simulations and are config inputs here.  The penalty is a
+    logistic step of height ceiling and relative width sharpness.
     """
 
-    a: float
-    b: float
+    a: float = 0.075
+    b: float = 0.54
+    ceiling: float = 1.0
+    sharpness: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError(f"MIST constant a must be > 0, got {self.a}")
+        require(self, "> 0", "a", "sharpness")
+        require(self, ">= 0", "ceiling")
 
 
 class CollisionChannel(enum.Enum):
@@ -82,10 +98,8 @@ class CollisionSpec:
     amplitude: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"collision width must be > 0, got {self.width}")
-        if self.amplitude < 0:
-            raise ValueError(f"collision amplitude must be >= 0, got {self.amplitude}")
+        require(self, "> 0", "width")
+        require(self, ">= 0", "amplitude")
 
 
 @dataclass(frozen=True)
@@ -99,6 +113,10 @@ class CollisionDefaults:
     width: float = 2.0 * math.pi * 0.030  # rad/ns, 30 MHz
     resonance_penalty: float = 1.0
     next_nearest_scale: float = 0.5
+
+    def __post_init__(self) -> None:
+        require(self, "> 0", "width")
+        require(self, ">= 0", "resonance_penalty", "next_nearest_scale")
 
     def amplitude(self, next_nearest: bool) -> float:
         # epsilon at resonance is 2*pi*c/gamma, so c = penalty*gamma/(2*pi)
@@ -115,9 +133,31 @@ class CostWeights:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("separation", "relaxation", "photon", "mist", "coupling"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"weight {name} must be >= 0")
+        require(self, ">= 0", *(f.name for f in fields(self)))
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Everything besides the qubit and the point that a cost depends on.
+
+    weights scale the five terms; mist and collision parametrize the two
+    heuristic terms, which heuristics=False (the predictive-only strategy)
+    sets to zero; points within pole_guard (rad/ns) of a chi pole are
+    infeasible; dt is the RK4 step and total_time the fixed t_p + t_r, both
+    in ns.
+    """
+
+    weights: CostWeights = CostWeights()
+    mist: MistParams = MistParams()
+    collision: CollisionDefaults = CollisionDefaults()
+    pole_guard: float = DEFAULT_POLE_GUARD
+    dt: float = 1.0
+    total_time: float = 500.0
+    heuristics: bool = True
+
+    def __post_init__(self) -> None:
+        require(self, ">= 0", "pole_guard")
+        require(self, "> 0", "dt", "total_time")
 
 
 @dataclass
@@ -215,8 +255,8 @@ def mist_threshold(omega_q: float, omega_r: float, p: MistParams) -> float:
 def mist_penalty(
     n_max: float,
     n_th: float,
-    sharpness: float = DEFAULT_MIST_SHARPNESS,
-    ceiling: float = DEFAULT_MIST_CEILING,
+    sharpness: float = MistParams.sharpness,
+    ceiling: float = MistParams.ceiling,
 ) -> float:
     """Logistic step in n_max centered on the threshold n_th."""
     if n_th <= 0:
@@ -283,25 +323,23 @@ def _infeasible(**known) -> CostBreakdown:
 def evaluate_cost(
     q: QubitPhysical,
     params: ReadoutParams,
-    weights: CostWeights,
-    mist: MistParams,
-    specs,
-    dt: float,
-    include_heuristics: bool = True,
-    mist_ceiling: float = DEFAULT_MIST_CEILING,
-    mist_sharpness: float = DEFAULT_MIST_SHARPNESS,
-    pole_guard: float = DEFAULT_POLE_GUARD,
+    model: CostModel,
+    specs=(),
 ) -> CostBreakdown:
-    """All five cost terms for one parameter point.
+    """All five cost terms for one parameter point under model.
 
-    Deterministic and pure; a point with a hard domain error (chi pole, or
-    Stark trace leaving the Gamma1 table) comes back with total = +inf.
-    With include_heuristics False (the predictive-only strategy) the MIST
-    and coupling terms are zero and specs are ignored.
+    Deterministic and pure.  A point in a hard domain of the model comes
+    back with total = +inf: within model.pole_guard of a chi pole, with
+    |chi| too large for the step model.dt, or with the Stark trace leaving
+    the Gamma1 table.  An invalid pulse, or a step too coarse for kappa,
+    raises.  specs are the CollisionSpecs of the locked neighbors; with
+    model.heuristics False (the predictive-only strategy) the MIST and
+    coupling terms are zero and specs are ignored.
     """
+    dt = model.dt
     try:
-        traj = field_pair(q, params, dt, guard=pole_guard)
-    except PoleProximityError:
+        traj = field_pair(q, params, dt, guard=model.pole_guard)
+    except (PoleProximityError, DetuningStepError):
         return _infeasible()
 
     # shared intermediates: |beta|^2 for both branches and the cumulative
@@ -345,19 +383,21 @@ def evaluate_cost(
     photon = 0.5 * float(n0[-1] + n1[-1])
     n_max = float(max(n0.max(), n1.max()))
 
+    mist = model.mist
     mist_term = 0.0
     coupling_term = 0.0
-    if include_heuristics:
+    if model.heuristics:
         if params.omega_q <= q.omega_r:
-            mist_term = mist_ceiling
+            mist_term = mist.ceiling
         else:
             n_th = mist_threshold(params.omega_q, q.omega_r, mist)
             if n_th <= 0.0:
-                mist_term = mist_ceiling
+                mist_term = mist.ceiling
             else:
-                mist_term = mist_penalty(n_max, n_th, mist_sharpness, mist_ceiling)
+                mist_term = mist_penalty(n_max, n_th, mist.sharpness, mist.ceiling)
         coupling_term = coupling_error(params.omega_q, specs)
 
+    weights = model.weights
     total = (
         weights.separation * sep
         + weights.relaxation * relax
@@ -383,55 +423,60 @@ def cost_plane(
     omega_q: float,
     amp_points,
     tp_points,
-    total_time: float,
-    weights: CostWeights,
-    mist: MistParams,
-    specs,
-    dt: float,
-    include_heuristics: bool = True,
-    mist_ceiling: float = DEFAULT_MIST_CEILING,
-    mist_sharpness: float = DEFAULT_MIST_SHARPNESS,
-    pole_guard: float = DEFAULT_POLE_GUARD,
+    model: CostModel,
+    specs=(),
 ) -> np.ndarray:
     """Cost totals over one omega's whole amplitude x pulse-length plane.
 
-    Entry [i, j] is, bit for bit, the total evaluate_cost returns for
-    ReadoutParams(omega_q, amp_points[i], tp_points[j],
-    total_time - tp_points[j]); infeasible points are +inf.  Everything
-    that depends only on omega (chi, the step responses, the heuristic
-    terms) is computed once, and each pulse length scores all amplitudes
-    at once in reused (n_amp, n_steps + 1) buffers.  The array operations
-    repeat evaluate_cost's IEEE operations in the same order: the
-    trapezoid cumsum runs along each row, the half-SNR index counts the
-    samples below half (equal to searchsorted on the nondecreasing cum),
-    the Gamma1 prefixes are summed row-wise in groups of equal length,
-    and the MIST logistic calls math.exp.  An invalid point raises the
+    Entry [i, j] is, bit for bit, the total evaluate_cost(q, params, model,
+    specs) returns for params = ReadoutParams(omega_q, amp_points[i],
+    tp_points[j], model.total_time - tp_points[j]); infeasible points are
+    +inf, and an omega near a chi pole or with |chi| too large for
+    model.dt gives an all-+inf plane.  Everything that depends only on
+    omega (chi, the step responses, the heuristic terms) is computed once,
+    and each pulse length scores all amplitudes at once in reused
+    (n_amp, n_steps + 1) buffers.  The array operations repeat
+    evaluate_cost's IEEE operations in the same order: the trapezoid cumsum
+    runs along each row, the half-SNR index counts the samples below half
+    (equal to searchsorted on the nondecreasing cum), the Gamma1 prefixes
+    are summed row-wise in groups of equal length, and the MIST logistic
+    calls math.exp.  An invalid point raises the
     error evaluate_cost raises at the first such point in row-major order.
     """
     shape = (len(amp_points), len(tp_points))
+    dt, total_time = model.dt, model.total_time
+    weights, mist = model.weights, model.mist
     try:
-        chi = dispersive_shift(q, omega_q, pole_guard)
+        chi = dispersive_shift(q, omega_q, model.pole_guard)
     except PoleProximityError:
         return np.full(shape, math.inf)
     counts = []
+    chi_too_large = False
     for j, t_p in enumerate(tp_points):
         pulse = PulseShape(b0=amp_points[0], t_p=t_p, t_r=total_time - t_p)
         if j == 0:
-            _check_step(chi, q.kappa, dt)
-        counts.append(_sample_counts(pulse, dt))
+            try:
+                _check_step(chi, q.kappa, dt)
+            except DetuningStepError:
+                chi_too_large = True
+        # evaluate_cost stops at the step check, before counting samples
+        if not chi_too_large:
+            counts.append(_sample_counts(pulse, dt))
     for b0 in amp_points[1:]:
         PulseShape(b0=b0, t_p=tp_points[0], t_r=total_time - tp_points[0])
+    if chi_too_large:
+        return np.full(shape, math.inf)
 
     mist_n_th = None
     mist_term = 0.0
     coupling_term = 0.0
-    if include_heuristics:
+    if model.heuristics:
         if omega_q <= q.omega_r:
-            mist_term = mist_ceiling
+            mist_term = mist.ceiling
         else:
             mist_n_th = mist_threshold(omega_q, q.omega_r, mist)
             if mist_n_th <= 0.0:
-                mist_term, mist_n_th = mist_ceiling, None
+                mist_term, mist_n_th = mist.ceiling, None
         coupling_term = coupling_error(omega_q, specs)
 
     amps = np.asarray(amp_points, dtype=float)[:, None]
@@ -502,11 +547,11 @@ def cost_plane(
         photon = 0.5 * (n0_last + n1[:, -1])
         if mist_n_th is not None:
             n_max = np.maximum(n0_max, n1.max(axis=1))
-            z = (n_max - mist_n_th) / (mist_sharpness * mist_n_th)
+            z = (n_max - mist_n_th) / (mist.sharpness * mist_n_th)
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             # math.exp as in mist_penalty: np.exp's SIMD loop differs from
             # it in the last bit for some inputs
-            mist_term = mist_ceiling / (1.0 + np.array([math.exp(-v) for v in z.tolist()]))
+            mist_term = mist.ceiling / (1.0 + np.array([math.exp(-v) for v in z.tolist()]))
         total = (
             weights.separation * sep
             + weights.relaxation * relax

@@ -4,10 +4,12 @@ Measure qubits are optimized first, hopping diagonally between them where
 possible, then the data qubits.  Each qubit's cost is minimized by an
 exhaustive scan over its (omega_q, amplitude, pulse length) grid while
 accumulating frequency-collision constraints from already-locked neighbors
-up to next-nearest order.  The scan scores one omega's whole amplitude x
-pulse-length plane per error_models.cost_plane call, bit-identical to
-evaluate_cost point by point, and calls evaluate_cost once per qubit for
-the winner's breakdown.
+up to next-nearest order.  One error_models.CostModel defines the cost for
+the whole walk; its collision defaults turn each locked neighbor into
+collision specs, and with model.heuristics False the neighbors are ignored.
+The scan scores one omega's whole amplitude x pulse-length plane per
+error_models.cost_plane call, bit-identical to evaluate_cost point by
+point, and calls evaluate_cost once per qubit for the winner's breakdown.
 """
 from __future__ import annotations
 
@@ -19,10 +21,8 @@ import numpy as np
 
 from .device import DeviceGraph, NeighborOrder, QubitId, QubitPhysical, neighbors
 from .error_models import (
-    CollisionDefaults,
     CostBreakdown,
-    CostWeights,
-    MistParams,
+    CostModel,
     ReadoutParams,
     collision_specs,
     cost_plane,
@@ -120,20 +120,11 @@ def _scan_chunk(
     q: QubitPhysical,
     omega_points,
     omega_offset: int,
-    amp_points,
-    tp_points,
-    total_time: float,
+    grid: SearchGrid,
+    model: CostModel,
     locked,
-    weights: CostWeights,
-    mist: MistParams,
-    dt: float,
-    include_heuristics: bool,
-    collision_defaults: CollisionDefaults,
-    mist_ceiling: float,
-    mist_sharpness: float,
-    pole_guard: float,
 ):
-    """Exhaustive scan over a slice of the omega axis.
+    """Exhaustive scan over omega_points, a slice of grid's omega axis.
 
     Each omega's amplitude x pulse-length plane is scored in one cost_plane
     call; only the winner is re-evaluated by evaluate_cost, for its
@@ -141,18 +132,10 @@ def _scan_chunk(
     breakdown) with the lexicographically first grid index winning ties,
     or None if every point in the chunk is infeasible.
     """
-    specs = (
-        collision_specs(q, locked, collision_defaults) if include_heuristics else ()
-    )
+    specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
     best = None
     for i_w, omega in enumerate(omega_points):
-        totals = cost_plane(
-            q, omega, amp_points, tp_points, total_time, weights, mist, specs, dt,
-            include_heuristics=include_heuristics,
-            mist_ceiling=mist_ceiling,
-            mist_sharpness=mist_sharpness,
-            pole_guard=pole_guard,
-        )
+        totals = cost_plane(q, omega, grid.amp_points, grid.tp_points, model, specs)
         totals[~np.isfinite(totals)] = math.inf
         # first occurrence: row-major order is the (amp, t_p) index order
         flat = int(np.argmin(totals))
@@ -162,18 +145,11 @@ def _scan_chunk(
     if best is None:
         return None
     total, i_w, flat = best
-    i_a, i_t = divmod(flat, len(tp_points))
-    t_p = tp_points[i_t]
-    params = ReadoutParams(
-        omega_q=omega_points[i_w], b0=amp_points[i_a], t_p=t_p, t_r=total_time - t_p
-    )
-    bd = evaluate_cost(
-        q, params, weights, mist, specs, dt,
-        include_heuristics=include_heuristics,
-        mist_ceiling=mist_ceiling,
-        mist_sharpness=mist_sharpness,
-        pole_guard=pole_guard,
-    )
+    i_a, i_t = divmod(flat, len(grid.tp_points))
+    t_p = grid.tp_points[i_t]
+    params = ReadoutParams(omega_q=omega_points[i_w], b0=grid.amp_points[i_a],
+                           t_p=t_p, t_r=model.total_time - t_p)
+    bd = evaluate_cost(q, params, model, specs)
     return total, (i_w + omega_offset, i_a, i_t), params, bd
 
 
@@ -181,16 +157,8 @@ def optimize_qubit(
     q: QubitPhysical,
     grid: SearchGrid,
     locked,
-    weights: CostWeights,
-    mist: MistParams,
+    model: CostModel,
     *,
-    total_time: float,
-    dt: float,
-    include_heuristics: bool = True,
-    collision_defaults: CollisionDefaults = CollisionDefaults(),
-    mist_ceiling: float = 1.0,
-    mist_sharpness: float = 0.05,
-    pole_guard: float = 0.05,
     threads: int = 1,
     qid: QubitId | None = None,
 ) -> tuple[ReadoutParams, CostBreakdown]:
@@ -199,22 +167,19 @@ def optimize_qubit(
     locked holds (QubitPhysical, ReadoutParams, next_nearest) triples for
     previously optimized neighbors.  Ties break lexicographically on
     (omega, amplitude, pulse-length) grid indices, so the result does not
-    depend on how the scan is parallelized.
+    depend on how the scan is parallelized.  threads > 1 splits the omega
+    axis over a process pool.
     """
-    common = (
-        grid.amp_points, grid.tp_points, total_time, tuple(locked), weights,
-        mist, dt, include_heuristics, collision_defaults, mist_ceiling,
-        mist_sharpness, pole_guard,
-    )
+    locked = tuple(locked)
     if threads <= 1 or len(grid.omega_points) == 1:
-        results = [_scan_chunk(q, grid.omega_points, 0, *common)]
+        results = [_scan_chunk(q, grid.omega_points, 0, grid, model, locked)]
     else:
         n_chunks = min(threads * 2, len(grid.omega_points))
         bounds = [
             round(i * len(grid.omega_points) / n_chunks) for i in range(n_chunks + 1)
         ]
         jobs = [
-            (q, grid.omega_points[lo:hi], lo, *common)
+            (q, grid.omega_points[lo:hi], lo, grid, model, locked)
             for lo, hi in zip(bounds, bounds[1:])
             if hi > lo
         ]
@@ -236,17 +201,9 @@ def _scan_chunk_star(args):
 
 def optimize_device(
     graph: DeviceGraph,
-    grid_per_qubit: dict[QubitId, SearchGrid],
-    weights: CostWeights,
-    mist: MistParams,
+    grids: dict[QubitId, SearchGrid],
+    model: CostModel,
     *,
-    total_time: float,
-    dt: float,
-    include_heuristics: bool = True,
-    collision_defaults: CollisionDefaults = CollisionDefaults(),
-    mist_ceiling: float = 1.0,
-    mist_sharpness: float = 0.05,
-    pole_guard: float = 0.05,
     threads: int = 1,
     start: QubitId | None = None,
 ) -> OptimizationResult:
@@ -257,22 +214,16 @@ def optimize_device(
     evaluations = 0
     for index, qid in enumerate(order):
         q = graph.qubits[qid]
-        grid = grid_per_qubit[qid]
+        grid = grids[qid]
         locked = _locked_neighbors(graph, qid, locked_params)
         evaluations += grid.size
         try:
-            params, bd = optimize_qubit(
-                q, grid, locked, weights, mist,
-                total_time=total_time, dt=dt,
-                include_heuristics=include_heuristics,
-                collision_defaults=collision_defaults,
-                mist_ceiling=mist_ceiling, mist_sharpness=mist_sharpness,
-                pole_guard=pole_guard, threads=threads, qid=qid,
-            )
+            params, bd = optimize_qubit(q, grid, locked, model,
+                                        threads=threads, qid=qid)
         except InfeasibleQubitError as exc:
             exc.partial = OptimizationResult(per_qubit, order[:index], evaluations)
             raise
-        n_specs = 4 * len(locked) if include_heuristics else 0
+        n_specs = 4 * len(locked) if model.heuristics else 0
         per_qubit[qid] = QubitResult(params, bd, index, n_specs)
         locked_params[qid] = params
     return OptimizationResult(per_qubit, order, evaluations)

@@ -9,6 +9,7 @@ import contextlib
 import itertools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import yaml
 from readout_opt import (
     BenchmarkConfig,
     CostBreakdown,
+    CostModel,
     CostWeights,
     MistParams,
     OptimizationResult,
@@ -49,6 +51,7 @@ from conftest import CONFIG_DIR, DEFAULT_BAND, TWO_PI, make_graph, make_qubit
 
 WEIGHTS = CostWeights()
 MIST = MistParams(a=0.075, b=0.54)
+MODEL = CostModel(weights=WEIGHTS, mist=MIST, total_time=500.0, dt=1.0)
 
 
 @contextlib.contextmanager
@@ -80,13 +83,7 @@ def small_run(d3_graph):
     """One reduced-grid full-device optimization shared by criteria 6 and 11."""
     cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
     grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
-    result = optimize_device(
-        d3_graph, grids, cfg.weights, cfg.mist,
-        total_time=cfg.total_time, dt=cfg.dt,
-        collision_defaults=cfg.collision,
-        mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-        pole_guard=cfg.pole_guard,
-    )
+    result = optimize_device(d3_graph, grids, cfg.model)
     return cfg, grids, result
 
 
@@ -194,7 +191,7 @@ def test_criterion_05_snr_per_photon_optimum():
         assert abs(chi_scale[i_peak] - 1.0) < resolution
 
 
-def _exhaustive_scan(q, grid, locked, total_time, dt):
+def _exhaustive_scan(q, grid, locked, model):
     """Independent brute-force oracle with its own loop and tie-breaking."""
     specs = collision_specs(q, locked)
     best_key, best = None, None
@@ -207,9 +204,9 @@ def _exhaustive_scan(q, grid, locked, total_time, dt):
             omega_q=grid.omega_points[i_w],
             b0=grid.amp_points[i_a],
             t_p=grid.tp_points[i_t],
-            t_r=total_time - grid.tp_points[i_t],
+            t_r=model.total_time - grid.tp_points[i_t],
         )
-        bd = evaluate_cost(q, params, WEIGHTS, MIST, specs, dt)
+        bd = evaluate_cost(q, params, model, specs)
         if not math.isfinite(bd.total):
             continue
         key = (bd.total, i_w, i_a, i_t)
@@ -230,14 +227,11 @@ def test_criterion_06_greedy_exactness(d3_graph, small_run):
             amp_points=tuple(np.linspace(0.04, 0.35, 10)),
             tp_points=tuple(np.linspace(150.0, 450.0, 10)),
         )
-        total_time, dt = 500.0, 1.0
         result = optimize_device(
-            graph, {qid: grid for qid in graph.qubits}, WEIGHTS, MIST,
-            total_time=total_time, dt=dt)
+            graph, {qid: grid for qid in graph.qubits}, MODEL)
         locked = []
         for qid in result.order:
-            oracle = _exhaustive_scan(
-                graph.qubits[qid], grid, locked, total_time, dt)
+            oracle = _exhaustive_scan(graph.qubits[qid], grid, locked, MODEL)
             assert result.per_qubit[qid].params == oracle
             locked.append((graph.qubits[qid], oracle, False))
 
@@ -251,12 +245,7 @@ def test_criterion_06_greedy_exactness(d3_graph, small_run):
                     d3_graph, qid, locked_params):
                 active.append((nb, nb_params, diagonal))
             params, bd = optimize_qubit(
-                d3_graph.qubits[qid], grids[qid], active, cfg.weights,
-                cfg.mist, total_time=cfg.total_time, dt=cfg.dt,
-                collision_defaults=cfg.collision,
-                mist_ceiling=cfg.mist_ceiling,
-                mist_sharpness=cfg.mist_sharpness,
-                pole_guard=cfg.pole_guard, qid=qid)
+                d3_graph.qubits[qid], grids[qid], active, cfg.model, qid=qid)
             assert params == full.per_qubit[qid].params
             assert bd.total == full.per_qubit[qid].breakdown.total
             locked_params[qid] = params
@@ -287,18 +276,14 @@ def test_criterion_07_collision_avoidance():
             tp_points=(250.0, 350.0),
         )
         grids = {qid: grid for qid in graph.qubits}
-        total_time, dt = 500.0, 1.0
-
         naive = optimize_device(
-            graph, grids, WEIGHTS, MIST,
-            total_time=total_time, dt=dt, include_heuristics=False)
+            graph, grids, replace(MODEL, heuristics=False))
         first, second = naive.order
         assert naive.per_qubit[first].params.omega_q == \
             naive.per_qubit[second].params.omega_q  # the collision
 
         strong = CostWeights(coupling=1e4)
-        avoided = optimize_device(
-            graph, grids, strong, MIST, total_time=total_time, dt=dt)
+        avoided = optimize_device(graph, grids, replace(MODEL, weights=strong))
         w_first = avoided.per_qubit[first].params
         q_second = graph.qubits[second]
         specs = collision_specs(q_second, [(graph.qubits[first], w_first, False)])
@@ -394,13 +379,7 @@ def test_criterion_10_performance_full_device(d3_graph):
         assert expected_evals == 17 * 60 * 40 * 42  # 1,713,600
 
         t_begin = time.perf_counter()
-        result = optimize_device(
-            d3_graph, grids, cfg.weights, cfg.mist,
-            total_time=cfg.total_time, dt=cfg.dt,
-            collision_defaults=cfg.collision,
-            mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-            pole_guard=cfg.pole_guard,
-        )
+        result = optimize_device(d3_graph, grids, cfg.model)
         elapsed = time.perf_counter() - t_begin
 
         assert result.evaluations == expected_evals  # reported and exact
@@ -415,13 +394,7 @@ def test_criterion_10_performance_full_device(d3_graph):
 def test_criterion_11_determinism(d3_graph, small_run):
     with criterion(11, "repeat runs are bit-identical with fixed seeds"):
         cfg, grids, first = small_run
-        second = optimize_device(
-            d3_graph, grids, cfg.weights, cfg.mist,
-            total_time=cfg.total_time, dt=cfg.dt,
-            collision_defaults=cfg.collision,
-            mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-            pole_guard=cfg.pole_guard,
-        )
+        second = optimize_device(d3_graph, grids, cfg.model)
         dump1 = yaml.safe_dump(result_to_dict(first, Strategy.ALL_MODELS))
         dump2 = yaml.safe_dump(result_to_dict(second, Strategy.ALL_MODELS))
         assert dump1 == dump2

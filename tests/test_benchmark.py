@@ -6,6 +6,7 @@ import pytest
 from readout_opt import (
     BenchmarkConfig,
     CostBreakdown,
+    CostModel,
     CostWeights,
     MistParams,
     OptimizationResult,
@@ -275,8 +276,8 @@ class TestRunBenchmark:
         )
         result = optimize_device(
             graph, {qid: grid for qid in graph.qubits},
-            CostWeights(), MistParams(a=0.075, b=0.54),
-            total_time=500.0, dt=1.0)
+            CostModel(CostWeights(), MistParams(a=0.075, b=0.54),
+                      total_time=500.0, dt=1.0))
         report = run_benchmark(graph, result,
                                BenchmarkConfig(n_states=20, n_shots=100))
         assert set(report.qubits) == set(graph.qubits)

@@ -15,7 +15,7 @@ from readout_opt import (
     neighbors,
     optimize_device,
 )
-from readout_opt.cli import result_to_dict
+from readout_opt.cli import EXIT_IO, main, result_to_dict
 from readout_opt.config import OptimizerConfigError, config_echo
 
 from conftest import CONFIG_DIR, TWO_PI, make_graph, make_qubit
@@ -25,11 +25,11 @@ from readout_opt import Role
 class TestLoadOptimizerConfig:
     def test_empty_text_gives_defaults(self):
         cfg = load_optimizer_config("")
-        assert cfg.total_time == 500.0
-        assert cfg.dt == 1.0
+        assert cfg.model.total_time == 500.0
+        assert cfg.model.dt == 1.0
         assert cfg.grid.n_omega == 60
-        assert cfg.weights.separation == 1.0
-        assert cfg.mist.a == 0.075
+        assert cfg.model.weights.separation == 1.0
+        assert cfg.model.mist.a == 0.075
         assert cfg.start is None
 
     def test_unit_conversions(self):
@@ -37,8 +37,8 @@ class TestLoadOptimizerConfig:
             "collision": {"width_MHz": 30.0},
             "pole_guard_GHz": 0.008,
         }))
-        assert cfg.collision.width == pytest.approx(TWO_PI * 0.030)
-        assert cfg.pole_guard == pytest.approx(TWO_PI * 0.008)
+        assert cfg.model.collision.width == pytest.approx(TWO_PI * 0.030)
+        assert cfg.model.pole_guard == pytest.approx(TWO_PI * 0.008)
 
     def test_partial_override(self):
         cfg = load_optimizer_config(yaml.safe_dump({
@@ -47,8 +47,8 @@ class TestLoadOptimizerConfig:
         }))
         assert cfg.grid.n_omega == 7
         assert cfg.grid.n_amp == 40  # untouched default
-        assert cfg.weights.photon == 0.2
-        assert cfg.weights.mist == 1.0
+        assert cfg.model.weights.photon == 0.2
+        assert cfg.model.weights.mist == 1.0
 
     def test_zero_grid_rejected(self):
         with pytest.raises(OptimizerConfigError):
@@ -121,6 +121,32 @@ class TestBuildSearchGrid:
             load_optimizer_config("dt_ns: 0")
 
 
+class TestBadConfigNamesKey:
+    """A bad optimizer config exits 2 through the CLI, naming the file key."""
+
+    @pytest.mark.parametrize("text, key", [
+        ("grid: [1, 2]", "grid"),
+        ("grid: {n_omega: abc}", "grid.n_omega"),
+        ("grid: {n_amp: 0}", "grid.n_amp"),
+        ("start_qubit: 5", "start_qubit"),
+        ("start_qubit: [1, x]", "start_qubit"),
+        ("mist: {sharpness: 0}", "mist.sharpness"),
+        ("mist: {ceiling: -1}", "mist.ceiling"),
+        ("collision: {width_MHz: 0}", "collision.width_MHz"),
+        ("weights: {photon: -1}", "weights.photon"),
+        ("pole_guard_GHz: -1", "pole_guard_GHz"),
+        ("dt_ns: 0", "dt_ns"),
+        ("total_readout_time_ns: .nan", "total_readout_time_ns"),
+    ])
+    def test_exit_2_with_key(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        code = main(["optimize", "--device", str(CONFIG_DIR / "device_d3.yaml"),
+                     "--opt-config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == EXIT_IO
+        assert f"error: {key}: " in capsys.readouterr().err
+
+
 class TestShippedConfigsReportWhatTheySimulate:
     """Every reported t_p is on the dt grid and re-evaluates to its total."""
 
@@ -139,17 +165,13 @@ class TestShippedConfigsReportWhatTheySimulate:
                 search_band={q: graph.search_band[q] for q in keep[:n_qubits]})
         grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
         assert all(len(g.tp_points) == cfg.grid.n_tp for g in grids.values())
-        result = optimize_device(
-            graph, grids, cfg.weights, cfg.mist,
-            total_time=cfg.total_time, dt=cfg.dt,
-            collision_defaults=cfg.collision,
-            mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-            pole_guard=cfg.pole_guard)
+        model = cfg.model
+        result = optimize_device(graph, grids, model)
         reported = result_to_dict(result, Strategy.ALL_MODELS)["qubits"]
         assert len(reported) == len(graph.qubits)
         for row in reported:
-            assert (row["t_p_ns"] / cfg.dt).is_integer()
-            assert row["t_r_ns"] == cfg.total_time - row["t_p_ns"]
+            assert (row["t_p_ns"] / model.dt).is_integer()
+            assert row["t_r_ns"] == model.total_time - row["t_p_ns"]
 
         locked = {}
         for qid in result.order:
@@ -158,11 +180,8 @@ class TestShippedConfigsReportWhatTheySimulate:
                 (graph.qubits[nb], locked[nb], nb.row != qid.row and nb.col != qid.col)
                 for nb in neighbors(graph, qid, NeighborOrder.BOTH) if nb in locked
             ]
-            specs = collision_specs(graph.qubits[qid], active, cfg.collision)
-            again = evaluate_cost(
-                graph.qubits[qid], r.params, cfg.weights, cfg.mist, specs, cfg.dt,
-                mist_ceiling=cfg.mist_ceiling, mist_sharpness=cfg.mist_sharpness,
-                pole_guard=cfg.pole_guard)
+            specs = collision_specs(graph.qubits[qid], active, model.collision)
+            again = evaluate_cost(graph.qubits[qid], r.params, model, specs)
             assert again.total == r.breakdown.total
             locked[qid] = r.params
 
@@ -177,12 +196,12 @@ class TestConfigEcho:
             "start_qubit": [1, 2],
         }))
         echoed = load_optimizer_config(yaml.safe_dump(config_echo(cfg)))
-        assert echoed.dt == cfg.dt
+        assert echoed.model.dt == cfg.model.dt
         assert echoed.grid == cfg.grid
-        assert echoed.mist.a == pytest.approx(cfg.mist.a)
-        assert echoed.mist_sharpness == cfg.mist_sharpness
-        assert echoed.collision.width == pytest.approx(cfg.collision.width)
-        assert echoed.pole_guard == pytest.approx(cfg.pole_guard)
+        assert echoed.model.mist.a == pytest.approx(cfg.model.mist.a)
+        assert echoed.model.mist.sharpness == cfg.model.mist.sharpness
+        assert echoed.model.collision.width == pytest.approx(cfg.model.collision.width)
+        assert echoed.model.pole_guard == pytest.approx(cfg.model.pole_guard)
         assert echoed.start == cfg.start
 
     def test_strategy_values(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from readout_opt import (
     CollisionDefaults,
+    CostModel,
     CostWeights,
     MistParams,
     ReadoutParams,
@@ -36,6 +37,11 @@ TOTAL = 500.0
 DT = 1.0
 
 
+def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=DT):
+    return CostModel(weights, MIST, pole_guard=GUARD, dt=dt,
+                     total_time=total_time, heuristics=include_heuristics)
+
+
 def oracle_plane(q, omega, amps, tps, weights, specs, include_heuristics,
                  total_time=TOTAL, dt=DT):
     """evaluate_cost over the plane in row-major order.
@@ -49,9 +55,9 @@ def oracle_plane(q, omega, amps, tps, weights, specs, include_heuristics,
             params = ReadoutParams(omega_q=omega, b0=b0, t_p=t_p,
                                    t_r=total_time - t_p)
             try:
-                bd = evaluate_cost(q, params, weights, MIST, specs, dt,
-                                   include_heuristics=include_heuristics,
-                                   pole_guard=GUARD)
+                bd = evaluate_cost(
+                    q, params,
+                    model(weights, include_heuristics, total_time, dt), specs)
             except ValueError as exc:
                 return None, exc
             totals[i, j] = bd.total
@@ -60,9 +66,8 @@ def oracle_plane(q, omega, amps, tps, weights, specs, include_heuristics,
 
 def kernel_plane(q, omega, amps, tps, weights, specs, include_heuristics,
                  total_time=TOTAL, dt=DT):
-    return cost_plane(q, omega, amps, tps, total_time, weights, MIST, specs,
-                      dt, include_heuristics=include_heuristics,
-                      pole_guard=GUARD)
+    return cost_plane(q, omega, amps, tps,
+                      model(weights, include_heuristics, total_time, dt), specs)
 
 
 def assert_same(q, omega, amps, tps, weights=CostWeights(), specs=(),
@@ -192,8 +197,7 @@ class TestScan:
         q = D3.qubits[qid]
         grid = small_grid(q, D3.search_band[qid])
         zero = CostWeights(0.0, 0.0, 0.0, 0.0, 0.0)
-        params, bd = optimize_qubit(q, grid, [], zero, MIST,
-                                    total_time=TOTAL, dt=DT, pole_guard=GUARD)
+        params, bd = optimize_qubit(q, grid, [], model(zero))
         assert bd.total == 0.0
         assert (params.omega_q, params.b0, params.t_p) == (
             grid.omega_points[0], grid.amp_points[0], grid.tp_points[0])
@@ -201,8 +205,7 @@ class TestScan:
         # an infeasible first omega hands the tie to the next one
         at_pole = SearchGrid((q.omega_r,) + grid.omega_points[1:],
                              grid.amp_points, grid.tp_points)
-        params, _ = optimize_qubit(q, at_pole, [], zero, MIST,
-                                   total_time=TOTAL, dt=DT, pole_guard=GUARD)
+        params, _ = optimize_qubit(q, at_pole, [], model(zero))
         assert (params.omega_q, params.b0, params.t_p) == (
             grid.omega_points[1], grid.amp_points[0], grid.tp_points[0])
 
@@ -215,8 +218,7 @@ class TestScan:
         locked = [(nb, ReadoutParams(grid.omega_points[2], 0.2, 300.0, 200.0),
                    False)]
         params, bd = optimize_qubit(
-            q, grid, locked, CostWeights(), MIST, total_time=TOTAL, dt=DT,
-            include_heuristics=include_heuristics, pole_guard=GUARD)
+            q, grid, locked, model(include_heuristics=include_heuristics))
         specs = collision_specs(q, locked) if include_heuristics else ()
         planes = np.stack([
             kernel_plane(q, w, grid.amp_points, grid.tp_points, CostWeights(),
@@ -228,4 +230,20 @@ class TestScan:
         assert params == ReadoutParams(
             grid.omega_points[i_w], grid.amp_points[i_a], grid.tp_points[i_t],
             TOTAL - grid.tp_points[i_t])
+        assert math.isfinite(bd.total)
+
+    def test_chi_too_large_for_dt_is_infeasible(self):
+        # 0.095 rad/ns above the omega_r - alpha pole: outside the guard, but
+        # chi = -10.9 rad/ns needs dt <= 0.009 ns
+        qid = QIDS[0]
+        q = D3.qubits[qid]
+        bad = q.omega_r - q.alpha + 0.095
+        centre = 0.5 * sum(D3.search_band[qid])
+        grid = small_grid(q, D3.search_band[qid], 1, 2, 2)
+        grid = SearchGrid((bad, centre), grid.amp_points, grid.tp_points)
+        plane = assert_same(q, bad, grid.amp_points, grid.tp_points)
+        assert np.isinf(plane).all()
+        assert_same(q, bad, [0.1], [300.0, 520.0])  # an invalid pulse still raises
+        params, bd = optimize_qubit(q, grid, [], model())
+        assert params.omega_q == centre
         assert math.isfinite(bd.total)

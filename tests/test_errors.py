@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from readout_opt import (
     CollisionChannel,
     CollisionDefaults,
     CollisionSpec,
+    CostModel,
     CostWeights,
     FieldTrajectory,
     MistParams,
@@ -273,13 +275,14 @@ class TestCollisions:
 class TestEvaluateCost:
     W = CostWeights()
     M = MistParams(a=0.075, b=0.54)
+    MODEL = CostModel(W, M, dt=DT)
 
     def test_matches_component_functions(self):
         q = make_qubit()
         params = default_params()
         specs = collision_specs(
             q, [(make_qubit(), default_params(omega_q=TWO_PI * 6.05), False)])
-        out = evaluate_cost(q, params, self.W, self.M, specs, DT)
+        out = evaluate_cost(q, params, self.MODEL, specs)
         traj = field_pair(q, params, DT)
         s = snr(traj, q.eta, q.kappa)
         assert out.snr == pytest.approx(s, rel=1e-12)
@@ -307,7 +310,7 @@ class TestEvaluateCost:
         params = default_params()
         weights = CostWeights(separation=2.0, relaxation=0.0, photon=3.0,
                               mist=0.5, coupling=0.0)
-        out = evaluate_cost(q, params, weights, self.M, [], DT)
+        out = evaluate_cost(q, params, replace(self.MODEL, weights=weights))
         assert out.total == pytest.approx(
             2.0 * out.separation + 3.0 * out.photon + 0.5 * out.mist,
             rel=1e-12)
@@ -316,8 +319,8 @@ class TestEvaluateCost:
         q = make_qubit()
         params = default_params()
         specs = collision_specs(q, [(q, params, False)])
-        out = evaluate_cost(q, params, self.W, self.M, specs, DT,
-                            include_heuristics=False)
+        out = evaluate_cost(q, params, replace(self.MODEL, heuristics=False),
+                            specs)
         assert out.mist == 0.0
         assert out.coupling == 0.0
         assert out.total == pytest.approx(
@@ -326,7 +329,7 @@ class TestEvaluateCost:
     def test_pole_proximity_infeasible(self):
         q = make_qubit()
         params = default_params(omega_q=q.omega_r)
-        out = evaluate_cost(q, params, self.W, self.M, [], DT)
+        out = evaluate_cost(q, params, self.MODEL)
         assert not out.feasible
         assert out.total == math.inf
 
@@ -334,12 +337,12 @@ class TestEvaluateCost:
         q = make_qubit(gamma1_table=(
             (TWO_PI * 5.89, 5e-5), (TWO_PI * 5.91, 5e-5)))
         params = default_params(b0=0.35)
-        out = evaluate_cost(q, params, self.W, self.M, [], DT)
+        out = evaluate_cost(q, params, self.MODEL)
         assert not out.feasible
 
     def test_mist_ceiling_below_resonator(self):
         q = make_qubit(omega_r=TWO_PI * 6.5, gamma1_table=tuple(
             (TWO_PI * f, 5e-5) for f in (5.2, 5.6, 6.0, 6.4, 6.8)))
         params = default_params(omega_q=TWO_PI * 5.9)
-        out = evaluate_cost(q, params, self.W, self.M, [], DT)
+        out = evaluate_cost(q, params, self.MODEL)
         assert out.mist == 1.0

@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from readout_opt import (
     CollisionDefaults,
+    CostModel,
     CostWeights,
     InfeasibleQubitError,
     MistParams,
@@ -26,6 +28,7 @@ WEIGHTS = CostWeights()
 MIST = MistParams(a=0.075, b=0.54)
 DT = 1.0
 TOTAL = 500.0
+MODEL = CostModel(weights=WEIGHTS, mist=MIST, dt=DT, total_time=TOTAL)
 
 
 def small_grid(n_omega=5, n_amp=4, n_tp=3):
@@ -52,8 +55,8 @@ def brute_force(q, grid, locked, include_heuristics=True):
             t_p=grid.tp_points[i_t],
             t_r=TOTAL - grid.tp_points[i_t],
         )
-        bd = evaluate_cost(q, params, WEIGHTS, MIST, specs, DT,
-                           include_heuristics=include_heuristics)
+        bd = evaluate_cost(q, params,
+                           replace(MODEL, heuristics=include_heuristics), specs)
         if not math.isfinite(bd.total):
             continue
         key = (bd.total, i_w, i_a, i_t)
@@ -133,8 +136,7 @@ class TestOptimizeQubit:
         grid = small_grid()
         locked = [(make_qubit(), ReadoutParams(
             omega_q=TWO_PI * 6.0, b0=0.2, t_p=300.0, t_r=200.0), False)]
-        params, bd = optimize_qubit(
-            q, grid, locked, WEIGHTS, MIST, total_time=TOTAL, dt=DT)
+        params, bd = optimize_qubit(q, grid, locked, MODEL)
         oracle_params, oracle_bd = brute_force(q, grid, locked)
         assert params == oracle_params
         assert bd.total == oracle_bd.total
@@ -142,11 +144,10 @@ class TestOptimizeQubit:
     def test_single_point_grid(self):
         q = make_qubit()
         grid = SearchGrid((TWO_PI * 5.9,), (0.2,), (300.0,))
-        params, bd = optimize_qubit(
-            q, grid, [], WEIGHTS, MIST, total_time=TOTAL, dt=DT)
+        params, bd = optimize_qubit(q, grid, [], MODEL)
         assert params.omega_q == TWO_PI * 5.9
         assert params.t_r == TOTAL - 300.0
-        direct = evaluate_cost(q, params, WEIGHTS, MIST, (), DT)
+        direct = evaluate_cost(q, params, MODEL)
         assert bd.total == direct.total
 
     def test_all_infeasible_raises(self):
@@ -154,17 +155,13 @@ class TestOptimizeQubit:
         # every omega sits on the resonator pole
         grid = SearchGrid((q.omega_r,), (0.2,), (300.0,))
         with pytest.raises(InfeasibleQubitError):
-            optimize_qubit(q, grid, [], WEIGHTS, MIST,
-                           total_time=TOTAL, dt=DT,
-                           qid=QubitId(0, 0, Role.DATA))
+            optimize_qubit(q, grid, [], MODEL, qid=QubitId(0, 0, Role.DATA))
 
     def test_parallel_scan_matches_serial(self):
         q = make_qubit()
         grid = small_grid(6, 3, 2)
-        serial = optimize_qubit(q, grid, [], WEIGHTS, MIST,
-                                total_time=TOTAL, dt=DT, threads=1)
-        parallel = optimize_qubit(q, grid, [], WEIGHTS, MIST,
-                                  total_time=TOTAL, dt=DT, threads=2)
+        serial = optimize_qubit(q, grid, [], MODEL, threads=1)
+        parallel = optimize_qubit(q, grid, [], MODEL, threads=2)
         assert serial[0] == parallel[0]
         assert serial[1].total == parallel[1].total
 
@@ -180,8 +177,7 @@ class TestOptimizeDevice:
         graph = self.two_qubit_graph()
         grid = small_grid()
         grids = {qid: grid for qid in graph.qubits}
-        result = optimize_device(graph, grids, WEIGHTS, MIST,
-                                 total_time=TOTAL, dt=DT)
+        result = optimize_device(graph, grids, MODEL)
         order = result.order
         assert order[0].role is Role.MEASURE
         # first qubit: no locked neighbors
@@ -197,8 +193,7 @@ class TestOptimizeDevice:
     def test_locked_collision_spec_counts(self, d3_graph):
         grid = small_grid(3, 2, 2)
         grids = {qid: grid for qid in d3_graph.qubits}
-        result = optimize_device(d3_graph, grids, WEIGHTS, MIST,
-                                 total_time=TOTAL, dt=DT)
+        result = optimize_device(d3_graph, grids, MODEL)
         assert result.per_qubit[result.order[0]].n_collision_specs == 0
         counts = [r.n_collision_specs for r in result.per_qubit.values()]
         assert max(counts) <= 32
@@ -207,10 +202,8 @@ class TestOptimizeDevice:
     def test_repeat_runs_identical(self):
         graph = self.two_qubit_graph()
         grids = {qid: small_grid() for qid in graph.qubits}
-        r1 = optimize_device(graph, grids, WEIGHTS, MIST,
-                             total_time=TOTAL, dt=DT)
-        r2 = optimize_device(graph, grids, WEIGHTS, MIST,
-                             total_time=TOTAL, dt=DT)
+        r1 = optimize_device(graph, grids, MODEL)
+        r2 = optimize_device(graph, grids, MODEL)
         for qid in graph.qubits:
             assert r1.per_qubit[qid].params == r2.per_qubit[qid].params
             assert r1.per_qubit[qid].breakdown.total == \
@@ -228,8 +221,7 @@ class TestOptimizeDevice:
             for qid in graph.qubits
         }
         with pytest.raises(InfeasibleQubitError) as err:
-            optimize_device(graph, grids, WEIGHTS, MIST,
-                            total_time=TOTAL, dt=DT)
+            optimize_device(graph, grids, MODEL)
         partial = err.value.partial
         assert len(partial.per_qubit) == 1
         assert partial.evaluations == good.size + bad.size
@@ -237,9 +229,7 @@ class TestOptimizeDevice:
     def test_predictive_only_ignores_neighbors(self):
         graph = self.two_qubit_graph()
         grids = {qid: small_grid() for qid in graph.qubits}
-        result = optimize_device(graph, grids, WEIGHTS, MIST,
-                                 total_time=TOTAL, dt=DT,
-                                 include_heuristics=False)
+        result = optimize_device(graph, grids, replace(MODEL, heuristics=False))
         for qid in graph.qubits:
             solo = brute_force(graph.qubits[qid], grids[qid], [],
                                include_heuristics=False)
