@@ -12,7 +12,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,18 +72,9 @@ def _write_manifest(out: Path, name: str, payload: dict) -> None:
     (out / name).write_text(yaml.safe_dump(payload, sort_keys=False))
 
 
-def _breakdown_to_dict(bd: CostBreakdown) -> dict:
-    return {
-        "separation": float(bd.separation),
-        "relaxation": float(bd.relaxation),
-        "photon": float(bd.photon),
-        "mist": float(bd.mist),
-        "coupling": float(bd.coupling),
-        "snr": float(bd.snr),
-        "t0_ns": float(bd.t0),
-        "n_max": float(bd.n_max),
-        "total": float(bd.total),
-    }
+#: CostBreakdown field -> its key in results.yaml and summary.csv
+_COST_KEYS = {f.name: "t0_ns" if f.name == "t0" else f.name
+              for f in fields(CostBreakdown)}
 
 
 def result_to_dict(result: OptimizationResult, strategy: Strategy) -> dict:
@@ -100,7 +91,8 @@ def result_to_dict(result: OptimizationResult, strategy: Strategy) -> dict:
             "B0": float(r.params.b0),
             "t_p_ns": float(r.params.t_p),
             "t_r_ns": float(r.params.t_r),
-            "cost": _breakdown_to_dict(r.breakdown),
+            "cost": {key: float(getattr(r.breakdown, name))
+                     for name, key in _COST_KEYS.items()},
         })
     return {
         "strategy": strategy.value,
@@ -115,11 +107,7 @@ def result_from_dict(raw: dict) -> OptimizationResult:
     for row in raw["qubits"]:
         qid = QubitId(int(row["row"]), int(row["col"]), Role(row["role"]))
         c = row["cost"]
-        bd = CostBreakdown(
-            separation=c["separation"], relaxation=c["relaxation"],
-            photon=c["photon"], mist=c["mist"], coupling=c["coupling"],
-            snr=c["snr"], t0=c["t0_ns"], n_max=c["n_max"], total=c["total"],
-        )
+        bd = CostBreakdown(**{name: c[key] for name, key in _COST_KEYS.items()})
         params = ReadoutParams(
             omega_q=ghz_to_rad_ns(row["f_q_GHz"]),
             b0=row["B0"], t_p=row["t_p_ns"], t_r=row["t_r_ns"],
@@ -138,8 +126,7 @@ def result_from_dict(raw: dict) -> OptimizationResult:
 
 _SUMMARY_COLUMNS = (
     "row", "col", "role", "traversal_index", "f_q_GHz", "B0", "t_p_ns",
-    "t_r_ns", "separation", "relaxation", "photon", "mist", "coupling",
-    "snr", "t0_ns", "n_max", "total", "n_collision_specs",
+    "t_r_ns", *_COST_KEYS.values(), "n_collision_specs",
 )
 
 

@@ -53,6 +53,12 @@ class OptimizerConfig:
     start: tuple[int, int] | None = None
 
 
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _start_pair(value) -> tuple[int, int] | None:
     if value is None:
         return None
@@ -71,11 +77,11 @@ class _Key(NamedTuple):
 
 
 #: Every key of the optimizer config file, in file order.  Omitted keys
-#: keep the dataclass defaults.
+#: keep the dataclass defaults; the loader rejects any other key.
 _KEYS = (
     _Key("total_readout_time_ns", "model.total_time"),
     _Key("dt_ns", "model.dt"),
-    *(_Key(f"grid.{n}", f"grid.{n}", int) for n in ("n_omega", "n_amp", "n_tp")),
+    *(_Key(f"grid.{n}", f"grid.{n}", _count) for n in ("n_omega", "n_amp", "n_tp")),
     *(_Key(f"grid.{n}", f"grid.{n}")
       for n in ("amp_min", "amp_max", "tp_min_ns", "tp_max_ns")),
     *(_Key(f"weights.{f.name}", f"model.weights.{f.name}")
@@ -93,6 +99,8 @@ _KEYS = (
     _Key("start_qubit", "start", _start_pair, lambda s: list(s) if s else None),
 )
 _YAML_KEY = {key.field: key.yaml for key in _KEYS}
+_BY_YAML = {key.yaml: key for key in _KEYS}
+_SECTIONS = {key.yaml.partition(".")[0] for key in _KEYS if "." in key.yaml}
 
 
 def _build(cls, values: dict, prefix: str = ""):
@@ -122,18 +130,24 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     if not isinstance(raw, dict):
         raise OptimizerConfigError("optimizer config must be a mapping")
 
-    values = {}
-    for key in _KEYS:
-        section, _, name = key.yaml.rpartition(".")
-        node = raw.get(section, {}) if section else raw
-        if not isinstance(node, dict):
+    flat = {}
+    for name, node in raw.items():
+        if name not in _SECTIONS:
+            flat[name] = node
+        elif isinstance(node, dict):
+            flat.update((f"{name}.{k}", v) for k, v in node.items())
+        else:
             raise OptimizerConfigError(
-                f"{section}: must be a mapping, got {type(node).__name__}")
-        if name in node:
-            try:
-                values[key.field] = key.load(node[name])
-            except (TypeError, ValueError) as exc:
-                raise OptimizerConfigError(f"{key.yaml}: {exc}") from None
+                f"{name}: must be a mapping, got {type(node).__name__}")
+    values = {}
+    for yaml_key, value in flat.items():
+        key = _BY_YAML.get(yaml_key)
+        if key is None:
+            raise OptimizerConfigError(f"{yaml_key}: unknown key")
+        try:
+            values[key.field] = key.load(value)
+        except (TypeError, ValueError) as exc:
+            raise OptimizerConfigError(f"{key.yaml}: {exc}") from None
     cfg = _build(OptimizerConfig, values)
 
     grid, total_time, dt = cfg.grid, cfg.model.total_time, cfg.model.dt

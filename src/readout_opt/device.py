@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import yaml
@@ -123,19 +124,27 @@ def coupling_strength(q: QubitPhysical, omega_q: float) -> float:
     return q.g_eff * math.sqrt(q.omega_r * omega_q) / 2.0
 
 
+@lru_cache(maxsize=64)
+def _gamma1_arrays(q: QubitPhysical) -> tuple[np.ndarray, np.ndarray]:
+    """The Gamma1 table as (frequencies, rates) arrays, converted once per qubit."""
+    arrays = np.ascontiguousarray(np.asarray(q.gamma1_table, dtype=float).T)
+    arrays.setflags(write=False)  # shared by every caller
+    return arrays[0], arrays[1]
+
+
 def relaxation_rate(q: QubitPhysical, omega_q):
     """Linearly interpolated Gamma1 at omega_q; no extrapolation.
 
-    Accepts a scalar or an ndarray of frequencies.
+    Accepts a scalar or an ndarray of frequencies; raises
+    FrequencyRangeError if any lies outside the table.
     """
-    lo, hi = q.gamma1_span
+    xp, fp = _gamma1_arrays(q)
     omega_arr = np.asarray(omega_q, dtype=float)
-    if omega_arr.size and (omega_arr.min() < lo or omega_arr.max() > hi):
+    if omega_arr.size and (omega_arr.min() < xp[0] or omega_arr.max() > xp[-1]):
         raise FrequencyRangeError(
-            f"frequency outside gamma1 table span [{lo}, {hi}] rad/ns"
+            f"frequency outside gamma1 table span [{xp[0]}, {xp[-1]}] rad/ns"
         )
-    table = np.asarray(q.gamma1_table)
-    out = np.interp(omega_arr, table[:, 0], table[:, 1])
+    out = np.interp(omega_arr, xp, fp)
     return float(out) if np.isscalar(omega_q) else out
 
 

@@ -188,7 +188,7 @@ def stark_trajectory(
 ) -> np.ndarray:
     """Instantaneous qubit frequency under the linear AC-Stark shift."""
     n1 = traj.beta1.real**2 + traj.beta1.imag**2
-    return omega_q0 + 2.0 * n1 * chi
+    return omega_q0 + (2.0 * chi) * n1
 
 
 def max_photon(traj: FieldTrajectory) -> float:
@@ -200,6 +200,8 @@ def max_photon(traj: FieldTrajectory) -> float:
 
 def residual_photon(traj: FieldTrajectory) -> float:
     """Mean photon number left in the resonator at the end of the ringdown."""
-    last0 = traj.beta0[-1]
-    last1 = traj.beta1[-1]
-    return float(0.5 * (abs(last0) ** 2 + abs(last1) ** 2))
+    z0, z1 = complex(traj.beta0[-1]), complex(traj.beta1[-1])
+    # x*x, as max_photon's array squares compute it: abs(z)**2 and a numpy
+    # scalar x**2 can differ from it in the last bit
+    return 0.5 * ((z0.real * z0.real + z0.imag * z0.imag)
+                  + (z1.real * z1.real + z1.imag * z1.imag))

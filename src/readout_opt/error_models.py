@@ -4,18 +4,27 @@ Terms: state-separation error from the matched-filter SNR, relaxation
 during the informative part of the readout, residual resonator photons,
 a smoothed-step penalty for measurement-induced state transitions (MIST),
 and Lorentzian penalties for frequency collisions with neighboring qubits.
+
+Each term has one scalar function (here and in dynamics); evaluate_cost
+scores a point by composing them.  cost_plane scores a whole amplitude x
+pulse-length plane with the same IEEE operations in array form, and the
+tests hold it to evaluate_cost bit for bit.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
 
-from .device import QubitPhysical, relaxation_rate
+from .device import (
+    FrequencyRangeError,
+    QubitPhysical,
+    _gamma1_arrays,
+    relaxation_rate,
+)
 from .dynamics import (
     DEFAULT_POLE_GUARD,
     DetuningStepError,
@@ -28,6 +37,9 @@ from .dynamics import (
     _unit_step_response,
     dispersive_shift,
     field_pair,
+    max_photon,
+    residual_photon,
+    stark_trajectory,
 )
 
 
@@ -177,11 +189,33 @@ class CostBreakdown:
         return math.isfinite(self.total)
 
 
-def snr(traj: FieldTrajectory, eta: float, kappa: float) -> float:
-    """Matched-filter SNR: 2*eta*kappa * integral of |beta0 - beta1|^2."""
+def _snr_and_half_time(
+    traj: FieldTrajectory, eta: float, kappa: float
+) -> tuple[float, float | None]:
+    """snr and half_snr_time, read off one cumulative trapezoid integral.
+
+    The time is None unless the SNR is > 0.
+    """
     d = traj.beta0 - traj.beta1
     mag2 = d.real**2 + d.imag**2
-    return 2.0 * eta * kappa * float(np.trapezoid(mag2, dx=traj.dt))
+    cum = np.empty_like(mag2)
+    cum[0] = 0.0
+    np.cumsum((mag2[1:] + mag2[:-1]) * (0.5 * traj.dt), out=cum[1:])
+    total = 2.0 * eta * kappa * float(cum[-1])
+    if not total > 0.0:
+        return total, None
+    # the factor 2*eta*kappa cancels in the half time
+    half = 0.5 * cum[-1]
+    idx = int(np.searchsorted(cum, half, side="left"))
+    if idx == 0:
+        return total, 0.0
+    frac = (half - cum[idx - 1]) / (cum[idx] - cum[idx - 1])
+    return total, (idx - 1 + frac) * traj.dt
+
+
+def snr(traj: FieldTrajectory, eta: float, kappa: float) -> float:
+    """Matched-filter SNR: 2*eta*kappa * integral of |beta0 - beta1|^2."""
+    return _snr_and_half_time(traj, eta, kappa)[0]
 
 
 def separation_error(snr_value: float) -> float:
@@ -191,32 +225,16 @@ def separation_error(snr_value: float) -> float:
     return 0.5 * float(erfc(math.sqrt(snr_value) / 2.0))
 
 
-def _cumulative_snr(traj: FieldTrajectory, eta: float, kappa: float) -> np.ndarray:
-    d = traj.beta0 - traj.beta1
-    mag2 = d.real**2 + d.imag**2
-    cum = np.empty_like(mag2)
-    cum[0] = 0.0
-    np.cumsum((mag2[1:] + mag2[:-1]) * (0.5 * traj.dt), out=cum[1:])
-    return 2.0 * eta * kappa * cum
-
-
 def half_snr_time(traj: FieldTrajectory, eta: float, kappa: float) -> float:
     """Earliest time where the cumulative SNR reaches half its final value.
 
     Linear interpolation between bracketing samples; ties resolve to the
-    earliest time.
+    earliest time.  Raises ValueError unless the SNR is > 0.
     """
-    cum = _cumulative_snr(traj, eta, kappa)
-    total = cum[-1]
-    if total <= 0.0:
+    t0 = _snr_and_half_time(traj, eta, kappa)[1]
+    if t0 is None:
         raise ValueError("total SNR is zero; half-SNR time undefined")
-    half = 0.5 * total
-    idx = int(np.searchsorted(cum, half, side="left"))
-    if idx == 0:
-        return 0.0
-    lo, hi = cum[idx - 1], cum[idx]
-    frac = (half - lo) / (hi - lo)
-    return (idx - 1 + frac) * traj.dt
+    return t0
 
 
 def relaxation_error(
@@ -225,20 +243,19 @@ def relaxation_error(
     """Integral of Gamma1 along the Stark-shifted frequency trace up to t0.
 
     Trapezoidal quadrature with a linearly interpolated partial last
-    interval.  Raises FrequencyRangeError if the trace leaves the table.
+    interval.  Raises FrequencyRangeError if the trace up to t0 leaves the
+    table.
     """
     if t0 <= 0.0:
         return 0.0
-    n_full = int(t0 / dt)
-    n_full = min(n_full, len(stark) - 1)
-    rates = relaxation_rate(q, stark[: n_full + 1])
-    err = float(np.trapezoid(rates, dx=dt))
+    n_full = min(int(t0 / dt), len(stark) - 1)
+    prefix = stark[: n_full + 1]
+    rates = relaxation_rate(q, prefix)
+    err = dt * (float(rates.sum()) - 0.5 * (rates[0] + rates[-1]))
     t_rem = t0 - n_full * dt
     if t_rem > 0.0 and n_full + 1 < len(stark):
-        frac = t_rem / dt
-        omega_end = stark[n_full] + frac * (stark[n_full + 1] - stark[n_full])
-        rate_end = relaxation_rate(q, float(omega_end))
-        err += 0.5 * (rates[-1] + rate_end) * t_rem
+        omega_end = prefix[-1] + (t_rem / dt) * (stark[n_full + 1] - prefix[-1])
+        err += 0.5 * (rates[-1] + relaxation_rate(q, omega_end)) * t_rem
     return err
 
 
@@ -304,12 +321,6 @@ def coupling_error(omega_q: float, specs) -> float:
     return total
 
 
-@lru_cache(maxsize=64)
-def _gamma1_arrays(q: QubitPhysical):
-    table = np.asarray(q.gamma1_table)
-    return table[:, 0].copy(), table[:, 1].copy()
-
-
 def _infeasible(**known) -> CostBreakdown:
     fields = dict(
         separation=math.nan, relaxation=math.nan, photon=math.nan,
@@ -328,6 +339,9 @@ def evaluate_cost(
 ) -> CostBreakdown:
     """All five cost terms for one parameter point under model.
 
+    The composition of the term functions: snr, separation_error,
+    half_snr_time, stark_trajectory and relaxation_error up to that time,
+    residual_photon, max_photon, and the MIST and coupling heuristics.
     Deterministic and pure.  A point in a hard domain of the model comes
     back with total = +inf: within model.pole_guard of a chi pole, with
     |chi| too large for the step model.dt, or with the Stark trace leaving
@@ -336,65 +350,34 @@ def evaluate_cost(
     model.heuristics False (the predictive-only strategy) the MIST and
     coupling terms are zero and specs are ignored.
     """
-    dt = model.dt
     try:
-        traj = field_pair(q, params, dt, guard=model.pole_guard)
+        traj = field_pair(q, params, model.dt, guard=model.pole_guard)
     except (PoleProximityError, DetuningStepError):
         return _infeasible()
-
-    # shared intermediates: |beta|^2 for both branches and the cumulative
-    # matched-filter integral, each computed once
-    beta0, beta1 = traj.beta0, traj.beta1
-    n0 = beta0.real**2 + beta0.imag**2
-    n1 = beta1.real**2 + beta1.imag**2
-    d = beta0 - beta1
-    mag2 = d.real**2 + d.imag**2
-    cum = np.empty_like(mag2)
-    cum[0] = 0.0
-    np.cumsum((mag2[1:] + mag2[:-1]) * (0.5 * dt), out=cum[1:])
-    scale = 2.0 * q.eta * q.kappa
-    snr_value = scale * float(cum[-1])
+    # snr and half_snr_time from one integral
+    snr_value, t0 = _snr_and_half_time(traj, q.eta, q.kappa)
     sep = separation_error(snr_value)
-
-    if snr_value > 0.0:
-        half = 0.5 * cum[-1]
-        idx = int(np.searchsorted(cum, half, side="left"))
-        frac = (half - cum[idx - 1]) / (cum[idx] - cum[idx - 1]) if idx else 0.0
-        t0 = (idx - 1 + frac) * dt if idx else 0.0
-        stark = params.omega_q + (2.0 * traj.chi) * n1
-        xp, fp = _gamma1_arrays(q)
-        n_full = min(int(t0 / dt), len(stark) - 1)
-        prefix = stark[: n_full + 1]
-        if prefix.min() < xp[0] or prefix.max() > xp[-1]:
-            return _infeasible(snr=snr_value, separation=sep)
-        rates = np.interp(prefix, xp, fp)
-        relax = dt * (float(rates.sum()) - 0.5 * (rates[0] + rates[-1]))
-        t_rem = t0 - n_full * dt
-        if t_rem > 0.0 and n_full + 1 < len(stark):
-            omega_end = prefix[-1] + (t_rem / dt) * (stark[n_full + 1] - prefix[-1])
-            if not xp[0] <= omega_end <= xp[-1]:
-                return _infeasible(snr=snr_value, separation=sep)
-            rate_end = float(np.interp(omega_end, xp, fp))
-            relax += 0.5 * (rates[-1] + rate_end) * t_rem
-    else:
+    relax = 0.0
+    if t0 is None:
         t0 = 0.0
-        relax = 0.0
-
-    photon = 0.5 * float(n0[-1] + n1[-1])
-    n_max = float(max(n0.max(), n1.max()))
+    else:
+        stark = stark_trajectory(params.omega_q, traj.chi, traj)
+        try:
+            relax = relaxation_error(stark, model.dt, q, t0)
+        except FrequencyRangeError:
+            return _infeasible(snr=snr_value, separation=sep)
+    photon = residual_photon(traj)
+    n_max = max_photon(traj)
 
     mist = model.mist
     mist_term = 0.0
     coupling_term = 0.0
     if model.heuristics:
-        if params.omega_q <= q.omega_r:
-            mist_term = mist.ceiling
-        else:
+        try:
             n_th = mist_threshold(params.omega_q, q.omega_r, mist)
-            if n_th <= 0.0:
-                mist_term = mist.ceiling
-            else:
-                mist_term = mist_penalty(n_max, n_th, mist.sharpness, mist.ceiling)
+            mist_term = mist_penalty(n_max, n_th, mist.sharpness, mist.ceiling)
+        except ValueError:  # omega_q <= omega_r or n_th <= 0: no threshold
+            mist_term = mist.ceiling
         coupling_term = coupling_error(params.omega_q, specs)
 
     weights = model.weights
@@ -435,8 +418,8 @@ def cost_plane(
     model.dt gives an all-+inf plane.  Everything that depends only on
     omega (chi, the step responses, the heuristic terms) is computed once,
     and each pulse length scores all amplitudes at once in reused
-    (n_amp, n_steps + 1) buffers.  The array operations repeat
-    evaluate_cost's IEEE operations in the same order: the trapezoid cumsum
+    (n_amp, n_steps + 1) buffers.  The array operations repeat the
+    term functions' IEEE operations in the same order: the trapezoid cumsum
     runs along each row, the half-SNR index counts the samples below half
     (equal to searchsorted on the nondecreasing cum), the Gamma1 prefixes
     are summed row-wise in groups of equal length, and the MIST logistic

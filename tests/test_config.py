@@ -137,6 +137,10 @@ class TestBadConfigNamesKey:
         ("pole_guard_GHz: -1", "pole_guard_GHz"),
         ("dt_ns: 0", "dt_ns"),
         ("total_readout_time_ns: .nan", "total_readout_time_ns"),
+        ("mist: {sharpnes: 0}", "mist.sharpnes"),
+        ("weight: {photon: 5}", "weight"),
+        ("grid: {n_omega: 2.7}", "grid.n_omega"),
+        ("grid: {n_omega: true}", "grid.n_omega"),
     ])
     def test_exit_2_with_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"

@@ -6,6 +6,7 @@ approx) at every point of an omega's amplitude x pulse-length plane, give
 raises first in row-major scan order.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from readout_opt import (
     StepSizeError,
     collision_specs,
     evaluate_cost,
+    field_pair,
+    half_snr_time,
     load_device,
     optimize_qubit,
+    stark_trajectory,
 )
 from readout_opt.error_models import cost_plane
 
@@ -147,6 +151,31 @@ class TestInfeasible:
         assert np.isinf(plane).any()
         assert np.isfinite(plane[0]).all()  # zero SNR: no relaxation term
         assert np.isfinite(plane[1]).all()
+
+    def test_partial_interval_endpoint_leaving_gamma1_table(self):
+        # the Stark trace still falls at t0 here, so a table whose lower end
+        # lies between the trace up to n_full and the interpolated endpoint
+        # at t0 rejects only the partial last interval
+        q = D3.qubits[D3.at(1, 0)]
+        params = ReadoutParams(TWO_PI * 6.4, 0.2, 120.0, TOTAL - 120.0)
+        traj = field_pair(q, params, DT, guard=GUARD)
+        t0 = half_snr_time(traj, q.eta, q.kappa)
+        stark = stark_trajectory(params.omega_q, traj.chi, traj)
+        n_full = int(t0 / DT)
+        omega_end = stark[n_full] + (t0 / DT - n_full) * (
+            stark[n_full + 1] - stark[n_full])
+        edge = 0.5 * (stark[: n_full + 1].min() + omega_end)
+        assert omega_end < edge < stark[: n_full + 1].min()
+        cut = replace(q, gamma1_table=((edge, 1e-5),) + tuple(
+            entry for entry in q.gamma1_table if entry[0] > edge))
+
+        full = evaluate_cost(q, params, model())
+        bd = evaluate_cost(cut, params, model())
+        assert math.isfinite(full.total)
+        assert bd.total == math.inf
+        assert (bd.snr, bd.separation) == (full.snr, full.separation)
+        plane = assert_same(cut, params.omega_q, [0.0, params.b0], [params.t_p])
+        assert math.isfinite(plane[0, 0]) and plane[1, 0] == math.inf
 
     def test_pole_guard_gives_inf_plane(self):
         q = D3.qubits[QIDS[0]]
