@@ -12,7 +12,6 @@ from .benchmark import (
     error_budget,
     measurement_error,
     run_benchmark,
-    sample_shot,
 )
 from .config import (
     OptimizerConfig,

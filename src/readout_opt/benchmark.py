@@ -1,11 +1,15 @@
 """Monte Carlo benchmark of simultaneous readout with optimized parameters.
 
-Each shot collapses the IQ plane to the 1-D matched-filter decision
+The shot model collapses the IQ plane to the 1-D matched-filter decision
 variable: a Gaussian with mean +/- sqrt(SNR)/2 and variance 1/2, threshold
-at zero, which reproduces the separation error 0.5*erfc(sqrt(SNR)/2)
-exactly.  Relaxation flips a prepared |1> before thresholding, preparation
-errors flip the prepared bit, and the heuristic coupling penalty is applied
-as a crude per-shot outcome randomization (flagged as such in reports).
+at zero, which misassigns with the separation error 0.5*erfc(sqrt(SNR)/2).
+Preparation errors flip the prepared bit, relaxation flips a |1> to |0>
+before thresholding, and the heuristic coupling penalty replaces the
+outcome by a fair coin (a crude crosstalk proxy, flagged as such in
+reports).  Within one prepared state a qubit's shots are i.i.d. Bernoulli
+draws with the closed-form probability of ``one_probability``, and the
+reports use only their counts, so each count is drawn as one exact
+binomial sample instead of shot by shot.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .device import DeviceGraph, QubitId, Role
-from .error_models import CostBreakdown
+from .error_models import CostBreakdown, separation_error
 from .snake import OptimizationResult
 
 
@@ -73,45 +77,24 @@ class BenchmarkReport:
     records: ShotRecords = field(repr=False, default=None)
 
 
-def _sample_shots(
+def one_probability(
     prepared: int,
-    n: int,
     snr: float,
     relax_p: float,
     prep_p: float,
     coupling_p: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized shot model; returns a boolean array of measured bits."""
-    bits = np.full(n, bool(prepared))
-    if prep_p > 0.0:
-        bits ^= rng.random(n) < prep_p
-    if relax_p > 0.0:
-        bits &= ~(rng.random(n) < relax_p)
-    mean = np.where(bits, 0.5, -0.5) * math.sqrt(snr)
-    x = mean + rng.normal(0.0, math.sqrt(0.5), n)
-    measured = x > 0.0
-    if coupling_p > 0.0:
-        scramble = rng.random(n) < min(1.0, coupling_p)
-        measured[scramble] = rng.integers(0, 2, int(scramble.sum())).astype(bool)
-    return measured
+) -> float:
+    """Probability that one shot of a qubit prepared in |prepared> reads 1.
 
-
-def sample_shot(
-    breakdown: CostBreakdown,
-    prepared: int,
-    rng: np.random.Generator,
-    prep_error: float = 0.0,
-) -> int:
-    """Draw a single measured bit for a prepared state."""
-    out = _sample_shots(
-        prepared, 1, breakdown.snr,
-        min(1.0, max(0.0, breakdown.relaxation)),
-        prep_error,
-        breakdown.coupling,
-        rng,
-    )
-    return int(out[0])
+    The bit is 1 before readout with probability e (preparation flip, then
+    relaxation of a 1); thresholding misassigns it with the separation
+    error; a coupling scramble replaces the outcome by a fair coin.
+    """
+    e = (prep_p if prepared == 0 else 1.0 - prep_p) * (1.0 - relax_p)
+    eps = separation_error(snr)
+    p0 = e * (1.0 - eps) + (1.0 - e) * eps
+    c = min(1.0, coupling_p)
+    return (1.0 - c) * p0 + c / 2.0
 
 
 def measurement_error(
@@ -134,41 +117,35 @@ def cross_fidelity(records: ShotRecords):
 
     F_ij = 1 - [P(1_i|0_i 0_j) + P(1_i|1_i 0_j)
                 + P(0_i|1_i 1_j) + P(0_i|0_i 1_j)] / 2,
-    conditioning on the prepared states of both qubits.  Entries whose
-    conditioning cell is empty come back as nan and are listed separately.
+    conditioning on the prepared states of both qubits (Heinsoo et al.,
+    PRApplied 10, 034040 (2018)).  The states and measured ones of every
+    conditioning cell are counted for all pairs at once as integer matrix
+    products.  Entries whose conditioning cell is empty come back as nan
+    and are listed separately, in row-major order.
     """
-    prep = records.prepared.astype(bool)
-    ones = records.ones.astype(float)
+    prep = np.asarray(records.prepared, dtype=bool)
+    ones = np.asarray(records.ones, dtype=np.int64)
     n = records.n_shots
     n_q = len(records.qubits)
-    f = np.full((n_q, n_q), np.nan)
-    undefined = []
-    for i in range(n_q):
-        for j in range(n_q):
-            if i == j:
-                continue
-            cells = []
-            ok = True
-            # (y_i, z_j, probability of measuring NOT y_i)
-            for y, z in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                mask = (prep[:, i] == bool(y)) & (prep[:, j] == bool(z))
-                count = int(mask.sum())
-                if count == 0:
-                    ok = False
-                    break
-                if y == 0:
-                    p = ones[mask, i].sum() / (count * n)       # P(1_i | 0_i z_j)
-                else:
-                    p = (n - ones[mask, i]).sum() / (count * n)  # P(0_i | 1_i z_j)
-                cells.append(p)
-            if ok:
-                # cells hold misassignment probabilities; the formula's
-                # second and fourth terms are correct-assignment ones.
-                f[i, j] = 1.0 - 0.5 * (
-                    cells[0] + (1.0 - cells[1]) + cells[2] + (1.0 - cells[3])
-                )
-            else:
-                undefined.append((records.qubits[i], records.qubits[j]))
+    # ind[y][s, i] = 1 where state s prepares qubit i in |y>
+    ind = ((~prep).astype(np.int64), prep.astype(np.int64))
+    off_diagonal = ~np.eye(n_q, dtype=bool)
+    defined = off_diagonal.copy()
+    cells = []
+    # (y_i, z_j); each cell is the probability of measuring NOT y_i
+    for y, z in ((0, 0), (1, 0), (1, 1), (0, 1)):
+        shots = (ind[y].T @ ind[z]) * n
+        ones_yz = (ind[y] * ones).T @ ind[z]
+        wrong = ones_yz if y == 0 else shots - ones_yz
+        defined &= shots > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cells.append(wrong / shots)
+    # cells hold misassignment probabilities; the formula's second and
+    # fourth terms are correct-assignment ones.
+    f = 1.0 - 0.5 * (cells[0] + (1.0 - cells[1]) + cells[2] + (1.0 - cells[3]))
+    f[~defined] = np.nan
+    undefined = [(records.qubits[i], records.qubits[j])
+                 for i, j in zip(*np.nonzero(off_diagonal & ~defined))]
     return f, undefined
 
 
@@ -204,8 +181,10 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Simulate simultaneous readout of random initial states.
 
-    Deterministic for a fixed config: prepared states and every qubit's
-    shots draw from per-state substreams spawned from the seed.
+    Deterministic for a fixed config.  The seed spawns two substreams: the
+    first draws the prepared states, the second every tally at once, as one
+    binomial sample per (state, qubit) of n_shots trials at the qubit's
+    ``one_probability`` for its prepared bit.
     """
     if cfg.subset is Subset.MEASURE_ONLY:
         qubits = [q for q in graph.sorted_ids() if q.role is Role.MEASURE]
@@ -215,28 +194,20 @@ def run_benchmark(
     if missing:
         raise ValueError(f"optimization result missing qubits {missing}")
 
-    shot_model = []
-    for qid in qubits:
+    # (prepared bit, qubit) -> probability of measuring 1
+    p_one = np.empty((2, len(qubits)))
+    for j, qid in enumerate(qubits):
         bd = result.per_qubit[qid].breakdown
-        shot_model.append((
-            bd.snr,
-            min(1.0, max(0.0, bd.relaxation)),
-            bd.coupling,
-        ))
+        relax_p = min(1.0, max(0.0, bd.relaxation))
+        for bit in (0, 1):
+            p_one[bit, j] = one_probability(
+                bit, bd.snr, relax_p, cfg.prep_error, max(0.0, bd.coupling))
 
-    ss = np.random.SeedSequence(cfg.seed)
-    children = ss.spawn(cfg.n_states + 1)
-    prep_rng = np.random.default_rng(children[0])
-    prepared = prep_rng.integers(0, 2, size=(cfg.n_states, len(qubits)))
-    ones = np.zeros((cfg.n_states, len(qubits)), dtype=np.int64)
-    for s in range(cfg.n_states):
-        rng = np.random.default_rng(children[s + 1])
-        for j, (snr_v, relax_p, coup_p) in enumerate(shot_model):
-            measured = _sample_shots(
-                int(prepared[s, j]), cfg.n_shots, snr_v, relax_p,
-                cfg.prep_error, coup_p, rng,
-            )
-            ones[s, j] = int(measured.sum())
+    prep_ss, tally_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    prepared = np.random.default_rng(prep_ss).integers(
+        0, 2, size=(cfg.n_states, len(qubits)))
+    p = np.take_along_axis(p_one, prepared, axis=0)
+    ones = np.random.default_rng(tally_ss).binomial(cfg.n_shots, p)
 
     records = ShotRecords(qubits, prepared, ones, cfg.n_shots)
     p10, p01, error = {}, {}, {}

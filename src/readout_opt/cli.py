@@ -35,6 +35,7 @@ from .device import (
     Role,
     ghz_to_rad_ns,
     load_device,
+    parse_yaml,
     rad_ns_to_ghz,
 )
 from .error_models import CostBreakdown, ReadoutParams, evaluate_cost
@@ -101,26 +102,62 @@ def result_to_dict(result: OptimizationResult, strategy: Strategy) -> dict:
     }
 
 
-def result_from_dict(raw: dict) -> OptimizationResult:
+def _entry(node, key: str, convert=lambda v: v, at: str = ""):
+    """convert(node[key]), or a ValueError naming at + key."""
+    if not isinstance(node, dict) or key not in node:
+        raise ValueError(f"{at}{key}: missing")
+    try:
+        return convert(node[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{at}{key}: {exc}") from None
+
+
+def _finite_non_negative(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"must be finite and >= 0, got {value}")
+    return value
+
+
+#: cost fields that set the benchmark's shot probabilities
+_SHOT_FIELDS = ("snr", "relaxation", "coupling")
+
+
+def result_from_dict(raw) -> OptimizationResult:
+    """Inverse of result_to_dict; a ValueError names the entry and key at fault."""
+    rows = _entry(raw, "qubits")
+    if not isinstance(rows, list):
+        raise ValueError("qubits: must be a list")
     per_qubit = {}
     order: list[tuple[int, QubitId]] = []
-    for row in raw["qubits"]:
-        qid = QubitId(int(row["row"]), int(row["col"]), Role(row["role"]))
-        c = row["cost"]
-        bd = CostBreakdown(**{name: c[key] for name, key in _COST_KEYS.items()})
+    for k, row in enumerate(rows):
+        at = f"qubits[{k}]."
+        qid = QubitId(_entry(row, "row", int, at), _entry(row, "col", int, at),
+                      _entry(row, "role", Role, at))
+        at = f"qubit ({qid.row},{qid.col}): "
+        if qid in per_qubit:
+            raise ValueError(f"{at}duplicate entry")
+        c = _entry(row, "cost", at=at)
+        bd = CostBreakdown(**{
+            name: _entry(c, key,
+                         _finite_non_negative if name in _SHOT_FIELDS else float,
+                         at + "cost.")
+            for name, key in _COST_KEYS.items()})
         params = ReadoutParams(
-            omega_q=ghz_to_rad_ns(row["f_q_GHz"]),
-            b0=row["B0"], t_p=row["t_p_ns"], t_r=row["t_r_ns"],
+            omega_q=ghz_to_rad_ns(_entry(row, "f_q_GHz", float, at)),
+            b0=_entry(row, "B0", float, at),
+            t_p=_entry(row, "t_p_ns", float, at),
+            t_r=_entry(row, "t_r_ns", float, at),
         )
+        index = _entry(row, "traversal_index", int, at)
         per_qubit[qid] = QubitResult(
-            params, bd, int(row["traversal_index"]), int(row["n_collision_specs"])
-        )
-        order.append((int(row["traversal_index"]), qid))
+            params, bd, index, _entry(row, "n_collision_specs", int, at))
+        order.append((index, qid))
     order.sort()
     return OptimizationResult(
         per_qubit=per_qubit,
         order=[q for _, q in order],
-        evaluations=int(raw["evaluations"]),
+        evaluations=_entry(raw, "evaluations", int),
     )
 
 
@@ -378,8 +415,10 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
 
 def cmd_benchmark(args) -> int:
     graph = _load_graph(args.device)
-    raw = yaml.safe_load(_read_text(args.results))
-    result = result_from_dict(raw)
+    try:
+        result = result_from_dict(parse_yaml(_read_text(args.results)))
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ValueError(f"{args.results}: {exc}") from None
 
     device_ids = set(graph.qubits)
     result_ids = set(result.per_qubit)

@@ -13,7 +13,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .device import DeviceGraph, QubitId, ghz_to_rad_ns, rad_ns_to_ghz
+from .device import DeviceGraph, QubitId, ghz_to_rad_ns, parse_yaml, rad_ns_to_ghz
 from .error_models import CostModel, CostWeights, ParameterError, require
 from .snake import SearchGrid
 
@@ -64,7 +64,7 @@ def _start_pair(value) -> tuple[int, int] | None:
         return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"must be a [row, col] pair, got {value!r}")
-    return (int(value[0]), int(value[1]))
+    return (_count(value[0]), _count(value[1]))
 
 
 class _Key(NamedTuple):
@@ -124,7 +124,7 @@ def _build(cls, values: dict, prefix: str = ""):
 
 def load_optimizer_config(text: str) -> OptimizerConfig:
     try:
-        raw = yaml.safe_load(text) or {}
+        raw = parse_yaml(text) or {}
     except yaml.YAMLError as exc:
         raise OptimizerConfigError(f"config parse failure: {exc}") from exc
     if not isinstance(raw, dict):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readout_opt import (
     BenchmarkConfig,
@@ -21,9 +23,9 @@ from readout_opt import (
     measurement_error,
     optimize_device,
     run_benchmark,
-    sample_shot,
     separation_error,
 )
+from readout_opt.benchmark import one_probability
 
 from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
 
@@ -46,56 +48,57 @@ def make_result(graph, breakdown):
     return OptimizationResult(per_qubit, graph.sorted_ids(), 0)
 
 
-class TestSampleShot:
-    def test_deterministic_for_fixed_stream(self):
-        bd = make_breakdown(snr=4.0)
-        a = [sample_shot(bd, 1, np.random.default_rng(3)) for _ in range(5)]
-        b = [sample_shot(bd, 1, np.random.default_rng(3)) for _ in range(5)]
-        assert a == b
+def sample_shots(prepared, n, snr, relax_p, prep_p, coupling_p, rng):
+    """Per-shot oracle of the shot model: one measured bit per shot."""
+    bits = np.full(n, bool(prepared))
+    if prep_p > 0.0:
+        bits ^= rng.random(n) < prep_p
+    if relax_p > 0.0:
+        bits &= ~(rng.random(n) < relax_p)
+    mean = np.where(bits, 0.5, -0.5) * math.sqrt(snr)
+    x = mean + rng.normal(0.0, math.sqrt(0.5), n)
+    measured = x > 0.0
+    if coupling_p > 0.0:
+        scramble = rng.random(n) < min(1.0, coupling_p)
+        measured[scramble] = rng.integers(0, 2, int(scramble.sum())).astype(bool)
+    return measured
+
+
+class TestOneProbability:
+    def test_error_rate_matches_separation_model(self):
+        for snr in (0.0, 1.0, 5.0, 16.0):
+            assert one_probability(0, snr, 0.0, 0.0, 0.0) == separation_error(snr)
 
     def test_huge_snr_faithful(self):
-        bd = make_breakdown(snr=1e4)
-        rng = np.random.default_rng(0)
-        assert all(sample_shot(bd, 1, rng) == 1 for _ in range(50))
-        assert all(sample_shot(bd, 0, rng) == 0 for _ in range(50))
-
-    def test_error_rate_matches_separation_model(self):
-        # empirical flip rate should track 0.5*erfc(sqrt(snr)/2)
-        snr = 5.0
-        bd = make_breakdown(snr=snr)
-        rng = np.random.default_rng(7)
-        n = 200000
-        flips = sum(sample_shot(bd, 0, rng) for _ in range(n))
-        expected = separation_error(snr)
-        sigma = math.sqrt(expected * (1 - expected) / n)
-        assert abs(flips / n - expected) < 4 * sigma
+        assert one_probability(0, 1e4, 0.0, 0.0, 0.0) == 0.0
+        assert one_probability(1, 1e4, 0.0, 0.0, 0.0) == 1.0
 
     def test_relaxation_biases_prepared_one(self):
-        bd = make_breakdown(snr=1e4, relaxation=0.3)
-        rng = np.random.default_rng(1)
-        n = 20000
-        zeros = sum(1 - sample_shot(bd, 1, rng) for _ in range(n))
-        assert abs(zeros / n - 0.3) < 0.02
-        # prepared zero is unaffected by relaxation
-        ones = sum(sample_shot(bd, 0, rng) for _ in range(n))
-        assert ones == 0
+        assert one_probability(1, 1e4, 0.3, 0.0, 0.0) == 1.0 - 0.3
+        assert one_probability(0, 1e4, 0.3, 0.0, 0.0) == 0.0
 
     def test_prep_error_flips_both_ways(self):
-        bd = make_breakdown(snr=1e4)
-        rng = np.random.default_rng(2)
-        n = 20000
-        flips0 = sum(sample_shot(bd, 0, rng, prep_error=0.1) for _ in range(n))
-        flips1 = sum(1 - sample_shot(bd, 1, rng, prep_error=0.1)
-                     for _ in range(n))
-        assert abs(flips0 / n - 0.1) < 0.01
-        assert abs(flips1 / n - 0.1) < 0.01
+        assert one_probability(0, 1e4, 0.0, 0.1, 0.0) == 0.1
+        assert one_probability(1, 1e4, 0.0, 0.1, 0.0) == 1.0 - 0.1
 
     def test_coupling_scrambles(self):
-        bd = make_breakdown(snr=1e4, coupling=1.0)
-        rng = np.random.default_rng(4)
-        n = 20000
-        ones = sum(sample_shot(bd, 0, rng) for _ in range(n))
-        assert abs(ones / n - 0.5) < 0.02
+        for prepared in (0, 1):
+            for coupling in (1.0, 2.5):
+                assert one_probability(prepared, 1e4, 0.0, 0.0, coupling) == 0.5
+
+    @pytest.mark.parametrize("prepared, snr, relax, prep, coupling", [
+        (0, 5.0, 0.0, 0.0, 0.0),
+        (1, 3.0, 0.05, 0.0, 0.0),
+        (1, 6.0, 0.02, 0.03, 0.1),
+        (0, 2.0, 0.1, 0.05, 0.3),
+        (1, 9.0, 0.01, 0.0, 1.5),
+    ])
+    def test_matches_per_shot_oracle(self, prepared, snr, relax, prep, coupling):
+        n = 200_000
+        rng = np.random.default_rng(17)
+        rate = sample_shots(prepared, n, snr, relax, prep, coupling, rng).mean()
+        p = one_probability(prepared, snr, relax, prep, coupling)
+        assert abs(rate - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 class TestMeasurementError:
@@ -172,6 +175,51 @@ class TestCrossFidelity:
         assert ("a", "b") in undefined
 
 
+def cross_fidelity_loop(records):
+    """Oracle: cross_fidelity one pair and one conditioning cell at a time."""
+    prep = records.prepared.astype(bool)
+    ones = records.ones.astype(float)
+    n = records.n_shots
+    n_q = len(records.qubits)
+    f = np.full((n_q, n_q), np.nan)
+    undefined = []
+    for i in range(n_q):
+        for j in range(n_q):
+            if i == j:
+                continue
+            cells = []
+            for y, z in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                mask = (prep[:, i] == bool(y)) & (prep[:, j] == bool(z))
+                count = int(mask.sum())
+                if count == 0:
+                    undefined.append((records.qubits[i], records.qubits[j]))
+                    break
+                if y == 0:
+                    cells.append(ones[mask, i].sum() / (count * n))
+                else:
+                    cells.append((n - ones[mask, i]).sum() / (count * n))
+            else:
+                f[i, j] = 1.0 - 0.5 * (
+                    cells[0] + (1.0 - cells[1]) + cells[2] + (1.0 - cells[3]))
+    return f, undefined
+
+
+class TestCrossFidelityMatchesLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n_states=st.integers(1, 40), n_q=st.integers(1, 6),
+           n_shots=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, n_states, n_q, n_shots, seed):
+        rng = np.random.default_rng(seed)
+        prepared = rng.integers(0, 2, size=(n_states, n_q))
+        ones = rng.integers(0, n_shots + 1, size=(n_states, n_q))
+        records = ShotRecords([f"q{k}" for k in range(n_q)], prepared, ones, n_shots)
+        f, undefined = cross_fidelity(records)
+        f_ref, undefined_ref = cross_fidelity_loop(records)
+        assert np.array_equal(np.isnan(f), np.isnan(f_ref))
+        assert np.array_equal(f, f_ref, equal_nan=True)
+        assert undefined == undefined_ref
+
+
 class TestErrorBudget:
     def test_exact_closure(self):
         bds = {0: make_breakdown(snr=9.0, relaxation=0.004),
@@ -210,6 +258,20 @@ class TestRunBenchmark:
         assert np.array_equal(r1.records.prepared, r2.records.prepared)
         for qid in r1.qubits:
             assert r1.error[qid] == r2.error[qid]
+
+    def test_prepared_states_from_first_substream(self):
+        graph, result = self.graph_and_result(snr=6.0)
+        cfg = BenchmarkConfig(n_states=30, n_shots=10, seed=123)
+        report = run_benchmark(graph, result, cfg)
+        first = np.random.SeedSequence(cfg.seed).spawn(cfg.n_states + 1)[0]
+        expected = np.random.default_rng(first).integers(0, 2, size=(30, 3))
+        assert np.array_equal(report.records.prepared, expected)
+
+    def test_noiseless_tallies_copy_prepared_states(self):
+        graph, result = self.graph_and_result(snr=1e4)
+        report = run_benchmark(graph, result,
+                               BenchmarkConfig(n_states=30, n_shots=70, seed=4))
+        assert np.array_equal(report.records.ones, report.records.prepared * 70)
 
     def test_seed_changes_outcomes(self):
         graph, result = self.graph_and_result(snr=6.0)

@@ -12,6 +12,7 @@ from readout_opt.cli import (
     result_from_dict,
     result_to_dict,
 )
+from readout_opt.device import parse_yaml
 
 from conftest import CONFIG_DIR
 
@@ -56,6 +57,13 @@ def opt_path(tmp_path):
     path = tmp_path / "opt.yaml"
     path.write_text(yaml.safe_dump(TINY_OPT))
     return path
+
+
+@pytest.fixture
+def results_path(device_path, opt_path, tmp_path):
+    out = tmp_path / "run"
+    run_optimize(device_path, opt_path, out)
+    return out / "results.yaml"
 
 
 def run_optimize(device_path, opt_path, out_dir, *extra):
@@ -208,12 +216,6 @@ class TestSweep:
 
 
 class TestBenchmark:
-    @pytest.fixture
-    def results_path(self, device_path, opt_path, tmp_path):
-        out = tmp_path / "run"
-        run_optimize(device_path, opt_path, out)
-        return out / "results.yaml"
-
     def test_writes_outputs(self, device_path, results_path, tmp_path):
         out = tmp_path / "bench"
         code = main([
@@ -254,6 +256,10 @@ class TestBenchmark:
             (out2 / "per_qubit_errors.csv").read_text()
         assert (out1 / "cross_fidelity.csv").read_text() == \
             (out2 / "cross_fidelity.csv").read_text()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_results_device_mismatch(self, results_path, tmp_path):
         other = dict(TWO_QUBIT_DEVICE)
@@ -267,6 +273,92 @@ class TestBenchmark:
             "--out", str(tmp_path / "bench"),
         ])
         assert code == EXIT_IO
+
+
+def _set(path, value):
+    """Edit of a results dict: set the value at a key path, None deletes it."""
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return edit
+
+
+class TestBadResultsFile:
+    """benchmark --results on a bad file exits 2, naming the file and key."""
+
+    def run_benchmark(self, device_path, results_path, tmp_path):
+        return main([
+            "benchmark", "--device", str(device_path),
+            "--results", str(results_path),
+            "--n-states", "5", "--n-shots", "10",
+            "--out", str(tmp_path / "bench"),
+        ])
+
+    @pytest.mark.parametrize("text, message", [
+        ("qubits: [", "while parsing"),
+        ("qubits: [{row: 0}]", "qubits[0].col: missing"),
+        ("qubits: [{row: 0, col: x, role: data}]", "qubits[0].col: invalid literal"),
+        ("", "qubits: missing"),
+        ("qubits: 5", "qubits: must be a list"),
+    ])
+    def test_malformed(self, device_path, tmp_path, capsys, text, message):
+        bad = tmp_path / "results.yaml"
+        bad.write_text(text)
+        assert self.run_benchmark(device_path, bad, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set(("qubits", 0, "cost", "snr"), float("nan")),
+         "qubit (0,0): cost.snr: must be finite and >= 0, got nan"),
+        (_set(("qubits", 1, "cost", "relaxation"), -0.1),
+         "qubit (0,1): cost.relaxation: must be finite and >= 0, got -0.1"),
+        (_set(("qubits", 1, "cost", "coupling"), float("inf")),
+         "qubit (0,1): cost.coupling: must be finite and >= 0, got inf"),
+        (_set(("qubits", 0, "cost", "snr"), "high"),
+         "qubit (0,0): cost.snr: could not convert"),
+        (_set(("qubits", 0, "cost", "t0_ns"), None),
+         "qubit (0,0): cost.t0_ns: missing"),
+        (_set(("qubits", 1, "B0"), None), "qubit (0,1): B0: missing"),
+        (_set(("qubits", 0, "role"), "ancilla"), "qubits[0].role: "),
+        (_set(("evaluations",), None), "evaluations: missing"),
+        (lambda raw: raw["qubits"].append(dict(raw["qubits"][0])),
+         "qubit (0,0): duplicate entry"),
+    ])
+    def test_bad_entry(self, device_path, results_path, tmp_path, capsys,
+                       edit, message):
+        raw = yaml.safe_load(results_path.read_text())
+        edit(raw)
+        results_path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert self.run_benchmark(device_path, results_path, tmp_path) == EXIT_IO
+        assert f"error: {results_path}: {message}" in capsys.readouterr().err
+
+
+class TestParseYaml:
+    """The libyaml loader reads every input to the objects of yaml.safe_load."""
+
+    @pytest.mark.parametrize("name", [
+        "device_d3.yaml", "optimizer.yaml", "optimizer_small.yaml"])
+    def test_shipped_configs(self, name):
+        text = (CONFIG_DIR / name).read_text()
+        self.assert_loaders_agree(text)
+
+    def test_results_file(self, results_path):
+        self.assert_loaders_agree(results_path.read_text())
+
+    @staticmethod
+    def assert_loaders_agree(text):
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        assert expected
+        assert parse_yaml(text) == expected
+        if hasattr(yaml, "CSafeLoader"):
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
 
 
 class TestParser:

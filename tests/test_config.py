@@ -141,6 +141,8 @@ class TestBadConfigNamesKey:
         ("weight: {photon: 5}", "weight"),
         ("grid: {n_omega: 2.7}", "grid.n_omega"),
         ("grid: {n_omega: true}", "grid.n_omega"),
+        ("start_qubit: [1.7, true]", "start_qubit"),
+        ('start_qubit: ["1", 2]', "start_qubit"),
     ])
     def test_exit_2_with_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
