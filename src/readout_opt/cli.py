@@ -27,6 +27,7 @@ from .config import (
     build_search_grid,
     config_echo,
     load_optimizer_config,
+    snap_to_steps,
 )
 from .device import (
     DeviceConfigError,
@@ -38,6 +39,7 @@ from .device import (
     parse_yaml,
     rad_ns_to_ghz,
 )
+from .dynamics import field_pair, photon_number
 from .error_models import CostBreakdown, ReadoutParams, evaluate_cost
 from .snake import (
     InfeasibleQubitError,
@@ -264,6 +266,11 @@ def cmd_sweep(args) -> int:
         else 0.5 * (cfg.grid.amp_min + cfg.grid.amp_max)
     pin_tp = args.pin_tp_ns if args.pin_tp_ns is not None \
         else 0.5 * (cfg.grid.tp_min_ns + cfg.grid.tp_max_ns)
+    # solve_field simulates the nearest multiple of dt: report that
+    pin_tp = float(np.rint(pin_tp / model.dt) * model.dt)
+    if not 0.0 < pin_tp <= model.total_time:
+        raise ValueError(f"pinned pulse length rounds to {pin_tp} ns at "
+                         f"dt_ns = {model.dt}, outside (0, total]")
 
     if args.points < 1:
         raise ValueError("points must be >= 1")
@@ -283,6 +290,7 @@ def cmd_sweep(args) -> int:
     elif axis == "length":
         if args.min <= 0 or args.max > model.total_time:
             raise ValueError("pulse length range outside (0, total]")
+        values = snap_to_steps(values, args.min, args.max, model.dt)
     elif args.min < 0:
         raise ValueError("amplitude must be >= 0")
 
@@ -322,22 +330,19 @@ def cmd_sweep(args) -> int:
         writer.writerows(rows)
 
     # field trajectory at the pinned point
-    from .dynamics import field_pair
-
     pinned = ReadoutParams(
         omega_q=pin_omega, b0=pin_amp * q.amp_ref,
         t_p=pin_tp, t_r=model.total_time - pin_tp,
     )
     traj = field_pair(q, pinned, model.dt, guard=model.pole_guard)
+    n0, n1 = photon_number(traj.beta0), photon_number(traj.beta1)
     with (out / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"])
-        for t, b0_, b1_ in zip(traj.times, traj.beta0, traj.beta1):
-            writer.writerow([
-                t, b0_.real, b0_.imag, b1_.real, b1_.imag,
-                abs(b0_) ** 2, abs(b1_) ** 2,
-            ])
+        for row in zip(traj.times, traj.beta0.real, traj.beta0.imag,
+                       traj.beta1.real, traj.beta1.imag, n0, n1):
+            writer.writerow(row)
 
     _write_manifest(out, "manifest.yaml", {
         "command": "sweep",

@@ -155,7 +155,7 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
         raise OptimizerConfigError(
             f"grid.tp_max_ns: pulse-length range must fit "
             f"total_readout_time_ns = {total_time}")
-    lo_step, hi_step = _tp_step_range(grid, dt)
+    lo_step, hi_step = _step_range(grid.tp_min_ns, grid.tp_max_ns, dt)
     if lo_step > hi_step:
         raise OptimizerConfigError(
             f"pulse-length range [{grid.tp_min_ns}, {grid.tp_max_ns}] ns holds no "
@@ -163,10 +163,24 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     return cfg
 
 
-def _tp_step_range(grid: GridSpec, dt: float) -> tuple[int, int]:
-    """First and last multiple of dt (in steps) inside the pulse-length range."""
-    return (math.ceil(grid.tp_min_ns / dt - 1e-9),
-            math.floor(grid.tp_max_ns / dt + 1e-9))
+def _step_range(lo: float, hi: float, dt: float) -> tuple[int, int]:
+    """First and last multiple of dt (in steps) inside [lo, hi]."""
+    return math.ceil(lo / dt - 1e-9), math.floor(hi / dt + 1e-9)
+
+
+def snap_to_steps(values, lo: float, hi: float, dt: float) -> np.ndarray:
+    """Pulse lengths as the dynamics simulate them.
+
+    Each value is rounded to the nearest multiple of dt inside [lo, hi];
+    the result is sorted, without duplicates.  Raises ValueError if [lo, hi]
+    holds no multiple of dt.
+    """
+    lo_step, hi_step = _step_range(lo, hi, dt)
+    if lo_step > hi_step:
+        raise ValueError(f"pulse-length range [{lo}, {hi}] ns holds no "
+                         f"multiple of dt_ns = {dt}")
+    steps = np.rint(np.asarray(values, dtype=float) / dt)
+    return np.unique(np.clip(steps, lo_step, hi_step)) * dt
 
 
 def build_search_grid(
@@ -175,16 +189,16 @@ def build_search_grid(
     """Per-qubit grid: omega over the search band, amplitudes via amp_ref.
 
     Pulse lengths are snapped to the nearest multiple of dt inside the
-    configured range, duplicates dropped, so every reported t_p is the one
-    the dynamics simulate.
+    configured range, duplicates dropped (snap_to_steps), so every reported
+    t_p is the one the dynamics simulate.
     """
     lo, hi = graph.search_band[qid]
     q = graph.qubits[qid]
     g = cfg.grid
     omega = np.linspace(lo, hi, g.n_omega)
     amp = np.linspace(g.amp_min, g.amp_max, g.n_amp) * q.amp_ref
-    steps = np.rint(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp) / cfg.model.dt)
-    tp = np.unique(np.clip(steps, *_tp_step_range(g, cfg.model.dt))) * cfg.model.dt
+    tp = snap_to_steps(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
+                       g.tp_min_ns, g.tp_max_ns, cfg.model.dt)
     return SearchGrid(
         omega_points=tuple(float(v) for v in omega),
         amp_points=tuple(float(v) for v in amp),

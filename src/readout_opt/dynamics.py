@@ -140,14 +140,6 @@ def _sample_counts(pulse: PulseShape, dt: float) -> tuple[int, int]:
     return n_p, n_tot
 
 
-def _unit_pulse_response(step: np.ndarray, n_p: int, n_tot: int) -> np.ndarray:
-    """Unit-amplitude pulse response: the step minus its copy delayed by n_p."""
-    out = step.copy()
-    if n_p < n_tot:
-        out[n_p:] -= step[: n_tot + 1 - n_p]
-    return out
-
-
 def solve_field(
     pulse: PulseShape, delta: float, kappa: float, dt: float
 ) -> np.ndarray:
@@ -155,13 +147,16 @@ def solve_field(
 
     t_p and the total time are rounded to the nearest grid point, so an
     off-grid t_p is simulated as the nearest multiple of dt;
-    config.build_search_grid snaps its pulse lengths to the grid for that
-    reason.
+    config.snap_to_steps snaps the optimizer's and the sweep's pulse
+    lengths to the grid for that reason.
     """
     _check_step(delta, kappa, dt)
     n_p, n_tot = _sample_counts(pulse, dt)
-    out = _unit_pulse_response(
-        _unit_step_response(delta, kappa, dt, n_tot), n_p, n_tot)
+    step = _unit_step_response(delta, kappa, dt, n_tot)
+    # the step minus its copy delayed by n_p
+    out = step.copy()
+    if n_p < n_tot:
+        out[n_p:] -= step[: n_tot + 1 - n_p]
     out *= pulse.b0
     return out
 
@@ -183,19 +178,26 @@ def field_pair(
     return FieldTrajectory(dt=dt, beta0=beta0, beta1=beta1, chi=chi)
 
 
+def photon_number(beta: np.ndarray) -> np.ndarray:
+    """|beta|^2 per sample, as re*re + im*im.
+
+    Every photon count uses this form; abs(beta)**2 can differ from it in
+    the last bit.
+    """
+    return beta.real**2 + beta.imag**2
+
+
 def stark_trajectory(
     omega_q0: float, chi: float, traj: FieldTrajectory
 ) -> np.ndarray:
     """Instantaneous qubit frequency under the linear AC-Stark shift."""
-    n1 = traj.beta1.real**2 + traj.beta1.imag**2
-    return omega_q0 + (2.0 * chi) * n1
+    return omega_q0 + (2.0 * chi) * photon_number(traj.beta1)
 
 
 def max_photon(traj: FieldTrajectory) -> float:
     """Largest photon number over both branches and all samples."""
-    n0 = traj.beta0.real**2 + traj.beta0.imag**2
-    n1 = traj.beta1.real**2 + traj.beta1.imag**2
-    return float(max(n0.max(), n1.max()))
+    return float(max(photon_number(traj.beta0).max(),
+                     photon_number(traj.beta1).max()))
 
 
 def residual_photon(traj: FieldTrajectory) -> float:

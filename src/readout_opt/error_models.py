@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc
@@ -33,7 +34,6 @@ from .dynamics import (
     PulseShape,
     _check_step,
     _sample_counts,
-    _unit_pulse_response,
     _unit_step_response,
     dispersive_shift,
     field_pair,
@@ -401,6 +401,127 @@ def evaluate_cost(
     )
 
 
+class _StepPrefix(NamedTuple):
+    """One omega's step-response arrays; cum, stark and n_max have one row
+    per amplitude.
+
+    A pulse of n_p samples equals the step response up to sample n_p, so
+    each array is every pulse's own up to that sample, bit for bit.
+    """
+
+    parts: np.ndarray  # (n_tot + 1, 4): re, im of the +chi, -chi unit steps
+    cum: np.ndarray  # sequential trapezoid cumsum of |beta0 - beta1|^2
+    stark: np.ndarray  # Stark trace omega_q + 2 chi |beta1|^2
+    n_max: np.ndarray  # running max of |beta0|^2 and |beta1|^2
+
+
+def _step_prefix(chi, kappa, omega_q, amps, dt, n_tot, bufs) -> _StepPrefix:
+    """The step-response arrays for the amplitudes amps.
+
+    bufs is a (6, n_amp * (n_tot + 1)) scratch array; the prefix keeps its
+    last three rows, and the first three are free again on return.
+    """
+    parts = np.empty((n_tot + 1, 4))
+    for k, delta in ((0, chi), (2, -chi)):
+        step = _unit_step_response(delta, kappa, dt, n_tot)
+        parts[:, k], parts[:, k + 1] = step.real, step.imag
+    bufs = bufs.reshape(6, len(amps), n_tot + 1)
+    re0, im0, re1, im1, n_max, cum = bufs
+    # beta = b0 * unit response (einsum's outer product: the same single
+    # multiplications, about twice as fast as broadcasting np.multiply)
+    np.einsum("nk,a->kan", parts, amps, out=bufs[:4])
+    np.add(np.square(re0, out=n_max), np.square(im0, out=cum), out=n_max)
+    # d = beta0 - beta1 in place of beta0, n1 = |beta1|^2 in place of beta1
+    re0 -= re1
+    im0 -= im1
+    n1 = np.add(np.square(re1, out=re1), np.square(im1, out=im1), out=re1)
+    np.maximum.accumulate(np.maximum(n_max, n1, out=n_max), axis=1, out=n_max)
+    mag2 = np.add(np.square(re0, out=re0), np.square(im0, out=im0), out=re0)
+    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=im0[:, 1:])
+    trap *= 0.5 * dt
+    cum[:, 0] = 0.0
+    np.cumsum(trap, axis=1, out=cum[:, 1:])
+    stark = np.multiply(n1, 2.0 * chi, out=im1)
+    stark += omega_q
+    return _StepPrefix(parts, cum, stark, n_max)
+
+
+def _pulse_tail(pre: _StepPrefix, amps, n_p: int, dt: float, bufs):
+    """Samples n_p..n_tot of the n_p-sample pulse, for every amplitude.
+
+    Returns (cum, n1, n_max, photon): the cumulative integral and |beta1|^2
+    from sample n_p on, one column per amplitude, the largest photon number
+    of the whole response and the residual photon number at its end.  The
+    tail's cumsum starts from pre.cum[:, n_p], so the sequential sum goes on
+    where the prefix ends.  bufs is a (6, >= (n_tot + 1 - n_p) * n_amp)
+    scratch array; sample-major rows keep every pass contiguous.
+    """
+    width = len(pre.parts) - n_p
+    tail = bufs[:, : width * len(amps)].reshape(6, width, len(amps))
+    re0, im0, re1, im1, n0, cum = tail
+    # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
+    np.einsum("nk,a->kna", pre.parts[n_p:] - pre.parts[:width], amps,
+              out=tail[:4])
+    np.add(np.square(re0, out=n0), np.square(im0, out=cum), out=n0)
+    re0 -= re1
+    im0 -= im1
+    n1 = np.add(np.square(re1, out=re1), np.square(im1, out=im1), out=re1)
+    photon = 0.5 * (n0[-1] + n1[-1])
+    n_max = np.maximum(pre.n_max[:, n_p], np.maximum(n0, n1, out=n0).max(axis=0))
+    mag2 = np.add(np.square(re0, out=re0), np.square(im0, out=im0), out=re0)
+    seeded = im0
+    np.add(mag2[1:], mag2[:-1], out=seeded[1:])
+    seeded[1:] *= 0.5 * dt
+    seeded[0] = pre.cum[:, n_p]
+    np.cumsum(seeded, axis=0, out=cum)
+    return cum, n1, n_max, photon
+
+
+def _relaxation(cum, stark, half, cells, dt, xp, fp):
+    """relaxation_error at the marked cells of a plane, and its table check.
+
+    Every cell in row i of half (half the final SNR integral, > 0 at marked
+    cells) reads row i of cum (the nondecreasing cumulative integral) and
+    of stark (the Stark trace).  Returns the relaxation plane, 0 off cells,
+    and the mask of cells whose trace up to the half-SNR time leaves the
+    Gamma1 table (xp, fp).
+    """
+    relax = np.zeros(cells.shape)
+    bad = np.zeros(cells.shape, dtype=bool)
+    rows, cols = np.nonzero(cells)
+    if not len(rows):
+        return relax, bad
+    n_tot = cum.shape[1] - 1
+    idx = np.array([c.searchsorted(h) for c, h in zip(cum, half)])[rows, cols]
+    lo = cum[rows, idx - 1]
+    frac = (half[rows, cols] - lo) / (cum[rows, idx] - lo)
+    t0 = ((idx - 1) + frac) * dt
+    n_full = np.minimum((t0 / dt).astype(np.int64), n_tot)
+    t_rem = t0 - n_full * dt
+    stark = stark[:, : min(int(n_full.max()) + 2, n_tot + 1)]
+    rates = np.interp(stark, xp, fp)
+    out = np.zeros(len(rows), dtype=bool)
+    if stark.min() < xp[0] or stark.max() > xp[-1]:
+        out = ((np.minimum.accumulate(stark, axis=1)[rows, n_full] < xp[0])
+               | (np.maximum.accumulate(stark, axis=1)[rows, n_full] > xp[-1]))
+    # numpy's pairwise sum depends on the length: one row sum per length
+    lengths, group = np.unique(n_full, return_inverse=True)
+    sums = np.empty((len(lengths), len(rates)))
+    for g, m in enumerate(lengths.tolist()):
+        rates[:, : m + 1].sum(axis=1, out=sums[g])
+    err = dt * (sums[group, rows] - 0.5 * (rates[rows, 0] + rates[rows, n_full]))
+    part = np.flatnonzero((t_rem > 0.0) & (n_full < n_tot))
+    if len(part):
+        r, m = rows[part], n_full[part]
+        last = stark[r, m]
+        omega_end = last + (t_rem[part] / dt) * (stark[r, m + 1] - last)
+        out[part] |= (omega_end < xp[0]) | (omega_end > xp[-1])
+        err[part] += 0.5 * (rates[r, m] + np.interp(omega_end, xp, fp)) * t_rem[part]
+    relax[rows, cols] = err
+    bad[rows, cols] = out
+    return relax, bad
+
+
 def cost_plane(
     q: QubitPhysical,
     omega_q: float,
@@ -415,16 +536,24 @@ def cost_plane(
     specs) returns for params = ReadoutParams(omega_q, amp_points[i],
     tp_points[j], model.total_time - tp_points[j]); infeasible points are
     +inf, and an omega near a chi pole or with |chi| too large for
-    model.dt gives an all-+inf plane.  Everything that depends only on
-    omega (chi, the step responses, the heuristic terms) is computed once,
-    and each pulse length scores all amplitudes at once in reused
-    (n_amp, n_steps + 1) buffers.  The array operations repeat the
-    term functions' IEEE operations in the same order: the trapezoid cumsum
-    runs along each row, the half-SNR index counts the samples below half
-    (equal to searchsorted on the nondecreasing cum), the Gamma1 prefixes
-    are summed row-wise in groups of equal length, and the MIST logistic
-    calls math.exp.  An invalid point raises the
-    error evaluate_cost raises at the first such point in row-major order.
+    model.dt gives an all-+inf plane.  An invalid point raises the error
+    evaluate_cost raises at the first such point in row-major order.
+
+    The kernel has two stages, and repeats the term functions' IEEE
+    operations in the same order.  Per omega, over all amplitudes at once,
+    _step_prefix computes on the unit step responses the fields, the
+    sequential trapezoid cumsum of |beta0 - beta1|^2, the running max of
+    the photon numbers and the Stark trace.  A pulse of n_p samples equals
+    the step response up to sample n_p, so per pulse length _pulse_tail
+    computes only the samples after it, its cumsum seeded where the
+    prefix's stops.  Then, once over the whole plane: the SNR and
+    separation error, the half-SNR index by searchsorted on each
+    amplitude's prefix cumsum (nondecreasing, so it equals the count of
+    samples below half), the Gamma1 prefixes summed in groups of equal
+    length (numpy's pairwise sum depends on the length), the Stark-range
+    check from the running min and max, the photon term, and the MIST
+    logistic through math.exp.  A cell whose half-SNR index lies past
+    sample n_p reads the tail, so it is scored on its whole column instead.
     """
     shape = (len(amp_points), len(tp_points))
     dt, total_time = model.dt, model.total_time
@@ -449,6 +578,14 @@ def cost_plane(
         PulseShape(b0=b0, t_p=tp_points[0], t_r=total_time - tp_points[0])
     if chi_too_large:
         return np.full(shape, math.inf)
+    n_tots = sorted({n_tot for _, n_tot in counts})
+    if len(n_tots) > 1:  # t_p + t_r rounds to more than one sample count
+        totals = np.empty(shape)
+        for n_tot in n_tots:
+            cols = [j for j, c in enumerate(counts) if c[1] == n_tot]
+            totals[:, cols] = cost_plane(q, omega_q, amp_points,
+                                         [tp_points[j] for j in cols], model, specs)
+        return totals
 
     mist_n_th = None
     mist_term = 0.0
@@ -462,86 +599,52 @@ def cost_plane(
                 mist_term, mist_n_th = mist.ceiling, None
         coupling_term = coupling_error(omega_q, specs)
 
-    amps = np.asarray(amp_points, dtype=float)[:, None]
-    rows = np.arange(len(amps))
+    amps = np.asarray(amp_points, dtype=float)
+    n_ps = [n_p for n_p, _ in counts]
     xp, fp = _gamma1_arrays(q)
     scale = 2.0 * q.eta * q.kappa
-    totals = np.empty(shape)
-    bufs = None
-    for j, (n_p, n_tot) in enumerate(counts):
-        if bufs is None or bufs.shape[2] != n_tot + 1:
-            bufs = np.empty((6, len(amps), n_tot + 1))
-        re0, im0, re1, im1, cum, tmp = bufs
-        u0 = _unit_pulse_response(
-            _unit_step_response(chi, q.kappa, dt, n_tot), n_p, n_tot)
-        u1 = _unit_pulse_response(
-            _unit_step_response(-chi, q.kappa, dt, n_tot), n_p, n_tot)
-        # beta = b0 * unit response, one row per amplitude
-        np.multiply(amps, u0.real, out=re0)
-        np.multiply(amps, u0.imag, out=im0)
-        np.multiply(amps, u1.real, out=re1)
-        np.multiply(amps, u1.imag, out=im1)
-        # n0 = |beta0|^2, then d = beta0 - beta1 in place of beta0
-        n0 = np.add(np.square(re0, out=cum), np.square(im0, out=tmp), out=cum)
-        n0_max, n0_last = n0.max(axis=1), n0[:, -1].copy()
-        re0 -= re1
-        im0 -= im1
-        # n1 = |beta1|^2 in place of beta1; |d|^2 in place of d
-        n1 = np.add(np.square(re1, out=re1), np.square(im1, out=im1), out=re1)
-        mag2 = np.add(np.square(re0, out=re0), np.square(im0, out=im0), out=re0)
-        trap = np.add(mag2[:, 1:], mag2[:, :-1], out=tmp[:, 1:])
-        trap *= 0.5 * dt
-        cum[:, 0] = 0.0
-        np.cumsum(trap, axis=1, out=cum[:, 1:])
-        cum_last = cum[:, -1]
-        snr_value = scale * cum_last
-        sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
+    # each tail reuses the three rows the prefix leaves free
+    bufs = np.empty((9, len(amps) * (n_tots[0] + 1)))
+    pre = _step_prefix(chi, q.kappa, omega_q, amps, dt, n_tots[0], bufs[3:])
+    cum_last, n_max, photon = np.empty(shape), np.empty(shape), np.empty(shape)
+    late_relax = np.zeros(shape)
+    late = np.zeros(shape, dtype=bool)
+    bad = np.zeros(shape, dtype=bool)
+    for j, n_p in enumerate(n_ps):
+        cum, n1, n_max[:, j], photon[:, j] = _pulse_tail(pre, amps, n_p, dt, bufs[:6])
+        cum_last[:, j] = cum[-1]
+        # a half-SNR index past n_p reads the tail: score such cells on their
+        # whole column.  Up to n_p, t0 <= n_p * dt, so the endpoint sample
+        # after t0 is read only when it is at most n_p
+        late[:, j] = (scale * cum[-1] > 0.0) & (0.5 * cum[-1] > pre.cum[:, n_p])
+        rows = np.flatnonzero(late[:, j])
+        if len(rows):
+            col_cum = np.concatenate((pre.cum[rows, :n_p], cum[:, rows].T), axis=1)
+            col_stark = np.concatenate(
+                (pre.stark[rows, :n_p], omega_q + (2.0 * chi) * n1[:, rows].T), axis=1)
+            relax, out = _relaxation(col_cum, col_stark, 0.5 * cum_last[rows, j, None],
+                                     np.ones((len(rows), 1), dtype=bool), dt, xp, fp)
+            late_relax[rows, j], bad[rows, j] = relax[:, 0], out[:, 0]
 
-        # relaxation, as in evaluate_cost's snr > 0 branch
-        pos = snr_value > 0.0
-        relax = np.zeros(len(amps))
-        bad = np.zeros(len(amps), dtype=bool)
-        if pos.any():
-            half = 0.5 * cum_last
-            idx = np.count_nonzero(cum < half[:, None], axis=1)
-            lo = cum[rows, np.maximum(idx - 1, 0)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = (half - lo) / (cum[rows, idx] - lo)
-            t0 = np.where(idx > 0, ((idx - 1) + frac) * dt, 0.0)
-            n_full = np.minimum((t0 / dt).astype(np.int64), n_tot)
-            t_rem = t0 - n_full * dt
-            n_cols = min(int(n_full[pos].max()) + 2, n_tot + 1)
-            stark = omega_q + (2.0 * chi) * n1[:, :n_cols]
-            for m in np.unique(n_full[pos]).tolist():
-                k = np.flatnonzero(pos & (n_full == m))
-                prefix = stark[k, : m + 1]
-                bad[k] = (prefix.min(axis=1) < xp[0]) | (prefix.max(axis=1) > xp[-1])
-                rates = np.interp(prefix, xp, fp)
-                relax[k] = dt * (rates.sum(axis=1) - 0.5 * (rates[:, 0] + rates[:, -1]))
-                part = (t_rem[k] > 0.0) & (m < n_tot)
-                if part.any():
-                    kp = k[part]
-                    last = prefix[part, -1]
-                    omega_end = last + (t_rem[kp] / dt) * (stark[kp, m + 1] - last)
-                    bad[kp] |= ~((xp[0] <= omega_end) & (omega_end <= xp[-1]))
-                    rate_end = np.interp(omega_end, xp, fp)
-                    relax[kp] += 0.5 * (rates[part, -1] + rate_end) * t_rem[kp]
-
-        photon = 0.5 * (n0_last + n1[:, -1])
-        if mist_n_th is not None:
-            n_max = np.maximum(n0_max, n1.max(axis=1))
-            z = (n_max - mist_n_th) / (mist.sharpness * mist_n_th)
-            z = np.minimum(np.maximum(z, -500.0), 500.0)
-            # math.exp as in mist_penalty: np.exp's SIMD loop differs from
-            # it in the last bit for some inputs
-            mist_term = mist.ceiling / (1.0 + np.array([math.exp(-v) for v in z.tolist()]))
-        total = (
-            weights.separation * sep
-            + weights.relaxation * relax
-            + weights.photon * photon
-            + weights.mist * mist_term
-            + weights.coupling * coupling_term
-        )
-        total[bad] = math.inf
-        totals[:, j] = total
+    snr_value = scale * cum_last
+    sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
+    relax, out = _relaxation(pre.cum, pre.stark, 0.5 * cum_last,
+                             (snr_value > 0.0) & ~late, dt, xp, fp)
+    relax = np.where(late, late_relax, relax)
+    bad |= out
+    if mist_n_th is not None:
+        z = (n_max - mist_n_th) / (mist.sharpness * mist_n_th)
+        z = np.minimum(np.maximum(z, -500.0), 500.0)
+        # math.exp as in mist_penalty: np.exp's SIMD loop differs from it in
+        # the last bit for some inputs
+        exp = np.fromiter(map(math.exp, (-z).ravel().tolist()), float, z.size)
+        mist_term = mist.ceiling / (1.0 + exp.reshape(shape))
+    totals = (
+        weights.separation * sep
+        + weights.relaxation * relax
+        + weights.photon * photon
+        + weights.mist * mist_term
+        + weights.coupling * coupling_term
+    )
+    totals[bad] = math.inf
     return totals

@@ -1,10 +1,19 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 import yaml
 
-from readout_opt import OptimizationResult, Strategy
+from readout_opt import (
+    OptimizationResult,
+    QubitId,
+    ReadoutParams,
+    Strategy,
+    evaluate_cost,
+    load_device,
+    load_optimizer_config,
+)
 from readout_opt.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -12,7 +21,7 @@ from readout_opt.cli import (
     result_from_dict,
     result_to_dict,
 )
-from readout_opt.device import parse_yaml
+from readout_opt.device import ghz_to_rad_ns, parse_yaml
 
 from conftest import CONFIG_DIR
 
@@ -193,6 +202,64 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert float(rows[1]["snr"]) == pytest.approx(
             4 * float(rows[0]["snr"]), rel=1e-9)
+
+    def test_length_sweep_reports_simulated_lengths(self, device_path,
+                                                    opt_path, tmp_path):
+        # 121 points over 100..480 ns lie off the 1 ns grid (103.1667, ...);
+        # each row reports the multiple of dt that solve_field simulates
+        rows = self._sweep(device_path, opt_path, tmp_path, "--axis", "length",
+                           "--min", "100", "--max", "480", "--points", "121")
+        tps = [float(r["t_p_ns"]) for r in rows]
+        assert tps == sorted(set(tps))
+        assert tps == [float(t) for t in np.unique(np.rint(np.linspace(100, 480, 121)))]
+        assert all(float(r["t_r_ns"]) == 500.0 - t for r, t in zip(rows, tps))
+        q = load_device(device_path.read_text()).qubits[QubitId(0, 0)]
+        model = load_optimizer_config(opt_path.read_text()).model
+        for r, t_p in zip(rows, tps):
+            params = ReadoutParams(ghz_to_rad_ns(float(r["f_q_GHz"])),
+                                   float(r["B0"]), t_p, 500.0 - t_p)
+            bd = evaluate_cost(q, params, model)
+            assert float(r["snr"]) == bd.snr
+            assert float(r["relaxation_error"]) == bd.relaxation
+
+    def test_pinned_length_snapped_to_dt(self, device_path, opt_path, tmp_path):
+        rows = self._sweep(device_path, opt_path, tmp_path, "--axis", "amplitude",
+                           "--min", "0.1", "--max", "0.2", "--points", "2",
+                           "--pin-tp-ns", "290.4")
+        assert [float(r["t_p_ns"]) for r in rows] == [290.0, 290.0]
+        manifest = yaml.safe_load((tmp_path / "sweep" / "manifest.yaml").read_text())
+        assert manifest["pins"]["t_p_ns"] == 290.0
+
+    @pytest.mark.parametrize("args", [
+        ("--axis", "length", "--min", "100.2", "--max", "100.7", "--points", "3"),
+        ("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--points", "2",
+         "--pin-tp-ns", "0.4"),
+    ])
+    def test_lengths_off_the_grid_rejected(self, device_path, opt_path,
+                                           tmp_path, args):
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", *args,
+                     "--out", str(tmp_path / "sweep")]) == EXIT_IO
+
+    def test_trajectory_photon_numbers_as_max_photon_forms_them(
+            self, device_path, opt_path, tmp_path):
+        self._sweep(device_path, opt_path, tmp_path, "--axis", "frequency",
+                    "--min", "5.7", "--max", "6.2", "--points", "2")
+        with (tmp_path / "sweep" / "trajectory.csv").open() as fh:
+            traj = list(csv.DictReader(fh))
+        for row in traj:
+            for n, re, im in (("n0", "re_beta0", "im_beta0"),
+                              ("n1", "re_beta1", "im_beta1")):
+                x, y = float(row[re]), float(row[im])
+                assert float(row[n]) == x * x + y * y
+
+    def _sweep(self, device_path, opt_path, tmp_path, *args):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", *args,
+                     "--out", str(out)]) == EXIT_OK
+        with (out / "sweep.csv").open() as fh:
+            return list(csv.DictReader(fh))
 
     def test_out_of_band_rejected(self, device_path, opt_path, tmp_path):
         code = main([

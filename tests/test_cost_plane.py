@@ -212,6 +212,71 @@ class TestErrors:
         assert_same(D3.qubits[QIDS[0]], self.OMEGA, [0.1], [300.0], dt=20.0)
 
 
+def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):
+    """half_snr_time of one point, from the scalar field solver."""
+    traj = field_pair(q, ReadoutParams(omega, b0, t_p, total_time - t_p), dt,
+                      guard=GUARD)
+    return half_snr_time(traj, q.eta, q.kappa)
+
+
+class TestKernelPaths:
+    """Each path of the two-stage kernel against the oracle.
+
+    Cells whose half-SNR index is at most n_p read only the per-omega step
+    prefix; the others, and every column's tail, read the samples after
+    n_p.
+    """
+
+    QID = QIDS[2]
+
+    def setup_method(self):
+        self.q = D3.qubits[self.QID]
+        self.omega = 0.5 * sum(D3.search_band[self.QID])
+        self.b0 = 0.2 * self.q.amp_ref
+
+    def test_half_snr_time_after_pulse_end(self):
+        # a 5 ns pulse rings down for about 30 ns before half the SNR is in
+        t0 = half_time(self.q, self.omega, self.b0, 5.0)
+        assert t0 > 20.0
+        assert_same(self.q, self.omega, [0.0, self.b0, 2.0 * self.b0], [5.0])
+
+    def test_t0_on_last_pulse_sample(self):
+        # int(t0 / dt) == n_p with t0 off the grid: the endpoint sample after
+        # t0 lies in the tail
+        hits = [t_p for t_p in range(1, 200)
+                if int(half_time(self.q, self.omega, self.b0, t_p)) == t_p]
+        assert hits
+        for t_p in hits:
+            assert half_time(self.q, self.omega, self.b0, t_p) > t_p
+        assert_same(self.q, self.omega, [self.b0], [float(t) for t in hits])
+
+    def test_pulse_fills_total_time(self):
+        plane = assert_same(self.q, self.omega, [0.0, self.b0, 3.0 * self.b0],
+                            [TOTAL, 499.0, 250.0])
+        assert np.isfinite(plane).all()
+
+    def test_mixed_early_and_late_half_snr_times(self):
+        tps = [3.0, 40.0, 76.0, 77.0, 150.0, 480.0]
+        times = [half_time(self.q, self.omega, self.b0, t_p) for t_p in tps]
+        assert times[0] > tps[0] and times[-1] < tps[-1]
+        amps = [0.0, 0.05 * self.q.amp_ref, self.b0, 0.4 * self.q.amp_ref]
+        assert_same(self.q, self.omega, amps, tps)
+        # heuristics off, and a plane with a Stark trace leaving the table
+        assert_same(self.q, self.omega, amps, tps, include_heuristics=False)
+        assert_same(D3.qubits[QIDS[0]], TWO_PI * 5.5, [0.3, 3.0], tps)
+
+    def test_one_amplitude(self):
+        assert_same(self.q, self.omega, [self.b0], [100.0, 101.0, 333.0, 480.0])
+
+    def test_pulse_lengths_with_different_sample_counts(self):
+        # at dt = 0.1 and 25.05 ns, t_p + t_r rounds to 250 or 251 steps
+        tps = [5.0, 0.26966, 12.0, 0.3707075]
+        counts = {round((t + (25.05 - t)) / 0.1) for t in tps}
+        assert counts == {250, 251}
+        assert_same(self.q, self.omega, [0.0, self.b0], tps,
+                    total_time=25.05, dt=0.1)
+
+
 def small_grid(q, band, n_omega=3, n_amp=3, n_tp=3):
     return SearchGrid(
         omega_points=tuple(float(w) for w in np.linspace(*band, n_omega)),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readout_opt import (
     DeviceConfigError,
@@ -97,6 +99,51 @@ class TestLoadDevice:
             assert hi2 == pytest.approx(hi1, rel=1e-12)
 
 
+@st.composite
+def device_configs(draw):
+    """A valid device config (YAML mapping) of one to four qubits."""
+    coords = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           min_size=1, max_size=4, unique=True))
+    entries = []
+    for row, col in coords:
+        freqs = sorted(draw(st.lists(st.floats(3.0, 9.0), min_size=2,
+                                     max_size=6, unique=True)))
+        lo, hi = sorted(draw(st.lists(st.floats(freqs[0], freqs[-1]),
+                                      min_size=2, max_size=2, unique=True)))
+        entries.append({
+            "row": row, "col": col,
+            "role": draw(st.sampled_from(("data", "measure"))),
+            "alpha_GHz": draw(st.floats(-0.4, -0.05)),
+            "g_eff": draw(st.floats(0.0, 0.2)),
+            "f_r_GHz": draw(st.floats(4.0, 8.0)),
+            "eta": draw(st.floats(0.01, 1.0)),
+            "kappa_MHz": draw(st.floats(0.5, 30.0)),
+            "amp_ref": draw(st.floats(0.1, 3.0)),
+            "band_GHz": [lo, hi],
+            "gamma1_table": [[f, draw(st.floats(0.0, 1.0))] for f in freqs],
+        })
+    return {"qubits": entries}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(device_configs())
+def test_serialize_round_trip(raw):
+    # GHz <-> rad/ns and per-us <-> per-ns conversions may move the last bit
+    graph = load_device(yaml.safe_dump(raw))
+    again = load_device(serialize_device(graph))
+    roles = {(q.row, q.col): q.role for q in graph.qubits}
+    assert {(q.row, q.col): q.role for q in again.qubits} == roles
+    for qid, q in graph.qubits.items():
+        q2 = again.qubits[qid]
+        assert (q2.eta, q2.g_eff, q2.amp_ref) == (q.eta, q.g_eff, q.amp_ref)
+        for name in ("alpha", "omega_r", "kappa"):
+            assert getattr(q2, name) == pytest.approx(getattr(q, name), rel=1e-12)
+        assert np.array(q2.gamma1_table) == pytest.approx(
+            np.array(q.gamma1_table), rel=1e-12)
+        assert again.search_band[qid] == pytest.approx(graph.search_band[qid],
+                                                       rel=1e-12)
+
+
 class TestCouplingStrength:
     def test_zero_coupling_efficiency(self):
         q = make_qubit(g_eff=0.0)
@@ -141,6 +188,20 @@ class TestRelaxationRate:
     def test_array_input(self):
         out = relaxation_rate(self.q, np.array([TWO_PI * 5.0, TWO_PI * 6.5]))
         assert out == pytest.approx([1e-5, 2.5e-5])
+
+    def test_scalar_matches_array(self):
+        xp = [w for w, _ in self.q.gamma1_table]
+        points = [xp[0], xp[-1], xp[1], TWO_PI * 5.3, TWO_PI * 6.77, 35, math.nan]
+        rates = relaxation_rate(self.q, np.array(points, dtype=float))
+        for w, rate in zip(points, rates):
+            for scalar in (w, np.float64(w)):
+                got = relaxation_rate(self.q, scalar)
+                assert type(got) is float
+                assert got == rate or (math.isnan(got) and math.isnan(rate))
+        for w in (np.nextafter(xp[0], -np.inf), np.nextafter(xp[-1], np.inf)):
+            for value in (float(w), w, np.array([w])):
+                with pytest.raises(FrequencyRangeError):
+                    relaxation_rate(self.q, value)
 
     def test_piecewise_linear_continuity(self):
         omegas = np.linspace(TWO_PI * 5.0, TWO_PI * 7.0, 401)

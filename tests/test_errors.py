@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from readout_opt import (
@@ -20,6 +22,7 @@ from readout_opt import (
     evaluate_cost,
     field_pair,
     half_snr_time,
+    load_device,
     mist_penalty,
     mist_threshold,
     relaxation_error,
@@ -29,9 +32,10 @@ from readout_opt import (
     stark_trajectory,
 )
 
-from conftest import TWO_PI, make_qubit
+from conftest import CONFIG_DIR, TWO_PI, make_qubit
 
 DT = 0.5
+D3 = load_device((CONFIG_DIR / "device_d3.yaml").read_text())
 
 
 def default_params(**overrides):
@@ -64,6 +68,30 @@ class TestSnr:
         s1 = snr(field_pair(q, default_params(b0=0.1), dt=DT), q.eta, q.kappa)
         s2 = snr(field_pair(q, default_params(b0=0.2), dt=DT), q.eta, q.kappa)
         assert s2 == pytest.approx(4 * s1, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), scale=st.one_of(
+        st.sampled_from((0.25, 0.5, 2.0, 4.0)), st.floats(0.05, 5.0)))
+    def test_b0_squared_scaling_keeps_half_snr_time(self, data, scale):
+        # beta is linear in B0, so the SNR scales as B0^2 and the half-SNR
+        # time does not move: every amplitude of a pulse length shares it.
+        # A power-of-two scale is exact in floating point.
+        qid = data.draw(st.sampled_from(D3.sorted_ids()))
+        q = D3.qubits[qid]
+        omega = data.draw(st.floats(*D3.search_band[qid]))
+        b0 = data.draw(st.floats(0.01, 1.0)) * q.amp_ref
+        t_p = float(data.draw(st.integers(1, 500)))
+
+        def snr_and_time(amp):
+            traj = field_pair(q, ReadoutParams(omega, amp, t_p, 500.0 - t_p), 1.0)
+            return snr(traj, q.eta, q.kappa), half_snr_time(traj, q.eta, q.kappa)
+
+        s1, t1 = snr_and_time(b0)
+        s2, t2 = snr_and_time(scale * b0)
+        if math.log2(scale).is_integer():
+            assert (s2, t2) == (scale * scale * s1, t1)
+        assert s2 == pytest.approx(scale * scale * s1, rel=1e-12)
+        assert t2 == pytest.approx(t1, rel=1e-12, abs=1e-9)
 
 
 class TestSeparationError:
