@@ -27,6 +27,7 @@ from .config import (
     build_search_grid,
     config_echo,
     load_optimizer_config,
+    snap_length,
     snap_to_steps,
 )
 from .device import (
@@ -267,10 +268,7 @@ def cmd_sweep(args) -> int:
     pin_tp = args.pin_tp_ns if args.pin_tp_ns is not None \
         else 0.5 * (cfg.grid.tp_min_ns + cfg.grid.tp_max_ns)
     # solve_field simulates the nearest multiple of dt: report that
-    pin_tp = float(np.rint(pin_tp / model.dt) * model.dt)
-    if not 0.0 < pin_tp <= model.total_time:
-        raise ValueError(f"pinned pulse length rounds to {pin_tp} ns at "
-                         f"dt_ns = {model.dt}, outside (0, total]")
+    pin_tp = snap_length(pin_tp, model.dt, model.total_time)
 
     if args.points < 1:
         raise ValueError("points must be >= 1")

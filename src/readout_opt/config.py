@@ -183,6 +183,19 @@ def snap_to_steps(values, lo: float, hi: float, dt: float) -> np.ndarray:
     return np.unique(np.clip(steps, lo_step, hi_step)) * dt
 
 
+def snap_length(value: float, dt: float, total: float) -> float:
+    """One pulse length as the dynamics simulate it: the nearest multiple of dt.
+
+    Rounds as snap_to_steps does.  Raises ValueError unless the result
+    lies in (0, total].
+    """
+    snapped = float(np.rint(value / dt) * dt)
+    if not 0.0 < snapped <= total:
+        raise ValueError(f"pulse length {value} ns rounds to {snapped} ns at "
+                         f"dt_ns = {dt}, outside (0, total]")
+    return snapped
+
+
 def build_search_grid(
     graph: DeviceGraph, qid: QubitId, cfg: OptimizerConfig
 ) -> SearchGrid:

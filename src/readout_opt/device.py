@@ -140,20 +140,13 @@ def relaxation_rate(q: QubitPhysical, omega_q):
     outside it and gives NaN.
     """
     xp, fp = _gamma1_arrays(q)
-    scalar = np.isscalar(omega_q)
-    if scalar:
-        # compared directly: a 0-d array's min() and max() cost more than
-        # the interpolation
-        outside = omega_q < xp[0] or omega_q > xp[-1]
-    else:
-        omega_q = np.asarray(omega_q, dtype=float)
-        outside = omega_q.size and (omega_q.min() < xp[0] or omega_q.max() > xp[-1])
-    if outside:
+    omega_arr = np.asarray(omega_q, dtype=float)
+    if omega_arr.size and (omega_arr.min() < xp[0] or omega_arr.max() > xp[-1]):
         raise FrequencyRangeError(
             f"frequency outside gamma1 table span [{xp[0]}, {xp[-1]}] rad/ns"
         )
-    out = np.interp(omega_q, xp, fp)
-    return float(out) if scalar else out
+    out = np.interp(omega_arr, xp, fp)
+    return float(out) if np.isscalar(omega_q) else out
 
 
 _NEAREST_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))

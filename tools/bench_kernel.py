@@ -3,17 +3,17 @@
 Scores the grid of perfbench's optimize_dense workload (40 amplitudes from
 0.02 to 0.40 amp_ref, 39 pulse lengths from 100 to 480 ns on the 1 ns grid,
 500 ns total, shipped weights and MIST constants) on every qubit of
-configs/device_d3.yaml, at --omegas frequencies spread across each band.
+configs/device_d3.yaml, at N_OMEGAS frequencies spread across each band.
 One round scores all those planes; a warm-up round fills the step-response
-cache first, so the rounds time the kernel alone.
+cache first, so the ROUNDS rounds time the kernel alone.
 
-Where the kernel has them, the stage functions are timed as well:
-prefix_s is error_models._step_prefix (the per-omega step-response
-arrays), tails_s is error_models._pulse_tail (the per-pulse-length tails),
-and plane_s is the rest of cost_plane: argument checks, the heuristic
-scalars and the stages scored once over the whole plane.
+The stage functions are timed as well: prefix_s is
+error_models._step_prefix (the per-omega step-response arrays), tails_s is
+error_models._pulse_tail (the per-pulse-length tails), and plane_s is the
+rest of cost_plane: argument checks, the heuristic scalars and the stages
+scored once over the whole plane.
 
-    python3 tools/bench_kernel.py [--omegas 4] [--rounds 12] [--out BENCH_kernel.json]
+    python3 tools/bench_kernel.py [--out BENCH_kernel.json]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out.  Seconds are medians
@@ -38,7 +38,9 @@ from readout_opt import error_models  # noqa: E402
 from readout_opt.config import build_search_grid, load_optimizer_config  # noqa: E402
 from readout_opt.device import load_device, parse_yaml  # noqa: E402
 
-STAGES = ("_step_prefix", "_pulse_tail")
+N_OMEGAS = 4
+ROUNDS = 12
+STAGES = {"_step_prefix": "prefix_s", "_pulse_tail": "tails_s"}
 
 
 def dense_config():
@@ -47,15 +49,15 @@ def dense_config():
     return load_optimizer_config(json.dumps(raw))
 
 
-def planes(n_omegas: int):
-    """(q, omega, amps, tps) for every qubit and n_omegas omegas per band."""
+def planes():
+    """(q, omega, amps, tps) for every qubit and N_OMEGAS omegas per band."""
     graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
     cfg = dense_config()
     out = []
     for qid in graph.sorted_ids():
         grid = build_search_grid(graph, qid, cfg)
         lo, hi = graph.search_band[qid]
-        for omega in np.linspace(lo, hi, n_omegas + 2)[1:-1]:
+        for omega in np.linspace(lo, hi, N_OMEGAS + 2)[1:-1]:
             out.append((graph.qubits[qid], float(omega), grid.amp_points,
                         grid.tp_points))
     return out, cfg.model
@@ -78,19 +80,16 @@ def summary(values):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--omegas", type=int, default=4)
-    ap.add_argument("--rounds", type=int, default=12)
     ap.add_argument("--out", default="BENCH_kernel.json")
     args = ap.parse_args(argv)
 
-    work, model = planes(args.omegas)
-    stages = [s for s in STAGES if hasattr(error_models, s)]
-    acc = dict.fromkeys(stages, 0.0)
-    for name in stages:
+    work, model = planes()
+    acc = dict.fromkeys(STAGES, 0.0)
+    for name in STAGES:
         setattr(error_models, name, timed(getattr(error_models, name), acc, name))
 
     def one_round():
-        for name in stages:
+        for name in STAGES:
             acc[name] = 0.0
         start = time.perf_counter()
         for q, omega, amps, tps in work:
@@ -98,23 +97,21 @@ def main(argv=None) -> int:
         return time.perf_counter() - start, dict(acc)
 
     one_round()  # warm-up: step-response cache, first-call costs
-    rounds = [one_round() for _ in range(args.rounds)]
+    rounds = [one_round() for _ in range(ROUNDS)]
     totals = [t for t, _ in rounds]
     points = sum(len(a) * len(t) for _, _, a, t in work)
     result = {
         "kernel": "error_models.cost_plane",
         "planes": len(work),
         "points": points,
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "total_s": summary(totals),
         "points_per_s": points / statistics.median(totals),
         "per_plane_ms": 1e3 * statistics.median(totals) / len(work),
     }
-    names = {"_step_prefix": "prefix_s", "_pulse_tail": "tails_s"}
-    if stages:
-        for name in stages:
-            result[names[name]] = summary([a[name] for _, a in rounds])
-        result["plane_s"] = summary([t - sum(a.values()) for t, a in rounds])
+    for name, key in STAGES.items():
+        result[key] = summary([a[name] for _, a in rounds])
+    result["plane_s"] = summary([t - sum(a.values()) for t, a in rounds])
     result["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
