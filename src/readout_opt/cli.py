@@ -40,7 +40,7 @@ from .device import (
     parse_yaml,
     rad_ns_to_ghz,
 )
-from .dynamics import field_pair, photon_number
+from .dynamics import STEP_CACHE_SIZE, cache_field_pairs, field_pair, photon_number
 from .error_models import CostBreakdown, ReadoutParams, evaluate_cost
 from .snake import (
     InfeasibleQubitError,
@@ -55,6 +55,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
+
+#: sweep rows whose step responses are integrated together: the +-chi pairs
+#: of a chunk fill the step cache, so each row then reads its pair from it
+SWEEP_CHUNK = STEP_CACHE_SIZE // 2
 
 
 def _read_text(path: str) -> str:
@@ -272,6 +276,8 @@ def cmd_sweep(args) -> int:
 
     if args.points < 1:
         raise ValueError("points must be >= 1")
+    if args.min > args.max:
+        raise ValueError(f"--min ({args.min}) must be <= --max ({args.max})")
     if args.points == 1:
         values = np.array([args.min])
         if args.min != args.max:
@@ -292,7 +298,7 @@ def cmd_sweep(args) -> int:
     elif args.min < 0:
         raise ValueError("amplitude must be >= 0")
 
-    rows = []
+    points = []
     for v in values:
         omega, amp, tp = pin_omega, pin_amp, pin_tp
         if axis == "frequency":
@@ -301,24 +307,31 @@ def cmd_sweep(args) -> int:
             amp = float(v)
         else:
             tp = float(v)
-        params = ReadoutParams(
+        points.append((amp, ReadoutParams(
             omega_q=omega, b0=amp * q.amp_ref, t_p=tp, t_r=model.total_time - tp
-        )
-        bd = evaluate_cost(q, params, model)
-        rows.append({
-            "f_q_GHz": rad_ns_to_ghz(omega),
-            "amp": amp,
-            "B0": params.b0,
-            "t_p_ns": params.t_p,
-            "t_r_ns": params.t_r,
-            "separation_error": bd.separation,
-            "relaxation_error": bd.relaxation,
-            "residual_photons": bd.photon,
-            "n_max": bd.n_max,
-            "snr": bd.snr,
-            "mist": bd.mist,
-            "coupling": bd.coupling,
-        })
+        )))
+
+    rows = []
+    for start in range(0, len(points), SWEEP_CHUNK):
+        chunk = points[start:start + SWEEP_CHUNK]
+        cache_field_pairs(q, [params for _, params in chunk], model.dt,
+                          guard=model.pole_guard)
+        for amp, params in chunk:
+            bd = evaluate_cost(q, params, model)
+            rows.append({
+                "f_q_GHz": rad_ns_to_ghz(params.omega_q),
+                "amp": amp,
+                "B0": params.b0,
+                "t_p_ns": params.t_p,
+                "t_r_ns": params.t_r,
+                "separation_error": bd.separation,
+                "relaxation_error": bd.relaxation,
+                "residual_photons": bd.photon,
+                "n_max": bd.n_max,
+                "snr": bd.snr,
+                "mist": bd.mist,
+                "coupling": bd.coupling,
+            })
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

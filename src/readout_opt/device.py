@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -98,6 +98,18 @@ class QubitPhysical:
     def gamma1_span(self) -> tuple[float, float]:
         return self.gamma1_table[0][0], self.gamma1_table[-1][0]
 
+    @cached_property
+    def gamma1_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Gamma1 table as read-only (frequencies, rates) arrays."""
+        arrays = np.ascontiguousarray(np.asarray(self.gamma1_table, dtype=float).T)
+        arrays.setflags(write=False)  # shared by every caller
+        return arrays[0], arrays[1]
+
+    def __getstate__(self) -> dict:
+        # a pickle carries the fields only: unpickled arrays would be
+        # writable, so a copy builds its own on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass
 class DeviceGraph:
@@ -124,14 +136,6 @@ def coupling_strength(q: QubitPhysical, omega_q: float) -> float:
     return q.g_eff * math.sqrt(q.omega_r * omega_q) / 2.0
 
 
-@lru_cache(maxsize=64)
-def _gamma1_arrays(q: QubitPhysical) -> tuple[np.ndarray, np.ndarray]:
-    """The Gamma1 table as (frequencies, rates) arrays, converted once per qubit."""
-    arrays = np.ascontiguousarray(np.asarray(q.gamma1_table, dtype=float).T)
-    arrays.setflags(write=False)  # shared by every caller
-    return arrays[0], arrays[1]
-
-
 def relaxation_rate(q: QubitPhysical, omega_q):
     """Linearly interpolated Gamma1 at omega_q; no extrapolation.
 
@@ -139,7 +143,7 @@ def relaxation_rate(q: QubitPhysical, omega_q):
     FrequencyRangeError if any lies outside the table.  A NaN is not
     outside it and gives NaN.
     """
-    xp, fp = _gamma1_arrays(q)
+    xp, fp = q.gamma1_arrays
     omega_arr = np.asarray(omega_q, dtype=float)
     if omega_arr.size and (omega_arr.min() < xp[0] or omega_arr.max() > xp[-1]):
         raise FrequencyRangeError(

@@ -23,7 +23,6 @@ from scipy.special import erfc
 from .device import (
     FrequencyRangeError,
     QubitPhysical,
-    _gamma1_arrays,
     relaxation_rate,
 )
 from .dynamics import (
@@ -601,7 +600,7 @@ def cost_plane(
 
     amps = np.asarray(amp_points, dtype=float)
     n_ps = [n_p for n_p, _ in counts]
-    xp, fp = _gamma1_arrays(q)
+    xp, fp = q.gamma1_arrays
     scale = 2.0 * q.eta * q.kappa
     # each tail reuses the three rows the prefix leaves free
     bufs = np.empty((9, len(amps) * (n_tots[0] + 1)))

@@ -22,6 +22,13 @@ from readout_opt.cli import (
     result_to_dict,
 )
 from readout_opt.device import ghz_to_rad_ns, parse_yaml
+from readout_opt.dynamics import (
+    DetuningStepError,
+    PoleProximityError,
+    _check_step,
+    _unit_step_response,
+    dispersive_shift,
+)
 
 from conftest import CONFIG_DIR
 
@@ -40,6 +47,14 @@ TWO_QUBIT_DEVICE = {
             "gamma1_table": [[5.2, 0.05], [5.8, 0.055], [6.4, 0.05]],
         },
     ],
+}
+
+#: one qubit whose band crosses both chi poles (4.70 and 4.90 GHz)
+POLE_BAND_DEVICE = {
+    "qubits": [{
+        **TWO_QUBIT_DEVICE["qubits"][0], "band_GHz": [4.5, 6.3],
+        "gamma1_table": [[4.4, 0.05], [5.8, 0.06], [6.4, 0.05]],
+    }],
 }
 
 TINY_OPT = {
@@ -260,6 +275,63 @@ class TestSweep:
                      "--out", str(out)]) == EXIT_OK
         with (out / "sweep.csv").open() as fh:
             return list(csv.DictReader(fh))
+
+    @pytest.mark.parametrize("axis, lo, hi", [
+        ("amplitude", "0.3", "-0.1"), ("length", "400", "100"),
+        ("frequency", "6.2", "5.7")])
+    def test_min_above_max_rejected(self, device_path, opt_path, tmp_path,
+                                    capsys, axis, lo, hi):
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", axis,
+                     "--min", lo, "--max", hi, "--points", "3",
+                     "--out", str(tmp_path / "sweep")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"--min ({float(lo)}) must be <= --max ({float(hi)})" in err
+
+    def test_frequency_rows_equal_cold_evaluate_cost(self, opt_path, tmp_path):
+        # 150 rows: two chunks of step responses, with rows inside the pole
+        # guard and rows whose |chi| is too large for dt among them
+        device = tmp_path / "poles.yaml"
+        device.write_text(yaml.safe_dump(POLE_BAND_DEVICE))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--device", str(device), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", "frequency",
+                     "--min", "4.5", "--max", "6.3", "--points", "150",
+                     "--pin-f-ghz", "6.0", "--out", str(out)]) == EXIT_OK
+        with (out / "sweep.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        q = load_device(device.read_text()).qubits[QubitId(0, 0)]
+        model = load_optimizer_config(opt_path.read_text()).model
+        kinds = set()
+        for r, f in zip(rows, np.linspace(4.5, 6.3, 150), strict=True):
+            omega = ghz_to_rad_ns(float(f))
+            try:
+                _check_step(dispersive_shift(q, omega, model.pole_guard),
+                            q.kappa, model.dt)
+                kinds.add("ok")
+            except (PoleProximityError, DetuningStepError) as exc:
+                kinds.add(type(exc))
+            _unit_step_response.cache_clear()
+            bd = evaluate_cost(q, ReadoutParams(omega, float(r["B0"]), float(r["t_p_ns"]),
+                                                float(r["t_r_ns"])), model)
+            got = [float(r[k]) for k in ("separation_error", "relaxation_error",
+                                         "residual_photons", "n_max", "snr",
+                                         "mist", "coupling")]
+            want = [bd.separation, bd.relaxation, bd.photon, bd.n_max, bd.snr,
+                    bd.mist, bd.coupling]
+            np.testing.assert_array_equal(got, want)
+        assert kinds == {"ok", PoleProximityError, DetuningStepError}
+
+    def test_kappa_too_coarse_for_dt_rejected(self, opt_path, tmp_path, capsys):
+        raw = {"qubits": [{**POLE_BAND_DEVICE["qubits"][0], "kappa_MHz": 20.0}]}
+        device = tmp_path / "coarse.yaml"
+        device.write_text(yaml.safe_dump(raw))
+        assert main(["sweep", "--device", str(device), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", "frequency",
+                     "--min", "4.5", "--max", "6.3", "--points", "50",
+                     "--out", str(tmp_path / "sweep")]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: dt = 1.0 ns too coarse; need dt <= 1/kappa/10 = 0.7958 ns\n")
 
     def test_out_of_band_rejected(self, device_path, opt_path, tmp_path):
         code = main([

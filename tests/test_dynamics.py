@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readout_opt import (
     FieldTrajectory,
@@ -17,6 +19,17 @@ from readout_opt import (
     residual_photon,
     solve_field,
     stark_trajectory,
+)
+from readout_opt import dynamics
+from readout_opt.dynamics import (
+    BATCH_MIN_WIDTH,
+    STEP_CACHE_SIZE,
+    DetuningStepError,
+    _check_step,
+    _rk4_step_response,
+    _rk4_step_responses,
+    _unit_step_response,
+    cache_field_pairs,
 )
 
 from conftest import TWO_PI, make_qubit
@@ -270,3 +283,111 @@ class TestPhotonNumbers:
         p2 = ReadoutParams(omega_q=TWO_PI * 5.9, b0=0.2, t_p=300.0, t_r=200.0)
         assert max_photon(field_pair(q, p2, dt=0.5)) == pytest.approx(
             4 * max_photon(field_pair(q, p1, dt=0.5)), rel=1e-12)
+
+
+@st.composite
+def step_batches(draw):
+    """(deltas, kappa, dt, n_steps) that pass the step check, edges included:
+    signed zeros, subnormal and tiny detunings, and |delta| * dt at its limit."""
+    dt = draw(st.sampled_from((0.1, 0.5, 1.0)))
+    limit = 0.1 / dt
+    kappa = draw(st.floats(min_value=1e-12, max_value=limit)
+                 | st.sampled_from((limit, TWO_PI * 0.011)))
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, limit, -limit,
+             limit * (1.0 + 1e-9), math.nextafter(-limit, 0.0))
+    delta = st.floats(min_value=-limit, max_value=limit) | st.sampled_from(edges)
+    width = draw(st.sampled_from(
+        (1, 2, BATCH_MIN_WIDTH - 1, BATCH_MIN_WIDTH, 2 * BATCH_MIN_WIDTH + 1)))
+    deltas = draw(st.lists(delta, min_size=width, max_size=width))
+    return deltas, kappa, dt, draw(st.integers(min_value=1, max_value=600))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(step_batches())
+def test_split_real_pass_matches_scalar_loop(batch):
+    deltas, kappa, dt, n_steps = batch
+    for delta in deltas:
+        _check_step(delta, kappa, dt)
+    got = _rk4_step_responses(deltas, kappa, dt, n_steps)
+    assert len(got) == len(deltas)
+    for delta, response in zip(deltas, got):
+        want = _rk4_step_response(delta, kappa, dt, n_steps)
+        np.testing.assert_array_equal(response.view(np.int64), want.view(np.int64))
+
+
+class TestStepCache:
+    KAPPA = TWO_PI * 0.011
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        _unit_step_response.cache_clear()
+        yield
+        _unit_step_response.cache_clear()
+
+    @pytest.fixture
+    def batched(self, monkeypatch):
+        """Widths of the batches given to the split-real pass."""
+        widths = []
+
+        def spy(deltas, *args):
+            widths.append(len(deltas))
+            return _rk4_step_responses(deltas, *args)
+        monkeypatch.setattr(dynamics, "_rk4_step_responses", spy)
+        return widths
+
+    @pytest.mark.parametrize("width, vectorised", [
+        (2, False), (BATCH_MIN_WIDTH - 1, False), (BATCH_MIN_WIDTH, True)])
+    def test_fill_selects_the_pass_by_width(self, batched, width, vectorised):
+        deltas = [0.001 * k for k in range(width)]
+        # a repeat and a response cached before count as hits
+        _unit_step_response(0.5, self.KAPPA, 1.0, 50)
+        _unit_step_response.fill(deltas + [deltas[-1], 0.5], self.KAPPA, 1.0, 50)
+        assert batched == ([width] if vectorised else [])
+        assert _unit_step_response.cache_info()[:2] == (2, width + 1)
+        for delta in deltas:
+            cached = _unit_step_response(delta, self.KAPPA, 1.0, 50)
+            assert not cached.flags.writeable
+            np.testing.assert_array_equal(
+                cached.view(np.int64),
+                _rk4_step_response(delta, self.KAPPA, 1.0, 50).view(np.int64))
+        assert _unit_step_response.cache_info()[:2] == (2 + width, width + 1)
+
+    def test_fill_keeps_the_newest_responses(self):
+        old = [0.002 * k for k in range(10)]
+        _unit_step_response.fill(old, self.KAPPA, 1.0, 5)
+        new = [-1e-4 * (k + 1) for k in range(STEP_CACHE_SIZE - 1)]
+        # old[0] is read again, so it outlives the other old responses
+        _unit_step_response.fill(new + old[:1], self.KAPPA, 1.0, 5)
+        info = _unit_step_response.cache_info()
+        assert (info.currsize, info.misses) == (STEP_CACHE_SIZE, 10 + len(new))
+        for delta in new + old[:1]:
+            _unit_step_response(delta, self.KAPPA, 1.0, 5)
+        assert _unit_step_response.cache_info().misses == info.misses
+        _unit_step_response(old[1], self.KAPPA, 1.0, 5)
+        assert _unit_step_response.cache_info().misses == info.misses + 1
+
+    def test_field_pairs_read_the_cache(self, batched):
+        q = make_qubit()
+        omegas = np.linspace(TWO_PI * 4.6, TWO_PI * 6.0, 120)
+        points = [ReadoutParams(float(w), 0.2, 300.0, 200.0) for w in omegas]
+        cold = {}
+        for p in points:
+            try:
+                cold[p] = field_pair(q, p, dt=1.0)
+            except PoleProximityError:
+                cold[p] = "pole"
+            except DetuningStepError:
+                cold[p] = "chi"
+        assert {v for v in cold.values() if isinstance(v, str)} == {"pole", "chi"}
+        _unit_step_response.cache_clear()
+        cache_field_pairs(q, points, dt=1.0)
+        n_ok = sum(not isinstance(v, str) for v in cold.values())
+        assert batched == [2 * n_ok]
+        assert _unit_step_response.cache_info()[:2] == (0, 2 * n_ok)
+        for p, want in cold.items():
+            if isinstance(want, str):
+                continue
+            got = field_pair(q, p, dt=1.0)
+            for a, b in ((got.beta0, want.beta0), (got.beta1, want.beta1)):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        assert _unit_step_response.cache_info()[:2] == (2 * n_ok, 2 * n_ok)

@@ -13,6 +13,13 @@ error_models._pulse_tail (the per-pulse-length tails), and plane_s is the
 rest of cost_plane: argument checks, the heuristic scalars and the stages
 scored once over the whole plane.
 
+It also times the integration of unit step responses (500 steps at
+dt = 1 ns) both ways: one at a time in dynamics' scalar loop, and together
+in its split-real numpy pass, for batches of STEP_WIDTHS responses (the
++-chi of width / 2 frequencies across the first qubit's band).  A line
+fitted to the pass's times against the scalar loop's time per response
+gives the break-even width, which sets dynamics.BATCH_MIN_WIDTH.
+
     python3 tools/bench_kernel.py [--out BENCH_kernel.json]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
@@ -34,13 +41,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from readout_opt import error_models  # noqa: E402
+from readout_opt import dynamics, error_models  # noqa: E402
 from readout_opt.config import build_search_grid, load_optimizer_config  # noqa: E402
 from readout_opt.device import load_device, parse_yaml  # noqa: E402
 
 N_OMEGAS = 4
 ROUNDS = 12
 STAGES = {"_step_prefix": "prefix_s", "_pulse_tail": "tails_s"}
+STEP_WIDTHS = (2, 34, 128, 256, 402)
+STEP_ROUNDS = 5
 
 
 def dense_config():
@@ -61,6 +70,51 @@ def planes():
             out.append((graph.qubits[qid], float(omega), grid.amp_points,
                         grid.tp_points))
     return out, cfg.model
+
+
+def step_response_timings() -> dict:
+    """Scalar loop against numpy pass at each of STEP_WIDTHS."""
+    graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
+    model = dense_config().model
+    qid = graph.sorted_ids()[0]
+    q, (lo, hi) = graph.qubits[qid], graph.search_band[qid]
+    n_steps = round(model.total_time / model.dt)
+    ways = {
+        "scalar_s": lambda deltas: [dynamics._rk4_step_response(
+            d, q.kappa, model.dt, n_steps) for d in deltas],
+        "vector_s": lambda deltas: dynamics._rk4_step_responses(
+            deltas, q.kappa, model.dt, n_steps),
+    }
+    out = {}
+    for width in STEP_WIDTHS:
+        deltas = []
+        for omega in np.linspace(lo, hi, width // 2 + 2)[1:-1]:
+            chi = dynamics.dispersive_shift(q, float(omega), model.pole_guard)
+            deltas += (chi, -chi)
+        times = {name: [] for name in ways}
+        for _ in range(STEP_ROUNDS):
+            for name, way in ways.items():
+                start = time.perf_counter()
+                way(deltas)
+                times[name].append(time.perf_counter() - start)
+        row = {name: summary(t) for name, t in times.items()}
+        row["speedup"] = row["scalar_s"]["median"] / row["vector_s"]["median"]
+        out[str(width)] = row
+    # scalar: a time per response; the pass: a fixed cost plus one per response
+    per_response = statistics.median(
+        r["scalar_s"]["median"] / int(w) for w, r in out.items())
+    slope, fixed = (float(v) for v in np.polyfit(
+        STEP_WIDTHS, [r["vector_s"]["median"] for r in out.values()], 1))
+    return {
+        "n_steps": n_steps,
+        "rounds": STEP_ROUNDS,
+        "widths": out,
+        "scalar_s_per_response": per_response,
+        "vector_fixed_s": fixed,
+        "vector_s_per_response": slope,
+        "break_even_width": fixed / (per_response - slope),
+        "batch_min_width": dynamics.BATCH_MIN_WIDTH,
+    }
 
 
 def timed(fn, acc, name):
@@ -112,6 +166,7 @@ def main(argv=None) -> int:
     for name, key in STAGES.items():
         result[key] = summary([a[name] for _, a in rounds])
     result["plane_s"] = summary([t - sum(a.values()) for t, a in rounds])
+    result["step_response"] = step_response_timings()
     result["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
