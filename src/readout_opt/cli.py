@@ -211,8 +211,7 @@ def cmd_optimize(args) -> int:
 
     t_begin = time.perf_counter()
     try:
-        result = optimize_device(graph, grids, model,
-                                 threads=args.threads, start=start)
+        result = optimize_device(graph, grids, model, start=start)
     except InfeasibleQubitError as exc:
         log.error("optimization infeasible at qubit %s", exc.qid)
         if exc.partial is not None and exc.partial.per_qubit:
@@ -234,7 +233,6 @@ def cmd_optimize(args) -> int:
         "device": str(args.device),
         "opt_config": str(args.opt_config) if args.opt_config else None,
         "strategy": strategy.value,
-        "threads": args.threads,
         "resolved_config": config_echo(cfg),
         "evaluations": result.evaluations,
     })
@@ -487,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--opt-config")
     p_opt.add_argument("--strategy", choices=[s.value for s in Strategy],
                        default=Strategy.ALL_MODELS.value)
-    p_opt.add_argument("--threads", type=int, default=1)
     p_opt.add_argument("--out", required=True)
     p_opt.set_defaults(func=cmd_optimize)
 

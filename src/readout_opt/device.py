@@ -245,7 +245,12 @@ def load_device(config_text: str) -> DeviceGraph:
 
 
 def serialize_device(graph: DeviceGraph) -> str:
-    """Emit a device config (YAML text) that load_device accepts back."""
+    """Emit a device config (YAML text) that load_device accepts back.
+
+    The round trip is not bit for bit: writing kappa in MHz and the Gamma1
+    rates per us and reading them back can move them by an ulp, so a
+    reloaded device can score differently in the last bit.
+    """
     entries = []
     for qid in graph.sorted_ids():
         q = graph.qubits[qid]

@@ -1,20 +1,21 @@
-"""Greedy graph-traversal ("snake") optimizer with brute-force inner search.
+"""Greedy graph-traversal ("snake") optimizer with branch-and-bound inner search.
 
 Measure qubits are optimized first, hopping diagonally between them where
-possible, then the data qubits.  Each qubit's cost is minimized by an
-exhaustive scan over its (omega_q, amplitude, pulse length) grid while
-accumulating frequency-collision constraints from already-locked neighbors
-up to next-nearest order.  One error_models.CostModel defines the cost for
-the whole walk; its collision defaults turn each locked neighbor into
-collision specs, and with model.heuristics False the neighbors are ignored.
-The scan scores one omega's whole amplitude x pulse-length plane per
+possible, then the data qubits.  Each qubit's cost is minimized exactly
+over its (omega_q, amplitude, pulse length) grid while accumulating
+frequency-collision constraints from already-locked neighbors up to
+next-nearest order.  One error_models.CostModel defines the cost for the
+whole walk; its collision defaults turn each locked neighbor into collision
+specs, and with model.heuristics False the neighbors are ignored.  The scan
+scores one omega's whole amplitude x pulse-length plane per
 error_models.cost_plane call, bit-identical to evaluate_cost point by
-point, and calls evaluate_cost once per qubit for the winner's breakdown.
+point, and prunes planes by an exact lower bound (see optimize_qubit), so
+the result equals an exhaustive scan's.  evaluate_cost runs once per
+qubit, for the winner's breakdown.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .error_models import (
     ReadoutParams,
     collision_specs,
     cost_plane,
+    coupling_error,
     evaluate_cost,
 )
 
@@ -116,87 +118,57 @@ def traversal_order(graph: DeviceGraph, start: QubitId | None = None) -> list[Qu
     return order
 
 
-def _scan_chunk(
-    q: QubitPhysical,
-    omega_points,
-    omega_offset: int,
-    grid: SearchGrid,
-    model: CostModel,
-    locked,
-):
-    """Exhaustive scan over omega_points, a slice of grid's omega axis.
-
-    Each omega's amplitude x pulse-length plane is scored in one cost_plane
-    call; only the winner is re-evaluated by evaluate_cost, for its
-    breakdown.  Returns (best_total, (i_omega, i_amp, i_tp), params,
-    breakdown) with the lexicographically first grid index winning ties,
-    or None if every point in the chunk is infeasible.
-    """
-    specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
-    best = None
-    for i_w, omega in enumerate(omega_points):
-        totals = cost_plane(q, omega, grid.amp_points, grid.tp_points, model, specs)
-        totals[~np.isfinite(totals)] = math.inf
-        # first occurrence: row-major order is the (amp, t_p) index order
-        flat = int(np.argmin(totals))
-        total = float(totals.flat[flat])
-        if total < (best[0] if best else math.inf):
-            best = (total, i_w, flat)
-    if best is None:
-        return None
-    total, i_w, flat = best
-    i_a, i_t = divmod(flat, len(grid.tp_points))
-    t_p = grid.tp_points[i_t]
-    params = ReadoutParams(omega_q=omega_points[i_w], b0=grid.amp_points[i_a],
-                           t_p=t_p, t_r=model.total_time - t_p)
-    bd = evaluate_cost(q, params, model, specs)
-    return total, (i_w + omega_offset, i_a, i_t), params, bd
-
-
 def optimize_qubit(
     q: QubitPhysical,
     grid: SearchGrid,
     locked,
     model: CostModel,
     *,
-    threads: int = 1,
     qid: QubitId | None = None,
 ) -> tuple[ReadoutParams, CostBreakdown]:
     """Exact grid minimum of the cost for one qubit.
 
     locked holds (QubitPhysical, ReadoutParams, next_nearest) triples for
     previously optimized neighbors.  Ties break lexicographically on
-    (omega, amplitude, pulse-length) grid indices, so the result does not
-    depend on how the scan is parallelized.  threads > 1 splits the omega
-    axis over a process pool.
+    (omega, amplitude, pulse-length) grid indices.
+
+    Each omega's amplitude x pulse-length plane is scored in one cost_plane
+    call, and the scan is branch and bound over omega.  Every cost term is
+    >= 0 and the weighted coupling term depends on omega alone, so
+    bound = weights.coupling * coupling_error(omega, specs) is a lower
+    bound on that omega's whole plane; each total is fl(x + bound) with
+    x >= 0, and rounding is monotone, so it holds in floating point too.
+    Planes are scored in ascending (bound, omega index) order until a bound
+    is strictly above the best total so far.  A plane whose bound equals
+    the best total can still hold a tie at a lower omega index, so it is
+    scored, and candidates compare by (total, omega index, flat plane
+    index).  Without heuristics (the predictive-only strategy) or locked
+    neighbors every bound is 0, so every plane is scored.  Only the winner
+    is re-evaluated by evaluate_cost, for its breakdown.
     """
-    locked = tuple(locked)
-    if threads <= 1 or len(grid.omega_points) == 1:
-        results = [_scan_chunk(q, grid.omega_points, 0, grid, model, locked)]
-    else:
-        n_chunks = min(threads * 2, len(grid.omega_points))
-        bounds = [
-            round(i * len(grid.omega_points) / n_chunks) for i in range(n_chunks + 1)
-        ]
-        jobs = [
-            (q, grid.omega_points[lo:hi], lo, grid, model, locked)
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_chunk_star, jobs))
-    best = min(
-        (r for r in results if r is not None),
-        key=lambda r: (r[0], r[1]),
-        default=None,
-    )
+    specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
+    bounds = sorted((model.weights.coupling * coupling_error(omega, specs), i_w)
+                    for i_w, omega in enumerate(grid.omega_points))
+    best = None  # (total, i_omega, flat index into the (amp, t_p) plane)
+    for bound, i_w in bounds:
+        if best is not None and bound > best[0]:
+            break
+        totals = cost_plane(q, grid.omega_points[i_w], grid.amp_points,
+                            grid.tp_points, model, specs)
+        totals[~np.isfinite(totals)] = math.inf
+        # first occurrence: row-major order is the (amp, t_p) index order
+        flat = int(np.argmin(totals))
+        candidate = (float(totals.flat[flat]), i_w, flat)
+        if candidate[0] < math.inf and (best is None or candidate < best):
+            best = candidate
     if best is None:
         raise InfeasibleQubitError(qid)
-    return best[2], best[3]
-
-
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
+    _, i_w, flat = best
+    i_a, i_t = divmod(flat, len(grid.tp_points))
+    t_p = grid.tp_points[i_t]
+    params = ReadoutParams(omega_q=grid.omega_points[i_w], b0=grid.amp_points[i_a],
+                           t_p=t_p, t_r=model.total_time - t_p)
+    return params, evaluate_cost(q, params, model, specs)
 
 
 def optimize_device(
@@ -204,7 +176,6 @@ def optimize_device(
     grids: dict[QubitId, SearchGrid],
     model: CostModel,
     *,
-    threads: int = 1,
     start: QubitId | None = None,
 ) -> OptimizationResult:
     """Run the snake over the whole device, locking qubits as it goes."""
@@ -218,8 +189,7 @@ def optimize_device(
         locked = _locked_neighbors(graph, qid, locked_params)
         evaluations += grid.size
         try:
-            params, bd = optimize_qubit(q, grid, locked, model,
-                                        threads=threads, qid=qid)
+            params, bd = optimize_qubit(q, grid, locked, model, qid=qid)
         except InfeasibleQubitError as exc:
             exc.partial = OptimizationResult(per_qubit, order[:index], evaluations)
             raise

@@ -8,7 +8,10 @@ from readout_opt import (
     QubitId,
     QubitPhysical,
     Role,
+    build_search_grid,
     load_device,
+    load_optimizer_config,
+    optimize_device,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -71,3 +74,12 @@ def optimizer_path() -> Path:
 @pytest.fixture(scope="session")
 def optimizer_small_path() -> Path:
     return CONFIG_DIR / "optimizer_small.yaml"
+
+
+@pytest.fixture(scope="session")
+def small_run(d3_graph):
+    """One reduced-grid full-device optimization shared by several tests."""
+    cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
+    grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
+    result = optimize_device(d3_graph, grids, cfg.model)
+    return cfg, grids, result

@@ -78,15 +78,6 @@ def closed_form_square_pulse(times, b0, t_p, delta, kappa):
     return out
 
 
-@pytest.fixture(scope="module")
-def small_run(d3_graph):
-    """One reduced-grid full-device optimization shared by criteria 6 and 11."""
-    cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
-    grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
-    result = optimize_device(d3_graph, grids, cfg.model)
-    return cfg, grids, result
-
-
 def test_criterion_01_ode_matches_closed_form():
     with criterion(1, "square-pulse ODE matches closed form, RK4 order"):
         t_begin = time.perf_counter()

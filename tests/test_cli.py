@@ -172,6 +172,17 @@ class TestOptimize:
             assert row["cost"]["mist"] == 0.0
             assert row["cost"]["coupling"] == 0.0
 
+    def test_threads_flag_removed(self, device_path, opt_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_optimize(device_path, opt_path, tmp_path / "pool", "--threads", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "pool").exists()
+        out = tmp_path / "run"
+        assert run_optimize(device_path, opt_path, out) == EXIT_OK
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert "threads" not in manifest
+
     def test_bad_opt_config(self, device_path, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("grid: {n_omega: 0}")

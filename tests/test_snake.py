@@ -21,6 +21,8 @@ from readout_opt import (
     optimize_qubit,
     traversal_order,
 )
+from readout_opt import snake
+from readout_opt.error_models import cost_plane
 
 from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
 
@@ -157,13 +159,107 @@ class TestOptimizeQubit:
         with pytest.raises(InfeasibleQubitError):
             optimize_qubit(q, grid, [], MODEL, qid=QubitId(0, 0, Role.DATA))
 
-    def test_parallel_scan_matches_serial(self):
-        q = make_qubit()
-        grid = small_grid(6, 3, 2)
-        serial = optimize_qubit(q, grid, [], MODEL, threads=1)
-        parallel = optimize_qubit(q, grid, [], MODEL, threads=2)
-        assert serial[0] == parallel[0]
-        assert serial[1].total == parallel[1].total
+
+class TestPruning:
+    """The branch-and-bound scan on designed planes and bounds.
+
+    snake.coupling_error supplies each omega's bound (MODEL weighs coupling
+    by 1) and snake.cost_plane its (2 amp x 2 t_p) plane; every designed
+    plane lies at or above its bound, as the real cost does.
+    """
+
+    GRID = SearchGrid((1.0, 2.0, 3.0), (0.1, 0.2), (100.0, 200.0))
+
+    def scan(self, monkeypatch, bounds, planes):
+        scored = []
+
+        def fake_plane(q, omega, amps, tps, model, specs):
+            scored.append(omega)
+            return np.array(planes[omega], dtype=float)
+
+        monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
+        monkeypatch.setattr(snake, "cost_plane", fake_plane)
+        monkeypatch.setattr(snake, "evaluate_cost", lambda *args: None)
+        try:
+            params, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
+        except InfeasibleQubitError:
+            params = None
+        return params, scored
+
+    def test_equal_bound_scored_and_lower_index_wins_tie(self, monkeypatch):
+        bounds = {1.0: 1.0, 2.0: 0.5, 3.0: 1.0}
+        planes = {
+            1.0: [[2.0, 2.0], [1.0, 2.0]],  # ties omega 2.0's best total
+            2.0: [[3.0, 3.0], [3.0, 1.0]],
+            3.0: [[1.0, 2.0], [2.0, 2.0]],
+        }
+        params, scored = self.scan(monkeypatch, bounds, planes)
+        assert scored == [2.0, 1.0, 3.0]
+        assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.2, 100.0)
+
+    def test_bound_above_incumbent_not_scored(self, monkeypatch):
+        bounds = {1.0: 0.2, 2.0: 0.9, 3.0: 0.6}
+        planes = {
+            1.0: [[0.7, 0.5], [0.6, 0.9]],
+            2.0: [[0.9, 0.9], [0.9, 0.9]],
+            3.0: [[0.6, 0.6], [0.6, 0.6]],
+        }
+        params, scored = self.scan(monkeypatch, bounds, planes)
+        assert scored == [1.0]
+        assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.1, 200.0)
+
+    def test_infeasible_plane_never_incumbent(self, monkeypatch):
+        inf, nan = math.inf, math.nan
+        bounds = {1.0: 0.0, 2.0: 0.0, 3.0: 0.5}
+        planes = {
+            1.0: [[inf, inf], [inf, inf]],
+            2.0: [[nan, inf], [inf, nan]],
+            3.0: [[4.0, 3.0], [2.0, 5.0]],
+        }
+        params, scored = self.scan(monkeypatch, bounds, planes)
+        assert scored == [1.0, 2.0, 3.0]
+        assert (params.omega_q, params.b0, params.t_p) == (3.0, 0.2, 100.0)
+        planes[3.0] = [[inf, inf], [inf, inf]]
+        params, scored = self.scan(monkeypatch, bounds, planes)
+        assert params is None and scored == [1.0, 2.0, 3.0]
+
+
+def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch):
+    """Every qubit of the small d3 walk equals an exhaustive plane scan."""
+    cfg, grids, result = small_run
+    scored = []
+
+    def counting_plane(*args):
+        scored.append(args[1])
+        return cost_plane(*args)
+
+    monkeypatch.setattr(snake, "cost_plane", counting_plane)
+    locked_params = {}
+    pruned = 0
+    for qid in result.order:
+        q, grid = d3_graph.qubits[qid], grids[qid]
+        locked = snake._locked_neighbors(d3_graph, qid, locked_params)
+        specs = collision_specs(q, locked, cfg.model.collision)
+        best = None
+        for i_w, omega in enumerate(grid.omega_points):
+            totals = cost_plane(q, omega, grid.amp_points, grid.tp_points,
+                                cfg.model, specs)
+            for flat, total in enumerate(totals.flat):
+                if math.isfinite(total) and (best is None or (total, i_w, flat) < best):
+                    best = (total, i_w, flat)
+        _, i_w, flat = best
+        i_a, i_t = divmod(flat, len(grid.tp_points))
+        t_p = grid.tp_points[i_t]
+        reference = ReadoutParams(grid.omega_points[i_w], grid.amp_points[i_a],
+                                  t_p, cfg.model.total_time - t_p)
+        scored.clear()
+        params, bd = optimize_qubit(q, grid, locked, cfg.model, qid=qid)
+        assert params == reference == result.per_qubit[qid].params
+        assert bd.total == best[0] == result.per_qubit[qid].breakdown.total
+        pruned += len(scored) < len(grid.omega_points)
+        locked_params[qid] = params
+    assert pruned >= 1
+    assert result.evaluations == sum(grid.size for grid in grids.values())
 
 
 class TestOptimizeDevice:
