@@ -40,8 +40,8 @@ from .device import (
     parse_yaml,
     rad_ns_to_ghz,
 )
-from .dynamics import STEP_CACHE_SIZE, cache_field_pairs, field_pair, photon_number
-from .error_models import CostBreakdown, ReadoutParams, evaluate_cost
+from .dynamics import field_pair, photon_number
+from .error_models import CostBreakdown, ReadoutParams, cost_plane
 from .snake import (
     InfeasibleQubitError,
     OptimizationResult,
@@ -56,9 +56,9 @@ EXIT_ERROR = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
-#: sweep rows whose step responses are integrated together: the +-chi pairs
-#: of a chunk fill the step cache, so each row then reads its pair from it
-SWEEP_CHUNK = STEP_CACHE_SIZE // 2
+#: sweep rows scored per cost_plane call; a frequency sweep's chunk has its
+#: 2 x SWEEP_CHUNK step responses integrated in one numpy pass
+SWEEP_CHUNK = 128
 
 
 def _read_text(path: str) -> str:
@@ -252,6 +252,14 @@ def _parse_qubit(spec: str, graph: DeviceGraph) -> QubitId:
     return qid
 
 
+#: sweep.csv column -> the CostBreakdown field it reports
+_SWEEP_COLUMNS = {
+    "separation_error": "separation", "relaxation_error": "relaxation",
+    "residual_photons": "photon", "n_max": "n_max", "snr": "snr", "mist": "mist",
+    "coupling": "coupling",
+}
+
+
 def cmd_sweep(args) -> int:
     graph = _load_graph(args.device)
     cfg = _load_opt_config(args.opt_config)
@@ -260,6 +268,18 @@ def cmd_sweep(args) -> int:
     qid = _parse_qubit(args.qubit, graph)
     q = graph.qubits[qid]
     band_lo, band_hi = graph.search_band[qid]
+
+    for flag, value in (("--min", args.min), ("--max", args.max),
+                        ("--pin-f-ghz", args.pin_f_ghz), ("--pin-amp", args.pin_amp),
+                        ("--pin-tp-ns", args.pin_tp_ns)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    lo_ghz, hi_ghz = rad_ns_to_ghz(band_lo), rad_ns_to_ghz(band_hi)
+    band = f"search band [{lo_ghz:.4f}, {hi_ghz:.4f}] GHz"
+    if args.pin_f_ghz is not None and not lo_ghz <= args.pin_f_ghz <= hi_ghz:
+        raise ValueError(f"--pin-f-ghz ({args.pin_f_ghz}) outside {band}")
+    if args.pin_amp is not None and args.pin_amp < 0:
+        raise ValueError(f"--pin-amp must be >= 0, got {args.pin_amp}")
 
     pin_omega = (
         ghz_to_rad_ns(args.pin_f_ghz) if args.pin_f_ghz is not None
@@ -285,10 +305,8 @@ def cmd_sweep(args) -> int:
 
     axis = args.axis
     if axis == "frequency":
-        lo_ghz, hi_ghz = rad_ns_to_ghz(band_lo), rad_ns_to_ghz(band_hi)
         if args.min < lo_ghz or args.max > hi_ghz:
-            raise ValueError(
-                f"frequency range outside search band [{lo_ghz:.4f}, {hi_ghz:.4f}] GHz")
+            raise ValueError(f"frequency range outside {band}")
     elif axis == "length":
         if args.min <= 0 or args.max > model.total_time:
             raise ValueError("pulse length range outside (0, total]")
@@ -296,40 +314,26 @@ def cmd_sweep(args) -> int:
     elif args.min < 0:
         raise ValueError("amplitude must be >= 0")
 
-    points = []
-    for v in values:
-        omega, amp, tp = pin_omega, pin_amp, pin_tp
-        if axis == "frequency":
-            omega = ghz_to_rad_ns(float(v))
-        elif axis == "amplitude":
-            amp = float(v)
-        else:
-            tp = float(v)
-        points.append((amp, ReadoutParams(
-            omega_q=omega, b0=amp * q.amp_ref, t_p=tp, t_r=model.total_time - tp
-        )))
-
-    rows = []
-    for start in range(0, len(points), SWEEP_CHUNK):
-        chunk = points[start:start + SWEEP_CHUNK]
-        cache_field_pairs(q, [params for _, params in chunk], model.dt,
-                          guard=model.pole_guard)
-        for amp, params in chunk:
-            bd = evaluate_cost(q, params, model)
-            rows.append({
-                "f_q_GHz": rad_ns_to_ghz(params.omega_q),
-                "amp": amp,
-                "B0": params.b0,
-                "t_p_ns": params.t_p,
-                "t_r_ns": params.t_r,
-                "separation_error": bd.separation,
-                "relaxation_error": bd.relaxation,
-                "residual_photons": bd.photon,
-                "n_max": bd.n_max,
-                "snr": bd.snr,
-                "mist": bd.mist,
-                "coupling": bd.coupling,
-            })
+    n = len(values)
+    omegas = [ghz_to_rad_ns(float(v)) for v in values] if axis == "frequency" \
+        else [pin_omega] * n
+    amps = [float(v) for v in values] if axis == "amplitude" else [pin_amp] * n
+    tps = [float(v) for v in values] if axis == "length" else [pin_tp] * n
+    # a length sweep is one kernel row at all its lengths; the other axes
+    # score up to SWEEP_CHUNK rows per call at the pinned length
+    if axis == "length":
+        planes = [cost_plane(q, [pin_omega], [pin_amp * q.amp_ref], tps, model)]
+    else:
+        planes = [cost_plane(q, omegas[k:k + SWEEP_CHUNK],
+                             [amp * q.amp_ref for amp in amps[k:k + SWEEP_CHUNK]],
+                             [pin_tp], model)
+                  for k in range(0, n, SWEEP_CHUNK)]
+    scored = {name: np.concatenate([getattr(plane, name).ravel() for plane in planes]).tolist()
+              for name in _SWEEP_COLUMNS.values()}
+    rows = [{"f_q_GHz": rad_ns_to_ghz(omega), "amp": amp, "B0": amp * q.amp_ref,
+             "t_p_ns": tp, "t_r_ns": model.total_time - tp,
+             **{column: scored[name][k] for column, name in _SWEEP_COLUMNS.items()}}
+            for k, (omega, amp, tp) in enumerate(zip(omegas, amps, tps))]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

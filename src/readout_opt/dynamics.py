@@ -11,15 +11,16 @@ and repeated evaluations at different amplitudes reuse the integration.
 
 A step response is integrated in one of two arithmetic forms of the same
 recurrence, bit for bit alike: a scalar loop in Python complex numbers, or
-a split-real numpy pass over many detunings at once.  solve_field
-integrates a missing response alone in the scalar loop; cache_field_pairs
-integrates the responses of many points together, in the numpy pass when
-there are at least BATCH_MIN_WIDTH of them.
+a split-real numpy pass over many detunings at once.  solve_field reads
+one response from an lru_cache of the scalar loop; step_response_pairs,
+which the cost kernel calls with the chi of each of its qubit frequencies,
+runs the numpy pass, past the cache, for at least BATCH_MIN_WIDTH +-chi
+responses and reads fewer from the cache.
 """
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,11 @@ def _rk4_step_response(delta: float, kappa: float, dt: float, n_steps: int):
     return out
 
 
-def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> list:
+def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> np.ndarray:
     """_rk4_step_response at every delta, in one numpy pass.
 
-    The state is a (2, width) array of real and imaginary parts, and each
+    Returns the (n_steps + 1, len(deltas), 2) array of the responses' real
+    and imaginary parts.  The state is a (2, width) array of real and imaginary parts, and each
     complex product is the real products and sums CPython forms, one ufunc
     each: no complex128 multiply, whose loop may fuse or reorder them.
     CPython (before 3.14) promotes a float operand to complex(x, 0.0) and
@@ -140,9 +142,9 @@ def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> list:
     c = math.sqrt(kappa)
     half = 0.5 * dt
     sixth = dt / 6.0
-    beta = np.empty((n_steps + 1, 2, len(lam)))
+    beta = np.empty((n_steps + 1, len(lam), 2))
     beta[0] = 0.0
-    k1, k2, k3, k4, t, swap = (np.empty((2, len(lam))) for _ in range(6))
+    b, k1, k2, k3, k4, t, swap = (np.zeros((2, len(lam))) for _ in range(7))
     mul, add = np.multiply, np.add
 
     def c_plus_lam_times(x, out):
@@ -151,97 +153,52 @@ def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> list:
         add(out[0], c, out=out[0])
 
     for n in range(n_steps):
-        b = beta[n]
         c_plus_lam_times(b, k1)
         for k_in, k_out, h in ((k1, k2, half), (k2, k3, half), (k3, k4, dt)):
             add(b, mul(h, k_in, out=t), out=t)
             c_plus_lam_times(t, k_out)
         mul(2.0, add(k2, k3, out=t), out=t)
         add(add(k1, t, out=t), k4, out=t)
-        add(b, mul(sixth, t, out=t), out=beta[n + 1])
-    # one array per response, so that the cache frees each on its own
-    return [np.ascontiguousarray(beta[:, :, j]).view(complex)[:, 0]
-            for j in range(len(lam))]
+        add(b, mul(sixth, t, out=t), out=b)
+        beta[n + 1] = b.T
+    return beta
 
 
-#: fewest missing responses for which the numpy pass beats the scalar loop,
-#: from the widths tools/bench_kernel.py times (BENCH_kernel.json)
+#: fewest responses for which the numpy pass beats the scalar loop, from the
+#: widths tools/bench_kernel.py times (BENCH_kernel.json)
 BATCH_MIN_WIDTH = 38
 
 #: responses the step cache holds, about 8 KB each at 500 steps
 STEP_CACHE_SIZE = 256
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+@functools.lru_cache(maxsize=STEP_CACHE_SIZE)
+def _unit_step_response(delta: float, kappa: float, dt: float, n_steps: int):
+    """_rk4_step_response, cached; the array is read-only, shared by every caller."""
+    out = _rk4_step_response(delta, kappa, dt, n_steps)
+    out.setflags(write=False)
+    return out
 
 
-class _StepCache:
-    """The unit step responses used last, keyed by (delta, kappa, dt, n_steps).
+def step_response_pairs(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
+    """The unit step responses at +chi and -chi, for every chi.
 
-    A call looks one response up and integrates it on a miss, like the
-    functools.lru_cache it replaces, with the same cache_info() and
-    cache_clear().  fill puts many responses in at once, and counts its
-    deltas as that many calls would: one miss per response it integrates,
-    one hit for every other delta.  Responses are read-only.
+    Returns a (len(chis), n_steps + 1, 4) array: per chi the real and
+    imaginary parts of the +chi response, then of the -chi response.  At
+    least BATCH_MIN_WIDTH responses are integrated together in the numpy
+    pass, past the cache; fewer are read from the cache one by one.  Every
+    chi must pass _check_step.
     """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._store: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
-
-    def __call__(self, delta: float, kappa: float, dt: float, n_steps: int):
-        """RK4 samples of the field under a constant unit drive, beta(0) = 0."""
-        key = (delta, kappa, dt, n_steps)
-        out = self._store.get(key)
-        if out is not None:
-            self._hits += 1
-            self._store.move_to_end(key)
-            return out
-        self._misses += 1
-        out = _rk4_step_response(delta, kappa, dt, n_steps)
-        self._put(key, out)
-        return out
-
-    def fill(self, deltas, kappa: float, dt: float, n_steps: int) -> None:
-        """Cache the step response at every delta.
-
-        The missing ones are integrated together, in the numpy pass when
-        there are at least BATCH_MIN_WIDTH of them, else one by one.  Every
-        delta must pass _check_step.
-        """
-        keys = [(d, kappa, dt, n_steps) for d in deltas]
-        missing = list(dict.fromkeys(k for k in keys if k not in self._store))
-        for key in keys:
-            if key in self._store:
-                self._store.move_to_end(key)
-        self._hits += len(keys) - len(missing)
-        self._misses += len(missing)
-        # evict first, so that the old responses are freed before the new exist
-        for _ in range(min(len(self._store),
-                           len(self._store) + len(missing) - self.maxsize)):
-            self._store.popitem(last=False)
-        if len(missing) >= BATCH_MIN_WIDTH:
-            responses = _rk4_step_responses([k[0] for k in missing], kappa, dt, n_steps)
-        else:
-            responses = [_rk4_step_response(*key) for key in missing]
-        for key, out in zip(missing, responses):
-            self._put(key, out)
-
-    def _put(self, key, out: np.ndarray) -> None:
-        out.setflags(write=False)  # shared by every caller
-        self._store[key] = out
-        if len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
-
-    def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._store))
-
-    def cache_clear(self) -> None:
-        self._store.clear()
-        self._hits = self._misses = 0
-
-
-_unit_step_response = _StepCache(STEP_CACHE_SIZE)
+    deltas = [d for chi in chis for d in (chi, -chi)]
+    if len(deltas) >= BATCH_MIN_WIDTH:
+        beta = _rk4_step_responses(deltas, kappa, dt, n_steps)
+        # a view: (sample, chi, +- and re/im) to (chi, sample, +- and re/im)
+        return beta.reshape(n_steps + 1, len(chis), 4).transpose(1, 0, 2)
+    out = np.empty((len(chis), n_steps + 1, 4))
+    for k, delta in enumerate(deltas):
+        step = _unit_step_response(delta, kappa, dt, n_steps)
+        out[k // 2, :, 2 * (k % 2)], out[k // 2, :, 2 * (k % 2) + 1] = step.real, step.imag
+    return out
 
 
 def _check_step(delta: float, kappa: float, dt: float) -> None:
@@ -307,31 +264,6 @@ def field_pair(
     beta0 = solve_field(pulse, +chi, q.kappa, dt)
     beta1 = solve_field(pulse, -chi, q.kappa, dt)
     return FieldTrajectory(dt=dt, beta0=beta0, beta1=beta1, chi=chi)
-
-
-def cache_field_pairs(q: QubitPhysical, points, dt: float,
-                      guard: float = DEFAULT_POLE_GUARD) -> None:
-    """Cache the step responses field_pair reads for each of points.
-
-    points carry omega_q, b0, t_p and t_r, as field_pair's params.  The
-    +-chi responses of all points are integrated together (see
-    _StepCache.fill), and the cache keeps the last STEP_CACHE_SIZE.  A
-    point field_pair would reject, near a chi pole, with a step too coarse
-    or a pulse it cannot resolve, is skipped: field_pair raises for it, or
-    the cost model scores it, as it would without this call.
-    """
-    deltas: dict[int, list[float]] = {}  # n_steps -> detunings
-    for params in points:
-        try:
-            chi = dispersive_shift(q, params.omega_q, guard)
-            _check_step(chi, q.kappa, dt)
-            pulse = PulseShape(b0=params.b0, t_p=params.t_p, t_r=params.t_r)
-            n_steps = _sample_counts(pulse, dt)[1]
-        except ValueError:
-            continue
-        deltas.setdefault(n_steps, []).extend((chi, -chi))
-    for n_steps, group in deltas.items():
-        _unit_step_response.fill(group, q.kappa, dt, n_steps)
 
 
 def photon_number(beta: np.ndarray) -> np.ndarray:

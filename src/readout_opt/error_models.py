@@ -6,9 +6,11 @@ a smoothed-step penalty for measurement-induced state transitions (MIST),
 and Lorentzian penalties for frequency collisions with neighboring qubits.
 
 Each term has one scalar function (here and in dynamics); evaluate_cost
-scores a point by composing them.  cost_plane scores a whole amplitude x
-pulse-length plane with the same IEEE operations in array form, and the
-tests hold it to evaluate_cost bit for bit.
+scores a point by composing them, and is the public scalar API and the
+tests' oracle.  cost_plane, which optimize and sweep score with, repeats
+the same IEEE operations in array form over rows of (omega, amplitude)
+pairs at every pulse length and returns the whole breakdown; the tests
+hold every field to evaluate_cost's bit for bit.
 """
 from __future__ import annotations
 
@@ -33,12 +35,12 @@ from .dynamics import (
     PulseShape,
     _check_step,
     _sample_counts,
-    _unit_step_response,
     dispersive_shift,
     field_pair,
     max_photon,
     residual_photon,
     stark_trajectory,
+    step_response_pairs,
 )
 
 
@@ -182,10 +184,6 @@ class CostBreakdown:
     t0: float
     n_max: float
     total: float
-
-    @property
-    def feasible(self) -> bool:
-        return math.isfinite(self.total)
 
 
 def _snr_and_half_time(
@@ -401,34 +399,34 @@ def evaluate_cost(
 
 
 class _StepPrefix(NamedTuple):
-    """One omega's step-response arrays; cum, stark and n_max have one row
-    per amplitude.
+    """The step-response arrays of every row; cum, stark and n_max have one
+    row per kernel row, and end at the longest pulse's last sample.
 
     A pulse of n_p samples equals the step response up to sample n_p, so
     each array is every pulse's own up to that sample, bit for bit.
     """
 
-    parts: np.ndarray  # (n_tot + 1, 4): re, im of the +chi, -chi unit steps
+    groups: list  # (rows slice, parts, amps) per omega, parts as _step_prefix's
     cum: np.ndarray  # sequential trapezoid cumsum of |beta0 - beta1|^2
     stark: np.ndarray  # Stark trace omega_q + 2 chi |beta1|^2
     n_max: np.ndarray  # running max of |beta0|^2 and |beta1|^2
 
 
-def _step_prefix(chi, kappa, omega_q, amps, dt, n_tot, bufs) -> _StepPrefix:
-    """The step-response arrays for the amplitudes amps.
+def _step_prefix(groups, omega, two_chi, dt, bufs) -> _StepPrefix:
+    """The step-response arrays of all rows.
 
-    bufs is a (6, n_amp * (n_tot + 1)) scratch array; the prefix keeps its
-    last three rows, and the first three are free again on return.
+    groups holds (rows slice, parts, amps) per omega, where parts is the
+    (n_tot + 1, 4) re, im of its +chi and -chi unit steps; omega and two_chi
+    are the rows' (n_rows, 1) columns.  bufs is a (6, n_rows, n_pre)
+    scratch array for the first n_pre samples; the prefix keeps its last
+    three rows, and the first three are free again on return.
     """
-    parts = np.empty((n_tot + 1, 4))
-    for k, delta in ((0, chi), (2, -chi)):
-        step = _unit_step_response(delta, kappa, dt, n_tot)
-        parts[:, k], parts[:, k + 1] = step.real, step.imag
-    bufs = bufs.reshape(6, len(amps), n_tot + 1)
     re0, im0, re1, im1, n_max, cum = bufs
-    # beta = b0 * unit response (einsum's outer product: the same single
-    # multiplications, about twice as fast as broadcasting np.multiply)
-    np.einsum("nk,a->kan", parts, amps, out=bufs[:4])
+    # beta = b0 * unit response, one omega at a time (einsum's outer product:
+    # the same single multiplications, about twice as fast as broadcasting
+    # np.multiply); every later pass runs once over all rows
+    for rows, parts, amps in groups:
+        np.einsum("nk,a->kan", parts[: n_max.shape[1]], amps, out=bufs[:4, rows])
     np.add(np.square(re0, out=n_max), np.square(im0, out=cum), out=n_max)
     # d = beta0 - beta1 in place of beta0, n1 = |beta1|^2 in place of beta1
     re0 -= re1
@@ -440,27 +438,28 @@ def _step_prefix(chi, kappa, omega_q, amps, dt, n_tot, bufs) -> _StepPrefix:
     trap *= 0.5 * dt
     cum[:, 0] = 0.0
     np.cumsum(trap, axis=1, out=cum[:, 1:])
-    stark = np.multiply(n1, 2.0 * chi, out=im1)
-    stark += omega_q
-    return _StepPrefix(parts, cum, stark, n_max)
+    stark = np.multiply(n1, two_chi, out=im1)
+    stark += omega
+    return _StepPrefix(groups, cum, stark, n_max)
 
 
-def _pulse_tail(pre: _StepPrefix, amps, n_p: int, dt: float, bufs):
-    """Samples n_p..n_tot of the n_p-sample pulse, for every amplitude.
+def _pulse_tail(pre: _StepPrefix, n_p: int, dt: float, bufs):
+    """Samples n_p..n_tot of the n_p-sample pulse, for every row.
 
     Returns (cum, n1, n_max, photon): the cumulative integral and |beta1|^2
-    from sample n_p on, one column per amplitude, the largest photon number
-    of the whole response and the residual photon number at its end.  The
+    from sample n_p on, one column per row, the largest photon number of
+    the whole response and the residual photon number at its end.  The
     tail's cumsum starts from pre.cum[:, n_p], so the sequential sum goes on
-    where the prefix ends.  bufs is a (6, >= (n_tot + 1 - n_p) * n_amp)
+    where the prefix ends.  bufs is a (6, >= (n_tot + 1 - n_p) * n_rows)
     scratch array; sample-major rows keep every pass contiguous.
     """
-    width = len(pre.parts) - n_p
-    tail = bufs[:, : width * len(amps)].reshape(6, width, len(amps))
+    n_rows, width = len(pre.cum), len(pre.groups[0][1]) - n_p
+    tail = bufs[:, : width * n_rows].reshape(6, width, n_rows)
     re0, im0, re1, im1, n0, cum = tail
-    # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
-    np.einsum("nk,a->kna", pre.parts[n_p:] - pre.parts[:width], amps,
-              out=tail[:4])
+    for rows, parts, amps in pre.groups:
+        # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
+        np.einsum("nk,a->kna", parts[n_p:] - parts[:width], amps,
+                  out=tail[:4, :, rows])
     np.add(np.square(re0, out=n0), np.square(im0, out=cum), out=n0)
     re0 -= re1
     im0 -= im1
@@ -477,19 +476,19 @@ def _pulse_tail(pre: _StepPrefix, amps, n_p: int, dt: float, bufs):
 
 
 def _relaxation(cum, stark, half, cells, dt, xp, fp):
-    """relaxation_error at the marked cells of a plane, and its table check.
+    """half_snr_time and relaxation_error at the marked cells of a plane.
 
     Every cell in row i of half (half the final SNR integral, > 0 at marked
     cells) reads row i of cum (the nondecreasing cumulative integral) and
-    of stark (the Stark trace).  Returns the relaxation plane, 0 off cells,
-    and the mask of cells whose trace up to the half-SNR time leaves the
-    Gamma1 table (xp, fp).
+    of stark (the Stark trace).  Returns the planes of the half-SNR time
+    and the relaxation error, 0 off cells, and the mask of cells whose
+    trace up to that time leaves the Gamma1 table (xp, fp).
     """
-    relax = np.zeros(cells.shape)
+    t0_plane, relax = np.zeros(cells.shape), np.zeros(cells.shape)
     bad = np.zeros(cells.shape, dtype=bool)
     rows, cols = np.nonzero(cells)
     if not len(rows):
-        return relax, bad
+        return t0_plane, relax, bad
     n_tot = cum.shape[1] - 1
     idx = np.array([c.searchsorted(h) for c, h in zip(cum, half)])[rows, cols]
     lo = cum[rows, idx - 1]
@@ -516,134 +515,184 @@ def _relaxation(cum, stark, half, cells, dt, xp, fp):
         omega_end = last + (t_rem[part] / dt) * (stark[r, m + 1] - last)
         out[part] |= (omega_end < xp[0]) | (omega_end > xp[-1])
         err[part] += 0.5 * (rates[r, m] + np.interp(omega_end, xp, fp)) * t_rem[part]
+    t0_plane[rows, cols] = t0
     relax[rows, cols] = err
     bad[rows, cols] = out
-    return relax, bad
+    return t0_plane, relax, bad
+
+
+def _pulse_counts(b0, chi, kappa, tp_points, model: CostModel):
+    """evaluate_cost's checks along one row, in its order.
+
+    Raises what evaluate_cost raises at the row's first invalid point, and
+    returns each pulse length's (n_p, n_tot), or None when |chi| is too
+    large for model.dt.
+    """
+    counts = []
+    for j, t_p in enumerate(tp_points):
+        pulse = PulseShape(b0=b0, t_p=t_p, t_r=model.total_time - t_p)
+        if j == 0:
+            try:
+                _check_step(chi, kappa, model.dt)
+            except DetuningStepError:
+                counts = None
+        # evaluate_cost stops at the step check, before counting samples
+        if counts is not None:
+            counts.append(_sample_counts(pulse, model.dt))
+    return counts
 
 
 def cost_plane(
     q: QubitPhysical,
-    omega_q: float,
-    amp_points,
+    omegas,
+    amps,
     tp_points,
     model: CostModel,
     specs=(),
-) -> np.ndarray:
-    """Cost totals over one omega's whole amplitude x pulse-length plane.
+) -> CostBreakdown:
+    """The cost breakdown of rows of (omega, amplitude) pairs at every pulse length.
 
-    Entry [i, j] is, bit for bit, the total evaluate_cost(q, params, model,
-    specs) returns for params = ReadoutParams(omega_q, amp_points[i],
-    tp_points[j], model.total_time - tp_points[j]); infeasible points are
-    +inf, and an omega near a chi pole or with |chi| too large for
-    model.dt gives an all-+inf plane.  An invalid point raises the error
-    evaluate_cost raises at the first such point in row-major order.
+    Each field of the result is a (len(omegas), len(tp_points)) array, and
+    entry [i, j] is, bit for bit, the field evaluate_cost(q, params, model,
+    specs) returns for params = ReadoutParams(omegas[i], amps[i],
+    tp_points[j], model.total_time - tp_points[j]).  So infeasible points
+    have a +inf total and NaN fields: every field of a row near a chi pole
+    or with |chi| too large for model.dt, and every field but snr and
+    separation where the Stark trace leaves the Gamma1 table.  An invalid
+    point raises the error evaluate_cost raises at the first such point in
+    row-major order.
 
-    The kernel has two stages, and repeats the term functions' IEEE
-    operations in the same order.  Per omega, over all amplitudes at once,
-    _step_prefix computes on the unit step responses the fields, the
-    sequential trapezoid cumsum of |beta0 - beta1|^2, the running max of
-    the photon numbers and the Stark trace.  A pulse of n_p samples equals
-    the step response up to sample n_p, so per pulse length _pulse_tail
-    computes only the samples after it, its cumsum seeded where the
-    prefix's stops.  Then, once over the whole plane: the SNR and
-    separation error, the half-SNR index by searchsorted on each
-    amplitude's prefix cumsum (nondecreasing, so it equals the count of
-    samples below half), the Gamma1 prefixes summed in groups of equal
-    length (numpy's pairwise sum depends on the length), the Stark-range
-    check from the running min and max, the photon term, and the MIST
-    logistic through math.exp.  A cell whose half-SNR index lies past
-    sample n_p reads the tail, so it is scored on its whole column instead.
+    Rows are grouped by omega; the +-chi step responses of all groups come
+    from dynamics.step_response_pairs at once.  Over all rows, with one
+    outer product per group for the fields, _step_prefix computes on the
+    unit step responses the fields, the sequential trapezoid cumsum of
+    |beta0 - beta1|^2, the running max of the photon numbers and the Stark
+    trace, up to the longest pulse.  A pulse of n_p samples equals the step
+    response up to sample n_p, so per pulse length _pulse_tail computes
+    only the samples after it (again with one outer product per group), its
+    cumsum seeded where the prefix's stops.  Then, once over all
+    rows, with the term functions' IEEE operations in the same order: the
+    SNR and separation error, the half-SNR index by searchsorted on each
+    row's prefix cumsum (nondecreasing, so it equals the count of samples
+    below half), the Gamma1 prefixes summed in groups of equal length
+    (numpy's pairwise sum depends on the length), the Stark-range check
+    from the running min and max, the photon term, and the MIST logistic
+    through math.exp.  A cell whose half-SNR index lies past sample n_p
+    reads the tail, so it is scored on its whole column instead.  chi, the
+    MIST threshold and the coupling term are computed once per group.
     """
-    shape = (len(amp_points), len(tp_points))
-    dt, total_time = model.dt, model.total_time
-    weights, mist = model.weights, model.mist
-    try:
-        chi = dispersive_shift(q, omega_q, model.pole_guard)
-    except PoleProximityError:
-        return np.full(shape, math.inf)
-    counts = []
-    chi_too_large = False
-    for j, t_p in enumerate(tp_points):
-        pulse = PulseShape(b0=amp_points[0], t_p=t_p, t_r=total_time - t_p)
-        if j == 0:
+    shape = (len(omegas), len(tp_points))
+    chis, counts = {}, {}
+    for omega, b0 in zip(omegas, amps, strict=True):
+        if omega not in chis:
             try:
-                _check_step(chi, q.kappa, dt)
-            except DetuningStepError:
-                chi_too_large = True
-        # evaluate_cost stops at the step check, before counting samples
-        if not chi_too_large:
-            counts.append(_sample_counts(pulse, dt))
-    for b0 in amp_points[1:]:
-        PulseShape(b0=b0, t_p=tp_points[0], t_r=total_time - tp_points[0])
-    if chi_too_large:
-        return np.full(shape, math.inf)
-    n_tots = sorted({n_tot for _, n_tot in counts})
-    if len(n_tots) > 1:  # t_p + t_r rounds to more than one sample count
-        totals = np.empty(shape)
-        for n_tot in n_tots:
-            cols = [j for j, c in enumerate(counts) if c[1] == n_tot]
-            totals[:, cols] = cost_plane(q, omega_q, amp_points,
-                                         [tp_points[j] for j in cols], model, specs)
-        return totals
+                chis[omega] = dispersive_shift(q, omega, model.pole_guard)
+            except PoleProximityError:
+                chis[omega] = None
+        # rows of one omega and a valid amplitude pass or fail alike
+        if chis[omega] is not None and (omega not in counts or b0 < 0):
+            counts[omega] = _pulse_counts(b0, chis[omega], q.kappa, tp_points, model)
+    groups: dict[float, list[int]] = {}  # feasible omega -> its rows
+    for i, omega in enumerate(omegas):
+        if counts.get(omega) is not None:
+            groups.setdefault(omega, []).append(i)
 
-    mist_n_th = None
-    mist_term = 0.0
-    coupling_term = 0.0
-    if model.heuristics:
-        if omega_q <= q.omega_r:
-            mist_term = mist.ceiling
-        else:
-            mist_n_th = mist_threshold(omega_q, q.omega_r, mist)
-            if mist_n_th <= 0.0:
-                mist_term, mist_n_th = mist.ceiling, None
-        coupling_term = coupling_error(omega_q, specs)
+    planes = {f.name: np.full(shape, math.nan) for f in fields(CostBreakdown)}
+    planes["total"][:] = math.inf
+    if groups:
+        rows = [i for group in groups.values() for i in group]
+        col_counts = counts[next(iter(groups))]
+        # t_p + t_r can round to more than one sample count
+        for n_tot in sorted({n_tot for _, n_tot in col_counts}):
+            cols = [j for j, c in enumerate(col_counts) if c[1] == n_tot]
+            scored = _score(q, [(w, chis[w], group) for w, group in groups.items()],
+                            amps, [col_counts[j][0] for j in cols], n_tot, model, specs)
+            cells = np.ix_(rows, cols)
+            for name, plane in scored.items():
+                planes[name][cells] = plane
+    return CostBreakdown(**planes)
 
-    amps = np.asarray(amp_points, dtype=float)
-    n_ps = [n_p for n_p, _ in counts]
+
+def _score(q, groups, amps, n_ps, n_tot, model, specs) -> dict:
+    """The breakdown planes of cost_plane's feasible rows, group after group.
+
+    groups holds (omega, chi, rows) per distinct omega, and the pulses have
+    n_ps samples, n_tot in all.
+    """
+    dt, weights, mist = model.dt, model.weights, model.mist
+    n_rows = sum(len(rows) for _, _, rows in groups)
+    shape = (n_rows, len(n_ps))
+    parts = step_response_pairs([chi for _, chi, _ in groups], q.kappa, dt, n_tot)
+    omega, two_chi = np.empty((n_rows, 1)), np.empty((n_rows, 1))
+    prefix_groups = []
+    start = 0
+    for g, (omega_q, chi, rows) in enumerate(groups):
+        sl = slice(start, start + len(rows))
+        start = sl.stop
+        prefix_groups.append((sl, parts[g], np.array([amps[i] for i in rows], dtype=float)))
+        omega[sl], two_chi[sl] = omega_q, 2.0 * chi
+    # the prefix stops at the longest pulse; each tail reuses the three rows
+    # the prefix leaves free
+    n_pre, width = max(n_ps) + 1, n_tot + 1 - min(n_ps)
+    bufs = np.empty((9, n_rows * max(n_pre, width)))
+    pre = _step_prefix(prefix_groups, omega, two_chi, dt,
+                       bufs[3:, : n_rows * n_pre].reshape(6, n_rows, n_pre))
+
     xp, fp = q.gamma1_arrays
     scale = 2.0 * q.eta * q.kappa
-    # each tail reuses the three rows the prefix leaves free
-    bufs = np.empty((9, len(amps) * (n_tots[0] + 1)))
-    pre = _step_prefix(chi, q.kappa, omega_q, amps, dt, n_tots[0], bufs[3:])
     cum_last, n_max, photon = np.empty(shape), np.empty(shape), np.empty(shape)
-    late_relax = np.zeros(shape)
     late = np.zeros(shape, dtype=bool)
-    bad = np.zeros(shape, dtype=bool)
+    late_t0, late_relax = np.zeros(shape), np.zeros(shape)
+    late_bad = np.zeros(shape, dtype=bool)
     for j, n_p in enumerate(n_ps):
-        cum, n1, n_max[:, j], photon[:, j] = _pulse_tail(pre, amps, n_p, dt, bufs[:6])
+        cum, n1, n_max[:, j], photon[:, j] = _pulse_tail(pre, n_p, dt, bufs[:6])
         cum_last[:, j] = cum[-1]
         # a half-SNR index past n_p reads the tail: score such cells on their
         # whole column.  Up to n_p, t0 <= n_p * dt, so the endpoint sample
         # after t0 is read only when it is at most n_p
         late[:, j] = (scale * cum[-1] > 0.0) & (0.5 * cum[-1] > pre.cum[:, n_p])
-        rows = np.flatnonzero(late[:, j])
-        if len(rows):
-            col_cum = np.concatenate((pre.cum[rows, :n_p], cum[:, rows].T), axis=1)
+        r = np.flatnonzero(late[:, j])
+        if len(r):
+            col_cum = np.concatenate((pre.cum[r, :n_p], cum[:, r].T), axis=1)
             col_stark = np.concatenate(
-                (pre.stark[rows, :n_p], omega_q + (2.0 * chi) * n1[:, rows].T), axis=1)
-            relax, out = _relaxation(col_cum, col_stark, 0.5 * cum_last[rows, j, None],
-                                     np.ones((len(rows), 1), dtype=bool), dt, xp, fp)
-            late_relax[rows, j], bad[rows, j] = relax[:, 0], out[:, 0]
+                (pre.stark[r, :n_p], omega[r] + two_chi[r] * n1[:, r].T), axis=1)
+            t0, relax, out = _relaxation(col_cum, col_stark, 0.5 * cum[-1, r, None],
+                                         np.ones((len(r), 1), dtype=bool), dt, xp, fp)
+            late_t0[r, j], late_relax[r, j], late_bad[r, j] = t0[:, 0], relax[:, 0], out[:, 0]
 
     snr_value = scale * cum_last
     sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
-    relax, out = _relaxation(pre.cum, pre.stark, 0.5 * cum_last,
-                             (snr_value > 0.0) & ~late, dt, xp, fp)
-    relax = np.where(late, late_relax, relax)
-    bad |= out
-    if mist_n_th is not None:
-        z = (n_max - mist_n_th) / (mist.sharpness * mist_n_th)
-        z = np.minimum(np.maximum(z, -500.0), 500.0)
-        # math.exp as in mist_penalty: np.exp's SIMD loop differs from it in
-        # the last bit for some inputs
-        exp = np.fromiter(map(math.exp, (-z).ravel().tolist()), float, z.size)
-        mist_term = mist.ceiling / (1.0 + exp.reshape(shape))
-    totals = (
+    t0, relax, bad = _relaxation(pre.cum, pre.stark, 0.5 * cum_last,
+                                 (snr_value > 0.0) & ~late, dt, xp, fp)
+    for plane, value in ((t0, late_t0), (relax, late_relax), (bad, late_bad)):
+        np.copyto(plane, value, where=late)
+    coupling = np.zeros((n_rows, 1))
+    mist_term = np.full(shape, mist.ceiling if model.heuristics else 0.0)
+    if model.heuristics:
+        n_th = np.zeros((n_rows, 1))  # > 0 where the MIST threshold is defined
+        for (omega_q, _, _), (sl, _, _) in zip(groups, prefix_groups):
+            coupling[sl] = coupling_error(omega_q, specs)
+            if not omega_q <= q.omega_r:  # mist_threshold's domain
+                n_th[sl] = mist_threshold(omega_q, q.omega_r, mist)
+        has = ~(n_th[:, 0] <= 0.0)
+        if has.any():
+            z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])
+            z = np.minimum(np.maximum(z, -500.0), 500.0)
+            # math.exp as in mist_penalty: np.exp's SIMD loop differs from it
+            # in the last bit for some inputs
+            exp = np.fromiter(map(math.exp, (-z).ravel().tolist()), float, z.size)
+            mist_term[has] = mist.ceiling / (1.0 + exp.reshape(z.shape))
+    total = (
         weights.separation * sep
         + weights.relaxation * relax
         + weights.photon * photon
         + weights.mist * mist_term
-        + weights.coupling * coupling_term
+        + weights.coupling * coupling
     )
-    totals[bad] = math.inf
-    return totals
+    total[bad] = math.inf
+    planes = dict(relaxation=relax, photon=photon, mist=mist_term,
+                  coupling=np.broadcast_to(coupling, shape), t0=t0, n_max=n_max)
+    if bad.any():  # as _infeasible: only snr and separation are known off the table
+        for name, plane in planes.items():
+            planes[name] = np.where(bad, math.nan, plane)
+    return dict(planes, separation=sep, snr=snr_value, total=total)

@@ -8,15 +8,15 @@ next-nearest order.  One error_models.CostModel defines the cost for the
 whole walk; its collision defaults turn each locked neighbor into collision
 specs, and with model.heuristics False the neighbors are ignored.  The scan
 scores one omega's whole amplitude x pulse-length plane per
-error_models.cost_plane call, bit-identical to evaluate_cost point by
-point, and prunes planes by an exact lower bound (see optimize_qubit), so
-the result equals an exhaustive scan's.  evaluate_cost runs once per
-qubit, for the winner's breakdown.
+error_models.cost_plane call, bit-identical to the scalar cost function
+point by point, and prunes planes by an exact lower bound (see
+optimize_qubit), so the result equals an exhaustive scan's.  The winner's
+breakdown is its cell of the best plane's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .error_models import (
     collision_specs,
     cost_plane,
     coupling_error,
-    evaluate_cost,
 )
 
 
@@ -143,8 +142,8 @@ def optimize_qubit(
     the best total can still hold a tie at a lower omega index, so it is
     scored, and candidates compare by (total, omega index, flat plane
     index).  Without heuristics (the predictive-only strategy) or locked
-    neighbors every bound is 0, so every plane is scored.  Only the winner
-    is re-evaluated by evaluate_cost, for its breakdown.
+    neighbors every bound is 0, so every plane is scored.  The winner's
+    breakdown is its cell of the best plane's.
     """
     specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
     bounds = sorted((model.weights.coupling * coupling_error(omega, specs), i_w)
@@ -153,14 +152,14 @@ def optimize_qubit(
     for bound, i_w in bounds:
         if best is not None and bound > best[0]:
             break
-        totals = cost_plane(q, grid.omega_points[i_w], grid.amp_points,
-                            grid.tp_points, model, specs)
-        totals[~np.isfinite(totals)] = math.inf
+        plane = cost_plane(q, [grid.omega_points[i_w]] * len(grid.amp_points),
+                           grid.amp_points, grid.tp_points, model, specs)
+        totals = np.where(np.isfinite(plane.total), plane.total, math.inf)
         # first occurrence: row-major order is the (amp, t_p) index order
         flat = int(np.argmin(totals))
         candidate = (float(totals.flat[flat]), i_w, flat)
         if candidate[0] < math.inf and (best is None or candidate < best):
-            best = candidate
+            best, best_plane = candidate, plane
     if best is None:
         raise InfeasibleQubitError(qid)
     _, i_w, flat = best
@@ -168,7 +167,8 @@ def optimize_qubit(
     t_p = grid.tp_points[i_t]
     params = ReadoutParams(omega_q=grid.omega_points[i_w], b0=grid.amp_points[i_a],
                            t_p=t_p, t_r=model.total_time - t_p)
-    return params, evaluate_cost(q, params, model, specs)
+    return params, CostBreakdown(**{f.name: float(getattr(best_plane, f.name)[i_a, i_t])
+                                    for f in fields(CostBreakdown)})
 
 
 def optimize_device(

@@ -377,7 +377,7 @@ def test_criterion_10_performance_full_device(d3_graph):
         assert len(result.per_qubit) == 17
         assert elapsed <= 300.0
         for r in result.per_qubit.values():
-            assert r.breakdown.feasible
+            assert math.isfinite(r.breakdown.total)
         print(f"  ({result.evaluations} evaluations in {elapsed:.1f} s)",
               flush=True)
 

@@ -1,0 +1,44 @@
+"""Smoke test of tools/bench_kernel.py on a tiny workload, so that a change
+to the kernel's signature or stage functions cannot break the tool
+unnoticed."""
+import importlib.util
+import json
+from pathlib import Path
+
+from readout_opt import error_models
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_kernel.py"
+
+
+def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("bench_kernel", TOOL)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "N_OMEGAS", 1)
+    monkeypatch.setattr(bench, "ROUNDS", 2)
+    monkeypatch.setattr(bench, "STEP_WIDTHS", (2, 4))
+    monkeypatch.setattr(bench, "STEP_ROUNDS", 2)
+    # the tool wraps the stage functions for good; restore them afterwards
+    for name in bench.STAGES:
+        monkeypatch.setattr(error_models, name, getattr(error_models, name))
+
+    out = tmp_path / "bench.json"
+    assert bench.main(["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    assert set(report) == {
+        "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
+        "per_plane_ms", "prefix_s", "tails_s", "plane_s", "step_response",
+        "environment"}
+    assert report["rounds"] == 2
+    assert report["points"] == report["planes"] * 40 * 39
+    for key in ("total_s", "prefix_s", "tails_s", "plane_s"):
+        assert set(report[key]) == {"median", "q1", "q3"}
+    assert report["prefix_s"]["median"] > 0 and report["tails_s"]["median"] > 0
+    steps = report["step_response"]
+    assert set(steps) == {
+        "n_steps", "rounds", "widths", "scalar_s_per_response", "vector_fixed_s",
+        "vector_s_per_response", "break_even_width", "batch_min_width"}
+    assert set(steps["widths"]) == {"2", "4"}
+    for row in steps["widths"].values():
+        assert set(row) == {"scalar_s", "vector_s", "speedup"}

@@ -299,9 +299,33 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"--min ({float(lo)}) must be <= --max ({float(hi)})" in err
 
+    @staticmethod
+    def _assert_rows_equal_cold_evaluate_cost(device, opt_path, out):
+        """Every sweep.csv field equals cold evaluate_cost's bit for bit;
+        returns the breakdowns."""
+        with (out / "sweep.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        q = load_device(device.read_text()).qubits[QubitId(0, 0)]
+        model = load_optimizer_config(opt_path.read_text()).model
+        breakdowns = []
+        for r in rows:
+            _unit_step_response.cache_clear()
+            params = ReadoutParams(ghz_to_rad_ns(float(r["f_q_GHz"])), float(r["B0"]),
+                                   float(r["t_p_ns"]), float(r["t_r_ns"]))
+            bd = evaluate_cost(q, params, model)
+            got = [float(r[k]) for k in ("separation_error", "relaxation_error",
+                                         "residual_photons", "n_max", "snr",
+                                         "mist", "coupling")]
+            want = [bd.separation, bd.relaxation, bd.photon, bd.n_max, bd.snr,
+                    bd.mist, bd.coupling]
+            np.testing.assert_array_equal(np.array(got).view(np.int64),
+                                          np.array(want).view(np.int64))
+            breakdowns.append((params, bd))
+        return q, model, breakdowns
+
     def test_frequency_rows_equal_cold_evaluate_cost(self, opt_path, tmp_path):
-        # 150 rows: two chunks of step responses, with rows inside the pole
-        # guard and rows whose |chi| is too large for dt among them
+        # 150 rows: two kernel calls, with rows inside the pole guard and
+        # rows whose |chi| is too large for dt among them
         device = tmp_path / "poles.yaml"
         device.write_text(yaml.safe_dump(POLE_BAND_DEVICE))
         out = tmp_path / "sweep"
@@ -309,29 +333,48 @@ class TestSweep:
                      str(opt_path), "--qubit", "0,0", "--axis", "frequency",
                      "--min", "4.5", "--max", "6.3", "--points", "150",
                      "--pin-f-ghz", "6.0", "--out", str(out)]) == EXIT_OK
-        with (out / "sweep.csv").open() as fh:
-            rows = list(csv.DictReader(fh))
-        q = load_device(device.read_text()).qubits[QubitId(0, 0)]
-        model = load_optimizer_config(opt_path.read_text()).model
+        q, model, breakdowns = self._assert_rows_equal_cold_evaluate_cost(
+            device, opt_path, out)
         kinds = set()
-        for r, f in zip(rows, np.linspace(4.5, 6.3, 150), strict=True):
-            omega = ghz_to_rad_ns(float(f))
+        for (params, _), f in zip(breakdowns, np.linspace(4.5, 6.3, 150), strict=True):
+            assert params.omega_q == ghz_to_rad_ns(float(f))
             try:
-                _check_step(dispersive_shift(q, omega, model.pole_guard),
+                _check_step(dispersive_shift(q, params.omega_q, model.pole_guard),
                             q.kappa, model.dt)
                 kinds.add("ok")
             except (PoleProximityError, DetuningStepError) as exc:
                 kinds.add(type(exc))
-            _unit_step_response.cache_clear()
-            bd = evaluate_cost(q, ReadoutParams(omega, float(r["B0"]), float(r["t_p_ns"]),
-                                                float(r["t_r_ns"])), model)
-            got = [float(r[k]) for k in ("separation_error", "relaxation_error",
-                                         "residual_photons", "n_max", "snr",
-                                         "mist", "coupling")]
-            want = [bd.separation, bd.relaxation, bd.photon, bd.n_max, bd.snr,
-                    bd.mist, bd.coupling]
-            np.testing.assert_array_equal(got, want)
         assert kinds == {"ok", PoleProximityError, DetuningStepError}
+
+    def test_amplitude_rows_equal_cold_evaluate_cost(self, device_path, opt_path,
+                                                     tmp_path):
+        # 150 rows: two kernel calls; from zero drive, with no SNR, to drives
+        # whose Stark trace leaves the Gamma1 table
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", "amplitude",
+                     "--min", "0", "--max", "12", "--points", "150",
+                     "--pin-f-ghz", "5.65", "--out", str(out)]) == EXIT_OK
+        _, _, breakdowns = self._assert_rows_equal_cold_evaluate_cost(
+            device_path, opt_path, out)
+        assert breakdowns[0][1].snr == 0.0
+        assert any(math.isnan(bd.relaxation) and bd.snr > 0.0 for _, bd in breakdowns)
+        assert any(math.isfinite(bd.total) and bd.snr > 0.0 for _, bd in breakdowns)
+
+    def test_length_rows_equal_cold_evaluate_cost(self, device_path, opt_path,
+                                                  tmp_path):
+        # one kernel row at 150 lengths, from pulses whose half-SNR time lies
+        # in the ringdown to a pulse without one
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", "length",
+                     "--min", "1", "--max", "500", "--points", "150",
+                     "--out", str(out)]) == EXIT_OK
+        _, _, breakdowns = self._assert_rows_equal_cold_evaluate_cost(
+            device_path, opt_path, out)
+        assert len(breakdowns) == 150
+        assert any(bd.t0 > params.t_p for params, bd in breakdowns)
+        assert breakdowns[-1][0].t_r == 0.0
 
     def test_kappa_too_coarse_for_dt_rejected(self, opt_path, tmp_path, capsys):
         raw = {"qubits": [{**POLE_BAND_DEVICE["qubits"][0], "kappa_MHz": 20.0}]}
@@ -353,6 +396,38 @@ class TestSweep:
             "--out", str(tmp_path / "sweep"),
         ])
         assert code == EXIT_IO
+
+    @pytest.mark.parametrize("args, message", [
+        (("--axis", "frequency", "--min", "5.7", "--max", "6.2",
+          "--pin-f-ghz", "99"), "--pin-f-ghz (99.0) outside search band"),
+        (("--axis", "amplitude", "--min", "0.1", "--max", "0.2",
+          "--pin-amp=-1"), "--pin-amp must be >= 0, got -1.0"),
+    ])
+    def test_pin_out_of_range_rejected(self, device_path, opt_path, tmp_path,
+                                       capsys, args, message):
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--points", "2", *args,
+                     "--out", str(tmp_path / "sweep")]) == EXIT_IO
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, flag, value", [
+        (("--axis", "amplitude", "--min", "0", "--max", "inf"), "--max", "inf"),
+        (("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--pin-f-ghz", "nan"),
+         "--pin-f-ghz", "nan"),
+        (("--axis", "amplitude", "--min", "nan", "--max", "nan", "--points", "1"),
+         "--min", "nan"),
+        (("--axis", "frequency", "--min", "5.7", "--max", "6.2", "--pin-amp", "inf"),
+         "--pin-amp", "inf"),
+        (("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--pin-tp-ns=-inf"),
+         "--pin-tp-ns", "-inf"),
+    ])
+    def test_non_finite_input_rejected(self, device_path, opt_path, tmp_path,
+                                       capsys, args, flag, value):
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", *args,
+                     "--out", str(tmp_path / "sweep")]) == EXIT_IO
+        assert f"error: {flag} must be finite, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_unknown_qubit_rejected(self, device_path, opt_path, tmp_path):
         code = main([

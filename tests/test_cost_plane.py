@@ -1,12 +1,12 @@
-"""The array scan kernel against the scalar cost oracle, cell by cell.
+"""The array cost kernel against the scalar cost oracle, cell by cell.
 
-cost_plane must reproduce evaluate_cost's total bit for bit (``==``, never
-approx) at every point of an omega's amplitude x pulse-length plane, give
-+inf exactly where evaluate_cost does, and raise the error evaluate_cost
-raises first in row-major scan order.
+cost_plane must reproduce every field of evaluate_cost's breakdown bit for
+bit (compared as int64, so NaNs and signed zeros count) at every point of
+its rows of (omega, amplitude) pairs x pulse lengths, and raise the error
+evaluate_cost raises first in row-major order.
 """
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from readout_opt import (
     CollisionDefaults,
+    CostBreakdown,
     CostModel,
     CostWeights,
     MistParams,
@@ -29,6 +30,8 @@ from readout_opt import (
     optimize_qubit,
     stark_trajectory,
 )
+from readout_opt import error_models
+from readout_opt.dynamics import BATCH_MIN_WIDTH
 from readout_opt.error_models import cost_plane
 
 from conftest import CONFIG_DIR, TWO_PI
@@ -39,6 +42,7 @@ MIST = MistParams(a=0.075, b=0.54)
 GUARD = TWO_PI * 0.008
 TOTAL = 500.0
 DT = 1.0
+FIELDS = [f.name for f in fields(CostBreakdown)]
 
 
 def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=DT):
@@ -46,62 +50,62 @@ def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=D
                      total_time=total_time, heuristics=include_heuristics)
 
 
-def oracle_plane(q, omega, amps, tps, weights, specs, include_heuristics,
-                 total_time=TOTAL, dt=DT):
-    """evaluate_cost over the plane in row-major order.
+def oracle(q, omegas, amps, tps, cost_model, specs):
+    """evaluate_cost at every cell in row-major order.
 
-    Returns (totals, None), or (None, exception) for the first point that
-    raises.
+    Returns ({field: plane}, None), or (None, exception) for the first
+    point that raises.
     """
-    totals = np.empty((len(amps), len(tps)))
-    for i, b0 in enumerate(amps):
+    planes = {name: np.empty((len(omegas), len(tps))) for name in FIELDS}
+    for i, (omega, b0) in enumerate(zip(omegas, amps)):
         for j, t_p in enumerate(tps):
-            params = ReadoutParams(omega_q=omega, b0=b0, t_p=t_p,
-                                   t_r=total_time - t_p)
+            params = ReadoutParams(omega, b0, t_p, cost_model.total_time - t_p)
             try:
-                bd = evaluate_cost(
-                    q, params,
-                    model(weights, include_heuristics, total_time, dt), specs)
+                bd = evaluate_cost(q, params, cost_model, specs)
             except ValueError as exc:
                 return None, exc
-            totals[i, j] = bd.total
-    return totals, None
+            for name in FIELDS:
+                planes[name][i, j] = getattr(bd, name)
+    return planes, None
 
 
-def kernel_plane(q, omega, amps, tps, weights, specs, include_heuristics,
-                 total_time=TOTAL, dt=DT):
-    return cost_plane(q, omega, amps, tps,
-                      model(weights, include_heuristics, total_time, dt), specs)
-
-
-def assert_same(q, omega, amps, tps, weights=CostWeights(), specs=(),
+def assert_same(q, omegas, amps, tps, weights=CostWeights(), specs=(),
                 include_heuristics=True, **kw):
-    """Kernel and oracle agree cell by cell, or raise the same error."""
-    expected, error = oracle_plane(q, omega, amps, tps, weights, specs,
-                                   include_heuristics, **kw)
+    """Kernel and oracle agree in every field of every cell, or raise the
+    same error.  Returns the kernel's breakdown."""
+    cost_model = model(weights, include_heuristics, **kw)
+    expected, error = oracle(q, omegas, amps, tps, cost_model, specs)
     if error is not None:
         with pytest.raises(type(error)) as got:
-            kernel_plane(q, omega, amps, tps, weights, specs,
-                         include_heuristics, **kw)
+            cost_plane(q, omegas, amps, tps, cost_model, specs)
         assert type(got.value) is type(error)
         assert str(got.value) == str(error)
         return None
-    plane = kernel_plane(q, omega, amps, tps, weights, specs,
-                         include_heuristics, **kw)
-    assert plane.shape == expected.shape
-    for (i, j), value in np.ndenumerate(expected):
-        assert plane[i, j] == value, (i, j, plane[i, j], value)
-    return plane
+    bd = cost_plane(q, omegas, amps, tps, cost_model, specs)
+    for name in FIELDS:
+        plane = getattr(bd, name)
+        assert plane.shape == expected[name].shape, name
+        bad = np.argwhere(plane.view(np.int64) != expected[name].view(np.int64))
+        assert not len(bad), (name, [(tuple(ij), plane[tuple(ij)], expected[name][tuple(ij)])
+                                     for ij in bad[:3]])
+    return bd
 
 
-@st.composite
-def omegas(draw, q, band):
-    """Omega across the band, or near a chi pole (inside or outside the guard)."""
+def assert_same_plane(q, omega, amps, tps, *args, **kw):
+    """assert_same on one omega's amplitude x pulse-length plane."""
+    return assert_same(q, [omega] * len(amps), amps, tps, *args, **kw)
+
+
+def in_band(band):
     lo, hi = band
-    near_pole = st.sampled_from((q.omega_r, q.omega_r - q.alpha)).flatmap(
+    return st.floats(lo - 0.5, hi + 0.5)
+
+
+def near_pole(q):
+    """Omega within three guards of a chi pole: inside the guard, or with
+    |chi| too large for dt, or neither."""
+    return st.sampled_from((q.omega_r, q.omega_r - q.alpha)).flatmap(
         lambda pole: st.floats(pole - 3 * GUARD, pole + 3 * GUARD))
-    in_band = st.floats(lo - 0.5, hi + 0.5)
-    return draw(st.one_of(in_band, in_band, near_pole))
 
 
 pulse_lengths = st.one_of(
@@ -114,29 +118,84 @@ weights = st.builds(CostWeights, *(weight,) * 5)
 
 
 @st.composite
-def planes(draw):
+def row_sets(draw):
+    """Rows of repeated and distinct omegas, a few or enough for the
+    batched step-response pass, with amplitudes up to 3 amp_ref; one in
+    ten holds an invalid point."""
     qid = draw(st.sampled_from(QIDS))
     q = D3.qubits[qid]
-    omega = draw(omegas(q, D3.search_band[qid]))
-    amps = [0.0] + draw(st.lists(
-        st.floats(0.0, 3.0 * q.amp_ref), min_size=1, max_size=4))
-    tps = draw(st.lists(pulse_lengths, min_size=1, max_size=4))
+    band = D3.search_band[qid]
+    amp = st.floats(0.0, 3.0 * q.amp_ref)
+    if draw(st.integers(0, 4)):
+        distinct = draw(st.lists(in_band(band) | in_band(band) | near_pole(q),
+                                 min_size=1, max_size=4))
+        rows = draw(st.lists(st.tuples(st.sampled_from(distinct), amp),
+                             min_size=1, max_size=6))
+        rows[0] = (rows[0][0], 0.0)
+        tps = draw(st.lists(pulse_lengths, min_size=1, max_size=4))
+    else:
+        # enough feasible omegas for the numpy pass of step_response_pairs
+        distinct = draw(st.lists(st.floats(*band), unique=True,
+                                 min_size=BATCH_MIN_WIDTH // 2,
+                                 max_size=BATCH_MIN_WIDTH // 2 + 4))
+        distinct += draw(st.lists(near_pole(q), max_size=2))
+        rows = [(w, draw(amp)) for w in distinct]
+        rows += draw(st.lists(st.tuples(st.sampled_from(distinct), amp), max_size=3))
+        rows = draw(st.permutations(rows))
+        tps = draw(st.lists(pulse_lengths, min_size=1, max_size=2))
+    if draw(st.integers(0, 9)) == 7:  # an invalid point, where evaluate_cost raises
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(rows) - 1))
+            rows[k] = (rows[k][0], -draw(st.floats(1e-3, 1.0)))
+        else:  # t_r < 0, t_p <= 0, or n_p = 0 samples
+            tps.insert(draw(st.integers(0, len(tps))),
+                       draw(st.sampled_from((TOTAL + 1.0, 0.0, 0.4))))
     include_heuristics = draw(st.booleans())
     locked = []
     for _ in range(draw(st.integers(0, 3))):
         nb = D3.qubits[draw(st.sampled_from(QIDS))]
-        nb_omega = omega + draw(st.floats(-0.3, 0.3))
+        nb_omega = distinct[0] + draw(st.floats(-0.3, 0.3))
         locked.append((nb, ReadoutParams(nb_omega, 0.1, 300.0, 200.0),
                        draw(st.booleans())))
     specs = collision_specs(q, locked, CollisionDefaults())
-    return q, omega, amps, tps, draw(weights), specs, include_heuristics
+    omegas, amps = zip(*rows)
+    return q, list(omegas), list(amps), tps, draw(weights), specs, include_heuristics
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(planes())
+@given(row_sets())
 def test_every_cell_bit_identical_to_evaluate_cost(case):
-    q, omega, amps, tps, w, specs, include_heuristics = case
-    assert_same(q, omega, amps, tps, w, specs, include_heuristics)
+    assert_same(*case)
+
+
+def test_row_set_with_every_kind_of_cell(monkeypatch):
+    """One row set holds every kind of cell the property test draws."""
+    qid = QIDS[0]
+    q = D3.qubits[qid]
+    lo, hi = D3.search_band[qid]
+    inside_guard = q.omega_r + 0.5 * GUARD
+    chi_too_large = q.omega_r - q.alpha + 0.095
+    off_table = TWO_PI * 5.5   # a strong drive pulls the Stark trace below 5.2 GHz
+    spread = list(np.linspace(lo, hi, BATCH_MIN_WIDTH // 2 + 1))
+    omegas = [off_table, inside_guard, chi_too_large, off_table] + spread
+    amps = [3.0 * q.amp_ref, 0.2, 0.2, 0.0] + [0.2 * q.amp_ref] * len(spread)
+    tps = [5.0, 300.0]
+    widths = []
+    real_pairs = error_models.step_response_pairs
+
+    def spy(chis, *args):
+        widths.append(2 * len(chis))
+        return real_pairs(chis, *args)
+    monkeypatch.setattr(error_models, "step_response_pairs", spy)
+    bd = assert_same(q, omegas, amps, tps)
+    assert widths == [2 * (len(spread) + 1)] and widths[0] >= BATCH_MIN_WIDTH
+    assert np.isnan(bd.snr[1:3]).all() and np.isinf(bd.total[1:3]).all()
+    # off the table: only snr and separation are known
+    assert np.isinf(bd.total[0, 1]) and np.isfinite(bd.snr[0, 1])
+    assert np.isnan(bd.relaxation[0, 1]) and np.isfinite(bd.separation[0, 1])
+    # a 5 ns pulse rings down for about 30 ns before half the SNR is in
+    assert (bd.t0[4:, 0] > 20.0).all()
+    assert np.isfinite(bd.total[3:]).all()
 
 
 class TestInfeasible:
@@ -147,7 +206,7 @@ class TestInfeasible:
         omega = TWO_PI * 5.5
         amps = [0.0, 0.05, 0.3, 1.0, 3.0]
         tps = [100.0, 250.5, 480.0]
-        plane = assert_same(q, omega, amps, tps)
+        plane = assert_same_plane(q, omega, amps, tps).total
         assert np.isinf(plane).any()
         assert np.isfinite(plane[0]).all()  # zero SNR: no relaxation term
         assert np.isfinite(plane[1]).all()
@@ -174,17 +233,17 @@ class TestInfeasible:
         assert math.isfinite(full.total)
         assert bd.total == math.inf
         assert (bd.snr, bd.separation) == (full.snr, full.separation)
-        plane = assert_same(cut, params.omega_q, [0.0, params.b0], [params.t_p])
+        plane = assert_same_plane(cut, params.omega_q, [0.0, params.b0], [params.t_p]).total
         assert math.isfinite(plane[0, 0]) and plane[1, 0] == math.inf
 
     def test_pole_guard_gives_inf_plane(self):
         q = D3.qubits[QIDS[0]]
-        plane = assert_same(q, q.omega_r + 0.5 * GUARD, [0.0, 0.2], [300.0])
+        plane = assert_same_plane(q, q.omega_r + 0.5 * GUARD, [0.0, 0.2], [300.0]).total
         assert np.isinf(plane).all()
 
     def test_pole_guard_wins_over_invalid_pulse(self):
         q = D3.qubits[QIDS[0]]
-        plane = assert_same(q, q.omega_r, [-1.0], [600.0])
+        plane = assert_same_plane(q, q.omega_r, [-1.0], [600.0]).total
         assert np.isinf(plane).all()
 
 
@@ -201,15 +260,15 @@ class TestErrors:
     ])
     def test_invalid_pulse(self, amps, tps, kind):
         with pytest.raises(kind):
-            kernel_plane(D3.qubits[QIDS[0]], self.OMEGA, amps, tps,
-                         CostWeights(), (), True)
-        assert_same(D3.qubits[QIDS[0]], self.OMEGA, amps, tps)
+            cost_plane(D3.qubits[QIDS[0]], [self.OMEGA] * len(amps), amps, tps,
+                       model())
+        assert_same_plane(D3.qubits[QIDS[0]], self.OMEGA, amps, tps)
 
     def test_step_too_coarse(self):
         with pytest.raises(StepSizeError):
-            kernel_plane(D3.qubits[QIDS[0]], self.OMEGA, [0.1], [300.0],
-                         CostWeights(), (), True, dt=20.0)
-        assert_same(D3.qubits[QIDS[0]], self.OMEGA, [0.1], [300.0], dt=20.0)
+            cost_plane(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0],
+                       model(dt=20.0))
+        assert_same_plane(D3.qubits[QIDS[0]], self.OMEGA, [0.1], [300.0], dt=20.0)
 
 
 def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):
@@ -238,7 +297,7 @@ class TestKernelPaths:
         # a 5 ns pulse rings down for about 30 ns before half the SNR is in
         t0 = half_time(self.q, self.omega, self.b0, 5.0)
         assert t0 > 20.0
-        assert_same(self.q, self.omega, [0.0, self.b0, 2.0 * self.b0], [5.0])
+        assert_same_plane(self.q, self.omega, [0.0, self.b0, 2.0 * self.b0], [5.0])
 
     def test_t0_on_last_pulse_sample(self):
         # int(t0 / dt) == n_p with t0 off the grid: the endpoint sample after
@@ -248,11 +307,11 @@ class TestKernelPaths:
         assert hits
         for t_p in hits:
             assert half_time(self.q, self.omega, self.b0, t_p) > t_p
-        assert_same(self.q, self.omega, [self.b0], [float(t) for t in hits])
+        assert_same_plane(self.q, self.omega, [self.b0], [float(t) for t in hits])
 
     def test_pulse_fills_total_time(self):
-        plane = assert_same(self.q, self.omega, [0.0, self.b0, 3.0 * self.b0],
-                            [TOTAL, 499.0, 250.0])
+        plane = assert_same_plane(self.q, self.omega, [0.0, self.b0, 3.0 * self.b0],
+                                  [TOTAL, 499.0, 250.0]).total
         assert np.isfinite(plane).all()
 
     def test_mixed_early_and_late_half_snr_times(self):
@@ -260,20 +319,20 @@ class TestKernelPaths:
         times = [half_time(self.q, self.omega, self.b0, t_p) for t_p in tps]
         assert times[0] > tps[0] and times[-1] < tps[-1]
         amps = [0.0, 0.05 * self.q.amp_ref, self.b0, 0.4 * self.q.amp_ref]
-        assert_same(self.q, self.omega, amps, tps)
+        assert_same_plane(self.q, self.omega, amps, tps)
         # heuristics off, and a plane with a Stark trace leaving the table
-        assert_same(self.q, self.omega, amps, tps, include_heuristics=False)
-        assert_same(D3.qubits[QIDS[0]], TWO_PI * 5.5, [0.3, 3.0], tps)
+        assert_same_plane(self.q, self.omega, amps, tps, include_heuristics=False)
+        assert_same_plane(D3.qubits[QIDS[0]], TWO_PI * 5.5, [0.3, 3.0], tps)
 
     def test_one_amplitude(self):
-        assert_same(self.q, self.omega, [self.b0], [100.0, 101.0, 333.0, 480.0])
+        assert_same_plane(self.q, self.omega, [self.b0], [100.0, 101.0, 333.0, 480.0])
 
     def test_pulse_lengths_with_different_sample_counts(self):
         # at dt = 0.1 and 25.05 ns, t_p + t_r rounds to 250 or 251 steps
         tps = [5.0, 0.26966, 12.0, 0.3707075]
         counts = {round((t + (25.05 - t)) / 0.1) for t in tps}
         assert counts == {250, 251}
-        assert_same(self.q, self.omega, [0.0, self.b0], tps,
+        assert_same_plane(self.q, self.omega, [0.0, self.b0], tps,
                     total_time=25.05, dt=0.1)
 
 
@@ -315,8 +374,8 @@ class TestScan:
             q, grid, locked, model(include_heuristics=include_heuristics))
         specs = collision_specs(q, locked) if include_heuristics else ()
         planes = np.stack([
-            kernel_plane(q, w, grid.amp_points, grid.tp_points, CostWeights(),
-                         specs, include_heuristics)
+            cost_plane(q, [w] * len(grid.amp_points), grid.amp_points, grid.tp_points,
+                       model(include_heuristics=include_heuristics), specs).total
             for w in grid.omega_points
         ])
         assert bd.total == planes.min()
@@ -325,6 +384,9 @@ class TestScan:
             grid.omega_points[i_w], grid.amp_points[i_a], grid.tp_points[i_t],
             TOTAL - grid.tp_points[i_t])
         assert math.isfinite(bd.total)
+        # the breakdown read from the plane is evaluate_cost's
+        assert bd == evaluate_cost(
+            q, params, model(include_heuristics=include_heuristics), specs)
 
     def test_chi_too_large_for_dt_is_infeasible(self):
         # 0.095 rad/ns above the omega_r - alpha pole: outside the guard, but
@@ -335,9 +397,9 @@ class TestScan:
         centre = 0.5 * sum(D3.search_band[qid])
         grid = small_grid(q, D3.search_band[qid], 1, 2, 2)
         grid = SearchGrid((bad, centre), grid.amp_points, grid.tp_points)
-        plane = assert_same(q, bad, grid.amp_points, grid.tp_points)
+        plane = assert_same_plane(q, bad, grid.amp_points, grid.tp_points).total
         assert np.isinf(plane).all()
-        assert_same(q, bad, [0.1], [300.0, 520.0])  # an invalid pulse still raises
+        assert_same_plane(q, bad, [0.1], [300.0, 520.0])  # an invalid pulse still raises
         params, bd = optimize_qubit(q, grid, [], model())
         assert params.omega_q == centre
         assert math.isfinite(bd.total)

@@ -24,12 +24,11 @@ from readout_opt import dynamics
 from readout_opt.dynamics import (
     BATCH_MIN_WIDTH,
     STEP_CACHE_SIZE,
-    DetuningStepError,
     _check_step,
     _rk4_step_response,
     _rk4_step_responses,
     _unit_step_response,
-    cache_field_pairs,
+    step_response_pairs,
 )
 
 from conftest import TWO_PI, make_qubit
@@ -309,10 +308,11 @@ def test_split_real_pass_matches_scalar_loop(batch):
     for delta in deltas:
         _check_step(delta, kappa, dt)
     got = _rk4_step_responses(deltas, kappa, dt, n_steps)
-    assert len(got) == len(deltas)
-    for delta, response in zip(deltas, got):
+    assert got.shape == (n_steps + 1, len(deltas), 2)
+    for j, delta in enumerate(deltas):
         want = _rk4_step_response(delta, kappa, dt, n_steps)
-        np.testing.assert_array_equal(response.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(got[:, j].view(np.int64),
+                                      want.view(float).reshape(-1, 2).view(np.int64))
 
 
 class TestStepCache:
@@ -336,58 +336,32 @@ class TestStepCache:
         return widths
 
     @pytest.mark.parametrize("width, vectorised", [
-        (2, False), (BATCH_MIN_WIDTH - 1, False), (BATCH_MIN_WIDTH, True)])
-    def test_fill_selects_the_pass_by_width(self, batched, width, vectorised):
-        deltas = [0.001 * k for k in range(width)]
-        # a repeat and a response cached before count as hits
-        _unit_step_response(0.5, self.KAPPA, 1.0, 50)
-        _unit_step_response.fill(deltas + [deltas[-1], 0.5], self.KAPPA, 1.0, 50)
+        (2, False), (BATCH_MIN_WIDTH - 2, False), (BATCH_MIN_WIDTH, True)])
+    def test_step_response_pairs_select_the_pass_by_width(self, batched, width,
+                                                          vectorised):
+        chis = [0.001 * (k + 1) for k in range(width // 2)]
+        got = step_response_pairs(chis, self.KAPPA, 1.0, 50)
         assert batched == ([width] if vectorised else [])
-        assert _unit_step_response.cache_info()[:2] == (2, width + 1)
-        for delta in deltas:
-            cached = _unit_step_response(delta, self.KAPPA, 1.0, 50)
-            assert not cached.flags.writeable
-            np.testing.assert_array_equal(
-                cached.view(np.int64),
-                _rk4_step_response(delta, self.KAPPA, 1.0, 50).view(np.int64))
-        assert _unit_step_response.cache_info()[:2] == (2 + width, width + 1)
+        # the scalar loop reads through the cache, the numpy pass past it
+        assert _unit_step_response.cache_info()[:2] == (
+            (0, 0) if vectorised else (0, width))
+        assert got.shape == (len(chis), 51, 4)
+        for pair, chi in zip(got, chis):
+            for k, delta in enumerate((chi, -chi)):
+                want = _rk4_step_response(delta, self.KAPPA, 1.0, 50)
+                np.testing.assert_array_equal(
+                    pair[:, 2 * k: 2 * k + 2].view(np.int64),
+                    want.view(float).reshape(-1, 2).view(np.int64))
 
-    def test_fill_keeps_the_newest_responses(self):
-        old = [0.002 * k for k in range(10)]
-        _unit_step_response.fill(old, self.KAPPA, 1.0, 5)
-        new = [-1e-4 * (k + 1) for k in range(STEP_CACHE_SIZE - 1)]
-        # old[0] is read again, so it outlives the other old responses
-        _unit_step_response.fill(new + old[:1], self.KAPPA, 1.0, 5)
+    def test_cache_keeps_the_newest_responses(self):
         info = _unit_step_response.cache_info()
-        assert (info.currsize, info.misses) == (STEP_CACHE_SIZE, 10 + len(new))
-        for delta in new + old[:1]:
+        assert (info.maxsize, info.currsize) == (STEP_CACHE_SIZE, 0)
+        deltas = [-1e-4 * k for k in range(STEP_CACHE_SIZE + 1)]
+        for delta in deltas:
+            assert not _unit_step_response(delta, self.KAPPA, 1.0, 5).flags.writeable
+        for delta in deltas[1:]:
             _unit_step_response(delta, self.KAPPA, 1.0, 5)
-        assert _unit_step_response.cache_info().misses == info.misses
-        _unit_step_response(old[1], self.KAPPA, 1.0, 5)
-        assert _unit_step_response.cache_info().misses == info.misses + 1
-
-    def test_field_pairs_read_the_cache(self, batched):
-        q = make_qubit()
-        omegas = np.linspace(TWO_PI * 4.6, TWO_PI * 6.0, 120)
-        points = [ReadoutParams(float(w), 0.2, 300.0, 200.0) for w in omegas]
-        cold = {}
-        for p in points:
-            try:
-                cold[p] = field_pair(q, p, dt=1.0)
-            except PoleProximityError:
-                cold[p] = "pole"
-            except DetuningStepError:
-                cold[p] = "chi"
-        assert {v for v in cold.values() if isinstance(v, str)} == {"pole", "chi"}
-        _unit_step_response.cache_clear()
-        cache_field_pairs(q, points, dt=1.0)
-        n_ok = sum(not isinstance(v, str) for v in cold.values())
-        assert batched == [2 * n_ok]
-        assert _unit_step_response.cache_info()[:2] == (0, 2 * n_ok)
-        for p, want in cold.items():
-            if isinstance(want, str):
-                continue
-            got = field_pair(q, p, dt=1.0)
-            for a, b in ((got.beta0, want.beta0), (got.beta1, want.beta1)):
-                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
-        assert _unit_step_response.cache_info()[:2] == (2 * n_ok, 2 * n_ok)
+        assert _unit_step_response.cache_info()[:2] == (STEP_CACHE_SIZE,
+                                                        STEP_CACHE_SIZE + 1)
+        _unit_step_response(deltas[0], self.KAPPA, 1.0, 5)
+        assert _unit_step_response.cache_info().misses == STEP_CACHE_SIZE + 2

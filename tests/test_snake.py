@@ -1,12 +1,13 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from readout_opt import (
     CollisionDefaults,
+    CostBreakdown,
     CostModel,
     CostWeights,
     InfeasibleQubitError,
@@ -164,8 +165,9 @@ class TestPruning:
     """The branch-and-bound scan on designed planes and bounds.
 
     snake.coupling_error supplies each omega's bound (MODEL weighs coupling
-    by 1) and snake.cost_plane its (2 amp x 2 t_p) plane; every designed
-    plane lies at or above its bound, as the real cost does.
+    by 1) and snake.cost_plane its (2 amp x 2 t_p) plane, the same array in
+    every breakdown field; every designed plane lies at or above its bound,
+    as the real cost does.
     """
 
     GRID = SearchGrid((1.0, 2.0, 3.0), (0.1, 0.2), (100.0, 200.0))
@@ -173,13 +175,13 @@ class TestPruning:
     def scan(self, monkeypatch, bounds, planes):
         scored = []
 
-        def fake_plane(q, omega, amps, tps, model, specs):
-            scored.append(omega)
-            return np.array(planes[omega], dtype=float)
+        def fake_plane(q, omegas, amps, tps, model, specs):
+            scored.append(omegas[0])
+            total = np.array(planes[omegas[0]], dtype=float)
+            return CostBreakdown(**{f.name: total for f in fields(CostBreakdown)})
 
         monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
         monkeypatch.setattr(snake, "cost_plane", fake_plane)
-        monkeypatch.setattr(snake, "evaluate_cost", lambda *args: None)
         try:
             params, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
         except InfeasibleQubitError:
@@ -230,7 +232,7 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
     scored = []
 
     def counting_plane(*args):
-        scored.append(args[1])
+        scored.append(args[1][0])
         return cost_plane(*args)
 
     monkeypatch.setattr(snake, "cost_plane", counting_plane)
@@ -242,8 +244,8 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
         specs = collision_specs(q, locked, cfg.model.collision)
         best = None
         for i_w, omega in enumerate(grid.omega_points):
-            totals = cost_plane(q, omega, grid.amp_points, grid.tp_points,
-                                cfg.model, specs)
+            totals = cost_plane(q, [omega] * len(grid.amp_points), grid.amp_points,
+                                grid.tp_points, cfg.model, specs).total
             for flat, total in enumerate(totals.flat):
                 if math.isfinite(total) and (best is None or (total, i_w, flat) < best):
                     best = (total, i_w, flat)

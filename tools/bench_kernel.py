@@ -1,17 +1,19 @@
-"""Micro-benchmark of the array scan kernel, error_models.cost_plane.
+"""Micro-benchmark of the array cost kernel, error_models.cost_plane.
 
 Scores the grid of perfbench's optimize_dense workload (40 amplitudes from
 0.02 to 0.40 amp_ref, 39 pulse lengths from 100 to 480 ns on the 1 ns grid,
 500 ns total, shipped weights and MIST constants) on every qubit of
-configs/device_d3.yaml, at N_OMEGAS frequencies spread across each band.
-One round scores all those planes; a warm-up round fills the step-response
+configs/device_d3.yaml, at N_OMEGAS frequencies spread across each band,
+one kernel call per frequency (its rows are the amplitudes, all at that
+frequency, as optimize's scan passes them).  One round scores all those
+planes; a warm-up round fills the step-response
 cache first, so the ROUNDS rounds time the kernel alone.
 
 The stage functions are timed as well: prefix_s is
 error_models._step_prefix (the per-omega step-response arrays), tails_s is
 error_models._pulse_tail (the per-pulse-length tails), and plane_s is the
-rest of cost_plane: argument checks, the heuristic scalars and the stages
-scored once over the whole plane.
+rest of cost_plane: the row checks, the step-response cache lookups, the
+heuristic scalars and the stages scored once over all rows.
 
 It also times the integration of unit step responses (500 steps at
 dt = 1 ns) both ways: one at a time in dynamics' scalar loop, and together
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
             acc[name] = 0.0
         start = time.perf_counter()
         for q, omega, amps, tps in work:
-            error_models.cost_plane(q, omega, amps, tps, model)
+            error_models.cost_plane(q, [omega] * len(amps), amps, tps, model)
         return time.perf_counter() - start, dict(acc)
 
     one_round()  # warm-up: step-response cache, first-call costs
