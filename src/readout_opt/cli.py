@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import math
 import sys
@@ -56,8 +57,8 @@ EXIT_ERROR = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
-#: sweep rows scored per cost_plane call; a frequency sweep's chunk has its
-#: 2 x SWEEP_CHUNK step responses integrated in one numpy pass
+#: swept values scored per cost_plane call; a frequency sweep's chunk has
+#: its 2 x SWEEP_CHUNK step responses integrated in one numpy pass
 SWEEP_CHUNK = 128
 
 
@@ -293,47 +294,53 @@ def cmd_sweep(args) -> int:
     pin_tp = snap_length(pin_tp, model.dt, model.total_time)
 
     if args.points < 1:
-        raise ValueError("points must be >= 1")
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     if args.min > args.max:
         raise ValueError(f"--min ({args.min}) must be <= --max ({args.max})")
     if args.points == 1:
         values = np.array([args.min])
         if args.min != args.max:
-            raise ValueError("points=1 requires min == max")
+            raise ValueError(f"--points 1 requires --min == --max, got {args.min} and {args.max}")
     else:
         values = np.linspace(args.min, args.max, args.points)
 
     axis = args.axis
     if axis == "frequency":
-        if args.min < lo_ghz or args.max > hi_ghz:
-            raise ValueError(f"frequency range outside {band}")
+        for flag, value in (("--min", args.min), ("--max", args.max)):
+            if not lo_ghz <= value <= hi_ghz:
+                raise ValueError(f"{flag} ({value}) outside {band}")
     elif axis == "length":
-        if args.min <= 0 or args.max > model.total_time:
-            raise ValueError("pulse length range outside (0, total]")
+        if args.min <= 0:
+            raise ValueError(f"--min must be > 0, got {args.min}")
+        if args.max > model.total_time:
+            raise ValueError(f"--max ({args.max}) outside (0, {model.total_time}] ns")
         values = snap_to_steps(values, args.min, args.max, model.dt)
     elif args.min < 0:
-        raise ValueError("amplitude must be >= 0")
+        raise ValueError(f"--min must be >= 0, got {args.min}")
 
-    n = len(values)
-    omegas = [ghz_to_rad_ns(float(v)) for v in values] if axis == "frequency" \
-        else [pin_omega] * n
-    amps = [float(v) for v in values] if axis == "amplitude" else [pin_amp] * n
-    tps = [float(v) for v in values] if axis == "length" else [pin_tp] * n
-    # a length sweep is one kernel row at all its lengths; the other axes
-    # score up to SWEEP_CHUNK rows per call at the pinned length
-    if axis == "length":
-        planes = [cost_plane(q, [pin_omega], [pin_amp * q.amp_ref], tps, model)]
-    else:
-        planes = [cost_plane(q, omegas[k:k + SWEEP_CHUNK],
-                             [amp * q.amp_ref for amp in amps[k:k + SWEEP_CHUNK]],
-                             [pin_tp], model)
-                  for k in range(0, n, SWEEP_CHUNK)]
-    scored = {name: np.concatenate([getattr(plane, name).ravel() for plane in planes]).tolist()
-              for name in _SWEEP_COLUMNS.values()}
+    # the pinned point's field trajectory: a bad pin fails before any output
+    pinned = ReadoutParams(
+        omega_q=pin_omega, b0=pin_amp * q.amp_ref,
+        t_p=pin_tp, t_r=model.total_time - pin_tp,
+    )
+    traj = field_pair(q, pinned, model.dt, guard=model.pole_guard)
+
+    grid = {"frequency": [pin_omega], "amplitude": [pin_amp], "length": [pin_tp]}
+    grid[axis] = [ghz_to_rad_ns(float(v)) if axis == "frequency" else float(v)
+                  for v in values]
+    scored = {name: [] for name in _SWEEP_COLUMNS.values()}
+    # the swept axis in chunks of SWEEP_CHUNK, one kernel call each
+    for k in range(0, len(values), SWEEP_CHUNK):
+        chunk = {**grid, axis: grid[axis][k:k + SWEEP_CHUNK]}
+        bd = cost_plane(q, chunk["frequency"],
+                        [amp * q.amp_ref for amp in chunk["amplitude"]],
+                        chunk["length"], model)
+        for name, column in scored.items():
+            column += getattr(bd, name).ravel().tolist()
     rows = [{"f_q_GHz": rad_ns_to_ghz(omega), "amp": amp, "B0": amp * q.amp_ref,
              "t_p_ns": tp, "t_r_ns": model.total_time - tp,
              **{column: scored[name][k] for column, name in _SWEEP_COLUMNS.items()}}
-            for k, (omega, amp, tp) in enumerate(zip(omegas, amps, tps))]
+            for k, (omega, amp, tp) in enumerate(itertools.product(*grid.values()))]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -342,12 +349,6 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
 
-    # field trajectory at the pinned point
-    pinned = ReadoutParams(
-        omega_q=pin_omega, b0=pin_amp * q.amp_ref,
-        t_p=pin_tp, t_r=model.total_time - pin_tp,
-    )
-    traj = field_pair(q, pinned, model.dt, guard=model.pole_guard)
     n0, n1 = photon_number(traj.beta0), photon_number(traj.beta1)
     with (out / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

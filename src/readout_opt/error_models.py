@@ -8,9 +8,9 @@ and Lorentzian penalties for frequency collisions with neighboring qubits.
 Each term has one scalar function (here and in dynamics); evaluate_cost
 scores a point by composing them, and is the public scalar API and the
 tests' oracle.  cost_plane, which optimize and sweep score with, repeats
-the same IEEE operations in array form over rows of (omega, amplitude)
-pairs at every pulse length and returns the whole breakdown; the tests
-hold every field to evaluate_cost's bit for bit.
+the same IEEE operations in array form over a grid of qubit frequencies
+x amplitudes x pulse lengths and returns the whole breakdown; the tests
+hold every field of every cell to evaluate_cost's bit for bit.
 """
 from __future__ import annotations
 
@@ -399,34 +399,34 @@ def evaluate_cost(
 
 
 class _StepPrefix(NamedTuple):
-    """The step-response arrays of every row; cum, stark and n_max have one
-    row per kernel row, and end at the longest pulse's last sample.
+    """The step-response arrays of every (omega, amplitude) row of the grid,
+    omega-major; cum, stark and n_max end at the longest pulse's last sample.
 
     A pulse of n_p samples equals the step response up to sample n_p, so
     each array is every pulse's own up to that sample, bit for bit.
     """
 
-    groups: list  # (rows slice, parts, amps) per omega, parts as _step_prefix's
+    parts: np.ndarray  # (n_omega, n_tot + 1, 4) unit +-chi responses, re and im
+    amps: np.ndarray  # (n_amp,) amplitudes
     cum: np.ndarray  # sequential trapezoid cumsum of |beta0 - beta1|^2
     stark: np.ndarray  # Stark trace omega_q + 2 chi |beta1|^2
     n_max: np.ndarray  # running max of |beta0|^2 and |beta1|^2
 
 
-def _step_prefix(groups, omega, two_chi, dt, bufs) -> _StepPrefix:
+def _step_prefix(parts, amps, omega, two_chi, dt, bufs) -> _StepPrefix:
     """The step-response arrays of all rows.
 
-    groups holds (rows slice, parts, amps) per omega, where parts is the
-    (n_tot + 1, 4) re, im of its +chi and -chi unit steps; omega and two_chi
-    are the rows' (n_rows, 1) columns.  bufs is a (6, n_rows, n_pre)
-    scratch array for the first n_pre samples; the prefix keeps its last
-    three rows, and the first three are free again on return.
+    parts holds each omega's (n_tot + 1, 4) re, im of its +chi and -chi unit
+    steps, and amps the amplitudes; omega and two_chi are the rows'
+    (n_rows, 1) columns.  bufs is a (6, n_rows, n_pre) scratch array for the
+    first n_pre samples; the prefix keeps its last three rows, and the first
+    three are free again on return.
     """
     re0, im0, re1, im1, n_max, cum = bufs
-    # beta = b0 * unit response, one omega at a time (einsum's outer product:
-    # the same single multiplications, about twice as fast as broadcasting
-    # np.multiply); every later pass runs once over all rows
-    for rows, parts, amps in groups:
-        np.einsum("nk,a->kan", parts[: n_max.shape[1]], amps, out=bufs[:4, rows])
+    # beta = b0 * unit response (einsum's outer product: the same single
+    # multiplications, about twice as fast as broadcasting np.multiply)
+    np.einsum("wnk,a->kwan", parts[:, : n_max.shape[1]], amps,
+              out=bufs[:4].reshape(4, len(parts), len(amps), -1))
     np.add(np.square(re0, out=n_max), np.square(im0, out=cum), out=n_max)
     # d = beta0 - beta1 in place of beta0, n1 = |beta1|^2 in place of beta1
     re0 -= re1
@@ -440,7 +440,7 @@ def _step_prefix(groups, omega, two_chi, dt, bufs) -> _StepPrefix:
     np.cumsum(trap, axis=1, out=cum[:, 1:])
     stark = np.multiply(n1, two_chi, out=im1)
     stark += omega
-    return _StepPrefix(groups, cum, stark, n_max)
+    return _StepPrefix(parts, amps, cum, stark, n_max)
 
 
 def _pulse_tail(pre: _StepPrefix, n_p: int, dt: float, bufs):
@@ -453,13 +453,12 @@ def _pulse_tail(pre: _StepPrefix, n_p: int, dt: float, bufs):
     where the prefix ends.  bufs is a (6, >= (n_tot + 1 - n_p) * n_rows)
     scratch array; sample-major rows keep every pass contiguous.
     """
-    n_rows, width = len(pre.cum), len(pre.groups[0][1]) - n_p
+    n_rows, width = len(pre.cum), pre.parts.shape[1] - n_p
     tail = bufs[:, : width * n_rows].reshape(6, width, n_rows)
     re0, im0, re1, im1, n0, cum = tail
-    for rows, parts, amps in pre.groups:
-        # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
-        np.einsum("nk,a->kna", parts[n_p:] - parts[:width], amps,
-                  out=tail[:4, :, rows])
+    # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
+    np.einsum("wnk,a->knwa", pre.parts[:, n_p:] - pre.parts[:, :width], pre.amps,
+              out=tail[:4].reshape(4, width, len(pre.parts), len(pre.amps)))
     np.add(np.square(re0, out=n0), np.square(im0, out=cum), out=n0)
     re0 -= re1
     im0 -= im1
@@ -521,16 +520,17 @@ def _relaxation(cum, stark, half, cells, dt, xp, fp):
     return t0_plane, relax, bad
 
 
-def _pulse_counts(b0, chi, kappa, tp_points, model: CostModel):
-    """evaluate_cost's checks along one row, in its order.
+def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
+    """evaluate_cost's checks at one omega, in its (amplitude, pulse length) order.
 
-    Raises what evaluate_cost raises at the row's first invalid point, and
-    returns each pulse length's (n_p, n_tot), or None when |chi| is too
-    large for model.dt.
+    Raises what evaluate_cost raises at the omega's first invalid point,
+    and returns each pulse length's (n_p, n_tot), or None when |chi| is too
+    large for model.dt.  Only b0 >= 0 depends on the amplitude, so the
+    first amplitude's row runs every check and later rows check b0 alone.
     """
     counts = []
     for j, t_p in enumerate(tp_points):
-        pulse = PulseShape(b0=b0, t_p=t_p, t_r=model.total_time - t_p)
+        pulse = PulseShape(b0=amps[0], t_p=t_p, t_r=model.total_time - t_p)
         if j == 0:
             try:
                 _check_step(chi, kappa, model.dt)
@@ -539,6 +539,9 @@ def _pulse_counts(b0, chi, kappa, tp_points, model: CostModel):
         # evaluate_cost stops at the step check, before counting samples
         if counts is not None:
             counts.append(_sample_counts(pulse, model.dt))
+    for b0 in amps:
+        if b0 < 0:
+            PulseShape(b0=b0, t_p=tp_points[0], t_r=model.total_time - tp_points[0])
     return counts
 
 
@@ -550,92 +553,87 @@ def cost_plane(
     model: CostModel,
     specs=(),
 ) -> CostBreakdown:
-    """The cost breakdown of rows of (omega, amplitude) pairs at every pulse length.
+    """The cost breakdown of the grid omegas x amplitudes x pulse lengths.
 
-    Each field of the result is a (len(omegas), len(tp_points)) array, and
-    entry [i, j] is, bit for bit, the field evaluate_cost(q, params, model,
-    specs) returns for params = ReadoutParams(omegas[i], amps[i],
-    tp_points[j], model.total_time - tp_points[j]).  So infeasible points
-    have a +inf total and NaN fields: every field of a row near a chi pole
-    or with |chi| too large for model.dt, and every field but snr and
-    separation where the Stark trace leaves the Gamma1 table.  An invalid
-    point raises the error evaluate_cost raises at the first such point in
-    row-major order.
+    Each field of the result is a (len(omegas), len(amps), len(tp_points))
+    array, and entry [i, a, j] is, bit for bit, the field evaluate_cost(q,
+    params, model, specs) returns for params = ReadoutParams(omegas[i],
+    amps[a], tp_points[j], model.total_time - tp_points[j]).  So infeasible
+    points have a +inf total and NaN fields: every field at an omega near a
+    chi pole or with |chi| too large for model.dt, and every field but snr
+    and separation where the Stark trace leaves the Gamma1 table.  An
+    invalid point raises the error evaluate_cost raises at the first such
+    point in row-major (omega, amplitude, pulse length) order.
 
-    Rows are grouped by omega; the +-chi step responses of all groups come
-    from dynamics.step_response_pairs at once.  Over all rows, with one
-    outer product per group for the fields, _step_prefix computes on the
-    unit step responses the fields, the sequential trapezoid cumsum of
-    |beta0 - beta1|^2, the running max of the photon numbers and the Stark
-    trace, up to the longest pulse.  A pulse of n_p samples equals the step
-    response up to sample n_p, so per pulse length _pulse_tail computes
-    only the samples after it (again with one outer product per group), its
-    cumsum seeded where the prefix's stops.  Then, once over all
-    rows, with the term functions' IEEE operations in the same order: the
-    SNR and separation error, the half-SNR index by searchsorted on each
-    row's prefix cumsum (nondecreasing, so it equals the count of samples
-    below half), the Gamma1 prefixes summed in groups of equal length
-    (numpy's pairwise sum depends on the length), the Stark-range check
-    from the running min and max, the photon term, and the MIST logistic
-    through math.exp.  A cell whose half-SNR index lies past sample n_p
-    reads the tail, so it is scored on its whole column instead.  chi, the
-    MIST threshold and the coupling term are computed once per group.
+    The +-chi step responses of all feasible omegas come from
+    dynamics.step_response_pairs at once.  A row is one (omega, amplitude)
+    pair.  Over all rows, with one outer product of the unit responses and
+    the amplitudes for the fields, _step_prefix computes the sequential
+    trapezoid cumsum of |beta0 - beta1|^2, the running max of the photon
+    numbers and the Stark trace, up to the longest pulse.  A pulse of n_p
+    samples equals the step response up to sample n_p, so per pulse length
+    _pulse_tail computes only the samples after it (again with one outer
+    product), its cumsum seeded where the prefix's stops.  Then, once over
+    all rows, with the term functions' IEEE operations in the same order:
+    the SNR and separation error, the half-SNR index by searchsorted on
+    each row's prefix cumsum (nondecreasing, so it equals the count of
+    samples below half), the Gamma1 prefixes summed in groups of equal
+    length (numpy's pairwise sum depends on the length), the Stark-range
+    check from the running min and max, the photon term, and the MIST
+    logistic through math.exp.  A cell whose half-SNR index lies past
+    sample n_p reads the tail, so it is scored on its whole column instead.
     """
-    shape = (len(omegas), len(tp_points))
-    chis, counts = {}, {}
-    for omega, b0 in zip(omegas, amps, strict=True):
-        if omega not in chis:
-            try:
-                chis[omega] = dispersive_shift(q, omega, model.pole_guard)
-            except PoleProximityError:
-                chis[omega] = None
-        # rows of one omega and a valid amplitude pass or fail alike
-        if chis[omega] is not None and (omega not in counts or b0 < 0):
-            counts[omega] = _pulse_counts(b0, chis[omega], q.kappa, tp_points, model)
-    groups: dict[float, list[int]] = {}  # feasible omega -> its rows
-    for i, omega in enumerate(omegas):
-        if counts.get(omega) is not None:
-            groups.setdefault(omega, []).append(i)
+    shape = (len(omegas), len(amps), len(tp_points))
+    feasible, chis, col_counts = [], [], None
+    for omega in omegas:
+        try:
+            chi = dispersive_shift(q, omega, model.pole_guard)
+        except PoleProximityError:
+            feasible.append(False)
+            continue
+        counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
+        feasible.append(counts is not None)
+        if counts is not None:
+            chis.append(chi)
+            col_counts = counts
 
     planes = {f.name: np.full(shape, math.nan) for f in fields(CostBreakdown)}
     planes["total"][:] = math.inf
-    if groups:
-        rows = [i for group in groups.values() for i in group]
-        col_counts = counts[next(iter(groups))]
+    if chis:
+        omegas = [w for w, ok in zip(omegas, feasible) if ok]
+        n_tots = np.array([n_tot for _, n_tot in col_counts])
         # t_p + t_r can round to more than one sample count
-        for n_tot in sorted({n_tot for _, n_tot in col_counts}):
-            cols = [j for j, c in enumerate(col_counts) if c[1] == n_tot]
-            scored = _score(q, [(w, chis[w], group) for w, group in groups.items()],
-                            amps, [col_counts[j][0] for j in cols], n_tot, model, specs)
-            cells = np.ix_(rows, cols)
+        for n_tot in np.unique(n_tots).tolist():
+            cols = n_tots == n_tot
+            scored = _score(q, omegas, chis, np.asarray(amps, dtype=float),
+                            [n_p for (n_p, _), c in zip(col_counts, cols) if c],
+                            n_tot, model, specs)
+            cells = np.broadcast_to(np.array(feasible)[:, None, None] & cols, shape)
             for name, plane in scored.items():
-                planes[name][cells] = plane
+                planes[name][cells] = plane.ravel()
     return CostBreakdown(**planes)
 
 
-def _score(q, groups, amps, n_ps, n_tot, model, specs) -> dict:
-    """The breakdown planes of cost_plane's feasible rows, group after group.
+def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
+    """The breakdown planes of cost_plane's feasible omegas.
 
-    groups holds (omega, chi, rows) per distinct omega, and the pulses have
-    n_ps samples, n_tot in all.
+    One row per (omega, amplitude) pair, omega-major, and one column per
+    pulse of n_ps samples, n_tot in all.
     """
     dt, weights, mist = model.dt, model.weights, model.mist
-    n_rows = sum(len(rows) for _, _, rows in groups)
+    n_rows = len(omegas) * len(amps)
     shape = (n_rows, len(n_ps))
-    parts = step_response_pairs([chi for _, chi, _ in groups], q.kappa, dt, n_tot)
-    omega, two_chi = np.empty((n_rows, 1)), np.empty((n_rows, 1))
-    prefix_groups = []
-    start = 0
-    for g, (omega_q, chi, rows) in enumerate(groups):
-        sl = slice(start, start + len(rows))
-        start = sl.stop
-        prefix_groups.append((sl, parts[g], np.array([amps[i] for i in rows], dtype=float)))
-        omega[sl], two_chi[sl] = omega_q, 2.0 * chi
+
+    def rows(per_omega):
+        return np.repeat(np.array(per_omega, dtype=float), len(amps))[:, None]
+
+    parts = step_response_pairs(chis, q.kappa, dt, n_tot)
+    omega, two_chi = rows(omegas), rows([2.0 * chi for chi in chis])
     # the prefix stops at the longest pulse; each tail reuses the three rows
     # the prefix leaves free
     n_pre, width = max(n_ps) + 1, n_tot + 1 - min(n_ps)
     bufs = np.empty((9, n_rows * max(n_pre, width)))
-    pre = _step_prefix(prefix_groups, omega, two_chi, dt,
+    pre = _step_prefix(parts, amps, omega, two_chi, dt,
                        bufs[3:, : n_rows * n_pre].reshape(6, n_rows, n_pre))
 
     xp, fp = q.gamma1_arrays
@@ -669,11 +667,10 @@ def _score(q, groups, amps, n_ps, n_tot, model, specs) -> dict:
     coupling = np.zeros((n_rows, 1))
     mist_term = np.full(shape, mist.ceiling if model.heuristics else 0.0)
     if model.heuristics:
-        n_th = np.zeros((n_rows, 1))  # > 0 where the MIST threshold is defined
-        for (omega_q, _, _), (sl, _, _) in zip(groups, prefix_groups):
-            coupling[sl] = coupling_error(omega_q, specs)
-            if not omega_q <= q.omega_r:  # mist_threshold's domain
-                n_th[sl] = mist_threshold(omega_q, q.omega_r, mist)
+        coupling = rows([coupling_error(w, specs) for w in omegas])
+        # > 0 where the MIST threshold is defined; mist_threshold's domain
+        n_th = rows([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
+                     for w in omegas])
         has = ~(n_th[:, 0] <= 0.0)
         if has.any():
             z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])

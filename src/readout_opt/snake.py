@@ -152,9 +152,9 @@ def optimize_qubit(
     for bound, i_w in bounds:
         if best is not None and bound > best[0]:
             break
-        plane = cost_plane(q, [grid.omega_points[i_w]] * len(grid.amp_points),
-                           grid.amp_points, grid.tp_points, model, specs)
-        totals = np.where(np.isfinite(plane.total), plane.total, math.inf)
+        plane = cost_plane(q, [grid.omega_points[i_w]], grid.amp_points,
+                           grid.tp_points, model, specs)
+        totals = np.where(np.isfinite(plane.total[0]), plane.total[0], math.inf)
         # first occurrence: row-major order is the (amp, t_p) index order
         flat = int(np.argmin(totals))
         candidate = (float(totals.flat[flat]), i_w, flat)
@@ -167,7 +167,7 @@ def optimize_qubit(
     t_p = grid.tp_points[i_t]
     params = ReadoutParams(omega_q=grid.omega_points[i_w], b0=grid.amp_points[i_a],
                            t_p=t_p, t_r=model.total_time - t_p)
-    return params, CostBreakdown(**{f.name: float(getattr(best_plane, f.name)[i_a, i_t])
+    return params, CostBreakdown(**{f.name: float(getattr(best_plane, f.name)[0, i_a, i_t])
                                     for f in fields(CostBreakdown)})
 
 

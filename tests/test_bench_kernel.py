@@ -18,12 +18,13 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "ROUNDS", 2)
     monkeypatch.setattr(bench, "STEP_WIDTHS", (2, 4))
     monkeypatch.setattr(bench, "STEP_ROUNDS", 2)
-    # the tool wraps the stage functions for good; restore them afterwards
-    for name in bench.STAGES:
-        monkeypatch.setattr(error_models, name, getattr(error_models, name))
+    stages = {name: getattr(error_models, name) for name in bench.STAGES}
 
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out)]) == 0
+    # the timing wrappers are gone once the tool returns
+    for name, fn in stages.items():
+        assert getattr(error_models, name) is fn
     report = json.loads(out.read_text())
     assert json.loads(capsys.readouterr().out) == report
     assert set(report) == {

@@ -14,9 +14,11 @@ from readout_opt import (
     load_device,
     load_optimizer_config,
 )
+from readout_opt import cli
 from readout_opt.cli import (
     EXIT_IO,
     EXIT_OK,
+    SWEEP_CHUNK,
     main,
     result_from_dict,
     result_to_dict,
@@ -346,33 +348,47 @@ class TestSweep:
                 kinds.add(type(exc))
         assert kinds == {"ok", PoleProximityError, DetuningStepError}
 
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        real = cli.cost_plane
+        monkeypatch.setattr(cli, "cost_plane", counting)
+        return calls
+
     def test_amplitude_rows_equal_cold_evaluate_cost(self, device_path, opt_path,
-                                                     tmp_path):
-        # 150 rows: two kernel calls; from zero drive, with no SNR, to drives
-        # whose Stark trace leaves the Gamma1 table
+                                                     tmp_path, monkeypatch):
+        # two kernel calls, across the chunk boundary; from zero drive, with
+        # no SNR, to drives whose Stark trace leaves the Gamma1 table
+        calls = self._count_kernel_calls(monkeypatch)
         out = tmp_path / "sweep"
         assert main(["sweep", "--device", str(device_path), "--opt-config",
                      str(opt_path), "--qubit", "0,0", "--axis", "amplitude",
-                     "--min", "0", "--max", "12", "--points", "150",
+                     "--min", "0", "--max", "12", "--points", str(SWEEP_CHUNK + 22),
                      "--pin-f-ghz", "5.65", "--out", str(out)]) == EXIT_OK
         _, _, breakdowns = self._assert_rows_equal_cold_evaluate_cost(
             device_path, opt_path, out)
+        assert len(calls) == 2 and len(breakdowns) == SWEEP_CHUNK + 22
         assert breakdowns[0][1].snr == 0.0
         assert any(math.isnan(bd.relaxation) and bd.snr > 0.0 for _, bd in breakdowns)
         assert any(math.isfinite(bd.total) and bd.snr > 0.0 for _, bd in breakdowns)
 
     def test_length_rows_equal_cold_evaluate_cost(self, device_path, opt_path,
-                                                  tmp_path):
-        # one kernel row at 150 lengths, from pulses whose half-SNR time lies
-        # in the ringdown to a pulse without one
+                                                  tmp_path, monkeypatch):
+        # two kernel calls, across the chunk boundary; from pulses whose
+        # half-SNR time lies in the ringdown to a pulse without one
+        calls = self._count_kernel_calls(monkeypatch)
         out = tmp_path / "sweep"
         assert main(["sweep", "--device", str(device_path), "--opt-config",
                      str(opt_path), "--qubit", "0,0", "--axis", "length",
-                     "--min", "1", "--max", "500", "--points", "150",
+                     "--min", "1", "--max", "500", "--points", str(SWEEP_CHUNK + 22),
                      "--out", str(out)]) == EXIT_OK
         _, _, breakdowns = self._assert_rows_equal_cold_evaluate_cost(
             device_path, opt_path, out)
-        assert len(breakdowns) == 150
+        assert len(calls) == 2 and len(breakdowns) == SWEEP_CHUNK + 22
         assert any(bd.t0 > params.t_p for params, bd in breakdowns)
         assert breakdowns[-1][0].t_r == 0.0
 
@@ -386,6 +402,48 @@ class TestSweep:
                      "--out", str(tmp_path / "sweep")]) == EXIT_IO
         assert capsys.readouterr().err == (
             "error: dt = 1.0 ns too coarse; need dt <= 1/kappa/10 = 0.7958 ns\n")
+
+    @pytest.mark.parametrize("pin_f_ghz, axis, lo, hi", [
+        ("4.70", "amplitude", "0.1", "0.2"),   # inside the pole guard
+        ("4.95", "amplitude", "0.1", "0.2"),   # |chi| too large for dt
+        ("4.95", "length", "100", "400"),
+        ("4.70", "frequency", "5.7", "6.2"),
+    ])
+    def test_infeasible_pin_rejected_before_any_output(
+            self, opt_path, tmp_path, capsys, pin_f_ghz, axis, lo, hi):
+        device = tmp_path / "poles.yaml"
+        device.write_text(yaml.safe_dump(POLE_BAND_DEVICE))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--device", str(device), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", axis,
+                     "--min", lo, "--max", hi, "--points", "3",
+                     "--pin-f-ghz", pin_f_ghz, "--out", str(out)]) == EXIT_IO
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("args, message", [
+        (("--axis", "frequency", "--min", "4.0", "--max", "6.2"),
+         "--min (4.0) outside search band"),
+        (("--axis", "frequency", "--min", "5.7", "--max", "7.5"),
+         "--max (7.5) outside search band"),
+        (("--axis", "length", "--min", "0", "--max", "400"),
+         "--min must be > 0, got 0.0"),
+        (("--axis", "length", "--min", "100", "--max", "600"),
+         "--max (600.0) outside (0, 500.0] ns"),
+        (("--axis", "amplitude", "--min", "-0.1", "--max", "0.2"),
+         "--min must be >= 0, got -0.1"),
+        (("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--points", "0"),
+         "--points must be >= 1, got 0"),
+        (("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--points", "1"),
+         "--points 1 requires --min == --max, got 0.1 and 0.2"),
+    ])
+    def test_range_error_names_flag_and_value(self, device_path, opt_path, tmp_path,
+                                              capsys, args, message):
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--points", "3", *args,
+                     "--out", str(tmp_path / "sweep")]) == EXIT_IO
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
 
     def test_out_of_band_rejected(self, device_path, opt_path, tmp_path):
         code = main([

@@ -2,7 +2,7 @@
 
 cost_plane must reproduce every field of evaluate_cost's breakdown bit for
 bit (compared as int64, so NaNs and signed zeros count) at every point of
-its rows of (omega, amplitude) pairs x pulse lengths, and raise the error
+its omega x amplitude x pulse-length grid, and raise the error
 evaluate_cost raises first in row-major order.
 """
 import math
@@ -53,20 +53,21 @@ def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=D
 def oracle(q, omegas, amps, tps, cost_model, specs):
     """evaluate_cost at every cell in row-major order.
 
-    Returns ({field: plane}, None), or (None, exception) for the first
+    Returns ({field: grid}, None), or (None, exception) for the first
     point that raises.
     """
-    planes = {name: np.empty((len(omegas), len(tps))) for name in FIELDS}
-    for i, (omega, b0) in enumerate(zip(omegas, amps)):
-        for j, t_p in enumerate(tps):
-            params = ReadoutParams(omega, b0, t_p, cost_model.total_time - t_p)
-            try:
-                bd = evaluate_cost(q, params, cost_model, specs)
-            except ValueError as exc:
-                return None, exc
-            for name in FIELDS:
-                planes[name][i, j] = getattr(bd, name)
-    return planes, None
+    grids = {name: np.empty((len(omegas), len(amps), len(tps))) for name in FIELDS}
+    for i, omega in enumerate(omegas):
+        for a, b0 in enumerate(amps):
+            for j, t_p in enumerate(tps):
+                params = ReadoutParams(omega, b0, t_p, cost_model.total_time - t_p)
+                try:
+                    bd = evaluate_cost(q, params, cost_model, specs)
+                except ValueError as exc:
+                    return None, exc
+                for name in FIELDS:
+                    grids[name][i, a, j] = getattr(bd, name)
+    return grids, None
 
 
 def assert_same(q, omegas, amps, tps, weights=CostWeights(), specs=(),
@@ -83,17 +84,12 @@ def assert_same(q, omegas, amps, tps, weights=CostWeights(), specs=(),
         return None
     bd = cost_plane(q, omegas, amps, tps, cost_model, specs)
     for name in FIELDS:
-        plane = getattr(bd, name)
-        assert plane.shape == expected[name].shape, name
-        bad = np.argwhere(plane.view(np.int64) != expected[name].view(np.int64))
-        assert not len(bad), (name, [(tuple(ij), plane[tuple(ij)], expected[name][tuple(ij)])
-                                     for ij in bad[:3]])
+        grid = getattr(bd, name)
+        assert grid.shape == expected[name].shape, name
+        bad = np.argwhere(grid.view(np.int64) != expected[name].view(np.int64))
+        assert not len(bad), (name, [(tuple(c), grid[tuple(c)], expected[name][tuple(c)])
+                                     for c in bad[:3]])
     return bd
-
-
-def assert_same_plane(q, omega, amps, tps, *args, **kw):
-    """assert_same on one omega's amplitude x pulse-length plane."""
-    return assert_same(q, [omega] * len(amps), amps, tps, *args, **kw)
 
 
 def in_band(band):
@@ -118,9 +114,9 @@ weights = st.builds(CostWeights, *(weight,) * 5)
 
 
 @st.composite
-def row_sets(draw):
-    """Rows of repeated and distinct omegas, a few or enough for the
-    batched step-response pass, with amplitudes up to 3 amp_ref; one in
+def grids(draw):
+    """A few omegas, repeated or distinct, or enough for the batched
+    step-response pass, with amplitudes from zero up to 3 amp_ref; one in
     ten holds an invalid point."""
     qid = draw(st.sampled_from(QIDS))
     q = D3.qubits[qid]
@@ -129,24 +125,21 @@ def row_sets(draw):
     if draw(st.integers(0, 4)):
         distinct = draw(st.lists(in_band(band) | in_band(band) | near_pole(q),
                                  min_size=1, max_size=4))
-        rows = draw(st.lists(st.tuples(st.sampled_from(distinct), amp),
-                             min_size=1, max_size=6))
-        rows[0] = (rows[0][0], 0.0)
+        omegas = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+        amps = [0.0] + draw(st.lists(amp, max_size=3))
         tps = draw(st.lists(pulse_lengths, min_size=1, max_size=4))
     else:
         # enough feasible omegas for the numpy pass of step_response_pairs
-        distinct = draw(st.lists(st.floats(*band), unique=True,
-                                 min_size=BATCH_MIN_WIDTH // 2,
-                                 max_size=BATCH_MIN_WIDTH // 2 + 4))
-        distinct += draw(st.lists(near_pole(q), max_size=2))
-        rows = [(w, draw(amp)) for w in distinct]
-        rows += draw(st.lists(st.tuples(st.sampled_from(distinct), amp), max_size=3))
-        rows = draw(st.permutations(rows))
+        omegas = draw(st.lists(st.floats(*band), unique=True,
+                               min_size=BATCH_MIN_WIDTH // 2,
+                               max_size=BATCH_MIN_WIDTH // 2 + 4))
+        omegas = draw(st.permutations(omegas + draw(st.lists(near_pole(q), max_size=2))))
+        amps = draw(st.lists(amp, min_size=1, max_size=2))
         tps = draw(st.lists(pulse_lengths, min_size=1, max_size=2))
+    amps = draw(st.permutations(amps))
     if draw(st.integers(0, 9)) == 7:  # an invalid point, where evaluate_cost raises
         if draw(st.booleans()):
-            k = draw(st.integers(0, len(rows) - 1))
-            rows[k] = (rows[k][0], -draw(st.floats(1e-3, 1.0)))
+            amps[draw(st.integers(0, len(amps) - 1))] = -draw(st.floats(1e-3, 1.0))
         else:  # t_r < 0, t_p <= 0, or n_p = 0 samples
             tps.insert(draw(st.integers(0, len(tps))),
                        draw(st.sampled_from((TOTAL + 1.0, 0.0, 0.4))))
@@ -154,22 +147,21 @@ def row_sets(draw):
     locked = []
     for _ in range(draw(st.integers(0, 3))):
         nb = D3.qubits[draw(st.sampled_from(QIDS))]
-        nb_omega = distinct[0] + draw(st.floats(-0.3, 0.3))
+        nb_omega = omegas[0] + draw(st.floats(-0.3, 0.3))
         locked.append((nb, ReadoutParams(nb_omega, 0.1, 300.0, 200.0),
                        draw(st.booleans())))
     specs = collision_specs(q, locked, CollisionDefaults())
-    omegas, amps = zip(*rows)
-    return q, list(omegas), list(amps), tps, draw(weights), specs, include_heuristics
+    return q, omegas, amps, tps, draw(weights), specs, include_heuristics
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(row_sets())
+@given(grids())
 def test_every_cell_bit_identical_to_evaluate_cost(case):
     assert_same(*case)
 
 
-def test_row_set_with_every_kind_of_cell(monkeypatch):
-    """One row set holds every kind of cell the property test draws."""
+def test_grid_with_every_kind_of_cell(monkeypatch):
+    """One grid holds every kind of cell the property test draws."""
     qid = QIDS[0]
     q = D3.qubits[qid]
     lo, hi = D3.search_band[qid]
@@ -177,8 +169,8 @@ def test_row_set_with_every_kind_of_cell(monkeypatch):
     chi_too_large = q.omega_r - q.alpha + 0.095
     off_table = TWO_PI * 5.5   # a strong drive pulls the Stark trace below 5.2 GHz
     spread = list(np.linspace(lo, hi, BATCH_MIN_WIDTH // 2 + 1))
-    omegas = [off_table, inside_guard, chi_too_large, off_table] + spread
-    amps = [3.0 * q.amp_ref, 0.2, 0.2, 0.0] + [0.2 * q.amp_ref] * len(spread)
+    omegas = [off_table, inside_guard, chi_too_large] + spread
+    amps = [3.0 * q.amp_ref, 0.0, 0.2 * q.amp_ref]
     tps = [5.0, 300.0]
     widths = []
     real_pairs = error_models.step_response_pairs
@@ -191,11 +183,11 @@ def test_row_set_with_every_kind_of_cell(monkeypatch):
     assert widths == [2 * (len(spread) + 1)] and widths[0] >= BATCH_MIN_WIDTH
     assert np.isnan(bd.snr[1:3]).all() and np.isinf(bd.total[1:3]).all()
     # off the table: only snr and separation are known
-    assert np.isinf(bd.total[0, 1]) and np.isfinite(bd.snr[0, 1])
-    assert np.isnan(bd.relaxation[0, 1]) and np.isfinite(bd.separation[0, 1])
+    assert np.isinf(bd.total[0, 0, 1]) and np.isfinite(bd.snr[0, 0, 1])
+    assert np.isnan(bd.relaxation[0, 0, 1]) and np.isfinite(bd.separation[0, 0, 1])
     # a 5 ns pulse rings down for about 30 ns before half the SNR is in
-    assert (bd.t0[4:, 0] > 20.0).all()
-    assert np.isfinite(bd.total[3:]).all()
+    assert (bd.t0[3:, 2, 0] > 20.0).all()
+    assert np.isfinite(bd.total[0, 1:]).all() and np.isfinite(bd.total[3:, 1:]).all()
 
 
 class TestInfeasible:
@@ -206,7 +198,7 @@ class TestInfeasible:
         omega = TWO_PI * 5.5
         amps = [0.0, 0.05, 0.3, 1.0, 3.0]
         tps = [100.0, 250.5, 480.0]
-        plane = assert_same_plane(q, omega, amps, tps).total
+        plane = assert_same(q, [omega], amps, tps).total[0]
         assert np.isinf(plane).any()
         assert np.isfinite(plane[0]).all()  # zero SNR: no relaxation term
         assert np.isfinite(plane[1]).all()
@@ -233,17 +225,17 @@ class TestInfeasible:
         assert math.isfinite(full.total)
         assert bd.total == math.inf
         assert (bd.snr, bd.separation) == (full.snr, full.separation)
-        plane = assert_same_plane(cut, params.omega_q, [0.0, params.b0], [params.t_p]).total
+        plane = assert_same(cut, [params.omega_q], [0.0, params.b0], [params.t_p]).total[0]
         assert math.isfinite(plane[0, 0]) and plane[1, 0] == math.inf
 
     def test_pole_guard_gives_inf_plane(self):
         q = D3.qubits[QIDS[0]]
-        plane = assert_same_plane(q, q.omega_r + 0.5 * GUARD, [0.0, 0.2], [300.0]).total
+        plane = assert_same(q, [q.omega_r + 0.5 * GUARD], [0.0, 0.2], [300.0]).total
         assert np.isinf(plane).all()
 
     def test_pole_guard_wins_over_invalid_pulse(self):
         q = D3.qubits[QIDS[0]]
-        plane = assert_same_plane(q, q.omega_r, [-1.0], [600.0]).total
+        plane = assert_same(q, [q.omega_r], [-1.0], [600.0]).total
         assert np.isinf(plane).all()
 
 
@@ -260,15 +252,15 @@ class TestErrors:
     ])
     def test_invalid_pulse(self, amps, tps, kind):
         with pytest.raises(kind):
-            cost_plane(D3.qubits[QIDS[0]], [self.OMEGA] * len(amps), amps, tps,
+            cost_plane(D3.qubits[QIDS[0]], [self.OMEGA], amps, tps,
                        model())
-        assert_same_plane(D3.qubits[QIDS[0]], self.OMEGA, amps, tps)
+        assert_same(D3.qubits[QIDS[0]], [self.OMEGA], amps, tps)
 
     def test_step_too_coarse(self):
         with pytest.raises(StepSizeError):
             cost_plane(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0],
                        model(dt=20.0))
-        assert_same_plane(D3.qubits[QIDS[0]], self.OMEGA, [0.1], [300.0], dt=20.0)
+        assert_same(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0], dt=20.0)
 
 
 def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):
@@ -297,7 +289,7 @@ class TestKernelPaths:
         # a 5 ns pulse rings down for about 30 ns before half the SNR is in
         t0 = half_time(self.q, self.omega, self.b0, 5.0)
         assert t0 > 20.0
-        assert_same_plane(self.q, self.omega, [0.0, self.b0, 2.0 * self.b0], [5.0])
+        assert_same(self.q, [self.omega], [0.0, self.b0, 2.0 * self.b0], [5.0])
 
     def test_t0_on_last_pulse_sample(self):
         # int(t0 / dt) == n_p with t0 off the grid: the endpoint sample after
@@ -307,11 +299,11 @@ class TestKernelPaths:
         assert hits
         for t_p in hits:
             assert half_time(self.q, self.omega, self.b0, t_p) > t_p
-        assert_same_plane(self.q, self.omega, [self.b0], [float(t) for t in hits])
+        assert_same(self.q, [self.omega], [self.b0], [float(t) for t in hits])
 
     def test_pulse_fills_total_time(self):
-        plane = assert_same_plane(self.q, self.omega, [0.0, self.b0, 3.0 * self.b0],
-                                  [TOTAL, 499.0, 250.0]).total
+        plane = assert_same(self.q, [self.omega], [0.0, self.b0, 3.0 * self.b0],
+                            [TOTAL, 499.0, 250.0]).total
         assert np.isfinite(plane).all()
 
     def test_mixed_early_and_late_half_snr_times(self):
@@ -319,20 +311,20 @@ class TestKernelPaths:
         times = [half_time(self.q, self.omega, self.b0, t_p) for t_p in tps]
         assert times[0] > tps[0] and times[-1] < tps[-1]
         amps = [0.0, 0.05 * self.q.amp_ref, self.b0, 0.4 * self.q.amp_ref]
-        assert_same_plane(self.q, self.omega, amps, tps)
+        assert_same(self.q, [self.omega], amps, tps)
         # heuristics off, and a plane with a Stark trace leaving the table
-        assert_same_plane(self.q, self.omega, amps, tps, include_heuristics=False)
-        assert_same_plane(D3.qubits[QIDS[0]], TWO_PI * 5.5, [0.3, 3.0], tps)
+        assert_same(self.q, [self.omega], amps, tps, include_heuristics=False)
+        assert_same(D3.qubits[QIDS[0]], [TWO_PI * 5.5], [0.3, 3.0], tps)
 
     def test_one_amplitude(self):
-        assert_same_plane(self.q, self.omega, [self.b0], [100.0, 101.0, 333.0, 480.0])
+        assert_same(self.q, [self.omega], [self.b0], [100.0, 101.0, 333.0, 480.0])
 
     def test_pulse_lengths_with_different_sample_counts(self):
         # at dt = 0.1 and 25.05 ns, t_p + t_r rounds to 250 or 251 steps
         tps = [5.0, 0.26966, 12.0, 0.3707075]
         counts = {round((t + (25.05 - t)) / 0.1) for t in tps}
         assert counts == {250, 251}
-        assert_same_plane(self.q, self.omega, [0.0, self.b0], tps,
+        assert_same(self.q, [self.omega], [0.0, self.b0], tps,
                     total_time=25.05, dt=0.1)
 
 
@@ -373,11 +365,8 @@ class TestScan:
         params, bd = optimize_qubit(
             q, grid, locked, model(include_heuristics=include_heuristics))
         specs = collision_specs(q, locked) if include_heuristics else ()
-        planes = np.stack([
-            cost_plane(q, [w] * len(grid.amp_points), grid.amp_points, grid.tp_points,
-                       model(include_heuristics=include_heuristics), specs).total
-            for w in grid.omega_points
-        ])
+        planes = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
+                            model(include_heuristics=include_heuristics), specs).total
         assert bd.total == planes.min()
         i_w, i_a, i_t = np.unravel_index(np.argmin(planes), planes.shape)
         assert params == ReadoutParams(
@@ -397,9 +386,9 @@ class TestScan:
         centre = 0.5 * sum(D3.search_band[qid])
         grid = small_grid(q, D3.search_band[qid], 1, 2, 2)
         grid = SearchGrid((bad, centre), grid.amp_points, grid.tp_points)
-        plane = assert_same_plane(q, bad, grid.amp_points, grid.tp_points).total
+        plane = assert_same(q, [bad], grid.amp_points, grid.tp_points).total
         assert np.isinf(plane).all()
-        assert_same_plane(q, bad, [0.1], [300.0, 520.0])  # an invalid pulse still raises
+        assert_same(q, [bad], [0.1], [300.0, 520.0])  # an invalid pulse still raises
         params, bd = optimize_qubit(q, grid, [], model())
         assert params.omega_q == centre
         assert math.isfinite(bd.total)

@@ -165,9 +165,9 @@ class TestPruning:
     """The branch-and-bound scan on designed planes and bounds.
 
     snake.coupling_error supplies each omega's bound (MODEL weighs coupling
-    by 1) and snake.cost_plane its (2 amp x 2 t_p) plane, the same array in
-    every breakdown field; every designed plane lies at or above its bound,
-    as the real cost does.
+    by 1) and snake.cost_plane its (1 omega x 2 amp x 2 t_p) grid, the same
+    array in every breakdown field; every designed plane lies at or above
+    its bound, as the real cost does.
     """
 
     GRID = SearchGrid((1.0, 2.0, 3.0), (0.1, 0.2), (100.0, 200.0))
@@ -177,7 +177,7 @@ class TestPruning:
 
         def fake_plane(q, omegas, amps, tps, model, specs):
             scored.append(omegas[0])
-            total = np.array(planes[omegas[0]], dtype=float)
+            total = np.array([planes[omegas[0]]], dtype=float)
             return CostBreakdown(**{f.name: total for f in fields(CostBreakdown)})
 
         monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
@@ -244,8 +244,8 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
         specs = collision_specs(q, locked, cfg.model.collision)
         best = None
         for i_w, omega in enumerate(grid.omega_points):
-            totals = cost_plane(q, [omega] * len(grid.amp_points), grid.amp_points,
-                                grid.tp_points, cfg.model, specs).total
+            totals = cost_plane(q, [omega], grid.amp_points, grid.tp_points,
+                                cfg.model, specs).total
             for flat, total in enumerate(totals.flat):
                 if math.isfinite(total) and (best is None or (total, i_w, flat) < best):
                     best = (total, i_w, flat)

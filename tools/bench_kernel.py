@@ -4,16 +4,17 @@ Scores the grid of perfbench's optimize_dense workload (40 amplitudes from
 0.02 to 0.40 amp_ref, 39 pulse lengths from 100 to 480 ns on the 1 ns grid,
 500 ns total, shipped weights and MIST constants) on every qubit of
 configs/device_d3.yaml, at N_OMEGAS frequencies spread across each band,
-one kernel call per frequency (its rows are the amplitudes, all at that
-frequency, as optimize's scan passes them).  One round scores all those
-planes; a warm-up round fills the step-response
-cache first, so the ROUNDS rounds time the kernel alone.
+one kernel call per frequency on its one-frequency grid, as optimize's
+scan passes them.  One round scores all those planes; a warm-up round
+fills the step-response cache first, so the ROUNDS rounds time the kernel
+alone.
 
 The stage functions are timed as well: prefix_s is
 error_models._step_prefix (the per-omega step-response arrays), tails_s is
 error_models._pulse_tail (the per-pulse-length tails), and plane_s is the
-rest of cost_plane: the row checks, the step-response cache lookups, the
-heuristic scalars and the stages scored once over all rows.
+rest of cost_plane: the grid checks, the step-response cache lookups, the
+heuristic scalars and the stages scored once over all rows.  The stage
+functions are restored when the tool returns.
 
 It also times the integration of unit step responses (500 steps at
 dt = 1 ns) both ways: one at a time in dynamics' scalar loop, and together
@@ -22,10 +23,11 @@ in its split-real numpy pass, for batches of STEP_WIDTHS responses (the
 fitted to the pass's times against the scalar loop's time per response
 gives the break-even width, which sets dynamics.BATCH_MIN_WIDTH.
 
-    python3 tools/bench_kernel.py [--out BENCH_kernel.json]
+    python3 tools/bench_kernel.py [--out PATH]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
-It prints one JSON object and writes it to --out.  Seconds are medians
+It prints one JSON object and writes it to --out, by default
+BENCH_kernel.json at the checkout's root.  Seconds are medians
 over the rounds, with quartiles.
 """
 from __future__ import annotations
@@ -136,24 +138,29 @@ def summary(values):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", default="BENCH_kernel.json")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_kernel.json"))
     args = ap.parse_args(argv)
 
     work, model = planes()
     acc = dict.fromkeys(STAGES, 0.0)
-    for name in STAGES:
-        setattr(error_models, name, timed(getattr(error_models, name), acc, name))
+    originals = {name: getattr(error_models, name) for name in STAGES}
 
     def one_round():
         for name in STAGES:
             acc[name] = 0.0
         start = time.perf_counter()
         for q, omega, amps, tps in work:
-            error_models.cost_plane(q, [omega] * len(amps), amps, tps, model)
+            error_models.cost_plane(q, [omega], amps, tps, model)
         return time.perf_counter() - start, dict(acc)
 
-    one_round()  # warm-up: step-response cache, first-call costs
-    rounds = [one_round() for _ in range(ROUNDS)]
+    try:
+        for name, fn in originals.items():
+            setattr(error_models, name, timed(fn, acc, name))
+        one_round()  # warm-up: step-response cache, first-call costs
+        rounds = [one_round() for _ in range(ROUNDS)]
+    finally:
+        for name, fn in originals.items():
+            setattr(error_models, name, fn)
     totals = [t for t, _ in rounds]
     points = sum(len(a) * len(t) for _, _, a, t in work)
     result = {
