@@ -190,6 +190,8 @@ def run_benchmark(
         qubits = [q for q in graph.sorted_ids() if q.role is Role.MEASURE]
     else:
         qubits = graph.sorted_ids()
+    if not qubits:
+        raise ValueError(f"benchmark subset {cfg.subset.value!r} selects no qubit")
     missing = [q for q in qubits if q not in result.per_qubit]
     if missing:
         raise ValueError(f"optimization result missing qubits {missing}")

@@ -32,7 +32,6 @@ from .config import (
     snap_to_steps,
 )
 from .device import (
-    DeviceConfigError,
     DeviceGraph,
     QubitId,
     Role,
@@ -58,7 +57,7 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
 #: swept values scored per cost_plane call; a frequency sweep's chunk has
-#: its 2 x SWEEP_CHUNK step responses integrated in one numpy pass
+#: its SWEEP_CHUNK step responses integrated in one numpy pass
 SWEEP_CHUNK = 128
 
 
@@ -530,10 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DeviceConfigError, OptimizerConfigError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # config errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # structured nonzero exit on any module failure

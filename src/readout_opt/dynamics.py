@@ -12,10 +12,11 @@ and repeated evaluations at different amplitudes reuse the integration.
 A step response is integrated in one of two arithmetic forms of the same
 recurrence, bit for bit alike: a scalar loop in Python complex numbers, or
 a split-real numpy pass over many detunings at once.  solve_field reads
-one response from an lru_cache of the scalar loop; step_response_pairs,
-which the cost kernel calls with the chi of each of its qubit frequencies,
-runs the numpy pass, past the cache, for at least BATCH_MIN_WIDTH +-chi
-responses and reads fewer from the cache.
+one response from an lru_cache of the scalar loop; step_responses, which
+the cost kernel calls with the chi of each of its qubit frequencies, runs
+the numpy pass, past the cache, for at least BATCH_MIN_WIDTH responses and
+reads fewer from the cache.  It integrates +chi alone: the -chi response
+is the conjugate, bit for bit.  field_pair integrates both.
 """
 from __future__ import annotations
 
@@ -180,25 +181,26 @@ def _unit_step_response(delta: float, kappa: float, dt: float, n_steps: int):
     return out
 
 
-def step_response_pairs(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
-    """The unit step responses at +chi and -chi, for every chi.
+def step_responses(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
+    """The unit step responses at +chi, for every chi.
 
-    Returns a (len(chis), n_steps + 1, 4) array: per chi the real and
-    imaginary parts of the +chi response, then of the -chi response.  At
-    least BATCH_MIN_WIDTH responses are integrated together in the numpy
-    pass, past the cache; fewer are read from the cache one by one.  Every
-    chi must pass _check_step.
+    Returns a (len(chis), n_steps + 1, 2) array of their real and imaginary
+    parts: from the numpy pass, past the cache, for at least BATCH_MIN_WIDTH
+    chis, else from the cache one by one.  Every chi must pass _check_step.
+
+    The -chi response is the conjugate, bit for bit but for a zero's sign.
+    At -chi, lam becomes lam* and c stays real, so in either form each
+    product and sum takes equal (real parts) or negated (imaginary parts)
+    operands.  IEEE negation is exact, rounding to nearest is symmetric and
+    a zero's sign changes no nonzero result, so each value is the same or
+    negated up to a zero's sign.  No sample is -0.0 (a sum is -0.0 only if
+    both terms are), so the samples' real parts agree bit for bit.
     """
-    deltas = [d for chi in chis for d in (chi, -chi)]
-    if len(deltas) >= BATCH_MIN_WIDTH:
-        beta = _rk4_step_responses(deltas, kappa, dt, n_steps)
-        # a view: (sample, chi, +- and re/im) to (chi, sample, +- and re/im)
-        return beta.reshape(n_steps + 1, len(chis), 4).transpose(1, 0, 2)
-    out = np.empty((len(chis), n_steps + 1, 4))
-    for k, delta in enumerate(deltas):
-        step = _unit_step_response(delta, kappa, dt, n_steps)
-        out[k // 2, :, 2 * (k % 2)], out[k // 2, :, 2 * (k % 2) + 1] = step.real, step.imag
-    return out
+    if len(chis) >= BATCH_MIN_WIDTH:
+        # a view: (sample, chi, re/im) to (chi, sample, re/im)
+        return _rk4_step_responses(chis, kappa, dt, n_steps).transpose(1, 0, 2)
+    steps = [_unit_step_response(chi, kappa, dt, n_steps) for chi in chis]
+    return np.stack(steps).view(float).reshape(len(chis), n_steps + 1, 2)
 
 
 def _check_step(delta: float, kappa: float, dt: float) -> None:

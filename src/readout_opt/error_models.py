@@ -40,7 +40,7 @@ from .dynamics import (
     max_photon,
     residual_photon,
     stark_trajectory,
-    step_response_pairs,
+    step_responses,
 )
 
 
@@ -406,7 +406,7 @@ class _StepPrefix(NamedTuple):
     each array is every pulse's own up to that sample, bit for bit.
     """
 
-    parts: np.ndarray  # (n_omega, n_tot + 1, 4) unit +-chi responses, re and im
+    parts: np.ndarray  # (n_omega, n_tot + 1, 2) unit +chi responses, re and im
     amps: np.ndarray  # (n_amp,) amplitudes
     cum: np.ndarray  # sequential trapezoid cumsum of |beta0 - beta1|^2
     stark: np.ndarray  # Stark trace omega_q + 2 chi |beta1|^2
@@ -416,30 +416,31 @@ class _StepPrefix(NamedTuple):
 def _step_prefix(parts, amps, omega, two_chi, dt, bufs) -> _StepPrefix:
     """The step-response arrays of all rows.
 
-    parts holds each omega's (n_tot + 1, 4) re, im of its +chi and -chi unit
-    steps, and amps the amplitudes; omega and two_chi are the rows'
-    (n_rows, 1) columns.  bufs is a (6, n_rows, n_pre) scratch array for the
-    first n_pre samples; the prefix keeps its last three rows, and the first
-    three are free again on return.
+    parts holds each omega's (n_tot + 1, 2) re, im of its +chi unit step,
+    and amps the amplitudes; omega and two_chi are the rows' (n_rows, 1)
+    columns.  bufs is a (5, n_rows, n_pre) scratch array for the first
+    n_pre samples; the prefix keeps its last three rows, and the first two
+    are free again on return.
+
+    beta1 is beta0's conjugate but for a zero's sign (step_responses), so
+    evaluate_cost's two-field quantities have the same bits from beta0
+    alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
+    beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
     """
-    re0, im0, re1, im1, n_max, cum = bufs
-    # beta = b0 * unit response (einsum's outer product: the same single
+    re, im, stark, n_max, cum = bufs
+    # beta0 = b0 * unit response (einsum's outer product: the same single
     # multiplications, about twice as fast as broadcasting np.multiply)
     np.einsum("wnk,a->kwan", parts[:, : n_max.shape[1]], amps,
-              out=bufs[:4].reshape(4, len(parts), len(amps), -1))
-    np.add(np.square(re0, out=n_max), np.square(im0, out=cum), out=n_max)
-    # d = beta0 - beta1 in place of beta0, n1 = |beta1|^2 in place of beta1
-    re0 -= re1
-    im0 -= im1
-    n1 = np.add(np.square(re1, out=re1), np.square(im1, out=im1), out=re1)
-    np.maximum.accumulate(np.maximum(n_max, n1, out=n_max), axis=1, out=n_max)
-    mag2 = np.add(np.square(re0, out=re0), np.square(im0, out=im0), out=re0)
-    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=im0[:, 1:])
+              out=bufs[:2].reshape(2, len(parts), len(amps), -1))
+    n0 = np.add(np.square(re, out=n_max), np.square(im, out=cum), out=n_max)
+    np.multiply(n0, two_chi, out=stark)
+    stark += omega
+    np.maximum.accumulate(n0, axis=1, out=n_max)
+    mag2 = np.square(np.add(im, im, out=im), out=im)
+    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=re[:, 1:])
     trap *= 0.5 * dt
     cum[:, 0] = 0.0
     np.cumsum(trap, axis=1, out=cum[:, 1:])
-    stark = np.multiply(n1, two_chi, out=im1)
-    stark += omega
     return _StepPrefix(parts, amps, cum, stark, n_max)
 
 
@@ -450,28 +451,27 @@ def _pulse_tail(pre: _StepPrefix, n_p: int, dt: float, bufs):
     from sample n_p on, one column per row, the largest photon number of
     the whole response and the residual photon number at its end.  The
     tail's cumsum starts from pre.cum[:, n_p], so the sequential sum goes on
-    where the prefix ends.  bufs is a (6, >= (n_tot + 1 - n_p) * n_rows)
-    scratch array; sample-major rows keep every pass contiguous.
+    where the prefix ends.  bufs is a (4, >= (n_tot + 1 - n_p) * n_rows)
+    scratch array; sample-major rows keep every pass contiguous.  As in
+    _step_prefix, beta1 = beta0* and all comes from beta0.
     """
     n_rows, width = len(pre.cum), pre.parts.shape[1] - n_p
-    tail = bufs[:, : width * n_rows].reshape(6, width, n_rows)
-    re0, im0, re1, im1, n0, cum = tail
+    tail = bufs[:, : width * n_rows].reshape(4, width, n_rows)
+    re, im, n0, cum = tail
     # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
     np.einsum("wnk,a->knwa", pre.parts[:, n_p:] - pre.parts[:, :width], pre.amps,
-              out=tail[:4].reshape(4, width, len(pre.parts), len(pre.amps)))
-    np.add(np.square(re0, out=n0), np.square(im0, out=cum), out=n0)
-    re0 -= re1
-    im0 -= im1
-    n1 = np.add(np.square(re1, out=re1), np.square(im1, out=im1), out=re1)
-    photon = 0.5 * (n0[-1] + n1[-1])
-    n_max = np.maximum(pre.n_max[:, n_p], np.maximum(n0, n1, out=n0).max(axis=0))
-    mag2 = np.add(np.square(re0, out=re0), np.square(im0, out=im0), out=re0)
-    seeded = im0
+              out=tail[:2].reshape(2, width, len(pre.parts), len(pre.amps)))
+    np.add(np.square(re, out=n0), np.square(im, out=cum), out=n0)
+    # residual_photon's 0.5 * (|beta0|^2 + |beta1|^2)
+    photon = 0.5 * (n0[-1] + n0[-1])
+    n_max = np.maximum(pre.n_max[:, n_p], n0.max(axis=0))
+    mag2 = np.square(np.add(im, im, out=im), out=im)
+    seeded = re
     np.add(mag2[1:], mag2[:-1], out=seeded[1:])
     seeded[1:] *= 0.5 * dt
     seeded[0] = pre.cum[:, n_p]
     np.cumsum(seeded, axis=0, out=cum)
-    return cum, n1, n_max, photon
+    return cum, n0, n_max, photon
 
 
 def _relaxation(cum, stark, half, cells, dt, xp, fp):
@@ -565,10 +565,11 @@ def cost_plane(
     invalid point raises the error evaluate_cost raises at the first such
     point in row-major (omega, amplitude, pulse length) order.
 
-    The +-chi step responses of all feasible omegas come from
-    dynamics.step_response_pairs at once.  A row is one (omega, amplitude)
-    pair.  Over all rows, with one outer product of the unit responses and
-    the amplitudes for the fields, _step_prefix computes the sequential
+    The +chi step responses of all feasible omegas come from
+    dynamics.step_responses at once (-chi gives their conjugate, bit for
+    bit).  A row is one (omega, amplitude) pair.  Over all rows, with one
+    outer product of the unit responses and the amplitudes for the fields,
+    _step_prefix computes the sequential
     trapezoid cumsum of |beta0 - beta1|^2, the running max of the photon
     numbers and the Stark trace, up to the longest pulse.  A pulse of n_p
     samples equals the step response up to sample n_p, so per pulse length
@@ -627,14 +628,14 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     def rows(per_omega):
         return np.repeat(np.array(per_omega, dtype=float), len(amps))[:, None]
 
-    parts = step_response_pairs(chis, q.kappa, dt, n_tot)
+    parts = step_responses(chis, q.kappa, dt, n_tot)
     omega, two_chi = rows(omegas), rows([2.0 * chi for chi in chis])
-    # the prefix stops at the longest pulse; each tail reuses the three rows
+    # the prefix stops at the longest pulse; each tail reuses the two rows
     # the prefix leaves free
     n_pre, width = max(n_ps) + 1, n_tot + 1 - min(n_ps)
-    bufs = np.empty((9, n_rows * max(n_pre, width)))
+    bufs = np.empty((7, n_rows * max(n_pre, width)))
     pre = _step_prefix(parts, amps, omega, two_chi, dt,
-                       bufs[3:, : n_rows * n_pre].reshape(6, n_rows, n_pre))
+                       bufs[2:, : n_rows * n_pre].reshape(5, n_rows, n_pre))
 
     xp, fp = q.gamma1_arrays
     scale = 2.0 * q.eta * q.kappa
@@ -643,7 +644,7 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     late_t0, late_relax = np.zeros(shape), np.zeros(shape)
     late_bad = np.zeros(shape, dtype=bool)
     for j, n_p in enumerate(n_ps):
-        cum, n1, n_max[:, j], photon[:, j] = _pulse_tail(pre, n_p, dt, bufs[:6])
+        cum, n1, n_max[:, j], photon[:, j] = _pulse_tail(pre, n_p, dt, bufs[:4])
         cum_last[:, j] = cum[-1]
         # a half-SNR index past n_p reads the tail: score such cells on their
         # whole column.  Up to n_p, t0 <= n_p * dt, so the endpoint sample

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .device import DeviceGraph, NeighborOrder, QubitId, QubitPhysical, neighbors
+from .device import DeviceGraph, NeighborOrder, QubitId, QubitPhysical, Role, neighbors
 from .error_models import (
     CostBreakdown,
     CostModel,
@@ -90,8 +90,6 @@ def traversal_order(graph: DeviceGraph, start: QubitId | None = None) -> list[Qu
     (row-major tie-break) and falls back to the first unvisited measure
     qubit in row-major order.  Data qubits follow in row-major order.
     """
-    from .device import Role
-
     measures = _row_major(q for q in graph.qubits if q.role is Role.MEASURE)
     datas = _row_major(q for q in graph.qubits if q.role is Role.DATA)
     order: list[QubitId] = []

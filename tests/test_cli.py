@@ -557,6 +557,24 @@ class TestBenchmark:
         ])
         assert code == EXIT_IO
 
+    def test_empty_subset_rejected_before_any_output(self, opt_path, tmp_path,
+                                                      capsys):
+        data_only = {"qubits": [{**q, "role": "data"}
+                                for q in TWO_QUBIT_DEVICE["qubits"]]}
+        device = tmp_path / "data_only.yaml"
+        device.write_text(yaml.safe_dump(data_only))
+        assert run_optimize(device, opt_path, tmp_path / "run") == EXIT_OK
+        out = tmp_path / "bench"
+        code = main([
+            "benchmark", "--device", str(device),
+            "--results", str(tmp_path / "run" / "results.yaml"),
+            "--subset", "measure", "--n-states", "5", "--n-shots", "10",
+            "--out", str(out),
+        ])
+        assert code == EXIT_IO
+        assert "subset 'measure' selects no qubit" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _set(path, value):
     """Edit of a results dict: set the value at a key path, None deletes it."""

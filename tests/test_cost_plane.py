@@ -129,10 +129,10 @@ def grids(draw):
         amps = [0.0] + draw(st.lists(amp, max_size=3))
         tps = draw(st.lists(pulse_lengths, min_size=1, max_size=4))
     else:
-        # enough feasible omegas for the numpy pass of step_response_pairs
+        # enough feasible omegas for the numpy pass of step_responses
         omegas = draw(st.lists(st.floats(*band), unique=True,
-                               min_size=BATCH_MIN_WIDTH // 2,
-                               max_size=BATCH_MIN_WIDTH // 2 + 4))
+                               min_size=BATCH_MIN_WIDTH,
+                               max_size=BATCH_MIN_WIDTH + 4))
         omegas = draw(st.permutations(omegas + draw(st.lists(near_pole(q), max_size=2))))
         amps = draw(st.lists(amp, min_size=1, max_size=2))
         tps = draw(st.lists(pulse_lengths, min_size=1, max_size=2))
@@ -168,19 +168,19 @@ def test_grid_with_every_kind_of_cell(monkeypatch):
     inside_guard = q.omega_r + 0.5 * GUARD
     chi_too_large = q.omega_r - q.alpha + 0.095
     off_table = TWO_PI * 5.5   # a strong drive pulls the Stark trace below 5.2 GHz
-    spread = list(np.linspace(lo, hi, BATCH_MIN_WIDTH // 2 + 1))
+    spread = list(np.linspace(lo, hi, BATCH_MIN_WIDTH))
     omegas = [off_table, inside_guard, chi_too_large] + spread
     amps = [3.0 * q.amp_ref, 0.0, 0.2 * q.amp_ref]
     tps = [5.0, 300.0]
     widths = []
-    real_pairs = error_models.step_response_pairs
+    real_responses = error_models.step_responses
 
     def spy(chis, *args):
-        widths.append(2 * len(chis))
-        return real_pairs(chis, *args)
-    monkeypatch.setattr(error_models, "step_response_pairs", spy)
+        widths.append(len(chis))
+        return real_responses(chis, *args)
+    monkeypatch.setattr(error_models, "step_responses", spy)
     bd = assert_same(q, omegas, amps, tps)
-    assert widths == [2 * (len(spread) + 1)] and widths[0] >= BATCH_MIN_WIDTH
+    assert widths == [len(spread) + 1] and widths[0] >= BATCH_MIN_WIDTH
     assert np.isnan(bd.snr[1:3]).all() and np.isinf(bd.total[1:3]).all()
     # off the table: only snr and separation are known
     assert np.isinf(bd.total[0, 0, 1]) and np.isfinite(bd.snr[0, 0, 1])

@@ -28,7 +28,7 @@ from readout_opt.dynamics import (
     _rk4_step_response,
     _rk4_step_responses,
     _unit_step_response,
-    step_response_pairs,
+    step_responses,
 )
 
 from conftest import TWO_PI, make_qubit
@@ -309,10 +309,18 @@ def test_split_real_pass_matches_scalar_loop(batch):
         _check_step(delta, kappa, dt)
     got = _rk4_step_responses(deltas, kappa, dt, n_steps)
     assert got.shape == (n_steps + 1, len(deltas), 2)
+    mirrored = _rk4_step_responses([-d for d in deltas], kappa, dt, n_steps)
     for j, delta in enumerate(deltas):
         want = _rk4_step_response(delta, kappa, dt, n_steps)
         np.testing.assert_array_equal(got[:, j].view(np.int64),
                                       want.view(float).reshape(-1, 2).view(np.int64))
+        # at -delta both forms give the conjugate: the same real parts, and
+        # imaginary parts that differ only in the sign of a zero
+        scalar = _rk4_step_response(-delta, kappa, dt, n_steps)
+        for re, im in ((mirrored[:, j, 0], mirrored[:, j, 1]),
+                       (scalar.real, scalar.imag)):
+            np.testing.assert_array_equal(re.view(np.int64), want.real.view(np.int64))
+            np.testing.assert_array_equal(-im, want.imag)
 
 
 class TestStepCache:
@@ -336,22 +344,21 @@ class TestStepCache:
         return widths
 
     @pytest.mark.parametrize("width, vectorised", [
-        (2, False), (BATCH_MIN_WIDTH - 2, False), (BATCH_MIN_WIDTH, True)])
-    def test_step_response_pairs_select_the_pass_by_width(self, batched, width,
-                                                          vectorised):
-        chis = [0.001 * (k + 1) for k in range(width // 2)]
-        got = step_response_pairs(chis, self.KAPPA, 1.0, 50)
+        (1, False), (BATCH_MIN_WIDTH - 1, False), (BATCH_MIN_WIDTH, True)])
+    def test_step_responses_select_the_pass_by_width(self, batched, width,
+                                                     vectorised):
+        chis = [0.001 * (k + 1) for k in range(width)]
+        got = step_responses(chis, self.KAPPA, 1.0, 50)
         assert batched == ([width] if vectorised else [])
         # the scalar loop reads through the cache, the numpy pass past it
         assert _unit_step_response.cache_info()[:2] == (
             (0, 0) if vectorised else (0, width))
-        assert got.shape == (len(chis), 51, 4)
-        for pair, chi in zip(got, chis):
-            for k, delta in enumerate((chi, -chi)):
-                want = _rk4_step_response(delta, self.KAPPA, 1.0, 50)
-                np.testing.assert_array_equal(
-                    pair[:, 2 * k: 2 * k + 2].view(np.int64),
-                    want.view(float).reshape(-1, 2).view(np.int64))
+        assert got.shape == (len(chis), 51, 2)
+        for response, chi in zip(got, chis):
+            want = _rk4_step_response(chi, self.KAPPA, 1.0, 50)
+            np.testing.assert_array_equal(
+                response.view(np.int64),
+                want.view(float).reshape(-1, 2).view(np.int64))
 
     def test_cache_keeps_the_newest_responses(self):
         info = _unit_step_response.cache_info()

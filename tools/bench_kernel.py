@@ -19,9 +19,10 @@ functions are restored when the tool returns.
 It also times the integration of unit step responses (500 steps at
 dt = 1 ns) both ways: one at a time in dynamics' scalar loop, and together
 in its split-real numpy pass, for batches of STEP_WIDTHS responses (the
-+-chi of width / 2 frequencies across the first qubit's band).  A line
-fitted to the pass's times against the scalar loop's time per response
-gives the break-even width, which sets dynamics.BATCH_MIN_WIDTH.
++chi responses of width frequencies across the first qubit's band, as
+cost_plane integrates them).  A line fitted to the pass's times against
+the scalar loop's time per response gives the break-even width, which
+sets dynamics.BATCH_MIN_WIDTH.
 
     python3 tools/bench_kernel.py [--out PATH]
 
@@ -91,10 +92,8 @@ def step_response_timings() -> dict:
     }
     out = {}
     for width in STEP_WIDTHS:
-        deltas = []
-        for omega in np.linspace(lo, hi, width // 2 + 2)[1:-1]:
-            chi = dynamics.dispersive_shift(q, float(omega), model.pole_guard)
-            deltas += (chi, -chi)
+        deltas = [dynamics.dispersive_shift(q, float(omega), model.pole_guard)
+                  for omega in np.linspace(lo, hi, width + 2)[1:-1]]
         times = {name: [] for name in ways}
         for _ in range(STEP_ROUNDS):
             for name, way in ways.items():
