@@ -68,6 +68,7 @@ from .snake import (
     InfeasibleQubitError,
     OptimizationResult,
     QubitResult,
+    QubitScan,
     SearchGrid,
     optimize_device,
     optimize_qubit,

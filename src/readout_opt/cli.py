@@ -221,8 +221,8 @@ def cmd_optimize(args) -> int:
                 yaml.safe_dump(partial, sort_keys=False))
         return EXIT_INFEASIBLE
     elapsed = time.perf_counter() - t_begin
-    log.info("optimized %d qubits: %d cost evaluations in %.1f s",
-             len(result.per_qubit), result.evaluations, elapsed)
+    log.info("optimized %d qubits: %d grid points, %d scored in %.1f s",
+             len(result.per_qubit), result.evaluations, result.scored, elapsed)
 
     out.mkdir(parents=True, exist_ok=True)
     result_dict = result_to_dict(result, strategy)

@@ -11,6 +11,9 @@ tests' oracle.  cost_plane, which optimize and sweep score with, repeats
 the same IEEE operations in array form over a grid of qubit frequencies
 x amplitudes x pulse lengths and returns the whole breakdown; the tests
 hold every field of every cell to evaluate_cost's bit for bit.
+cell_bound bounds cost_plane's total from below, cell by cell, from one
+unit-amplitude response per frequency, so optimize can leave out the
+cells that cannot win.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from .device import (
@@ -694,3 +698,199 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
         for name, plane in planes.items():
             planes[name] = np.where(bad, math.nan, plane)
     return dict(planes, separation=sep, snr=snr_value, total=total)
+
+
+#: relative margin of each term of cell_bound, far above the kernel's rounding
+BOUND_MARGIN = 1e-9
+#: absolute margin of each term: far above any underflow, far below any cost
+BOUND_FLOOR = 1e-300
+
+
+def _unit_columns(q, chi, counts, dt):
+    """Per pulse length, the unit-amplitude statistics cell_bound scales.
+
+    counts holds each column's (n_p, n_tot).  The unit pulse response is
+    f[n] = u[n] - u[n - n_p], u the +chi step response read through
+    step_responses, so through the cache cost_plane reads.  Up to sample
+    n_p, f is u, so as in the kernel, u's running integral and peak serve
+    every column there and only the integral of the samples after n_p is
+    summed per column.  Returns the columns' C (trapezoid integral of
+    (2 Im f)^2), P (|f|^2 at the last sample), N (peak of |f|^2 up to n_p,
+    where the pulse ends and the field starts to ring down), k_lo (count
+    of samples whose running integral is below half of C, less the margin)
+    and n1 (peak of |f|^2 over samples 0..k_hi + 2, k_hi that count with
+    the margin added).
+    """
+    n_ps = np.array([n_p for n_p, _ in counts])
+    n_tots = np.array([n_tot for _, n_tot in counts])
+    c_u, p_u, n_u, k_lo, n1_u = (np.empty(len(counts)) for _ in range(5))
+    for n_tot in np.unique(n_tots).tolist():
+        cols = n_tots == n_tot
+        n_p = n_ps[cols]
+        u = step_responses([chi], q.kappa, dt, n_tot)[0]
+        re, im = u[:, 0], u[:, 1]
+        mag = re * re + im * im
+        m2 = np.square(im + im)
+        cum = np.zeros(n_tot + 1)
+        np.cumsum((m2[1:] + m2[:-1]) * (0.5 * dt), out=cum[1:])
+        peak = np.maximum.accumulate(mag)
+        # trapezoids of samples n_p + 1 + t, t < n_tot - n_p, of each column
+        width = n_tot - int(n_p.min())
+        trap = np.zeros((len(n_p), width))
+        if width:
+            im_pad = np.concatenate((im, np.zeros(width + 1)))
+            tail = sliding_window_view(im_pad, width)[n_p + 1] - im[1 : width + 1]
+            tail = np.square(tail + tail, out=tail)
+            trap[:, 0] = m2[n_p] + tail[:, 0]
+            np.add(tail[:, 1:], tail[:, :-1], out=trap[:, 1:])
+            trap *= 0.5 * dt
+            trap[np.arange(width) >= (n_tot - n_p)[:, None]] = 0.0
+        c = cum[n_p] + trap.sum(axis=1)
+        half = 0.5 * c
+        k = [np.searchsorted(cum, half * (1.0 + sign * BOUND_MARGIN)) for sign in (-1, 1)]
+        last = u[n_tot] - u[n_tot - n_p]
+        c_u[cols], p_u[cols], n_u[cols] = c, np.sum(last * last, axis=1), peak[n_p]
+        n1 = peak[np.minimum(k[1] + 2, n_p)]
+        # the half lies past n_p, or the n1 window reaches past it: read the
+        # column's own samples
+        for i in np.flatnonzero(np.minimum(k[1] + 2, n_tot) > n_p).tolist():
+            p = int(n_p[i])
+            col_cum = np.concatenate((cum[: p + 1], cum[p] + np.cumsum(trap[i, : n_tot - p])))
+            k[0][i], k[1][i] = (np.searchsorted(col_cum, half[i] * (1.0 + sign * BOUND_MARGIN))
+                                for sign in (-1, 1))
+            m = min(int(k[1][i]) + 2, n_tot)
+            f = u[p + 1 : m + 1] - u[1 : m + 1 - p]
+            n1[i] = max(peak[p], np.max(np.sum(f * f, axis=1), initial=0.0))
+        k_lo[cols], n1_u[cols] = k[0], n1
+    return c_u, p_u, n_u, k_lo, n1_u
+
+
+def _gamma1_floor(xp, fp, lo, hi):
+    """Minimum of the interpolated Gamma1 table over each [lo, hi], within the table.
+
+    np.interp is linear between knots and flat past the ends, so the
+    minimum is at an end or at a knot between them.
+    """
+    # spans[i, j] = min(fp[i:j]), +inf where no knot is in the range
+    spans = np.full((len(xp) + 1, len(xp) + 1), math.inf)
+    for i in range(len(xp)):
+        spans[i, i + 1:] = np.minimum.accumulate(fp[i:])
+    knots = spans[np.searchsorted(xp, lo), np.searchsorted(xp, hi, side="right")]
+    return np.minimum(np.minimum(np.interp(lo, xp, fp), np.interp(hi, xp, fp)), knots)
+
+
+def cell_bound(
+    q: QubitPhysical,
+    omega: float,
+    amps,
+    tp_points,
+    model: CostModel,
+    specs=(),
+) -> np.ndarray:
+    """A lower bound on cost_plane's total in each (amplitude, pulse length) cell of one omega.
+
+    Returns a (len(amps), len(tp_points)) array b with b <= total in every
+    cell where cost_plane(q, [omega], amps, tp_points, model, specs).total
+    is finite, and b = +inf where the whole omega is infeasible: within the
+    pole guard, or with |chi| too large for model.dt.  b is never NaN.  It
+    raises what cost_plane raises on that grid.
+
+    The kernel's field is fl(a * f), f the unit pulse response at
+    amplitude a, so every quantity it reads is a^2 times f's, up to
+    rounding.  _unit_columns reads C, P, N, k_lo and n1 off f once per
+    pulse length, and the cell at a gets
+
+      separation  1/2 erfc(sqrt(2 eta kappa a^2 C (1 + 1e-9)) / 2),
+      photon      a^2 P,
+      MIST        the logistic at a^2 N,
+      relaxation  max(k_lo - 2, 0) dt times the minimum of the
+                  interpolated Gamma1 over [omega, omega + 2 chi a^2 n1],
+      coupling    as the kernel has it.
+
+    Each of the first four is taken times (1 - 1e-9), less 1e-300 and at
+    least 0, and so is MIST's argument; the Stark end is moved out by
+    1e-9.  The weighted sum, in the kernel's order, is taken times
+    (1 - 1e-9).  Why that is <= the kernel's float total:
+
+    - Rounding.  The kernel's SNR integral is a sequential cumsum of
+      n_tot nonnegative trapezoids, each a few roundings from a^2 times
+      f's; its photon numbers are a few roundings from a^2 |f|^2.  So each
+      is within (n_tot + 5) eps relative of a^2 times the unit quantity,
+      which is as close to the exact value: under 1e-10 for n_tot < 10^5.
+      The 1e-9 margins cover that, and the last-bit differences of erfc,
+      of np.exp against the kernel's math.exp and of np.interp.  The
+      1e-300 margins cover underflow, whose errors are absolute.  Each
+      term is then <= the kernel's; rounding is monotone and the weights
+      are >= 0, so each weighted term and each partial sum is too.
+    - The half-SNR index.  The kernel's idx counts the samples whose
+      running integral is below half its last value.  With the rounding
+      above, idx lies in [k_lo, k_hi], the counts for the half moved down
+      and up by 1e-9: both are f's own index, or differ from it by one
+      where a sample sits within rounding of the half.  t0 = (idx - 1 +
+      frac) dt with frac in (0, 1], and int(t0 / dt) can lose one more to
+      rounding.  So the kernel integrates Gamma1 over n_full >= idx - 2 >=
+      k_lo - 2 whole steps, each trapezoid >= dt times the smallest rate
+      (up to rounding of the order of eps times the largest rate, inside
+      the margin unless the rates along one trace differ by more than
+      about 10^5), plus a partial step >= 0.  It reads the trace up to
+      sample n_full <= idx <= k_hi only, and n1 covers samples 0..k_hi + 2.
+    - Gamma1's minimum.  The Stark trace omega + 2 chi |beta0|^2 up to
+      n_full lies between omega and omega + 2 chi a^2 n1 (1 + 1e-9).  In a
+      finite cell it lies in the table too, where the interpolated Gamma1
+      is piecewise linear, so its minimum over the interval is at an end
+      or at a knot between them (_gamma1_floor).
+    - The peak photon number.  N is f's peak up to sample n_p; the
+      kernel's n_max is the peak over all samples, which is no less.
+    - Infeasible cells.  A cell whose Stark trace leaves the Gamma1 table
+      is +inf in the kernel, and the bound is finite there.  An omega near
+      a pole or with |chi| too large is +inf in the kernel and in the
+      bound.  Where the SNR integral is 0 the kernel has no relaxation
+      term; the bound has one only where a^2 C exceeds 1e-280, far above
+      anything underflow can round to 0.
+    - Sample counts.  t_p + t_r can round to different n_tot across the
+      columns.  Each column reads the step response of its own n_tot, as
+      the kernel does.
+    """
+    shape = (len(amps), len(tp_points))
+    try:
+        chi = dispersive_shift(q, omega, model.pole_guard)
+    except PoleProximityError:
+        return np.full(shape, math.inf)
+    counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
+    if counts is None:
+        return np.full(shape, math.inf)
+    dt, weights, mist = model.dt, model.weights, model.mist
+    c_u, p_u, n_u, k_lo, n1_u = _unit_columns(q, chi, counts, dt)
+    a2 = np.square(np.asarray(amps, dtype=float))[:, None]
+
+    def lower(term):
+        return np.maximum(term * (1.0 - BOUND_MARGIN) - BOUND_FLOOR, 0.0)
+
+    a2c = a2 * c_u
+    snr_value = (2.0 * q.eta * q.kappa) * a2c * (1.0 + BOUND_MARGIN) + BOUND_FLOOR
+    sep = lower(0.5 * erfc(np.sqrt(snr_value) / 2.0))
+    photon = lower(a2 * p_u)
+    xp, fp = q.gamma1_arrays
+    stark_end = omega + (2.0 * chi) * (a2 * n1_u * (1.0 + BOUND_MARGIN))
+    gamma = _gamma1_floor(xp, fp, np.minimum(omega, stark_end),
+                          np.maximum(omega, stark_end))
+    steps = np.maximum(k_lo - 2.0, 0.0) * dt
+    # the kernel's SNR integral is surely > 0, so it has a relaxation term
+    relax = lower(np.where(a2c > 1e-280, steps * gamma, 0.0))
+    mist_term = np.full(shape, mist.ceiling if model.heuristics else 0.0)
+    coupling = 0.0
+    if model.heuristics:
+        coupling = coupling_error(omega, specs)
+        n_th = 0.0 if omega <= q.omega_r else mist_threshold(omega, q.omega_r, mist)
+        if not n_th <= 0.0:
+            z = (lower(a2 * n_u) - n_th) / (mist.sharpness * n_th)
+            z = np.minimum(np.maximum(z, -500.0), 500.0)
+            mist_term = lower(mist.ceiling / (1.0 + np.exp(-z)))
+    total = (
+        weights.separation * sep
+        + weights.relaxation * relax
+        + weights.photon * photon
+        + weights.mist * mist_term
+        + weights.coupling * coupling
+    )
+    return total * (1.0 - BOUND_MARGIN)

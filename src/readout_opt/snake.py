@@ -7,16 +7,18 @@ frequency-collision constraints from already-locked neighbors up to
 next-nearest order.  One error_models.CostModel defines the cost for the
 whole walk; its collision defaults turn each locked neighbor into collision
 specs, and with model.heuristics False the neighbors are ignored.  The scan
-scores one omega's whole amplitude x pulse-length plane per
+scores the amplitude x pulse-length cells of one omega per
 error_models.cost_plane call, bit-identical to the scalar cost function
-point by point, and prunes planes by an exact lower bound (see
-optimize_qubit), so the result equals an exhaustive scan's.  The winner's
-breakdown is its cell of the best plane's.
+point by point, and prunes omegas by the coupling term and cells by
+error_models.cell_bound, both exact lower bounds (see optimize_qubit),
+under either strategy, so the result equals an exhaustive scan's.  The
+winner's breakdown is its cell of the kernel's.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .error_models import (
     CostBreakdown,
     CostModel,
     ReadoutParams,
+    cell_bound,
     collision_specs,
     cost_plane,
     coupling_error,
@@ -76,7 +79,8 @@ class QubitResult:
 class OptimizationResult:
     per_qubit: dict[QubitId, QubitResult]
     order: list[QubitId]
-    evaluations: int
+    evaluations: int  # grid points, scored or pruned
+    scored: int = 0  # grid cells the kernel scored; pruning skips the rest
 
 
 def _row_major(qids) -> list[QubitId]:
@@ -115,6 +119,14 @@ def traversal_order(graph: DeviceGraph, start: QubitId | None = None) -> list[Qu
     return order
 
 
+class QubitScan(NamedTuple):
+    """optimize_qubit's winner, its breakdown and how many cells the kernel scored."""
+
+    params: ReadoutParams
+    breakdown: CostBreakdown
+    scored: int
+
+
 def optimize_qubit(
     q: QubitPhysical,
     grid: SearchGrid,
@@ -122,42 +134,74 @@ def optimize_qubit(
     model: CostModel,
     *,
     qid: QubitId | None = None,
-) -> tuple[ReadoutParams, CostBreakdown]:
+) -> QubitScan:
     """Exact grid minimum of the cost for one qubit.
 
     locked holds (QubitPhysical, ReadoutParams, next_nearest) triples for
     previously optimized neighbors.  Ties break lexicographically on
     (omega, amplitude, pulse-length) grid indices.
 
-    Each omega's amplitude x pulse-length plane is scored in one cost_plane
-    call, and the scan is branch and bound over omega.  Every cost term is
-    >= 0 and the weighted coupling term depends on omega alone, so
-    bound = weights.coupling * coupling_error(omega, specs) is a lower
-    bound on that omega's whole plane; each total is fl(x + bound) with
-    x >= 0, and rounding is monotone, so it holds in floating point too.
-    Planes are scored in ascending (bound, omega index) order until a bound
-    is strictly above the best total so far.  A plane whose bound equals
-    the best total can still hold a tie at a lower omega index, so it is
-    scored, and candidates compare by (total, omega index, flat plane
-    index).  Without heuristics (the predictive-only strategy) or locked
-    neighbors every bound is 0, so every plane is scored.  The winner's
-    breakdown is its cell of the best plane's.
+    The scan is branch and bound over omega, then over the amplitude rows
+    and pulse-length columns of each omega's plane, under either strategy.
+    Every cost term is >= 0 and the weighted coupling term depends on
+    omega alone, so weights.coupling * coupling_error(omega, specs) is a
+    lower bound on that omega's whole plane; each total is fl(x + bound)
+    with x >= 0, and rounding is monotone, so it holds in floating point
+    too.  Planes are reached in ascending (bound, omega index) order until
+    a bound is strictly above the best total so far.  A plane gets its
+    error_models.cell_bound when the scan reaches it: a lower bound on each
+    cell's total, read off the omega's unit-amplitude response.  cost_plane
+    then scores the outer product of the amplitude rows and pulse-length
+    columns that hold a cell whose bound is <= the best total.  Before
+    there is a best total, the cells at the bound's minimum are scored
+    first, and if they are all infeasible, the rest of the plane.  A cell
+    whose bound equals the best total can still hold a tie at a lower grid
+    index, so it is scored, and candidates compare by (total, omega index,
+    flat plane index), mapped back from the scored subgrid, whose rows and
+    columns keep the grid's order.  The winner's breakdown is its cell of
+    the kernel's.  Returns the winner, its breakdown and the number of
+    cells scored.
     """
     specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
     bounds = sorted((model.weights.coupling * coupling_error(omega, specs), i_w)
                     for i_w, omega in enumerate(grid.omega_points))
-    best = None  # (total, i_omega, flat index into the (amp, t_p) plane)
+    best = best_bd = None  # (total, i_omega, flat (amp, t_p) index), breakdown
+    scored = 0
+
+    def score(i_w, keep):
+        """Score the rows x columns of omega i_w that hold keep's cells, and
+        keep the best finite candidate; returns the scored cells' index."""
+        nonlocal best, best_bd, scored
+        rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+        plane = cost_plane(q, [grid.omega_points[i_w]], [grid.amp_points[i] for i in rows],
+                           [grid.tp_points[j] for j in cols], model, specs)
+        scored += len(rows) * len(cols)
+        totals = np.where(np.isfinite(plane.total[0]), plane.total[0], math.inf)
+        # first occurrence: row-major order is the (amp, t_p) index order
+        i_a, i_t = divmod(int(np.argmin(totals)), len(cols))
+        flat = int(rows[i_a]) * len(grid.tp_points) + int(cols[i_t])
+        candidate = (float(totals[i_a, i_t]), i_w, flat)
+        if candidate[0] < math.inf and (best is None or candidate < best):
+            best = candidate
+            best_bd = CostBreakdown(**{f.name: float(getattr(plane, f.name)[0, i_a, i_t])
+                                       for f in fields(CostBreakdown)})
+        return np.ix_(rows, cols)
+
     for bound, i_w in bounds:
         if best is not None and bound > best[0]:
             break
-        plane = cost_plane(q, [grid.omega_points[i_w]], grid.amp_points,
-                           grid.tp_points, model, specs)
-        totals = np.where(np.isfinite(plane.total[0]), plane.total[0], math.inf)
-        # first occurrence: row-major order is the (amp, t_p) index order
-        flat = int(np.argmin(totals))
-        candidate = (float(totals.flat[flat]), i_w, flat)
-        if candidate[0] < math.inf and (best is None or candidate < best):
-            best, best_plane = candidate, plane
+        cells = cell_bound(q, grid.omega_points[i_w], grid.amp_points, grid.tp_points,
+                           model, specs)
+        done = None
+        if best is None and np.isfinite(cells).any():
+            # no incumbent yet: the cells at the bound's minimum first
+            done = score(i_w, cells == cells.min())
+        # +inf bounds: infeasible in the kernel too
+        keep = np.isfinite(cells) if best is None else cells <= best[0]
+        if done is not None:
+            keep[done] = False
+        if keep.any():
+            score(i_w, keep)
     if best is None:
         raise InfeasibleQubitError(qid)
     _, i_w, flat = best
@@ -165,8 +209,7 @@ def optimize_qubit(
     t_p = grid.tp_points[i_t]
     params = ReadoutParams(omega_q=grid.omega_points[i_w], b0=grid.amp_points[i_a],
                            t_p=t_p, t_r=model.total_time - t_p)
-    return params, CostBreakdown(**{f.name: float(getattr(best_plane, f.name)[0, i_a, i_t])
-                                    for f in fields(CostBreakdown)})
+    return QubitScan(params, best_bd, scored)
 
 
 def optimize_device(
@@ -180,21 +223,22 @@ def optimize_device(
     order = traversal_order(graph, start)
     locked_params: dict[QubitId, ReadoutParams] = {}
     per_qubit: dict[QubitId, QubitResult] = {}
-    evaluations = 0
+    evaluations = scored = 0
     for index, qid in enumerate(order):
         q = graph.qubits[qid]
         grid = grids[qid]
         locked = _locked_neighbors(graph, qid, locked_params)
         evaluations += grid.size
         try:
-            params, bd = optimize_qubit(q, grid, locked, model, qid=qid)
+            params, bd, n_scored = optimize_qubit(q, grid, locked, model, qid=qid)
         except InfeasibleQubitError as exc:
-            exc.partial = OptimizationResult(per_qubit, order[:index], evaluations)
+            exc.partial = OptimizationResult(per_qubit, order[:index], evaluations, scored)
             raise
+        scored += n_scored
         n_specs = 4 * len(locked) if model.heuristics else 0
         per_qubit[qid] = QubitResult(params, bd, index, n_specs)
         locked_params[qid] = params
-    return OptimizationResult(per_qubit, order, evaluations)
+    return OptimizationResult(per_qubit, order, evaluations, scored)
 
 
 def _locked_neighbors(

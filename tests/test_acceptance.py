@@ -235,7 +235,7 @@ def test_criterion_06_greedy_exactness(d3_graph, small_run):
             for nb, nb_params, diagonal in _neighbor_triples(
                     d3_graph, qid, locked_params):
                 active.append((nb, nb_params, diagonal))
-            params, bd = optimize_qubit(
+            params, bd, _ = optimize_qubit(
                 d3_graph.qubits[qid], grids[qid], active, cfg.model, qid=qid)
             assert params == full.per_qubit[qid].params
             assert bd.total == full.per_qubit[qid].breakdown.total

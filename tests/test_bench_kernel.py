@@ -29,13 +29,14 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == report
     assert set(report) == {
         "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
-        "per_plane_ms", "prefix_s", "tails_s", "plane_s", "step_response",
+        "per_plane_ms", "prefix_s", "tails_s", "plane_s", "bound_s", "step_response",
         "environment"}
     assert report["rounds"] == 2
     assert report["points"] == report["planes"] * 40 * 39
-    for key in ("total_s", "prefix_s", "tails_s", "plane_s"):
+    for key in ("total_s", "prefix_s", "tails_s", "plane_s", "bound_s"):
         assert set(report[key]) == {"median", "q1", "q3"}
-    assert report["prefix_s"]["median"] > 0 and report["tails_s"]["median"] > 0
+    for key in ("prefix_s", "tails_s", "bound_s"):
+        assert report[key]["median"] > 0
     steps = report["step_response"]
     assert set(steps) == {
         "n_steps", "rounds", "widths", "scalar_s_per_response", "vector_fixed_s",

@@ -3,14 +3,15 @@
 cost_plane must reproduce every field of evaluate_cost's breakdown bit for
 bit (compared as int64, so NaNs and signed zeros count) at every point of
 its omega x amplitude x pulse-length grid, and raise the error
-evaluate_cost raises first in row-major order.
+evaluate_cost raises first in row-major order.  cell_bound must stay at or
+below the kernel's total in every finite cell.
 """
 import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from readout_opt import (
@@ -31,8 +32,8 @@ from readout_opt import (
     stark_trajectory,
 )
 from readout_opt import error_models
-from readout_opt.dynamics import BATCH_MIN_WIDTH
-from readout_opt.error_models import cost_plane
+from readout_opt.dynamics import BATCH_MIN_WIDTH, photon_number
+from readout_opt.error_models import cell_bound, cost_plane
 
 from conftest import CONFIG_DIR, TWO_PI
 
@@ -154,10 +155,74 @@ def grids(draw):
     return q, omegas, amps, tps, draw(weights), specs, include_heuristics
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+# no shrinking: each shrink step reruns the oracle, so a fault would take
+# minutes to report; the first failing grid is reported as drawn
+EXAMPLES = settings(max_examples=500, deadline=None, derandomize=True, database=None,
+                    phases=(Phase.explicit, Phase.generate))
+
+
+@EXAMPLES
 @given(grids())
 def test_every_cell_bit_identical_to_evaluate_cost(case):
     assert_same(*case)
+
+
+@EXAMPLES
+@given(grids())
+def test_cell_bound_below_every_finite_cell(case):
+    """cell_bound is <= the kernel's total in every finite cell of every
+    omega, +inf where the whole omega is infeasible, never NaN, and raises
+    what the kernel raises."""
+    q, omegas, amps, tps, weights, specs, include_heuristics = case
+    cost_model = model(weights, include_heuristics)
+    try:
+        bd, error = cost_plane(q, omegas, amps, tps, cost_model, specs), None
+    except ValueError as exc:
+        error = exc
+    for i, omega in enumerate(omegas):
+        if error is not None:
+            try:
+                cell_bound(q, omega, amps, tps, cost_model, specs)
+            except ValueError as exc:
+                assert (type(exc), str(exc)) == (type(error), str(error))
+                break
+            continue  # an omega near a pole is +inf before any pulse check
+        bound = cell_bound(q, omega, amps, tps, cost_model, specs)
+        total = bd.total[i]
+        assert bound.shape == total.shape
+        assert not np.isnan(bound).any()
+        finite = np.isfinite(total)
+        assert (bound[finite] <= total[finite]).all(), (omega, bound, total)
+        # snr is NaN only near a pole or with |chi| too large for dt
+        assert np.isinf(bound[np.isnan(bd.snr[i])]).all()
+    else:
+        assert error is None
+
+
+@pytest.mark.parametrize("t_p", [60.0, 120.0])  # half-SNR index after, before the pulse end
+def test_cell_bound_reads_stark_trace_to_half_snr_index(t_p):
+    """Gamma1 drops to 0 past a photon number the field reaches between 20
+    samples before the half-SNR index and 2 after it.  The bound must take
+    that 0 as its minimum; the kernel scores the samples short of the drop
+    at the full rate, more than a bound blind to the drop would allow."""
+    qid = QIDS[2]
+    q = D3.qubits[qid]
+    omega, b0 = 0.5 * sum(D3.search_band[qid]), 0.3 * q.amp_ref
+    traj = field_pair(q, ReadoutParams(omega, b0, t_p, TOTAL - t_p), DT, guard=GUARD)
+    k = int(half_snr_time(traj, q.eta, q.kappa) / DT) + 1  # the kernel's index
+    n = photon_number(traj.beta1)
+    n_edge = 0.5 * (n[: k - 19].max() + n[: k + 3].max())
+    assert (n[: k - 1] > n_edge).sum() >= 4
+    edge, rate = omega + 2.0 * traj.chi * n_edge, 1e-3
+    if traj.chi < 0:
+        table = ((omega - 5.0, 0.0), (edge - 1e-9, 0.0), (edge, rate), (omega + 5.0, rate))
+    else:
+        table = ((omega - 5.0, rate), (edge, rate), (edge + 1e-9, 0.0), (omega + 5.0, 0.0))
+    cut = replace(q, gamma1_table=table)
+    relaxation_only = model(CostWeights(0.0, 1.0, 0.0, 0.0, 0.0))
+    total = cost_plane(cut, [omega], [b0], [t_p], relaxation_only).total[0, 0, 0]
+    assert 0.0 < total < (k - 2) * DT * rate
+    assert cell_bound(cut, omega, [b0], [t_p], relaxation_only)[0, 0] == 0.0
 
 
 def test_grid_with_every_kind_of_cell(monkeypatch):
@@ -342,7 +407,7 @@ class TestScan:
         q = D3.qubits[qid]
         grid = small_grid(q, D3.search_band[qid])
         zero = CostWeights(0.0, 0.0, 0.0, 0.0, 0.0)
-        params, bd = optimize_qubit(q, grid, [], model(zero))
+        params, bd, _ = optimize_qubit(q, grid, [], model(zero))
         assert bd.total == 0.0
         assert (params.omega_q, params.b0, params.t_p) == (
             grid.omega_points[0], grid.amp_points[0], grid.tp_points[0])
@@ -350,7 +415,7 @@ class TestScan:
         # an infeasible first omega hands the tie to the next one
         at_pole = SearchGrid((q.omega_r,) + grid.omega_points[1:],
                              grid.amp_points, grid.tp_points)
-        params, _ = optimize_qubit(q, at_pole, [], model(zero))
+        params, _, _ = optimize_qubit(q, at_pole, [], model(zero))
         assert (params.omega_q, params.b0, params.t_p) == (
             grid.omega_points[1], grid.amp_points[0], grid.tp_points[0])
 
@@ -362,7 +427,7 @@ class TestScan:
         nb = D3.qubits[QIDS[5]]
         locked = [(nb, ReadoutParams(grid.omega_points[2], 0.2, 300.0, 200.0),
                    False)]
-        params, bd = optimize_qubit(
+        params, bd, _ = optimize_qubit(
             q, grid, locked, model(include_heuristics=include_heuristics))
         specs = collision_specs(q, locked) if include_heuristics else ()
         planes = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
@@ -389,6 +454,6 @@ class TestScan:
         plane = assert_same(q, [bad], grid.amp_points, grid.tp_points).total
         assert np.isinf(plane).all()
         assert_same(q, [bad], [0.1], [300.0, 520.0])  # an invalid pulse still raises
-        params, bd = optimize_qubit(q, grid, [], model())
+        params, bd, _ = optimize_qubit(q, grid, [], model())
         assert params.omega_q == centre
         assert math.isfinite(bd.total)

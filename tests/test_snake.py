@@ -139,7 +139,7 @@ class TestOptimizeQubit:
         grid = small_grid()
         locked = [(make_qubit(), ReadoutParams(
             omega_q=TWO_PI * 6.0, b0=0.2, t_p=300.0, t_r=200.0), False)]
-        params, bd = optimize_qubit(q, grid, locked, MODEL)
+        params, bd, _ = optimize_qubit(q, grid, locked, MODEL)
         oracle_params, oracle_bd = brute_force(q, grid, locked)
         assert params == oracle_params
         assert bd.total == oracle_bd.total
@@ -147,11 +147,22 @@ class TestOptimizeQubit:
     def test_single_point_grid(self):
         q = make_qubit()
         grid = SearchGrid((TWO_PI * 5.9,), (0.2,), (300.0,))
-        params, bd = optimize_qubit(q, grid, [], MODEL)
+        params, bd, _ = optimize_qubit(q, grid, [], MODEL)
         assert params.omega_q == TWO_PI * 5.9
         assert params.t_r == TOTAL - 300.0
         direct = evaluate_cost(q, params, MODEL)
         assert bd.total == direct.total
+
+    def test_bad_grid_raises_the_kernels_error(self):
+        q = make_qubit()
+        # the first omega sits on the resonator pole; t_r < 0 at 520 ns
+        grid = SearchGrid((q.omega_r, TWO_PI * 5.9), (0.2,), (300.0, 520.0))
+        with pytest.raises(ValueError) as expected:
+            cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points, MODEL)
+        with pytest.raises(ValueError) as got:
+            optimize_qubit(q, grid, [], MODEL)
+        assert (type(got.value), str(got.value)) == (type(expected.value),
+                                                     str(expected.value))
 
     def test_all_infeasible_raises(self):
         q = make_qubit()
@@ -165,28 +176,43 @@ class TestPruning:
     """The branch-and-bound scan on designed planes and bounds.
 
     snake.coupling_error supplies each omega's bound (MODEL weighs coupling
-    by 1) and snake.cost_plane its (1 omega x 2 amp x 2 t_p) grid, the same
-    array in every breakdown field; every designed plane lies at or above
-    its bound, as the real cost does.
+    by 1), snake.cell_bound each cell's (by default its omega's bound), and
+    snake.cost_plane the cells of the (1 omega x 2 amp x 2 t_p) grid that
+    the scan asks for, the same array in every breakdown field.  Every
+    designed plane lies at or above its cell bounds, and those at or above
+    the omega's bound, as the real cost does.
     """
 
     GRID = SearchGrid((1.0, 2.0, 3.0), (0.1, 0.2), (100.0, 200.0))
 
-    def scan(self, monkeypatch, bounds, planes):
-        scored = []
+    def scan(self, monkeypatch, bounds, planes, cells=None):
+        """The winner's params (None if infeasible), the omegas scored in
+        order, and each cost_plane call's (omega, amps, tps)."""
+        calls = []
 
         def fake_plane(q, omegas, amps, tps, model, specs):
-            scored.append(omegas[0])
-            total = np.array([planes[omegas[0]]], dtype=float)
+            calls.append((omegas[0], tuple(amps), tuple(tps)))
+            rows = [self.GRID.amp_points.index(a) for a in amps]
+            cols = [self.GRID.tp_points.index(t) for t in tps]
+            total = np.array(planes[omegas[0]], dtype=float)[np.ix_(rows, cols)][None]
             return CostBreakdown(**{f.name: total for f in fields(CostBreakdown)})
 
+        def fake_bound(q, omega, amps, tps, model, specs):
+            if cells is not None and omega in cells:
+                return np.array(cells[omega], dtype=float)
+            return np.full((len(amps), len(tps)), bounds[omega])
+
         monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
+        monkeypatch.setattr(snake, "cell_bound", fake_bound)
         monkeypatch.setattr(snake, "cost_plane", fake_plane)
         try:
-            params, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
+            params, _, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
         except InfeasibleQubitError:
             params = None
-        return params, scored
+        scored = [omega for omega, _, _ in calls]
+        # a plane can take two calls: its bound's minimum first, then the rest
+        scored = [w for i, w in enumerate(scored) if i == 0 or scored[i - 1] != w]
+        return params, scored, calls
 
     def test_equal_bound_scored_and_lower_index_wins_tie(self, monkeypatch):
         bounds = {1.0: 1.0, 2.0: 0.5, 3.0: 1.0}
@@ -195,7 +221,7 @@ class TestPruning:
             2.0: [[3.0, 3.0], [3.0, 1.0]],
             3.0: [[1.0, 2.0], [2.0, 2.0]],
         }
-        params, scored = self.scan(monkeypatch, bounds, planes)
+        params, scored, _ = self.scan(monkeypatch, bounds, planes)
         assert scored == [2.0, 1.0, 3.0]
         assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.2, 100.0)
 
@@ -206,7 +232,7 @@ class TestPruning:
             2.0: [[0.9, 0.9], [0.9, 0.9]],
             3.0: [[0.6, 0.6], [0.6, 0.6]],
         }
-        params, scored = self.scan(monkeypatch, bounds, planes)
+        params, scored, _ = self.scan(monkeypatch, bounds, planes)
         assert scored == [1.0]
         assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.1, 200.0)
 
@@ -218,34 +244,73 @@ class TestPruning:
             2.0: [[nan, inf], [inf, nan]],
             3.0: [[4.0, 3.0], [2.0, 5.0]],
         }
-        params, scored = self.scan(monkeypatch, bounds, planes)
+        params, scored, _ = self.scan(monkeypatch, bounds, planes)
         assert scored == [1.0, 2.0, 3.0]
         assert (params.omega_q, params.b0, params.t_p) == (3.0, 0.2, 100.0)
         planes[3.0] = [[inf, inf], [inf, inf]]
-        params, scored = self.scan(monkeypatch, bounds, planes)
+        params, scored, _ = self.scan(monkeypatch, bounds, planes)
         assert params is None and scored == [1.0, 2.0, 3.0]
 
+    def test_infeasible_bound_minimum_scores_rest_of_plane(self, monkeypatch):
+        inf = math.inf
+        bounds = {1.0: 0.0, 2.0: 1.0, 3.0: 1.0}
+        cells = {1.0: [[0.1, 0.3], [0.2, 0.4]]}
+        planes = {
+            1.0: [[inf, 0.5], [0.3, 0.6]],  # the bound's minimum is infeasible
+            2.0: [[1.0, 1.0], [1.0, 1.0]],
+            3.0: [[1.0, 1.0], [1.0, 1.0]],
+        }
+        params, scored, calls = self.scan(monkeypatch, bounds, planes, cells)
+        assert scored == [1.0]
+        assert calls == [(1.0, (0.1,), (100.0,)), (1.0, (0.1, 0.2), (100.0, 200.0))]
+        assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.2, 100.0)
 
-def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch):
-    """Every qubit of the small d3 walk equals an exhaustive plane scan."""
+    def test_rows_and_columns_above_incumbent_not_scored(self, monkeypatch):
+        bounds = {1.0: 0.0, 2.0: 0.1, 3.0: 0.2}
+        cells = {
+            1.0: [[0.3, 0.3], [0.3, 0.3]],
+            2.0: [[0.4, 0.9], [0.9, 0.9]],
+            3.0: [[0.9, 0.9], [0.9, 0.44]],
+        }
+        planes = {
+            1.0: [[0.6, 0.5], [0.7, 0.8]],
+            2.0: [[0.45, 1.0], [1.0, 1.0]],
+            3.0: [[1.0, 1.0], [1.0, 0.44]],
+        }
+        params, scored, calls = self.scan(monkeypatch, bounds, planes, cells)
+        # incumbents 0.5, then 0.45: only the row and column of the one
+        # cell whose bound is at or below it reach the kernel
+        assert calls == [(1.0, (0.1, 0.2), (100.0, 200.0)),
+                         (2.0, (0.1,), (100.0,)), (3.0, (0.2,), (200.0,))]
+        assert (params.omega_q, params.b0, params.t_p) == (3.0, 0.2, 200.0)
+
+
+@pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
+def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch,
+                                                heuristics):
+    """Every qubit of the small d3 walk equals an exhaustive plane scan,
+    under both strategies."""
     cfg, grids, result = small_run
+    model = replace(cfg.model, heuristics=heuristics)
+    if not heuristics:
+        result = optimize_device(d3_graph, grids, model)
     scored = []
 
-    def counting_plane(*args):
-        scored.append(args[1][0])
-        return cost_plane(*args)
+    def counting_plane(q, omegas, amps, tps, *args):
+        scored.append(len(omegas) * len(amps) * len(tps))
+        return cost_plane(q, omegas, amps, tps, *args)
 
     monkeypatch.setattr(snake, "cost_plane", counting_plane)
     locked_params = {}
-    pruned = 0
+    pruned = total_scored = 0
     for qid in result.order:
         q, grid = d3_graph.qubits[qid], grids[qid]
         locked = snake._locked_neighbors(d3_graph, qid, locked_params)
-        specs = collision_specs(q, locked, cfg.model.collision)
+        specs = collision_specs(q, locked, model.collision) if heuristics else ()
         best = None
         for i_w, omega in enumerate(grid.omega_points):
             totals = cost_plane(q, [omega], grid.amp_points, grid.tp_points,
-                                cfg.model, specs).total
+                                model, specs).total
             for flat, total in enumerate(totals.flat):
                 if math.isfinite(total) and (best is None or (total, i_w, flat) < best):
                     best = (total, i_w, flat)
@@ -253,15 +318,18 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
         i_a, i_t = divmod(flat, len(grid.tp_points))
         t_p = grid.tp_points[i_t]
         reference = ReadoutParams(grid.omega_points[i_w], grid.amp_points[i_a],
-                                  t_p, cfg.model.total_time - t_p)
+                                  t_p, model.total_time - t_p)
         scored.clear()
-        params, bd = optimize_qubit(q, grid, locked, cfg.model, qid=qid)
+        params, bd, n_scored = optimize_qubit(q, grid, locked, model, qid=qid)
         assert params == reference == result.per_qubit[qid].params
         assert bd.total == best[0] == result.per_qubit[qid].breakdown.total
-        pruned += len(scored) < len(grid.omega_points)
+        assert n_scored == sum(scored)
+        total_scored += n_scored
+        pruned += n_scored < grid.size
         locked_params[qid] = params
     assert pruned >= 1
     assert result.evaluations == sum(grid.size for grid in grids.values())
+    assert result.scored == total_scored < result.evaluations
 
 
 class TestOptimizeDevice:
