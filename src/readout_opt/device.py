@@ -192,44 +192,61 @@ def parse_yaml(text: str):
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
+def _field(entry: dict, key: str, convert, at: str):
+    """convert(entry[key]), or a DeviceConfigError naming at + key."""
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError) as exc:
+        raise DeviceConfigError(f"{at}{key}: {exc}") from None
+
+
+def _band(value) -> tuple[float, float]:
+    lo, hi = (ghz_to_rad_ns(float(v)) for v in value)
+    return lo, hi
+
+
+def _gamma1_table(value) -> tuple[tuple[float, float], ...]:
+    return tuple((ghz_to_rad_ns(float(f)), float(rate) * 1e-3) for f, rate in value)
+
+
 def load_device(config_text: str) -> DeviceGraph:
-    """Parse and validate a device config (YAML text) into a DeviceGraph."""
+    """Parse and validate a device config (YAML text) into a DeviceGraph.
+
+    A DeviceConfigError names the qubit entry and the key at fault.
+    """
     try:
         raw = parse_yaml(config_text)
     except yaml.YAMLError as exc:
         raise DeviceConfigError(f"config parse failure: {exc}") from exc
-    if not isinstance(raw, dict) or "qubits" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("qubits"), list):
         raise DeviceConfigError("config must be a mapping with a 'qubits' list")
     qubits: dict[QubitId, QubitPhysical] = {}
     bands: dict[QubitId, tuple[float, float]] = {}
     seen: set[tuple[int, int]] = set()
-    for entry in raw["qubits"]:
+    for k, entry in enumerate(raw["qubits"]):
+        at = f"qubits[{k}]."
+        if not isinstance(entry, dict):
+            raise DeviceConfigError(f"qubits[{k}]: must be a mapping, got {entry!r}")
         missing = [f for f in _REQUIRED_FIELDS if f not in entry]
         if missing:
             raise DeviceConfigError(f"qubit entry missing fields {missing}: {entry}")
-        try:
-            role = Role(entry["role"])
-        except ValueError:
-            raise DeviceConfigError(f"unknown role {entry['role']!r}") from None
-        qid = QubitId(int(entry["row"]), int(entry["col"]), role)
+        qid = QubitId(_field(entry, "row", int, at), _field(entry, "col", int, at),
+                      _field(entry, "role", Role, at))
         if (qid.row, qid.col) in seen:
             raise DeviceConfigError(f"duplicate coordinates for qubit {qid}")
         seen.add((qid.row, qid.col))
-        table = tuple(
-            (ghz_to_rad_ns(float(f)), float(rate) * 1e-3)
-            for f, rate in entry["gamma1_table"]
-        )
+        at = f"qubit {qid}: "
         phys = QubitPhysical(
-            alpha=ghz_to_rad_ns(float(entry["alpha_GHz"])),
-            g_eff=float(entry["g_eff"]),
-            omega_r=ghz_to_rad_ns(float(entry["f_r_GHz"])),
-            eta=float(entry["eta"]),
-            kappa=TWO_PI * float(entry["kappa_MHz"]) * 1e-3,
-            gamma1_table=table,
-            amp_ref=float(entry["amp_ref"]),
+            alpha=ghz_to_rad_ns(_field(entry, "alpha_GHz", float, at)),
+            g_eff=_field(entry, "g_eff", float, at),
+            omega_r=ghz_to_rad_ns(_field(entry, "f_r_GHz", float, at)),
+            eta=_field(entry, "eta", float, at),
+            kappa=TWO_PI * _field(entry, "kappa_MHz", float, at) * 1e-3,
+            gamma1_table=_field(entry, "gamma1_table", _gamma1_table, at),
+            amp_ref=_field(entry, "amp_ref", float, at),
         )
         phys.validate(qid)
-        band_lo, band_hi = (ghz_to_rad_ns(float(v)) for v in entry["band_GHz"])
+        band_lo, band_hi = _field(entry, "band_GHz", _band, at)
         if band_lo >= band_hi:
             raise DeviceConfigError(f"empty search band for qubit {qid}")
         lo, hi = phys.gamma1_span

@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -402,126 +401,49 @@ def evaluate_cost(
     )
 
 
-class _StepPrefix(NamedTuple):
-    """The step-response arrays of every (omega, amplitude) row of the grid,
-    omega-major; cum, stark and n_max end at the longest pulse's last sample.
+def _relaxation(cum, stark, half, live, dt, xp, fp):
+    """half_snr_time and relaxation_error of the live cells, one row each.
 
-    A pulse of n_p samples equals the step response up to sample n_p, so
-    each array is every pulse's own up to that sample, bit for bit.
+    Row i of cum is cell i's nondecreasing cumulative integral, of stark its
+    Stark trace, and half[i] half its final integral, > 0 where live.
+    Returns the half-SNR times and relaxation errors, 0 off live, and the
+    mask of cells whose trace up to that time leaves the Gamma1 table
+    (xp, fp).
     """
-
-    parts: np.ndarray  # (n_omega, n_tot + 1, 2) unit +chi responses, re and im
-    amps: np.ndarray  # (n_amp,) amplitudes
-    cum: np.ndarray  # sequential trapezoid cumsum of |beta0 - beta1|^2
-    stark: np.ndarray  # Stark trace omega_q + 2 chi |beta1|^2
-    n_max: np.ndarray  # running max of |beta0|^2 and |beta1|^2
-
-
-def _step_prefix(parts, amps, omega, two_chi, dt, bufs) -> _StepPrefix:
-    """The step-response arrays of all rows.
-
-    parts holds each omega's (n_tot + 1, 2) re, im of its +chi unit step,
-    and amps the amplitudes; omega and two_chi are the rows' (n_rows, 1)
-    columns.  bufs is a (5, n_rows, n_pre) scratch array for the first
-    n_pre samples; the prefix keeps its last three rows, and the first two
-    are free again on return.
-
-    beta1 is beta0's conjugate but for a zero's sign (step_responses), so
-    evaluate_cost's two-field quantities have the same bits from beta0
-    alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
-    beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
-    """
-    re, im, stark, n_max, cum = bufs
-    # beta0 = b0 * unit response (einsum's outer product: the same single
-    # multiplications, about twice as fast as broadcasting np.multiply)
-    np.einsum("wnk,a->kwan", parts[:, : n_max.shape[1]], amps,
-              out=bufs[:2].reshape(2, len(parts), len(amps), -1))
-    n0 = np.add(np.square(re, out=n_max), np.square(im, out=cum), out=n_max)
-    np.multiply(n0, two_chi, out=stark)
-    stark += omega
-    np.maximum.accumulate(n0, axis=1, out=n_max)
-    mag2 = np.square(np.add(im, im, out=im), out=im)
-    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=re[:, 1:])
-    trap *= 0.5 * dt
-    cum[:, 0] = 0.0
-    np.cumsum(trap, axis=1, out=cum[:, 1:])
-    return _StepPrefix(parts, amps, cum, stark, n_max)
-
-
-def _pulse_tail(pre: _StepPrefix, n_p: int, dt: float, bufs):
-    """Samples n_p..n_tot of the n_p-sample pulse, for every row.
-
-    Returns (cum, n1, n_max, photon): the cumulative integral and |beta1|^2
-    from sample n_p on, one column per row, the largest photon number of
-    the whole response and the residual photon number at its end.  The
-    tail's cumsum starts from pre.cum[:, n_p], so the sequential sum goes on
-    where the prefix ends.  bufs is a (4, >= (n_tot + 1 - n_p) * n_rows)
-    scratch array; sample-major rows keep every pass contiguous.  As in
-    _step_prefix, beta1 = beta0* and all comes from beta0.
-    """
-    n_rows, width = len(pre.cum), pre.parts.shape[1] - n_p
-    tail = bufs[:, : width * n_rows].reshape(4, width, n_rows)
-    re, im, n0, cum = tail
-    # the step minus its copy delayed by n_p: step[n_p] - step[0] is exact
-    np.einsum("wnk,a->knwa", pre.parts[:, n_p:] - pre.parts[:, :width], pre.amps,
-              out=tail[:2].reshape(2, width, len(pre.parts), len(pre.amps)))
-    np.add(np.square(re, out=n0), np.square(im, out=cum), out=n0)
-    # residual_photon's 0.5 * (|beta0|^2 + |beta1|^2)
-    photon = 0.5 * (n0[-1] + n0[-1])
-    n_max = np.maximum(pre.n_max[:, n_p], n0.max(axis=0))
-    mag2 = np.square(np.add(im, im, out=im), out=im)
-    seeded = re
-    np.add(mag2[1:], mag2[:-1], out=seeded[1:])
-    seeded[1:] *= 0.5 * dt
-    seeded[0] = pre.cum[:, n_p]
-    np.cumsum(seeded, axis=0, out=cum)
-    return cum, n0, n_max, photon
-
-
-def _relaxation(cum, stark, half, cells, dt, xp, fp):
-    """half_snr_time and relaxation_error at the marked cells of a plane.
-
-    Every cell in row i of half (half the final SNR integral, > 0 at marked
-    cells) reads row i of cum (the nondecreasing cumulative integral) and
-    of stark (the Stark trace).  Returns the planes of the half-SNR time
-    and the relaxation error, 0 off cells, and the mask of cells whose
-    trace up to that time leaves the Gamma1 table (xp, fp).
-    """
-    t0_plane, relax = np.zeros(cells.shape), np.zeros(cells.shape)
-    bad = np.zeros(cells.shape, dtype=bool)
-    rows, cols = np.nonzero(cells)
+    t0, relax = np.zeros(len(live)), np.zeros(len(live))
+    bad = np.zeros(len(live), dtype=bool)
+    rows = np.flatnonzero(live)
     if not len(rows):
-        return t0_plane, relax, bad
+        return t0, relax, bad
     n_tot = cum.shape[1] - 1
-    idx = np.array([c.searchsorted(h) for c, h in zip(cum, half)])[rows, cols]
+    # as searchsorted on a nondecreasing row: the count of samples below half
+    idx = np.count_nonzero(cum < half[:, None], axis=1)[rows]
     lo = cum[rows, idx - 1]
-    frac = (half[rows, cols] - lo) / (cum[rows, idx] - lo)
-    t0 = ((idx - 1) + frac) * dt
-    n_full = np.minimum((t0 / dt).astype(np.int64), n_tot)
-    t_rem = t0 - n_full * dt
+    frac = (half[rows] - lo) / (cum[rows, idx] - lo)
+    t0[rows] = t = ((idx - 1) + frac) * dt
+    n_full = np.minimum((t / dt).astype(np.int64), n_tot)
+    t_rem = t - n_full * dt
     stark = stark[:, : min(int(n_full.max()) + 2, n_tot + 1)]
     rates = np.interp(stark, xp, fp)
-    out = np.zeros(len(rows), dtype=bool)
     if stark.min() < xp[0] or stark.max() > xp[-1]:
-        out = ((np.minimum.accumulate(stark, axis=1)[rows, n_full] < xp[0])
-               | (np.maximum.accumulate(stark, axis=1)[rows, n_full] > xp[-1]))
+        bad[rows] = ((np.minimum.accumulate(stark, axis=1)[rows, n_full] < xp[0])
+                     | (np.maximum.accumulate(stark, axis=1)[rows, n_full] > xp[-1]))
     # numpy's pairwise sum depends on the length: one row sum per length
+    err = np.empty(len(rows))
     lengths, group = np.unique(n_full, return_inverse=True)
-    sums = np.empty((len(lengths), len(rates)))
     for g, m in enumerate(lengths.tolist()):
-        rates[:, : m + 1].sum(axis=1, out=sums[g])
-    err = dt * (sums[group, rows] - 0.5 * (rates[rows, 0] + rates[rows, n_full]))
+        at = group == g
+        err[at] = rates[rows[at], : m + 1].sum(axis=1)
+    err = dt * (err - 0.5 * (rates[rows, 0] + rates[rows, n_full]))
     part = np.flatnonzero((t_rem > 0.0) & (n_full < n_tot))
     if len(part):
         r, m = rows[part], n_full[part]
         last = stark[r, m]
         omega_end = last + (t_rem[part] / dt) * (stark[r, m + 1] - last)
-        out[part] |= (omega_end < xp[0]) | (omega_end > xp[-1])
+        bad[r] |= (omega_end < xp[0]) | (omega_end > xp[-1])
         err[part] += 0.5 * (rates[r, m] + np.interp(omega_end, xp, fp)) * t_rem[part]
-    t0_plane[rows, cols] = t0
-    relax[rows, cols] = err
-    bad[rows, cols] = out
-    return t0_plane, relax, bad
+    relax[rows] = err
+    return t0, relax, bad
 
 
 def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
@@ -571,22 +493,19 @@ def cost_plane(
 
     The +chi step responses of all feasible omegas come from
     dynamics.step_responses at once (-chi gives their conjugate, bit for
-    bit).  A row is one (omega, amplitude) pair.  Over all rows, with one
-    outer product of the unit responses and the amplitudes for the fields,
-    _step_prefix computes the sequential
-    trapezoid cumsum of |beta0 - beta1|^2, the running max of the photon
-    numbers and the Stark trace, up to the longest pulse.  A pulse of n_p
-    samples equals the step response up to sample n_p, so per pulse length
-    _pulse_tail computes only the samples after it (again with one outer
-    product), its cumsum seeded where the prefix's stops.  Then, once over
+    bit).  Each cell gets its own full-length field, one row per cell, from
+    one outer product of the unit pulse responses and the amplitudes
+    (_score).  Its transient memory is four arrays of cells x (n_tot + 1)
+    floats, n_tot the samples of t_p + t_r, and at most one more for the
+    Gamma1 rates up to the latest half-SNR time.  Then, once over
     all rows, with the term functions' IEEE operations in the same order:
-    the SNR and separation error, the half-SNR index by searchsorted on
-    each row's prefix cumsum (nondecreasing, so it equals the count of
-    samples below half), the Gamma1 prefixes summed in groups of equal
-    length (numpy's pairwise sum depends on the length), the Stark-range
-    check from the running min and max, the photon term, and the MIST
-    logistic through math.exp.  A cell whose half-SNR index lies past
-    sample n_p reads the tail, so it is scored on its whole column instead.
+    the sequential trapezoid cumsum of |beta0 - beta1|^2, the peak photon
+    number and the Stark trace, the SNR and separation error, the half-SNR
+    index as the count of samples below half the integral (the cumsum is
+    nondecreasing, so that is searchsorted's index), the Gamma1 prefixes
+    summed in groups of equal length (numpy's pairwise sum depends on the
+    length), the Stark-range check from the running min and max, the
+    photon term, and the MIST logistic through math.exp.
     """
     shape = (len(omegas), len(amps), len(tp_points))
     feasible, chis, col_counts = [], [], None
@@ -615,75 +534,76 @@ def cost_plane(
                             n_tot, model, specs)
             cells = np.broadcast_to(np.array(feasible)[:, None, None] & cols, shape)
             for name, plane in scored.items():
-                planes[name][cells] = plane.ravel()
+                planes[name][cells] = plane
     return CostBreakdown(**planes)
 
 
 def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
-    """The breakdown planes of cost_plane's feasible omegas.
+    """The breakdown of cost_plane's feasible omegas, one entry per cell.
 
-    One row per (omega, amplitude) pair, omega-major, and one column per
-    pulse of n_ps samples, n_tot in all.
+    Cells run omega-major, then amplitude, then pulse length: column j is a
+    pulse of n_ps[j] samples, n_tot in all.  Each cell gets its own field:
+    the unit +chi step response u up to sample n_p, then u minus its copy
+    delayed by n_p (sample n_p is u[n_p] - u[0] = u[n_p] exactly), times
+    the amplitude.
+
+    beta1 is beta0's conjugate but for a zero's sign (step_responses), so
+    evaluate_cost's two-field quantities have the same bits from beta0
+    alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
+    beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
     """
     dt, weights, mist = model.dt, model.weights, model.mist
-    n_rows = len(omegas) * len(amps)
-    shape = (n_rows, len(n_ps))
+    n_cells = len(omegas) * len(amps) * len(n_ps)
 
-    def rows(per_omega):
-        return np.repeat(np.array(per_omega, dtype=float), len(amps))[:, None]
+    def per_cell(per_omega):
+        return np.repeat(np.array(per_omega, dtype=float), n_cells // len(omegas))
 
     parts = step_responses(chis, q.kappa, dt, n_tot)
-    omega, two_chi = rows(omegas), rows([2.0 * chi for chi in chis])
-    # the prefix stops at the longest pulse; each tail reuses the two rows
-    # the prefix leaves free
-    n_pre, width = max(n_ps) + 1, n_tot + 1 - min(n_ps)
-    bufs = np.empty((7, n_rows * max(n_pre, width)))
-    pre = _step_prefix(parts, amps, omega, two_chi, dt,
-                       bufs[2:, : n_rows * n_pre].reshape(5, n_rows, n_pre))
-
-    xp, fp = q.gamma1_arrays
-    scale = 2.0 * q.eta * q.kappa
-    cum_last, n_max, photon = np.empty(shape), np.empty(shape), np.empty(shape)
-    late = np.zeros(shape, dtype=bool)
-    late_t0, late_relax = np.zeros(shape), np.zeros(shape)
-    late_bad = np.zeros(shape, dtype=bool)
+    bufs = np.empty((4, n_cells, n_tot + 1))
+    re, im, stark, cum = bufs
+    # the unit responses fit in stark and cum, which are free until after
+    # the outer product; a separate array cost a 128-omega sweep chunk about
+    # a thousand page faults per call
+    unit = bufs[2:].reshape(-1)[: parts.size * len(n_ps)].reshape(
+        len(chis), len(n_ps), n_tot + 1, 2)
     for j, n_p in enumerate(n_ps):
-        cum, n1, n_max[:, j], photon[:, j] = _pulse_tail(pre, n_p, dt, bufs[:4])
-        cum_last[:, j] = cum[-1]
-        # a half-SNR index past n_p reads the tail: score such cells on their
-        # whole column.  Up to n_p, t0 <= n_p * dt, so the endpoint sample
-        # after t0 is read only when it is at most n_p
-        late[:, j] = (scale * cum[-1] > 0.0) & (0.5 * cum[-1] > pre.cum[:, n_p])
-        r = np.flatnonzero(late[:, j])
-        if len(r):
-            col_cum = np.concatenate((pre.cum[r, :n_p], cum[:, r].T), axis=1)
-            col_stark = np.concatenate(
-                (pre.stark[r, :n_p], omega[r] + two_chi[r] * n1[:, r].T), axis=1)
-            t0, relax, out = _relaxation(col_cum, col_stark, 0.5 * cum[-1, r, None],
-                                         np.ones((len(r), 1), dtype=bool), dt, xp, fp)
-            late_t0[r, j], late_relax[r, j], late_bad[r, j] = t0[:, 0], relax[:, 0], out[:, 0]
+        unit[:, j, :n_p] = parts[:, :n_p]
+        np.subtract(parts[:, n_p:], parts[:, : n_tot + 1 - n_p], out=unit[:, j, n_p:])
+    # beta0 = b0 * unit response (einsum's outer product: the same single
+    # multiplications, about twice as fast as broadcasting np.multiply)
+    np.einsum("wjnk,a->kwajn", unit, amps,
+              out=bufs[:2].reshape(2, len(omegas), len(amps), len(n_ps), n_tot + 1))
+    n0 = np.add(np.square(re, out=stark), np.square(im, out=cum), out=stark)
+    n_max = n0.max(axis=1)
+    # residual_photon's 0.5 * (|beta0|^2 + |beta1|^2)
+    photon = 0.5 * (n0[:, -1] + n0[:, -1])
+    np.multiply(n0, per_cell([2.0 * chi for chi in chis])[:, None], out=stark)
+    stark += per_cell(omegas)[:, None]
+    mag2 = np.square(np.add(im, im, out=im), out=im)
+    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=re[:, 1:])
+    trap *= 0.5 * dt
+    cum[:, 0] = 0.0
+    np.cumsum(trap, axis=1, out=cum[:, 1:])
 
-    snr_value = scale * cum_last
+    snr_value = (2.0 * q.eta * q.kappa) * cum[:, -1]
     sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
-    t0, relax, bad = _relaxation(pre.cum, pre.stark, 0.5 * cum_last,
-                                 (snr_value > 0.0) & ~late, dt, xp, fp)
-    for plane, value in ((t0, late_t0), (relax, late_relax), (bad, late_bad)):
-        np.copyto(plane, value, where=late)
-    coupling = np.zeros((n_rows, 1))
-    mist_term = np.full(shape, mist.ceiling if model.heuristics else 0.0)
+    t0, relax, bad = _relaxation(cum, stark, 0.5 * cum[:, -1], snr_value > 0.0, dt,
+                                 *q.gamma1_arrays)
+    coupling = np.zeros(n_cells)
+    mist_term = np.full(n_cells, mist.ceiling if model.heuristics else 0.0)
     if model.heuristics:
-        coupling = rows([coupling_error(w, specs) for w in omegas])
+        coupling = per_cell([coupling_error(w, specs) for w in omegas])
         # > 0 where the MIST threshold is defined; mist_threshold's domain
-        n_th = rows([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
-                     for w in omegas])
-        has = ~(n_th[:, 0] <= 0.0)
+        n_th = per_cell([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
+                         for w in omegas])
+        has = ~(n_th <= 0.0)
         if has.any():
             z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             # math.exp as in mist_penalty: np.exp's SIMD loop differs from it
             # in the last bit for some inputs
-            exp = np.fromiter(map(math.exp, (-z).ravel().tolist()), float, z.size)
-            mist_term[has] = mist.ceiling / (1.0 + exp.reshape(z.shape))
+            exp = np.fromiter(map(math.exp, (-z).tolist()), float, z.size)
+            mist_term[has] = mist.ceiling / (1.0 + exp)
     total = (
         weights.separation * sep
         + weights.relaxation * relax
@@ -692,8 +612,8 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
         + weights.coupling * coupling
     )
     total[bad] = math.inf
-    planes = dict(relaxation=relax, photon=photon, mist=mist_term,
-                  coupling=np.broadcast_to(coupling, shape), t0=t0, n_max=n_max)
+    planes = dict(relaxation=relax, photon=photon, mist=mist_term, coupling=coupling,
+                  t0=t0, n_max=n_max)
     if bad.any():  # as _infeasible: only snr and separation are known off the table
         for name, plane in planes.items():
             planes[name] = np.where(bad, math.nan, plane)
@@ -712,14 +632,15 @@ def _unit_columns(q, chi, counts, dt):
     counts holds each column's (n_p, n_tot).  The unit pulse response is
     f[n] = u[n] - u[n - n_p], u the +chi step response read through
     step_responses, so through the cache cost_plane reads.  Up to sample
-    n_p, f is u, so as in the kernel, u's running integral and peak serve
-    every column there and only the integral of the samples after n_p is
-    summed per column.  Returns the columns' C (trapezoid integral of
-    (2 Im f)^2), P (|f|^2 at the last sample), N (peak of |f|^2 up to n_p,
-    where the pulse ends and the field starts to ring down), k_lo (count
-    of samples whose running integral is below half of C, less the margin)
-    and n1 (peak of |f|^2 over samples 0..k_hi + 2, k_hi that count with
-    the margin added).
+    n_p, f is u, so u's running integral and peak serve every column there
+    and only the integral of the samples after n_p is summed per column.
+    Only the bound splits its columns so: it runs on every plane the scan
+    reaches, whole, while the kernel scores the few cells the bound keeps.
+    Returns the columns' C (trapezoid integral of (2 Im f)^2), P (|f|^2 at
+    the last sample), N (peak of |f|^2 up to n_p, where the pulse ends and
+    the field starts to ring down), k_lo (count of samples whose running
+    integral is below half of C, less the margin) and n1 (peak of |f|^2
+    over samples 0..k_hi + 2, k_hi that count with the margin added).
     """
     n_ps = np.array([n_p for n_p, _ in counts])
     n_tots = np.array([n_tot for _, n_tot in counts])

@@ -24,6 +24,7 @@ import numpy as np
 
 from .device import DeviceGraph, NeighborOrder, QubitId, QubitPhysical, Role, neighbors
 from .error_models import (
+    CollisionChannel,
     CostBreakdown,
     CostModel,
     ReadoutParams,
@@ -235,7 +236,7 @@ def optimize_device(
             exc.partial = OptimizationResult(per_qubit, order[:index], evaluations, scored)
             raise
         scored += n_scored
-        n_specs = 4 * len(locked) if model.heuristics else 0
+        n_specs = len(CollisionChannel) * len(locked) if model.heuristics else 0
         per_qubit[qid] = QubitResult(params, bd, index, n_specs)
         locked_params[qid] = params
     return OptimizationResult(per_qubit, order, evaluations, scored)

@@ -119,6 +119,14 @@ class TestValidate:
         path.write_text("qubits: [{row: 0}]")
         assert main(["validate", "--device", str(path)]) == EXIT_IO
 
+    def test_bad_device_value_names_the_field(self, tmp_path, capsys):
+        raw = yaml.safe_load((CONFIG_DIR / "device_d3.yaml").read_text())
+        raw["qubits"][1]["alpha_GHz"] = "x"
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--device", str(path)]) == EXIT_IO
+        assert "qubit (0,3,measure): alpha_GHz: could not convert" in capsys.readouterr().err
+
     def test_shipped_configs_validate(self):
         code = main([
             "validate",

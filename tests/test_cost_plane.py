@@ -336,11 +336,12 @@ def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):
 
 
 class TestKernelPaths:
-    """Each path of the two-stage kernel against the oracle.
+    """Edge cases of the half-SNR index against the oracle.
 
-    Cells whose half-SNR index is at most n_p read only the per-omega step
-    prefix; the others, and every column's tail, read the samples after
-    n_p.
+    A cell's field is the step response up to its pulse's last sample n_p
+    and the ringdown after it.  The cases put the half-SNR time past n_p,
+    on the last pulse sample, at the end of a pulse that fills the total
+    time, and on both sides of n_p within one plane.
     """
 
     QID = QIDS[2]
@@ -358,7 +359,7 @@ class TestKernelPaths:
 
     def test_t0_on_last_pulse_sample(self):
         # int(t0 / dt) == n_p with t0 off the grid: the endpoint sample after
-        # t0 lies in the tail
+        # t0 is the ringdown's first
         hits = [t_p for t_p in range(1, 200)
                 if int(half_time(self.q, self.omega, self.b0, t_p)) == t_p]
         assert hits

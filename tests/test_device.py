@@ -80,6 +80,32 @@ class TestLoadDevice:
         with pytest.raises(DeviceConfigError, match="duplicate"):
             load_device(yaml.safe_dump(doc))
 
+    @pytest.mark.parametrize("text, message", [
+        ("qubits: 5", "'qubits' list"),
+        ("qubits: [row]", "qubits[0]: must be a mapping, got 'row'"),
+        ("qubits: [[1, 2]]", "qubits[0]: must be a mapping"),
+    ])
+    def test_qubits_must_be_a_list_of_mappings(self, text, message):
+        with pytest.raises(DeviceConfigError) as exc:
+            load_device(text)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("row", "x", "qubits[0].row: invalid literal"),
+        ("role", "ancilla", "qubits[0].role: 'ancilla' is not a valid Role"),
+        ("alpha_GHz", "x", "qubit (0,0,data): alpha_GHz: could not convert"),
+        ("kappa_MHz", None, "qubit (0,0,data): kappa_MHz: float() argument"),
+        ("band_GHz", [5.6, 6.0, 6.3], "qubit (0,0,data): band_GHz: too many values"),
+        ("band_GHz", 5.6, "qubit (0,0,data): band_GHz: 'float' object is not iterable"),
+        ("gamma1_table", [[5.2, 0.05], [5.8]], "qubit (0,0,data): gamma1_table: not enough"),
+        ("gamma1_table", [[5.2, 0.05], ["x", 0.06]],
+         "qubit (0,0,data): gamma1_table: could not convert"),
+    ])
+    def test_bad_value_names_entry_and_key(self, key, value, message):
+        with pytest.raises(DeviceConfigError) as exc:
+            load_device(minimal_yaml(**{key: value}))
+        assert message in str(exc.value)
+
     def test_parse_failure(self):
         with pytest.raises(DeviceConfigError):
             load_device("qubits: [::")

@@ -7,17 +7,13 @@ configs/device_d3.yaml, at N_OMEGAS frequencies spread across each band,
 one kernel call per frequency on its one-frequency grid, as optimize's
 scan passes them.  One round scores all those planes; a warm-up round
 fills the step-response cache first, so the ROUNDS rounds time the kernel
-alone.
+alone.  These are whole planes of 1,560 cells each; optimize's pruned scan
+mostly sends the kernel a few dozen cells at a time.
 
-The stage functions are timed as well: prefix_s is
-error_models._step_prefix (the per-omega step-response arrays), tails_s is
-error_models._pulse_tail (the per-pulse-length tails), and plane_s is the
-rest of cost_plane: the grid checks, the step-response cache lookups, the
-heuristic scalars and the stages scored once over all rows.  The stage
-functions are restored when the tool returns.  bound_s is
-error_models.cell_bound, the lower bound optimize's scan computes for
-every plane it reaches before it scores any cell, over the same planes;
-it reads the same cached step responses and is not part of total_s.
+bound_s is error_models.cell_bound, the lower bound optimize's scan
+computes for every plane it reaches before it scores any cell, over the
+same planes; it reads the same cached step responses and is not part of
+total_s.
 
 It also times the integration of unit step responses (500 steps at
 dt = 1 ns) both ways: one at a time in dynamics' scalar loop, and together
@@ -55,7 +51,6 @@ from readout_opt.device import load_device, parse_yaml  # noqa: E402
 
 N_OMEGAS = 4
 ROUNDS = 12
-STAGES = {"_step_prefix": "prefix_s", "_pulse_tail": "tails_s"}
 STEP_WIDTHS = (2, 34, 128, 256, 402)
 STEP_ROUNDS = 5
 
@@ -123,16 +118,6 @@ def step_response_timings() -> dict:
     }
 
 
-def timed(fn, acc, name):
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            acc[name] += time.perf_counter() - start
-    return wrapper
-
-
 def summary(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -144,12 +129,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     work, model = planes()
-    acc = dict.fromkeys(STAGES, 0.0)
-    originals = {name: getattr(error_models, name) for name in STAGES}
 
     def one_round():
-        for name in STAGES:
-            acc[name] = 0.0
         start = time.perf_counter()
         for q, omega, amps, tps in work:
             error_models.cost_plane(q, [omega], amps, tps, model)
@@ -157,16 +138,10 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         for q, omega, amps, tps in work:
             error_models.cell_bound(q, omega, amps, tps, model)
-        return total, dict(acc, bound=time.perf_counter() - start)
+        return total, time.perf_counter() - start
 
-    try:
-        for name, fn in originals.items():
-            setattr(error_models, name, timed(fn, acc, name))
-        one_round()  # warm-up: step-response cache, first-call costs
-        rounds = [one_round() for _ in range(ROUNDS)]
-    finally:
-        for name, fn in originals.items():
-            setattr(error_models, name, fn)
+    one_round()  # warm-up: step-response cache, first-call costs
+    rounds = [one_round() for _ in range(ROUNDS)]
     totals = [t for t, _ in rounds]
     points = sum(len(a) * len(t) for _, _, a, t in work)
     result = {
@@ -178,10 +153,7 @@ def main(argv=None) -> int:
         "points_per_s": points / statistics.median(totals),
         "per_plane_ms": 1e3 * statistics.median(totals) / len(work),
     }
-    for name, key in STAGES.items():
-        result[key] = summary([a[name] for _, a in rounds])
-    result["plane_s"] = summary([t - sum(a[name] for name in STAGES) for t, a in rounds])
-    result["bound_s"] = summary([a["bound"] for _, a in rounds])
+    result["bound_s"] = summary([b for _, b in rounds])
     result["step_response"] = step_response_timings()
     result["environment"] = {
         "python": platform.python_version(),
