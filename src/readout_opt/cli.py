@@ -35,6 +35,8 @@ from .device import (
     DeviceGraph,
     QubitId,
     Role,
+    _integer,
+    dump_yaml,
     ghz_to_rad_ns,
     load_device,
     parse_yaml,
@@ -77,7 +79,7 @@ def _load_opt_config(path: str | None) -> OptimizerConfig:
 
 def _write_manifest(out: Path, name: str, payload: dict) -> None:
     payload = {"version": __version__, **payload}
-    (out / name).write_text(yaml.safe_dump(payload, sort_keys=False))
+    (out / name).write_text(dump_yaml(payload))
 
 
 #: CostBreakdown field -> its key in results.yaml and summary.csv
@@ -139,7 +141,7 @@ def result_from_dict(raw) -> OptimizationResult:
     order: list[tuple[int, QubitId]] = []
     for k, row in enumerate(rows):
         at = f"qubits[{k}]."
-        qid = QubitId(_entry(row, "row", int, at), _entry(row, "col", int, at),
+        qid = QubitId(_entry(row, "row", _integer, at), _entry(row, "col", _integer, at),
                       _entry(row, "role", Role, at))
         at = f"qubit ({qid.row},{qid.col}): "
         if qid in per_qubit:
@@ -156,15 +158,15 @@ def result_from_dict(raw) -> OptimizationResult:
             t_p=_entry(row, "t_p_ns", float, at),
             t_r=_entry(row, "t_r_ns", float, at),
         )
-        index = _entry(row, "traversal_index", int, at)
+        index = _entry(row, "traversal_index", _integer, at)
         per_qubit[qid] = QubitResult(
-            params, bd, index, _entry(row, "n_collision_specs", int, at))
+            params, bd, index, _entry(row, "n_collision_specs", _integer, at))
         order.append((index, qid))
     order.sort()
     return OptimizationResult(
         per_qubit=per_qubit,
         order=[q for _, q in order],
-        evaluations=_entry(raw, "evaluations", int),
+        evaluations=_entry(raw, "evaluations", _integer),
     )
 
 
@@ -217,8 +219,7 @@ def cmd_optimize(args) -> int:
         if exc.partial is not None and exc.partial.per_qubit:
             out.mkdir(parents=True, exist_ok=True)
             partial = result_to_dict(exc.partial, strategy)
-            (out / "results_partial.yaml").write_text(
-                yaml.safe_dump(partial, sort_keys=False))
+            (out / "results_partial.yaml").write_text(dump_yaml(partial))
         return EXIT_INFEASIBLE
     elapsed = time.perf_counter() - t_begin
     log.info("optimized %d qubits: %d grid points, %d scored in %.1f s",
@@ -226,7 +227,7 @@ def cmd_optimize(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     result_dict = result_to_dict(result, strategy)
-    (out / "results.yaml").write_text(yaml.safe_dump(result_dict, sort_keys=False))
+    (out / "results.yaml").write_text(dump_yaml(result_dict))
     _write_summary_csv(out / "summary.csv", result_dict)
     _write_manifest(out, "manifest.yaml", {
         "command": "optimize",

@@ -13,7 +13,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .device import DeviceGraph, QubitId, ghz_to_rad_ns, parse_yaml, rad_ns_to_ghz
+from .device import DeviceGraph, QubitId, _integer, ghz_to_rad_ns, parse_yaml, rad_ns_to_ghz
 from .error_models import CostModel, CostWeights, ParameterError, require
 from .snake import SearchGrid
 
@@ -53,18 +53,12 @@ class OptimizerConfig:
     start: tuple[int, int] | None = None
 
 
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return value
-
-
 def _start_pair(value) -> tuple[int, int] | None:
     if value is None:
         return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"must be a [row, col] pair, got {value!r}")
-    return (_count(value[0]), _count(value[1]))
+    return (_integer(value[0]), _integer(value[1]))
 
 
 class _Key(NamedTuple):
@@ -81,7 +75,7 @@ class _Key(NamedTuple):
 _KEYS = (
     _Key("total_readout_time_ns", "model.total_time"),
     _Key("dt_ns", "model.dt"),
-    *(_Key(f"grid.{n}", f"grid.{n}", _count) for n in ("n_omega", "n_amp", "n_tp")),
+    *(_Key(f"grid.{n}", f"grid.{n}", _integer) for n in ("n_omega", "n_amp", "n_tp")),
     *(_Key(f"grid.{n}", f"grid.{n}")
       for n in ("amp_min", "amp_max", "tp_min_ns", "tp_max_ns")),
     *(_Key(f"weights.{f.name}", f"model.weights.{f.name}")

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erfc
 
 from .device import (
@@ -160,7 +159,9 @@ class CostModel:
     heuristic terms, which heuristics=False (the predictive-only strategy)
     sets to zero; points within pole_guard (rad/ns) of a chi pole are
     infeasible; dt is the RK4 step and total_time the fixed t_p + t_r, both
-    in ns.
+    in ns.  total_time must be a whole number of steps, within 1e-9 of one
+    as on config's pulse-length grid: so every pulse length has the same
+    sample count, and a reported t_r is the one simulated.
     """
 
     weights: CostWeights = CostWeights()
@@ -174,6 +175,9 @@ class CostModel:
     def __post_init__(self) -> None:
         require(self, ">= 0", "pole_guard")
         require(self, "> 0", "dt", "total_time")
+        steps = self.total_time / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ParameterError(self, "total_time", f"a whole number of steps of dt = {self.dt}")
 
 
 @dataclass
@@ -450,25 +454,27 @@ def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
     """evaluate_cost's checks at one omega, in its (amplitude, pulse length) order.
 
     Raises what evaluate_cost raises at the omega's first invalid point,
-    and returns each pulse length's (n_p, n_tot), or None when |chi| is too
-    large for model.dt.  Only b0 >= 0 depends on the amplitude, so the
-    first amplitude's row runs every check and later rows check b0 alone.
+    and returns the pulse lengths' sample counts n_p and the count n_tot
+    of t_p + t_r, total_time's whole number of steps for every pulse
+    length, or None when |chi| is too large for model.dt.  Only b0 >= 0
+    depends on the amplitude, so the first amplitude's row runs every
+    check and later rows check b0 alone.
     """
-    counts = []
+    n_ps = []
     for j, t_p in enumerate(tp_points):
         pulse = PulseShape(b0=amps[0], t_p=t_p, t_r=model.total_time - t_p)
         if j == 0:
             try:
                 _check_step(chi, kappa, model.dt)
             except DetuningStepError:
-                counts = None
+                n_ps = None
         # evaluate_cost stops at the step check, before counting samples
-        if counts is not None:
-            counts.append(_sample_counts(pulse, model.dt))
+        if n_ps is not None:
+            n_ps.append(_sample_counts(pulse, model.dt)[0])
     for b0 in amps:
         if b0 < 0:
             PulseShape(b0=b0, t_p=tp_points[0], t_r=model.total_time - tp_points[0])
-    return counts
+    return None if n_ps is None else (n_ps, round(model.total_time / model.dt))
 
 
 def cost_plane(
@@ -493,19 +499,20 @@ def cost_plane(
 
     The +chi step responses of all feasible omegas come from
     dynamics.step_responses at once (-chi gives their conjugate, bit for
-    bit).  Each cell gets its own full-length field, one row per cell, from
-    one outer product of the unit pulse responses and the amplitudes
-    (_score).  Its transient memory is four arrays of cells x (n_tot + 1)
-    floats, n_tot the samples of t_p + t_r, and at most one more for the
-    Gamma1 rates up to the latest half-SNR time.  Then, once over
+    bit).  _pulse_rows gives each cell its own full-length field, one row
+    of n_tot + 1 samples per cell, n_tot the samples of t_p + t_r (one
+    count for the whole grid), and computes |beta0|^2 and the sequential
+    trapezoid cumsum of |beta0 - beta1|^2 over all rows.  Its transient
+    memory is four arrays of cells x (n_tot + 1) floats; the Gamma1 rates
+    up to the latest half-SNR time take at most one more.  Then, once over
     all rows, with the term functions' IEEE operations in the same order:
-    the sequential trapezoid cumsum of |beta0 - beta1|^2, the peak photon
-    number and the Stark trace, the SNR and separation error, the half-SNR
-    index as the count of samples below half the integral (the cumsum is
-    nondecreasing, so that is searchsorted's index), the Gamma1 prefixes
-    summed in groups of equal length (numpy's pairwise sum depends on the
-    length), the Stark-range check from the running min and max, the
-    photon term, and the MIST logistic through math.exp.
+    the peak photon number and the Stark trace, the SNR and separation
+    error, the half-SNR index as the count of samples below half the
+    integral (the cumsum is nondecreasing, so that is searchsorted's
+    index), the Gamma1 prefixes summed in groups of equal length (numpy's
+    pairwise sum depends on the length), the Stark-range check from the
+    running min and max, the photon term, and the MIST logistic through
+    math.exp.
     """
     shape = (len(omegas), len(amps), len(tp_points))
     feasible, chis, col_counts = [], [], None
@@ -525,32 +532,58 @@ def cost_plane(
     planes["total"][:] = math.inf
     if chis:
         omegas = [w for w, ok in zip(omegas, feasible) if ok]
-        n_tots = np.array([n_tot for _, n_tot in col_counts])
-        # t_p + t_r can round to more than one sample count
-        for n_tot in np.unique(n_tots).tolist():
-            cols = n_tots == n_tot
-            scored = _score(q, omegas, chis, np.asarray(amps, dtype=float),
-                            [n_p for (n_p, _), c in zip(col_counts, cols) if c],
-                            n_tot, model, specs)
-            cells = np.broadcast_to(np.array(feasible)[:, None, None] & cols, shape)
-            for name, plane in scored.items():
-                planes[name][cells] = plane
+        scored = _score(q, omegas, chis, np.asarray(amps, dtype=float), *col_counts,
+                        model, specs)
+        for name, plane in scored.items():
+            planes[name][np.array(feasible)] = plane.reshape(len(chis), *shape[1:])
     return CostBreakdown(**planes)
 
 
-def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
-    """The breakdown of cost_plane's feasible omegas, one entry per cell.
+def _pulse_rows(parts, amps, n_ps, dt):
+    """|beta0|^2 and the running SNR integral of each cell's field, one row each.
 
-    Cells run omega-major, then amplitude, then pulse length: column j is a
-    pulse of n_ps[j] samples, n_tot in all.  Each cell gets its own field:
-    the unit +chi step response u up to sample n_p, then u minus its copy
-    delayed by n_p (sample n_p is u[n_p] - u[0] = u[n_p] exactly), times
-    the amplitude.
+    parts holds the unit +chi step responses u of n_tot + 1 samples, one
+    per omega, as step_responses returns them.  Cells run omega-major, then
+    amplitude, then pulse length: column j is a pulse of n_ps[j] samples.
+    A cell's field is u up to sample n_p, then u minus its copy delayed by
+    n_p (sample n_p is u[n_p] - u[0] = u[n_p] exactly), times the
+    amplitude.  Returns the (cells, n_tot + 1) arrays n0 = |beta0|^2 and
+    cum, the sequential trapezoid cumsum of |beta0 - beta1|^2.
 
     beta1 is beta0's conjugate but for a zero's sign (step_responses), so
     evaluate_cost's two-field quantities have the same bits from beta0
     alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
     beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
+    """
+    n_omegas, n_tot = len(parts), parts.shape[1] - 1
+    bufs = np.empty((4, n_omegas * len(amps) * len(n_ps), n_tot + 1))
+    re, im, n0, cum = bufs
+    # the unit responses fit in n0 and cum, which are free until after the
+    # outer product; a separate array cost a 128-omega sweep chunk about a
+    # thousand page faults per call
+    unit = bufs[2:].reshape(-1)[: parts.size * len(n_ps)].reshape(
+        n_omegas, len(n_ps), n_tot + 1, 2)
+    for j, n_p in enumerate(n_ps):
+        unit[:, j, :n_p] = parts[:, :n_p]
+        np.subtract(parts[:, n_p:], parts[:, : n_tot + 1 - n_p], out=unit[:, j, n_p:])
+    # beta0 = b0 * unit response (einsum's outer product: the same single
+    # multiplications, about twice as fast as broadcasting np.multiply)
+    np.einsum("wjnk,a->kwajn", unit, amps,
+              out=bufs[:2].reshape(2, n_omegas, len(amps), len(n_ps), n_tot + 1))
+    np.add(np.square(re, out=n0), np.square(im, out=cum), out=n0)
+    mag2 = np.square(np.add(im, im, out=im), out=im)
+    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=re[:, 1:])
+    trap *= 0.5 * dt
+    cum[:, 0] = 0.0
+    np.cumsum(trap, axis=1, out=cum[:, 1:])
+    return n0, cum
+
+
+def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
+    """The breakdown of cost_plane's feasible omegas, one entry per cell.
+
+    Cells run omega-major, then amplitude, then pulse length, as the rows
+    of _pulse_rows: column j is a pulse of n_ps[j] samples, n_tot in all.
     """
     dt, weights, mist = model.dt, model.weights, model.mist
     n_cells = len(omegas) * len(amps) * len(n_ps)
@@ -558,32 +591,12 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     def per_cell(per_omega):
         return np.repeat(np.array(per_omega, dtype=float), n_cells // len(omegas))
 
-    parts = step_responses(chis, q.kappa, dt, n_tot)
-    bufs = np.empty((4, n_cells, n_tot + 1))
-    re, im, stark, cum = bufs
-    # the unit responses fit in stark and cum, which are free until after
-    # the outer product; a separate array cost a 128-omega sweep chunk about
-    # a thousand page faults per call
-    unit = bufs[2:].reshape(-1)[: parts.size * len(n_ps)].reshape(
-        len(chis), len(n_ps), n_tot + 1, 2)
-    for j, n_p in enumerate(n_ps):
-        unit[:, j, :n_p] = parts[:, :n_p]
-        np.subtract(parts[:, n_p:], parts[:, : n_tot + 1 - n_p], out=unit[:, j, n_p:])
-    # beta0 = b0 * unit response (einsum's outer product: the same single
-    # multiplications, about twice as fast as broadcasting np.multiply)
-    np.einsum("wjnk,a->kwajn", unit, amps,
-              out=bufs[:2].reshape(2, len(omegas), len(amps), len(n_ps), n_tot + 1))
-    n0 = np.add(np.square(re, out=stark), np.square(im, out=cum), out=stark)
+    n0, cum = _pulse_rows(step_responses(chis, q.kappa, dt, n_tot), amps, n_ps, dt)
     n_max = n0.max(axis=1)
     # residual_photon's 0.5 * (|beta0|^2 + |beta1|^2)
     photon = 0.5 * (n0[:, -1] + n0[:, -1])
-    np.multiply(n0, per_cell([2.0 * chi for chi in chis])[:, None], out=stark)
+    stark = np.multiply(n0, per_cell([2.0 * chi for chi in chis])[:, None], out=n0)
     stark += per_cell(omegas)[:, None]
-    mag2 = np.square(np.add(im, im, out=im), out=im)
-    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=re[:, 1:])
-    trap *= 0.5 * dt
-    cum[:, 0] = 0.0
-    np.cumsum(trap, axis=1, out=cum[:, 1:])
 
     snr_value = (2.0 * q.eta * q.kappa) * cum[:, -1]
     sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
@@ -626,64 +639,19 @@ BOUND_MARGIN = 1e-9
 BOUND_FLOOR = 1e-300
 
 
-def _unit_columns(q, chi, counts, dt):
+def _unit_columns(q, chi, n_ps, n_tot, dt):
     """Per pulse length, the unit-amplitude statistics cell_bound scales.
 
-    counts holds each column's (n_p, n_tot).  The unit pulse response is
-    f[n] = u[n] - u[n - n_p], u the +chi step response read through
-    step_responses, so through the cache cost_plane reads.  Up to sample
-    n_p, f is u, so u's running integral and peak serve every column there
-    and only the integral of the samples after n_p is summed per column.
-    Only the bound splits its columns so: it runs on every plane the scan
-    reaches, whole, while the kernel scores the few cells the bound keeps.
-    Returns the columns' C (trapezoid integral of (2 Im f)^2), P (|f|^2 at
-    the last sample), N (peak of |f|^2 up to n_p, where the pulse ends and
-    the field starts to ring down), k_lo (count of samples whose running
-    integral is below half of C, less the margin) and n1 (peak of |f|^2
-    over samples 0..k_hi + 2, k_hi that count with the margin added).
+    The unit pulse responses are _pulse_rows' fields at amplitude 1.0, read
+    through step_responses, so through the cache cost_plane reads.  Returns
+    each column's C = cum[-1] (trapezoid integral of (2 Im f)^2), P =
+    n0[-1] (|f|^2 at the last sample), the peak of n0 = |f|^2 over the
+    row, and k_lo, the count of samples whose cum is below C (1 - 1e-9) / 2.
     """
-    n_ps = np.array([n_p for n_p, _ in counts])
-    n_tots = np.array([n_tot for _, n_tot in counts])
-    c_u, p_u, n_u, k_lo, n1_u = (np.empty(len(counts)) for _ in range(5))
-    for n_tot in np.unique(n_tots).tolist():
-        cols = n_tots == n_tot
-        n_p = n_ps[cols]
-        u = step_responses([chi], q.kappa, dt, n_tot)[0]
-        re, im = u[:, 0], u[:, 1]
-        mag = re * re + im * im
-        m2 = np.square(im + im)
-        cum = np.zeros(n_tot + 1)
-        np.cumsum((m2[1:] + m2[:-1]) * (0.5 * dt), out=cum[1:])
-        peak = np.maximum.accumulate(mag)
-        # trapezoids of samples n_p + 1 + t, t < n_tot - n_p, of each column
-        width = n_tot - int(n_p.min())
-        trap = np.zeros((len(n_p), width))
-        if width:
-            im_pad = np.concatenate((im, np.zeros(width + 1)))
-            tail = sliding_window_view(im_pad, width)[n_p + 1] - im[1 : width + 1]
-            tail = np.square(tail + tail, out=tail)
-            trap[:, 0] = m2[n_p] + tail[:, 0]
-            np.add(tail[:, 1:], tail[:, :-1], out=trap[:, 1:])
-            trap *= 0.5 * dt
-            trap[np.arange(width) >= (n_tot - n_p)[:, None]] = 0.0
-        c = cum[n_p] + trap.sum(axis=1)
-        half = 0.5 * c
-        k = [np.searchsorted(cum, half * (1.0 + sign * BOUND_MARGIN)) for sign in (-1, 1)]
-        last = u[n_tot] - u[n_tot - n_p]
-        c_u[cols], p_u[cols], n_u[cols] = c, np.sum(last * last, axis=1), peak[n_p]
-        n1 = peak[np.minimum(k[1] + 2, n_p)]
-        # the half lies past n_p, or the n1 window reaches past it: read the
-        # column's own samples
-        for i in np.flatnonzero(np.minimum(k[1] + 2, n_tot) > n_p).tolist():
-            p = int(n_p[i])
-            col_cum = np.concatenate((cum[: p + 1], cum[p] + np.cumsum(trap[i, : n_tot - p])))
-            k[0][i], k[1][i] = (np.searchsorted(col_cum, half[i] * (1.0 + sign * BOUND_MARGIN))
-                                for sign in (-1, 1))
-            m = min(int(k[1][i]) + 2, n_tot)
-            f = u[p + 1 : m + 1] - u[1 : m + 1 - p]
-            n1[i] = max(peak[p], np.max(np.sum(f * f, axis=1), initial=0.0))
-        k_lo[cols], n1_u[cols] = k[0], n1
-    return c_u, p_u, n_u, k_lo, n1_u
+    n0, cum = _pulse_rows(step_responses([chi], q.kappa, dt, n_tot), np.ones(1), n_ps, dt)
+    c = cum[:, -1]
+    k_lo = np.count_nonzero(cum < (0.5 * c * (1.0 - BOUND_MARGIN))[:, None], axis=1)
+    return c, n0[:, -1], n0.max(axis=1), k_lo
 
 
 def _gamma1_floor(xp, fp, lo, hi):
@@ -718,14 +686,14 @@ def cell_bound(
 
     The kernel's field is fl(a * f), f the unit pulse response at
     amplitude a, so every quantity it reads is a^2 times f's, up to
-    rounding.  _unit_columns reads C, P, N, k_lo and n1 off f once per
-    pulse length, and the cell at a gets
+    rounding.  _unit_columns reads C, P, N (the peak of |f|^2) and k_lo off
+    f once per pulse length, and the cell at a gets
 
       separation  1/2 erfc(sqrt(2 eta kappa a^2 C (1 + 1e-9)) / 2),
       photon      a^2 P,
       MIST        the logistic at a^2 N,
       relaxation  max(k_lo - 2, 0) dt times the minimum of the
-                  interpolated Gamma1 over [omega, omega + 2 chi a^2 n1],
+                  interpolated Gamma1 over [omega, omega + 2 chi a^2 N],
       coupling    as the kernel has it.
 
     Each of the first four is taken times (1 - 1e-9), less 1e-300 and at
@@ -735,9 +703,10 @@ def cell_bound(
 
     - Rounding.  The kernel's SNR integral is a sequential cumsum of
       n_tot nonnegative trapezoids, each a few roundings from a^2 times
-      f's; its photon numbers are a few roundings from a^2 |f|^2.  So each
-      is within (n_tot + 5) eps relative of a^2 times the unit quantity,
-      which is as close to the exact value: under 1e-10 for n_tot < 10^5.
+      f's; its photon numbers, and so their peak, are a few roundings from
+      a^2 |f|^2.  So each is within (n_tot + 5) eps relative of a^2 times
+      the unit quantity, which is as close to the exact value: under 1e-10
+      for n_tot < 10^5.
       The 1e-9 margins cover that, and the last-bit differences of erfc,
       of np.exp against the kernel's math.exp and of np.interp.  The
       1e-300 margins cover underflow, whose errors are absolute.  Each
@@ -745,32 +714,25 @@ def cell_bound(
       are >= 0, so each weighted term and each partial sum is too.
     - The half-SNR index.  The kernel's idx counts the samples whose
       running integral is below half its last value.  With the rounding
-      above, idx lies in [k_lo, k_hi], the counts for the half moved down
-      and up by 1e-9: both are f's own index, or differ from it by one
-      where a sample sits within rounding of the half.  t0 = (idx - 1 +
+      above, every sample k_lo counts, below half of C moved down by 1e-9,
+      is below the kernel's half too, so idx >= k_lo.  t0 = (idx - 1 +
       frac) dt with frac in (0, 1], and int(t0 / dt) can lose one more to
       rounding.  So the kernel integrates Gamma1 over n_full >= idx - 2 >=
       k_lo - 2 whole steps, each trapezoid >= dt times the smallest rate
       (up to rounding of the order of eps times the largest rate, inside
       the margin unless the rates along one trace differ by more than
-      about 10^5), plus a partial step >= 0.  It reads the trace up to
-      sample n_full <= idx <= k_hi only, and n1 covers samples 0..k_hi + 2.
-    - Gamma1's minimum.  The Stark trace omega + 2 chi |beta0|^2 up to
-      n_full lies between omega and omega + 2 chi a^2 n1 (1 + 1e-9).  In a
-      finite cell it lies in the table too, where the interpolated Gamma1
-      is piecewise linear, so its minimum over the interval is at an end
-      or at a knot between them (_gamma1_floor).
-    - The peak photon number.  N is f's peak up to sample n_p; the
-      kernel's n_max is the peak over all samples, which is no less.
+      about 10^5), plus a partial step >= 0.
+    - Gamma1's minimum.  The Stark trace omega + 2 chi |beta0|^2 lies
+      between omega and omega + 2 chi a^2 N (1 + 1e-9) at every sample.
+      In a finite cell it lies in the table too up to n_full, where the
+      interpolated Gamma1 is piecewise linear, so its minimum over the
+      interval is at an end or at a knot between them (_gamma1_floor).
     - Infeasible cells.  A cell whose Stark trace leaves the Gamma1 table
       is +inf in the kernel, and the bound is finite there.  An omega near
       a pole or with |chi| too large is +inf in the kernel and in the
       bound.  Where the SNR integral is 0 the kernel has no relaxation
       term; the bound has one only where a^2 C exceeds 1e-280, far above
       anything underflow can round to 0.
-    - Sample counts.  t_p + t_r can round to different n_tot across the
-      columns.  Each column reads the step response of its own n_tot, as
-      the kernel does.
     """
     shape = (len(amps), len(tp_points))
     try:
@@ -781,7 +743,7 @@ def cell_bound(
     if counts is None:
         return np.full(shape, math.inf)
     dt, weights, mist = model.dt, model.weights, model.mist
-    c_u, p_u, n_u, k_lo, n1_u = _unit_columns(q, chi, counts, dt)
+    c_u, p_u, n_u, k_lo = _unit_columns(q, chi, *counts, dt)
     a2 = np.square(np.asarray(amps, dtype=float))[:, None]
 
     def lower(term):
@@ -792,7 +754,7 @@ def cell_bound(
     sep = lower(0.5 * erfc(np.sqrt(snr_value) / 2.0))
     photon = lower(a2 * p_u)
     xp, fp = q.gamma1_arrays
-    stark_end = omega + (2.0 * chi) * (a2 * n1_u * (1.0 + BOUND_MARGIN))
+    stark_end = omega + (2.0 * chi) * (a2 * n_u * (1.0 + BOUND_MARGIN))
     gamma = _gamma1_floor(xp, fp, np.minimum(omega, stark_end),
                           np.maximum(omega, stark_end))
     steps = np.maximum(k_lo - 2.0, 0.0) * dt

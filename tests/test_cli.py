@@ -23,7 +23,7 @@ from readout_opt.cli import (
     result_from_dict,
     result_to_dict,
 )
-from readout_opt.device import ghz_to_rad_ns, parse_yaml
+from readout_opt.device import dump_yaml, ghz_to_rad_ns, parse_yaml
 from readout_opt.dynamics import (
     DetuningStepError,
     PoleProximityError,
@@ -611,7 +611,7 @@ class TestBadResultsFile:
     @pytest.mark.parametrize("text, message", [
         ("qubits: [", "while parsing"),
         ("qubits: [{row: 0}]", "qubits[0].col: missing"),
-        ("qubits: [{row: 0, col: x, role: data}]", "qubits[0].col: invalid literal"),
+        ("qubits: [{row: 0, col: x, role: data}]", "qubits[0].col: must be an integer"),
         ("", "qubits: missing"),
         ("qubits: 5", "qubits: must be a list"),
     ])
@@ -637,6 +637,13 @@ class TestBadResultsFile:
         (_set(("qubits", 1, "B0"), None), "qubit (0,1): B0: missing"),
         (_set(("qubits", 0, "role"), "ancilla"), "qubits[0].role: "),
         (_set(("evaluations",), None), "evaluations: missing"),
+        (_set(("evaluations",), True), "evaluations: must be an integer, got True"),
+        (_set(("qubits", 0, "row"), 0.5), "qubits[0].row: must be an integer, got 0.5"),
+        (_set(("qubits", 1, "col"), True), "qubits[1].col: must be an integer, got True"),
+        (_set(("qubits", 1, "traversal_index"), "1"),
+         "qubit (0,1): traversal_index: must be an integer, got '1'"),
+        (_set(("qubits", 0, "n_collision_specs"), 2.5),
+         "qubit (0,0): n_collision_specs: must be an integer, got 2.5"),
         (lambda raw: raw["qubits"].append(dict(raw["qubits"][0])),
          "qubit (0,0): duplicate entry"),
     ])
@@ -647,6 +654,22 @@ class TestBadResultsFile:
         results_path.write_text(yaml.safe_dump(raw, sort_keys=False))
         assert self.run_benchmark(device_path, results_path, tmp_path) == EXIT_IO
         assert f"error: {results_path}: {message}" in capsys.readouterr().err
+
+
+class TestDumpYaml:
+    """The libyaml emitter writes every output as yaml.safe_dump does."""
+
+    def test_results_file(self, results_path):
+        self.assert_dumpers_agree(yaml.safe_load(results_path.read_text()))
+
+    def test_manifest_with_awkward_path(self):
+        path = "/tmp/run dir: 'quoted' \"twice\"/résumé µs/" + "x" * 90 + "/results.yaml"
+        self.assert_dumpers_agree({"version": "1", "command": "benchmark",
+                                   "results": path, "seed": 0, "prep_error": 0.0})
+
+    @staticmethod
+    def assert_dumpers_agree(data):
+        assert dump_yaml(data) == yaml.safe_dump(data, sort_keys=False)
 
 
 class TestParseYaml:

@@ -61,6 +61,17 @@ class TestLoadOptimizerConfig:
                 "grid": {"tp_max_ns": 450},
             }))
 
+    @pytest.mark.parametrize("text", [
+        "total_readout_time_ns: 500.5",
+        "dt_ns: 0.3",  # 500 ns is 1666.7 steps
+    ])
+    def test_total_must_be_whole_steps(self, text):
+        # t_p + t_r would round to a step count the reported t_r does not give
+        with pytest.raises(OptimizerConfigError) as exc:
+            load_optimizer_config(text)
+        assert str(exc.value).startswith("total_readout_time_ns: ")
+        assert load_optimizer_config("{total_readout_time_ns: 500.5, dt_ns: 0.5}")
+
     def test_non_mapping_rejected(self):
         with pytest.raises(OptimizerConfigError):
             load_optimizer_config("- a\n- b\n")
@@ -137,6 +148,8 @@ class TestBadConfigNamesKey:
         ("pole_guard_GHz: -1", "pole_guard_GHz"),
         ("dt_ns: 0", "dt_ns"),
         ("total_readout_time_ns: .nan", "total_readout_time_ns"),
+        ("total_readout_time_ns: 500.5", "total_readout_time_ns"),
+        ("total_readout_time_ns: .inf", "total_readout_time_ns"),
         ("mist: {sharpnes: 0}", "mist.sharpnes"),
         ("weight: {photon: 5}", "weight"),
         ("grid: {n_omega: 2.7}", "grid.n_omega"),

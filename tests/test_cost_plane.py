@@ -23,17 +23,19 @@ from readout_opt import (
     ReadoutParams,
     SearchGrid,
     StepSizeError,
+    build_search_grid,
     collision_specs,
     evaluate_cost,
     field_pair,
     half_snr_time,
     load_device,
+    load_optimizer_config,
     optimize_qubit,
     stark_trajectory,
 )
 from readout_opt import error_models
 from readout_opt.dynamics import BATCH_MIN_WIDTH, photon_number
-from readout_opt.error_models import cell_bound, cost_plane
+from readout_opt.error_models import ParameterError, cell_bound, cost_plane
 
 from conftest import CONFIG_DIR, TWO_PI
 
@@ -225,6 +227,27 @@ def test_cell_bound_reads_stark_trace_to_half_snr_index(t_p):
     assert cell_bound(cut, omega, [b0], [t_p], relaxation_only)[0, 0] == 0.0
 
 
+@pytest.mark.parametrize("weights", [CostWeights(1.0, 0.0, 0.0, 0.0, 0.0),
+                                     CostWeights(0.0, 0.0, 1.0, 0.0, 0.0)],
+                         ids=["separation", "photon"])
+def test_cell_bound_is_tight_on_separation_and_photon(weights):
+    """The separation and photon terms scale exactly with the unit
+    response, so there the bound is the kernel's total up to its 1e-9
+    margins.  The scan stays exact under any looser bound, scoring more
+    cells; this is what fails if the bound loosens."""
+    cfg = load_optimizer_config("grid: {n_omega: 3, n_amp: 40, n_tp: 39}")
+    cost_model = model(weights)
+    for qid in QIDS:
+        q, grid = D3.qubits[qid], build_search_grid(D3, qid, cfg)
+        totals = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
+                            cost_model).total
+        for omega, total in zip(grid.omega_points, totals):
+            bound = cell_bound(q, omega, grid.amp_points, grid.tp_points, cost_model)
+            finite = np.isfinite(total)
+            assert finite.any()
+            assert (bound[finite] >= (1.0 - 1e-6) * total[finite]).all(), (qid, omega)
+
+
 def test_grid_with_every_kind_of_cell(monkeypatch):
     """One grid holds every kind of cell the property test draws."""
     qid = QIDS[0]
@@ -385,13 +408,13 @@ class TestKernelPaths:
     def test_one_amplitude(self):
         assert_same(self.q, [self.omega], [self.b0], [100.0, 101.0, 333.0, 480.0])
 
-    def test_pulse_lengths_with_different_sample_counts(self):
-        # at dt = 0.1 and 25.05 ns, t_p + t_r rounds to 250 or 251 steps
-        tps = [5.0, 0.26966, 12.0, 0.3707075]
-        counts = {round((t + (25.05 - t)) / 0.1) for t in tps}
-        assert counts == {250, 251}
-        assert_same(self.q, [self.omega], [0.0, self.b0], tps,
-                    total_time=25.05, dt=0.1)
+    def test_total_time_off_the_step_grid_is_rejected(self):
+        # at dt = 0.1, 25.05 ns is 250.5 steps: t_p + t_r would round to 250
+        # or 251 steps, so the simulated t_r would not be the one reported
+        with pytest.raises(ParameterError, match="total_time") as got:
+            CostModel(total_time=25.05, dt=0.1)
+        assert got.value.field == "total_time"
+        assert model(total_time=25.0, dt=0.1).total_time == 25.0
 
 
 def small_grid(q, band, n_omega=3, n_amp=3, n_tp=3):

@@ -91,7 +91,7 @@ class TestLoadDevice:
         assert message in str(exc.value)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("row", "x", "qubits[0].row: invalid literal"),
+        ("row", "x", "qubits[0].row: must be an integer, got 'x'"),
         ("role", "ancilla", "qubits[0].role: 'ancilla' is not a valid Role"),
         ("alpha_GHz", "x", "qubit (0,0,data): alpha_GHz: could not convert"),
         ("kappa_MHz", None, "qubit (0,0,data): kappa_MHz: float() argument"),
@@ -100,6 +100,11 @@ class TestLoadDevice:
         ("gamma1_table", [[5.2, 0.05], [5.8]], "qubit (0,0,data): gamma1_table: not enough"),
         ("gamma1_table", [[5.2, 0.05], ["x", 0.06]],
          "qubit (0,0,data): gamma1_table: could not convert"),
+        # int() would load row 1.5 and col true as qubit (1,1)
+        ("row", 1.5, "qubits[0].row: must be an integer, got 1.5"),
+        ("row", "1", "qubits[0].row: must be an integer, got '1'"),
+        ("col", True, "qubits[0].col: must be an integer, got True"),
+        ("col", 1.0, "qubits[0].col: must be an integer, got 1.0"),
     ])
     def test_bad_value_names_entry_and_key(self, key, value, message):
         with pytest.raises(DeviceConfigError) as exc:
