@@ -59,7 +59,8 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
 #: swept values scored per cost_plane call; a frequency sweep's chunk has
-#: its SWEEP_CHUNK step responses integrated in one numpy pass
+#: its SWEEP_CHUNK step responses computed in one pass of
+#: dynamics.step_responses
 SWEEP_CHUNK = 128
 
 

@@ -456,10 +456,12 @@ def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
     Raises what evaluate_cost raises at the omega's first invalid point,
     and returns the pulse lengths' sample counts n_p and the count n_tot
     of t_p + t_r, total_time's whole number of steps for every pulse
-    length, or None when |chi| is too large for model.dt.  Only b0 >= 0
-    depends on the amplitude, so the first amplitude's row runs every
-    check and later rows check b0 alone.
+    length, or None when |chi| is too large for model.dt or there is no
+    amplitude, so no point.  Only b0 >= 0 depends on the amplitude, so the
+    first amplitude's row runs every check and later rows check b0 alone.
     """
+    if len(amps) == 0:
+        return None
     n_ps = []
     for j, t_p in enumerate(tp_points):
         pulse = PulseShape(b0=amps[0], t_p=t_p, t_r=model.total_time - t_p)

@@ -29,9 +29,6 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
         assert set(report[key]) == {"median", "q1", "q3"}
         assert report[key]["median"] > 0
     steps = report["step_response"]
-    assert set(steps) == {
-        "n_steps", "rounds", "widths", "scalar_s_per_response", "vector_fixed_s",
-        "vector_s_per_response", "break_even_width", "batch_min_width"}
+    assert set(steps) == {"n_steps", "rounds", "widths"}
     assert set(steps["widths"]) == {"2", "4"}
-    for row in steps["widths"].values():
-        assert set(row) == {"scalar_s", "vector_s", "speedup"}
+    assert all(t > 0 for t in steps["widths"].values())

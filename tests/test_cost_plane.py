@@ -34,7 +34,7 @@ from readout_opt import (
     stark_trajectory,
 )
 from readout_opt import error_models
-from readout_opt.dynamics import BATCH_MIN_WIDTH, photon_number
+from readout_opt.dynamics import photon_number
 from readout_opt.error_models import ParameterError, cell_bound, cost_plane
 
 from conftest import CONFIG_DIR, TWO_PI
@@ -118,9 +118,8 @@ weights = st.builds(CostWeights, *(weight,) * 5)
 
 @st.composite
 def grids(draw):
-    """A few omegas, repeated or distinct, or enough for the batched
-    step-response pass, with amplitudes from zero up to 3 amp_ref; one in
-    ten holds an invalid point."""
+    """A few omegas, repeated or distinct, or up to 40 distinct ones, with
+    amplitudes from zero up to 3 amp_ref; one in ten holds an invalid point."""
     qid = draw(st.sampled_from(QIDS))
     q = D3.qubits[qid]
     band = D3.search_band[qid]
@@ -132,10 +131,7 @@ def grids(draw):
         amps = [0.0] + draw(st.lists(amp, max_size=3))
         tps = draw(st.lists(pulse_lengths, min_size=1, max_size=4))
     else:
-        # enough feasible omegas for the numpy pass of step_responses
-        omegas = draw(st.lists(st.floats(*band), unique=True,
-                               min_size=BATCH_MIN_WIDTH,
-                               max_size=BATCH_MIN_WIDTH + 4))
+        omegas = draw(st.lists(st.floats(*band), unique=True, min_size=1, max_size=40))
         omegas = draw(st.permutations(omegas + draw(st.lists(near_pole(q), max_size=2))))
         amps = draw(st.lists(amp, min_size=1, max_size=2))
         tps = draw(st.lists(pulse_lengths, min_size=1, max_size=2))
@@ -256,7 +252,7 @@ def test_grid_with_every_kind_of_cell(monkeypatch):
     inside_guard = q.omega_r + 0.5 * GUARD
     chi_too_large = q.omega_r - q.alpha + 0.095
     off_table = TWO_PI * 5.5   # a strong drive pulls the Stark trace below 5.2 GHz
-    spread = list(np.linspace(lo, hi, BATCH_MIN_WIDTH))
+    spread = list(np.linspace(lo, hi, 38))
     omegas = [off_table, inside_guard, chi_too_large] + spread
     amps = [3.0 * q.amp_ref, 0.0, 0.2 * q.amp_ref]
     tps = [5.0, 300.0]
@@ -268,7 +264,7 @@ def test_grid_with_every_kind_of_cell(monkeypatch):
         return real_responses(chis, *args)
     monkeypatch.setattr(error_models, "step_responses", spy)
     bd = assert_same(q, omegas, amps, tps)
-    assert widths == [len(spread) + 1] and widths[0] >= BATCH_MIN_WIDTH
+    assert widths == [len(spread) + 1]
     assert np.isnan(bd.snr[1:3]).all() and np.isinf(bd.total[1:3]).all()
     # off the table: only snr and separation are known
     assert np.isinf(bd.total[0, 0, 1]) and np.isfinite(bd.snr[0, 0, 1])
@@ -349,6 +345,27 @@ class TestErrors:
             cost_plane(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0],
                        model(dt=20.0))
         assert_same(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0], dt=20.0)
+
+
+EMPTY_AXES = pytest.mark.parametrize("amps, tps", [
+    ([], [100.0, 300.0]),       # no amplitude
+    ([0.1, 0.2], []),           # no pulse length
+])
+
+
+class TestEmptyAxes:
+    OMEGA = TWO_PI * 5.9
+
+    @EMPTY_AXES
+    def test_cost_plane_gives_empty_planes(self, amps, tps):
+        bd = cost_plane(D3.qubits[QIDS[0]], [self.OMEGA], amps, tps, model())
+        for name in FIELDS:
+            assert getattr(bd, name).shape == (1, len(amps), len(tps))
+
+    @EMPTY_AXES
+    def test_cell_bound_gives_an_empty_bound(self, amps, tps):
+        bound = cell_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
+        assert bound.shape == (len(amps), len(tps))
 
 
 def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):

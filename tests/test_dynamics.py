@@ -20,12 +20,9 @@ from readout_opt import (
     solve_field,
     stark_trajectory,
 )
-from readout_opt import dynamics
 from readout_opt.dynamics import (
-    BATCH_MIN_WIDTH,
     STEP_CACHE_SIZE,
     _check_step,
-    _rk4_step_response,
     _rk4_step_responses,
     _unit_step_response,
     step_responses,
@@ -284,6 +281,12 @@ class TestPhotonNumbers:
             4 * max_photon(field_pair(q, p1, dt=0.5)), rel=1e-12)
 
 
+def literal_rk4_step(delta, kappa, dt, n_steps):
+    """RK4 samples of the field under a constant unit drive, beta(0) = 0,
+    one step at a time."""
+    return reference_rk4(1.0, (n_steps + 1) * dt, n_steps, delta, kappa, dt)
+
+
 @st.composite
 def step_batches(draw):
     """(deltas, kappa, dt, n_steps) that pass the step check, edges included:
@@ -295,32 +298,31 @@ def step_batches(draw):
     edges = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, limit, -limit,
              limit * (1.0 + 1e-9), math.nextafter(-limit, 0.0))
     delta = st.floats(min_value=-limit, max_value=limit) | st.sampled_from(edges)
-    width = draw(st.sampled_from(
-        (1, 2, BATCH_MIN_WIDTH - 1, BATCH_MIN_WIDTH, 2 * BATCH_MIN_WIDTH + 1)))
+    width = draw(st.sampled_from((1, 2, 37, 38, 77)))
     deltas = draw(st.lists(delta, min_size=width, max_size=width))
     return deltas, kappa, dt, draw(st.integers(min_value=1, max_value=600))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(step_batches())
-def test_split_real_pass_matches_scalar_loop(batch):
+def test_step_responses_are_rk4_at_every_width(batch):
     deltas, kappa, dt, n_steps = batch
     for delta in deltas:
         _check_step(delta, kappa, dt)
     got = _rk4_step_responses(deltas, kappa, dt, n_steps)
-    assert got.shape == (n_steps + 1, len(deltas), 2)
+    assert got.shape == (len(deltas), n_steps + 1, 2)
     mirrored = _rk4_step_responses([-d for d in deltas], kappa, dt, n_steps)
     for j, delta in enumerate(deltas):
-        want = _rk4_step_response(delta, kappa, dt, n_steps)
-        np.testing.assert_array_equal(got[:, j].view(np.int64),
-                                      want.view(float).reshape(-1, 2).view(np.int64))
-        # at -delta both forms give the conjugate: the same real parts, and
-        # imaginary parts that differ only in the sign of a zero
-        scalar = _rk4_step_response(-delta, kappa, dt, n_steps)
-        for re, im in ((mirrored[:, j, 0], mirrored[:, j, 1]),
-                       (scalar.real, scalar.imag)):
-            np.testing.assert_array_equal(re.view(np.int64), want.real.view(np.int64))
-            np.testing.assert_array_equal(-im, want.imag)
+        alone = _rk4_step_responses([delta], kappa, dt, n_steps)[0]
+        np.testing.assert_array_equal(got[j].view(np.int64), alone.view(np.int64))
+        # at -delta the conjugate: the same real parts, and imaginary parts
+        # that differ only in the sign of a zero
+        np.testing.assert_array_equal(mirrored[j, :, 0].view(np.int64),
+                                      got[j, :, 0].view(np.int64))
+        np.testing.assert_array_equal(-mirrored[j, :, 1], got[j, :, 1])
+        want = literal_rk4_step(delta, kappa, dt, n_steps)
+        err = np.abs(got[j, :, 0] + 1j * got[j, :, 1] - want)
+        assert err.max() <= 1e-13 * np.abs(want).max()
 
 
 class TestStepCache:
@@ -332,30 +334,16 @@ class TestStepCache:
         yield
         _unit_step_response.cache_clear()
 
-    @pytest.fixture
-    def batched(self, monkeypatch):
-        """Widths of the batches given to the split-real pass."""
-        widths = []
-
-        def spy(deltas, *args):
-            widths.append(len(deltas))
-            return _rk4_step_responses(deltas, *args)
-        monkeypatch.setattr(dynamics, "_rk4_step_responses", spy)
-        return widths
-
-    @pytest.mark.parametrize("width, vectorised", [
-        (1, False), (BATCH_MIN_WIDTH - 1, False), (BATCH_MIN_WIDTH, True)])
-    def test_step_responses_select_the_pass_by_width(self, batched, width,
-                                                     vectorised):
+    @pytest.mark.parametrize("width", [1, 2, 40])
+    def test_one_response_reads_through_the_cache(self, width):
         chis = [0.001 * (k + 1) for k in range(width)]
         got = step_responses(chis, self.KAPPA, 1.0, 50)
-        assert batched == ([width] if vectorised else [])
-        # the scalar loop reads through the cache, the numpy pass past it
+        assert got.shape == (width, 51, 2)
+        # one chi through the cache, a batch past it
         assert _unit_step_response.cache_info()[:2] == (
-            (0, 0) if vectorised else (0, width))
-        assert got.shape == (len(chis), 51, 2)
+            (0, 1) if width == 1 else (0, 0))
         for response, chi in zip(got, chis):
-            want = _rk4_step_response(chi, self.KAPPA, 1.0, 50)
+            want = _unit_step_response(chi, self.KAPPA, 1.0, 50)
             np.testing.assert_array_equal(
                 response.view(np.int64),
                 want.view(float).reshape(-1, 2).view(np.int64))

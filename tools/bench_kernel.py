@@ -15,20 +15,19 @@ computes for every plane it reaches before it scores any cell, over the
 same planes; it reads the same cached step responses and is not part of
 total_s.
 
-It also times the integration of unit step responses (500 steps at
-dt = 1 ns) both ways: one at a time in dynamics' scalar loop, and together
-in its split-real numpy pass, for batches of STEP_WIDTHS responses (the
-+chi responses of width frequencies across the first qubit's band, as
-cost_plane integrates them).  A line fitted to the pass's times against
-the scalar loop's time per response gives the break-even width, which
-sets dynamics.BATCH_MIN_WIDTH.
+step_response times dynamics.step_responses, the unit step responses
+(500 steps at dt = 1 ns) at the +chi of width frequencies across the first
+qubit's band, for each of STEP_WIDTHS widths, as the kernel asks for them:
+one through the step cache (cleared before each call, so it computes),
+several in one pass past it.  Each width gets the median of STEP_ROUNDS
+calls.
 
     python3 tools/bench_kernel.py [--out PATH]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
-BENCH_kernel.json at the checkout's root.  Seconds are medians
-over the rounds, with quartiles.
+BENCH_kernel.json at the checkout's root.  The kernel's and the bound's
+seconds are medians over the rounds, with quartiles.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ from readout_opt.device import load_device, parse_yaml  # noqa: E402
 
 N_OMEGAS = 4
 ROUNDS = 12
-STEP_WIDTHS = (2, 34, 128, 256, 402)
+STEP_WIDTHS = (1, 2, 38, 128, 402)
 STEP_ROUNDS = 5
 
 
@@ -76,46 +75,24 @@ def planes():
 
 
 def step_response_timings() -> dict:
-    """Scalar loop against numpy pass at each of STEP_WIDTHS."""
+    """Median time of step_responses at each of STEP_WIDTHS."""
     graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
     model = dense_config().model
     qid = graph.sorted_ids()[0]
     q, (lo, hi) = graph.qubits[qid], graph.search_band[qid]
     n_steps = round(model.total_time / model.dt)
-    ways = {
-        "scalar_s": lambda deltas: [dynamics._rk4_step_response(
-            d, q.kappa, model.dt, n_steps) for d in deltas],
-        "vector_s": lambda deltas: dynamics._rk4_step_responses(
-            deltas, q.kappa, model.dt, n_steps),
-    }
     out = {}
     for width in STEP_WIDTHS:
-        deltas = [dynamics.dispersive_shift(q, float(omega), model.pole_guard)
-                  for omega in np.linspace(lo, hi, width + 2)[1:-1]]
-        times = {name: [] for name in ways}
+        chis = [dynamics.dispersive_shift(q, float(omega), model.pole_guard)
+                for omega in np.linspace(lo, hi, width + 2)[1:-1]]
+        times = []
         for _ in range(STEP_ROUNDS):
-            for name, way in ways.items():
-                start = time.perf_counter()
-                way(deltas)
-                times[name].append(time.perf_counter() - start)
-        row = {name: summary(t) for name, t in times.items()}
-        row["speedup"] = row["scalar_s"]["median"] / row["vector_s"]["median"]
-        out[str(width)] = row
-    # scalar: a time per response; the pass: a fixed cost plus one per response
-    per_response = statistics.median(
-        r["scalar_s"]["median"] / int(w) for w, r in out.items())
-    slope, fixed = (float(v) for v in np.polyfit(
-        STEP_WIDTHS, [r["vector_s"]["median"] for r in out.values()], 1))
-    return {
-        "n_steps": n_steps,
-        "rounds": STEP_ROUNDS,
-        "widths": out,
-        "scalar_s_per_response": per_response,
-        "vector_fixed_s": fixed,
-        "vector_s_per_response": slope,
-        "break_even_width": fixed / (per_response - slope),
-        "batch_min_width": dynamics.BATCH_MIN_WIDTH,
-    }
+            dynamics._unit_step_response.cache_clear()
+            start = time.perf_counter()
+            dynamics.step_responses(chis, q.kappa, model.dt, n_steps)
+            times.append(time.perf_counter() - start)
+        out[str(width)] = statistics.median(times)
+    return {"n_steps": n_steps, "rounds": STEP_ROUNDS, "widths": out}
 
 
 def summary(values):
