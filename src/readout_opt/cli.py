@@ -355,9 +355,9 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(
             ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"])
-        for row in zip(traj.times, traj.beta0.real, traj.beta0.imag,
-                       traj.beta1.real, traj.beta1.imag, n0, n1):
-            writer.writerow(row)
+        writer.writerows(zip(*(column.tolist() for column in (
+            traj.times, traj.beta0.real, traj.beta0.imag,
+            traj.beta1.real, traj.beta1.imag, n0, n1))))
 
     _write_manifest(out, "manifest.yaml", {
         "command": "sweep",
@@ -391,20 +391,17 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
     with (out / "cross_fidelity.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row_i", "col_i", "row_j", "col_j", "F_ij"])
-        for i, qi in enumerate(report.qubits):
-            for j, qj in enumerate(report.qubits):
-                if i == j:
-                    continue
-                writer.writerow([qi.row, qi.col, qj.row, qj.col,
-                                 report.cross_fidelity[i, j]])
+        f = report.cross_fidelity.tolist()
+        writer.writerows([qi.row, qi.col, qj.row, qj.col, f[i][j]]
+                         for i, qi in enumerate(report.qubits)
+                         for j, qj in enumerate(report.qubits) if i != j)
     # integrated histogram of |F_ij|
     offdiag = report.cross_fidelity[~np.eye(len(report.qubits), dtype=bool)]
     absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))
     with (out / "cross_fidelity_hist.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["abs_F", "cumulative_fraction"])
-        for k, v in enumerate(absf):
-            writer.writerow([v, (k + 1) / len(absf)])
+        writer.writerows([v, (k + 1) / len(absf)] for k, v in enumerate(absf.tolist()))
     b = report.budget
     with (out / "budget.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -18,11 +18,11 @@ cells that cannot win.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import erfc
 
 from .device import (
     FrequencyRangeError,
@@ -226,7 +226,7 @@ def separation_error(snr_value: float) -> float:
     """Probability of misassigning the state at the given SNR."""
     if snr_value < 0:
         raise ValueError(f"SNR must be >= 0, got {snr_value}")
-    return 0.5 * float(erfc(math.sqrt(snr_value) / 2.0))
+    return 0.5 * math.erfc(math.sqrt(snr_value) / 2.0)
 
 
 def half_snr_time(traj: FieldTrajectory, eta: float, kappa: float) -> float:
@@ -450,33 +450,72 @@ def _relaxation(cum, stark, half, live, dt, xp, fp):
     return t0, relax, bad
 
 
-def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
-    """evaluate_cost's checks at one omega, in its (amplitude, pulse length) order.
+#: pulse-length grids whose checks and sample counts _pulse_counts keeps
+PULSE_GRID_CACHE_SIZE = 64
 
-    Raises what evaluate_cost raises at the omega's first invalid point,
-    and returns the pulse lengths' sample counts n_p and the count n_tot
-    of t_p + t_r, total_time's whole number of steps for every pulse
-    length, or None when |chi| is too large for model.dt or there is no
-    amplitude, so no point.  Only b0 >= 0 depends on the amplitude, so the
-    first amplitude's row runs every check and later rows check b0 alone.
+
+@functools.lru_cache(maxsize=PULSE_GRID_CACHE_SIZE)
+def _pulse_grid(tp_points: tuple, total_time: float, dt: float):
+    """The part of _pulse_counts' checks that reads the pulse lengths alone.
+
+    Walks the pulse lengths in order, as _pulse_counts does at an omega
+    whose |chi| passes: each one's PulseShape at b0 = 0, then its sample
+    count.  Returns (n_ps, bad_shape, bad_count): the sample counts, the
+    index of the first pulse length whose PulseShape raises, and the index
+    of the first one before it whose sample count raises, None where there
+    is none.  It keeps indices, not errors: the caller raises by redoing
+    the failing check on its own values, so its message has their repr.
     """
-    if len(amps) == 0:
-        return None
-    n_ps = []
+    n_ps, bad_count = [], None
     for j, t_p in enumerate(tp_points):
-        pulse = PulseShape(b0=amps[0], t_p=t_p, t_r=model.total_time - t_p)
-        if j == 0:
+        try:
+            pulse = PulseShape(b0=0.0, t_p=t_p, t_r=total_time - t_p)
+        except ValueError:
+            return tuple(n_ps), j, bad_count
+        if bad_count is None:
             try:
-                _check_step(chi, kappa, model.dt)
-            except DetuningStepError:
-                n_ps = None
-        # evaluate_cost stops at the step check, before counting samples
-        if n_ps is not None:
-            n_ps.append(_sample_counts(pulse, model.dt)[0])
+                n_ps.append(_sample_counts(pulse, dt)[0])
+            except ValueError:  # StepSizeError, or round() of a NaN
+                bad_count = j
+    return tuple(n_ps), None, bad_count
+
+
+def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
+    """The kernel's checks at one omega, in (amplitude, pulse length) order.
+
+    Raises what the oracle raises at the omega's first invalid point, and
+    returns the pulse lengths' sample counts n_p and the count n_tot of
+    t_p + t_r, total_time's whole number of steps for every pulse length,
+    or None when |chi| is too large for model.dt or there is no point.
+    The first amplitude's row runs every check: pulse 0's shape with that
+    amplitude, the step check of kappa and |chi|, the sample counts where
+    |chi| passes, and the later pulse lengths' shapes, each count before
+    the next length's shape.  Only b0 >= 0 depends on the amplitude, so
+    later rows check b0 alone.  The pulse-length part comes from
+    _pulse_grid, once per grid.
+    """
+    if len(amps) == 0 or len(tp_points) == 0:
+        return None
+    total_time, dt = model.total_time, model.dt
+    n_ps, bad_shape, bad_count = _pulse_grid(tuple(tp_points), total_time, dt)
+
+    def pulse(b0, j):
+        return PulseShape(b0=b0, t_p=tp_points[j], t_r=total_time - tp_points[j])
+
+    pulse(amps[0], 0)
+    try:
+        _check_step(chi, kappa, dt)
+    except DetuningStepError:
+        # the oracle stops at the step check, before counting samples
+        n_ps = bad_count = None
+    if bad_count is not None:
+        _sample_counts(pulse(amps[0], bad_count), dt)
+    if bad_shape is not None:
+        pulse(amps[0], bad_shape)
     for b0 in amps:
         if b0 < 0:
-            PulseShape(b0=b0, t_p=tp_points[0], t_r=model.total_time - tp_points[0])
-    return None if n_ps is None else (n_ps, round(model.total_time / model.dt))
+            pulse(b0, 0)
+    return None if n_ps is None else (n_ps, round(total_time / dt))
 
 
 def cost_plane(
@@ -508,13 +547,13 @@ def cost_plane(
     memory is four arrays of cells x (n_tot + 1) floats; the Gamma1 rates
     up to the latest half-SNR time take at most one more.  Then, once over
     all rows, with the term functions' IEEE operations in the same order:
-    the peak photon number and the Stark trace, the SNR and separation
-    error, the half-SNR index as the count of samples below half the
-    integral (the cumsum is nondecreasing, so that is searchsorted's
-    index), the Gamma1 prefixes summed in groups of equal length (numpy's
-    pairwise sum depends on the length), the Stark-range check from the
-    running min and max, the photon term, and the MIST logistic through
-    math.exp.
+    the peak photon number and the Stark trace, the SNR and the separation
+    error through math.erfc, the half-SNR index as the count of samples
+    below half the integral (the cumsum is nondecreasing, so that is
+    searchsorted's index), the Gamma1 prefixes summed in groups of equal
+    length (numpy's pairwise sum depends on the length), the Stark-range
+    check from the running min and max, the photon term, and the MIST
+    logistic through math.exp.
     """
     shape = (len(omegas), len(amps), len(tp_points))
     feasible, chis, col_counts = [], [], None
@@ -581,6 +620,17 @@ def _pulse_rows(parts, amps, n_ps, dt):
     return n0, cum
 
 
+def _elementwise(func, x: np.ndarray) -> np.ndarray:
+    """func, a math function, at each element of x.
+
+    The kernel takes erfc and exp from math, so every cell has the bits of
+    the scalar term functions: numpy has no erfc, and np.exp's SIMD loop
+    differs from math.exp in the last bit for some inputs.  The bound
+    takes its erfc from here too.
+    """
+    return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     """The breakdown of cost_plane's feasible omegas, one entry per cell.
 
@@ -601,7 +651,7 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     stark += per_cell(omegas)[:, None]
 
     snr_value = (2.0 * q.eta * q.kappa) * cum[:, -1]
-    sep = 0.5 * erfc(np.sqrt(snr_value) / 2.0)
+    sep = 0.5 * _elementwise(math.erfc, np.sqrt(snr_value) / 2.0)
     t0, relax, bad = _relaxation(cum, stark, 0.5 * cum[:, -1], snr_value > 0.0, dt,
                                  *q.gamma1_arrays)
     coupling = np.zeros(n_cells)
@@ -615,10 +665,7 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
         if has.any():
             z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])
             z = np.minimum(np.maximum(z, -500.0), 500.0)
-            # math.exp as in mist_penalty: np.exp's SIMD loop differs from it
-            # in the last bit for some inputs
-            exp = np.fromiter(map(math.exp, (-z).tolist()), float, z.size)
-            mist_term[has] = mist.ceiling / (1.0 + exp)
+            mist_term[has] = mist.ceiling / (1.0 + _elementwise(math.exp, -z))
     total = (
         weights.separation * sep
         + weights.relaxation * relax
@@ -709,11 +756,12 @@ def cell_bound(
       a^2 |f|^2.  So each is within (n_tot + 5) eps relative of a^2 times
       the unit quantity, which is as close to the exact value: under 1e-10
       for n_tot < 10^5.
-      The 1e-9 margins cover that, and the last-bit differences of erfc,
-      of np.exp against the kernel's math.exp and of np.interp.  The
-      1e-300 margins cover underflow, whose errors are absolute.  Each
-      term is then <= the kernel's; rounding is monotone and the weights
-      are >= 0, so each weighted term and each partial sum is too.
+      The 1e-9 margins cover that, and the last-bit differences of np.exp
+      against the kernel's math.exp and of np.interp; the bound and the
+      kernel take erfc from the same math.erfc.  The 1e-300 margins cover
+      underflow, whose errors are absolute.  Each term is then <= the
+      kernel's; rounding is monotone and the weights are >= 0, so each
+      weighted term and each partial sum is too.
     - The half-SNR index.  The kernel's idx counts the samples whose
       running integral is below half its last value.  With the rounding
       above, every sample k_lo counts, below half of C moved down by 1e-9,
@@ -753,7 +801,7 @@ def cell_bound(
 
     a2c = a2 * c_u
     snr_value = (2.0 * q.eta * q.kappa) * a2c * (1.0 + BOUND_MARGIN) + BOUND_FLOOR
-    sep = lower(0.5 * erfc(np.sqrt(snr_value) / 2.0))
+    sep = lower(0.5 * _elementwise(math.erfc, np.sqrt(snr_value) / 2.0))
     photon = lower(a2 * p_u)
     xp, fp = q.gamma1_arrays
     stark_end = omega + (2.0 * chi) * (a2 * n_u * (1.0 + BOUND_MARGIN))

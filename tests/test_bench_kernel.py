@@ -15,6 +15,7 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "ROUNDS", 2)
     monkeypatch.setattr(bench, "STEP_WIDTHS", (2, 4))
     monkeypatch.setattr(bench, "STEP_ROUNDS", 2)
+    monkeypatch.setattr(bench, "IMPORT_ROUNDS", 2)
 
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out)]) == 0
@@ -22,10 +23,10 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == report
     assert set(report) == {
         "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
-        "per_plane_ms", "bound_s", "step_response", "environment"}
+        "per_plane_ms", "bound_s", "step_response", "import_s", "environment"}
     assert report["rounds"] == 2
     assert report["points"] == report["planes"] * 40 * 39
-    for key in ("total_s", "bound_s"):
+    for key in ("total_s", "bound_s", "import_s"):
         assert set(report[key]) == {"median", "q1", "q3"}
         assert report[key]["median"] > 0
     steps = report["step_response"]

@@ -1,5 +1,8 @@
 import csv
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -702,3 +705,14 @@ class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_cli_import_leaves_scipy_out():
+    """The CLI's start-up imports no scipy: a fresh interpreter that
+    imports readout_opt.cli has no scipy module loaded."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import readout_opt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -345,11 +345,14 @@ class TestErrors:
             cost_plane(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0],
                        model(dt=20.0))
         assert_same(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0], dt=20.0)
+        # the first amplitude's b0 is checked before the step
+        assert_same(D3.qubits[QIDS[0]], [self.OMEGA], [-0.1], [300.0], dt=20.0)
 
 
 EMPTY_AXES = pytest.mark.parametrize("amps, tps", [
     ([], [100.0, 300.0]),       # no amplitude
     ([0.1, 0.2], []),           # no pulse length
+    ([-0.1], []),               # a negative amplitude, but no point to score
 ])
 
 
@@ -366,6 +369,66 @@ class TestEmptyAxes:
     def test_cell_bound_gives_an_empty_bound(self, amps, tps):
         bound = cell_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
         assert bound.shape == (len(amps), len(tps))
+
+
+def test_separation_is_math_erfc_bit_for_bit():
+    """The kernel's separation is 0.5 * math.erfc(math.sqrt(snr) / 2), the
+    oracle's, at SNR 0, at a typical cell and deep in erfc's tail."""
+    q = D3.qubits[QIDS[2]]
+    omega = 0.5 * sum(D3.search_band[QIDS[2]])
+    bd = cost_plane(q, [omega], [0.0, 0.2 * q.amp_ref, q.amp_ref], [300.0], model())
+    snr, sep = bd.snr[0, :, 0].tolist(), bd.separation[0, :, 0].tolist()
+    assert snr[0] == 0.0 and 10.0 < snr[1] < 100.0 and sep[2] < 1e-70
+    for s, got in zip(snr, sep):
+        assert got.hex() == (0.5 * math.erfc(math.sqrt(s) / 2.0)).hex()
+
+
+class TestPulseGridCache:
+    """_pulse_counts reads the pulse-length checks of a grid from a cache;
+    which error a grid raises must not depend on whether it is warm."""
+
+    QID = QIDS[0]
+    AMPS = [0.1, 0.2]
+
+    def omegas(self):
+        q = D3.qubits[self.QID]
+        # |chi| too large for dt first: the oracle counts no samples there
+        return [q.omega_r - q.alpha + 0.095, 0.5 * sum(D3.search_band[self.QID])]
+
+    def assert_like_oracle(self, tps):
+        """cost_plane on both omegas, and cell_bound on each, raise what the
+        oracle raises, or nothing where it raises nothing."""
+        q = D3.qubits[self.QID]
+        assert_same(q, self.omegas(), self.AMPS, tps)
+        for omega in self.omegas():
+            _, error = oracle(q, [omega], self.AMPS, tps, model(), ())
+            if error is None:
+                cell_bound(q, omega, self.AMPS, tps, model())
+                continue
+            with pytest.raises(type(error)) as got:
+                cell_bound(q, omega, self.AMPS, tps, model())
+            assert type(got.value) is type(error)
+            assert str(got.value) == str(error)
+
+    @pytest.mark.parametrize("tps", [
+        [300.0, 0.4],         # n_p = 0, an error only where |chi| passes
+        [0.4, 520.0],         # that, then t_r < 0: one error per omega
+        [300.0, 520.0],       # t_r < 0 at both omegas
+        [300.0, math.nan],    # no sample count for a NaN
+    ])
+    def test_cold_and_warm(self, tps):
+        error_models._pulse_grid.cache_clear()
+        self.assert_like_oracle(tps)
+        hits = error_models._pulse_grid.cache_info().hits
+        self.assert_like_oracle(tps)
+        assert error_models._pulse_grid.cache_info().hits > hits
+
+    def test_equal_keys_keep_their_own_message(self):
+        # 0.0 == -0.0 == 0 share a cache entry, but the messages differ
+        error_models._pulse_grid.cache_clear()
+        for t_p in (0.0, -0.0, 0):
+            self.assert_like_oracle([300.0, t_p])
+        assert error_models._pulse_grid.cache_info().currsize == 1
 
 
 def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):

@@ -22,12 +22,15 @@ one through the step cache (cleared before each call, so it computes),
 several in one pass past it.  Each width gets the median of STEP_ROUNDS
 calls.
 
+import_s is the start-up every CLI command pays: the time to import
+readout_opt.cli in a fresh interpreter, over IMPORT_ROUNDS interpreters.
+
     python3 tools/bench_kernel.py [--out PATH]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
-BENCH_kernel.json at the checkout's root.  The kernel's and the bound's
-seconds are medians over the rounds, with quartiles.
+BENCH_kernel.json at the checkout's root.  The kernel's, the bound's and
+the import's seconds are medians over the rounds, with quartiles.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ import argparse
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,6 +56,7 @@ N_OMEGAS = 4
 ROUNDS = 12
 STEP_WIDTHS = (1, 2, 38, 128, 402)
 STEP_ROUNDS = 5
+IMPORT_ROUNDS = 7
 
 
 def dense_config():
@@ -95,6 +100,16 @@ def step_response_timings() -> dict:
     return {"n_steps": n_steps, "rounds": STEP_ROUNDS, "widths": out}
 
 
+def import_times() -> list[float]:
+    """Seconds to import readout_opt.cli, one fresh interpreter each."""
+    code = (f"import sys, time; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "start = time.perf_counter(); import readout_opt.cli; "
+            "print(time.perf_counter() - start)")
+    return [float(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                 text=True, check=True).stdout)
+            for _ in range(IMPORT_ROUNDS)]
+
+
 def summary(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -132,6 +147,7 @@ def main(argv=None) -> int:
     }
     result["bound_s"] = summary([b for _, b in rounds])
     result["step_response"] = step_response_timings()
+    result["import_s"] = summary(import_times())
     result["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
