@@ -10,6 +10,11 @@ reports).  Within one prepared state a qubit's shots are i.i.d. Bernoulli
 draws with the closed-form probability of ``one_probability``, and the
 reports use only their counts, so each count is drawn as one exact
 binomial sample instead of shot by shot.
+
+Every tally the reports read is a sum of those counts, at most
+n_states * n_shots.  BenchmarkConfig caps that product at 2**53, so the
+tallies are exact in float64 whatever order BLAS sums them in, and the
+pairwise tallies of ``cross_fidelity`` are two float64 Gram products.
 """
 from __future__ import annotations
 
@@ -29,6 +34,17 @@ class Subset(enum.Enum):
     MEASURE_ONLY = "measure"
 
 
+class UnpreparedStateError(ValueError):
+    """A qubit's column of prepared bits holds one value only; column indexes it."""
+
+    def __init__(self, column: int, bit: int):
+        super().__init__(
+            f"both prepared values must be represented: column {column} "
+            f"holds only |{bit}>")
+        self.column = column
+        self.bit = bit
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     n_states: int = 200
@@ -40,6 +56,11 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.n_states <= 0 or self.n_shots <= 0:
             raise ValueError("n_states and n_shots must be > 0")
+        # float64 holds every integer up to 2**53, so no tally is rounded
+        if self.n_states * self.n_shots > 2**53:
+            raise ValueError(
+                f"n_states * n_shots must be <= 2**53 for exact tallies, "
+                f"got {self.n_states} * {self.n_shots}")
         if not 0.0 <= self.prep_error <= 1.0:
             raise ValueError("prep_error must be a probability")
 
@@ -97,19 +118,29 @@ def one_probability(
     return (1.0 - c) * p0 + c / 2.0
 
 
-def measurement_error(
-    prepared: np.ndarray, ones: np.ndarray, n_shots: int
-) -> tuple[float, float, float]:
-    """(P(1|0), P(0|1), symmetric error) from per-state tallies of one qubit."""
+def measurement_error(prepared: np.ndarray, ones: np.ndarray, n_shots: int):
+    """(P(1|0), P(0|1), symmetric error) from per-state tallies.
+
+    1-D arrays are one qubit's tallies and give three floats; (n_states,
+    n_qubits) arrays give three arrays of one rate per column, each equal
+    bit for bit to the 1-D call on that column, since the sums of integer
+    counts below 2**53 are exact in any order.  A column prepared in one
+    state only raises UnpreparedStateError naming the first such column.
+    """
     prepared = np.asarray(prepared, dtype=bool)
     ones = np.asarray(ones, dtype=float)
-    n0 = int((~prepared).sum())
-    n1 = int(prepared.sum())
-    if n0 == 0 or n1 == 0:
-        raise ValueError("both prepared values must be represented")
-    p10 = float(ones[~prepared].sum() / (n0 * n_shots))
-    p01 = float((n_shots - ones[prepared]).sum() / (n1 * n_shots))
-    return p10, p01, 0.5 * (p10 + p01)
+    n1 = prepared.sum(axis=0)
+    n0 = len(prepared) - n1
+    lacking = np.flatnonzero((n0 == 0) | (n1 == 0))
+    if lacking.size:
+        column = int(lacking[0])
+        raise UnpreparedStateError(column, bit=int(np.ravel(n1)[column] > 0))
+    p10 = np.where(prepared, 0.0, ones).sum(axis=0) / (n0 * n_shots)
+    p01 = np.where(prepared, n_shots - ones, 0.0).sum(axis=0) / (n1 * n_shots)
+    error = 0.5 * (p10 + p01)
+    if prepared.ndim == 1:
+        return float(p10), float(p01), float(error)
+    return p10, p01, error
 
 
 def cross_fidelity(records: ShotRecords):
@@ -118,24 +149,32 @@ def cross_fidelity(records: ShotRecords):
     F_ij = 1 - [P(1_i|0_i 0_j) + P(1_i|1_i 0_j)
                 + P(0_i|1_i 1_j) + P(0_i|0_i 1_j)] / 2,
     conditioning on the prepared states of both qubits (Heinsoo et al.,
-    PRApplied 10, 034040 (2018)).  The states and measured ones of every
-    conditioning cell are counted for all pairs at once as integer matrix
-    products.  Entries whose conditioning cell is empty come back as nan
-    and are listed separately, in row-major order.
+    PRApplied 10, 034040 (2018)).  Every conditioning cell of every pair
+    is counted at once by two Gram products of the float64 indicator
+    matrix X = [prepared |0>, prepared |1>] of shape (n_states, 2 n_qubits):
+    X.T @ X counts the states of each (y_i, z_j) cell, and X weighted by
+    each column's measured ones gives their measured-one counts.  Every
+    entry is an integer at most n_states * n_shots <= 2**53, so each sum is
+    exact in any order and the ratios equal integer tallies' bit for bit.
+    Entries whose conditioning cell is empty come back as nan and are
+    listed separately, in row-major order.
     """
     prep = np.asarray(records.prepared, dtype=bool)
-    ones = np.asarray(records.ones, dtype=np.int64)
+    ones = np.asarray(records.ones, dtype=float)
     n = records.n_shots
     n_q = len(records.qubits)
-    # ind[y][s, i] = 1 where state s prepares qubit i in |y>
-    ind = ((~prep).astype(np.int64), prep.astype(np.int64))
+    # x[s, y * n_q + i] = 1 where state s prepares qubit i in |y>
+    x = np.concatenate((~prep, prep), axis=1).astype(float)
+    states = x.T @ x
+    measured = (x * np.concatenate((ones, ones), axis=1)).T @ x
     off_diagonal = ~np.eye(n_q, dtype=bool)
     defined = off_diagonal.copy()
     cells = []
     # (y_i, z_j); each cell is the probability of measuring NOT y_i
     for y, z in ((0, 0), (1, 0), (1, 1), (0, 1)):
-        shots = (ind[y].T @ ind[z]) * n
-        ones_yz = (ind[y] * ones).T @ ind[z]
+        block = np.s_[y * n_q:(y + 1) * n_q, z * n_q:(z + 1) * n_q]
+        shots = states[block] * n
+        ones_yz = measured[block]
         wrong = ones_yz if y == 0 else shots - ones_yz
         defined &= shots > 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -212,13 +251,16 @@ def run_benchmark(
     ones = np.random.default_rng(tally_ss).binomial(cfg.n_shots, p)
 
     records = ShotRecords(qubits, prepared, ones, cfg.n_shots)
-    p10, p01, error = {}, {}, {}
-    for j, qid in enumerate(qubits):
-        p10[qid], p01[qid], error[qid] = measurement_error(
-            prepared[:, j], ones[:, j], cfg.n_shots
-        )
+    try:
+        rates = measurement_error(prepared, ones, cfg.n_shots)
+    except UnpreparedStateError as exc:
+        q = qubits[exc.column]
+        raise ValueError(
+            f"n_states={cfg.n_states} prepares qubit ({q.row},{q.col}) only in "
+            f"|{exc.bit}>: both prepared values must be represented") from None
+    p10, p01, error = (dict(zip(qubits, r.tolist())) for r in rates)
     fmat, undefined = cross_fidelity(records)
-    observed = float(np.mean([error[qid] for qid in qubits]))
+    observed = float(np.mean(rates[2]))
     budget = error_budget(
         {qid: result.per_qubit[qid].breakdown for qid in qubits},
         observed,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import logging
 import math
@@ -78,9 +79,38 @@ def _load_opt_config(path: str | None) -> OptimizerConfig:
     return load_optimizer_config(_read_text(path))
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path as a new file, removing what is there first.
+
+    Truncating an existing file makes ext4 flush its unwritten data, tens
+    of ms per file, so a rerun into the same --out would pay that for
+    every output.  An existing symlink or read-only file at path is
+    replaced, not written through.
+    """
+    path.unlink(missing_ok=True)
+    path.write_text(text, newline="")
+
+
+def _csv_text(rows) -> str:
+    """rows as csv.writer writes them."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _write_numeric_csv(path: Path, header, rows) -> None:
+    """Write tuples of numbers as csv.writer would, byte for byte.
+
+    "%s" gives an int, a float or a numpy float64 the same text csv.writer
+    does, and no number needs quoting; rows must be tuples.
+    """
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    _write(path, ",".join(header) + "\r\n" + "".join([line % row for row in rows]))
+
+
 def _write_manifest(out: Path, name: str, payload: dict) -> None:
     payload = {"version": __version__, **payload}
-    (out / name).write_text(dump_yaml(payload))
+    _write(out / name, dump_yaml(payload))
 
 
 #: CostBreakdown field -> its key in results.yaml and summary.csv
@@ -178,13 +208,11 @@ _SUMMARY_COLUMNS = (
 
 
 def _write_summary_csv(path: Path, result_dict: dict) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_COLUMNS)
-        writer.writeheader()
-        for row in result_dict["qubits"]:
-            flat = {k: v for k, v in row.items() if k != "cost"}
-            flat.update(row["cost"])
-            writer.writerow(flat)
+    rows = [_SUMMARY_COLUMNS]
+    for row in result_dict["qubits"]:
+        flat = {**row, **row["cost"]}
+        rows.append([flat[column] for column in _SUMMARY_COLUMNS])
+    _write(path, _csv_text(rows))
 
 
 def cmd_validate(args) -> int:
@@ -220,7 +248,7 @@ def cmd_optimize(args) -> int:
         if exc.partial is not None and exc.partial.per_qubit:
             out.mkdir(parents=True, exist_ok=True)
             partial = result_to_dict(exc.partial, strategy)
-            (out / "results_partial.yaml").write_text(dump_yaml(partial))
+            _write(out / "results_partial.yaml", dump_yaml(partial))
         return EXIT_INFEASIBLE
     elapsed = time.perf_counter() - t_begin
     log.info("optimized %d qubits: %d grid points, %d scored in %.1f s",
@@ -228,7 +256,7 @@ def cmd_optimize(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     result_dict = result_to_dict(result, strategy)
-    (out / "results.yaml").write_text(dump_yaml(result_dict))
+    _write(out / "results.yaml", dump_yaml(result_dict))
     _write_summary_csv(out / "summary.csv", result_dict)
     _write_manifest(out, "manifest.yaml", {
         "command": "optimize",
@@ -338,24 +366,21 @@ def cmd_sweep(args) -> int:
                         chunk["length"], model)
         for name, column in scored.items():
             column += getattr(bd, name).ravel().tolist()
-    rows = [{"f_q_GHz": rad_ns_to_ghz(omega), "amp": amp, "B0": amp * q.amp_ref,
-             "t_p_ns": tp, "t_r_ns": model.total_time - tp,
-             **{column: scored[name][k] for column, name in _SWEEP_COLUMNS.items()}}
+    rows = [(rad_ns_to_ghz(omega), amp, amp * q.amp_ref, tp, model.total_time - tp,
+             *(scored[name][k] for name in _SWEEP_COLUMNS.values()))
             for k, (omega, amp, tp) in enumerate(itertools.product(*grid.values()))]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_numeric_csv(out / "sweep.csv",
+                       ["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS],
+                       rows)
 
     n0, n1 = photon_number(traj.beta0), photon_number(traj.beta1)
-    with (out / "trajectory.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"])
-        writer.writerows(zip(*(column.tolist() for column in (
+    _write_numeric_csv(
+        out / "trajectory.csv",
+        ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"],
+        zip(*(column.tolist() for column in (
             traj.times, traj.beta0.real, traj.beta0.imag,
             traj.beta1.real, traj.beta1.imag, n0, n1))))
 
@@ -379,36 +404,28 @@ def cmd_sweep(args) -> int:
 
 
 def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
-    with (out / "per_qubit_errors.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "role", "p_1_given_0", "p_0_given_1",
-                         "error"])
-        for qid in report.qubits:
-            writer.writerow([
-                qid.row, qid.col, qid.role.value,
-                report.p10[qid], report.p01[qid], report.error[qid],
-            ])
-    with (out / "cross_fidelity.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_i", "col_i", "row_j", "col_j", "F_ij"])
-        f = report.cross_fidelity.tolist()
-        writer.writerows([qi.row, qi.col, qj.row, qj.col, f[i][j]]
-                         for i, qi in enumerate(report.qubits)
-                         for j, qj in enumerate(report.qubits) if i != j)
+    _write(out / "per_qubit_errors.csv", _csv_text([
+        ["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
+        *([qid.row, qid.col, qid.role.value,
+           report.p10[qid], report.p01[qid], report.error[qid]]
+          for qid in report.qubits)]))
+    f = report.cross_fidelity.tolist()
+    _write_numeric_csv(out / "cross_fidelity.csv",
+                       ["row_i", "col_i", "row_j", "col_j", "F_ij"],
+                       [(qi.row, qi.col, qj.row, qj.col, f[i][j])
+                        for i, qi in enumerate(report.qubits)
+                        for j, qj in enumerate(report.qubits) if i != j])
     # integrated histogram of |F_ij|
     offdiag = report.cross_fidelity[~np.eye(len(report.qubits), dtype=bool)]
     absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))
-    with (out / "cross_fidelity_hist.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["abs_F", "cumulative_fraction"])
-        writer.writerows([v, (k + 1) / len(absf)] for k, v in enumerate(absf.tolist()))
+    _write_numeric_csv(out / "cross_fidelity_hist.csv",
+                       ["abs_F", "cumulative_fraction"],
+                       [(v, (k + 1) / len(absf)) for k, v in enumerate(absf.tolist())])
     b = report.budget
-    with (out / "budget.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "probability"])
-        for name in ("separation", "state_prep", "relaxation", "unknown",
-                     "observed"):
-            writer.writerow([name, getattr(b, name)])
+    _write(out / "budget.csv", _csv_text([
+        ["component", "probability"],
+        *([name, getattr(b, name)] for name in
+          ("separation", "state_prep", "relaxation", "unknown", "observed"))]))
 
     mean_err = float(np.mean(list(report.error.values())))
     mean_absf = float(np.mean(absf)) if len(absf) else float("nan")
@@ -427,7 +444,7 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
         lines.append("warning: unknown component negative beyond tolerance")
     if report.undefined_pairs:
         lines.append(f"undefined cross-fidelity pairs: {len(report.undefined_pairs)}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    _write(out / "report.txt", "\n".join(lines) + "\n")
 
 
 def cmd_benchmark(args) -> int:

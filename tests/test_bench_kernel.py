@@ -16,6 +16,8 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "STEP_WIDTHS", (2, 4))
     monkeypatch.setattr(bench, "STEP_ROUNDS", 2)
     monkeypatch.setattr(bench, "IMPORT_ROUNDS", 2)
+    monkeypatch.setattr(bench, "CROSS_FIDELITY_QUBITS", (3, 5))
+    monkeypatch.setattr(bench, "CROSS_FIDELITY_ROUNDS", 2)
 
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out)]) == 0
@@ -23,7 +25,8 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == report
     assert set(report) == {
         "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
-        "per_plane_ms", "bound_s", "step_response", "import_s", "environment"}
+        "per_plane_ms", "bound_s", "step_response", "import_s", "cross_fidelity_s",
+        "environment"}
     assert report["rounds"] == 2
     assert report["points"] == report["planes"] * 40 * 39
     for key in ("total_s", "bound_s", "import_s"):
@@ -33,3 +36,7 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert set(steps) == {"n_steps", "rounds", "widths"}
     assert set(steps["widths"]) == {"2", "4"}
     assert all(t > 0 for t in steps["widths"].values())
+    pairs = report["cross_fidelity_s"]
+    assert (pairs["n_states"], pairs["n_shots"], pairs["rounds"]) == (200, 2000, 2)
+    assert set(pairs["qubits"]) == {"3", "5"}
+    assert all(t["median"] > 0 for t in pairs["qubits"].values())

@@ -25,7 +25,7 @@ from readout_opt import (
     run_benchmark,
     separation_error,
 )
-from readout_opt.benchmark import one_probability
+from readout_opt.benchmark import UnpreparedStateError, one_probability
 
 from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
 
@@ -120,6 +120,28 @@ class TestMeasurementError:
         with pytest.raises(ValueError):
             measurement_error(np.array([1, 1]), np.array([9, 9]), 10)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n_states=st.integers(2, 40), n_q=st.integers(1, 6),
+           n_shots=st.integers(1, 2**47), seed=st.integers(0, 2**32 - 1))
+    def test_columns_equal_one_dimensional_calls(self, n_states, n_q, n_shots, seed):
+        rng = np.random.default_rng(seed)
+        prepared = rng.integers(0, 2, size=(n_states, n_q))
+        prepared[:2] = [[0], [1]]  # every column holds both values
+        ones = rng.integers(0, n_shots + 1, size=(n_states, n_q))
+        columns = measurement_error(prepared, ones, n_shots)
+        for j in range(n_q):
+            single = measurement_error(prepared[:, j], ones[:, j], n_shots)
+            assert all(type(v) is float for v in single)
+            assert [c[j].hex() for c in columns] == [v.hex() for v in single]
+
+    def test_first_column_prepared_in_one_state_named(self):
+        prepared = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+        ones = np.zeros((2, 4), dtype=int)
+        with pytest.raises(UnpreparedStateError) as info:
+            measurement_error(prepared, ones, 10)
+        assert (info.value.column, info.value.bit) == (1, 1)
+        assert "column 1 holds only |1>" in str(info.value)
+
 
 class TestCrossFidelity:
     def test_independent_perfect_readout_gives_zero(self):
@@ -207,7 +229,7 @@ def cross_fidelity_loop(records):
 class TestCrossFidelityMatchesLoop:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(n_states=st.integers(1, 40), n_q=st.integers(1, 6),
-           n_shots=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+           n_shots=st.integers(1, 2**47), seed=st.integers(0, 2**32 - 1))
     def test_bit_identical(self, n_states, n_q, n_shots, seed):
         rng = np.random.default_rng(seed)
         prepared = rng.integers(0, 2, size=(n_states, n_q))
@@ -218,6 +240,13 @@ class TestCrossFidelityMatchesLoop:
         assert np.array_equal(np.isnan(f), np.isnan(f_ref))
         assert np.array_equal(f, f_ref, equal_nan=True)
         assert undefined == undefined_ref
+
+
+class TestBenchmarkConfig:
+    def test_tallies_beyond_2_53_rejected(self):
+        BenchmarkConfig(n_states=2**3, n_shots=2**50)
+        with pytest.raises(ValueError, match=r"n_states \* n_shots must be <= 2\*\*53"):
+            BenchmarkConfig(n_states=2**3, n_shots=2**50 + 1)
 
 
 class TestErrorBudget:

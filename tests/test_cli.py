@@ -587,6 +587,114 @@ class TestBenchmark:
         assert not out.exists()
 
 
+    def test_one_state_qubit_named_before_any_output(self, device_path, results_path,
+                                                      tmp_path, capsys):
+        # seed 21 prepares qubit (0,0) in |1>, |0>, |1> and qubit (0,1) in |0> only
+        out = tmp_path / "bench"
+        code = main([
+            "benchmark", "--device", str(device_path),
+            "--results", str(results_path),
+            "--n-states", "3", "--n-shots", "10", "--seed", "21",
+            "--out", str(out),
+        ])
+        assert code == EXIT_IO
+        assert ("error: n_states=3 prepares qubit (0,1) only in |0>: "
+                "both prepared values must be represented") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tallies_beyond_2_53_rejected(self, device_path, results_path, tmp_path,
+                                          capsys):
+        out = tmp_path / "bench"
+        code = main([
+            "benchmark", "--device", str(device_path),
+            "--results", str(results_path),
+            "--n-states", "2", "--n-shots", str(2**52 + 1),
+            "--out", str(out),
+        ])
+        assert code == EXIT_IO
+        assert ("error: n_states * n_shots must be <= 2**53 for exact tallies, "
+                f"got 2 * {2**52 + 1}") in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRerunIntoSameOut:
+    """A rerun into an existing --out replaces every output file."""
+
+    @pytest.fixture
+    def commands(self, device_path, opt_path, results_path):
+        return {
+            "optimize": ["optimize", "--device", str(device_path),
+                         "--opt-config", str(opt_path)],
+            "sweep": ["sweep", "--device", str(device_path),
+                      "--opt-config", str(opt_path), "--qubit", "0,1",
+                      "--axis", "amplitude", "--min", "0.1", "--max", "0.2",
+                      "--points", "3"],
+            "benchmark": ["benchmark", "--device", str(device_path),
+                          "--results", str(results_path),
+                          "--n-states", "10", "--n-shots", "100"],
+        }
+
+    @staticmethod
+    def contents(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "benchmark"])
+    def test_rerun_gives_the_same_bytes(self, commands, tmp_path, command):
+        out = tmp_path / "out"
+        assert main(commands[command] + ["--out", str(out)]) == EXIT_OK
+        first = self.contents(out)
+        assert main(commands[command] + ["--out", str(out)]) == EXIT_OK
+        assert self.contents(out) == first
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "benchmark"])
+    def test_longer_stale_files_fully_replaced(self, commands, tmp_path, command):
+        fresh = tmp_path / "fresh"
+        assert main(commands[command] + ["--out", str(fresh)]) == EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()
+        for name, data in self.contents(fresh).items():
+            (out / name).write_bytes(b"stale," * (len(data) + 100))
+        assert main(commands[command] + ["--out", str(out)]) == EXIT_OK
+        assert self.contents(out) == self.contents(fresh)
+
+    def test_symlink_and_read_only_file_replaced(self, commands, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("kept")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.txt").symlink_to(target)
+        (out / "budget.csv").write_text("old")
+        (out / "budget.csv").chmod(0o444)
+        assert main(commands["benchmark"] + ["--out", str(out)]) == EXIT_OK
+        assert target.read_text() == "kept"
+        assert not (out / "report.txt").is_symlink()
+        assert "mean measurement error" in (out / "report.txt").read_text()
+        assert (out / "budget.csv").read_text().startswith("component,probability")
+
+
+class TestWriteNumericCsv:
+    VALUES = (0, 7, -3, 2**60, 0.1, -2.5, np.float64(1 / 3), float("nan"),
+              float("inf"), float("-inf"), -0.0, np.float64(-0.0), 5e-324, 1e16,
+              1e22, np.float64(1e22), np.float64("nan"), 1.0)
+
+    @staticmethod
+    def csv_writer_bytes(path, header, rows):
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 5])
+    def test_bytes_equal_csv_writer(self, tmp_path, n_rows):
+        header = [f"c{k}" for k in range(len(self.VALUES))]
+        # row k rotates the values by k places
+        rows = [self.VALUES[k:] + self.VALUES[:k] for k in range(n_rows)]
+        cli._write_numeric_csv(tmp_path / "fast.csv", header, rows)
+        expected = self.csv_writer_bytes(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+
+
 def _set(path, value):
     """Edit of a results dict: set the value at a key path, None deletes it."""
     def edit(raw):

@@ -25,12 +25,18 @@ calls.
 import_s is the start-up every CLI command pays: the time to import
 readout_opt.cli in a fresh interpreter, over IMPORT_ROUNDS interpreters.
 
+cross_fidelity_s times benchmark.cross_fidelity, the pair tallies of the
+benchmark command, on synthetic records of 200 states x 2000 shots for
+each qubit count of CROSS_FIDELITY_QUBITS (49 is the benchmark's d=5
+device, 241 a d=11 one), over CROSS_FIDELITY_ROUNDS calls each.
+
     python3 tools/bench_kernel.py [--out PATH]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
-BENCH_kernel.json at the checkout's root.  The kernel's, the bound's and
-the import's seconds are medians over the rounds, with quartiles.
+BENCH_kernel.json at the checkout's root.  The kernel's, the bound's, the
+import's and cross_fidelity's seconds are medians over the rounds, with
+quartiles.
 """
 from __future__ import annotations
 
@@ -49,6 +55,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from readout_opt import dynamics, error_models  # noqa: E402
+from readout_opt.benchmark import ShotRecords, cross_fidelity  # noqa: E402
 from readout_opt.config import build_search_grid, load_optimizer_config  # noqa: E402
 from readout_opt.device import load_device, parse_yaml  # noqa: E402
 
@@ -57,6 +64,8 @@ ROUNDS = 12
 STEP_WIDTHS = (1, 2, 38, 128, 402)
 STEP_ROUNDS = 5
 IMPORT_ROUNDS = 7
+CROSS_FIDELITY_QUBITS = (49, 241)
+CROSS_FIDELITY_ROUNDS = 21
 
 
 def dense_config():
@@ -110,6 +119,27 @@ def import_times() -> list[float]:
             for _ in range(IMPORT_ROUNDS)]
 
 
+def cross_fidelity_timings() -> dict:
+    """Median time of cross_fidelity at each of CROSS_FIDELITY_QUBITS."""
+    n_states, n_shots = 200, 2000
+    rng = np.random.default_rng(0)
+    out = {}
+    for n_q in CROSS_FIDELITY_QUBITS:
+        prepared = rng.integers(0, 2, size=(n_states, n_q))
+        # 2% readout error each way
+        ones = rng.binomial(n_shots, np.where(prepared == 1, 0.98, 0.02))
+        records = ShotRecords(list(range(n_q)), prepared, ones, n_shots)
+        cross_fidelity(records)  # warm-up: BLAS buffers
+        times = []
+        for _ in range(CROSS_FIDELITY_ROUNDS):
+            start = time.perf_counter()
+            cross_fidelity(records)
+            times.append(time.perf_counter() - start)
+        out[str(n_q)] = summary(times)
+    return {"n_states": n_states, "n_shots": n_shots,
+            "rounds": CROSS_FIDELITY_ROUNDS, "qubits": out}
+
+
 def summary(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -148,6 +178,7 @@ def main(argv=None) -> int:
     result["bound_s"] = summary([b for _, b in rounds])
     result["step_response"] = step_response_timings()
     result["import_s"] = summary(import_times())
+    result["cross_fidelity_s"] = cross_fidelity_timings()
     result["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
