@@ -2,7 +2,8 @@
 
 Every command writes a manifest echo with all resolved configuration next
 to its outputs, so a run can be reproduced exactly from the output
-directory alone.  All outputs are YAML or CSV.
+directory alone.  Outputs are YAML and CSV files, and benchmark also
+writes a plain-text report.txt.
 """
 from __future__ import annotations
 
@@ -390,12 +391,15 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
                [(qid.row, qid.col, qid.role.value,
                  report.p10[qid], report.p01[qid], report.error[qid])
                 for qid in report.qubits])
+    # _write_csv's bytes, with each qubit's "row,col," formatted once: a row
+    # formats only its float, by repr as csv.writer does
+    cells = [f"{q.row},{q.col}," for q in report.qubits]
     f = report.cross_fidelity.tolist()
-    _write_csv(out / "cross_fidelity.csv",
-               ["row_i", "col_i", "row_j", "col_j", "F_ij"],
-               [(qi.row, qi.col, qj.row, qj.col, f[i][j])
-                for i, qi in enumerate(report.qubits)
-                for j, qj in enumerate(report.qubits) if i != j])
+    rows = [cell_i + cell_j + repr(f[i][j]) + "\r\n"
+            for i, cell_i in enumerate(cells)
+            for j, cell_j in enumerate(cells) if i != j]
+    (out / "cross_fidelity.csv").write_text(
+        "row_i,col_i,row_j,col_j,F_ij\r\n" + "".join(rows), newline="")
     # integrated histogram of |F_ij|
     offdiag = report.cross_fidelity[~np.eye(len(report.qubits), dtype=bool)]
     absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))

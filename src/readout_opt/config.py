@@ -42,6 +42,8 @@ class GridSpec:
         require(self, ">= 0", "amp_min")
         if not self.amp_max >= self.amp_min:
             raise ParameterError(self, "amp_max", ">= amp_min")
+        if self.n_amp > 1 and not self.amp_max > self.amp_min:
+            raise ParameterError(self, "amp_max", "> amp_min when n_amp > 1")
         if not self.tp_max_ns >= self.tp_min_ns:
             raise ParameterError(self, "tp_max_ns", ">= tp_min_ns")
 
@@ -118,9 +120,11 @@ def _build(cls, values: dict, prefix: str = ""):
 
 def load_optimizer_config(text: str) -> OptimizerConfig:
     try:
-        raw = parse_yaml(text) or {}
+        raw = parse_yaml(text)
     except yaml.YAMLError as exc:
         raise OptimizerConfigError(f"config parse failure: {exc}") from exc
+    if raw is None:  # an empty or comment-only file: every default
+        raw = {}
     if not isinstance(raw, dict):
         raise OptimizerConfigError("optimizer config must be a mapping")
 

@@ -4,6 +4,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import yaml
+
+from readout_opt.cli import result_from_dict
+from readout_opt.device import load_device, parse_yaml
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_kernel.py"
 
 
@@ -18,6 +23,7 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "IMPORT_ROUNDS", 2)
     monkeypatch.setattr(bench, "CROSS_FIDELITY_QUBITS", (3, 5))
     monkeypatch.setattr(bench, "CROSS_FIDELITY_ROUNDS", 2)
+    monkeypatch.setattr(bench, "YAML_ROUNDS", 2)
 
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out)]) == 0
@@ -26,7 +32,7 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert set(report) == {
         "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
         "per_plane_ms", "bound_s", "step_response", "import_s", "cross_fidelity_s",
-        "environment"}
+        "yaml_load_s", "environment"}
     assert report["rounds"] == 2
     assert report["points"] == report["planes"] * 40 * 39
     for key in ("total_s", "bound_s", "import_s"):
@@ -40,3 +46,26 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert (pairs["n_states"], pairs["n_shots"], pairs["rounds"]) == (200, 2000, 2)
     assert set(pairs["qubits"]) == {"3", "5"}
     assert all(t["median"] > 0 for t in pairs["qubits"].values())
+    loads = report["yaml_load_s"]
+    assert loads["rounds"] == 2
+    assert set(loads["texts"]) == {"device_49", "results_49"}
+    loaders = {"parse_yaml", "CSafeLoader"} if yaml.__with_libyaml__ else {"parse_yaml"}
+    for text in loads["texts"].values():
+        assert set(text) == {"bytes"} | loaders
+        assert text["bytes"] > 10_000
+        for loader in loaders:
+            assert set(text[loader]) == {"median", "q1", "q3"}
+            assert text[loader]["median"] > 0
+    assert set(report["environment"]) >= {"pyyaml", "libyaml"}
+
+
+def test_bench_kernel_texts_load_as_their_files():
+    """The 49-qubit texts load as a device and as a results file of it."""
+    spec = importlib.util.spec_from_file_location("bench_kernel", TOOL)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    texts = bench.yaml_texts()
+    graph = load_device(texts["device_49"])
+    result = result_from_dict(parse_yaml(texts["results_49"]))
+    assert len(graph.qubits) == 49
+    assert set(result.per_qubit) == set(graph.qubits)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import gc
 import math
 import subprocess
 import sys
@@ -7,17 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readout_opt import (
     OptimizationResult,
     QubitId,
     ReadoutParams,
+    Role,
     Strategy,
     evaluate_cost,
     load_device,
     load_optimizer_config,
 )
 from readout_opt import cli
+from readout_opt.benchmark import BenchmarkConfig, BenchmarkReport, ErrorBudget
 from readout_opt.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -681,6 +687,36 @@ class TestWriteCsv:
         assert (tmp_path / "fast.csv").read_bytes() == expected
 
 
+class TestCrossFidelityCsv:
+    """cross_fidelity.csv has csv.writer's bytes: undefined (NaN) pairs and
+    the awkward floats of TestWriteCsv included."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 5])
+    def test_bytes_equal_csv_writer(self, tmp_path, n_qubits):
+        qubits = [QubitId(k // 3, 10 * (k % 3) - 1, Role.MEASURE if k % 2 else Role.DATA)
+                  for k in range(n_qubits)]
+        values = [float("nan"), -0.0, 5e-324, 1e22, np.float64(1e22), 0.1, -2.5,
+                  np.float64(1 / 3), float("inf"), 1e16, 1.0]
+        f = np.array([[values[(3 * i + j) % len(values)] for j in range(n_qubits)]
+                      for i in range(n_qubits)])
+        np.fill_diagonal(f, np.nan)
+        report = BenchmarkReport(
+            config=BenchmarkConfig(), qubits=qubits,
+            p10={q: 0.0 for q in qubits}, p01={q: 0.0 for q in qubits},
+            error={q: 0.0 for q in qubits}, cross_fidelity=f, undefined_pairs=[],
+            budget=ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0))
+        cli._write_benchmark_outputs(tmp_path, report)
+        rows = [(qi.row, qi.col, qj.row, qj.col, f[i, j])
+                for i, qi in enumerate(qubits) for j, qj in enumerate(qubits) if i != j]
+        expected = TestWriteCsv.csv_writer_bytes(
+            tmp_path / "ref.csv", ["row_i", "col_i", "row_j", "col_j", "F_ij"], rows)
+        written = (tmp_path / "cross_fidelity.csv").read_bytes()
+        assert written == expected
+        if n_qubits == 5:
+            for text in (b",nan\r\n", b",-0.0\r\n", b",5e-324\r\n", b",1e+22\r\n"):
+                assert text in written
+
+
 def _set(path, value):
     """Edit of a results dict: set the value at a key path, None deletes it."""
     def edit(raw):
@@ -769,8 +805,71 @@ class TestDumpYaml:
         assert dump_yaml(data) == yaml.safe_dump(data, sort_keys=False)
 
 
+def _outcome(load, text):
+    """("value", what load(text) returns) or ("error", (type, message))."""
+    try:
+        return "value", load(text)
+    except Exception as exc:  # the exception is the outcome
+        return "error", (type(exc), str(exc))
+
+
+def _assert_same_objects(actual, expected):
+    """actual and expected are equal by type and repr, NaN-aware, and share
+    objects alike: two places that hold one list, dict or float in expected
+    hold one in actual, and two that hold distinct ones hold distinct ones."""
+    forward, backward = {}, {}
+
+    def walk(a, e, at):
+        assert type(a) is type(e), at
+        if isinstance(e, (list, dict, float)):
+            seen = id(e) in forward
+            assert forward.setdefault(id(e), a) is a, f"{at}: alias lost"
+            assert backward.setdefault(id(a), e) is e, f"{at}: objects merged"
+            if seen:  # compared where first met; a recursive one stops here
+                return
+        if isinstance(e, dict):
+            assert len(a) == len(e), at
+            for (ka, va), (ke, ve) in zip(a.items(), e.items()):
+                walk(ka, ke, f"{at}.key")
+                walk(va, ve, f"{at}[{ke!r}]")
+        elif isinstance(e, list):
+            assert len(a) == len(e), at
+            for k, (va, ve) in enumerate(zip(a, e)):
+                walk(va, ve, f"{at}[{k}]")
+        else:
+            assert repr(a) == repr(e), at
+            if isinstance(e, float):  # the sign of a NaN too
+                assert math.copysign(1.0, a) == math.copysign(1.0, e), at
+
+    walk(actual, expected, "document")
+
+
+def _assert_matches_safe_loader(text):
+    expected = _outcome(lambda t: yaml.load(t, Loader=yaml.SafeLoader), text)
+    actual = _outcome(parse_yaml, text)
+    assert actual[0] == expected[0], (actual, expected)
+    if expected[0] == "error":
+        assert actual[1] == expected[1]
+    else:
+        _assert_same_objects(actual[1], expected[1])
+    return actual
+
+
+#: nested values that safe_dump writes: str, int, float, bool and None,
+#: in lists and in dicts with scalar keys; [x, x] shares x, which safe_dump
+#: writes as an anchor and an alias when x is a list or dict
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_SCALARS, inner, max_size=4)
+                   | inner.map(lambda x: [x, x])),
+    max_leaves=24)
+
+
 class TestParseYaml:
-    """The libyaml loader reads every input to the objects of yaml.safe_load."""
+    """parse_yaml returns and raises what yaml.load(text, Loader=yaml.SafeLoader)
+    does."""
 
     @pytest.mark.parametrize("name", [
         "device_d3.yaml", "optimizer.yaml", "optimizer_small.yaml"])
@@ -783,11 +882,129 @@ class TestParseYaml:
 
     @staticmethod
     def assert_loaders_agree(text):
-        expected = yaml.load(text, Loader=yaml.SafeLoader)
-        assert expected
-        assert parse_yaml(text) == expected
+        kind, value = _assert_matches_safe_loader(text)
+        assert kind == "value" and value
         if hasattr(yaml, "CSafeLoader"):
-            assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == value
+
+    @pytest.mark.parametrize("text", [
+        "base: &b {x: 1, y: 2}\nderived: {<<: *b, y: 3}\n",  # merge key
+        "when: 2001-12-14\nlist: [1, 2001-12-14]\n",  # implicit date
+        "at: 2001-12-14t21:59:43.10-05:00\n",  # implicit timestamp
+        "data: !!binary aGVsbG8=\n",
+        "names: !!set {a, b}\n",
+        "pairs: !!omap [{a: 1}, {b: 2}]\n",
+        "? [1, 2]\n: pair\n",  # non-scalar key
+        "? {a: 1}\n: pair\n",
+        "x: !local 1\n",  # local tag
+        "=: value key\n",
+        "- =\n",
+    ])
+    def test_documents_handed_to_safe_constructor(self, text):
+        _assert_matches_safe_loader(text)
+
+    @pytest.mark.parametrize("scalar, value", [
+        (".inf", math.inf), ("-.Inf", -math.inf), (".NaN", math.nan),
+        ("1_000.5", 1000.5), ("1:30.5", 90.5), ("1e3", "1e3"), ("+.5", "+.5"),
+        ("-0.0", -0.0), ("0x1F", 31), ("0o17", "0o17"), ("yes", True),
+        ("off", False), ("~", None), ("017", 15), ("-017", -15), ("00", 0), ("-0", 0),
+        ("017.5", 17.5), ("-0b101", -5), ("1:30", 90),
+        ("1_000", 1000), ("2.5e-3", 0.0025), ("6.02E+23", 6.02e23), ("1.", 1.0),
+        ("123", 123), ("''", ""), ("'1.5'", "1.5"), ("Null", None), ("TRUE", True),
+    ])
+    def test_scalar(self, scalar, value):
+        text = f"value: {scalar}\nlist: [{scalar}]\n{scalar}: key\n"
+        kind, doc = _assert_matches_safe_loader(text)
+        assert kind == "value"
+        assert repr(doc["value"]) == repr(value)
+        assert type(doc["list"][0]) is type(value)
+
+    @pytest.mark.parametrize("text, value", [
+        ("!!float 1", 1.0), ("!!str 1.5", "1.5"), ("!!int '12'", 12),
+        ("!!float '-0'", -0.0), ("!!bool 'on'", True), ("!!null ''", None),
+        ("!!float 1_0", 10.0), ("!!float .5", 0.5), ("!!float -nan", math.nan),
+        ("!!float -inf", -math.inf), ("!!int 1_0", 10), ("!!int '0_7'", 7),
+    ])
+    def test_tagged_scalar(self, text, value):
+        assert repr(_assert_matches_safe_loader(text)[1]) == repr(value)
+
+    def test_quoted_and_plain_text_resolve_apart(self):
+        text = "[1, '1', 1, !!str 1, yes, 'yes', \"yes\", yes, ~, '~']"
+        assert _assert_matches_safe_loader(text)[1] == [
+            1, "1", 1, "1", True, "yes", "yes", True, None, "~"]
+
+    def test_aliases_are_one_object(self):
+        text = "a: &x [1, {b: 2}]\nb: *x\nc: &s 1.5\nd: *s\ne: &m {k: *x}\nf: *m\n"
+        _, doc = _assert_matches_safe_loader(text)
+        assert doc["a"] is doc["b"] is doc["e"]["k"]
+        assert doc["c"] is doc["d"]
+        assert doc["e"] is doc["f"]
+
+    @pytest.mark.parametrize("text, inner", [
+        ("&r [1, *r]", lambda d: [d[1]]),
+        ("&m {self: *m, n: 1}", lambda d: [d["self"]]),
+        ("&r [[*r], {k: *r}]", lambda d: [d[0][0], d[1]["k"]]),
+    ])
+    def test_recursive_alias(self, text, inner):
+        _, doc = _assert_matches_safe_loader(text)
+        assert all(held is doc for held in inner(doc))
+
+    def test_duplicate_keys_keep_the_last_value_in_first_place(self):
+        _, doc = _assert_matches_safe_loader("a: 1\nb: 2\na: 3\n")
+        assert list(doc.items()) == [("a", 3), ("b", 2)]
+
+    @pytest.mark.parametrize("text", [
+        "a: 1\n---\nb: 2\n",  # two documents
+        "qubits: [", "{a: 1", "a:\n  - b\n c: 2", "\tfoo: 1", "a: *x", "&a a: &a b",
+        "!!int abc", "!!bool maybe", "!!seq abc", "!!str [1]", "!!map [1]",
+        "[[0b_], !!float x]", "[!!int '', !!float '']", "{[1]: 2}", "x: !!float -",
+        "bad: \x00",
+    ])
+    def test_bad_text_raises_what_safe_loader_raises(self, text):
+        assert _assert_matches_safe_loader(text)[0] == "error"
+
+    @pytest.mark.parametrize("text", ["", "# comment\n", "---\n", "--- # comment\n...\n"])
+    def test_empty_document(self, text):
+        assert _assert_matches_safe_loader(text) == ("value", None)
+
+    def test_no_state_shared_between_calls(self):
+        text = "a: &x [yes, 1.5]\nb: *x\n"
+        first, second = parse_yaml(text), parse_yaml(text)
+        assert first == second and first["a"] is not second["a"]
+        # an anchor of one call is unknown to the next
+        _assert_matches_safe_loader("c: *x\n")
+
+    @pytest.mark.parametrize("text", [
+        "a: &x [1, {b: 2.5}]\nc: *x\n", "base: &b {x: 1}\nd: {<<: *b}\n",
+        "!!int abc", "qubits: [", pytest.param(None, id="device_d3.yaml")])
+    def test_frees_what_it_made_on_return(self, text):
+        """A call leaves no reference cycle, so its nodes and loader go when it
+        returns, not at some later cyclic garbage collection."""
+        if text is None:
+            text = (CONFIG_DIR / "device_d3.yaml").read_text()
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.suppress(Exception):
+                parse_yaml(text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_DOCUMENTS, st.booleans(), st.booleans())
+    def test_dumped_values(self, data, flow, allow_unicode):
+        text = yaml.safe_dump(data, default_flow_style=flow, sort_keys=False,
+                              allow_unicode=allow_unicode)
+        _assert_matches_safe_loader(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["!!int", "!!float"]),
+           st.text(alphabet="0123456789+-._:eEinfaINFAxXbo \u0663", max_size=8))
+    def test_tagged_number_text(self, tag, body):
+        """The int and float shortcuts agree with the constructors on any
+        text, including text neither can read."""
+        _assert_matches_safe_loader(f"{tag} '{body}'")
 
 
 class TestParser:
@@ -799,6 +1016,30 @@ class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_parse_yaml_without_libyaml():
+    """Where PyYAML has no libyaml, the loader builds on yaml.SafeLoader and
+    parse_yaml still returns and raises what yaml.SafeLoader does."""
+    src = Path(cli.__file__).resolve().parents[1]
+    texts = [(CONFIG_DIR / "device_d3.yaml").read_text(), "a: &x [1, .5]\nb: *x\n",
+             "&r [1, *r]", "base: &b {x: 1}\nd: {<<: *b}\n", "!!int abc", "qubits: ["]
+    code = f"""
+import sys, yaml
+del yaml.CSafeLoader
+sys.path.insert(0, {str(src)!r})
+from readout_opt.device import _PlainLoader, parse_yaml
+assert yaml.SafeLoader in _PlainLoader.__mro__
+def outcome(load, text):
+    try:
+        return repr(load(text))
+    except Exception as exc:
+        return repr((type(exc), str(exc)))
+for text in {texts!r}:
+    assert outcome(parse_yaml, text) == outcome(
+        lambda t: yaml.load(t, Loader=yaml.SafeLoader), text), text
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_cli_import_leaves_scipy_out():

@@ -76,6 +76,20 @@ class TestLoadOptimizerConfig:
         with pytest.raises(OptimizerConfigError):
             load_optimizer_config("- a\n- b\n")
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "---\n", "~", "null"])
+    def test_document_without_value_gives_defaults(self, text):
+        assert load_optimizer_config(text) == OptimizerConfig()
+
+    @pytest.mark.parametrize("text", ["[]", "false", "0", "''"])
+    def test_falsy_non_mapping_rejected(self, text, tmp_path, capsys):
+        with pytest.raises(OptimizerConfigError, match="^optimizer config must be a mapping$"):
+            load_optimizer_config(text)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        assert main(["validate", "--device", str(CONFIG_DIR / "device_d3.yaml"),
+                     "--opt-config", str(bad)]) == EXIT_IO
+        assert "error: optimizer config must be a mapping" in capsys.readouterr().err
+
     def test_parse_failure(self):
         with pytest.raises(OptimizerConfigError):
             load_optimizer_config("grid: [::")
@@ -130,6 +144,27 @@ class TestBuildSearchGrid:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(OptimizerConfigError, match="dt_ns"):
             load_optimizer_config("dt_ns: 0")
+
+    def test_equal_amp_bounds_need_one_amplitude(self):
+        assert load_optimizer_config(
+            "grid: {n_amp: 1, amp_min: 0.2, amp_max: 0.2}").grid.n_amp == 1
+        with pytest.raises(OptimizerConfigError,
+                           match=r"^grid\.amp_max: .*> amp_min when n_amp > 1"):
+            load_optimizer_config("grid: {n_amp: 2, amp_min: 0.2, amp_max: 0.2}")
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    def test_equal_amp_bounds_exit_2_naming_amp_max(self, command, tmp_path, capsys):
+        raw = yaml.safe_load((CONFIG_DIR / "optimizer_small.yaml").read_text())
+        raw["grid"]["amp_min"] = raw["grid"]["amp_max"] = 0.2
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(raw))
+        argv = [command, "--device", str(CONFIG_DIR / "device_d3.yaml"),
+                "--opt-config", str(bad)]
+        if command == "optimize":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_IO
+        assert "error: grid.amp_max: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestBadConfigNamesKey:

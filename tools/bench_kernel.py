@@ -30,17 +30,29 @@ benchmark command, on synthetic records of 200 states x 2000 shots for
 each qubit count of CROSS_FIDELITY_QUBITS (49 is the benchmark's d=5
 device, 241 a d=11 one), over CROSS_FIDELITY_ROUNDS calls each.
 
+yaml_load_s times the reading of the benchmark command's two inputs, on
+two texts: a 49-qubit device and a results file for that device.  The
+device reuses the d3 entries of configs/device_d3.yaml, each role in
+row-major turn, on a 7 x 7 grid with measure qubits where row + col is odd,
+and is written by serialize_device; perfbench's montecarlo_d5 set-up builds
+its d=5 device the same way on a rotated layout, to a text of the same
+size.  The results file has synthetic costs, written as optimize writes
+results.yaml.  Each text is read by
+device.parse_yaml and by yaml.load with yaml.CSafeLoader, over YAML_ROUNDS
+calls each, the two alternating and each after a full garbage collection.
+
     python3 tools/bench_kernel.py [--out PATH]
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
 BENCH_kernel.json at the checkout's root.  The kernel's, the bound's, the
-import's and cross_fidelity's seconds are medians over the rounds, with
-quartiles.
+import's, cross_fidelity's and the YAML loads' seconds are medians over the
+rounds, with quartiles.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import statistics
@@ -53,11 +65,27 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
+import yaml  # noqa: E402
 
 from readout_opt import dynamics, error_models  # noqa: E402
 from readout_opt.benchmark import ShotRecords, cross_fidelity  # noqa: E402
-from readout_opt.config import build_search_grid, load_optimizer_config  # noqa: E402
-from readout_opt.device import load_device, parse_yaml  # noqa: E402
+from readout_opt.cli import result_to_dict  # noqa: E402
+from readout_opt.config import (  # noqa: E402
+    Strategy,
+    build_search_grid,
+    load_optimizer_config,
+)
+from readout_opt.device import (  # noqa: E402
+    DeviceGraph,
+    QubitId,
+    Role,
+    dump_yaml,
+    load_device,
+    parse_yaml,
+    serialize_device,
+)
+from readout_opt.error_models import CostBreakdown, ReadoutParams  # noqa: E402
+from readout_opt.snake import OptimizationResult, QubitResult  # noqa: E402
 
 N_OMEGAS = 4
 ROUNDS = 12
@@ -66,6 +94,7 @@ STEP_ROUNDS = 5
 IMPORT_ROUNDS = 7
 CROSS_FIDELITY_QUBITS = (49, 241)
 CROSS_FIDELITY_ROUNDS = 21
+YAML_ROUNDS = 41
 
 
 def dense_config():
@@ -140,6 +169,50 @@ def cross_fidelity_timings() -> dict:
             "rounds": CROSS_FIDELITY_ROUNDS, "qubits": out}
 
 
+def yaml_texts() -> dict[str, str]:
+    """The 49-qubit device text and a results text for that device."""
+    d3 = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
+    donors = {role: [q for q in d3.sorted_ids() if q.role is role] for role in Role}
+    qubits, bands = {}, {}
+    for k in range(49):
+        row, col = divmod(k, 7)
+        role = Role.MEASURE if (row + col) % 2 else Role.DATA
+        donor = donors[role][k // 2 % len(donors[role])]
+        qid = QubitId(row, col, role)
+        qubits[qid], bands[qid] = d3.qubits[donor], d3.search_band[donor]
+    graph = DeviceGraph(qubits=qubits, search_band=bands)
+    rng = np.random.default_rng(0)
+    per_qubit = {}
+    for index, qid in enumerate(graph.sorted_ids()):
+        lo, hi = graph.search_band[qid]
+        params = ReadoutParams(omega_q=lo + (hi - lo) * rng.random(),
+                               b0=rng.random(), t_p=195.0, t_r=305.0)
+        costs = CostBreakdown(*(float(v) for v in rng.random(9)))
+        per_qubit[qid] = QubitResult(params, costs, index, 8)
+    result = OptimizationResult(per_qubit, graph.sorted_ids(), 7840)
+    return {"device_49": serialize_device(graph),
+            "results_49": dump_yaml(result_to_dict(result, Strategy.ALL_MODELS))}
+
+
+def yaml_load_timings() -> dict:
+    """Seconds of parse_yaml and of yaml.load with CSafeLoader on each text."""
+    loaders = {"parse_yaml": parse_yaml}
+    if hasattr(yaml, "CSafeLoader"):
+        loaders["CSafeLoader"] = lambda text: yaml.load(text, Loader=yaml.CSafeLoader)
+    out = {}
+    for name, text in yaml_texts().items():
+        times = {loader: [] for loader in loaders}
+        for _ in range(YAML_ROUNDS):  # the loaders alternate
+            for loader, load in loaders.items():
+                gc.collect()  # each call starts from the same heap
+                start = time.perf_counter()
+                load(text)
+                times[loader].append(time.perf_counter() - start)
+        out[name] = {"bytes": len(text.encode()),
+                     **{loader: summary(t) for loader, t in times.items()}}
+    return {"rounds": YAML_ROUNDS, "texts": out}
+
+
 def summary(values):
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -179,9 +252,12 @@ def main(argv=None) -> int:
     result["step_response"] = step_response_timings()
     result["import_s"] = summary(import_times())
     result["cross_fidelity_s"] = cross_fidelity_timings()
+    result["yaml_load_s"] = yaml_load_timings()
     result["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "pyyaml": yaml.__version__,
+        "libyaml": bool(yaml.__with_libyaml__),
         "machine": platform.machine(),
         "processor": _cpu_model(),
     }
