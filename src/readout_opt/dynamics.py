@@ -111,6 +111,21 @@ def _complex_times(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _rk4_factors(deltas, kappa: float, dt: float):
+    """RK4's step factor R = 1 + z P(z) and P(z) at each delta, as (Re R,
+    Im R, Re P, Im P) arrays; z = (i delta - kappa/2) dt, P(z) = 1 + z/2 +
+    z^2/6 + z^3/24."""
+    zr, zi = (-0.5 * kappa) * dt, np.asarray(deltas, dtype=float) * dt
+    # P by Horner's rule; a real constant adds to the real part alone
+    pr, pi = zr * (1.0 / 24.0) + 1.0 / 6.0, zi * (1.0 / 24.0)
+    for const in (0.5, 1.0):
+        pr, pi = _complex_times(zr, zi, pr, pi)
+        pr += const
+    rr, ri = _complex_times(zr, zi, pr, pi)
+    rr += 1.0
+    return rr, ri, pr, pi
+
+
 def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> np.ndarray:
     """RK4 samples of the field under a constant unit drive, beta(0) = 0.
 
@@ -123,22 +138,15 @@ def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> np.nda
     R^{2m} = (R^m)^2, in about log2(n_steps) numpy steps.  No division: as
     kappa and delta go to 0, so does z, and u_n tends to n c dt.
     """
-    zr, zi = (-0.5 * kappa) * dt, np.asarray(deltas, dtype=float) * dt
-    # P by Horner's rule; a real constant adds to the real part alone
-    pr, pi = zr * (1.0 / 24.0) + 1.0 / 6.0, zi * (1.0 / 24.0)
-    for const in (0.5, 1.0):
-        pr, pi = _complex_times(zr, zi, pr, pi)
-        pr += const
-    rr, ri = _complex_times(zr, zi, pr, pi)
-    rr += 1.0
+    rr, ri, pr, pi = _rk4_factors(deltas, kappa, dt)
     rr, ri = rr[:, None], ri[:, None]
 
-    out = np.empty((len(zi), n_steps + 1, 2))
+    out = np.empty((len(pr), n_steps + 1, 2))
     re, im = out[..., 0], out[..., 1]
     out[:, 0] = 0.0
     g = math.sqrt(kappa) * dt
     re[:, 1], im[:, 1] = g * pr, g * pi
-    t = np.empty((len(zi), n_steps // 2))
+    t = np.empty((len(pr), n_steps // 2))
     m = 1
     while m < n_steps:
         j = min(m, n_steps - m)

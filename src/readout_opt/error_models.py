@@ -21,6 +21,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .dynamics import (
     PoleProximityError,
     PulseShape,
     _check_step,
+    _rk4_factors,
     _sample_counts,
     dispersive_shift,
     field_pair,
@@ -525,6 +527,7 @@ def cost_plane(
     tp_points,
     model: CostModel,
     specs=(),
+    cols=None,
 ) -> CostBreakdown:
     """The cost breakdown of the grid omegas x amplitudes x pulse lengths.
 
@@ -537,6 +540,13 @@ def cost_plane(
     and separation where the Stark trace leaves the Gamma1 table.  An
     invalid point raises the error evaluate_cost raises at the first such
     point in row-major (omega, amplitude, pulse length) order.
+
+    cols, if given, are the indices into tp_points of the pulse lengths to
+    score, in order: the result is then that of tp_points[j] for j in
+    cols, but every pulse length of tp_points is checked, so the call
+    raises what it raises without cols.  So a scan that scores a few
+    columns of its grid at a time reads the pulse-length checks of one
+    grid from _pulse_grid.
 
     The +chi step responses of all feasible omegas come from
     dynamics.step_responses at once (-chi gives their conjugate, bit for
@@ -555,7 +565,7 @@ def cost_plane(
     check from the running min and max, the photon term, and the MIST
     logistic through math.exp.
     """
-    shape = (len(omegas), len(amps), len(tp_points))
+    shape = (len(omegas), len(amps), len(tp_points) if cols is None else len(cols))
     feasible, chis, col_counts = [], [], None
     for omega in omegas:
         try:
@@ -573,7 +583,10 @@ def cost_plane(
     planes["total"][:] = math.inf
     if chis:
         omegas = [w for w, ok in zip(omegas, feasible) if ok]
-        scored = _score(q, omegas, chis, np.asarray(amps, dtype=float), *col_counts,
+        n_ps, n_tot = col_counts
+        if cols is not None:
+            n_ps = [n_ps[j] for j in cols]
+        scored = _score(q, omegas, chis, np.asarray(amps, dtype=float), n_ps, n_tot,
                         model, specs)
         for name, plane in scored.items():
             planes[name][np.array(feasible)] = plane.reshape(len(chis), *shape[1:])
@@ -625,8 +638,8 @@ def _elementwise(func, x: np.ndarray) -> np.ndarray:
 
     The kernel takes erfc and exp from math, so every cell has the bits of
     the scalar term functions: numpy has no erfc, and np.exp's SIMD loop
-    differs from math.exp in the last bit for some inputs.  The bound
-    takes its erfc from here too.
+    differs from math.exp in the last bit for some inputs.  The bound,
+    which needs no bits, takes the vectorized _erfc instead.
     """
     return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
@@ -686,35 +699,213 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
 BOUND_MARGIN = 1e-9
 #: absolute margin of each term: far above any underflow, far below any cost
 BOUND_FLOOR = 1e-300
+_EPS = float(np.finfo(float).eps)
+_SQRT5 = math.sqrt(5.0)
 
 
-def _unit_columns(q, chi, n_ps, n_tot, dt):
-    """Per pulse length, the unit-amplitude statistics cell_bound scales.
+class _UnitColumns(NamedTuple):
+    """The unit-amplitude statistics cell_bound scales, one entry per pulse length."""
 
-    The unit pulse responses are _pulse_rows' fields at amplitude 1.0, read
-    through step_responses, so through the cache cost_plane reads.  Returns
-    each column's C = cum[-1] (trapezoid integral of (2 Im f)^2), P =
-    n0[-1] (|f|^2 at the last sample), the peak of n0 = |f|^2 over the
-    row, and k_lo, the count of samples whose cum is below C (1 - 1e-9) / 2.
+    c_lo: np.ndarray  # the SNR integral C, from below
+    c_hi: np.ndarray  # and from above
+    p: np.ndarray  # |f|^2 at the last sample
+    n_lo: np.ndarray  # the peak of |f|^2, from below
+    n_hi: np.ndarray  # and from above
+    k_lo: np.ndarray  # at most the count of samples whose running C is below C/2
+
+
+def _ringdown_gap(r: float, c: float, big_u: float, n_tot: int) -> float:
+    """cell_bound's d: a bound on |f - p_t w| at every ringdown sample.
+
+    r >= |R|, c = |(R - 1) / u_1| and big_u = max |u|, for a step response
+    of n_tot samples.  The loop follows u's doubling level by level: e
+    bounds every sample's distance from the exact recurrence with the same
+    R and u_1, in units of big_u, and rho the distance of the power R^m it
+    multiplies by from the exact power, whose modulus is at most rm.
     """
-    n0, cum = _pulse_rows(step_responses([chi], q.kappa, dt, n_tot), np.ones(1), n_ps, dt)
-    c = cum[:, -1]
-    k_lo = np.count_nonzero(cum < (0.5 * c * (1.0 - BOUND_MARGIN))[:, None], axis=1)
-    return c, n0[:, -1], n0.max(axis=1), k_lo
+    unit = 0.5 * _EPS
+    e = rho = 0.0
+    rm, m = r * (1.0 + 2.0 * _EPS), 1
+    while m < n_tot:
+        # u_{m+i} = fl(fl(R^m u_i) + u_m): the complex product is within
+        # sqrt(5) unit of exact, the sum within unit
+        e += (rm + rho) * e + rho + _SQRT5 * unit * (rm + rho) + unit
+        m += min(m, n_tot - m)
+        rho = rho * (2.0 * rm + rho) + _SQRT5 * unit * (rm + rho) ** 2
+        rm *= rm * (1.0 + 2.0 * _EPS)
+    e *= 1.0 + 1e-6  # this loop's own rounding, and |u| <= (1 + e) big_u
+    # p_t = fl(1 + c' u_t), c' within 8 eps of c
+    p_gap = c * big_u * (e + 8.0 * _EPS) + 2.0 * _EPS * (1.0 + c * big_u)
+    # two samples' and w's gaps, p_t's times |w|, the subtraction's rounding
+    return big_u * (3.0 * e + p_gap + 2.0 * _EPS)
 
 
-def _gamma1_floor(xp, fp, lo, hi):
-    """Minimum of the interpolated Gamma1 table over each [lo, hi], within the table.
+def _unit_columns(q, chi, n_ps, n_tot, dt) -> _UnitColumns:
+    """Per pulse length, the statistics of the unit pulse response f.
+
+    f is _pulse_rows' field at amplitude 1.0: the unit +chi step response u
+    (through step_responses, so through the cache cost_plane reads) up to
+    sample n_p, then u minus its copy delayed by n_p.  Each statistic is
+    read off a few length-(n_tot + 1) prefix arrays of u, never off f's rows:
+
+    - P is the kernel's own last sample, |u[n_tot] - u[n_tot - n_p]|^2,
+      with its bits.
+    - Up to n_p, f is u, so there f's |f|^2 and running SNR integral (the
+      trapezoid cumsum of (2 Im f)^2) are u's prefixes, with their bits: the
+      running max of |u|^2 and the shared cumsum.
+    - After the pulse, f is R^t w in exact arithmetic, t samples on, with w =
+      u[n_p] and R the RK4 step factor.  |R| < 1, so N lies between the
+      running max at n_p and that plus the gap d (_ringdown_gap).  With p_t
+      = R^t, Im(p w)^2 = (Im w)^2 (Re p)^2 + 2 Re w Im w Re p Im p + (Re
+      w)^2 (Im p)^2, so the ringdown's integral is read off three
+      trapezoid prefix sums of the powers at K = n_tot - n_p.  The powers
+      come from u itself: u_t = u_1 (1 - R^t) / (1 - R), so p_t = 1 + c u_t
+      with c = (R - 1) / u_1.
+    - k_lo counts the samples whose running integral is surely below half
+      of C: a searchsorted in the shared cumsum, or, where half of C lies
+      past the pulse, up to the first ringdown sample whose running
+      integral, taken from above, reaches it.
+
+    C is bracketed by margins that cover the gap between the kernel's
+    subtraction and the geometric form (see cell_bound).
+    """
+    ur, ui = step_responses([chi], q.kappa, dt, n_tot)[0].T.copy()
+    n_p = np.asarray(n_ps)
+    k = n_tot - n_p
+    dr, di = ur[-1] - ur[k], ui[-1] - ui[k]
+    peak = np.maximum.accumulate(ur * ur + ui * ui)
+    rr, ri = (float(x) for x in _rk4_factors(chi, q.kappa, dt)[:2])
+    c = complex(rr - 1.0, ri) / complex(ur[1], ui[1])
+    pr = 1.0 + (c.real * ur - c.imag * ui)
+    pi = c.real * ui + c.imag * ur
+    # trapezoid prefix sums: row 0 the kernel's running SNR integral along
+    # u, as _pulse_rows forms it, then those of (Re p)^2, Re p Im p and
+    # (Im p)^2
+    terms = np.empty((4, n_tot + 1))
+    np.square(ui + ui, out=terms[0])
+    np.multiply(pr, pr, out=terms[1])
+    np.multiply(pr, pi, out=terms[2])
+    np.multiply(pi, pi, out=terms[3])
+    sums = np.empty_like(terms)
+    sums[:, 0] = 0.0
+    np.cumsum((terms[:, 1:] + terms[:, :-1]) * (0.5 * dt), axis=1, out=sums[:, 1:])
+    pre, powers = sums[0], sums[1:]
+
+    d = _ringdown_gap(math.hypot(rr, ri), abs(c), math.sqrt(peak[-1]), n_tot)
+    wr, wi = ur[n_p], ui[n_p]
+    # the ringdown sum's coefficients of the powers' rows, with its
+    # rounding margin added (hi) and taken off (lo); |Re p Im p| <= |p|^2/2
+    coef = np.array([4.0 * wi * wi, 8.0 * wr * wi, 4.0 * wr * wr])
+    half_cross = 0.5 * np.abs(coef[1])
+    slack = 2.0 * (n_tot + 10) * _EPS
+    margin = np.array([coef[0] + half_cross, np.zeros_like(half_cross),
+                       coef[2] + half_cross]) * slack
+    at_k = powers[:, k]
+    ring_hi, ring_lo = ((coef + margin) * at_k).sum(axis=0), ((coef - margin) * at_k).sum(axis=0)
+
+    def gap(ring, t):
+        # the kernel's samples are d from g_t: its (2 Im f)^2 moves by at
+        # most 4 (2 |Im g_t| d + d^2), summed by Cauchy-Schwarz
+        t_dt = t * dt
+        return 4.0 * d * np.sqrt(t_dt * np.maximum(ring, 0.0)) + 4.0 * d * d * t_dt
+
+    gamma, gap_k = (n_tot + 10) * _EPS, gap(ring_hi, k)
+    c_hi = (pre[n_p] + ring_hi + gap_k) * (1.0 + gamma)
+    c_lo = np.maximum((pre[n_p] + ring_lo - gap_k) * (1.0 - gamma), 0.0)
+
+    half = 0.5 * c_lo * (1.0 - BOUND_MARGIN)
+    k_lo = np.searchsorted(pre, half)
+    late = np.flatnonzero(k_lo > n_p)  # half of C lies past the pulse
+    if len(late):
+        # the running integral from above at every ringdown sample t; the
+        # first that reaches half, or t = K + 1, ends the count
+        t = np.arange(n_tot + 1.0)
+        ring = (coef + margin)[:, late].T @ powers
+        running = (pre[n_p[late], None] + ring + gap(ring, t)) * (1.0 + gamma)
+        over = (running >= half[late, None]) | (t > k[late, None])
+        over[:, 0] = False  # sample n_p: pre[n_p] < half
+        k_lo[late] = n_p[late] + over.argmax(axis=1)
+    n_lo = peak[n_p]
+    return _UnitColumns(c_lo, c_hi, dr * dr + di * di, n_lo,
+                        np.square(np.sqrt(n_lo) + d), k_lo)
+
+
+#: Cody's rational approximations of erf and erfc (Math. Comp. 23, 631
+#: (1969)), as in his SPECFUN routine CALERF: the coefficients of the
+#: numerator (first row) and denominator, lowest power first
+_ERF_SMALL = np.array([
+    [3.20937758913846947e3, 3.77485237685302021e2, 1.13864154151050156e2,
+     3.16112374387056560e0, 1.85777706184603153e-1],
+    [2.84423683343917062e3, 1.28261652607737228e3, 2.44024637934444173e2,
+     2.36012909523441209e1, 1.0]])
+_ERFC_MID = np.array([
+    [1.23033935479799725e3, 2.05107837782607147e3, 1.71204761263407058e3,
+     8.81952221241769090e2, 2.98635138197400131e2, 6.61191906371416295e1,
+     8.88314979438837594e0, 5.64188496988670089e-1, 2.15311535474403846e-8],
+    [1.23033935480374942e3, 3.43936767414372164e3, 4.36261909014324716e3,
+     3.29079923573345963e3, 1.62138957456669019e3, 5.37181101862009858e2,
+     1.17693950891312499e2, 1.57449261107098347e1, 1.0]])
+_ERFC_LARGE = np.array([
+    [6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
+     3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2],
+    [2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
+     1.87295284992346725e0, 2.56852019228982242e0, 1.0]])
+_SQRT_1_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _rational(x, coefs):
+    """numerator(x) / denominator(x) at each x >= 0, coefs as _ERFC_MID's.
+
+    Every coefficient is > 0, so the sums cannot cancel: each is within a
+    few eps per term of its exact value, in any order of summation.
+    """
+    powers = np.empty((coefs.shape[1], len(x)))
+    powers[0] = 1.0
+    powers[1] = x
+    for k in range(2, len(powers)):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    num, den = coefs @ powers
+    return num / den
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc at each element of x >= 0, within 1e-12 relative of math.erfc.
+
+    Cody's three forms: 1 - erf below 0.46875, then exp(-x^2) times a
+    rational function of x up to 4 and of 1/x^2 beyond.  The rounding of
+    x^2 moves exp(-x^2) by at most x^2 eps/2 relative, under 1e-13 while
+    erfc is a normal float (x < 26.6); where it underflows, the result is
+    subnormal or 0.
+    """
+    flat = x.ravel()
+    out = np.exp(-flat * flat)
+    small, large = flat <= 0.46875, flat > 4.0
+    mid = ~(small | large)
+    xs, xm, xl = flat[small], flat[mid], flat[large]
+    if len(xs):
+        out[small] = 1.0 - xs * _rational(xs * xs, _ERF_SMALL)
+    out[mid] *= _rational(xm, _ERFC_MID)
+    if len(xl):
+        inv = 1.0 / (xl * xl)
+        out[large] *= (_SQRT_1_PI - inv * _rational(inv, _ERFC_LARGE)) / xl
+    return out.reshape(x.shape)
+
+
+def _gamma1_floor(q: QubitPhysical, omega: float, ends, below: bool):
+    """Minimum of the interpolated Gamma1 table between omega and each of
+    ends, all of which lie below omega if below, else above it.
 
     np.interp is linear between knots and flat past the ends, so the
-    minimum is at an end or at a knot between them.
+    minimum is at an end or at a knot between them; the knots' minima come
+    from q.gamma1_knot_minima, built once per qubit.
     """
-    # spans[i, j] = min(fp[i:j]), +inf where no knot is in the range
-    spans = np.full((len(xp) + 1, len(xp) + 1), math.inf)
-    for i in range(len(xp)):
-        spans[i, i + 1:] = np.minimum.accumulate(fp[i:])
-    knots = spans[np.searchsorted(xp, lo), np.searchsorted(xp, hi, side="right")]
-    return np.minimum(np.minimum(np.interp(lo, xp, fp), np.interp(hi, xp, fp)), knots)
+    xp, fp = q.gamma1_arrays
+    if below:
+        lo, hi = np.searchsorted(xp, ends), np.searchsorted(xp, omega, side="right")
+    else:
+        lo, hi = np.searchsorted(xp, omega), np.searchsorted(xp, ends, side="right")
+    return np.minimum(np.minimum(np.interp(omega, xp, fp), np.interp(ends, xp, fp)),
+                      q.gamma1_knot_minima[lo, hi])
 
 
 def cell_bound(
@@ -735,45 +926,72 @@ def cell_bound(
 
     The kernel's field is fl(a * f), f the unit pulse response at
     amplitude a, so every quantity it reads is a^2 times f's, up to
-    rounding.  _unit_columns reads C, P, N (the peak of |f|^2) and k_lo off
-    f once per pulse length, and the cell at a gets
+    rounding.  _unit_columns brackets C (f's SNR integral) and N (the peak
+    of |f|^2) as [C_lo, C_hi] and [N_lo, N_hi], and reads P and k_lo, once
+    per pulse length; the cell at a gets
 
-      separation  1/2 erfc(sqrt(2 eta kappa a^2 C (1 + 1e-9)) / 2),
+      separation  1/2 erfc(sqrt(2 eta kappa a^2 C_hi (1 + 1e-9)) / 2),
       photon      a^2 P,
-      MIST        the logistic at a^2 N,
+      MIST        the logistic at a^2 N_lo,
       relaxation  max(k_lo - 2, 0) dt times the minimum of the
-                  interpolated Gamma1 over [omega, omega + 2 chi a^2 N],
+                  interpolated Gamma1 over [omega, omega + 2 chi a^2 N_hi
+                  (1 + 1e-9)], where a^2 C_lo > 1e-280, else 0,
       coupling    as the kernel has it.
 
     Each of the first four is taken times (1 - 1e-9), less 1e-300 and at
-    least 0, and so is MIST's argument; the Stark end is moved out by
-    1e-9.  The weighted sum, in the kernel's order, is taken times
-    (1 - 1e-9).  Why that is <= the kernel's float total:
+    least 0, and so is MIST's argument.  The weighted sum, in the kernel's
+    order, is taken times (1 - 1e-9).  Why that is <= the kernel's float
+    total:
 
+    - The unit statistics.  P, N_lo and C up to the pulse end are the
+      kernel's own operations at amplitude 1.0, so they have the bits of
+      f's row.  After the pulse the kernel's f is fl(u_{n_p+t} - u_t), and
+      the brackets use g_t = p_t w.  In exact arithmetic, with the R and
+      u_1 that u's doubling starts from, u_{n_p+t} - u_t = R^t u_{n_p} and
+      1 + c u_t = R^t, and |R| < 1 at any step _check_step allows.  The
+      doubling keeps every sample within e U of that recurrence (U = max
+      |u|): each level adds at most sqrt(5) eps/2 (|R^m| + rho) + eps/2 of U
+      to the error it carries, times 1 + |R^m| + rho, where rho bounds the
+      error of the power R^m it multiplies by (_ringdown_gap follows this
+      level by level; e is of the order of n log2(n) eps where |R| is
+      near 1, less where |R^m| decays).  Two samples, w and p_t add up to
+      d = U (3 e + |c| U (e + 8 eps) + 2 eps (2 + |c| U)), a bound on |f -
+      g_t| at every ringdown sample: 400 to 600 eps U on the shipped
+      device, where the largest gap measured is about 11 eps U.  Hence N <= (sqrt(N_lo) +
+      d)^2 = N_hi, and each ringdown sample's (2 Im f)^2 is within 4 (2 |Im
+      g_t| d + d^2) of (2 Im g_t)^2; by Cauchy-Schwarz, sum_t |Im g_t| <=
+      sqrt(K dt sum_t (Im g_t)^2) over the trapezoid weights.  The
+      three-term form can cancel: each prefix sum is within (K + 4) eps of
+      the sum of its terms' magnitudes, and with |Re p Im p| <= |p|^2 / 2
+      the terms' magnitudes are covered by a margin of 2 (n + 10) eps
+      times 4 ((Im w)^2 + |Re w Im w|) and 4 ((Re w)^2 + |Re w Im w|) on
+      the two squares' sums.  With those margins, and (n + 10) eps for the
+      kernel's own sequential cumsum, C_lo <= C <= C_hi, and k_lo counts
+      only samples whose running integral, taken from above, lies below
+      half of C_lo.
     - Rounding.  The kernel's SNR integral is a sequential cumsum of
       n_tot nonnegative trapezoids, each a few roundings from a^2 times
       f's; its photon numbers, and so their peak, are a few roundings from
       a^2 |f|^2.  So each is within (n_tot + 5) eps relative of a^2 times
-      the unit quantity, which is as close to the exact value: under 1e-10
-      for n_tot < 10^5.
-      The 1e-9 margins cover that, and the last-bit differences of np.exp
-      against the kernel's math.exp and of np.interp; the bound and the
-      kernel take erfc from the same math.erfc.  The 1e-300 margins cover
-      underflow, whose errors are absolute.  Each term is then <= the
+      the unit quantity: under 1e-10 for n_tot < 10^5.  The 1e-9 margins
+      cover that, the last-bit differences of np.exp against the kernel's
+      math.exp and of np.interp, and the bound's erfc, _erfc, which is
+      within 1e-12 relative of the kernel's math.erfc.  The 1e-300 margins
+      cover underflow, whose errors are absolute.  Each term is then <= the
       kernel's; rounding is monotone and the weights are >= 0, so each
       weighted term and each partial sum is too.
     - The half-SNR index.  The kernel's idx counts the samples whose
       running integral is below half its last value.  With the rounding
-      above, every sample k_lo counts, below half of C moved down by 1e-9,
-      is below the kernel's half too, so idx >= k_lo.  t0 = (idx - 1 +
-      frac) dt with frac in (0, 1], and int(t0 / dt) can lose one more to
+      above, every sample k_lo counts, below half of C_lo moved down by
+      1e-9, is below the kernel's half too, so idx >= k_lo.  t0 = (idx - 1
+      + frac) dt with frac in (0, 1], and int(t0 / dt) can lose one more to
       rounding.  So the kernel integrates Gamma1 over n_full >= idx - 2 >=
       k_lo - 2 whole steps, each trapezoid >= dt times the smallest rate
       (up to rounding of the order of eps times the largest rate, inside
       the margin unless the rates along one trace differ by more than
       about 10^5), plus a partial step >= 0.
     - Gamma1's minimum.  The Stark trace omega + 2 chi |beta0|^2 lies
-      between omega and omega + 2 chi a^2 N (1 + 1e-9) at every sample.
+      between omega and omega + 2 chi a^2 N_hi (1 + 1e-9) at every sample.
       In a finite cell it lies in the table too up to n_full, where the
       interpolated Gamma1 is piecewise linear, so its minimum over the
       interval is at an end or at a knot between them (_gamma1_floor).
@@ -781,8 +999,8 @@ def cell_bound(
       is +inf in the kernel, and the bound is finite there.  An omega near
       a pole or with |chi| too large is +inf in the kernel and in the
       bound.  Where the SNR integral is 0 the kernel has no relaxation
-      term; the bound has one only where a^2 C exceeds 1e-280, far above
-      anything underflow can round to 0.
+      term; the bound has one only where a^2 C_lo exceeds 1e-280, far
+      above anything underflow can round to 0.
     """
     shape = (len(amps), len(tp_points))
     try:
@@ -793,30 +1011,27 @@ def cell_bound(
     if counts is None:
         return np.full(shape, math.inf)
     dt, weights, mist = model.dt, model.weights, model.mist
-    c_u, p_u, n_u, k_lo = _unit_columns(q, chi, *counts, dt)
+    unit = _unit_columns(q, chi, *counts, dt)
     a2 = np.square(np.asarray(amps, dtype=float))[:, None]
 
     def lower(term):
         return np.maximum(term * (1.0 - BOUND_MARGIN) - BOUND_FLOOR, 0.0)
 
-    a2c = a2 * c_u
-    snr_value = (2.0 * q.eta * q.kappa) * a2c * (1.0 + BOUND_MARGIN) + BOUND_FLOOR
-    sep = lower(0.5 * _elementwise(math.erfc, np.sqrt(snr_value) / 2.0))
-    photon = lower(a2 * p_u)
-    xp, fp = q.gamma1_arrays
-    stark_end = omega + (2.0 * chi) * (a2 * n_u * (1.0 + BOUND_MARGIN))
-    gamma = _gamma1_floor(xp, fp, np.minimum(omega, stark_end),
-                          np.maximum(omega, stark_end))
-    steps = np.maximum(k_lo - 2.0, 0.0) * dt
+    snr_value = (2.0 * q.eta * q.kappa) * (a2 * unit.c_hi) * (1.0 + BOUND_MARGIN) + BOUND_FLOOR
+    sep = lower(0.5 * _erfc(np.sqrt(snr_value) / 2.0))
+    photon = lower(a2 * unit.p)
+    stark_end = omega + (2.0 * chi) * (a2 * unit.n_hi * (1.0 + BOUND_MARGIN))
+    gamma = _gamma1_floor(q, omega, stark_end, chi < 0.0)
+    steps = np.maximum(unit.k_lo - 2.0, 0.0) * dt
     # the kernel's SNR integral is surely > 0, so it has a relaxation term
-    relax = lower(np.where(a2c > 1e-280, steps * gamma, 0.0))
+    relax = lower(np.where(a2 * unit.c_lo > 1e-280, steps * gamma, 0.0))
     mist_term = np.full(shape, mist.ceiling if model.heuristics else 0.0)
     coupling = 0.0
     if model.heuristics:
         coupling = coupling_error(omega, specs)
         n_th = 0.0 if omega <= q.omega_r else mist_threshold(omega, q.omega_r, mist)
         if not n_th <= 0.0:
-            z = (lower(a2 * n_u) - n_th) / (mist.sharpness * n_th)
+            z = (lower(a2 * unit.n_lo) - n_th) / (mist.sharpness * n_th)
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             mist_term = lower(mist.ceiling / (1.0 + np.exp(-z)))
     total = (

@@ -175,7 +175,7 @@ def optimize_qubit(
         nonlocal best, best_bd, scored
         rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
         plane = cost_plane(q, [grid.omega_points[i_w]], [grid.amp_points[i] for i in rows],
-                           [grid.tp_points[j] for j in cols], model, specs)
+                           grid.tp_points, model, specs, cols=cols)
         scored += len(rows) * len(cols)
         totals = np.where(np.isfinite(plane.total[0]), plane.total[0], math.inf)
         # first occurrence: row-major order is the (amp, t_p) index order

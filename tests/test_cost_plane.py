@@ -431,6 +431,37 @@ class TestPulseGridCache:
         assert error_models._pulse_grid.cache_info().currsize == 1
 
 
+class TestColumns:
+    """cost_plane with cols scores the pulse lengths it names, bit for bit
+    as a call on those alone, and checks every pulse length it is given."""
+
+    QID = QIDS[3]
+    AMPS = [0.0, 0.15, 0.3]
+    TPS = [100.0, 160.0, 300.0, 480.0]
+
+    def omegas(self):
+        q = D3.qubits[self.QID]
+        # the last is within the pole guard: every field of it is infeasible
+        return [*np.linspace(*D3.search_band[self.QID], 2), q.omega_r]
+
+    @pytest.mark.parametrize("cols", [[2], [3, 0], [0, 1, 2, 3], []])
+    def test_columns_equal_a_call_on_their_pulse_lengths(self, cols):
+        q = D3.qubits[self.QID]
+        got = cost_plane(q, self.omegas(), self.AMPS, self.TPS, model(), cols=cols)
+        want = cost_plane(q, self.omegas(), self.AMPS, [self.TPS[j] for j in cols], model())
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                          getattr(want, name).view(np.int64))
+
+    def test_every_pulse_length_is_checked(self):
+        q, tps = D3.qubits[self.QID], self.TPS + [520.0]  # t_r < 0 in a column left out
+        with pytest.raises(ValueError) as want:
+            cost_plane(q, self.omegas(), self.AMPS, tps, model())
+        with pytest.raises(type(want.value)) as got:
+            cost_plane(q, self.omegas(), self.AMPS, tps, model(), cols=[0, 1])
+        assert str(got.value) == str(want.value)
+
+
 def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):
     """half_snr_time of one point, from the scalar field solver."""
     traj = field_pair(q, ReadoutParams(omega, b0, t_p, total_time - t_p), dt,

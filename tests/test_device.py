@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -238,6 +239,21 @@ class TestRelaxationRate:
         omegas = np.linspace(TWO_PI * 5.0, TWO_PI * 7.0, 401)
         rates = relaxation_rate(self.q, omegas)
         assert np.all(np.abs(np.diff(rates)) < 1e-6)
+
+    def test_knot_minima(self):
+        """m[i, j] is the least rate of knots i to j - 1, built once per
+        qubit, read-only and left out of a pickle."""
+        q = make_qubit(gamma1_table=tuple(
+            (TWO_PI * f, r) for f, r in ((5.0, 3e-5), (5.5, 1e-5), (6.0, 4e-5), (6.5, 2e-5))))
+        m = q.gamma1_knot_minima
+        rates = [r for _, r in q.gamma1_table]
+        for i in range(len(rates) + 1):
+            for j in range(len(rates) + 1):
+                assert m[i, j] == (min(rates[i:j]) if j > i else math.inf)
+        assert q.gamma1_knot_minima is m and not m.flags.writeable
+        copy = pickle.loads(pickle.dumps(q))
+        assert "gamma1_knot_minima" not in vars(copy)
+        np.testing.assert_array_equal(copy.gamma1_knot_minima, m)
 
 
 class TestNeighbors:

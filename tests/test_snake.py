@@ -22,7 +22,7 @@ from readout_opt import (
     optimize_qubit,
     traversal_order,
 )
-from readout_opt import snake
+from readout_opt import error_models, snake
 from readout_opt.error_models import cost_plane
 
 from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
@@ -190,7 +190,8 @@ class TestPruning:
         order, and each cost_plane call's (omega, amps, tps)."""
         calls = []
 
-        def fake_plane(q, omegas, amps, tps, model, specs):
+        def fake_plane(q, omegas, amps, tps, model, specs, cols):
+            tps = [tps[j] for j in cols]
             calls.append((omegas[0], tuple(amps), tuple(tps)))
             rows = [self.GRID.amp_points.index(a) for a in amps]
             cols = [self.GRID.tp_points.index(t) for t in tps]
@@ -286,6 +287,19 @@ class TestPruning:
 
 
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
+def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, heuristics):
+    """The bound and every scored subgrid look up the whole pulse-length
+    grid, so a qubit's scan computes its pulse checks once."""
+    cfg, grids, _ = small_run
+    qid = d3_graph.sorted_ids()[0]
+    error_models._pulse_grid.cache_clear()
+    optimize_qubit(d3_graph.qubits[qid], grids[qid], [],
+                   replace(cfg.model, heuristics=heuristics))
+    info = error_models._pulse_grid.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
+
+
+@pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
 def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch,
                                                 heuristics):
     """Every qubit of the small d3 walk equals an exhaustive plane scan,
@@ -296,9 +310,9 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
         result = optimize_device(d3_graph, grids, model)
     scored = []
 
-    def counting_plane(q, omegas, amps, tps, *args):
-        scored.append(len(omegas) * len(amps) * len(tps))
-        return cost_plane(q, omegas, amps, tps, *args)
+    def counting_plane(q, omegas, amps, tps, model, specs, cols):
+        scored.append(len(omegas) * len(amps) * len(cols))
+        return cost_plane(q, omegas, amps, tps, model, specs, cols)
 
     monkeypatch.setattr(snake, "cost_plane", counting_plane)
     locked_params = {}
