@@ -22,7 +22,6 @@ from .config import (
 from .device import (
     DeviceConfigError,
     DeviceGraph,
-    FrequencyRangeError,
     NeighborOrder,
     QubitId,
     QubitPhysical,
@@ -30,7 +29,6 @@ from .device import (
     coupling_strength,
     load_device,
     neighbors,
-    relaxation_rate,
     serialize_device,
 )
 from .dynamics import (
@@ -40,10 +38,7 @@ from .dynamics import (
     StepSizeError,
     dispersive_shift,
     field_pair,
-    max_photon,
-    residual_photon,
     solve_field,
-    stark_trajectory,
 )
 from .error_models import (
     CollisionChannel,
@@ -56,13 +51,8 @@ from .error_models import (
     ReadoutParams,
     collision_specs,
     coupling_error,
-    evaluate_cost,
-    half_snr_time,
-    mist_penalty,
     mist_threshold,
-    relaxation_error,
     separation_error,
-    snr,
 )
 from .snake import (
     InfeasibleQubitError,

@@ -26,6 +26,7 @@ from .config import (
     OptimizerConfigError,
     Strategy,
     build_search_grid,
+    check_dt,
     config_echo,
     load_optimizer_config,
     snap_length,
@@ -204,7 +205,7 @@ def cmd_validate(args) -> int:
     print(f"device ok: {len(graph.qubits)} qubits "
           f"({n_measure} measure, {len(graph.qubits) - n_measure} data)")
     if args.opt_config:
-        _load_opt_config(args.opt_config)
+        check_dt(graph, _load_opt_config(args.opt_config))
         print("optimizer config ok")
     return EXIT_OK
 
@@ -212,6 +213,7 @@ def cmd_validate(args) -> int:
 def cmd_optimize(args) -> int:
     graph = _load_graph(args.device)
     cfg = _load_opt_config(args.opt_config)
+    check_dt(graph, cfg)
     strategy = Strategy(args.strategy)
     model = replace(cfg.model, heuristics=strategy is Strategy.ALL_MODELS)
     out = Path(args.out)
@@ -276,6 +278,7 @@ _SWEEP_COLUMNS = {
 def cmd_sweep(args) -> int:
     graph = _load_graph(args.device)
     cfg = _load_opt_config(args.opt_config)
+    check_dt(graph, cfg)
     strategy = Strategy(args.strategy)
     model = replace(cfg.model, heuristics=strategy is Strategy.ALL_MODELS)
     qid = _parse_qubit(args.qubit, graph)

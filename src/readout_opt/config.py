@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from .device import DeviceGraph, QubitId, _integer, ghz_to_rad_ns, parse_yaml, rad_ns_to_ghz
+from .dynamics import StepSizeError, _check_step
 from .error_models import CostModel, CostWeights, ParameterError, require
 from .snake import SearchGrid
 
@@ -39,7 +40,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         require(self, "> 0", "n_omega", "n_amp", "n_tp", "tp_min_ns")
-        require(self, ">= 0", "amp_min")
+        require(self, ">= 0", "amp_min", "amp_max")
         if not self.amp_max >= self.amp_min:
             raise ParameterError(self, "amp_max", ">= amp_min")
         if self.n_amp > 1 and not self.amp_max > self.amp_min:
@@ -159,6 +160,17 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
             f"pulse-length range [{grid.tp_min_ns}, {grid.tp_max_ns}] ns holds no "
             f"multiple of dt_ns = {dt}")
     return cfg
+
+
+def check_dt(graph: DeviceGraph, cfg: OptimizerConfig) -> None:
+    """Raise OptimizerConfigError, naming dt_ns and the qubit, unless
+    dt_ns <= 1/kappa/10 for every qubit of graph: a coarser step fails
+    every point of that qubit."""
+    for qid in graph.sorted_ids():
+        try:
+            _check_step(0.0, graph.qubits[qid].kappa, cfg.model.dt)
+        except StepSizeError as exc:
+            raise OptimizerConfigError(f"dt_ns: qubit {qid}: {exc}") from None
 
 
 def _step_range(lo: float, hi: float, dt: float) -> tuple[int, int]:

@@ -30,10 +30,6 @@ class DeviceConfigError(ValueError):
     """Raised when a device config fails to parse or violates an invariant."""
 
 
-class FrequencyRangeError(ValueError):
-    """Raised when a frequency falls outside the relaxation-rate table."""
-
-
 class Role(enum.Enum):
     DATA = "data"
     MEASURE = "measure"
@@ -147,23 +143,6 @@ def coupling_strength(q: QubitPhysical, omega_q: float) -> float:
     if omega_q <= 0:
         raise ValueError(f"omega_q must be > 0, got {omega_q}")
     return q.g_eff * math.sqrt(q.omega_r * omega_q) / 2.0
-
-
-def relaxation_rate(q: QubitPhysical, omega_q):
-    """Linearly interpolated Gamma1 at omega_q; no extrapolation.
-
-    Accepts a scalar or an ndarray of frequencies; raises
-    FrequencyRangeError if any lies outside the table.  A NaN is not
-    outside it and gives NaN.
-    """
-    xp, fp = q.gamma1_arrays
-    omega_arr = np.asarray(omega_q, dtype=float)
-    if omega_arr.size and (omega_arr.min() < xp[0] or omega_arr.max() > xp[-1]):
-        raise FrequencyRangeError(
-            f"frequency outside gamma1 table span [{xp[0]}, {xp[-1]}] rad/ns"
-        )
-    out = np.interp(omega_arr, xp, fp)
-    return float(out) if np.isscalar(omega_q) else out
 
 
 _NEAREST_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, 0))
@@ -335,13 +314,33 @@ def _integer(value) -> int:
     return value
 
 
+def _finite(value, scale: float = 1.0) -> float:
+    """scale * float(value), a config value in internal units; a ValueError
+    unless value and the product are finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    out = scale * value
+    if not math.isfinite(out):
+        raise ValueError(f"{value} is out of range")
+    return out
+
+
+def _frequency(value) -> float:
+    """A frequency in GHz, > 0, in rad/ns."""
+    omega = _finite(value, TWO_PI)
+    if not omega > 0.0:
+        raise ValueError(f"must be > 0, got {float(value)}")
+    return omega
+
+
 def _band(value) -> tuple[float, float]:
-    lo, hi = (ghz_to_rad_ns(float(v)) for v in value)
+    lo, hi = (_frequency(v) for v in value)
     return lo, hi
 
 
 def _gamma1_table(value) -> tuple[tuple[float, float], ...]:
-    return tuple((ghz_to_rad_ns(float(f)), float(rate) * 1e-3) for f, rate in value)
+    return tuple((_finite(f, TWO_PI), _finite(rate) * 1e-3) for f, rate in value)
 
 
 def load_device(config_text: str) -> DeviceGraph:
@@ -372,13 +371,13 @@ def load_device(config_text: str) -> DeviceGraph:
         seen.add((qid.row, qid.col))
         at = f"qubit {qid}: "
         phys = QubitPhysical(
-            alpha=ghz_to_rad_ns(_field(entry, "alpha_GHz", float, at)),
-            g_eff=_field(entry, "g_eff", float, at),
-            omega_r=ghz_to_rad_ns(_field(entry, "f_r_GHz", float, at)),
-            eta=_field(entry, "eta", float, at),
-            kappa=TWO_PI * _field(entry, "kappa_MHz", float, at) * 1e-3,
+            alpha=_field(entry, "alpha_GHz", lambda v: _finite(v, TWO_PI), at),
+            g_eff=_field(entry, "g_eff", _finite, at),
+            omega_r=_field(entry, "f_r_GHz", _frequency, at),
+            eta=_field(entry, "eta", _finite, at),
+            kappa=_field(entry, "kappa_MHz", lambda v: _finite(v, TWO_PI), at) * 1e-3,
             gamma1_table=_field(entry, "gamma1_table", _gamma1_table, at),
-            amp_ref=_field(entry, "amp_ref", float, at),
+            amp_ref=_field(entry, "amp_ref", _finite, at),
         )
         phys.validate(qid)
         band_lo, band_hi = _field(entry, "band_GHz", _band, at)

@@ -2,7 +2,9 @@
 
 Integrates d(beta)/dt = sqrt(kappa) * B(t) + (i*Delta - kappa/2) * beta
 with fixed-step RK4 for a rectangular pulse (B(t) = B0 for t < t_p, then
-zero), and derives photon numbers and the AC-Stark frequency trace.
+zero).  The cost kernel, error_models.cost_plane, reads the unit step
+responses (step_responses); sweep's trajectory.csv reads one point's two
+fields (field_pair) and their photon numbers (photon_number).
 
 The ODE is linear with a piecewise-constant drive, so the pulse response
 is assembled from a cached unit-amplitude step response: RK4 superposition
@@ -274,25 +276,3 @@ def photon_number(beta: np.ndarray) -> np.ndarray:
     the last bit.
     """
     return beta.real**2 + beta.imag**2
-
-
-def stark_trajectory(
-    omega_q0: float, chi: float, traj: FieldTrajectory
-) -> np.ndarray:
-    """Instantaneous qubit frequency under the linear AC-Stark shift."""
-    return omega_q0 + (2.0 * chi) * photon_number(traj.beta1)
-
-
-def max_photon(traj: FieldTrajectory) -> float:
-    """Largest photon number over both branches and all samples."""
-    return float(max(photon_number(traj.beta0).max(),
-                     photon_number(traj.beta1).max()))
-
-
-def residual_photon(traj: FieldTrajectory) -> float:
-    """Mean photon number left in the resonator at the end of the ringdown."""
-    z0, z1 = complex(traj.beta0[-1]), complex(traj.beta1[-1])
-    # x*x, as max_photon's array squares compute it: abs(z)**2 and a numpy
-    # scalar x**2 can differ from it in the last bit
-    return 0.5 * ((z0.real * z0.real + z0.imag * z0.imag)
-                  + (z1.real * z1.real + z1.imag * z1.imag))

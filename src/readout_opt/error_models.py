@@ -5,15 +5,15 @@ during the informative part of the readout, residual resonator photons,
 a smoothed-step penalty for measurement-induced state transitions (MIST),
 and Lorentzian penalties for frequency collisions with neighboring qubits.
 
-Each term has one scalar function (here and in dynamics); evaluate_cost
-scores a point by composing them, and is the public scalar API and the
-tests' oracle.  cost_plane, which optimize and sweep score with, repeats
-the same IEEE operations in array form over a grid of qubit frequencies
-x amplitudes x pulse lengths and returns the whole breakdown; the tests
-hold every field of every cell to evaluate_cost's bit for bit.
-cell_bound bounds cost_plane's total from below, cell by cell, from one
-unit-amplitude response per frequency, so optimize can leave out the
-cells that cannot win.
+cost_plane is the cost kernel that optimize and sweep score with: the
+whole breakdown of every point of a grid of qubit frequencies x
+amplitudes x pulse lengths, each field defined in its docstring, and
+CostWeights.total their weighted sum.  cell_bound bounds cost_plane's
+total from below, cell by cell, from one unit-amplitude response per
+frequency, so optimize can leave out the cells that cannot win.
+separation_error, mist_threshold and coupling_error are the terms that
+are functions of one number: the benchmark reads the first, the kernel
+and the bound the other two.
 """
 from __future__ import annotations
 
@@ -25,25 +25,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .device import (
-    FrequencyRangeError,
-    QubitPhysical,
-    relaxation_rate,
-)
+from .device import QubitPhysical
 from .dynamics import (
     DEFAULT_POLE_GUARD,
     DetuningStepError,
-    FieldTrajectory,
     PoleProximityError,
     PulseShape,
     _check_step,
     _rk4_factors,
     _sample_counts,
     dispersive_shift,
-    field_pair,
-    max_photon,
-    residual_photon,
-    stark_trajectory,
     step_responses,
 )
 
@@ -59,12 +50,13 @@ class ParameterError(ValueError):
 
 
 def require(obj, rule: str, *names: str) -> None:
-    """Raise ParameterError for the first named field of obj that breaks
-    rule, "> 0" or ">= 0"; NaN breaks both."""
+    """Raise ParameterError for the first named field of obj that is not
+    finite or breaks rule, "> 0" or ">= 0"."""
     for name in names:
         v = getattr(obj, name)
-        if not (v > 0 if rule == "> 0" else v >= 0):
-            raise ParameterError(obj, name, rule)
+        # comparisons, not math.isfinite, which overflows on a huge int
+        if not ((v > 0 if rule == "> 0" else v >= 0) and v < math.inf):
+            raise ParameterError(obj, name, f"finite and {rule}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +90,8 @@ class MistParams:
     def __post_init__(self) -> None:
         require(self, "> 0", "a", "sharpness")
         require(self, ">= 0", "ceiling")
+        if not math.isfinite(self.b):
+            raise ParameterError(self, "b", "finite")
 
 
 class CollisionChannel(enum.Enum):
@@ -152,6 +146,18 @@ class CostWeights:
     def __post_init__(self) -> None:
         require(self, ">= 0", *(f.name for f in fields(self)))
 
+    def total(self, separation, relaxation, photon, mist, coupling):
+        """The weighted sum of the five terms, added left to right in this
+        order: cost_plane's total, and cell_bound's from its lower bounds
+        on the terms, so the bound sums in the kernel's order."""
+        return (
+            self.separation * separation
+            + self.relaxation * relaxation
+            + self.photon * photon
+            + self.mist * mist
+            + self.coupling * coupling
+        )
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -195,74 +201,11 @@ class CostBreakdown:
     total: float
 
 
-def _snr_and_half_time(
-    traj: FieldTrajectory, eta: float, kappa: float
-) -> tuple[float, float | None]:
-    """snr and half_snr_time, read off one cumulative trapezoid integral.
-
-    The time is None unless the SNR is > 0.
-    """
-    d = traj.beta0 - traj.beta1
-    mag2 = d.real**2 + d.imag**2
-    cum = np.empty_like(mag2)
-    cum[0] = 0.0
-    np.cumsum((mag2[1:] + mag2[:-1]) * (0.5 * traj.dt), out=cum[1:])
-    total = 2.0 * eta * kappa * float(cum[-1])
-    if not total > 0.0:
-        return total, None
-    # the factor 2*eta*kappa cancels in the half time
-    half = 0.5 * cum[-1]
-    idx = int(np.searchsorted(cum, half, side="left"))
-    if idx == 0:
-        return total, 0.0
-    frac = (half - cum[idx - 1]) / (cum[idx] - cum[idx - 1])
-    return total, (idx - 1 + frac) * traj.dt
-
-
-def snr(traj: FieldTrajectory, eta: float, kappa: float) -> float:
-    """Matched-filter SNR: 2*eta*kappa * integral of |beta0 - beta1|^2."""
-    return _snr_and_half_time(traj, eta, kappa)[0]
-
-
 def separation_error(snr_value: float) -> float:
     """Probability of misassigning the state at the given SNR."""
     if snr_value < 0:
         raise ValueError(f"SNR must be >= 0, got {snr_value}")
     return 0.5 * math.erfc(math.sqrt(snr_value) / 2.0)
-
-
-def half_snr_time(traj: FieldTrajectory, eta: float, kappa: float) -> float:
-    """Earliest time where the cumulative SNR reaches half its final value.
-
-    Linear interpolation between bracketing samples; ties resolve to the
-    earliest time.  Raises ValueError unless the SNR is > 0.
-    """
-    t0 = _snr_and_half_time(traj, eta, kappa)[1]
-    if t0 is None:
-        raise ValueError("total SNR is zero; half-SNR time undefined")
-    return t0
-
-
-def relaxation_error(
-    stark: np.ndarray, dt: float, q: QubitPhysical, t0: float
-) -> float:
-    """Integral of Gamma1 along the Stark-shifted frequency trace up to t0.
-
-    Trapezoidal quadrature with a linearly interpolated partial last
-    interval.  Raises FrequencyRangeError if the trace up to t0 leaves the
-    table.
-    """
-    if t0 <= 0.0:
-        return 0.0
-    n_full = min(int(t0 / dt), len(stark) - 1)
-    prefix = stark[: n_full + 1]
-    rates = relaxation_rate(q, prefix)
-    err = dt * (float(rates.sum()) - 0.5 * (rates[0] + rates[-1]))
-    t_rem = t0 - n_full * dt
-    if t_rem > 0.0 and n_full + 1 < len(stark):
-        omega_end = prefix[-1] + (t_rem / dt) * (stark[n_full + 1] - prefix[-1])
-        err += 0.5 * (rates[-1] + relaxation_rate(q, omega_end)) * t_rem
-    return err
 
 
 def mist_threshold(omega_q: float, omega_r: float, p: MistParams) -> float:
@@ -273,21 +216,6 @@ def mist_threshold(omega_q: float, omega_r: float, p: MistParams) -> float:
         )
     x = p.a * math.exp(p.b * (omega_q - omega_r))
     return x - math.sqrt(x)
-
-
-def mist_penalty(
-    n_max: float,
-    n_th: float,
-    sharpness: float = MistParams.sharpness,
-    ceiling: float = MistParams.ceiling,
-) -> float:
-    """Logistic step in n_max centered on the threshold n_th."""
-    if n_th <= 0:
-        raise ValueError(f"n_th must be > 0, got {n_th}")
-    z = (n_max - n_th) / (sharpness * n_th)
-    # clip to avoid overflow in exp for far-from-threshold points
-    z = min(max(z, -500.0), 500.0)
-    return ceiling / (1.0 + math.exp(-z))
 
 
 def collision_specs(
@@ -327,88 +255,9 @@ def coupling_error(omega_q: float, specs) -> float:
     return total
 
 
-def _infeasible(**known) -> CostBreakdown:
-    fields = dict(
-        separation=math.nan, relaxation=math.nan, photon=math.nan,
-        mist=math.nan, coupling=math.nan, snr=math.nan, t0=math.nan,
-        n_max=math.nan,
-    )
-    fields.update(known)
-    return CostBreakdown(total=math.inf, **fields)
-
-
-def evaluate_cost(
-    q: QubitPhysical,
-    params: ReadoutParams,
-    model: CostModel,
-    specs=(),
-) -> CostBreakdown:
-    """All five cost terms for one parameter point under model.
-
-    The composition of the term functions: snr, separation_error,
-    half_snr_time, stark_trajectory and relaxation_error up to that time,
-    residual_photon, max_photon, and the MIST and coupling heuristics.
-    Deterministic and pure.  A point in a hard domain of the model comes
-    back with total = +inf: within model.pole_guard of a chi pole, with
-    |chi| too large for the step model.dt, or with the Stark trace leaving
-    the Gamma1 table.  An invalid pulse, or a step too coarse for kappa,
-    raises.  specs are the CollisionSpecs of the locked neighbors; with
-    model.heuristics False (the predictive-only strategy) the MIST and
-    coupling terms are zero and specs are ignored.
-    """
-    try:
-        traj = field_pair(q, params, model.dt, guard=model.pole_guard)
-    except (PoleProximityError, DetuningStepError):
-        return _infeasible()
-    # snr and half_snr_time from one integral
-    snr_value, t0 = _snr_and_half_time(traj, q.eta, q.kappa)
-    sep = separation_error(snr_value)
-    relax = 0.0
-    if t0 is None:
-        t0 = 0.0
-    else:
-        stark = stark_trajectory(params.omega_q, traj.chi, traj)
-        try:
-            relax = relaxation_error(stark, model.dt, q, t0)
-        except FrequencyRangeError:
-            return _infeasible(snr=snr_value, separation=sep)
-    photon = residual_photon(traj)
-    n_max = max_photon(traj)
-
-    mist = model.mist
-    mist_term = 0.0
-    coupling_term = 0.0
-    if model.heuristics:
-        try:
-            n_th = mist_threshold(params.omega_q, q.omega_r, mist)
-            mist_term = mist_penalty(n_max, n_th, mist.sharpness, mist.ceiling)
-        except ValueError:  # omega_q <= omega_r or n_th <= 0: no threshold
-            mist_term = mist.ceiling
-        coupling_term = coupling_error(params.omega_q, specs)
-
-    weights = model.weights
-    total = (
-        weights.separation * sep
-        + weights.relaxation * relax
-        + weights.photon * photon
-        + weights.mist * mist_term
-        + weights.coupling * coupling_term
-    )
-    return CostBreakdown(
-        separation=sep,
-        relaxation=relax,
-        photon=photon,
-        mist=mist_term,
-        coupling=coupling_term,
-        snr=snr_value,
-        t0=t0,
-        n_max=n_max,
-        total=total,
-    )
-
-
 def _relaxation(cum, stark, half, live, dt, xp, fp):
-    """half_snr_time and relaxation_error of the live cells, one row each.
+    """The half-SNR times t0 and relaxation terms of the live cells, one
+    row each, as cost_plane defines them.
 
     Row i of cum is cell i's nondecreasing cumulative integral, of stark its
     Stark trace, and half[i] half its final integral, > 0 where live.
@@ -485,7 +334,7 @@ def _pulse_grid(tp_points: tuple, total_time: float, dt: float):
 def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
     """The kernel's checks at one omega, in (amplitude, pulse length) order.
 
-    Raises what the oracle raises at the omega's first invalid point, and
+    Raises what cost_plane raises at the omega's first invalid point, and
     returns the pulse lengths' sample counts n_p and the count n_tot of
     t_p + t_r, total_time's whole number of steps for every pulse length,
     or None when |chi| is too large for model.dt or there is no point.
@@ -508,7 +357,8 @@ def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
     try:
         _check_step(chi, kappa, dt)
     except DetuningStepError:
-        # the oracle stops at the step check, before counting samples
+        # a point with |chi| too large is infeasible before its sample
+        # count is checked
         n_ps = bad_count = None
     if bad_count is not None:
         _sample_counts(pulse(amps[0], bad_count), dt)
@@ -532,14 +382,51 @@ def cost_plane(
     """The cost breakdown of the grid omegas x amplitudes x pulse lengths.
 
     Each field of the result is a (len(omegas), len(amps), len(tp_points))
-    array, and entry [i, a, j] is, bit for bit, the field evaluate_cost(q,
-    params, model, specs) returns for params = ReadoutParams(omegas[i],
-    amps[a], tp_points[j], model.total_time - tp_points[j]).  So infeasible
-    points have a +inf total and NaN fields: every field at an omega near a
-    chi pole or with |chi| too large for model.dt, and every field but snr
-    and separation where the Stark trace leaves the Gamma1 table.  An
-    invalid point raises the error evaluate_cost raises at the first such
-    point in row-major (omega, amplitude, pulse length) order.
+    array.  Entry [i, a, j] scores the point omega = omegas[i], b0 =
+    amps[a], t_p = tp_points[j] and t_r = model.total_time - t_p.  There,
+    with chi = dynamics.dispersive_shift(q, omega), beta0 and beta1 are the
+    fields dynamics.solve_field gives for that pulse at detunings +chi and
+    -chi (the qubit in |0> and |1>): n_tot + 1 RK4 samples at spacing dt =
+    model.dt, n_tot the steps of total_time.  n0 and n1 are their photon
+    numbers, re^2 + im^2, and C is the trapezoid integral of |beta0 -
+    beta1|^2, summed sample by sample.
+
+      snr         2 eta kappa C
+      separation  separation_error(snr)
+      t0          the half-SNR time (idx - 1 + frac) dt: idx counts the
+                  samples whose running integral is below C/2, and frac
+                  interpolates between samples idx - 1 and idx; 0 where
+                  C = 0
+      relaxation  the trapezoid integral of Gamma1, interpolated in q's
+                  table, along the Stark trace omega + 2 chi n1 over the
+                  n_full = int(t0 / dt) whole steps up to t0 (at most
+                  n_tot), its samples summed as numpy sums a row, plus the
+                  partial step to t0 at the linearly interpolated
+                  frequency; 0 where C = 0
+      photon      (n0 + n1) / 2 at the last sample
+      n_max       the peak of n0 and n1
+      mist        ceiling / (1 + exp(-z)) with z = (n_max - n_th) /
+                  (sharpness n_th) clipped to [-500, 500] and n_th =
+                  mist_threshold(omega, q.omega_r, model.mist); the
+                  ceiling where omega <= omega_r or n_th <= 0
+      coupling    coupling_error(omega, specs)
+      total       model.weights.total of the five terms
+
+    With model.heuristics False (the predictive-only strategy) mist and
+    coupling are 0 and specs are ignored.  Infeasible points have a +inf
+    total and NaN fields: every field at an omega within model.pole_guard
+    of a chi pole or with |chi| too large for dt, and every field but snr
+    and separation where the Stark trace up to t0 leaves the Gamma1 table.
+    Each point is checked in this order: the pole guard (infeasible, no
+    further checks), the pulse (ValueError for t_p <= 0, t_r < 0 or b0 <
+    0), dt against kappa (StepSizeError), dt against |chi| (infeasible, no
+    further checks), and the pulse's sample count (StepSizeError where t_p
+    rounds to no step).  An invalid point raises its first failing check's
+    error, at the first such point in row-major (omega, amplitude, pulse
+    length) order.  Every value has the bits of these formulas evaluated
+    one point at a time with the operations in the order written, erfc and
+    exp from math; the tests hold each field of each cell to such a
+    one-point evaluation, bit for bit.
 
     cols, if given, are the indices into tp_points of the pulse lengths to
     score, in order: the result is then that of tp_points[j] for j in
@@ -556,7 +443,7 @@ def cost_plane(
     trapezoid cumsum of |beta0 - beta1|^2 over all rows.  Its transient
     memory is four arrays of cells x (n_tot + 1) floats; the Gamma1 rates
     up to the latest half-SNR time take at most one more.  Then, once over
-    all rows, with the term functions' IEEE operations in the same order:
+    all rows, with the one-point operations in the same order:
     the peak photon number and the Stark trace, the SNR and the separation
     error through math.erfc, the half-SNR index as the count of samples
     below half the integral (the cumsum is nondecreasing, so that is
@@ -605,7 +492,7 @@ def _pulse_rows(parts, amps, n_ps, dt):
     cum, the sequential trapezoid cumsum of |beta0 - beta1|^2.
 
     beta1 is beta0's conjugate but for a zero's sign (step_responses), so
-    evaluate_cost's two-field quantities have the same bits from beta0
+    cost_plane's quantities of both fields have the same bits from beta0
     alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
     beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
     """
@@ -637,7 +524,7 @@ def _elementwise(func, x: np.ndarray) -> np.ndarray:
     """func, a math function, at each element of x.
 
     The kernel takes erfc and exp from math, so every cell has the bits of
-    the scalar term functions: numpy has no erfc, and np.exp's SIMD loop
+    a one-point evaluation: numpy has no erfc, and np.exp's SIMD loop
     differs from math.exp in the last bit for some inputs.  The bound,
     which needs no bits, takes the vectorized _erfc instead.
     """
@@ -650,7 +537,7 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     Cells run omega-major, then amplitude, then pulse length, as the rows
     of _pulse_rows: column j is a pulse of n_ps[j] samples, n_tot in all.
     """
-    dt, weights, mist = model.dt, model.weights, model.mist
+    dt, mist = model.dt, model.mist
     n_cells = len(omegas) * len(amps) * len(n_ps)
 
     def per_cell(per_omega):
@@ -658,7 +545,7 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
 
     n0, cum = _pulse_rows(step_responses(chis, q.kappa, dt, n_tot), amps, n_ps, dt)
     n_max = n0.max(axis=1)
-    # residual_photon's 0.5 * (|beta0|^2 + |beta1|^2)
+    # the photon term, 0.5 * (|beta0|^2 + |beta1|^2) at the last sample
     photon = 0.5 * (n0[:, -1] + n0[:, -1])
     stark = np.multiply(n0, per_cell([2.0 * chi for chi in chis])[:, None], out=n0)
     stark += per_cell(omegas)[:, None]
@@ -679,17 +566,11 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
             z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             mist_term[has] = mist.ceiling / (1.0 + _elementwise(math.exp, -z))
-    total = (
-        weights.separation * sep
-        + weights.relaxation * relax
-        + weights.photon * photon
-        + weights.mist * mist_term
-        + weights.coupling * coupling
-    )
+    total = model.weights.total(sep, relax, photon, mist_term, coupling)
     total[bad] = math.inf
     planes = dict(relaxation=relax, photon=photon, mist=mist_term, coupling=coupling,
                   t0=t0, n_max=n_max)
-    if bad.any():  # as _infeasible: only snr and separation are known off the table
+    if bad.any():  # off the table, only snr and separation are defined
         for name, plane in planes.items():
             planes[name] = np.where(bad, math.nan, plane)
     return dict(planes, separation=sep, snr=snr_value, total=total)
@@ -1010,7 +891,7 @@ def cell_bound(
     counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
     if counts is None:
         return np.full(shape, math.inf)
-    dt, weights, mist = model.dt, model.weights, model.mist
+    dt, mist = model.dt, model.mist
     unit = _unit_columns(q, chi, *counts, dt)
     a2 = np.square(np.asarray(amps, dtype=float))[:, None]
 
@@ -1034,11 +915,5 @@ def cell_bound(
             z = (lower(a2 * unit.n_lo) - n_th) / (mist.sharpness * n_th)
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             mist_term = lower(mist.ceiling / (1.0 + np.exp(-z)))
-    total = (
-        weights.separation * sep
-        + weights.relaxation * relax
-        + weights.photon * photon
-        + weights.mist * mist_term
-        + weights.coupling * coupling
-    )
+    total = model.weights.total(sep, relax, photon, mist_term, coupling)
     return total * (1.0 - BOUND_MARGIN)

@@ -8,9 +8,8 @@ next-nearest order.  One error_models.CostModel defines the cost for the
 whole walk; its collision defaults turn each locked neighbor into collision
 specs, and with model.heuristics False the neighbors are ignored.  The scan
 scores the amplitude x pulse-length cells of one omega per
-error_models.cost_plane call, bit-identical to the scalar cost function
-point by point, and prunes omegas by the coupling term and cells by
-error_models.cell_bound, both exact lower bounds (see optimize_qubit),
+error_models.cost_plane call and prunes omegas by the coupling term and
+cells by error_models.cell_bound, both exact lower bounds (see optimize_qubit),
 under either strategy, so the result equals an exhaustive scan's.  The
 winner's breakdown is its cell of the kernel's.
 """

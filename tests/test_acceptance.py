@@ -32,7 +32,6 @@ from readout_opt import (
     cross_fidelity,
     dispersive_shift,
     error_budget,
-    evaluate_cost,
     field_pair,
     load_device,
     load_optimizer_config,
@@ -41,13 +40,13 @@ from readout_opt import (
     optimize_qubit,
     run_benchmark,
     separation_error,
-    snr,
     solve_field,
     traversal_order,
 )
 from readout_opt.cli import result_to_dict
 
 from conftest import CONFIG_DIR, DEFAULT_BAND, TWO_PI, make_graph, make_qubit
+from oracle import evaluate_cost, snr
 
 WEIGHTS = CostWeights()
 MIST = MistParams(a=0.075, b=0.54)

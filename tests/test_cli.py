@@ -18,7 +18,6 @@ from readout_opt import (
     ReadoutParams,
     Role,
     Strategy,
-    evaluate_cost,
     load_device,
     load_optimizer_config,
 )
@@ -42,6 +41,7 @@ from readout_opt.dynamics import (
 )
 
 from conftest import CONFIG_DIR
+from oracle import evaluate_cost
 
 TWO_QUBIT_DEVICE = {
     "qubits": [
@@ -135,6 +135,27 @@ class TestValidate:
         path.write_text(yaml.safe_dump(raw))
         assert main(["validate", "--device", str(path)]) == EXIT_IO
         assert "qubit (0,3,measure): alpha_GHz: could not convert" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("g_eff", math.nan, "g_eff: must be finite, got nan"),
+        ("amp_ref", math.inf, "amp_ref: must be finite, got inf"),
+        ("kappa_MHz", math.inf, "kappa_MHz: must be finite, got inf"),
+        ("f_r_GHz", math.nan, "f_r_GHz: must be finite, got nan"),
+        ("f_r_GHz", -3.0, "f_r_GHz: must be > 0, got -3.0"),
+        ("band_GHz", [math.nan, 6.4], "band_GHz: must be finite, got nan"),
+        ("gamma1_table", [[3.0, 10.0], [6.0, math.nan], [9.0, 10.0]],
+         "gamma1_table: must be finite, got nan"),
+    ])
+    def test_bad_device_number_names_the_field(self, tmp_path, capsys, command, key,
+                                               value, message):
+        raw = yaml.safe_load((CONFIG_DIR / "device_d3.yaml").read_text())
+        raw["qubits"][1][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = ["--out", str(tmp_path / "run")] if command == "optimize" else []
+        assert main([command, "--device", str(path), *out]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: qubit (0,3,measure): {message}\n"
 
     def test_shipped_configs_validate(self):
         code = main([
@@ -418,7 +439,8 @@ class TestSweep:
                      "--min", "4.5", "--max", "6.3", "--points", "50",
                      "--out", str(tmp_path / "sweep")]) == EXIT_IO
         assert capsys.readouterr().err == (
-            "error: dt = 1.0 ns too coarse; need dt <= 1/kappa/10 = 0.7958 ns\n")
+            "error: dt_ns: qubit (0,0,measure): dt = 1.0 ns too coarse; "
+            "need dt <= 1/kappa/10 = 0.7958 ns\n")
 
     @pytest.mark.parametrize("pin_f_ghz, axis, lo, hi", [
         ("4.70", "amplitude", "0.1", "0.2"),   # inside the pole guard

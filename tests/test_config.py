@@ -10,7 +10,6 @@ from readout_opt import (
     Strategy,
     build_search_grid,
     collision_specs,
-    evaluate_cost,
     load_optimizer_config,
     neighbors,
     optimize_device,
@@ -19,6 +18,7 @@ from readout_opt.cli import EXIT_IO, main, result_to_dict
 from readout_opt.config import OptimizerConfigError, config_echo
 
 from conftest import CONFIG_DIR, TWO_PI, make_graph, make_qubit
+from oracle import evaluate_cost
 from readout_opt import Role
 
 
@@ -170,7 +170,7 @@ class TestBuildSearchGrid:
 class TestBadConfigNamesKey:
     """A bad optimizer config exits 2 through the CLI, naming the file key."""
 
-    @pytest.mark.parametrize("text, key", [
+    CASES = [
         ("grid: [1, 2]", "grid"),
         ("grid: {n_omega: abc}", "grid.n_omega"),
         ("grid: {n_amp: 0}", "grid.n_amp"),
@@ -191,12 +191,34 @@ class TestBadConfigNamesKey:
         ("grid: {n_omega: true}", "grid.n_omega"),
         ("start_qubit: [1.7, true]", "start_qubit"),
         ('start_qubit: ["1", 2]', "start_qubit"),
-    ])
+        # non-finite values
+        ("grid: {amp_max: .inf}", "grid.amp_max"),
+        ("dt_ns: .inf", "dt_ns"),
+        ("weights: {separation: .inf}", "weights.separation"),
+        ("mist: {a: .inf}", "mist.a"),
+        ("mist: {b_per_rad_ns: .nan}", "mist.b_per_rad_ns"),
+        ("mist: {b_per_rad_ns: -.inf}", "mist.b_per_rad_ns"),
+        ("collision: {width_MHz: .inf}", "collision.width_MHz"),
+        ("pole_guard_GHz: .inf", "pole_guard_GHz"),
+        # too coarse for a qubit's kappa
+        ("dt_ns: 5", "dt_ns"),
+    ]
+
+    @pytest.mark.parametrize("text, key", CASES)
     def test_exit_2_with_key(self, tmp_path, capsys, text, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
         code = main(["optimize", "--device", str(CONFIG_DIR / "device_d3.yaml"),
                      "--opt-config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == EXIT_IO
+        assert f"error: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key", CASES)
+    def test_validate_exit_2_with_key(self, tmp_path, capsys, text, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        code = main(["validate", "--device", str(CONFIG_DIR / "device_d3.yaml"),
+                     "--opt-config", str(bad)])
         assert code == EXIT_IO
         assert f"error: {key}: " in capsys.readouterr().err
 

@@ -25,19 +25,17 @@ from readout_opt import (
     StepSizeError,
     build_search_grid,
     collision_specs,
-    evaluate_cost,
     field_pair,
-    half_snr_time,
     load_device,
     load_optimizer_config,
     optimize_qubit,
-    stark_trajectory,
 )
 from readout_opt import error_models
 from readout_opt.dynamics import photon_number
 from readout_opt.error_models import ParameterError, cell_bound, cost_plane
 
 from conftest import CONFIG_DIR, TWO_PI
+from oracle import evaluate_cost, half_snr_time, stark_trajectory
 
 D3 = load_device((CONFIG_DIR / "device_d3.yaml").read_text())
 QIDS = D3.sorted_ids()

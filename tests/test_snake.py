@@ -17,7 +17,6 @@ from readout_opt import (
     Role,
     SearchGrid,
     collision_specs,
-    evaluate_cost,
     optimize_device,
     optimize_qubit,
     traversal_order,
@@ -26,6 +25,7 @@ from readout_opt import error_models, snake
 from readout_opt.error_models import cost_plane
 
 from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
+from oracle import evaluate_cost
 
 WEIGHTS = CostWeights()
 MIST = MistParams(a=0.075, b=0.54)
