@@ -59,9 +59,9 @@ EXIT_ERROR = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
-#: swept values scored per cost_plane call; a frequency sweep's chunk has
-#: its SWEEP_CHUNK step responses computed in one pass of
-#: dynamics.step_responses
+#: swept values scored per cost_plane call: one dynamics.step_responses
+#: pass integrates a frequency chunk's SWEEP_CHUNK step responses, or the
+#: one response of an amplitude or length chunk
 SWEEP_CHUNK = 128
 
 
@@ -201,11 +201,12 @@ def _write_summary_csv(path: Path, result_dict: dict) -> None:
 
 def cmd_validate(args) -> int:
     graph = _load_graph(args.device)
+    # the default config's dt_ns without --opt-config, as optimize uses it
+    check_dt(graph, _load_opt_config(args.opt_config))
     n_measure = sum(1 for q in graph.qubits if q.role is Role.MEASURE)
     print(f"device ok: {len(graph.qubits)} qubits "
           f"({n_measure} measure, {len(graph.qubits) - n_measure} data)")
     if args.opt_config:
-        check_dt(graph, _load_opt_config(args.opt_config))
         print("optimizer config ok")
     return EXIT_OK
 
@@ -251,8 +252,8 @@ def cmd_optimize(args) -> int:
         "resolved_config": config_echo(cfg),
         "evaluations": result.evaluations,
     })
-    print(f"wrote {out / 'results.yaml'} "
-          f"({result.evaluations} evaluations, {elapsed:.1f} s)")
+    print(f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
+          f"{result.scored} scored, {elapsed:.1f} s)")
     return EXIT_OK
 
 

@@ -2,14 +2,15 @@
 
 Integrates d(beta)/dt = sqrt(kappa) * B(t) + (i*Delta - kappa/2) * beta
 with fixed-step RK4 for a rectangular pulse (B(t) = B0 for t < t_p, then
-zero).  The cost kernel, error_models.cost_plane, reads the unit step
-responses (step_responses); sweep's trajectory.csv reads one point's two
-fields (field_pair) and their photon numbers (photon_number).
+zero).  The cost kernel, error_models.cost_plane, and its bound,
+error_models.cell_bound, read the unit step responses (step_responses);
+sweep's trajectory.csv reads one point's two fields (field_pair) and their
+photon numbers (photon_number).
 
 The ODE is linear with a piecewise-constant drive, so the pulse response
-is assembled from a cached unit-amplitude step response: RK4 superposition
-is exact for this recurrence, the result scales exactly linearly in B0,
-and repeated evaluations at different amplitudes reuse the integration.
+is assembled from the unit-amplitude step response: RK4 superposition is
+exact for this recurrence, and the result scales exactly linearly in B0,
+so one integration serves every amplitude and pulse length.
 
 RK4 on this ODE is an affine recurrence, beta -> R beta + g, so the step
 response is computed in closed form: its samples double from the first,
@@ -20,14 +21,11 @@ point they differ from it by about 4e-17 n of the largest sample (2e-14
 at n = 500 steps, 2e-13 at 5,000), as the loop's own rounding grows with
 n too.  Every value is an elementwise IEEE sum or product, so a response
 has the same bits alone or in a batch, and the -chi response is the
-conjugate of the +chi one.  solve_field reads one response from an
-lru_cache; step_responses, which the cost kernel calls with the chi of
-each of its qubit frequencies, reads one chi from the cache and computes
-several in one pass past it.
+conjugate of the +chi one.  solve_field integrates its one detuning, and
+field_pair its +chi and -chi, in one step_responses pass.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -128,19 +126,33 @@ def _rk4_factors(deltas, kappa: float, dt: float):
     return rr, ri, pr, pi
 
 
-def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> np.ndarray:
-    """RK4 samples of the field under a constant unit drive, beta(0) = 0.
+def step_responses(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
+    """RK4 samples of the field under a constant unit drive, beta(0) = 0,
+    at drive detuning delta = +chi, for every chi.
 
-    Returns the (len(deltas), n_steps + 1, 2) array of the responses' real
-    and imaginary parts, one per delta; n_steps >= 1.  One RK4 step of
-    d(beta)/dt = lam beta + c is beta -> R beta + g, with z = lam dt,
-    P(z) = 1 + z/2 + z^2/6 + z^3/24, R = 1 + z P(z) and g = c dt P(z).  So
-    u_1 = g and u_{m+j} = u_m + R^m u_j (drive m steps, then j more): the
-    samples double from u_1, u_{m+1..m+j} from u_{1..j} for j <= m, then
-    R^{2m} = (R^m)^2, in about log2(n_steps) numpy steps.  No division: as
-    kappa and delta go to 0, so does z, and u_n tends to n c dt.
+    Returns the (len(chis), n_steps + 1, 2) array of the responses' real
+    and imaginary parts, one per chi; n_steps >= 1.  Every chi must pass
+    _check_step.  One RK4 step of d(beta)/dt = lam beta + c is beta -> R
+    beta + g, with z = lam dt, P(z) = 1 + z/2 + z^2/6 + z^3/24, R = 1 + z
+    P(z) and g = c dt P(z).  So u_1 = g and u_{m+j} = u_m + R^m u_j (drive
+    m steps, then j more): the samples double from u_1, u_{m+1..m+j} from
+    u_{1..j} for j <= m, then R^{2m} = (R^m)^2, in about log2(n_steps)
+    numpy steps.  No division: as kappa and delta go to 0, so does z, and
+    u_n tends to n c dt.  Each value is an elementwise IEEE product or sum,
+    so a response has the same bits at every batch width.
+
+    The -chi response is the conjugate, bit for bit but for a zero's sign.
+    At -chi, z becomes z* and c stays real, and a real constant adds to a
+    real part alone.  So each real part is a sum of products re * re and
+    im * im whose operands are equal or both negated, and each imaginary
+    part a sum of products with one operand negated.  IEEE negation is
+    exact and rounding to nearest is symmetric, so the real parts are equal
+    and the imaginary parts negated, except that a sum of two zeros keeps
+    its signs' combination.  Such a zero enters a real part only as a zero
+    product, which changes no sum with a nonzero term: the real parts agree
+    bit for bit unless all the terms of one vanish at once.
     """
-    rr, ri, pr, pi = _rk4_factors(deltas, kappa, dt)
+    rr, ri, pr, pi = _rk4_factors(chis, kappa, dt)
     rr, ri = rr[:, None], ri[:, None]
 
     out = np.empty((len(pr), n_steps + 1, 2))
@@ -163,45 +175,6 @@ def _rk4_step_responses(deltas, kappa: float, dt: float, n_steps: int) -> np.nda
         if m < n_steps:
             rr, ri = _complex_times(rr, ri, rr, ri)
     return out
-
-
-#: responses the step cache holds, about 8 KB each at 500 steps
-STEP_CACHE_SIZE = 256
-
-
-@functools.lru_cache(maxsize=STEP_CACHE_SIZE)
-def _unit_step_response(delta: float, kappa: float, dt: float, n_steps: int):
-    """The step response at delta as complex samples, cached; the array is
-    read-only, shared by every caller."""
-    out = _rk4_step_responses([delta], kappa, dt, n_steps).view(complex).reshape(-1)
-    out.setflags(write=False)
-    return out
-
-
-def step_responses(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
-    """The unit step responses at +chi, for every chi.
-
-    Returns a (len(chis), n_steps + 1, 2) array of their real and imaginary
-    parts: one chi's through the step cache, which cell_bound and the
-    kernel's one-omega calls share, several in one pass past it.  Each
-    value is an elementwise IEEE product or sum, so a response has the same
-    bits at every batch width.  Every chi must pass _check_step.
-
-    The -chi response is the conjugate, bit for bit but for a zero's sign.
-    At -chi, z becomes z* and c stays real, and a real constant adds to a
-    real part alone.  So each real part is a sum of products re * re and
-    im * im whose operands are equal or both negated, and each imaginary
-    part a sum of products with one operand negated.  IEEE negation is
-    exact and rounding to nearest is symmetric, so the real parts are equal
-    and the imaginary parts negated, except that a sum of two zeros keeps
-    its signs' combination.  Such a zero enters a real part only as a zero
-    product, which changes no sum with a nonzero term: the real parts agree
-    bit for bit unless all the terms of one vanish at once.
-    """
-    if len(chis) == 1:
-        step = _unit_step_response(chis[0], kappa, dt, n_steps)
-        return step.view(float).reshape(1, n_steps + 1, 2)
-    return _rk4_step_responses(chis, kappa, dt, n_steps)
 
 
 def _check_step(delta: float, kappa: float, dt: float) -> None:
@@ -231,6 +204,21 @@ def _sample_counts(pulse: PulseShape, dt: float) -> tuple[int, int]:
     return n_p, n_tot
 
 
+def _pulse_fields(pulse: PulseShape, deltas, kappa: float, dt: float) -> np.ndarray:
+    """solve_field at each of deltas, as rows of one complex array, from
+    one step_responses pass; each delta is checked before the pulse."""
+    for delta in deltas:
+        _check_step(delta, kappa, dt)
+    n_p, n_tot = _sample_counts(pulse, dt)
+    step = step_responses(deltas, kappa, dt, n_tot).view(complex)[..., 0]
+    # the step minus its copy delayed by n_p
+    out = step.copy()
+    if n_p < n_tot:
+        out[:, n_p:] -= step[:, : n_tot + 1 - n_p]
+    out *= pulse.b0
+    return out
+
+
 def solve_field(
     pulse: PulseShape, delta: float, kappa: float, dt: float
 ) -> np.ndarray:
@@ -241,15 +229,7 @@ def solve_field(
     config.snap_to_steps snaps the optimizer's and the sweep's pulse
     lengths to the grid for that reason.
     """
-    _check_step(delta, kappa, dt)
-    n_p, n_tot = _sample_counts(pulse, dt)
-    step = _unit_step_response(delta, kappa, dt, n_tot)
-    # the step minus its copy delayed by n_p
-    out = step.copy()
-    if n_p < n_tot:
-        out[n_p:] -= step[: n_tot + 1 - n_p]
-    out *= pulse.b0
-    return out
+    return _pulse_fields(pulse, [delta], kappa, dt)[0]
 
 
 def field_pair(
@@ -261,11 +241,12 @@ def field_pair(
     """Solve both state branches at drive detunings +chi and -chi.
 
     params carries omega_q, b0, t_p and t_r (see error_models.ReadoutParams).
+    The two fields have the bits of two solve_field calls: a response has
+    the same bits at every batch width.
     """
     chi = dispersive_shift(q, params.omega_q, guard)
     pulse = PulseShape(b0=params.b0, t_p=params.t_p, t_r=params.t_r)
-    beta0 = solve_field(pulse, +chi, q.kappa, dt)
-    beta1 = solve_field(pulse, -chi, q.kappa, dt)
+    beta0, beta1 = _pulse_fields(pulse, [+chi, -chi], q.kappa, dt)
     return FieldTrajectory(dt=dt, beta0=beta0, beta1=beta1, chi=chi)
 
 

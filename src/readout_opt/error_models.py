@@ -10,7 +10,9 @@ whole breakdown of every point of a grid of qubit frequencies x
 amplitudes x pulse lengths, each field defined in its docstring, and
 CostWeights.total their weighted sum.  cell_bound bounds cost_plane's
 total from below, cell by cell, from one unit-amplitude response per
-frequency, so optimize can leave out the cells that cannot win.
+frequency, so optimize can leave out the cells that cannot win, and hands
+back a scorer that gives cost_plane's cells of that frequency from the
+same response.
 separation_error, mist_threshold and coupling_error are the terms that
 are functions of one number: the benchmark reads the first, the kernel
 and the bound the other two.
@@ -377,7 +379,6 @@ def cost_plane(
     tp_points,
     model: CostModel,
     specs=(),
-    cols=None,
 ) -> CostBreakdown:
     """The cost breakdown of the grid omegas x amplitudes x pulse lengths.
 
@@ -428,13 +429,6 @@ def cost_plane(
     exp from math; the tests hold each field of each cell to such a
     one-point evaluation, bit for bit.
 
-    cols, if given, are the indices into tp_points of the pulse lengths to
-    score, in order: the result is then that of tp_points[j] for j in
-    cols, but every pulse length of tp_points is checked, so the call
-    raises what it raises without cols.  So a scan that scores a few
-    columns of its grid at a time reads the pulse-length checks of one
-    grid from _pulse_grid.
-
     The +chi step responses of all feasible omegas come from
     dynamics.step_responses at once (-chi gives their conjugate, bit for
     bit).  _pulse_rows gives each cell its own full-length field, one row
@@ -452,7 +446,7 @@ def cost_plane(
     check from the running min and max, the photon term, and the MIST
     logistic through math.exp.
     """
-    shape = (len(omegas), len(amps), len(tp_points) if cols is None else len(cols))
+    shape = (len(omegas), len(amps), len(tp_points))
     feasible, chis, col_counts = [], [], None
     for omega in omegas:
         try:
@@ -471,9 +465,8 @@ def cost_plane(
     if chis:
         omegas = [w for w, ok in zip(omegas, feasible) if ok]
         n_ps, n_tot = col_counts
-        if cols is not None:
-            n_ps = [n_ps[j] for j in cols]
-        scored = _score(q, omegas, chis, np.asarray(amps, dtype=float), n_ps, n_tot,
+        parts = step_responses(chis, q.kappa, model.dt, n_tot)
+        scored = _score(q, omegas, chis, parts, np.asarray(amps, dtype=float), n_ps,
                         model, specs)
         for name, plane in scored.items():
             planes[name][np.array(feasible)] = plane.reshape(len(chis), *shape[1:])
@@ -531,11 +524,13 @@ def _elementwise(func, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
+def _score(q, omegas, chis, parts, amps, n_ps, model, specs) -> dict:
     """The breakdown of cost_plane's feasible omegas, one entry per cell.
 
-    Cells run omega-major, then amplitude, then pulse length, as the rows
-    of _pulse_rows: column j is a pulse of n_ps[j] samples, n_tot in all.
+    parts holds the omegas' unit +chi step responses, as step_responses
+    returns them.  Cells run omega-major, then amplitude, then pulse
+    length, as the rows of _pulse_rows: column j is a pulse of n_ps[j]
+    samples.
     """
     dt, mist = model.dt, model.mist
     n_cells = len(omegas) * len(amps) * len(n_ps)
@@ -543,7 +538,7 @@ def _score(q, omegas, chis, amps, n_ps, n_tot, model, specs) -> dict:
     def per_cell(per_omega):
         return np.repeat(np.array(per_omega, dtype=float), n_cells // len(omegas))
 
-    n0, cum = _pulse_rows(step_responses(chis, q.kappa, dt, n_tot), amps, n_ps, dt)
+    n0, cum = _pulse_rows(parts, amps, n_ps, dt)
     n_max = n0.max(axis=1)
     # the photon term, 0.5 * (|beta0|^2 + |beta1|^2) at the last sample
     photon = 0.5 * (n0[:, -1] + n0[:, -1])
@@ -621,13 +616,14 @@ def _ringdown_gap(r: float, c: float, big_u: float, n_tot: int) -> float:
     return big_u * (3.0 * e + p_gap + 2.0 * _EPS)
 
 
-def _unit_columns(q, chi, n_ps, n_tot, dt) -> _UnitColumns:
+def _unit_columns(q, chi, u, n_ps, dt) -> _UnitColumns:
     """Per pulse length, the statistics of the unit pulse response f.
 
-    f is _pulse_rows' field at amplitude 1.0: the unit +chi step response u
-    (through step_responses, so through the cache cost_plane reads) up to
-    sample n_p, then u minus its copy delayed by n_p.  Each statistic is
-    read off a few length-(n_tot + 1) prefix arrays of u, never off f's rows:
+    u is the unit +chi step response of n_tot + 1 samples, as
+    step_responses returns it; the scorer cell_bound returns reads the
+    same one.  f is _pulse_rows' field at amplitude 1.0: u up to sample
+    n_p, then u minus its copy delayed by n_p.  Each statistic is read off
+    a few length-(n_tot + 1) prefix arrays of u, never off f's rows:
 
     - P is the kernel's own last sample, |u[n_tot] - u[n_tot - n_p]|^2,
       with its bits.
@@ -650,7 +646,8 @@ def _unit_columns(q, chi, n_ps, n_tot, dt) -> _UnitColumns:
     C is bracketed by margins that cover the gap between the kernel's
     subtraction and the geometric form (see cell_bound).
     """
-    ur, ui = step_responses([chi], q.kappa, dt, n_tot)[0].T.copy()
+    ur, ui = u.T.copy()
+    n_tot = len(ur) - 1
     n_p = np.asarray(n_ps)
     k = n_tot - n_p
     dr, di = ur[-1] - ur[k], ui[-1] - ui[k]
@@ -796,14 +793,20 @@ def cell_bound(
     tp_points,
     model: CostModel,
     specs=(),
-) -> np.ndarray:
-    """A lower bound on cost_plane's total in each (amplitude, pulse length) cell of one omega.
+):
+    """A lower bound on cost_plane's total in each (amplitude, pulse length)
+    cell of one omega, and a scorer of those cells.
 
-    Returns a (len(amps), len(tp_points)) array b with b <= total in every
-    cell where cost_plane(q, [omega], amps, tp_points, model, specs).total
-    is finite, and b = +inf where the whole omega is infeasible: within the
-    pole guard, or with |chi| too large for model.dt.  b is never NaN.  It
-    raises what cost_plane raises on that grid.
+    Returns (b, score).  b is a (len(amps), len(tp_points)) array with b <=
+    total in every cell where cost_plane(q, [omega], amps, tp_points,
+    model, specs).total is finite, and b = +inf where the whole omega is
+    infeasible: within the pole guard, or with |chi| too large for
+    model.dt.  b is never NaN.  It raises what cost_plane raises on that
+    grid.  score is None where the omega is infeasible; else score(rows,
+    cols) gives the CostBreakdown of the cells amps[rows] x
+    tp_points[cols] as (len(rows), len(cols)) arrays, bit for bit those of
+    cost_plane on that subgrid, from the chi, sample counts and unit step
+    response the bound has already computed.  rows must not be empty.
 
     The kernel's field is fl(a * f), f the unit pulse response at
     amplitude a, so every quantity it reads is a^2 times f's, up to
@@ -887,13 +890,21 @@ def cell_bound(
     try:
         chi = dispersive_shift(q, omega, model.pole_guard)
     except PoleProximityError:
-        return np.full(shape, math.inf)
+        return np.full(shape, math.inf), None
     counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
     if counts is None:
-        return np.full(shape, math.inf)
-    dt, mist = model.dt, model.mist
-    unit = _unit_columns(q, chi, *counts, dt)
-    a2 = np.square(np.asarray(amps, dtype=float))[:, None]
+        return np.full(shape, math.inf), None
+    (n_ps, n_tot), dt, mist = counts, model.dt, model.mist
+    response = step_responses([chi], q.kappa, dt, n_tot)
+    unit = _unit_columns(q, chi, response[0], n_ps, dt)
+    amps = np.asarray(amps, dtype=float)
+    a2 = np.square(amps)[:, None]
+
+    def score(rows, cols) -> CostBreakdown:
+        planes = _score(q, [omega], [chi], response, amps[rows], [n_ps[j] for j in cols],
+                        model, specs)
+        return CostBreakdown(**{name: plane.reshape(len(rows), len(cols))
+                                for name, plane in planes.items()})
 
     def lower(term):
         return np.maximum(term * (1.0 - BOUND_MARGIN) - BOUND_FLOOR, 0.0)
@@ -916,4 +927,4 @@ def cell_bound(
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             mist_term = lower(mist.ceiling / (1.0 + np.exp(-z)))
     total = model.weights.total(sep, relax, photon, mist_term, coupling)
-    return total * (1.0 - BOUND_MARGIN)
+    return total * (1.0 - BOUND_MARGIN), score

@@ -7,10 +7,11 @@ frequency-collision constraints from already-locked neighbors up to
 next-nearest order.  One error_models.CostModel defines the cost for the
 whole walk; its collision defaults turn each locked neighbor into collision
 specs, and with model.heuristics False the neighbors are ignored.  The scan
-scores the amplitude x pulse-length cells of one omega per
-error_models.cost_plane call and prunes omegas by the coupling term and
-cells by error_models.cell_bound, both exact lower bounds (see optimize_qubit),
-under either strategy, so the result equals an exhaustive scan's.  The
+prunes omegas by the coupling term and cells by error_models.cell_bound,
+both exact lower bounds (see optimize_qubit), under either strategy, and
+scores the cells it keeps through the scorer cell_bound returns, which
+integrates each omega once and scores bit for bit as
+error_models.cost_plane; so the result equals an exhaustive scan's.  The
 winner's breakdown is its cell of the kernel's.
 """
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .error_models import (
     ReadoutParams,
     cell_bound,
     collision_specs,
-    cost_plane,
     coupling_error,
 )
 
@@ -150,17 +150,18 @@ def optimize_qubit(
     too.  Planes are reached in ascending (bound, omega index) order until
     a bound is strictly above the best total so far.  A plane gets its
     error_models.cell_bound when the scan reaches it: a lower bound on each
-    cell's total, read off the omega's unit-amplitude response.  cost_plane
-    then scores the outer product of the amplitude rows and pulse-length
-    columns that hold a cell whose bound is <= the best total.  Before
-    there is a best total, the cells at the bound's minimum are scored
-    first, and if they are all infeasible, the rest of the plane.  A cell
-    whose bound equals the best total can still hold a tie at a lower grid
-    index, so it is scored, and candidates compare by (total, omega index,
-    flat plane index), mapped back from the scored subgrid, whose rows and
-    columns keep the grid's order.  The winner's breakdown is its cell of
-    the kernel's.  Returns the winner, its breakdown and the number of
-    cells scored.
+    cell's total, read off the omega's unit-amplitude response, and a
+    scorer that gives cost_plane's cells from that same response, so each
+    reached omega is integrated once.  The scorer then scores the outer
+    product of the amplitude rows and pulse-length columns that hold a
+    cell whose bound is <= the best total.  Before there is a best total,
+    the cells at the bound's minimum are scored first, and if they are all
+    infeasible, the rest of the plane.  A cell whose bound equals the best
+    total can still hold a tie at a lower grid index, so it is scored, and
+    candidates compare by (total, omega index, flat plane index), mapped
+    back from the scored subgrid, whose rows and columns keep the grid's
+    order.  The winner's breakdown is its cell of the kernel's.  Returns
+    the winner, its breakdown and the number of cells scored.
     """
     specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
     bounds = sorted((model.weights.coupling * coupling_error(omega, specs), i_w)
@@ -168,40 +169,40 @@ def optimize_qubit(
     best = best_bd = None  # (total, i_omega, flat (amp, t_p) index), breakdown
     scored = 0
 
-    def score(i_w, keep):
-        """Score the rows x columns of omega i_w that hold keep's cells, and
-        keep the best finite candidate; returns the scored cells' index."""
+    def score(i_w, plane, keep):
+        """Score the rows x columns of omega i_w that hold keep's cells
+        through plane, its scorer, and keep the best finite candidate;
+        returns the scored cells' index."""
         nonlocal best, best_bd, scored
         rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
-        plane = cost_plane(q, [grid.omega_points[i_w]], [grid.amp_points[i] for i in rows],
-                           grid.tp_points, model, specs, cols=cols)
+        bd = plane(rows, cols)
         scored += len(rows) * len(cols)
-        totals = np.where(np.isfinite(plane.total[0]), plane.total[0], math.inf)
+        totals = np.where(np.isfinite(bd.total), bd.total, math.inf)
         # first occurrence: row-major order is the (amp, t_p) index order
         i_a, i_t = divmod(int(np.argmin(totals)), len(cols))
         flat = int(rows[i_a]) * len(grid.tp_points) + int(cols[i_t])
         candidate = (float(totals[i_a, i_t]), i_w, flat)
         if candidate[0] < math.inf and (best is None or candidate < best):
             best = candidate
-            best_bd = CostBreakdown(**{f.name: float(getattr(plane, f.name)[0, i_a, i_t])
+            best_bd = CostBreakdown(**{f.name: float(getattr(bd, f.name)[i_a, i_t])
                                        for f in fields(CostBreakdown)})
         return np.ix_(rows, cols)
 
     for bound, i_w in bounds:
         if best is not None and bound > best[0]:
             break
-        cells = cell_bound(q, grid.omega_points[i_w], grid.amp_points, grid.tp_points,
-                           model, specs)
+        cells, plane = cell_bound(q, grid.omega_points[i_w], grid.amp_points,
+                                  grid.tp_points, model, specs)
         done = None
         if best is None and np.isfinite(cells).any():
             # no incumbent yet: the cells at the bound's minimum first
-            done = score(i_w, cells == cells.min())
+            done = score(i_w, plane, cells == cells.min())
         # +inf bounds: infeasible in the kernel too
         keep = np.isfinite(cells) if best is None else cells <= best[0]
         if done is not None:
             keep[done] = False
         if keep.any():
-            score(i_w, keep)
+            score(i_w, plane, keep)
     if best is None:
         raise InfeasibleQubitError(qid)
     _, i_w, flat = best

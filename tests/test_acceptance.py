@@ -29,11 +29,8 @@ from readout_opt import (
     SearchGrid,
     Strategy,
     collision_specs,
-    cross_fidelity,
-    dispersive_shift,
     error_budget,
     field_pair,
-    load_device,
     load_optimizer_config,
     build_search_grid,
     optimize_device,
@@ -41,7 +38,6 @@ from readout_opt import (
     run_benchmark,
     separation_error,
     solve_field,
-    traversal_order,
 )
 from readout_opt.cli import result_to_dict
 

@@ -30,8 +30,8 @@ QIDS = D3.sorted_ids()
 def row_unit_columns(q, chi, n_ps, n_tot, dt):
     """Per pulse length, the unit-amplitude statistics cell_bound scales.
 
-    The unit pulse responses are _pulse_rows' fields at amplitude 1.0, read
-    through step_responses, so through the cache cost_plane reads.  Returns
+    The unit pulse responses are _pulse_rows' fields at amplitude 1.0, on
+    the step response step_responses gives cost_plane.  Returns
     each column's C = cum[-1] (trapezoid integral of (2 Im f)^2), P =
     n0[-1] (|f|^2 at the last sample), the peak of n0 = |f|^2 over the
     row, and k_lo, the count of samples whose cum is below C (1 - 1e-9) / 2.
@@ -53,7 +53,7 @@ def assert_brackets(q, chi, n_ps, n_tot, dt, width):
     bit and k_lo at most one below the oracle's; C's bracket is at most
     width wide relative to C.  Returns the oracle's (c, k_lo)."""
     c, p, peak, k_lo = row_unit_columns(q, chi, n_ps, n_tot, dt)
-    got = _unit_columns(q, chi, n_ps, n_tot, dt)
+    got = _unit_columns(q, chi, step_responses([chi], q.kappa, dt, n_tot)[0], n_ps, dt)
     np.testing.assert_array_equal(got.p.view(np.int64), p.view(np.int64))
     assert (got.c_lo <= c).all() and (c <= got.c_hi).all()
     assert (got.c_hi - got.c_lo <= width * c).all()

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,6 @@ from readout_opt.dynamics import (
     DetuningStepError,
     PoleProximityError,
     _check_step,
-    _unit_step_response,
     dispersive_shift,
 )
 
@@ -157,6 +157,16 @@ class TestValidate:
         assert main([command, "--device", str(path), *out]) == EXIT_IO
         assert capsys.readouterr().err == f"error: qubit (0,3,measure): {message}\n"
 
+    def test_default_dt_checked_without_opt_config(self, tmp_path, capsys):
+        raw = yaml.safe_load((CONFIG_DIR / "device_d3.yaml").read_text())
+        raw["qubits"][1]["kappa_MHz"] = 20  # 1/kappa/10 = 0.8 ns < the default 1 ns
+        path = tmp_path / "coarse.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", "--device", str(path)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dt_ns: qubit (0,3,measure): dt = 1.0 ns")
+
     def test_shipped_configs_validate(self):
         code = main([
             "validate",
@@ -187,6 +197,22 @@ class TestOptimize:
         assert manifest["command"] == "optimize"
         assert manifest["resolved_config"]["grid"]["n_omega"] == 4
         assert manifest["evaluations"] == raw["evaluations"]
+
+    def test_prints_grid_points_and_scored(self, device_path, opt_path, tmp_path, capsys,
+                                           monkeypatch):
+        results, real = [], cli.optimize_device
+
+        def spy(*args, **kw):
+            results.append(real(*args, **kw))
+            return results[-1]
+        monkeypatch.setattr(cli, "optimize_device", spy)
+        out = tmp_path / "run"
+        assert run_optimize(device_path, opt_path, out) == EXIT_OK
+        (result,) = results
+        assert 0 < result.scored <= result.evaluations == 2 * 4 * 3 * 2
+        line = (f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
+                f"{result.scored} scored, ")
+        assert re.fullmatch(re.escape(line) + r"\d+\.\d s\)\n", capsys.readouterr().out)
 
     def test_round_trip(self, device_path, opt_path, tmp_path):
         out = tmp_path / "run"
@@ -349,7 +375,6 @@ class TestSweep:
         model = load_optimizer_config(opt_path.read_text()).model
         breakdowns = []
         for r in rows:
-            _unit_step_response.cache_clear()
             params = ReadoutParams(ghz_to_rad_ns(float(r["f_q_GHz"])), float(r["B0"]),
                                    float(r["t_p_ns"]), float(r["t_r_ns"]))
             bd = evaluate_cost(q, params, model)

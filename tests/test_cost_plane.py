@@ -4,7 +4,8 @@ cost_plane must reproduce every field of evaluate_cost's breakdown bit for
 bit (compared as int64, so NaNs and signed zeros count) at every point of
 its omega x amplitude x pulse-length grid, and raise the error
 evaluate_cost raises first in row-major order.  cell_bound must stay at or
-below the kernel's total in every finite cell.
+below the kernel's total in every finite cell, and its scorer must give the
+kernel's cells bit for bit.
 """
 import math
 from dataclasses import fields, replace
@@ -168,7 +169,8 @@ def test_every_cell_bit_identical_to_evaluate_cost(case):
 def test_cell_bound_below_every_finite_cell(case):
     """cell_bound is <= the kernel's total in every finite cell of every
     omega, +inf where the whole omega is infeasible, never NaN, and raises
-    what the kernel raises."""
+    what the kernel raises; its scorer, None only where the omega is
+    infeasible, gives the kernel's plane bit for bit."""
     q, omegas, amps, tps, weights, specs, include_heuristics = case
     cost_model = model(weights, include_heuristics)
     try:
@@ -183,7 +185,7 @@ def test_cell_bound_below_every_finite_cell(case):
                 assert (type(exc), str(exc)) == (type(error), str(error))
                 break
             continue  # an omega near a pole is +inf before any pulse check
-        bound = cell_bound(q, omega, amps, tps, cost_model, specs)
+        bound, score = cell_bound(q, omega, amps, tps, cost_model, specs)
         total = bd.total[i]
         assert bound.shape == total.shape
         assert not np.isnan(bound).any()
@@ -191,6 +193,12 @@ def test_cell_bound_below_every_finite_cell(case):
         assert (bound[finite] <= total[finite]).all(), (omega, bound, total)
         # snr is NaN only near a pole or with |chi| too large for dt
         assert np.isinf(bound[np.isnan(bd.snr[i])]).all()
+        assert (score is None) == np.isnan(bd.snr[i]).all()
+        if score is not None:
+            got = score(np.arange(len(amps)), np.arange(len(tps)))
+            for name in FIELDS:
+                np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                              getattr(bd, name)[i].view(np.int64))
     else:
         assert error is None
 
@@ -218,7 +226,7 @@ def test_cell_bound_reads_stark_trace_to_half_snr_index(t_p):
     relaxation_only = model(CostWeights(0.0, 1.0, 0.0, 0.0, 0.0))
     total = cost_plane(cut, [omega], [b0], [t_p], relaxation_only).total[0, 0, 0]
     assert 0.0 < total < (k - 2) * DT * rate
-    assert cell_bound(cut, omega, [b0], [t_p], relaxation_only)[0, 0] == 0.0
+    assert cell_bound(cut, omega, [b0], [t_p], relaxation_only)[0][0, 0] == 0.0
 
 
 @pytest.mark.parametrize("weights", [CostWeights(1.0, 0.0, 0.0, 0.0, 0.0),
@@ -236,7 +244,7 @@ def test_cell_bound_is_tight_on_separation_and_photon(weights):
         totals = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
                             cost_model).total
         for omega, total in zip(grid.omega_points, totals):
-            bound = cell_bound(q, omega, grid.amp_points, grid.tp_points, cost_model)
+            bound, _ = cell_bound(q, omega, grid.amp_points, grid.tp_points, cost_model)
             finite = np.isfinite(total)
             assert finite.any()
             assert (bound[finite] >= (1.0 - 1e-6) * total[finite]).all(), (qid, omega)
@@ -365,7 +373,7 @@ class TestEmptyAxes:
 
     @EMPTY_AXES
     def test_cell_bound_gives_an_empty_bound(self, amps, tps):
-        bound = cell_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
+        bound, _ = cell_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
         assert bound.shape == (len(amps), len(tps))
 
 
@@ -430,34 +438,48 @@ class TestPulseGridCache:
 
 
 class TestColumns:
-    """cost_plane with cols scores the pulse lengths it names, bit for bit
-    as a call on those alone, and checks every pulse length it is given."""
+    """cell_bound's scorer scores the amplitude rows and pulse-length
+    columns it names, bit for bit as cost_plane on those alone; an omega
+    that is infeasible everywhere has no scorer and a +inf bound."""
 
     QID = QIDS[3]
     AMPS = [0.0, 0.15, 0.3]
     TPS = [100.0, 160.0, 300.0, 480.0]
 
     def omegas(self):
-        q = D3.qubits[self.QID]
-        # the last is within the pole guard: every field of it is infeasible
-        return [*np.linspace(*D3.search_band[self.QID], 2), q.omega_r]
+        return list(np.linspace(*D3.search_band[self.QID], 2))
 
     @pytest.mark.parametrize("cols", [[2], [3, 0], [0, 1, 2, 3], []])
     def test_columns_equal_a_call_on_their_pulse_lengths(self, cols):
         q = D3.qubits[self.QID]
-        got = cost_plane(q, self.omegas(), self.AMPS, self.TPS, model(), cols=cols)
-        want = cost_plane(q, self.omegas(), self.AMPS, [self.TPS[j] for j in cols], model())
-        for name in FIELDS:
-            np.testing.assert_array_equal(getattr(got, name).view(np.int64),
-                                          getattr(want, name).view(np.int64))
+        for omega in self.omegas():
+            for rows in ([1], [2, 0], [0, 1, 2]):
+                _, score = cell_bound(q, omega, self.AMPS, self.TPS, model())
+                got = score(np.array(rows), np.array(cols, dtype=int))
+                want = cost_plane(q, [omega], [self.AMPS[i] for i in rows],
+                                  [self.TPS[j] for j in cols], model())
+                for name in FIELDS:
+                    np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                                  getattr(want, name)[0].view(np.int64))
+
+    @pytest.mark.parametrize("omega", ["pole guard", "|chi| too large"])
+    def test_infeasible_omega_has_no_scorer(self, omega):
+        q = D3.qubits[self.QID]
+        omega = {"pole guard": q.omega_r,
+                 "|chi| too large": q.omega_r - q.alpha + 0.095}[omega]
+        assert np.isinf(cost_plane(q, [omega], self.AMPS, self.TPS, model()).total).all()
+        bound, score = cell_bound(q, omega, self.AMPS, self.TPS, model())
+        assert score is None
+        assert bound.shape == (len(self.AMPS), len(self.TPS)) and np.isposinf(bound).all()
 
     def test_every_pulse_length_is_checked(self):
-        q, tps = D3.qubits[self.QID], self.TPS + [520.0]  # t_r < 0 in a column left out
-        with pytest.raises(ValueError) as want:
-            cost_plane(q, self.omegas(), self.AMPS, tps, model())
-        with pytest.raises(type(want.value)) as got:
-            cost_plane(q, self.omegas(), self.AMPS, tps, model(), cols=[0, 1])
-        assert str(got.value) == str(want.value)
+        q, tps = D3.qubits[self.QID], self.TPS + [520.0]  # t_r < 0 in the last column
+        for omega in self.omegas():
+            with pytest.raises(ValueError) as want:
+                cost_plane(q, [omega], self.AMPS, tps, model())
+            with pytest.raises(type(want.value)) as got:
+                cell_bound(q, omega, self.AMPS, tps, model())
+            assert str(got.value) == str(want.value)
 
 
 def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):

@@ -17,13 +17,8 @@ from readout_opt import (
     field_pair,
     solve_field,
 )
-from readout_opt.dynamics import (
-    STEP_CACHE_SIZE,
-    _check_step,
-    _rk4_step_responses,
-    _unit_step_response,
-    step_responses,
-)
+from readout_opt import dynamics
+from readout_opt.dynamics import _check_step, step_responses
 
 from conftest import TWO_PI, make_qubit
 from oracle import max_photon, residual_photon, stark_trajectory
@@ -200,6 +195,25 @@ class TestFieldPair:
         traj = field_pair(q, self.params(b0=0.0), dt=0.5)
         assert np.all(traj.beta0 - traj.beta1 == 0)
 
+    @pytest.mark.parametrize("g_eff", [None, 0.0], ids=["chi", "zero chi"])
+    def test_one_pass_equals_two_solve_field_calls(self, monkeypatch, g_eff):
+        """Bit for bit, signed zeros included, from one step_responses call."""
+        q = make_qubit() if g_eff is None else make_qubit(g_eff=g_eff)
+        params = self.params(t_p=120.5)
+        widths = []
+
+        def spy(chis, *args):
+            widths.append(len(chis))
+            return step_responses(chis, *args)
+        monkeypatch.setattr(dynamics, "step_responses", spy)
+        traj = field_pair(q, params, dt=0.5)
+        assert widths == [2]
+        pulse = PulseShape(params.b0, params.t_p, params.t_r)
+        for beta, delta in ((traj.beta0, traj.chi), (traj.beta1, -traj.chi)):
+            want = solve_field(pulse, delta, q.kappa, 0.5)
+            np.testing.assert_array_equal(beta.view(np.int64), want.view(np.int64))
+        assert widths == [2, 1, 1]
+
 
 class TestStarkTrajectory:
     def make_traj(self, beta1):
@@ -307,11 +321,11 @@ def test_step_responses_are_rk4_at_every_width(batch):
     deltas, kappa, dt, n_steps = batch
     for delta in deltas:
         _check_step(delta, kappa, dt)
-    got = _rk4_step_responses(deltas, kappa, dt, n_steps)
+    got = step_responses(deltas, kappa, dt, n_steps)
     assert got.shape == (len(deltas), n_steps + 1, 2)
-    mirrored = _rk4_step_responses([-d for d in deltas], kappa, dt, n_steps)
+    mirrored = step_responses([-d for d in deltas], kappa, dt, n_steps)
     for j, delta in enumerate(deltas):
-        alone = _rk4_step_responses([delta], kappa, dt, n_steps)[0]
+        alone = step_responses([delta], kappa, dt, n_steps)[0]
         np.testing.assert_array_equal(got[j].view(np.int64), alone.view(np.int64))
         # at -delta the conjugate: the same real parts, and imaginary parts
         # that differ only in the sign of a zero
@@ -322,39 +336,3 @@ def test_step_responses_are_rk4_at_every_width(batch):
         err = np.abs(got[j, :, 0] + 1j * got[j, :, 1] - want)
         assert err.max() <= 1e-13 * np.abs(want).max()
 
-
-class TestStepCache:
-    KAPPA = TWO_PI * 0.011
-
-    @pytest.fixture(autouse=True)
-    def cold_cache(self):
-        _unit_step_response.cache_clear()
-        yield
-        _unit_step_response.cache_clear()
-
-    @pytest.mark.parametrize("width", [1, 2, 40])
-    def test_one_response_reads_through_the_cache(self, width):
-        chis = [0.001 * (k + 1) for k in range(width)]
-        got = step_responses(chis, self.KAPPA, 1.0, 50)
-        assert got.shape == (width, 51, 2)
-        # one chi through the cache, a batch past it
-        assert _unit_step_response.cache_info()[:2] == (
-            (0, 1) if width == 1 else (0, 0))
-        for response, chi in zip(got, chis):
-            want = _unit_step_response(chi, self.KAPPA, 1.0, 50)
-            np.testing.assert_array_equal(
-                response.view(np.int64),
-                want.view(float).reshape(-1, 2).view(np.int64))
-
-    def test_cache_keeps_the_newest_responses(self):
-        info = _unit_step_response.cache_info()
-        assert (info.maxsize, info.currsize) == (STEP_CACHE_SIZE, 0)
-        deltas = [-1e-4 * k for k in range(STEP_CACHE_SIZE + 1)]
-        for delta in deltas:
-            assert not _unit_step_response(delta, self.KAPPA, 1.0, 5).flags.writeable
-        for delta in deltas[1:]:
-            _unit_step_response(delta, self.KAPPA, 1.0, 5)
-        assert _unit_step_response.cache_info()[:2] == (STEP_CACHE_SIZE,
-                                                        STEP_CACHE_SIZE + 1)
-        _unit_step_response(deltas[0], self.KAPPA, 1.0, 5)
-        assert _unit_step_response.cache_info().misses == STEP_CACHE_SIZE + 2

@@ -18,7 +18,6 @@ from readout_opt import (
     ReadoutParams,
     collision_specs,
     coupling_error,
-    dispersive_shift,
     field_pair,
     load_device,
     mist_threshold,
@@ -31,7 +30,6 @@ from oracle import (
     half_snr_time,
     mist_penalty,
     relaxation_error,
-    relaxation_rate,
     snr,
     stark_trajectory,
 )

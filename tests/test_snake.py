@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from readout_opt import (
-    CollisionDefaults,
     CostBreakdown,
     CostModel,
     CostWeights,
@@ -176,9 +175,9 @@ class TestPruning:
     """The branch-and-bound scan on designed planes and bounds.
 
     snake.coupling_error supplies each omega's bound (MODEL weighs coupling
-    by 1), snake.cell_bound each cell's (by default its omega's bound), and
-    snake.cost_plane the cells of the (1 omega x 2 amp x 2 t_p) grid that
-    the scan asks for, the same array in every breakdown field.  Every
+    by 1), snake.cell_bound each cell's (by default its omega's bound) and
+    a scorer of the cells of the (1 omega x 2 amp x 2 t_p) grid that the
+    scan asks for, the same array in every breakdown field.  Every
     designed plane lies at or above its cell bounds, and those at or above
     the omega's bound, as the real cost does.
     """
@@ -187,25 +186,22 @@ class TestPruning:
 
     def scan(self, monkeypatch, bounds, planes, cells=None):
         """The winner's params (None if infeasible), the omegas scored in
-        order, and each cost_plane call's (omega, amps, tps)."""
+        order, and each scorer call's (omega, amps, tps)."""
         calls = []
 
-        def fake_plane(q, omegas, amps, tps, model, specs, cols):
-            tps = [tps[j] for j in cols]
-            calls.append((omegas[0], tuple(amps), tuple(tps)))
-            rows = [self.GRID.amp_points.index(a) for a in amps]
-            cols = [self.GRID.tp_points.index(t) for t in tps]
-            total = np.array(planes[omegas[0]], dtype=float)[np.ix_(rows, cols)][None]
-            return CostBreakdown(**{f.name: total for f in fields(CostBreakdown)})
-
         def fake_bound(q, omega, amps, tps, model, specs):
+            def score(rows, cols):
+                calls.append((omega, tuple(amps[i] for i in rows),
+                               tuple(tps[j] for j in cols)))
+                total = np.array(planes[omega], dtype=float)[np.ix_(rows, cols)]
+                return CostBreakdown(**{f.name: total for f in fields(CostBreakdown)})
+
             if cells is not None and omega in cells:
-                return np.array(cells[omega], dtype=float)
-            return np.full((len(amps), len(tps)), bounds[omega])
+                return np.array(cells[omega], dtype=float), score
+            return np.full((len(amps), len(tps)), bounds[omega]), score
 
         monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
         monkeypatch.setattr(snake, "cell_bound", fake_bound)
-        monkeypatch.setattr(snake, "cost_plane", fake_plane)
         try:
             params, _, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
         except InfeasibleQubitError:
@@ -287,16 +283,28 @@ class TestPruning:
 
 
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
-def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, heuristics):
-    """The bound and every scored subgrid look up the whole pulse-length
-    grid, so a qubit's scan computes its pulse checks once."""
+def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, monkeypatch,
+                                                          heuristics):
+    """Each omega the scan reaches gets one chi, one pass of the pulse
+    checks, whose pulse-length part comes from one _pulse_grid entry, and
+    one width-1 step response, which its scored cells reuse."""
     cfg, grids, _ = small_run
     qid = d3_graph.sorted_ids()[0]
+    calls = {name: [] for name in ("dispersive_shift", "_pulse_counts", "step_responses")}
+    for name in calls:
+        def spy(*args, _real=getattr(error_models, name), _calls=calls[name]):
+            _calls.append(args)
+            return _real(*args)
+        monkeypatch.setattr(error_models, name, spy)
     error_models._pulse_grid.cache_clear()
-    optimize_qubit(d3_graph.qubits[qid], grids[qid], [],
-                   replace(cfg.model, heuristics=heuristics))
+    _, _, scored = optimize_qubit(d3_graph.qubits[qid], grids[qid], [],
+                                  replace(cfg.model, heuristics=heuristics))
+    reached = [args[1] for args in calls["dispersive_shift"]]
+    assert scored > 0 and len(set(reached)) == len(reached) >= 2
+    assert len(calls["_pulse_counts"]) == len(reached)
+    assert [len(args[0]) for args in calls["step_responses"]] == [1] * len(reached)
     info = error_models._pulse_grid.cache_info()
-    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
+    assert (info.misses, info.currsize, info.hits) == (1, 1, len(reached) - 1)
 
 
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
@@ -310,11 +318,15 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
         result = optimize_device(d3_graph, grids, model)
     scored = []
 
-    def counting_plane(q, omegas, amps, tps, model, specs, cols):
-        scored.append(len(omegas) * len(amps) * len(cols))
-        return cost_plane(q, omegas, amps, tps, model, specs, cols)
+    def counting_bound(*args):
+        bound, score = error_models.cell_bound(*args)
 
-    monkeypatch.setattr(snake, "cost_plane", counting_plane)
+        def counting_score(rows, cols):
+            scored.append(len(rows) * len(cols))
+            return score(rows, cols)
+        return bound, score and counting_score
+
+    monkeypatch.setattr(snake, "cell_bound", counting_bound)
     locked_params = {}
     pruned = total_scored = 0
     for qid in result.order:

@@ -4,23 +4,21 @@ Scores the grid of perfbench's optimize_dense workload (40 amplitudes from
 0.02 to 0.40 amp_ref, 39 pulse lengths from 100 to 480 ns on the 1 ns grid,
 500 ns total, shipped weights and MIST constants) on every qubit of
 configs/device_d3.yaml, at N_OMEGAS frequencies spread across each band,
-one kernel call per frequency on its one-frequency grid, as optimize's
-scan passes them.  One round scores all those planes; a warm-up round
-fills the step-response cache first, so the ROUNDS rounds time the kernel
-alone.  These are whole planes of 1,560 cells each; optimize's pruned scan
-mostly sends the kernel a few dozen cells at a time.
+one kernel call per frequency on its one-frequency grid, each integrating
+its own step response.  One round scores all those planes, after a warm-up
+round that pays the first-call costs.  These are whole planes of 1,560
+cells each; optimize's pruned scan scores a few dozen cells at a time,
+through the scorer error_models.cell_bound returns.
 
-bound_s is error_models.cell_bound, the lower bound optimize's scan
-computes for every plane it reaches before it scores any cell, over the
-same planes; it reads the same cached step responses and is not part of
-total_s.
+bound_s is error_models.cell_bound, the lower bound and scorer optimize's
+scan computes for every plane it reaches before it scores any cell, over
+the same planes, each integrating its step response too; it is not part
+of total_s.
 
 step_response times dynamics.step_responses, the unit step responses
 (500 steps at dt = 1 ns) at the +chi of width frequencies across the first
-qubit's band, for each of STEP_WIDTHS widths, as the kernel asks for them:
-one through the step cache (cleared before each call, so it computes),
-several in one pass past it.  Each width gets the median of STEP_ROUNDS
-calls.
+qubit's band, for each of STEP_WIDTHS widths, in one pass each.  Each
+width gets the median of STEP_ROUNDS calls.
 
 import_s is the start-up every CLI command pays: the time to import
 readout_opt.cli in a fresh interpreter, over IMPORT_ROUNDS interpreters.
@@ -130,7 +128,6 @@ def step_response_timings() -> dict:
                 for omega in np.linspace(lo, hi, width + 2)[1:-1]]
         times = []
         for _ in range(STEP_ROUNDS):
-            dynamics._unit_step_response.cache_clear()
             start = time.perf_counter()
             dynamics.step_responses(chis, q.kappa, model.dt, n_steps)
             times.append(time.perf_counter() - start)
@@ -232,10 +229,10 @@ def main(argv=None) -> int:
         total = time.perf_counter() - start
         start = time.perf_counter()
         for q, omega, amps, tps in work:
-            error_models.cell_bound(q, omega, amps, tps, model)
+            bound, _ = error_models.cell_bound(q, omega, amps, tps, model)
         return total, time.perf_counter() - start
 
-    one_round()  # warm-up: step-response cache, first-call costs
+    one_round()  # warm-up: first-call costs
     rounds = [one_round() for _ in range(ROUNDS)]
     totals = [t for t, _ in rounds]
     points = sum(len(a) * len(t) for _, _, a, t in work)
