@@ -2,10 +2,11 @@
 
 Integrates d(beta)/dt = sqrt(kappa) * B(t) + (i*Delta - kappa/2) * beta
 with fixed-step RK4 for a rectangular pulse (B(t) = B0 for t < t_p, then
-zero).  The cost kernel, error_models.cost_plane, and its bound,
-error_models.cell_bound, read the unit step responses (step_responses);
-sweep's trajectory.csv reads one point's two fields (field_pair) and their
-photon numbers (photon_number).
+zero).  The cost kernel, error_models.cost_plane, and the statistics of
+its bound, error_models.plane_statistics, read the unit step responses
+(step_responses), the latter for blocks of planes with one kappa per
+chi; sweep's trajectory.csv reads one point's two fields (field_pair) and
+their photon numbers (photon_number).
 
 The ODE is linear with a piecewise-constant drive, so the pulse response
 is assembled from the unit-amplitude step response: RK4 superposition is
@@ -20,13 +21,13 @@ samples equal a step-by-step RK4 loop's in exact arithmetic; in floating
 point they differ from it by about 4e-17 n of the largest sample (2e-14
 at n = 500 steps, 2e-13 at 5,000), as the loop's own rounding grows with
 n too.  Every value is an elementwise IEEE sum or product, so a response
-has the same bits alone or in a batch, and the -chi response is the
-conjugate of the +chi one.  solve_field integrates its one detuning, and
-field_pair its +chi and -chi, in one step_responses pass.
+has the same bits alone or in a batch, at a shared kappa or at its own,
+and the -chi response is the conjugate of the +chi one.  solve_field
+integrates its one detuning, and field_pair its +chi and -chi, in one
+step_responses pass.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +112,12 @@ def _complex_times(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _rk4_factors(deltas, kappa: float, dt: float):
+def _rk4_factors(deltas, kappa, dt: float):
     """RK4's step factor R = 1 + z P(z) and P(z) at each delta, as (Re R,
     Im R, Re P, Im P) arrays; z = (i delta - kappa/2) dt, P(z) = 1 + z/2 +
-    z^2/6 + z^3/24."""
-    zr, zi = (-0.5 * kappa) * dt, np.asarray(deltas, dtype=float) * dt
+    z^2/6 + z^3/24, and kappa one rate for every delta or one per delta."""
+    zr = (-0.5 * np.asarray(kappa, dtype=float)) * dt
+    zi = np.asarray(deltas, dtype=float) * dt
     # P by Horner's rule; a real constant adds to the real part alone
     pr, pi = zr * (1.0 / 24.0) + 1.0 / 6.0, zi * (1.0 / 24.0)
     for const in (0.5, 1.0):
@@ -126,20 +128,23 @@ def _rk4_factors(deltas, kappa: float, dt: float):
     return rr, ri, pr, pi
 
 
-def step_responses(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
+def step_responses(chis, kappa, dt: float, n_steps: int) -> np.ndarray:
     """RK4 samples of the field under a constant unit drive, beta(0) = 0,
     at drive detuning delta = +chi, for every chi.
 
+    kappa is one decay rate for every chi or a sequence of one per chi.
     Returns the (len(chis), n_steps + 1, 2) array of the responses' real
     and imaginary parts, one per chi; n_steps >= 1.  Every chi must pass
-    _check_step.  One RK4 step of d(beta)/dt = lam beta + c is beta -> R
-    beta + g, with z = lam dt, P(z) = 1 + z/2 + z^2/6 + z^3/24, R = 1 + z
-    P(z) and g = c dt P(z).  So u_1 = g and u_{m+j} = u_m + R^m u_j (drive
-    m steps, then j more): the samples double from u_1, u_{m+1..m+j} from
-    u_{1..j} for j <= m, then R^{2m} = (R^m)^2, in about log2(n_steps)
-    numpy steps.  No division: as kappa and delta go to 0, so does z, and
-    u_n tends to n c dt.  Each value is an elementwise IEEE product or sum,
-    so a response has the same bits at every batch width.
+    _check_step at its kappa.  One RK4 step of d(beta)/dt = lam beta + c
+    is beta -> R beta + g, with z = lam dt, P(z) = 1 + z/2 + z^2/6 +
+    z^3/24, R = 1 + z P(z) and g = c dt P(z).  So u_1 = g and u_{m+j} =
+    u_m + R^m u_j (drive m steps, then j more): the samples double from
+    u_1, u_{m+1..m+j} from u_{1..j} for j <= m, then R^{2m} = (R^m)^2, in
+    about log2(n_steps) numpy steps.  No division: as kappa and delta go
+    to 0, so does z, and u_n tends to n c dt.  Each value is an
+    elementwise IEEE product, sum or square root of its own row's chi and
+    kappa, so a response has the same bits at every batch width, beside
+    any other rows.
 
     The -chi response is the conjugate, bit for bit but for a zero's sign.
     At -chi, z becomes z* and c stays real, and a real constant adds to a
@@ -158,7 +163,7 @@ def step_responses(chis, kappa: float, dt: float, n_steps: int) -> np.ndarray:
     out = np.empty((len(pr), n_steps + 1, 2))
     re, im = out[..., 0], out[..., 1]
     out[:, 0] = 0.0
-    g = math.sqrt(kappa) * dt
+    g = np.sqrt(np.asarray(kappa, dtype=float)) * dt
     re[:, 1], im[:, 1] = g * pr, g * pi
     t = np.empty((len(pr), n_steps // 2))
     m = 1

@@ -12,7 +12,9 @@ CostWeights.total their weighted sum.  cell_bound bounds cost_plane's
 total from below, cell by cell, from one unit-amplitude response per
 frequency, so optimize can leave out the cells that cannot win, and hands
 back a scorer that gives cost_plane's cells of that frequency from the
-same response.
+same response.  The response and its statistics depend on no neighbor:
+plane_statistics computes them for every frequency of a walk up front,
+in blocks of frequencies, and cell_bound reads one frequency's entry.
 separation_error, mist_threshold and coupling_error are the terms that
 are functions of one number: the benchmark reads the first, the kernel
 and the bound the other two.
@@ -492,6 +494,8 @@ def _pulse_rows(parts, amps, n_ps, dt):
     n_omegas, n_tot = len(parts), parts.shape[1] - 1
     bufs = np.empty((4, n_omegas * len(amps) * len(n_ps), n_tot + 1))
     re, im, n0, cum = bufs
+    if not len(amps):  # no cells, and no room for the unit responses
+        return n0, cum
     # the unit responses fit in n0 and cum, which are free until after the
     # outer product; a separate array cost a 128-omega sweep chunk about a
     # thousand page faults per call
@@ -616,14 +620,16 @@ def _ringdown_gap(r: float, c: float, big_u: float, n_tot: int) -> float:
     return big_u * (3.0 * e + p_gap + 2.0 * _EPS)
 
 
-def _unit_columns(q, chi, u, n_ps, dt) -> _UnitColumns:
-    """Per pulse length, the statistics of the unit pulse response f.
+def _unit_columns(kappas, chis, u, n_ps, dt) -> _UnitColumns:
+    """Per plane and pulse length, the statistics of the unit pulse response f.
 
-    u is the unit +chi step response of n_tot + 1 samples, as
-    step_responses returns it; the scorer cell_bound returns reads the
-    same one.  f is _pulse_rows' field at amplitude 1.0: u up to sample
-    n_p, then u minus its copy delayed by n_p.  Each statistic is read off
-    a few length-(n_tot + 1) prefix arrays of u, never off f's rows:
+    u holds the planes' unit +chi step responses of n_tot + 1 samples, as
+    step_responses(chis, kappas, dt, n_tot) returns them; the scorer
+    cell_bound returns reads the same ones.  Each field of the result is a
+    (len(chis), len(n_ps)) array.  f is _pulse_rows' field at amplitude
+    1.0: u up to sample n_p, then u minus its copy delayed by n_p.  Each
+    statistic is read off a few length-(n_tot + 1) prefix arrays of u,
+    never off f's rows:
 
     - P is the kernel's own last sample, |u[n_tot] - u[n_tot - n_p]|^2,
       with its bits.
@@ -644,68 +650,92 @@ def _unit_columns(q, chi, u, n_ps, dt) -> _UnitColumns:
       integral, taken from above, reaches it.
 
     C is bracketed by margins that cover the gap between the kernel's
-    subtraction and the geometric form (see cell_bound).
+    subtraction and the geometric form (see cell_bound).  The planes share
+    every numpy call but the per-plane ones below: every value is an
+    elementwise IEEE operation on its own plane's samples, or a prefix sum
+    or running max along them, so a plane's statistics have the same bits
+    in any block.  The scalars whose numpy forms round differently, c,
+    |c|, |R| and d, are taken per plane in Python, and so are the
+    searchsorted and the ringdown's running integral, whose matrix product
+    has the shape of the plane's own late columns.
     """
-    ur, ui = u.T.copy()
-    n_tot = len(ur) - 1
+    ur, ui = u[..., 0], u[..., 1]
+    n_tot = u.shape[1] - 1
     n_p = np.asarray(n_ps)
     k = n_tot - n_p
-    dr, di = ur[-1] - ur[k], ui[-1] - ui[k]
-    peak = np.maximum.accumulate(ur * ur + ui * ui)
-    rr, ri = (float(x) for x in _rk4_factors(chi, q.kappa, dt)[:2])
-    c = complex(rr - 1.0, ri) / complex(ur[1], ui[1])
-    pr = 1.0 + (c.real * ur - c.imag * ui)
-    pi = c.real * ui + c.imag * ur
+    dr, di = ur[:, -1:] - ur[:, k], ui[:, -1:] - ui[:, k]
+    peak = ur * ur
+    peak += ui * ui
+    np.maximum.accumulate(peak, axis=1, out=peak)
+    rr, ri = (x.tolist() for x in _rk4_factors(chis, kappas, dt)[:2])
+    c = [complex(a - 1.0, b) / complex(x, y)
+         for a, b, x, y in zip(rr, ri, ur[:, 1].tolist(), ui[:, 1].tolist())]
+    d = [_ringdown_gap(math.hypot(a, b), abs(z), math.sqrt(top), n_tot)
+         for a, b, z, top in zip(rr, ri, c, peak[:, -1].tolist())]
+    d_col = np.array(d)[:, None]
+    cr, ci = (np.array(x)[:, None] for x in ([z.real for z in c], [z.imag for z in c]))
+    # p = 1 + c u, each row formed in place: a block's transient arrays
+    # stay near a dozen samples' rows per plane
+    pr = cr * ur
+    pr -= ci * ui
+    pr += 1.0
+    pi = cr * ui
+    pi += ci * ur
     # trapezoid prefix sums: row 0 the kernel's running SNR integral along
     # u, as _pulse_rows forms it, then those of (Re p)^2, Re p Im p and
     # (Im p)^2
-    terms = np.empty((4, n_tot + 1))
-    np.square(ui + ui, out=terms[0])
-    np.multiply(pr, pr, out=terms[1])
-    np.multiply(pr, pi, out=terms[2])
-    np.multiply(pi, pi, out=terms[3])
+    terms = np.empty((len(u), 4, n_tot + 1))
+    np.square(np.add(ui, ui, out=terms[:, 0]), out=terms[:, 0])
+    np.multiply(pr, pr, out=terms[:, 1])
+    np.multiply(pr, pi, out=terms[:, 2])
+    np.multiply(pi, pi, out=terms[:, 3])
     sums = np.empty_like(terms)
-    sums[:, 0] = 0.0
-    np.cumsum((terms[:, 1:] + terms[:, :-1]) * (0.5 * dt), axis=1, out=sums[:, 1:])
-    pre, powers = sums[0], sums[1:]
+    sums[..., 0] = 0.0
+    trap = np.add(terms[..., 1:], terms[..., :-1], out=sums[..., 1:])
+    del pr, pi, terms
+    trap *= 0.5 * dt
+    np.cumsum(trap, axis=2, out=trap)
+    pre, powers = sums[:, 0], sums[:, 1:]
 
-    d = _ringdown_gap(math.hypot(rr, ri), abs(c), math.sqrt(peak[-1]), n_tot)
-    wr, wi = ur[n_p], ui[n_p]
+    wr, wi = ur[:, n_p], ui[:, n_p]
     # the ringdown sum's coefficients of the powers' rows, with its
     # rounding margin added (hi) and taken off (lo); |Re p Im p| <= |p|^2/2
-    coef = np.array([4.0 * wi * wi, 8.0 * wr * wi, 4.0 * wr * wr])
-    half_cross = 0.5 * np.abs(coef[1])
+    coef = np.stack([4.0 * wi * wi, 8.0 * wr * wi, 4.0 * wr * wr], axis=1)
+    half_cross = 0.5 * np.abs(coef[:, 1])
     slack = 2.0 * (n_tot + 10) * _EPS
-    margin = np.array([coef[0] + half_cross, np.zeros_like(half_cross),
-                       coef[2] + half_cross]) * slack
-    at_k = powers[:, k]
-    ring_hi, ring_lo = ((coef + margin) * at_k).sum(axis=0), ((coef - margin) * at_k).sum(axis=0)
+    margin = np.stack([coef[:, 0] + half_cross, np.zeros_like(half_cross),
+                       coef[:, 2] + half_cross], axis=1) * slack
+    at_k = powers[:, :, k]
+    hi, lo = (coef + margin) * at_k, (coef - margin) * at_k
+    ring_hi, ring_lo = hi[:, 0] + hi[:, 1] + hi[:, 2], lo[:, 0] + lo[:, 1] + lo[:, 2]
 
-    def gap(ring, t):
+    def gap(ring, t, d):
         # the kernel's samples are d from g_t: its (2 Im f)^2 moves by at
         # most 4 (2 |Im g_t| d + d^2), summed by Cauchy-Schwarz
         t_dt = t * dt
         return 4.0 * d * np.sqrt(t_dt * np.maximum(ring, 0.0)) + 4.0 * d * d * t_dt
 
-    gamma, gap_k = (n_tot + 10) * _EPS, gap(ring_hi, k)
-    c_hi = (pre[n_p] + ring_hi + gap_k) * (1.0 + gamma)
-    c_lo = np.maximum((pre[n_p] + ring_lo - gap_k) * (1.0 - gamma), 0.0)
+    gamma, gap_k = (n_tot + 10) * _EPS, gap(ring_hi, k, d_col)
+    c_hi = (pre[:, n_p] + ring_hi + gap_k) * (1.0 + gamma)
+    c_lo = np.maximum((pre[:, n_p] + ring_lo - gap_k) * (1.0 - gamma), 0.0)
 
     half = 0.5 * c_lo * (1.0 - BOUND_MARGIN)
-    k_lo = np.searchsorted(pre, half)
-    late = np.flatnonzero(k_lo > n_p)  # half of C lies past the pulse
-    if len(late):
-        # the running integral from above at every ringdown sample t; the
-        # first that reaches half, or t = K + 1, ends the count
-        t = np.arange(n_tot + 1.0)
-        ring = (coef + margin)[:, late].T @ powers
-        running = (pre[n_p[late], None] + ring + gap(ring, t)) * (1.0 + gamma)
-        over = (running >= half[late, None]) | (t > k[late, None])
-        over[:, 0] = False  # sample n_p: pre[n_p] < half
-        k_lo[late] = n_p[late] + over.argmax(axis=1)
-    n_lo = peak[n_p]
+    k_lo = np.empty(half.shape, dtype=np.intp)
+    t = np.arange(n_tot + 1.0)
+    for i, d_i in enumerate(d):
+        k_lo[i] = np.searchsorted(pre[i], half[i])
+        late = np.flatnonzero(k_lo[i] > n_p)  # half of C lies past the pulse
+        if len(late):
+            # the running integral from above at every ringdown sample t; the
+            # first that reaches half, or t = K + 1, ends the count
+            ring = (coef[i] + margin[i])[:, late].T @ powers[i]
+            running = (pre[i, n_p[late], None] + ring + gap(ring, t, d_i)) * (1.0 + gamma)
+            over = (running >= half[i, late, None]) | (t > k[late, None])
+            over[:, 0] = False  # sample n_p: pre[n_p] < half
+            k_lo[i, late] = n_p[late] + over.argmax(axis=1)
+    n_lo = peak[:, n_p]
     return _UnitColumns(c_lo, c_hi, dr * dr + di * di, n_lo,
-                        np.square(np.sqrt(n_lo) + d), k_lo)
+                        np.square(np.sqrt(n_lo) + d_col), k_lo)
 
 
 #: Cody's rational approximations of erf and erfc (Math. Comp. 23, 631
@@ -786,9 +816,78 @@ def _gamma1_floor(q: QubitPhysical, omega: float, ends, below: bool):
                       q.gamma1_knot_minima[lo, hi])
 
 
+class PlaneStatistics(NamedTuple):
+    """The part of cell_bound that no neighbor changes, for one omega."""
+
+    omega: float
+    chi: float
+    n_ps: tuple  # the pulse lengths' sample counts
+    response: np.ndarray  # the unit +chi step response, as a width-1 batch
+    unit: _UnitColumns  # one entry per pulse length
+
+
+#: most planes plane_statistics puts through one step_responses pass and
+#: one _unit_columns.  At 500 steps a plane's entry keeps about 11 kB, and
+#: a block's transient arrays take about 40 kB more per plane.
+_BLOCK_PLANES = 32
+
+
+def plane_statistics(scans, model: CostModel) -> list[list]:
+    """cell_bound's per-omega statistics for every plane of a walk.
+
+    scans holds one (q, omegas, amps, tp_points) grid per qubit, in walk
+    order.  Returns one list per grid with one entry per omega: None where
+    cell_bound's bound is +inf (the omega within model.pole_guard of a chi
+    pole, |chi| too large for model.dt, or an empty axis), the ValueError
+    cost_plane raises on the omega's plane, which cell_bound raises once
+    the walk reaches that plane, or else its PlaneStatistics.  So an
+    invalid grid raises where and what it raised when each plane was
+    checked as the walk reached it.
+
+    Each omega gets its chi and _pulse_counts' checks, in walk order.  The
+    feasible planes then go in blocks of at most _BLOCK_PLANES consecutive
+    planes with the same sample counts, each block through one
+    step_responses pass at every plane's chi and kappa and one
+    _unit_columns.  Both give a plane's row the same bits in any block, so
+    an entry has the bits it has computed alone.
+    """
+    out, block = [], []
+
+    def flush():
+        lists, index, qubits, omegas, chis, counts = zip(*block)
+        (n_ps, n_tot), kappas = counts[0], [q.kappa for q in qubits]
+        response = step_responses(chis, kappas, model.dt, n_tot)
+        unit = _unit_columns(kappas, chis, response, n_ps, model.dt)
+        for j, (entries, i) in enumerate(zip(lists, index)):
+            entries[i] = PlaneStatistics(omegas[j], chis[j], n_ps, response[j : j + 1],
+                                         _UnitColumns(*(field[j] for field in unit)))
+        block.clear()
+
+    for q, omegas, amps, tp_points in scans:
+        entries = [None] * len(omegas)
+        out.append(entries)
+        for i, omega in enumerate(omegas):
+            try:
+                chi = dispersive_shift(q, omega, model.pole_guard)
+                counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
+            except PoleProximityError:
+                continue
+            except ValueError as exc:
+                entries[i] = exc
+                continue
+            if counts is None:
+                continue
+            if block and (len(block) == _BLOCK_PLANES or block[0][-1] != counts):
+                flush()
+            block.append((entries, i, q, omega, chi, counts))
+    if block:
+        flush()
+    return out
+
+
 def cell_bound(
     q: QubitPhysical,
-    omega: float,
+    plane,
     amps,
     tp_points,
     model: CostModel,
@@ -797,6 +896,7 @@ def cell_bound(
     """A lower bound on cost_plane's total in each (amplitude, pulse length)
     cell of one omega, and a scorer of those cells.
 
+    plane is the omega's entry of plane_statistics on this grid and model.
     Returns (b, score).  b is a (len(amps), len(tp_points)) array with b <=
     total in every cell where cost_plane(q, [omega], amps, tp_points,
     model, specs).total is finite, and b = +inf where the whole omega is
@@ -806,13 +906,13 @@ def cell_bound(
     cols) gives the CostBreakdown of the cells amps[rows] x
     tp_points[cols] as (len(rows), len(cols)) arrays, bit for bit those of
     cost_plane on that subgrid, from the chi, sample counts and unit step
-    response the bound has already computed.  rows must not be empty.
+    response of plane.  Nothing here integrates.
 
     The kernel's field is fl(a * f), f the unit pulse response at
     amplitude a, so every quantity it reads is a^2 times f's, up to
     rounding.  _unit_columns brackets C (f's SNR integral) and N (the peak
     of |f|^2) as [C_lo, C_hi] and [N_lo, N_hi], and reads P and k_lo, once
-    per pulse length; the cell at a gets
+    per pulse length, in plane_statistics; the cell at a gets
 
       separation  1/2 erfc(sqrt(2 eta kappa a^2 C_hi (1 + 1e-9)) / 2),
       photon      a^2 P,
@@ -886,17 +986,13 @@ def cell_bound(
       term; the bound has one only where a^2 C_lo exceeds 1e-280, far
       above anything underflow can round to 0.
     """
+    if isinstance(plane, ValueError):
+        raise plane
     shape = (len(amps), len(tp_points))
-    try:
-        chi = dispersive_shift(q, omega, model.pole_guard)
-    except PoleProximityError:
+    if plane is None:
         return np.full(shape, math.inf), None
-    counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
-    if counts is None:
-        return np.full(shape, math.inf), None
-    (n_ps, n_tot), dt, mist = counts, model.dt, model.mist
-    response = step_responses([chi], q.kappa, dt, n_tot)
-    unit = _unit_columns(q, chi, response[0], n_ps, dt)
+    omega, chi, n_ps, response, unit = plane
+    dt, mist = model.dt, model.mist
     amps = np.asarray(amps, dtype=float)
     a2 = np.square(amps)[:, None]
 

@@ -6,13 +6,19 @@ over its (omega_q, amplitude, pulse length) grid while accumulating
 frequency-collision constraints from already-locked neighbors up to
 next-nearest order.  One error_models.CostModel defines the cost for the
 whole walk; its collision defaults turn each locked neighbor into collision
-specs, and with model.heuristics False the neighbors are ignored.  The scan
-prunes omegas by the coupling term and cells by error_models.cell_bound,
-both exact lower bounds (see optimize_qubit), under either strategy, and
-scores the cells it keeps through the scorer cell_bound returns, which
-integrates each omega once and scores bit for bit as
-error_models.cost_plane; so the result equals an exhaustive scan's.  The
-winner's breakdown is its cell of the kernel's.
+specs, and with model.heuristics False the neighbors are ignored.
+
+Before the first qubit is locked, error_models.plane_statistics computes
+what no neighbor changes for every plane (one qubit's omega) of the
+device, in walk order: its chi, pulse checks, unit step response and
+unit-amplitude statistics, in blocks of planes.  The scan then prunes
+omegas by the coupling term and cells by error_models.cell_bound, which
+reads its plane's entry, both exact lower bounds (see optimize_qubit),
+under either strategy, and scores the cells it keeps through the scorer
+cell_bound returns, which reads the plane's stored response and scores
+bit for bit as error_models.cost_plane; nothing integrates inside the
+walk, and the result equals an exhaustive scan's.  The winner's breakdown
+is its cell of the kernel's.
 """
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ from .error_models import (
     cell_bound,
     collision_specs,
     coupling_error,
+    plane_statistics,
 )
 
 
@@ -134,12 +141,16 @@ def optimize_qubit(
     model: CostModel,
     *,
     qid: QubitId | None = None,
+    planes=None,
 ) -> QubitScan:
     """Exact grid minimum of the cost for one qubit.
 
     locked holds (QubitPhysical, ReadoutParams, next_nearest) triples for
-    previously optimized neighbors.  Ties break lexicographically on
-    (omega, amplitude, pulse-length) grid indices.
+    previously optimized neighbors.  planes holds the entries of
+    error_models.plane_statistics for grid's omegas, as optimize_device
+    computes them for the whole device; by default this call computes
+    them.  Ties break lexicographically on (omega, amplitude, pulse-length)
+    grid indices.
 
     The scan is branch and bound over omega, then over the amplitude rows
     and pulse-length columns of each omega's plane, under either strategy.
@@ -150,9 +161,11 @@ def optimize_qubit(
     too.  Planes are reached in ascending (bound, omega index) order until
     a bound is strictly above the best total so far.  A plane gets its
     error_models.cell_bound when the scan reaches it: a lower bound on each
-    cell's total, read off the omega's unit-amplitude response, and a
-    scorer that gives cost_plane's cells from that same response, so each
-    reached omega is integrated once.  The scorer then scores the outer
+    cell's total, read off the statistics of the omega's unit-amplitude
+    response in its entry, and a scorer that gives cost_plane's cells from
+    that same stored response, so the scan integrates nothing.  An entry
+    that holds cost_plane's error raises it here, so an invalid grid
+    raises only once the walk reaches it.  The scorer then scores the outer
     product of the amplitude rows and pulse-length columns that hold a
     cell whose bound is <= the best total.  Before there is a best total,
     the cells at the bound's minimum are scored first, and if they are all
@@ -163,19 +176,21 @@ def optimize_qubit(
     order.  The winner's breakdown is its cell of the kernel's.  Returns
     the winner, its breakdown and the number of cells scored.
     """
+    if planes is None:
+        planes, = plane_statistics([_grid_scan(q, grid)], model)
     specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
     bounds = sorted((model.weights.coupling * coupling_error(omega, specs), i_w)
                     for i_w, omega in enumerate(grid.omega_points))
     best = best_bd = None  # (total, i_omega, flat (amp, t_p) index), breakdown
     scored = 0
 
-    def score(i_w, plane, keep):
+    def score(i_w, scorer, keep):
         """Score the rows x columns of omega i_w that hold keep's cells
-        through plane, its scorer, and keep the best finite candidate;
-        returns the scored cells' index."""
+        through its scorer, and keep the best finite candidate; returns the
+        scored cells' index."""
         nonlocal best, best_bd, scored
         rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
-        bd = plane(rows, cols)
+        bd = scorer(rows, cols)
         scored += len(rows) * len(cols)
         totals = np.where(np.isfinite(bd.total), bd.total, math.inf)
         # first occurrence: row-major order is the (amp, t_p) index order
@@ -191,18 +206,18 @@ def optimize_qubit(
     for bound, i_w in bounds:
         if best is not None and bound > best[0]:
             break
-        cells, plane = cell_bound(q, grid.omega_points[i_w], grid.amp_points,
-                                  grid.tp_points, model, specs)
+        cells, scorer = cell_bound(q, planes[i_w], grid.amp_points, grid.tp_points,
+                                   model, specs)
         done = None
         if best is None and np.isfinite(cells).any():
             # no incumbent yet: the cells at the bound's minimum first
-            done = score(i_w, plane, cells == cells.min())
+            done = score(i_w, scorer, cells == cells.min())
         # +inf bounds: infeasible in the kernel too
         keep = np.isfinite(cells) if best is None else cells <= best[0]
         if done is not None:
             keep[done] = False
         if keep.any():
-            score(i_w, plane, keep)
+            score(i_w, scorer, keep)
     if best is None:
         raise InfeasibleQubitError(qid)
     _, i_w, flat = best
@@ -222,16 +237,19 @@ def optimize_device(
 ) -> OptimizationResult:
     """Run the snake over the whole device, locking qubits as it goes."""
     order = traversal_order(graph, start)
+    planes = plane_statistics([_grid_scan(graph.qubits[qid], grids[qid]) for qid in order],
+                              model)
     locked_params: dict[QubitId, ReadoutParams] = {}
     per_qubit: dict[QubitId, QubitResult] = {}
     evaluations = scored = 0
-    for index, qid in enumerate(order):
+    for index, (qid, qubit_planes) in enumerate(zip(order, planes)):
         q = graph.qubits[qid]
         grid = grids[qid]
         locked = _locked_neighbors(graph, qid, locked_params)
         evaluations += grid.size
         try:
-            params, bd, n_scored = optimize_qubit(q, grid, locked, model, qid=qid)
+            params, bd, n_scored = optimize_qubit(q, grid, locked, model, qid=qid,
+                                                  planes=qubit_planes)
         except InfeasibleQubitError as exc:
             exc.partial = OptimizationResult(per_qubit, order[:index], evaluations, scored)
             raise
@@ -240,6 +258,11 @@ def optimize_device(
         per_qubit[qid] = QubitResult(params, bd, index, n_specs)
         locked_params[qid] = params
     return OptimizationResult(per_qubit, order, evaluations, scored)
+
+
+def _grid_scan(q: QubitPhysical, grid: SearchGrid):
+    """plane_statistics' (q, omegas, amps, tp_points) entry of one grid."""
+    return q, grid.omega_points, grid.amp_points, grid.tp_points
 
 
 def _locked_neighbors(

@@ -3,7 +3,9 @@
 _unit_columns reads each pulse length's unit-amplitude statistics off
 prefix arrays of the step response; row_unit_columns below reads them off
 one full row per pulse length, as the bound did before, and is the oracle.
-_erfc is held to math.erfc, and _gamma1_floor to a brute-force minimum.
+plane_statistics computes them for blocks of planes, and each plane must
+have the bits it has alone.  _erfc is held to math.erfc, and _gamma1_floor
+to a brute-force minimum.
 """
 import math
 from dataclasses import replace
@@ -11,13 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from readout_opt import dynamics, load_device
+from readout_opt import build_search_grid, dynamics, error_models, load_device
+from readout_opt import load_optimizer_config
 from readout_opt.error_models import (
     BOUND_MARGIN,
     _erfc,
     _gamma1_floor,
     _pulse_rows,
     _unit_columns,
+    plane_statistics,
     step_responses,
 )
 
@@ -53,7 +57,9 @@ def assert_brackets(q, chi, n_ps, n_tot, dt, width):
     bit and k_lo at most one below the oracle's; C's bracket is at most
     width wide relative to C.  Returns the oracle's (c, k_lo)."""
     c, p, peak, k_lo = row_unit_columns(q, chi, n_ps, n_tot, dt)
-    got = _unit_columns(q, chi, step_responses([chi], q.kappa, dt, n_tot)[0], n_ps, dt)
+    u = step_responses([chi], q.kappa, dt, n_tot)
+    got = _unit_columns([q.kappa], [chi], u, n_ps, dt)
+    got = type(got)(*(field[0] for field in got))
     np.testing.assert_array_equal(got.p.view(np.int64), p.view(np.int64))
     assert (got.c_lo <= c).all() and (c <= got.c_hi).all()
     assert (got.c_hi - got.c_lo <= width * c).all()
@@ -89,6 +95,43 @@ def test_unit_columns_with_a_tiny_chi(scale):
     u = step_responses([chi], q.kappa, 1.0, 500)[0]
     assert np.abs(u[:, 1]).max() < 1e-3 * np.hypot(u[:, 0], u[:, 1]).max()
     assert_brackets(q, chi, N_PS, 500, 1.0, 1e-3)
+
+
+def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
+    """Each plane of d3 under optimizer_small.yaml, with a pole-guard
+    omega and one whose |chi| is too large for dt among them, has the same
+    chi, sample counts, response and unit statistics, bit for bit, in one
+    block with all the other planes as alone."""
+    cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
+    dt, scans = cfg.model.dt, []
+    for qid in QIDS:
+        q, grid = D3.qubits[qid], build_search_grid(D3, qid, cfg)
+        too_large = q.omega_r - q.alpha + 0.095
+        assert abs(dynamics.dispersive_shift(q, too_large)) > 0.1 / dt
+        omegas = list(grid.omega_points)
+        omegas[5:5], omegas[11:11] = [q.omega_r], [too_large]  # pole guard, |chi|
+        scans.append((q, omegas, grid.amp_points, grid.tp_points))
+    widths = []
+
+    def spy(chis, *args):
+        widths.append(len(chis))
+        return step_responses(chis, *args)
+    monkeypatch.setattr(error_models, "step_responses", spy)
+    monkeypatch.setattr(error_models, "_BLOCK_PLANES", sum(len(s[1]) for s in scans))
+    together = plane_statistics(scans, cfg.model)
+    assert widths == [len(QIDS) * cfg.grid.n_omega]
+    for (q, omegas, amps, tps), entries in zip(scans, together):
+        assert entries[5] is None and entries[11] is None
+        for omega, entry in zip(omegas, entries):
+            (alone,), = plane_statistics([(q, [omega], amps, tps)], cfg.model)
+            assert (entry is None) == (alone is None)
+            if entry is None:
+                continue
+            assert (entry.omega, entry.chi, entry.n_ps) == (alone.omega, alone.chi, alone.n_ps)
+            assert entry.response.shape == (1, 501, 2)
+            for got, want in zip((entry.response, *entry.unit),
+                                 (alone.response, *alone.unit)):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_erfc_matches_math_erfc():

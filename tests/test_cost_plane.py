@@ -33,7 +33,7 @@ from readout_opt import (
 )
 from readout_opt import error_models
 from readout_opt.dynamics import photon_number
-from readout_opt.error_models import ParameterError, cell_bound, cost_plane
+from readout_opt.error_models import ParameterError, cell_bound, cost_plane, plane_statistics
 
 from conftest import CONFIG_DIR, TWO_PI
 from oracle import evaluate_cost, half_snr_time, stark_trajectory
@@ -50,6 +50,12 @@ FIELDS = [f.name for f in fields(CostBreakdown)]
 def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=DT):
     return CostModel(weights, MIST, pole_guard=GUARD, dt=dt,
                      total_time=total_time, heuristics=include_heuristics)
+
+
+def omega_bound(q, omega, amps, tps, cost_model, specs=()):
+    """cell_bound of one omega, from its own plane_statistics entry."""
+    (plane,), = plane_statistics([(q, [omega], amps, tps)], cost_model)
+    return cell_bound(q, plane, amps, tps, cost_model, specs)
 
 
 def oracle(q, omegas, amps, tps, cost_model, specs):
@@ -177,20 +183,21 @@ def test_cell_bound_below_every_finite_cell(case):
         bd, error = cost_plane(q, omegas, amps, tps, cost_model, specs), None
     except ValueError as exc:
         error = exc
-    for i, omega in enumerate(omegas):
+    planes, = plane_statistics([(q, omegas, amps, tps)], cost_model)
+    for i, plane in enumerate(planes):
         if error is not None:
             try:
-                cell_bound(q, omega, amps, tps, cost_model, specs)
+                cell_bound(q, plane, amps, tps, cost_model, specs)
             except ValueError as exc:
                 assert (type(exc), str(exc)) == (type(error), str(error))
                 break
             continue  # an omega near a pole is +inf before any pulse check
-        bound, score = cell_bound(q, omega, amps, tps, cost_model, specs)
+        bound, score = cell_bound(q, plane, amps, tps, cost_model, specs)
         total = bd.total[i]
         assert bound.shape == total.shape
         assert not np.isnan(bound).any()
         finite = np.isfinite(total)
-        assert (bound[finite] <= total[finite]).all(), (omega, bound, total)
+        assert (bound[finite] <= total[finite]).all(), (omegas[i], bound, total)
         # snr is NaN only near a pole or with |chi| too large for dt
         assert np.isinf(bound[np.isnan(bd.snr[i])]).all()
         assert (score is None) == np.isnan(bd.snr[i]).all()
@@ -226,7 +233,7 @@ def test_cell_bound_reads_stark_trace_to_half_snr_index(t_p):
     relaxation_only = model(CostWeights(0.0, 1.0, 0.0, 0.0, 0.0))
     total = cost_plane(cut, [omega], [b0], [t_p], relaxation_only).total[0, 0, 0]
     assert 0.0 < total < (k - 2) * DT * rate
-    assert cell_bound(cut, omega, [b0], [t_p], relaxation_only)[0][0, 0] == 0.0
+    assert omega_bound(cut, omega, [b0], [t_p], relaxation_only)[0][0, 0] == 0.0
 
 
 @pytest.mark.parametrize("weights", [CostWeights(1.0, 0.0, 0.0, 0.0, 0.0),
@@ -243,8 +250,10 @@ def test_cell_bound_is_tight_on_separation_and_photon(weights):
         q, grid = D3.qubits[qid], build_search_grid(D3, qid, cfg)
         totals = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
                             cost_model).total
-        for omega, total in zip(grid.omega_points, totals):
-            bound, _ = cell_bound(q, omega, grid.amp_points, grid.tp_points, cost_model)
+        planes, = plane_statistics([(q, grid.omega_points, grid.amp_points,
+                                     grid.tp_points)], cost_model)
+        for omega, plane, total in zip(grid.omega_points, planes, totals):
+            bound, _ = cell_bound(q, plane, grid.amp_points, grid.tp_points, cost_model)
             finite = np.isfinite(total)
             assert finite.any()
             assert (bound[finite] >= (1.0 - 1e-6) * total[finite]).all(), (qid, omega)
@@ -373,7 +382,7 @@ class TestEmptyAxes:
 
     @EMPTY_AXES
     def test_cell_bound_gives_an_empty_bound(self, amps, tps):
-        bound, _ = cell_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
+        bound, _ = omega_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
         assert bound.shape == (len(amps), len(tps))
 
 
@@ -409,10 +418,10 @@ class TestPulseGridCache:
         for omega in self.omegas():
             _, error = oracle(q, [omega], self.AMPS, tps, model(), ())
             if error is None:
-                cell_bound(q, omega, self.AMPS, tps, model())
+                omega_bound(q, omega, self.AMPS, tps, model())
                 continue
             with pytest.raises(type(error)) as got:
-                cell_bound(q, omega, self.AMPS, tps, model())
+                omega_bound(q, omega, self.AMPS, tps, model())
             assert type(got.value) is type(error)
             assert str(got.value) == str(error)
 
@@ -439,8 +448,9 @@ class TestPulseGridCache:
 
 class TestColumns:
     """cell_bound's scorer scores the amplitude rows and pulse-length
-    columns it names, bit for bit as cost_plane on those alone; an omega
-    that is infeasible everywhere has no scorer and a +inf bound."""
+    columns it names, bit for bit as cost_plane on those alone, either set
+    possibly empty; an omega that is infeasible everywhere has no scorer
+    and a +inf bound."""
 
     QID = QIDS[3]
     AMPS = [0.0, 0.15, 0.3]
@@ -453,9 +463,9 @@ class TestColumns:
     def test_columns_equal_a_call_on_their_pulse_lengths(self, cols):
         q = D3.qubits[self.QID]
         for omega in self.omegas():
-            for rows in ([1], [2, 0], [0, 1, 2]):
-                _, score = cell_bound(q, omega, self.AMPS, self.TPS, model())
-                got = score(np.array(rows), np.array(cols, dtype=int))
+            for rows in ([1], [2, 0], [0, 1, 2], []):
+                _, score = omega_bound(q, omega, self.AMPS, self.TPS, model())
+                got = score(np.array(rows, dtype=int), np.array(cols, dtype=int))
                 want = cost_plane(q, [omega], [self.AMPS[i] for i in rows],
                                   [self.TPS[j] for j in cols], model())
                 for name in FIELDS:
@@ -468,7 +478,7 @@ class TestColumns:
         omega = {"pole guard": q.omega_r,
                  "|chi| too large": q.omega_r - q.alpha + 0.095}[omega]
         assert np.isinf(cost_plane(q, [omega], self.AMPS, self.TPS, model()).total).all()
-        bound, score = cell_bound(q, omega, self.AMPS, self.TPS, model())
+        bound, score = omega_bound(q, omega, self.AMPS, self.TPS, model())
         assert score is None
         assert bound.shape == (len(self.AMPS), len(self.TPS)) and np.isposinf(bound).all()
 
@@ -478,7 +488,7 @@ class TestColumns:
             with pytest.raises(ValueError) as want:
                 cost_plane(q, [omega], self.AMPS, tps, model())
             with pytest.raises(type(want.value)) as got:
-                cell_bound(q, omega, self.AMPS, tps, model())
+                omega_bound(q, omega, self.AMPS, tps, model())
             assert str(got.value) == str(want.value)
 
 

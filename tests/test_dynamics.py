@@ -336,3 +336,19 @@ def test_step_responses_are_rk4_at_every_width(batch):
         err = np.abs(got[j, :, 0] + 1j * got[j, :, 1] - want)
         assert err.max() <= 1e-13 * np.abs(want).max()
 
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(step_batches(), st.data())
+def test_step_responses_take_one_kappa_per_row(batch, data):
+    """With one kappa per chi, each row has the bits of a width-1 call at
+    its own kappa, signed zeros included."""
+    deltas, kappa, dt, n_steps = batch
+    limit = 0.1 / dt
+    rate = st.floats(min_value=1e-12, max_value=limit) | st.sampled_from((kappa, limit))
+    kappas = data.draw(st.lists(rate, min_size=len(deltas), max_size=len(deltas)))
+    got = step_responses(deltas, kappas, dt, n_steps)
+    assert got.shape == (len(deltas), n_steps + 1, 2)
+    for j, (delta, rate) in enumerate(zip(deltas, kappas)):
+        alone = step_responses([delta], rate, dt, n_steps)[0]
+        np.testing.assert_array_equal(got[j].view(np.int64), alone.view(np.int64))

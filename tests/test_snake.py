@@ -175,7 +175,8 @@ class TestPruning:
     """The branch-and-bound scan on designed planes and bounds.
 
     snake.coupling_error supplies each omega's bound (MODEL weighs coupling
-    by 1), snake.cell_bound each cell's (by default its omega's bound) and
+    by 1), snake.plane_statistics each omega as its plane's entry, and
+    snake.cell_bound each cell's bound (by default its omega's bound) and
     a scorer of the cells of the (1 omega x 2 amp x 2 t_p) grid that the
     scan asks for, the same array in every breakdown field.  Every
     designed plane lies at or above its cell bounds, and those at or above
@@ -201,6 +202,8 @@ class TestPruning:
             return np.full((len(amps), len(tps)), bounds[omega]), score
 
         monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
+        monkeypatch.setattr(snake, "plane_statistics",
+                            lambda scans, model: [list(scan[1]) for scan in scans])
         monkeypatch.setattr(snake, "cell_bound", fake_bound)
         try:
             params, _, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
@@ -285,26 +288,41 @@ class TestPruning:
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
 def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, monkeypatch,
                                                           heuristics):
-    """Each omega the scan reaches gets one chi, one pass of the pulse
-    checks, whose pulse-length part comes from one _pulse_grid entry, and
-    one width-1 step response, which its scored cells reuse."""
+    """Before the walk, each omega of the device gets one chi and one pass
+    of the pulse checks, in walk order, whose pulse-length part comes from
+    one _pulse_grid entry, and the feasible planes one step_responses call
+    per block, with one kappa per row.  The walk calls none of them: its
+    bounds and scored cells read the blocks' statistics and responses."""
     cfg, grids, _ = small_run
-    qid = d3_graph.sorted_ids()[0]
+    block = 40
+    monkeypatch.setattr(error_models, "_BLOCK_PLANES", block)
     calls = {name: [] for name in ("dispersive_shift", "_pulse_counts", "step_responses")}
     for name in calls:
         def spy(*args, _real=getattr(error_models, name), _calls=calls[name]):
             _calls.append(args)
             return _real(*args)
         monkeypatch.setattr(error_models, name, spy)
+    walk, real_scan = [], snake.optimize_qubit
+
+    def scan_spy(*args, **kwargs):
+        before = [len(c) for c in calls.values()]
+        scan = real_scan(*args, **kwargs)
+        walk.append([len(c) - n for c, n in zip(calls.values(), before)])
+        return scan
+    monkeypatch.setattr(snake, "optimize_qubit", scan_spy)
     error_models._pulse_grid.cache_clear()
-    _, _, scored = optimize_qubit(d3_graph.qubits[qid], grids[qid], [],
-                                  replace(cfg.model, heuristics=heuristics))
-    reached = [args[1] for args in calls["dispersive_shift"]]
-    assert scored > 0 and len(set(reached)) == len(reached) >= 2
-    assert len(calls["_pulse_counts"]) == len(reached)
-    assert [len(args[0]) for args in calls["step_responses"]] == [1] * len(reached)
+    result = optimize_device(d3_graph, grids, replace(cfg.model, heuristics=heuristics))
+    assert result.scored > 0
+    assert walk == [[0, 0, 0]] * len(grids)
+    omegas = [w for qid in result.order for w in grids[qid].omega_points]
+    assert [args[1] for args in calls["dispersive_shift"]] == omegas
+    planes = len(omegas)
+    assert len(calls["_pulse_counts"]) == planes
+    widths = [len(args[0]) for args in calls["step_responses"]]
+    assert widths == [block] * (planes // block) + [planes % block]
+    assert all(len(args[1]) == len(args[0]) for args in calls["step_responses"])
     info = error_models._pulse_grid.cache_info()
-    assert (info.misses, info.currsize, info.hits) == (1, 1, len(reached) - 1)
+    assert (info.misses, info.currsize, info.hits) == (1, 1, planes - 1)
 
 
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
@@ -417,6 +435,31 @@ class TestOptimizeDevice:
         partial = err.value.partial
         assert len(partial.per_qubit) == 1
         assert partial.evaluations == good.size + bad.size
+
+    def test_infeasible_qubit_raises_before_a_later_invalid_grid(self):
+        """A later qubit's invalid grid does not overtake an earlier qubit's
+        InfeasibleQubitError and its partial result; once the walk reaches
+        that grid, it raises what cost_plane raises on it."""
+        graph = make_graph([
+            (0, 0, Role.MEASURE, make_qubit()),
+            (0, 1, Role.DATA, make_qubit()),
+        ])
+        good = small_grid()
+        infeasible = SearchGrid((make_qubit().omega_r,), (0.2,), (300.0,))
+        invalid = SearchGrid(good.omega_points, good.amp_points, (300.0, 520.0))  # t_r < 0
+        first = {Role.MEASURE: infeasible, Role.DATA: invalid}
+        with pytest.raises(InfeasibleQubitError) as err:
+            optimize_device(graph, {qid: first[qid.role] for qid in graph.qubits}, MODEL)
+        partial = err.value.partial
+        assert (partial.per_qubit, partial.order) == ({}, [])
+        assert partial.evaluations == infeasible.size
+        with pytest.raises(ValueError) as want:
+            cost_plane(make_qubit(), invalid.omega_points, invalid.amp_points,
+                       invalid.tp_points, MODEL)
+        second = {Role.MEASURE: good, Role.DATA: invalid}
+        with pytest.raises(type(want.value)) as got:
+            optimize_device(graph, {qid: second[qid.role] for qid in graph.qubits}, MODEL)
+        assert str(got.value) == str(want.value)
 
     def test_predictive_only_ignores_neighbors(self):
         graph = self.two_qubit_graph()

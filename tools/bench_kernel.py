@@ -10,10 +10,13 @@ round that pays the first-call costs.  These are whole planes of 1,560
 cells each; optimize's pruned scan scores a few dozen cells at a time,
 through the scorer error_models.cell_bound returns.
 
-bound_s is error_models.cell_bound, the lower bound and scorer optimize's
-scan computes for every plane it reaches before it scores any cell, over
-the same planes, each integrating its step response too; it is not part
-of total_s.
+statistics_s is error_models.plane_statistics over the same planes, in
+one call: the step responses and unit-amplitude statistics that optimize
+computes for every plane of the device before its walk, in blocks of
+planes.  bound_s is error_models.cell_bound on each of those planes'
+entries: the per-cell lower bound and the scorer that optimize's scan
+computes for every plane it reaches before it scores any cell.  Neither
+is part of total_s.
 
 step_response times dynamics.step_responses, the unit step responses
 (500 steps at dt = 1 ns) at the +chi of width frequencies across the first
@@ -43,9 +46,9 @@ calls each, the two alternating and each after a full garbage collection.
 
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
-BENCH_kernel.json at the checkout's root.  The kernel's, the bound's, the
-import's, cross_fidelity's and the YAML loads' seconds are medians over the
-rounds, with quartiles.
+BENCH_kernel.json at the checkout's root.  The kernel's, the statistics',
+the bound's, the import's, cross_fidelity's and the YAML loads' seconds
+are medians over the rounds, with quartiles.
 """
 from __future__ import annotations
 
@@ -221,6 +224,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     work, model = planes()
+    scans = [(q, [omega], amps, tps) for q, omega, amps, tps in work]
 
     def one_round():
         start = time.perf_counter()
@@ -228,13 +232,16 @@ def main(argv=None) -> int:
             error_models.cost_plane(q, [omega], amps, tps, model)
         total = time.perf_counter() - start
         start = time.perf_counter()
-        for q, omega, amps, tps in work:
-            bound, _ = error_models.cell_bound(q, omega, amps, tps, model)
-        return total, time.perf_counter() - start
+        entries = error_models.plane_statistics(scans, model)
+        stats = time.perf_counter() - start
+        start = time.perf_counter()
+        for (q, _, amps, tps), (plane,) in zip(work, entries):
+            bound, _ = error_models.cell_bound(q, plane, amps, tps, model)
+        return total, stats, time.perf_counter() - start
 
     one_round()  # warm-up: first-call costs
     rounds = [one_round() for _ in range(ROUNDS)]
-    totals = [t for t, _ in rounds]
+    totals = [t for t, _, _ in rounds]
     points = sum(len(a) * len(t) for _, _, a, t in work)
     result = {
         "kernel": "error_models.cost_plane",
@@ -245,7 +252,8 @@ def main(argv=None) -> int:
         "points_per_s": points / statistics.median(totals),
         "per_plane_ms": 1e3 * statistics.median(totals) / len(work),
     }
-    result["bound_s"] = summary([b for _, b in rounds])
+    result["statistics_s"] = summary([s for _, s, _ in rounds])
+    result["bound_s"] = summary([b for _, _, b in rounds])
     result["step_response"] = step_response_timings()
     result["import_s"] = summary(import_times())
     result["cross_fidelity_s"] = cross_fidelity_timings()
