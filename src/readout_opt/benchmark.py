@@ -54,8 +54,12 @@ class BenchmarkConfig:
     subset: Subset = Subset.ALL_QUBITS
 
     def __post_init__(self) -> None:
-        if self.n_states <= 0 or self.n_shots <= 0:
-            raise ValueError("n_states and n_shots must be > 0")
+        if self.n_states <= 0:
+            raise ValueError(f"n_states must be > 0, got {self.n_states}")
+        if self.n_shots <= 0:
+            raise ValueError(f"n_shots must be > 0, got {self.n_shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # float64 holds every integer up to 2**53, so no tally is rounded
         if self.n_states * self.n_shots > 2**53:
             raise ValueError(

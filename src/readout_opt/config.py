@@ -158,7 +158,7 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
     if lo_step > hi_step:
         raise OptimizerConfigError(
             f"pulse-length range [{grid.tp_min_ns}, {grid.tp_max_ns}] ns holds no "
-            f"multiple of dt_ns = {dt}")
+            f"positive multiple of dt_ns = {dt}")
     return cfg
 
 
@@ -174,8 +174,8 @@ def check_dt(graph: DeviceGraph, cfg: OptimizerConfig) -> None:
 
 
 def _step_range(lo: float, hi: float, dt: float) -> tuple[int, int]:
-    """First and last multiple of dt (in steps) inside [lo, hi]."""
-    return math.ceil(lo / dt - 1e-9), math.floor(hi / dt + 1e-9)
+    """First and last positive multiple of dt (in steps) inside [lo, hi]."""
+    return max(math.ceil(lo / dt - 1e-9), 1), math.floor(hi / dt + 1e-9)
 
 
 def snap_to_steps(values, lo: float, hi: float, dt: float) -> np.ndarray:
@@ -183,12 +183,12 @@ def snap_to_steps(values, lo: float, hi: float, dt: float) -> np.ndarray:
 
     Each value is rounded to the nearest multiple of dt inside [lo, hi];
     the result is sorted, without duplicates.  Raises ValueError if [lo, hi]
-    holds no multiple of dt.
+    holds no positive multiple of dt.
     """
     lo_step, hi_step = _step_range(lo, hi, dt)
     if lo_step > hi_step:
         raise ValueError(f"pulse-length range [{lo}, {hi}] ns holds no "
-                         f"multiple of dt_ns = {dt}")
+                         f"positive multiple of dt_ns = {dt}")
     steps = np.rint(np.asarray(values, dtype=float) / dt)
     return np.unique(np.clip(steps, lo_step, hi_step)) * dt
 

@@ -15,6 +15,10 @@ back a scorer that gives cost_plane's cells of that frequency from the
 same response.  The response and its statistics depend on no neighbor:
 plane_statistics computes them for every frequency of a walk up front,
 in blocks of frequencies, and cell_bound reads one frequency's entry.
+Both kernels check each grid of amplitudes and pulse lengths once, before
+any frequency (_check_grid), so an invalid grid raises the same error in
+either, and per frequency check only the pole guard and the step against
+|chi|, which make the frequency infeasible (_feasible_chi).
 separation_error, mist_threshold and coupling_error are the terms that
 are functions of one number: the benchmark reads the first, the kernel
 and the bound the other two.
@@ -305,73 +309,56 @@ def _relaxation(cum, stark, half, live, dt, xp, fp):
     return t0, relax, bad
 
 
-#: pulse-length grids whose checks and sample counts _pulse_counts keeps
+#: pulse-length grids whose sample counts _pulse_grid keeps
 PULSE_GRID_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=PULSE_GRID_CACHE_SIZE)
-def _pulse_grid(tp_points: tuple, total_time: float, dt: float):
-    """The part of _pulse_counts' checks that reads the pulse lengths alone.
+def _pulse_grid(tp_points: tuple, total_time: float, dt: float) -> tuple:
+    """The sample counts of the pulse lengths tp_points, checked in order:
+    each one's PulseShape at b0 = 0, then its sample count.
 
-    Walks the pulse lengths in order, as _pulse_counts does at an omega
-    whose |chi| passes: each one's PulseShape at b0 = 0, then its sample
-    count.  Returns (n_ps, bad_shape, bad_count): the sample counts, the
-    index of the first pulse length whose PulseShape raises, and the index
-    of the first one before it whose sample count raises, None where there
-    is none.  It keeps indices, not errors: the caller raises by redoing
-    the failing check on its own values, so its message has their repr.
+    The first failing check raises.  lru_cache keeps no exception, so a
+    failing grid is checked again on every call, and its message has the
+    caller's own values.
     """
-    n_ps, bad_count = [], None
-    for j, t_p in enumerate(tp_points):
-        try:
-            pulse = PulseShape(b0=0.0, t_p=t_p, t_r=total_time - t_p)
-        except ValueError:
-            return tuple(n_ps), j, bad_count
-        if bad_count is None:
-            try:
-                n_ps.append(_sample_counts(pulse, dt)[0])
-            except ValueError:  # StepSizeError, or round() of a NaN
-                bad_count = j
-    return tuple(n_ps), None, bad_count
+    return tuple(_sample_counts(PulseShape(b0=0.0, t_p=t_p, t_r=total_time - t_p), dt)[0]
+                 for t_p in tp_points)
 
 
-def _pulse_counts(amps, chi, kappa, tp_points, model: CostModel):
-    """The kernel's checks at one omega, in (amplitude, pulse length) order.
+def _check_grid(amps, kappa, tp_points, model: CostModel):
+    """cost_plane's checks of the grid amps x tp_points, before any omega.
 
-    Raises what cost_plane raises at the omega's first invalid point, and
-    returns the pulse lengths' sample counts n_p and the count n_tot of
-    t_p + t_r, total_time's whole number of steps for every pulse length,
-    or None when |chi| is too large for model.dt or there is no point.
-    The first amplitude's row runs every check: pulse 0's shape with that
-    amplitude, the step check of kappa and |chi|, the sample counts where
-    |chi| passes, and the later pulse lengths' shapes, each count before
-    the next length's shape.  Only b0 >= 0 depends on the amplitude, so
-    later rows check b0 alone.  The pulse-length part comes from
-    _pulse_grid, once per grid.
+    In order: the first point's PulseShape, dt against kappa, each pulse
+    length's shape and sample count (_pulse_grid, once per grid), and b0
+    >= 0 on the other rows.  So it raises the error of the grid's first
+    invalid point in row-major (amplitude, pulse length) order, as the
+    point checks run at an omega whose |chi| passes.  Returns the pulse
+    lengths' sample counts n_p and the count n_tot of t_p + t_r, the whole
+    number of steps of total_time for every pulse length, or None where an
+    axis is empty.
     """
     if len(amps) == 0 or len(tp_points) == 0:
         return None
     total_time, dt = model.total_time, model.dt
-    n_ps, bad_shape, bad_count = _pulse_grid(tuple(tp_points), total_time, dt)
-
-    def pulse(b0, j):
-        return PulseShape(b0=b0, t_p=tp_points[j], t_r=total_time - tp_points[j])
-
-    pulse(amps[0], 0)
-    try:
-        _check_step(chi, kappa, dt)
-    except DetuningStepError:
-        # a point with |chi| too large is infeasible before its sample
-        # count is checked
-        n_ps = bad_count = None
-    if bad_count is not None:
-        _sample_counts(pulse(amps[0], bad_count), dt)
-    if bad_shape is not None:
-        pulse(amps[0], bad_shape)
-    for b0 in amps:
+    PulseShape(b0=amps[0], t_p=tp_points[0], t_r=total_time - tp_points[0])
+    _check_step(0.0, kappa, dt)
+    n_ps = _pulse_grid(tuple(tp_points), total_time, dt)
+    for b0 in amps[1:]:
         if b0 < 0:
-            pulse(b0, 0)
-    return None if n_ps is None else (n_ps, round(total_time / dt))
+            PulseShape(b0=b0, t_p=tp_points[0], t_r=total_time - tp_points[0])
+    return n_ps, round(total_time / dt)
+
+
+def _feasible_chi(q: QubitPhysical, omega: float, model: CostModel):
+    """chi at omega, or None where omega is infeasible: within
+    model.pole_guard of a chi pole, or with |chi| too large for model.dt."""
+    try:
+        chi = dispersive_shift(q, omega, model.pole_guard)
+        _check_step(chi, q.kappa, model.dt)
+    except (PoleProximityError, DetuningStepError):
+        return None
+    return chi
 
 
 def cost_plane(
@@ -420,13 +407,15 @@ def cost_plane(
     total and NaN fields: every field at an omega within model.pole_guard
     of a chi pole or with |chi| too large for dt, and every field but snr
     and separation where the Stark trace up to t0 leaves the Gamma1 table.
-    Each point is checked in this order: the pole guard (infeasible, no
-    further checks), the pulse (ValueError for t_p <= 0, t_r < 0 or b0 <
-    0), dt against kappa (StepSizeError), dt against |chi| (infeasible, no
-    further checks), and the pulse's sample count (StepSizeError where t_p
-    rounds to no step).  An invalid point raises its first failing check's
-    error, at the first such point in row-major (omega, amplitude, pulse
-    length) order.  Every value has the bits of these formulas evaluated
+    The amplitudes and pulse lengths are checked once, before any omega,
+    point by point in row-major (amplitude, pulse length) order: the pulse
+    (ValueError for t_p <= 0, t_r < 0 or b0 < 0), dt against kappa
+    (StepSizeError), and the pulse's sample count (StepSizeError where t_p
+    rounds to no step).  An invalid grid raises the first failing check's
+    error at its first invalid point, whatever omegas it holds: the error
+    a point-by-point evaluation raises at an omega whose |chi| passes.
+    Then each omega is checked against the pole guard and dt against |chi|
+    (infeasible, both).  Every value has the bits of these formulas evaluated
     one point at a time with the operations in the order written, erfc and
     exp from math; the tests hold each field of each cell to such a
     one-point evaluation, bit for bit.
@@ -449,29 +438,20 @@ def cost_plane(
     logistic through math.exp.
     """
     shape = (len(omegas), len(amps), len(tp_points))
-    feasible, chis, col_counts = [], [], None
-    for omega in omegas:
-        try:
-            chi = dispersive_shift(q, omega, model.pole_guard)
-        except PoleProximityError:
-            feasible.append(False)
-            continue
-        counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
-        feasible.append(counts is not None)
-        if counts is not None:
-            chis.append(chi)
-            col_counts = counts
-
     planes = {f.name: np.full(shape, math.nan) for f in fields(CostBreakdown)}
     planes["total"][:] = math.inf
-    if chis:
+    counts = _check_grid(amps, q.kappa, tp_points, model)
+    chis = [] if counts is None else [_feasible_chi(q, omega, model) for omega in omegas]
+    feasible = np.array([chi is not None for chi in chis], dtype=bool)
+    if feasible.any():
+        chis = [chi for chi in chis if chi is not None]
         omegas = [w for w, ok in zip(omegas, feasible) if ok]
-        n_ps, n_tot = col_counts
+        n_ps, n_tot = counts
         parts = step_responses(chis, q.kappa, model.dt, n_tot)
         scored = _score(q, omegas, chis, parts, np.asarray(amps, dtype=float), n_ps,
                         model, specs)
         for name, plane in scored.items():
-            planes[name][np.array(feasible)] = plane.reshape(len(chis), *shape[1:])
+            planes[name][feasible] = plane.reshape(len(chis), *shape[1:])
     return CostBreakdown(**planes)
 
 
@@ -838,24 +818,25 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
     scans holds one (q, omegas, amps, tp_points) grid per qubit, in walk
     order.  Returns one list per grid with one entry per omega: None where
     cell_bound's bound is +inf (the omega within model.pole_guard of a chi
-    pole, |chi| too large for model.dt, or an empty axis), the ValueError
-    cost_plane raises on the omega's plane, which cell_bound raises once
-    the walk reaches that plane, or else its PlaneStatistics.  So an
-    invalid grid raises where and what it raised when each plane was
-    checked as the walk reached it.
+    pole, |chi| too large for model.dt, or an empty axis), else its
+    PlaneStatistics.
 
-    Each omega gets its chi and _pulse_counts' checks, in walk order.  The
-    feasible planes then go in blocks of at most _BLOCK_PLANES consecutive
-    planes with the same sample counts, each block through one
+    First each grid gets cost_plane's grid checks, in walk order, so an
+    invalid grid raises what cost_plane raises on it before any step
+    response.  Then each omega gets its chi and the check of dt against
+    |chi|.  The feasible planes go in blocks of at most _BLOCK_PLANES
+    consecutive planes with the same sample counts, each block through one
     step_responses pass at every plane's chi and kappa and one
     _unit_columns.  Both give a plane's row the same bits in any block, so
     an entry has the bits it has computed alone.
     """
+    counts = [_check_grid(amps, q.kappa, tp_points, model)
+              for q, _, amps, tp_points in scans]
     out, block = [], []
 
     def flush():
-        lists, index, qubits, omegas, chis, counts = zip(*block)
-        (n_ps, n_tot), kappas = counts[0], [q.kappa for q in qubits]
+        lists, index, qubits, omegas, chis, grid_counts = zip(*block)
+        (n_ps, n_tot), kappas = grid_counts[0], [q.kappa for q in qubits]
         response = step_responses(chis, kappas, model.dt, n_tot)
         unit = _unit_columns(kappas, chis, response, n_ps, model.dt)
         for j, (entries, i) in enumerate(zip(lists, index)):
@@ -863,23 +844,18 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
                                          _UnitColumns(*(field[j] for field in unit)))
         block.clear()
 
-    for q, omegas, amps, tp_points in scans:
+    for (q, omegas, _, _), grid_counts in zip(scans, counts):
         entries = [None] * len(omegas)
         out.append(entries)
+        if grid_counts is None:
+            continue
         for i, omega in enumerate(omegas):
-            try:
-                chi = dispersive_shift(q, omega, model.pole_guard)
-                counts = _pulse_counts(amps, chi, q.kappa, tp_points, model)
-            except PoleProximityError:
+            chi = _feasible_chi(q, omega, model)
+            if chi is None:
                 continue
-            except ValueError as exc:
-                entries[i] = exc
-                continue
-            if counts is None:
-                continue
-            if block and (len(block) == _BLOCK_PLANES or block[0][-1] != counts):
+            if block and (len(block) == _BLOCK_PLANES or block[0][-1] != grid_counts):
                 flush()
-            block.append((entries, i, q, omega, chi, counts))
+            block.append((entries, i, q, omega, chi, grid_counts))
     if block:
         flush()
     return out
@@ -901,12 +877,12 @@ def cell_bound(
     total in every cell where cost_plane(q, [omega], amps, tp_points,
     model, specs).total is finite, and b = +inf where the whole omega is
     infeasible: within the pole guard, or with |chi| too large for
-    model.dt.  b is never NaN.  It raises what cost_plane raises on that
-    grid.  score is None where the omega is infeasible; else score(rows,
-    cols) gives the CostBreakdown of the cells amps[rows] x
-    tp_points[cols] as (len(rows), len(cols)) arrays, bit for bit those of
-    cost_plane on that subgrid, from the chi, sample counts and unit step
-    response of plane.  Nothing here integrates.
+    model.dt.  b is never NaN.  An invalid grid has no entries:
+    plane_statistics raises its error.  score is None where the omega is
+    infeasible; else score(rows, cols) gives the CostBreakdown of the cells
+    amps[rows] x tp_points[cols] as (len(rows), len(cols)) arrays, bit for
+    bit those of cost_plane on that subgrid, from the chi, sample counts
+    and unit step response of plane.  Nothing here integrates.
 
     The kernel's field is fl(a * f), f the unit pulse response at
     amplitude a, so every quantity it reads is a^2 times f's, up to
@@ -986,8 +962,6 @@ def cell_bound(
       term; the bound has one only where a^2 C_lo exceeds 1e-280, far
       above anything underflow can round to 0.
     """
-    if isinstance(plane, ValueError):
-        raise plane
     shape = (len(amps), len(tp_points))
     if plane is None:
         return np.full(shape, math.inf), None

@@ -8,9 +8,10 @@ next-nearest order.  One error_models.CostModel defines the cost for the
 whole walk; its collision defaults turn each locked neighbor into collision
 specs, and with model.heuristics False the neighbors are ignored.
 
-Before the first qubit is locked, error_models.plane_statistics computes
-what no neighbor changes for every plane (one qubit's omega) of the
-device, in walk order: its chi, pulse checks, unit step response and
+Before the first qubit is locked, error_models.plane_statistics checks
+every qubit's grid, in walk order, so an invalid grid raises before any
+qubit is locked, and computes what no neighbor changes for every plane
+(one qubit's omega) of the device: its chi, unit step response and
 unit-amplitude statistics, in blocks of planes.  The scan then prunes
 omegas by the coupling term and cells by error_models.cell_bound, which
 reads its plane's entry, both exact lower bounds (see optimize_qubit),
@@ -149,8 +150,9 @@ def optimize_qubit(
     previously optimized neighbors.  planes holds the entries of
     error_models.plane_statistics for grid's omegas, as optimize_device
     computes them for the whole device; by default this call computes
-    them.  Ties break lexicographically on (omega, amplitude, pulse-length)
-    grid indices.
+    them, and so raises what cost_plane raises on an invalid grid before
+    the scan.  Ties break lexicographically on (omega, amplitude,
+    pulse-length) grid indices.
 
     The scan is branch and bound over omega, then over the amplitude rows
     and pulse-length columns of each omega's plane, under either strategy.
@@ -163,18 +165,17 @@ def optimize_qubit(
     error_models.cell_bound when the scan reaches it: a lower bound on each
     cell's total, read off the statistics of the omega's unit-amplitude
     response in its entry, and a scorer that gives cost_plane's cells from
-    that same stored response, so the scan integrates nothing.  An entry
-    that holds cost_plane's error raises it here, so an invalid grid
-    raises only once the walk reaches it.  The scorer then scores the outer
-    product of the amplitude rows and pulse-length columns that hold a
-    cell whose bound is <= the best total.  Before there is a best total,
-    the cells at the bound's minimum are scored first, and if they are all
-    infeasible, the rest of the plane.  A cell whose bound equals the best
-    total can still hold a tie at a lower grid index, so it is scored, and
-    candidates compare by (total, omega index, flat plane index), mapped
-    back from the scored subgrid, whose rows and columns keep the grid's
-    order.  The winner's breakdown is its cell of the kernel's.  Returns
-    the winner, its breakdown and the number of cells scored.
+    that same stored response, so the scan integrates nothing.  The
+    scorer then scores the outer product of the amplitude rows and
+    pulse-length columns that hold a cell whose bound is <= the best total.
+    Before there is a best total, the cells at the bound's minimum are
+    scored first, and if they are all infeasible, the rest of the plane.
+    A cell whose bound equals the best total can still hold a tie at a
+    lower grid index, so it is scored, and candidates compare by (total,
+    omega index, flat plane index), mapped back from the scored subgrid,
+    whose rows and columns keep the grid's order.  The winner's breakdown
+    is its cell of the kernel's.  Returns the winner, its breakdown and the
+    number of cells scored.
     """
     if planes is None:
         planes, = plane_statistics([_grid_scan(q, grid)], model)

@@ -31,11 +31,11 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == report
     assert set(report) == {
         "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
-        "per_plane_ms", "statistics_s", "bound_s", "step_response", "import_s",
-        "cross_fidelity_s", "yaml_load_s", "environment"}
+        "per_plane_ms", "statistics_s", "bound_s", "sweep_s", "step_response",
+        "import_s", "cross_fidelity_s", "yaml_load_s", "environment"}
     assert report["rounds"] == 2
     assert report["points"] == report["planes"] * 40 * 39
-    for key in ("total_s", "statistics_s", "bound_s", "import_s"):
+    for key in ("total_s", "statistics_s", "bound_s", "sweep_s", "import_s"):
         assert set(report[key]) == {"median", "q1", "q3"}
         assert report[key]["median"] > 0
     steps = report["step_response"]

@@ -669,6 +669,64 @@ class TestBenchmark:
                 f"got 2 * {2**52 + 1}") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+        (("--n-states", "0"), "n_states must be > 0, got 0"),
+        (("--n-shots", "-5"), "n_shots must be > 0, got -5"),
+    ])
+    def test_bad_flag_named_before_any_output(self, device_path, results_path, tmp_path,
+                                              capsys, args, message):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--device", str(device_path),
+                     "--results", str(results_path), "--n-states", "5",
+                     "--n-shots", "10", *args, "--out", str(out)]) == EXIT_IO
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPulseRangeBelowOneStep:
+    """A pulse-length range that starts above 0 ns but below one step of dt
+    holds no 0 ns pulse: its first pulse length is one step."""
+
+    def opt(self, tmp_path, lo, hi):
+        path = tmp_path / "opt_short.yaml"
+        path.write_text(yaml.safe_dump(
+            {**TINY_OPT, "grid": {**TINY_OPT["grid"], "tp_min_ns": lo, "tp_max_ns": hi}}))
+        return path
+
+    def test_validate_and_optimize(self, device_path, tmp_path, capsys):
+        opt = self.opt(tmp_path, 1e-10, 5.0)
+        assert main(["validate", "--device", str(device_path),
+                     "--opt-config", str(opt)]) == EXIT_OK
+        assert "optimizer config ok" in capsys.readouterr().out
+        assert run_optimize(device_path, opt, tmp_path / "run") == EXIT_OK
+        results = yaml.safe_load((tmp_path / "run" / "results.yaml").read_text())
+        assert {row["t_p_ns"] for row in results["qubits"]} <= {1.0, 5.0}
+
+    def test_length_sweep(self, device_path, opt_path, tmp_path):
+        assert main(["sweep", "--device", str(device_path), "--opt-config",
+                     str(opt_path), "--qubit", "0,0", "--axis", "length",
+                     "--min", "1e-10", "--max", "4", "--points", "3",
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        with (tmp_path / "sweep" / "sweep.csv").open(newline="") as fh:
+            assert [float(r["t_p_ns"]) for r in csv.DictReader(fh)] == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("command", ["validate", "optimize", "sweep"])
+    def test_range_without_a_positive_step_rejected(self, device_path, opt_path,
+                                                    tmp_path, capsys, command):
+        argv = [command, "--device", str(device_path), "--opt-config",
+                str(self.opt(tmp_path, 1e-10, 0.5))]
+        if command == "optimize":
+            argv += ["--out", str(tmp_path / "out")]
+        elif command == "sweep":
+            argv = [command, "--device", str(device_path), "--opt-config",
+                    str(opt_path), "--qubit", "0,0", "--axis", "length", "--min",
+                    "1e-10", "--max", "0.5", "--points", "3", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_IO
+        assert ("error: pulse-length range [1e-10, 0.5] ns holds no positive "
+                "multiple of dt_ns = 1.0") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRerunIntoSameOut:
     """A rerun into an existing --out rewrites every output file."""

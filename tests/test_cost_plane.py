@@ -2,10 +2,12 @@
 
 cost_plane must reproduce every field of evaluate_cost's breakdown bit for
 bit (compared as int64, so NaNs and signed zeros count) at every point of
-its omega x amplitude x pulse-length grid, and raise the error
-evaluate_cost raises first in row-major order.  cell_bound must stay at or
-below the kernel's total in every finite cell, and its scorer must give the
-kernel's cells bit for bit.
+its omega x amplitude x pulse-length grid.  On an invalid grid it must
+raise, whatever its omegas, the error evaluate_cost raises first in
+row-major order on those amplitudes and pulse lengths at an omega whose
+|chi| passes.  cell_bound must stay at or below the kernel's total in
+every finite cell, and its scorer must give the kernel's cells bit for
+bit; plane_statistics and the scan must raise the kernel's error.
 """
 import math
 from dataclasses import fields, replace
@@ -32,8 +34,14 @@ from readout_opt import (
     optimize_qubit,
 )
 from readout_opt import error_models
-from readout_opt.dynamics import photon_number
-from readout_opt.error_models import ParameterError, cell_bound, cost_plane, plane_statistics
+from readout_opt.dynamics import dispersive_shift, photon_number
+from readout_opt.error_models import (
+    ParameterError,
+    cell_bound,
+    cost_plane,
+    coupling_error,
+    plane_statistics,
+)
 
 from conftest import CONFIG_DIR, TWO_PI
 from oracle import evaluate_cost, half_snr_time, stark_trajectory
@@ -78,18 +86,37 @@ def oracle(q, omegas, amps, tps, cost_model, specs):
     return grids, None
 
 
+#: the middle of the band every qubit of D3 shares, where |chi| passes at
+#: dt = 1 ns on each of them, so every pulse check runs there
+CHECKED_OMEGA = 0.5 * sum(D3.search_band[QIDS[0]])
+
+
+def grid_error(q, amps, tps, cost_model, specs=()):
+    """The oracle's first error on the grid amps x tps at CHECKED_OMEGA, or
+    None: what cost_plane raises on any omegas with those amplitudes and
+    pulse lengths."""
+    return oracle(q, [CHECKED_OMEGA], amps, tps, cost_model, specs)[1]
+
+
+def assert_raises_as(error, func, *args):
+    """func(*args) raises error's type and message."""
+    with pytest.raises(type(error)) as got:
+        func(*args)
+    assert (type(got.value), str(got.value)) == (type(error), str(error))
+
+
 def assert_same(q, omegas, amps, tps, weights=CostWeights(), specs=(),
                 include_heuristics=True, **kw):
-    """Kernel and oracle agree in every field of every cell, or raise the
-    same error.  Returns the kernel's breakdown."""
+    """Kernel and oracle agree in every field of every cell, or the kernel
+    raises the grid's error (grid_error).  Returns the kernel's breakdown,
+    or None where it raises."""
     cost_model = model(weights, include_heuristics, **kw)
-    expected, error = oracle(q, omegas, amps, tps, cost_model, specs)
+    error = grid_error(q, amps, tps, cost_model, specs)
     if error is not None:
-        with pytest.raises(type(error)) as got:
-            cost_plane(q, omegas, amps, tps, cost_model, specs)
-        assert type(got.value) is type(error)
-        assert str(got.value) == str(error)
+        assert_raises_as(error, cost_plane, q, omegas, amps, tps, cost_model, specs)
         return None
+    expected, error = oracle(q, omegas, amps, tps, cost_model, specs)
+    assert error is None
     bd = cost_plane(q, omegas, amps, tps, cost_model, specs)
     for name in FIELDS:
         grid = getattr(bd, name)
@@ -174,24 +201,25 @@ def test_every_cell_bit_identical_to_evaluate_cost(case):
 @given(grids())
 def test_cell_bound_below_every_finite_cell(case):
     """cell_bound is <= the kernel's total in every finite cell of every
-    omega, +inf where the whole omega is infeasible, never NaN, and raises
-    what the kernel raises; its scorer, None only where the omega is
-    infeasible, gives the kernel's plane bit for bit."""
+    omega, +inf where the whole omega is infeasible, never NaN; its scorer,
+    None only where the omega is infeasible, gives the kernel's plane bit
+    for bit.  On an invalid grid plane_statistics raises what the kernel
+    raises, and so does the scan on the grid's sorted values."""
     q, omegas, amps, tps, weights, specs, include_heuristics = case
     cost_model = model(weights, include_heuristics)
     try:
         bd, error = cost_plane(q, omegas, amps, tps, cost_model, specs), None
     except ValueError as exc:
         error = exc
+    if error is not None:
+        assert_raises_as(error, plane_statistics, [(q, omegas, amps, tps)], cost_model)
+        grid = SearchGrid(*(tuple(sorted(set(axis))) for axis in (omegas, amps, tps)))
+        with pytest.raises(ValueError) as want:
+            cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points, cost_model)
+        assert_raises_as(want.value, optimize_qubit, q, grid, [], cost_model)
+        return
     planes, = plane_statistics([(q, omegas, amps, tps)], cost_model)
     for i, plane in enumerate(planes):
-        if error is not None:
-            try:
-                cell_bound(q, plane, amps, tps, cost_model, specs)
-            except ValueError as exc:
-                assert (type(exc), str(exc)) == (type(error), str(error))
-                break
-            continue  # an omega near a pole is +inf before any pulse check
         bound, score = cell_bound(q, plane, amps, tps, cost_model, specs)
         total = bd.total[i]
         assert bound.shape == total.shape
@@ -206,8 +234,6 @@ def test_cell_bound_below_every_finite_cell(case):
             for name in FIELDS:
                 np.testing.assert_array_equal(getattr(got, name).view(np.int64),
                                               getattr(bd, name)[i].view(np.int64))
-    else:
-        assert error is None
 
 
 @pytest.mark.parametrize("t_p", [60.0, 120.0])  # half-SNR index after, before the pulse end
@@ -332,10 +358,13 @@ class TestInfeasible:
         plane = assert_same(q, [q.omega_r + 0.5 * GUARD], [0.0, 0.2], [300.0]).total
         assert np.isinf(plane).all()
 
-    def test_pole_guard_wins_over_invalid_pulse(self):
+    def test_invalid_pulse_raises_inside_the_pole_guard(self):
+        # the grid is checked before any omega: an omega inside the guard
+        # does not hide its error
         q = D3.qubits[QIDS[0]]
-        plane = assert_same(q, [q.omega_r], [-1.0], [600.0]).total
-        assert np.isinf(plane).all()
+        with pytest.raises(ValueError, match="t_r must be >= 0, got -100.0"):
+            cost_plane(q, [q.omega_r], [-1.0], [600.0], model())
+        assert_same(q, [q.omega_r], [-1.0], [600.0])
 
 
 class TestErrors:
@@ -362,6 +391,26 @@ class TestErrors:
         assert_same(D3.qubits[QIDS[0]], [self.OMEGA], [0.1], [300.0], dt=20.0)
         # the first amplitude's b0 is checked before the step
         assert_same(D3.qubits[QIDS[0]], [self.OMEGA], [-0.1], [300.0], dt=20.0)
+
+
+def test_scan_raises_the_kernels_error_in_any_walk_order():
+    """At omega = 31 rad/ns |chi| is too large for dt, and at 25 rad/ns
+    every pulse check runs: there the 0.4 ns pulse rounds to no sample
+    before the 600 ns one's t_r < 0.  A neighbor locked at 25 rad/ns sends
+    the walk to 31 first.  The kernel and both scans raise the grid's
+    first error all the same."""
+    q, nb = D3.qubits[D3.at(0, 2)], D3.qubits[D3.at(0, 3)]
+    cost_model = CostModel()
+    grid = SearchGrid((25.0, 31.0), (0.1,), (0.4, 600.0))
+    assert abs(dispersive_shift(q, 31.0)) > 0.1 / cost_model.dt
+    locked = [(nb, ReadoutParams(25.0, 0.1, 300.0, 200.0), False)]
+    specs = collision_specs(q, locked, cost_model.collision)
+    assert coupling_error(31.0, specs) < coupling_error(25.0, specs)
+    with pytest.raises(StepSizeError) as kernel:
+        cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points, cost_model)
+    assert str(kernel.value) == "pulse (t_p=0.4, t_r=499.6) unresolvable at dt=1.0"
+    for neighbors in ([], locked):
+        assert_raises_as(kernel.value, optimize_qubit, q, grid, neighbors, cost_model)
 
 
 EMPTY_AXES = pytest.mark.parametrize("amps, tps", [
@@ -399,8 +448,9 @@ def test_separation_is_math_erfc_bit_for_bit():
 
 
 class TestPulseGridCache:
-    """_pulse_counts reads the pulse-length checks of a grid from a cache;
-    which error a grid raises must not depend on whether it is warm."""
+    """_pulse_grid keeps the sample counts of a valid pulse-length grid and
+    no error: which error a grid raises must not depend on whether the
+    cache is warm, and each call's message has its own values."""
 
     QID = QIDS[0]
     AMPS = [0.1, 0.2]
@@ -408,42 +458,44 @@ class TestPulseGridCache:
     def omegas(self):
         q = D3.qubits[self.QID]
         # |chi| too large for dt first: the oracle counts no samples there
-        return [q.omega_r - q.alpha + 0.095, 0.5 * sum(D3.search_band[self.QID])]
+        return [q.omega_r - q.alpha + 0.095, CHECKED_OMEGA]
 
     def assert_like_oracle(self, tps):
-        """cost_plane on both omegas, and cell_bound on each, raise what the
-        oracle raises, or nothing where it raises nothing."""
+        """cost_plane on both omegas, plane_statistics and cell_bound on
+        each, raise the grid's error, or nothing on a valid grid."""
         q = D3.qubits[self.QID]
         assert_same(q, self.omegas(), self.AMPS, tps)
+        error = grid_error(q, self.AMPS, tps, model())
         for omega in self.omegas():
-            _, error = oracle(q, [omega], self.AMPS, tps, model(), ())
             if error is None:
                 omega_bound(q, omega, self.AMPS, tps, model())
-                continue
-            with pytest.raises(type(error)) as got:
-                omega_bound(q, omega, self.AMPS, tps, model())
-            assert type(got.value) is type(error)
-            assert str(got.value) == str(error)
+            else:
+                assert_raises_as(error, omega_bound, q, omega, self.AMPS, tps, model())
 
     @pytest.mark.parametrize("tps", [
-        [300.0, 0.4],         # n_p = 0, an error only where |chi| passes
-        [0.4, 520.0],         # that, then t_r < 0: one error per omega
-        [300.0, 520.0],       # t_r < 0 at both omegas
+        [300.0, 0.4],         # n_p = 0, at either omega
+        [0.4, 520.0],         # that before t_r < 0, at either omega
+        [300.0, 520.0],       # t_r < 0
         [300.0, math.nan],    # no sample count for a NaN
+        [300.0, 400.0],       # valid: the warm calls read the cache
     ])
     def test_cold_and_warm(self, tps):
         error_models._pulse_grid.cache_clear()
         self.assert_like_oracle(tps)
-        hits = error_models._pulse_grid.cache_info().hits
+        info = error_models._pulse_grid.cache_info()
         self.assert_like_oracle(tps)
-        assert error_models._pulse_grid.cache_info().hits > hits
+        warm = error_models._pulse_grid.cache_info()
+        if grid_error(D3.qubits[self.QID], self.AMPS, tps, model()) is None:
+            assert warm.hits > info.hits and warm.currsize == 1
+        else:  # no error is kept: every call checks the grid again
+            assert warm.hits == 0 and warm.currsize == 0
 
     def test_equal_keys_keep_their_own_message(self):
-        # 0.0 == -0.0 == 0 share a cache entry, but the messages differ
+        # 0.0 == -0.0 == 0 are equal keys, but the messages differ
         error_models._pulse_grid.cache_clear()
         for t_p in (0.0, -0.0, 0):
             self.assert_like_oracle([300.0, t_p])
-        assert error_models._pulse_grid.cache_info().currsize == 1
+        assert error_models._pulse_grid.cache_info().currsize == 0
 
 
 class TestColumns:

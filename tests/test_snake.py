@@ -288,15 +288,16 @@ class TestPruning:
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
 def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, monkeypatch,
                                                           heuristics):
-    """Before the walk, each omega of the device gets one chi and one pass
-    of the pulse checks, in walk order, whose pulse-length part comes from
-    one _pulse_grid entry, and the feasible planes one step_responses call
-    per block, with one kappa per row.  The walk calls none of them: its
-    bounds and scored cells read the blocks' statistics and responses."""
+    """Before the walk, each qubit's grid gets one pass of the grid checks,
+    in walk order, whose pulse-length part comes from one _pulse_grid
+    entry; then each omega of the device one chi, and the feasible planes
+    one step_responses call per block, with one kappa per row.  The walk
+    calls none of them: its bounds and scored cells read the blocks'
+    statistics and responses."""
     cfg, grids, _ = small_run
     block = 40
     monkeypatch.setattr(error_models, "_BLOCK_PLANES", block)
-    calls = {name: [] for name in ("dispersive_shift", "_pulse_counts", "step_responses")}
+    calls = {name: [] for name in ("_check_grid", "dispersive_shift", "step_responses")}
     for name in calls:
         def spy(*args, _real=getattr(error_models, name), _calls=calls[name]):
             _calls.append(args)
@@ -314,15 +315,16 @@ def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, m
     result = optimize_device(d3_graph, grids, replace(cfg.model, heuristics=heuristics))
     assert result.scored > 0
     assert walk == [[0, 0, 0]] * len(grids)
+    assert [args[0] for args in calls["_check_grid"]] == [
+        grids[qid].amp_points for qid in result.order]
     omegas = [w for qid in result.order for w in grids[qid].omega_points]
     assert [args[1] for args in calls["dispersive_shift"]] == omegas
     planes = len(omegas)
-    assert len(calls["_pulse_counts"]) == planes
     widths = [len(args[0]) for args in calls["step_responses"]]
     assert widths == [block] * (planes // block) + [planes % block]
     assert all(len(args[1]) == len(args[0]) for args in calls["step_responses"])
     info = error_models._pulse_grid.cache_info()
-    assert (info.misses, info.currsize, info.hits) == (1, 1, planes - 1)
+    assert (info.misses, info.currsize, info.hits) == (1, 1, len(grids) - 1)
 
 
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
@@ -436,10 +438,10 @@ class TestOptimizeDevice:
         assert len(partial.per_qubit) == 1
         assert partial.evaluations == good.size + bad.size
 
-    def test_infeasible_qubit_raises_before_a_later_invalid_grid(self):
-        """A later qubit's invalid grid does not overtake an earlier qubit's
-        InfeasibleQubitError and its partial result; once the walk reaches
-        that grid, it raises what cost_plane raises on it."""
+    def test_invalid_grid_raises_before_any_qubit_is_locked(self):
+        """A later qubit's invalid grid raises what cost_plane raises on it
+        before the walk locks any qubit, even where an earlier qubit is
+        infeasible."""
         graph = make_graph([
             (0, 0, Role.MEASURE, make_qubit()),
             (0, 1, Role.DATA, make_qubit()),
@@ -447,19 +449,15 @@ class TestOptimizeDevice:
         good = small_grid()
         infeasible = SearchGrid((make_qubit().omega_r,), (0.2,), (300.0,))
         invalid = SearchGrid(good.omega_points, good.amp_points, (300.0, 520.0))  # t_r < 0
-        first = {Role.MEASURE: infeasible, Role.DATA: invalid}
-        with pytest.raises(InfeasibleQubitError) as err:
-            optimize_device(graph, {qid: first[qid.role] for qid in graph.qubits}, MODEL)
-        partial = err.value.partial
-        assert (partial.per_qubit, partial.order) == ({}, [])
-        assert partial.evaluations == infeasible.size
         with pytest.raises(ValueError) as want:
             cost_plane(make_qubit(), invalid.omega_points, invalid.amp_points,
                        invalid.tp_points, MODEL)
-        second = {Role.MEASURE: good, Role.DATA: invalid}
-        with pytest.raises(type(want.value)) as got:
-            optimize_device(graph, {qid: second[qid.role] for qid in graph.qubits}, MODEL)
-        assert str(got.value) == str(want.value)
+        for first in (infeasible, good):
+            grids = {qid: first if qid.role is Role.MEASURE else invalid
+                     for qid in graph.qubits}
+            with pytest.raises(type(want.value)) as got:
+                optimize_device(graph, grids, MODEL)
+            assert str(got.value) == str(want.value)
 
     def test_predictive_only_ignores_neighbors(self):
         graph = self.two_qubit_graph()

@@ -18,6 +18,14 @@ entries: the per-cell lower bound and the scorer that optimize's scan
 computes for every plane it reaches before it scores any cell.  Neither
 is part of total_s.
 
+sweep_s is one error_models.cost_plane call on the shape of a sweep
+command's chunk, as perfbench's sweep_band workload runs it: cli.SWEEP_CHUNK
+frequencies spread across the first qubit's band x 1 amplitude x 1 pulse
+length, at the sweep's default pins (the middle of the amplitude and
+pulse-length ranges).  It covers the per-frequency part of the kernel:
+the chi and step checks of each frequency, one step response each, and
+their scoring.  Not part of total_s.
+
 step_response times dynamics.step_responses, the unit step responses
 (500 steps at dt = 1 ns) at the +chi of width frequencies across the first
 qubit's band, for each of STEP_WIDTHS widths, in one pass each.  Each
@@ -47,8 +55,8 @@ calls each, the two alternating and each after a full garbage collection.
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
 BENCH_kernel.json at the checkout's root.  The kernel's, the statistics',
-the bound's, the import's, cross_fidelity's and the YAML loads' seconds
-are medians over the rounds, with quartiles.
+the bound's, the sweep's, the import's, cross_fidelity's and the YAML
+loads' seconds are medians over the rounds, with quartiles.
 """
 from __future__ import annotations
 
@@ -70,11 +78,12 @@ import yaml  # noqa: E402
 
 from readout_opt import dynamics, error_models  # noqa: E402
 from readout_opt.benchmark import ShotRecords, cross_fidelity  # noqa: E402
-from readout_opt.cli import result_to_dict  # noqa: E402
+from readout_opt.cli import SWEEP_CHUNK, result_to_dict  # noqa: E402
 from readout_opt.config import (  # noqa: E402
     Strategy,
     build_search_grid,
     load_optimizer_config,
+    snap_length,
 )
 from readout_opt.device import (  # noqa: E402
     DeviceGraph,
@@ -116,6 +125,19 @@ def planes():
             out.append((graph.qubits[qid], float(omega), grid.amp_points,
                         grid.tp_points))
     return out, cfg.model
+
+
+def sweep_chunk():
+    """(q, omegas, amps, tps) of one sweep chunk: SWEEP_CHUNK omegas across
+    the first qubit's band at the default amplitude and pulse-length pins."""
+    graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
+    cfg = dense_config()
+    qid = graph.sorted_ids()[0]
+    q, (lo, hi), g = graph.qubits[qid], graph.search_band[qid], cfg.grid
+    omegas = [float(w) for w in np.linspace(lo, hi, SWEEP_CHUNK + 2)[1:-1]]
+    t_p = snap_length(0.5 * (g.tp_min_ns + g.tp_max_ns), cfg.model.dt,
+                      cfg.model.total_time)
+    return q, omegas, [0.5 * (g.amp_min + g.amp_max) * q.amp_ref], [t_p]
 
 
 def step_response_timings() -> dict:
@@ -225,6 +247,7 @@ def main(argv=None) -> int:
 
     work, model = planes()
     scans = [(q, [omega], amps, tps) for q, omega, amps, tps in work]
+    chunk = sweep_chunk()
 
     def one_round():
         start = time.perf_counter()
@@ -237,11 +260,13 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         for (q, _, amps, tps), (plane,) in zip(work, entries):
             bound, _ = error_models.cell_bound(q, plane, amps, tps, model)
-        return total, stats, time.perf_counter() - start
+        bounds = time.perf_counter() - start
+        start = time.perf_counter()
+        error_models.cost_plane(*chunk, model)
+        return total, stats, bounds, time.perf_counter() - start
 
     one_round()  # warm-up: first-call costs
-    rounds = [one_round() for _ in range(ROUNDS)]
-    totals = [t for t, _, _ in rounds]
+    totals, stats, bounds, sweeps = zip(*(one_round() for _ in range(ROUNDS)))
     points = sum(len(a) * len(t) for _, _, a, t in work)
     result = {
         "kernel": "error_models.cost_plane",
@@ -252,8 +277,9 @@ def main(argv=None) -> int:
         "points_per_s": points / statistics.median(totals),
         "per_plane_ms": 1e3 * statistics.median(totals) / len(work),
     }
-    result["statistics_s"] = summary([s for _, s, _ in rounds])
-    result["bound_s"] = summary([b for _, _, b in rounds])
+    result["statistics_s"] = summary(stats)
+    result["bound_s"] = summary(bounds)
+    result["sweep_s"] = summary(sweeps)
     result["step_response"] = step_response_timings()
     result["import_s"] = summary(import_times())
     result["cross_fidelity_s"] = cross_fidelity_timings()
