@@ -60,8 +60,9 @@ EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 
 #: swept values scored per cost_plane call: one dynamics.step_responses
-#: pass integrates a frequency chunk's SWEEP_CHUNK step responses, or the
-#: one response of an amplitude or length chunk
+#: pass integrates a frequency chunk's SWEEP_CHUNK step responses and
+#: their powers of R up to the chunk's longest ringdown, or the one
+#: response and powers of an amplitude or length chunk
 SWEEP_CHUNK = 128
 
 
@@ -122,6 +123,7 @@ def result_to_dict(result: OptimizationResult, strategy: Strategy) -> dict:
     return {
         "strategy": strategy.value,
         "evaluations": result.evaluations,
+        "scored": result.scored,
         "qubits": rows,
     }
 
@@ -148,7 +150,8 @@ _SHOT_FIELDS = ("snr", "relaxation", "coupling")
 
 
 def result_from_dict(raw) -> OptimizationResult:
-    """Inverse of result_to_dict; a ValueError names the entry and key at fault."""
+    """Inverse of result_to_dict, but for the scored count, which it leaves
+    at 0; a ValueError names the entry and key at fault."""
     rows = _entry(raw, "qubits")
     if not isinstance(rows, list):
         raise ValueError("qubits: must be a list")
@@ -251,6 +254,7 @@ def cmd_optimize(args) -> int:
         "strategy": strategy.value,
         "resolved_config": config_echo(cfg),
         "evaluations": result.evaluations,
+        "scored": result.scored,
     })
     print(f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
           f"{result.scored} scored, {elapsed:.1f} s)")
@@ -274,6 +278,14 @@ _SWEEP_COLUMNS = {
     "residual_photons": "photon", "n_max": "n_max", "snr": "snr", "mist": "mist",
     "coupling": "coupling",
 }
+
+
+def _flagged(flag: str, func, *args):
+    """func(*args), with a ValueError's message prefixed by flag."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -307,7 +319,7 @@ def cmd_sweep(args) -> int:
     pin_tp = args.pin_tp_ns if args.pin_tp_ns is not None \
         else 0.5 * (cfg.grid.tp_min_ns + cfg.grid.tp_max_ns)
     # solve_field simulates the nearest multiple of dt: report that
-    pin_tp = snap_length(pin_tp, model.dt, model.total_time)
+    pin_tp = _flagged("--pin-tp-ns", snap_length, pin_tp, model.dt, model.total_time)
 
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
@@ -330,7 +342,7 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"--min must be > 0, got {args.min}")
         if args.max > model.total_time:
             raise ValueError(f"--max ({args.max}) outside (0, {model.total_time}] ns")
-        values = snap_to_steps(values, args.min, args.max, model.dt)
+        values = _flagged("--min/--max", snap_to_steps, values, args.min, args.max, model.dt)
     elif args.min < 0:
         raise ValueError(f"--min must be >= 0, got {args.min}")
 

@@ -154,11 +154,10 @@ def load_optimizer_config(text: str) -> OptimizerConfig:
         raise OptimizerConfigError(
             f"grid.tp_max_ns: pulse-length range must fit "
             f"total_readout_time_ns = {total_time}")
-    lo_step, hi_step = _step_range(grid.tp_min_ns, grid.tp_max_ns, dt)
-    if lo_step > hi_step:
-        raise OptimizerConfigError(
-            f"pulse-length range [{grid.tp_min_ns}, {grid.tp_max_ns}] ns holds no "
-            f"positive multiple of dt_ns = {dt}")
+    try:
+        _step_range(grid.tp_min_ns, grid.tp_max_ns, dt)
+    except ValueError as exc:
+        raise OptimizerConfigError(f"grid.tp_min_ns: {exc}") from None
     return cfg
 
 
@@ -174,8 +173,15 @@ def check_dt(graph: DeviceGraph, cfg: OptimizerConfig) -> None:
 
 
 def _step_range(lo: float, hi: float, dt: float) -> tuple[int, int]:
-    """First and last positive multiple of dt (in steps) inside [lo, hi]."""
-    return max(math.ceil(lo / dt - 1e-9), 1), math.floor(hi / dt + 1e-9)
+    """First and last positive multiple of dt (in steps) inside [lo, hi].
+
+    Raises ValueError if there is none.
+    """
+    lo_step, hi_step = max(math.ceil(lo / dt - 1e-9), 1), math.floor(hi / dt + 1e-9)
+    if lo_step > hi_step:
+        raise ValueError(f"pulse-length range [{lo}, {hi}] ns holds no "
+                         f"positive multiple of dt_ns = {dt}")
+    return lo_step, hi_step
 
 
 def snap_to_steps(values, lo: float, hi: float, dt: float) -> np.ndarray:
@@ -186,9 +192,6 @@ def snap_to_steps(values, lo: float, hi: float, dt: float) -> np.ndarray:
     holds no positive multiple of dt.
     """
     lo_step, hi_step = _step_range(lo, hi, dt)
-    if lo_step > hi_step:
-        raise ValueError(f"pulse-length range [{lo}, {hi}] ns holds no "
-                         f"positive multiple of dt_ns = {dt}")
     steps = np.rint(np.asarray(values, dtype=float) / dt)
     return np.unique(np.clip(steps, lo_step, hi_step)) * dt
 
@@ -202,7 +205,7 @@ def snap_length(value: float, dt: float, total: float) -> float:
     snapped = float(np.rint(value / dt) * dt)
     if not 0.0 < snapped <= total:
         raise ValueError(f"pulse length {value} ns rounds to {snapped} ns at "
-                         f"dt_ns = {dt}, outside (0, total]")
+                         f"dt_ns = {dt}, outside (0, {total}] ns")
     return snapped
 
 

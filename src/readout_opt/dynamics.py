@@ -4,9 +4,9 @@ Integrates d(beta)/dt = sqrt(kappa) * B(t) + (i*Delta - kappa/2) * beta
 with fixed-step RK4 for a rectangular pulse (B(t) = B0 for t < t_p, then
 zero).  The cost kernel, error_models.cost_plane, and the statistics of
 its bound, error_models.plane_statistics, read the unit step responses
-(step_responses), the latter for blocks of planes with one kappa per
-chi; sweep's trajectory.csv reads one point's two fields (field_pair) and
-their photon numbers (photon_number).
+and the powers of RK4's step factor (step_responses), the latter for
+blocks of planes with one kappa per chi; sweep's trajectory.csv reads one
+point's two fields (field_pair) and their photon numbers (photon_number).
 
 The ODE is linear with a piecewise-constant drive, so the pulse response
 is assembled from the unit-amplitude step response: RK4 superposition is
@@ -20,11 +20,20 @@ at once, with real and imaginary parts in separate float64 arrays.  The
 samples equal a step-by-step RK4 loop's in exact arithmetic; in floating
 point they differ from it by about 4e-17 n of the largest sample (2e-14
 at n = 500 steps, 2e-13 at 5,000), as the loop's own rounding grows with
-n too.  Every value is an elementwise IEEE sum or product, so a response
-has the same bits alone or in a batch, at a shared kappa or at its own,
-and the -chi response is the conjugate of the +chi one.  solve_field
-integrates its one detuning, and field_pair its +chi and -chi, in one
-step_responses pass.
+n too.  The same doubling keeps the powers R^t it multiplies by.  With
+the drive off RK4 is beta -> R beta, so the field t samples after a pulse
+of n_p samples is R^t u_{n_p}, and _ringdown forms it as one complex
+product per sample, for the kernel, its bound and the trajectory alike:
+each needs the step response only up to its longest pulse, and the
+powers up to its longest ringdown.
+The step response minus its copy delayed by n_p is the same field in
+exact arithmetic, but after a long ringdown both terms sit near steady
+state and their difference keeps only about 8 digits.  Every value is an
+elementwise IEEE sum or product, so a response, its powers and its
+ringdown have the same bits alone or in a batch, at a shared kappa or at
+its own, and at -chi they are the conjugates of the +chi ones.
+solve_field integrates its one detuning, and field_pair its +chi and
+-chi, in one step_responses pass.
 """
 from __future__ import annotations
 
@@ -128,32 +137,35 @@ def _rk4_factors(deltas, kappa, dt: float):
     return rr, ri, pr, pi
 
 
-def step_responses(chis, kappa, dt: float, n_steps: int) -> np.ndarray:
+def step_responses(chis, kappa, dt: float, n_steps: int, n_powers: int):
     """RK4 samples of the field under a constant unit drive, beta(0) = 0,
-    at drive detuning delta = +chi, for every chi.
+    at drive detuning delta = +chi, for every chi, and the powers of RK4's
+    step factor R.
 
     kappa is one decay rate for every chi or a sequence of one per chi.
-    Returns the (len(chis), n_steps + 1, 2) array of the responses' real
-    and imaginary parts, one per chi; n_steps >= 1.  Every chi must pass
-    _check_step at its kappa.  One RK4 step of d(beta)/dt = lam beta + c
-    is beta -> R beta + g, with z = lam dt, P(z) = 1 + z/2 + z^2/6 +
+    Returns (u, powers): u the (len(chis), n_steps + 1, 2) array of the
+    responses' real and imaginary parts, one row per chi, and powers the
+    (len(chis), n_powers + 1, 2) array of R^0 = 1, ..., R^n_powers in the
+    same form; n_steps >= 1 and n_powers >= 0.  Every chi must pass
+    _check_step at its kappa.  One RK4 step of d(beta)/dt = lam beta
+    + c is beta -> R beta + g, with z = lam dt, P(z) = 1 + z/2 + z^2/6 +
     z^3/24, R = 1 + z P(z) and g = c dt P(z).  So u_1 = g and u_{m+j} =
-    u_m + R^m u_j (drive m steps, then j more): the samples double from
-    u_1, u_{m+1..m+j} from u_{1..j} for j <= m, then R^{2m} = (R^m)^2, in
-    about log2(n_steps) numpy steps.  No division: as kappa and delta go
-    to 0, so does z, and u_n tends to n c dt.  Each value is an
-    elementwise IEEE product, sum or square root of its own row's chi and
-    kappa, so a response has the same bits at every batch width, beside
-    any other rows.
+    u_m + R^m u_j (drive m steps, then j more), and R^{m+j} = R^m R^j: the
+    samples and the powers double from u_1 and R, those at m+1..m+j from
+    those at 1..j for j <= m, then R^{2m} = (R^m)^2, in about log2 of
+    max(n_steps, n_powers) numpy steps.  No division: as kappa and delta
+    go to 0, so does z, and u_n tends to n c dt.  Each value is an elementwise IEEE
+    product, sum or square root of its own row's chi and kappa, so a row
+    has the same bits at every batch width, beside any other rows.
 
-    The -chi response is the conjugate, bit for bit but for a zero's sign.
-    At -chi, z becomes z* and c stays real, and a real constant adds to a
-    real part alone.  So each real part is a sum of products re * re and
-    im * im whose operands are equal or both negated, and each imaginary
-    part a sum of products with one operand negated.  IEEE negation is
-    exact and rounding to nearest is symmetric, so the real parts are equal
-    and the imaginary parts negated, except that a sum of two zeros keeps
-    its signs' combination.  Such a zero enters a real part only as a zero
+    The -chi row is the conjugate, bit for bit but for a zero's sign.  At
+    -chi, z becomes z* and c stays real, and a real constant adds to a real
+    part alone.  So each real part is a sum of products re * re and im * im
+    whose operands are equal or both negated, and each imaginary part a
+    sum of products with one operand negated.  IEEE negation is exact and
+    rounding to nearest is symmetric, so the real parts are equal and the
+    imaginary parts negated, except that a sum of two zeros keeps its
+    signs' combination.  Such a zero enters a real part only as a zero
     product, which changes no sum with a nonzero term: the real parts agree
     bit for bit unless all the terms of one vanish at once.
     """
@@ -161,25 +173,37 @@ def step_responses(chis, kappa, dt: float, n_steps: int) -> np.ndarray:
     rr, ri = rr[:, None], ri[:, None]
 
     out = np.empty((len(pr), n_steps + 1, 2))
+    powers = np.empty((len(pr), n_powers + 1, 2))
     re, im = out[..., 0], out[..., 1]
-    out[:, 0] = 0.0
+    out[:, 0], powers[:, 0] = 0.0, (1.0, 0.0)
     g = np.sqrt(np.asarray(kappa, dtype=float)) * dt
     re[:, 1], im[:, 1] = g * pr, g * pi
-    t = np.empty((len(pr), n_steps // 2))
-    m = 1
-    while m < n_steps:
-        j = min(m, n_steps - m)
+    powers[:, 1:2, 0], powers[:, 1:2, 1] = rr, ri  # none where n_powers = 0
+    n = max(n_steps, n_powers)
+    t = np.empty((len(pr), n // 2))
+
+    def times_power(x, j):
+        """x[:, m+1..m+j] = R^m x[:, 1..j], in place; returns that slice."""
+        x_re, x_im = x[..., 0], x[..., 1]
         new, old, tj = slice(m + 1, m + j + 1), slice(1, j + 1), t[:, :j]
-        np.multiply(re[:, old], rr, out=re[:, new])
-        re[:, new] -= np.multiply(im[:, old], ri, out=tj)
-        re[:, new] += re[:, m, None]
-        np.multiply(im[:, old], rr, out=im[:, new])
-        im[:, new] += np.multiply(re[:, old], ri, out=tj)
-        im[:, new] += im[:, m, None]
-        m += j
+        np.multiply(x_re[:, old], rr, out=x_re[:, new])
+        x_re[:, new] -= np.multiply(x_im[:, old], ri, out=tj)
+        np.multiply(x_im[:, old], rr, out=x_im[:, new])
+        x_im[:, new] += np.multiply(x_re[:, old], ri, out=tj)
+        return new
+
+    m = 1
+    while m < n:
         if m < n_steps:
+            new = times_power(out, min(m, n_steps - m))
+            re[:, new] += re[:, m, None]
+            im[:, new] += im[:, m, None]
+        if m < n_powers:
+            times_power(powers, min(m, n_powers - m))
+        m += m
+        if m < n:
             rr, ri = _complex_times(rr, ri, rr, ri)
-    return out
+    return out, powers
 
 
 def _check_step(delta: float, kappa: float, dt: float) -> None:
@@ -209,19 +233,36 @@ def _sample_counts(pulse: PulseShape, dt: float) -> tuple[int, int]:
     return n_p, n_tot
 
 
+def _ringdown(u, powers, n_p: int, out) -> None:
+    """The unit pulse response after a pulse of n_p samples, into out.
+
+    u and powers are step_responses' arrays, u up to at least sample n_p
+    and powers up to at least R^(k - 1), out a (rows, k, 2) array.
+    out[:, t] = fl(R^t u[n_p]), the complex product of powers[:, t] and
+    u[:, n_p] in split real and imaginary parts, each part two IEEE
+    products and one sum or difference.  So a row has the same bits in any
+    batch, and at -chi, where u and the powers are conjugated, out is too,
+    but for a zero's sign.  In exact arithmetic with RK4's R, R^t u_{n_p}
+    is u_{n_p+t} - u_t, the drive switched off after n_p steps; this form
+    never subtracts the two.
+    """
+    pr, pi = powers[:, : out.shape[1], 0], powers[:, : out.shape[1], 1]
+    wr, wi = u[:, n_p, 0, None], u[:, n_p, 1, None]
+    np.subtract(pr * wr, pi * wi, out=out[..., 0])
+    np.add(pi * wr, pr * wi, out=out[..., 1])
+
+
 def _pulse_fields(pulse: PulseShape, deltas, kappa: float, dt: float) -> np.ndarray:
     """solve_field at each of deltas, as rows of one complex array, from
     one step_responses pass; each delta is checked before the pulse."""
     for delta in deltas:
         _check_step(delta, kappa, dt)
     n_p, n_tot = _sample_counts(pulse, dt)
-    step = step_responses(deltas, kappa, dt, n_tot).view(complex)[..., 0]
-    # the step minus its copy delayed by n_p
-    out = step.copy()
-    if n_p < n_tot:
-        out[:, n_p:] -= step[:, : n_tot + 1 - n_p]
-    out *= pulse.b0
-    return out
+    u, powers = step_responses(deltas, kappa, dt, n_p, n_tot - n_p)
+    out = np.empty((len(u), n_tot + 1, 2))
+    out[:, :n_p] = u[:, :n_p]
+    _ringdown(u, powers, n_p, out[:, n_p:])
+    return out.view(complex)[..., 0] * pulse.b0
 
 
 def solve_field(

@@ -40,7 +40,8 @@ from .dynamics import (
     PoleProximityError,
     PulseShape,
     _check_step,
-    _rk4_factors,
+    _complex_times,
+    _ringdown,
     _sample_counts,
     dispersive_shift,
     step_responses,
@@ -420,16 +421,19 @@ def cost_plane(
     exp from math; the tests hold each field of each cell to such a
     one-point evaluation, bit for bit.
 
-    The +chi step responses of all feasible omegas come from
-    dynamics.step_responses at once (-chi gives their conjugate, bit for
-    bit).  _pulse_rows gives each cell its own full-length field, one row
-    of n_tot + 1 samples per cell, n_tot the samples of t_p + t_r (one
-    count for the whole grid), and computes |beta0|^2 and the sequential
-    trapezoid cumsum of |beta0 - beta1|^2 over all rows.  Its transient
-    memory is four arrays of cells x (n_tot + 1) floats; the Gamma1 rates
-    up to the latest half-SNR time take at most one more.  Then, once over
-    all rows, with the one-point operations in the same order:
-    the peak photon number and the Stark trace, the SNR and the separation
+    The +chi step responses of all feasible omegas up to the longest
+    pulse, and the powers of R up to the longest ringdown, come from
+    dynamics.step_responses at once
+    (-chi gives their conjugate, bit for bit).  _pulse_rows gives each cell
+    its own full-length field, one row of n_tot + 1 samples per cell, n_tot
+    the samples of t_p + t_r (one count for the whole grid): the response
+    up to the pulse end, then the ringdown R^t u[n_p] that solve_field
+    forms, through the same dynamics._ringdown.  It computes |beta0|^2 and
+    the sequential trapezoid cumsum of |beta0 - beta1|^2 over all rows.
+    Its transient memory is four arrays of cells x (n_tot + 1) floats; the
+    Gamma1 rates up to the latest half-SNR time take at most one more.
+    Then, once over all rows, with the one-point operations in the same
+    order: the peak photon number and the Stark trace, the SNR and the separation
     error through math.erfc, the half-SNR index as the count of samples
     below half the integral (the cumsum is nondecreasing, so that is
     searchsorted's index), the Gamma1 prefixes summed in groups of equal
@@ -447,22 +451,34 @@ def cost_plane(
         chis = [chi for chi in chis if chi is not None]
         omegas = [w for w, ok in zip(omegas, feasible) if ok]
         n_ps, n_tot = counts
-        parts = step_responses(chis, q.kappa, model.dt, n_tot)
-        scored = _score(q, omegas, chis, parts, np.asarray(amps, dtype=float), n_ps,
+        u, powers = step_responses(chis, q.kappa, model.dt, max(n_ps), n_tot - min(n_ps))
+        scored = _score(q, omegas, chis, u, powers, np.asarray(amps, dtype=float), n_ps,
                         model, specs)
         for name, plane in scored.items():
             planes[name][feasible] = plane.reshape(len(chis), *shape[1:])
     return CostBreakdown(**planes)
 
 
-def _pulse_rows(parts, amps, n_ps, dt):
+def _running_integral(values, dt, out):
+    """The trapezoid integral of values at spacing dt up to each sample,
+    along the last axis, into out: 0, then the sequential cumsum of the
+    trapezoids (v[n] + v[n - 1]) * (dt / 2)."""
+    out[..., 0] = 0.0
+    trap = np.add(values[..., 1:], values[..., :-1], out=out[..., 1:])
+    trap *= 0.5 * dt
+    np.cumsum(trap, axis=-1, out=trap)
+    return out
+
+
+def _pulse_rows(u, powers, amps, n_ps, n_tot, dt):
     """|beta0|^2 and the running SNR integral of each cell's field, one row each.
 
-    parts holds the unit +chi step responses u of n_tot + 1 samples, one
-    per omega, as step_responses returns them.  Cells run omega-major, then
-    amplitude, then pulse length: column j is a pulse of n_ps[j] samples.
-    A cell's field is u up to sample n_p, then u minus its copy delayed by
-    n_p (sample n_p is u[n_p] - u[0] = u[n_p] exactly), times the
+    u and powers hold the unit +chi step responses up to at least sample
+    max(n_ps) and the powers of R up to at least n_tot - min(n_ps), one row
+    per omega, as step_responses returns them.  Cells run omega-major, then amplitude,
+    then pulse length: column j is a pulse of n_ps[j] samples.  A cell's
+    field is u up to sample n_p, then the ringdown fl(R^t u[n_p]) at sample
+    n_p + t (dynamics._ringdown; at t = 0 that is u[n_p]), times the
     amplitude.  Returns the (cells, n_tot + 1) arrays n0 = |beta0|^2 and
     cum, the sequential trapezoid cumsum of |beta0 - beta1|^2.
 
@@ -471,7 +487,7 @@ def _pulse_rows(parts, amps, n_ps, dt):
     alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
     beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
     """
-    n_omegas, n_tot = len(parts), parts.shape[1] - 1
+    n_omegas = len(u)
     bufs = np.empty((4, n_omegas * len(amps) * len(n_ps), n_tot + 1))
     re, im, n0, cum = bufs
     if not len(amps):  # no cells, and no room for the unit responses
@@ -479,22 +495,18 @@ def _pulse_rows(parts, amps, n_ps, dt):
     # the unit responses fit in n0 and cum, which are free until after the
     # outer product; a separate array cost a 128-omega sweep chunk about a
     # thousand page faults per call
-    unit = bufs[2:].reshape(-1)[: parts.size * len(n_ps)].reshape(
+    unit = bufs[2:].reshape(-1)[: n_omegas * len(n_ps) * (n_tot + 1) * 2].reshape(
         n_omegas, len(n_ps), n_tot + 1, 2)
     for j, n_p in enumerate(n_ps):
-        unit[:, j, :n_p] = parts[:, :n_p]
-        np.subtract(parts[:, n_p:], parts[:, : n_tot + 1 - n_p], out=unit[:, j, n_p:])
+        unit[:, j, :n_p] = u[:, :n_p]
+        _ringdown(u, powers, n_p, unit[:, j, n_p:])
     # beta0 = b0 * unit response (einsum's outer product: the same single
     # multiplications, about twice as fast as broadcasting np.multiply)
     np.einsum("wjnk,a->kwajn", unit, amps,
               out=bufs[:2].reshape(2, n_omegas, len(amps), len(n_ps), n_tot + 1))
     np.add(np.square(re, out=n0), np.square(im, out=cum), out=n0)
     mag2 = np.square(np.add(im, im, out=im), out=im)
-    trap = np.add(mag2[:, 1:], mag2[:, :-1], out=re[:, 1:])
-    trap *= 0.5 * dt
-    cum[:, 0] = 0.0
-    np.cumsum(trap, axis=1, out=cum[:, 1:])
-    return n0, cum
+    return n0, _running_integral(mag2, dt, cum)
 
 
 def _elementwise(func, x: np.ndarray) -> np.ndarray:
@@ -508,13 +520,13 @@ def _elementwise(func, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _score(q, omegas, chis, parts, amps, n_ps, model, specs) -> dict:
+def _score(q, omegas, chis, u, powers, amps, n_ps, model, specs) -> dict:
     """The breakdown of cost_plane's feasible omegas, one entry per cell.
 
-    parts holds the omegas' unit +chi step responses, as step_responses
-    returns them.  Cells run omega-major, then amplitude, then pulse
-    length, as the rows of _pulse_rows: column j is a pulse of n_ps[j]
-    samples.
+    u and powers hold the omegas' unit +chi step responses and powers of R,
+    as _pulse_rows takes them.  Cells run omega-major, then amplitude, then
+    pulse length, as the rows of _pulse_rows: column j is a pulse of
+    n_ps[j] samples.
     """
     dt, mist = model.dt, model.mist
     n_cells = len(omegas) * len(amps) * len(n_ps)
@@ -522,7 +534,7 @@ def _score(q, omegas, chis, parts, amps, n_ps, model, specs) -> dict:
     def per_cell(per_omega):
         return np.repeat(np.array(per_omega, dtype=float), n_cells // len(omegas))
 
-    n0, cum = _pulse_rows(parts, amps, n_ps, dt)
+    n0, cum = _pulse_rows(u, powers, amps, n_ps, round(model.total_time / dt), dt)
     n_max = n0.max(axis=1)
     # the photon term, 0.5 * (|beta0|^2 + |beta1|^2) at the last sample
     photon = 0.5 * (n0[:, -1] + n0[:, -1])
@@ -560,7 +572,6 @@ BOUND_MARGIN = 1e-9
 #: absolute margin of each term: far above any underflow, far below any cost
 BOUND_FLOOR = 1e-300
 _EPS = float(np.finfo(float).eps)
-_SQRT5 = math.sqrt(5.0)
 
 
 class _UnitColumns(NamedTuple):
@@ -574,110 +585,60 @@ class _UnitColumns(NamedTuple):
     k_lo: np.ndarray  # at most the count of samples whose running C is below C/2
 
 
-def _ringdown_gap(r: float, c: float, big_u: float, n_tot: int) -> float:
-    """cell_bound's d: a bound on |f - p_t w| at every ringdown sample.
-
-    r >= |R|, c = |(R - 1) / u_1| and big_u = max |u|, for a step response
-    of n_tot samples.  The loop follows u's doubling level by level: e
-    bounds every sample's distance from the exact recurrence with the same
-    R and u_1, in units of big_u, and rho the distance of the power R^m it
-    multiplies by from the exact power, whose modulus is at most rm.
-    """
-    unit = 0.5 * _EPS
-    e = rho = 0.0
-    rm, m = r * (1.0 + 2.0 * _EPS), 1
-    while m < n_tot:
-        # u_{m+i} = fl(fl(R^m u_i) + u_m): the complex product is within
-        # sqrt(5) unit of exact, the sum within unit
-        e += (rm + rho) * e + rho + _SQRT5 * unit * (rm + rho) + unit
-        m += min(m, n_tot - m)
-        rho = rho * (2.0 * rm + rho) + _SQRT5 * unit * (rm + rho) ** 2
-        rm *= rm * (1.0 + 2.0 * _EPS)
-    e *= 1.0 + 1e-6  # this loop's own rounding, and |u| <= (1 + e) big_u
-    # p_t = fl(1 + c' u_t), c' within 8 eps of c
-    p_gap = c * big_u * (e + 8.0 * _EPS) + 2.0 * _EPS * (1.0 + c * big_u)
-    # two samples' and w's gaps, p_t's times |w|, the subtraction's rounding
-    return big_u * (3.0 * e + p_gap + 2.0 * _EPS)
-
-
-def _unit_columns(kappas, chis, u, n_ps, dt) -> _UnitColumns:
+def _unit_columns(u, powers, n_ps, n_tot, dt) -> _UnitColumns:
     """Per plane and pulse length, the statistics of the unit pulse response f.
 
-    u holds the planes' unit +chi step responses of n_tot + 1 samples, as
-    step_responses(chis, kappas, dt, n_tot) returns them; the scorer
-    cell_bound returns reads the same ones.  Each field of the result is a
-    (len(chis), len(n_ps)) array.  f is _pulse_rows' field at amplitude
-    1.0: u up to sample n_p, then u minus its copy delayed by n_p.  Each
-    statistic is read off a few length-(n_tot + 1) prefix arrays of u,
-    never off f's rows:
+    u and powers hold the planes' unit +chi step responses up to at least
+    sample max(n_ps) and the powers of R up to at least n_tot - min(n_ps),
+    n_tot the samples of t_p + t_r, as step_responses returns them; the scorer cell_bound returns reads the
+    same ones.  Each field of the result is a (len(u), len(n_ps)) array.  f
+    is _pulse_rows' field at amplitude 1.0: u up to sample n_p, then the
+    ringdown fl(R^t w), w = u[n_p], t samples on.  Each statistic is read
+    off a few prefix arrays of u and of the powers, never off f's rows:
 
-    - P is the kernel's own last sample, |u[n_tot] - u[n_tot - n_p]|^2,
+    - P is the kernel's own last sample, |fl(R^K w)|^2 at K = n_tot - n_p,
       with its bits.
     - Up to n_p, f is u, so there f's |f|^2 and running SNR integral (the
       trapezoid cumsum of (2 Im f)^2) are u's prefixes, with their bits: the
       running max of |u|^2 and the shared cumsum.
-    - After the pulse, f is R^t w in exact arithmetic, t samples on, with w =
-      u[n_p] and R the RK4 step factor.  |R| < 1, so N lies between the
-      running max at n_p and that plus the gap d (_ringdown_gap).  With p_t
-      = R^t, Im(p w)^2 = (Im w)^2 (Re p)^2 + 2 Re w Im w Re p Im p + (Re
-      w)^2 (Im p)^2, so the ringdown's integral is read off three
-      trapezoid prefix sums of the powers at K = n_tot - n_p.  The powers
-      come from u itself: u_t = u_1 (1 - R^t) / (1 - R), so p_t = 1 + c u_t
-      with c = (R - 1) / u_1.
+    - After the pulse, f is g_t = R^t w up to the rounding of one complex
+      product, with the kernel's own floats R^t and w.  So N lies between
+      the running max at n_p and that times the largest |R^t|^2 (1 at t =
+      0) and 1 + 8 eps, and f lies within d = 2 eps sqrt(N_hi) of g_t.  Im(g_t)^2 =
+      (Im w)^2 (Re R^t)^2 + 2 Re w Im w Re R^t Im R^t + (Re w)^2 (Im R^t)^2,
+      so the ringdown's integral is read off three trapezoid prefix sums
+      of the powers at K.
     - k_lo counts the samples whose running integral is surely below half
       of C: a searchsorted in the shared cumsum, or, where half of C lies
       past the pulse, up to the first ringdown sample whose running
       integral, taken from above, reaches it.
 
-    C is bracketed by margins that cover the gap between the kernel's
-    subtraction and the geometric form (see cell_bound).  The planes share
-    every numpy call but the per-plane ones below: every value is an
-    elementwise IEEE operation on its own plane's samples, or a prefix sum
-    or running max along them, so a plane's statistics have the same bits
-    in any block.  The scalars whose numpy forms round differently, c,
-    |c|, |R| and d, are taken per plane in Python, and so are the
+    C is bracketed by margins that cover d and the three-term form's
+    rounding (see cell_bound).  The planes share every numpy call but the
+    per-plane ones below: every value is an elementwise IEEE operation on
+    its own plane's samples, or a prefix sum, running max or max along
+    them, so a plane's statistics have the same bits in any block.  The
     searchsorted and the ringdown's running integral, whose matrix product
-    has the shape of the plane's own late columns.
+    has the shape of the plane's own late columns, are taken per plane.
     """
     ur, ui = u[..., 0], u[..., 1]
-    n_tot = u.shape[1] - 1
     n_p = np.asarray(n_ps)
     k = n_tot - n_p
-    dr, di = ur[:, -1:] - ur[:, k], ui[:, -1:] - ui[:, k]
+    wr, wi = ur[:, n_p], ui[:, n_p]
+    # the kernel's last sample, with _ringdown's bits
+    fr, fi = _complex_times(powers[:, k, 0], powers[:, k, 1], wr, wi)
     peak = ur * ur
     peak += ui * ui
     np.maximum.accumulate(peak, axis=1, out=peak)
-    rr, ri = (x.tolist() for x in _rk4_factors(chis, kappas, dt)[:2])
-    c = [complex(a - 1.0, b) / complex(x, y)
-         for a, b, x, y in zip(rr, ri, ur[:, 1].tolist(), ui[:, 1].tolist())]
-    d = [_ringdown_gap(math.hypot(a, b), abs(z), math.sqrt(top), n_tot)
-         for a, b, z, top in zip(rr, ri, c, peak[:, -1].tolist())]
-    d_col = np.array(d)[:, None]
-    cr, ci = (np.array(x)[:, None] for x in ([z.real for z in c], [z.imag for z in c]))
-    # p = 1 + c u, each row formed in place: a block's transient arrays
-    # stay near a dozen samples' rows per plane
-    pr = cr * ur
-    pr -= ci * ui
-    pr += 1.0
-    pi = cr * ui
-    pi += ci * ur
-    # trapezoid prefix sums: row 0 the kernel's running SNR integral along
-    # u, as _pulse_rows forms it, then those of (Re p)^2, Re p Im p and
-    # (Im p)^2
-    terms = np.empty((len(u), 4, n_tot + 1))
-    np.square(np.add(ui, ui, out=terms[:, 0]), out=terms[:, 0])
-    np.multiply(pr, pr, out=terms[:, 1])
-    np.multiply(pr, pi, out=terms[:, 2])
-    np.multiply(pi, pi, out=terms[:, 3])
-    sums = np.empty_like(terms)
-    sums[..., 0] = 0.0
-    trap = np.add(terms[..., 1:], terms[..., :-1], out=sums[..., 1:])
-    del pr, pi, terms
-    trap *= 0.5 * dt
-    np.cumsum(trap, axis=2, out=trap)
-    pre, powers = sums[:, 0], sums[:, 1:]
+    # the kernel's running SNR integral along u, as _pulse_rows forms it
+    mag2 = np.square(ui + ui)
+    pre = _running_integral(mag2, dt, np.empty_like(mag2))
+    # trapezoid prefix sums of (Re p)^2, Re p Im p and (Im p)^2, p = R^t
+    pr, pi = powers[..., 0], powers[..., 1]
+    terms = np.stack([pr * pr, pr * pi, pi * pi], axis=1)
+    p_max = (terms[:, 0] + terms[:, 2]).max(axis=1)[:, None]
+    sums = _running_integral(terms, dt, np.empty_like(terms))
 
-    wr, wi = ur[:, n_p], ui[:, n_p]
     # the ringdown sum's coefficients of the powers' rows, with its
     # rounding margin added (hi) and taken off (lo); |Re p Im p| <= |p|^2/2
     coef = np.stack([4.0 * wi * wi, 8.0 * wr * wi, 4.0 * wr * wr], axis=1)
@@ -685,7 +646,7 @@ def _unit_columns(kappas, chis, u, n_ps, dt) -> _UnitColumns:
     slack = 2.0 * (n_tot + 10) * _EPS
     margin = np.stack([coef[:, 0] + half_cross, np.zeros_like(half_cross),
                        coef[:, 2] + half_cross], axis=1) * slack
-    at_k = powers[:, :, k]
+    at_k = sums[:, :, k]
     hi, lo = (coef + margin) * at_k, (coef - margin) * at_k
     ring_hi, ring_lo = hi[:, 0] + hi[:, 1] + hi[:, 2], lo[:, 0] + lo[:, 1] + lo[:, 2]
 
@@ -695,27 +656,30 @@ def _unit_columns(kappas, chis, u, n_ps, dt) -> _UnitColumns:
         t_dt = t * dt
         return 4.0 * d * np.sqrt(t_dt * np.maximum(ring, 0.0)) + 4.0 * d * d * t_dt
 
-    gamma, gap_k = (n_tot + 10) * _EPS, gap(ring_hi, k, d_col)
+    n_lo = peak[:, n_p]
+    n_hi = n_lo * p_max * (1.0 + 8.0 * _EPS)
+    d = 2.0 * _EPS * np.sqrt(n_hi)
+    gamma, gap_k = (n_tot + 10) * _EPS, gap(ring_hi, k, d)
     c_hi = (pre[:, n_p] + ring_hi + gap_k) * (1.0 + gamma)
     c_lo = np.maximum((pre[:, n_p] + ring_lo - gap_k) * (1.0 - gamma), 0.0)
 
     half = 0.5 * c_lo * (1.0 - BOUND_MARGIN)
     k_lo = np.empty(half.shape, dtype=np.intp)
-    t = np.arange(n_tot + 1.0)
-    for i, d_i in enumerate(d):
+    t = np.arange(sums.shape[2], dtype=float)
+    for i in range(len(u)):
         k_lo[i] = np.searchsorted(pre[i], half[i])
         late = np.flatnonzero(k_lo[i] > n_p)  # half of C lies past the pulse
         if len(late):
             # the running integral from above at every ringdown sample t; the
-            # first that reaches half, or t = K + 1, ends the count
-            ring = (coef[i] + margin[i])[:, late].T @ powers[i]
-            running = (pre[i, n_p[late], None] + ring + gap(ring, t, d_i)) * (1.0 + gamma)
+            # first that reaches half ends the count, else t = K + 1 does
+            ring = (coef[i] + margin[i])[:, late].T @ sums[i]
+            running = (pre[i, n_p[late], None] + ring + gap(ring, t, d[i, late, None])) \
+                * (1.0 + gamma)
             over = (running >= half[i, late, None]) | (t > k[late, None])
             over[:, 0] = False  # sample n_p: pre[n_p] < half
-            k_lo[i, late] = n_p[late] + over.argmax(axis=1)
-    n_lo = peak[:, n_p]
-    return _UnitColumns(c_lo, c_hi, dr * dr + di * di, n_lo,
-                        np.square(np.sqrt(n_lo) + d_col), k_lo)
+            first = np.where(over.any(axis=1), over.argmax(axis=1), k[late] + 1)
+            k_lo[i, late] = n_p[late] + first
+    return _UnitColumns(c_lo, c_hi, fr * fr + fi * fi, n_lo, n_hi, k_lo)
 
 
 #: Cody's rational approximations of erf and erfc (Math. Comp. 23, 631
@@ -803,6 +767,7 @@ class PlaneStatistics(NamedTuple):
     chi: float
     n_ps: tuple  # the pulse lengths' sample counts
     response: np.ndarray  # the unit +chi step response, as a width-1 batch
+    powers: np.ndarray  # the powers of R it doubled, likewise
     unit: _UnitColumns  # one entry per pulse length
 
 
@@ -837,10 +802,12 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
     def flush():
         lists, index, qubits, omegas, chis, grid_counts = zip(*block)
         (n_ps, n_tot), kappas = grid_counts[0], [q.kappa for q in qubits]
-        response = step_responses(chis, kappas, model.dt, n_tot)
-        unit = _unit_columns(kappas, chis, response, n_ps, model.dt)
+        response, powers = step_responses(chis, kappas, model.dt, max(n_ps),
+                                          n_tot - min(n_ps))
+        unit = _unit_columns(response, powers, n_ps, n_tot, model.dt)
         for j, (entries, i) in enumerate(zip(lists, index)):
             entries[i] = PlaneStatistics(omegas[j], chis[j], n_ps, response[j : j + 1],
+                                         powers[j : j + 1],
                                          _UnitColumns(*(field[j] for field in unit)))
         block.clear()
 
@@ -905,23 +872,19 @@ def cell_bound(
 
     - The unit statistics.  P, N_lo and C up to the pulse end are the
       kernel's own operations at amplitude 1.0, so they have the bits of
-      f's row.  After the pulse the kernel's f is fl(u_{n_p+t} - u_t), and
-      the brackets use g_t = p_t w.  In exact arithmetic, with the R and
-      u_1 that u's doubling starts from, u_{n_p+t} - u_t = R^t u_{n_p} and
-      1 + c u_t = R^t, and |R| < 1 at any step _check_step allows.  The
-      doubling keeps every sample within e U of that recurrence (U = max
-      |u|): each level adds at most sqrt(5) eps/2 (|R^m| + rho) + eps/2 of U
-      to the error it carries, times 1 + |R^m| + rho, where rho bounds the
-      error of the power R^m it multiplies by (_ringdown_gap follows this
-      level by level; e is of the order of n log2(n) eps where |R| is
-      near 1, less where |R^m| decays).  Two samples, w and p_t add up to
-      d = U (3 e + |c| U (e + 8 eps) + 2 eps (2 + |c| U)), a bound on |f -
-      g_t| at every ringdown sample: 400 to 600 eps U on the shipped
-      device, where the largest gap measured is about 11 eps U.  Hence N <= (sqrt(N_lo) +
-      d)^2 = N_hi, and each ringdown sample's (2 Im f)^2 is within 4 (2 |Im
-      g_t| d + d^2) of (2 Im g_t)^2; by Cauchy-Schwarz, sum_t |Im g_t| <=
-      sqrt(K dt sum_t (Im g_t)^2) over the trapezoid weights.  The
-      three-term form can cancel: each prefix sum is within (K + 4) eps of
+      f's row.  After the pulse the kernel's f is fl(p_t w), p_t = R^t the
+      power step_responses doubled and w = u[n_p], and the brackets use
+      g_t = p_t w, the exact product of the same floats.  Each part of the
+      kernel's product is two products and a sum, each within eps/2
+      relative, so |f - g_t| <= sqrt(2) eps (1 + eps/2) |p_t| |w|, and
+      |f|^2, rounded as the kernel rounds it, is within 4 eps relative of
+      |p_t|^2 |w|^2.  |w|^2 <= N_lo and |p_t|^2 <= max_t |p_t|^2 (1 at t =
+      0) up to the rounding of those squares, so N <= N_lo max_t |p_t|^2
+      (1 + 8 eps) = N_hi, and d = 2 eps sqrt(N_hi) bounds |f - g_t| at
+      every ringdown sample.  Each ringdown sample's (2 Im f)^2 is then
+      within 4 (2 |Im g_t| d + d^2) of (2 Im g_t)^2; by Cauchy-Schwarz,
+      sum_t |Im g_t| <= sqrt(K dt sum_t (Im g_t)^2) over the trapezoid
+      weights.  The three-term form can cancel: each prefix sum is within (K + 4) eps of
       the sum of its terms' magnitudes, and with |Re p Im p| <= |p|^2 / 2
       the terms' magnitudes are covered by a margin of 2 (n + 10) eps
       times 4 ((Im w)^2 + |Re w Im w|) and 4 ((Re w)^2 + |Re w Im w|) on
@@ -965,14 +928,14 @@ def cell_bound(
     shape = (len(amps), len(tp_points))
     if plane is None:
         return np.full(shape, math.inf), None
-    omega, chi, n_ps, response, unit = plane
+    omega, chi, n_ps, response, powers, unit = plane
     dt, mist = model.dt, model.mist
     amps = np.asarray(amps, dtype=float)
     a2 = np.square(amps)[:, None]
 
     def score(rows, cols) -> CostBreakdown:
-        planes = _score(q, [omega], [chi], response, amps[rows], [n_ps[j] for j in cols],
-                        model, specs)
+        planes = _score(q, [omega], [chi], response, powers, amps[rows],
+                        [n_ps[j] for j in cols], model, specs)
         return CostBreakdown(**{name: plane.reshape(len(rows), len(cols))
                                 for name, plane in planes.items()})
 

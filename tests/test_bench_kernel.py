@@ -39,7 +39,8 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
         assert set(report[key]) == {"median", "q1", "q3"}
         assert report[key]["median"] > 0
     steps = report["step_response"]
-    assert set(steps) == {"n_steps", "rounds", "widths"}
+    assert set(steps) == {"n_steps", "n_powers", "rounds", "widths"}
+    assert (steps["n_steps"], steps["n_powers"]) == (480, 400)
     assert set(steps["widths"]) == {"2", "4"}
     assert all(t > 0 for t in steps["widths"].values())
     pairs = report["cross_fidelity_s"]

@@ -40,7 +40,8 @@ def row_unit_columns(q, chi, n_ps, n_tot, dt):
     n0[-1] (|f|^2 at the last sample), the peak of n0 = |f|^2 over the
     row, and k_lo, the count of samples whose cum is below C (1 - 1e-9) / 2.
     """
-    n0, cum = _pulse_rows(step_responses([chi], q.kappa, dt, n_tot), np.ones(1), n_ps, dt)
+    parts = step_responses([chi], q.kappa, dt, n_tot, n_tot - min(n_ps))
+    n0, cum = _pulse_rows(*parts, np.ones(1), n_ps, n_tot, dt)
     c = cum[:, -1]
     k_lo = np.count_nonzero(cum < (0.5 * c * (1.0 - BOUND_MARGIN))[:, None], axis=1)
     return c, n0[:, -1], n0.max(axis=1), k_lo
@@ -57,8 +58,8 @@ def assert_brackets(q, chi, n_ps, n_tot, dt, width):
     bit and k_lo at most one below the oracle's; C's bracket is at most
     width wide relative to C.  Returns the oracle's (c, k_lo)."""
     c, p, peak, k_lo = row_unit_columns(q, chi, n_ps, n_tot, dt)
-    u = step_responses([chi], q.kappa, dt, n_tot)
-    got = _unit_columns([q.kappa], [chi], u, n_ps, dt)
+    got = _unit_columns(*step_responses([chi], q.kappa, dt, max(n_ps), n_tot - min(n_ps)),
+                        n_ps, n_tot, dt)
     got = type(got)(*(field[0] for field in got))
     np.testing.assert_array_equal(got.p.view(np.int64), p.view(np.int64))
     assert (got.c_lo <= c).all() and (c <= got.c_hi).all()
@@ -88,11 +89,11 @@ def test_unit_columns_on_a_finer_step():
 @pytest.mark.parametrize("scale", [1e-2, 1e-3])
 def test_unit_columns_with_a_tiny_chi(scale):
     """|chi| far below kappa: Im u is tiny beside |u|, so the ringdown's
-    three-term sum and the gap to the kernel's subtraction weigh most."""
+    three-term sum and the gap to the kernel's ringdown weigh most."""
     qid = QIDS[0]
     q = replace(D3.qubits[qid], g_eff=scale * D3.qubits[qid].g_eff)
     chi = dynamics.dispersive_shift(q, D3.search_band[qid][0])
-    u = step_responses([chi], q.kappa, 1.0, 500)[0]
+    u = step_responses([chi], q.kappa, 1.0, 500, 0)[0][0]
     assert np.abs(u[:, 1]).max() < 1e-3 * np.hypot(u[:, 0], u[:, 1]).max()
     assert_brackets(q, chi, N_PS, 500, 1.0, 1e-3)
 
@@ -128,9 +129,10 @@ def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
             if entry is None:
                 continue
             assert (entry.omega, entry.chi, entry.n_ps) == (alone.omega, alone.chi, alone.n_ps)
-            assert entry.response.shape == (1, 501, 2)
-            for got, want in zip((entry.response, *entry.unit),
-                                 (alone.response, *alone.unit)):
+            assert entry.response.shape == (1, 1 + max(entry.n_ps), 2)
+            assert entry.powers.shape == (1, 501 - min(entry.n_ps), 2)
+            for got, want in zip((entry.response, entry.powers, *entry.unit),
+                                 (alone.response, alone.powers, *alone.unit)):
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 

@@ -213,6 +213,9 @@ class TestOptimize:
         line = (f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
                 f"{result.scored} scored, ")
         assert re.fullmatch(re.escape(line) + r"\d+\.\d s\)\n", capsys.readouterr().out)
+        for name in ("results.yaml", "manifest.yaml"):
+            raw = yaml.safe_load((out / name).read_text())
+            assert (raw["evaluations"], raw["scored"]) == (result.evaluations, result.scored)
 
     def test_round_trip(self, device_path, opt_path, tmp_path):
         out = tmp_path / "run"
@@ -323,15 +326,21 @@ class TestSweep:
         assert manifest["pins"]["t_p_ns"] == 290.0
 
     @pytest.mark.parametrize("args", [
-        ("--axis", "length", "--min", "100.2", "--max", "100.7", "--points", "3"),
-        ("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--points", "2",
-         "--pin-tp-ns", "0.4"),
+        (("--axis", "length", "--min", "100.2", "--max", "100.7", "--points", "3"),
+         "--min/--max: pulse-length range [100.2, 100.7] ns holds no positive "
+         "multiple of dt_ns = 1.0"),
+        (("--axis", "amplitude", "--min", "0.1", "--max", "0.2", "--points", "2",
+          "--pin-tp-ns", "0.4"),
+         "--pin-tp-ns: pulse length 0.4 ns rounds to 0.0 ns at dt_ns = 1.0, "
+         "outside (0, 500.0] ns"),
     ])
     def test_lengths_off_the_grid_rejected(self, device_path, opt_path,
-                                           tmp_path, args):
+                                           tmp_path, capsys, args):
+        args, message = args
         assert main(["sweep", "--device", str(device_path), "--opt-config",
                      str(opt_path), "--qubit", "0,0", *args,
                      "--out", str(tmp_path / "sweep")]) == EXIT_IO
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_trajectory_photon_numbers_as_max_photon_forms_them(
             self, device_path, opt_path, tmp_path):
@@ -723,7 +732,8 @@ class TestPulseRangeBelowOneStep:
                     str(opt_path), "--qubit", "0,0", "--axis", "length", "--min",
                     "1e-10", "--max", "0.5", "--points", "3", "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_IO
-        assert ("error: pulse-length range [1e-10, 0.5] ns holds no positive "
+        field = "--min/--max" if command == "sweep" else "grid.tp_min_ns"
+        assert (f"error: {field}: pulse-length range [1e-10, 0.5] ns holds no positive "
                 "multiple of dt_ns = 1.0") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

@@ -301,8 +301,9 @@ def literal_rk4_step(delta, kappa, dt, n_steps):
 
 @st.composite
 def step_batches(draw):
-    """(deltas, kappa, dt, n_steps) that pass the step check, edges included:
-    signed zeros, subnormal and tiny detunings, and |delta| * dt at its limit."""
+    """(deltas, kappa, dt, n_steps, n_powers) that pass the step check,
+    edges included: signed zeros, subnormal and tiny detunings, |delta| *
+    dt at its limit, and powers up to R^0, to R^n_steps or past it."""
     dt = draw(st.sampled_from((0.1, 0.5, 1.0)))
     limit = 0.1 / dt
     kappa = draw(st.floats(min_value=1e-12, max_value=limit)
@@ -312,43 +313,68 @@ def step_batches(draw):
     delta = st.floats(min_value=-limit, max_value=limit) | st.sampled_from(edges)
     width = draw(st.sampled_from((1, 2, 37, 38, 77)))
     deltas = draw(st.lists(delta, min_size=width, max_size=width))
-    return deltas, kappa, dt, draw(st.integers(min_value=1, max_value=600))
+    n_steps = draw(st.integers(min_value=1, max_value=600))
+    n_powers = draw(st.sampled_from((0, n_steps)) | st.integers(0, 600))
+    return deltas, kappa, dt, n_steps, n_powers
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_conjugate(mirrored, got):
+    """The same real parts, and imaginary parts that differ only in the
+    sign of a zero."""
+    assert_same_bits(mirrored[:, 0], got[:, 0])
+    np.testing.assert_array_equal(-mirrored[:, 1], got[:, 1])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(step_batches())
 def test_step_responses_are_rk4_at_every_width(batch):
-    deltas, kappa, dt, n_steps = batch
+    """Each row of the responses and of the powers has the bits of a
+    width-1 call, and at -delta those of the conjugate; the responses are
+    RK4's, and the powers those of the step factor R = powers[1]."""
+    deltas, kappa, dt, n_steps, n_powers = batch
     for delta in deltas:
         _check_step(delta, kappa, dt)
-    got = step_responses(deltas, kappa, dt, n_steps)
+    got, powers = step_responses(deltas, kappa, dt, n_steps, n_powers)
     assert got.shape == (len(deltas), n_steps + 1, 2)
-    mirrored = step_responses([-d for d in deltas], kappa, dt, n_steps)
+    assert powers.shape == (len(deltas), n_powers + 1, 2)
+    mirrored = step_responses([-d for d in deltas], kappa, dt, n_steps, n_powers)
     for j, delta in enumerate(deltas):
-        alone = step_responses([delta], kappa, dt, n_steps)[0]
-        np.testing.assert_array_equal(got[j].view(np.int64), alone.view(np.int64))
-        # at -delta the conjugate: the same real parts, and imaginary parts
-        # that differ only in the sign of a zero
-        np.testing.assert_array_equal(mirrored[j, :, 0].view(np.int64),
-                                      got[j, :, 0].view(np.int64))
-        np.testing.assert_array_equal(-mirrored[j, :, 1], got[j, :, 1])
+        alone = step_responses([delta], kappa, dt, n_steps, n_powers)
+        for rows, row in zip((got, powers), alone):
+            assert_same_bits(rows[j], row[0])
+        for rows, mirror in zip((got, powers), mirrored):
+            assert_conjugate(mirror[j], rows[j])
         want = literal_rk4_step(delta, kappa, dt, n_steps)
         err = np.abs(got[j, :, 0] + 1j * got[j, :, 1] - want)
         assert err.max() <= 1e-13 * np.abs(want).max()
+        # R^t, one long-double product at a time
+        exact = np.ones(n_powers + 1, dtype=np.clongdouble)
+        exact[1:] = powers[j, 1:2].view(complex)[:, 0]
+        exact = np.cumprod(exact)
+        err = np.abs(powers[j, :, 0] + 1j * powers[j, :, 1] - exact)
+        assert err.max() <= 1e-13
 
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(step_batches(), st.data())
 def test_step_responses_take_one_kappa_per_row(batch, data):
-    """With one kappa per chi, each row has the bits of a width-1 call at
-    its own kappa, signed zeros included."""
-    deltas, kappa, dt, n_steps = batch
+    """With one kappa per chi, each row of the responses and of the powers
+    has the bits of a width-1 call at its own kappa, signed zeros included,
+    and at -chi those of the conjugate."""
+    deltas, kappa, dt, n_steps, n_powers = batch
     limit = 0.1 / dt
     rate = st.floats(min_value=1e-12, max_value=limit) | st.sampled_from((kappa, limit))
     kappas = data.draw(st.lists(rate, min_size=len(deltas), max_size=len(deltas)))
-    got = step_responses(deltas, kappas, dt, n_steps)
-    assert got.shape == (len(deltas), n_steps + 1, 2)
+    got = step_responses(deltas, kappas, dt, n_steps, n_powers)
+    assert got[0].shape == (len(deltas), n_steps + 1, 2)
+    mirrored = step_responses([-d for d in deltas], kappas, dt, n_steps, n_powers)
     for j, (delta, rate) in enumerate(zip(deltas, kappas)):
-        alone = step_responses([delta], rate, dt, n_steps)[0]
-        np.testing.assert_array_equal(got[j].view(np.int64), alone.view(np.int64))
+        alone = step_responses([delta], rate, dt, n_steps, n_powers)
+        for rows, row, mirror in zip(got, alone, mirrored):
+            assert_same_bits(rows[j], row[0])
+            assert_conjugate(mirror[j], rows[j])

@@ -26,10 +26,13 @@ pulse-length ranges).  It covers the per-frequency part of the kernel:
 the chi and step checks of each frequency, one step response each, and
 their scoring.  Not part of total_s.
 
-step_response times dynamics.step_responses, the unit step responses
-(500 steps at dt = 1 ns) at the +chi of width frequencies across the first
-qubit's band, for each of STEP_WIDTHS widths, in one pass each.  Each
-width gets the median of STEP_ROUNDS calls.
+step_response times dynamics.step_responses as plane_statistics calls it
+on the grid above: the unit step responses at the +chi of width
+frequencies across the first qubit's band, up to the longest pulse
+(n_steps, 480 steps at dt = 1 ns), and in the same doubling the powers of
+the step factor up to the longest ringdown (n_powers, the 400 steps after
+the shortest pulse), for each of STEP_WIDTHS widths, in one pass each.
+Each width gets the median of STEP_ROUNDS calls.
 
 import_s is the start-up every CLI command pays: the time to import
 readout_opt.cli in a fresh interpreter, over IMPORT_ROUNDS interpreters.
@@ -143,10 +146,12 @@ def sweep_chunk():
 def step_response_timings() -> dict:
     """Median time of step_responses at each of STEP_WIDTHS."""
     graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
-    model = dense_config().model
+    cfg = dense_config()
+    model = cfg.model
     qid = graph.sorted_ids()[0]
     q, (lo, hi) = graph.qubits[qid], graph.search_band[qid]
-    n_steps = round(model.total_time / model.dt)
+    n_steps = round(cfg.grid.tp_max_ns / model.dt)
+    n_powers = round((model.total_time - cfg.grid.tp_min_ns) / model.dt)
     out = {}
     for width in STEP_WIDTHS:
         chis = [dynamics.dispersive_shift(q, float(omega), model.pole_guard)
@@ -154,10 +159,10 @@ def step_response_timings() -> dict:
         times = []
         for _ in range(STEP_ROUNDS):
             start = time.perf_counter()
-            dynamics.step_responses(chis, q.kappa, model.dt, n_steps)
+            dynamics.step_responses(chis, q.kappa, model.dt, n_steps, n_powers)
             times.append(time.perf_counter() - start)
         out[str(width)] = statistics.median(times)
-    return {"n_steps": n_steps, "rounds": STEP_ROUNDS, "widths": out}
+    return {"n_steps": n_steps, "n_powers": n_powers, "rounds": STEP_ROUNDS, "widths": out}
 
 
 def import_times() -> list[float]:
