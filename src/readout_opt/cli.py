@@ -4,6 +4,11 @@ Every command writes a manifest echo with all resolved configuration next
 to its outputs, so a run can be reproduced exactly from the output
 directory alone.  Outputs are YAML and CSV files, and benchmark also
 writes a plain-text report.txt.
+
+results.yaml and results_partial.yaml are written by the results schema's
+direct emitter (_emit_results), and benchmark --results reads them back
+through its direct reader (_read_results); see yamlio.  Manifests go
+through dump_yaml, and optimizer configs through parse_yaml.
 """
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import argparse
 import itertools
 import logging
 import math
+import re
 import sys
 import time
 from dataclasses import fields, replace
@@ -33,14 +39,14 @@ from .config import (
     snap_to_steps,
 )
 from .device import (
+    DeviceConfigError,
     DeviceGraph,
     QubitId,
     Role,
+    _ROLES,
     _integer,
-    dump_yaml,
     ghz_to_rad_ns,
     load_device,
-    parse_yaml,
     rad_ns_to_ghz,
 )
 from .dynamics import field_pair, photon_number
@@ -50,6 +56,13 @@ from .snake import (
     OptimizationResult,
     QubitResult,
     optimize_device,
+)
+from .yamlio import (
+    NotCanonical,
+    dump_yaml,
+    entry_pattern,
+    parse_with,
+    yaml_floats,
 )
 
 log = logging.getLogger("readout_opt")
@@ -70,14 +83,25 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _named(path: str, load, error: type[ValueError]):
+    """load(the text of path), with a YAML parse failure's message prefixed
+    by path."""
+    try:
+        return load(_read_text(path))
+    except error as exc:
+        if not isinstance(exc.__cause__, yaml.YAMLError):
+            raise
+        raise error(f"{path}: {exc}") from exc.__cause__
+
+
 def _load_graph(path: str) -> DeviceGraph:
-    return load_device(_read_text(path))
+    return _named(path, load_device, DeviceConfigError)
 
 
 def _load_opt_config(path: str | None) -> OptimizerConfig:
     if path is None:
         return load_optimizer_config("")
-    return load_optimizer_config(_read_text(path))
+    return _named(path, load_optimizer_config, OptimizerConfigError)
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -126,6 +150,60 @@ def result_to_dict(result: OptimizationResult, strategy: Strategy) -> dict:
         "scored": result.scored,
         "qubits": rows,
     }
+
+
+_RESULTS_HEAD = "strategy: %s\nevaluations: %s\nscored: %s\nqubits:\n"
+_RESULTS_FLOATS = ("f_q_GHz", "B0", "t_p_ns", "t_r_ns")
+_COST_NAMES = tuple(_COST_KEYS.values())
+_RESULTS_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n  traversal_index: %s\n"
+                  "  n_collision_specs: %s\n"
+                  + "".join(f"  {key}: %s\n" for key in _RESULTS_FLOATS)
+                  + "  cost:\n"
+                  + "".join(f"    {key}: %s\n" for key in _COST_NAMES))
+_RESULTS_HEAD_RE = re.compile(entry_pattern(_RESULTS_HEAD))
+_RESULTS_RE = re.compile(entry_pattern(_RESULTS_ENTRY))
+_STRATEGIES = frozenset(s.value for s in Strategy)
+
+
+def _emit_results(data: dict) -> str:
+    """yaml.safe_dump's text of a dict result_to_dict built; NotCanonical on
+    an unknown strategy or role, no qubits or a value that is not a float
+    where a float belongs."""
+    if data["strategy"] not in _STRATEGIES or not data["qubits"]:
+        raise NotCanonical  # safe_dump writes an empty list as []
+    parts = [_RESULTS_HEAD % (data["strategy"], data["evaluations"], data["scored"])]
+    for row in data["qubits"]:
+        if row["role"] not in _ROLES:
+            raise NotCanonical
+        floats = yaml_floats([*(row[key] for key in _RESULTS_FLOATS),
+                               *row["cost"].values()])
+        parts.append(_RESULTS_ENTRY % (row["row"], row["col"], row["role"],
+                                       row["traversal_index"], row["n_collision_specs"],
+                                       *floats))
+    return "".join(parts)
+
+
+def _read_results(text: str) -> dict | None:
+    """The dict of a text _emit_results may have written."""
+    head = _RESULTS_HEAD_RE.match(text)
+    if head is None:
+        return None
+    rows = []
+    pos = head.end()
+    while pos < len(text):
+        m = _RESULTS_RE.match(text, pos)
+        if m is None:
+            return None
+        row, col, role, index, n_specs, *values = m.groups()
+        entry = {"row": int(row), "col": int(col), "role": role,
+                 "traversal_index": int(index), "n_collision_specs": int(n_specs)}
+        entry.update(zip(_RESULTS_FLOATS, map(float, values)))
+        entry["cost"] = dict(zip(_COST_NAMES, map(float, values[4:])))
+        rows.append(entry)
+        pos = m.end()
+    strategy, evaluations, scored = head.groups()
+    return {"strategy": strategy, "evaluations": int(evaluations), "scored": int(scored),
+            "qubits": rows}
 
 
 def _entry(node, key: str, convert=lambda v: v, at: str = ""):
@@ -237,7 +315,7 @@ def cmd_optimize(args) -> int:
         if exc.partial is not None and exc.partial.per_qubit:
             out.mkdir(parents=True, exist_ok=True)
             partial = result_to_dict(exc.partial, strategy)
-            (out / "results_partial.yaml").write_text(dump_yaml(partial))
+            (out / "results_partial.yaml").write_text(_emit_results(partial))
         return EXIT_INFEASIBLE
     elapsed = time.perf_counter() - t_begin
     log.info("optimized %d qubits: %d grid points, %d scored in %.1f s",
@@ -245,7 +323,7 @@ def cmd_optimize(args) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     result_dict = result_to_dict(result, strategy)
-    (out / "results.yaml").write_text(dump_yaml(result_dict))
+    (out / "results.yaml").write_text(_emit_results(result_dict))
     _write_summary_csv(out / "summary.csv", result_dict)
     _write_manifest(out, "manifest.yaml", {
         "command": "optimize",
@@ -410,18 +488,23 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
     # _write_csv's bytes, with each qubit's "row,col," formatted once: a row
     # formats only its float, by repr as csv.writer does
     cells = [f"{q.row},{q.col}," for q in report.qubits]
-    f = report.cross_fidelity.tolist()
-    rows = [cell_i + cell_j + repr(f[i][j]) + "\r\n"
-            for i, cell_i in enumerate(cells)
-            for j, cell_j in enumerate(cells) if i != j]
+    offdiag = report.cross_fidelity[~np.eye(len(cells), dtype=bool)]  # row-major
+    texts = list(map(repr, offdiag.tolist()))
+    pairs = [cell_i + cell_j for i, cell_i in enumerate(cells)
+             for j, cell_j in enumerate(cells) if i != j]
     (out / "cross_fidelity.csv").write_text(
-        "row_i,col_i,row_j,col_j,F_ij\r\n" + "".join(rows), newline="")
-    # integrated histogram of |F_ij|
-    offdiag = report.cross_fidelity[~np.eye(len(report.qubits), dtype=bool)]
-    absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))
-    _write_csv(out / "cross_fidelity_hist.csv",
-               ["abs_F", "cumulative_fraction"],
-               [(v, (k + 1) / len(absf)) for k, v in enumerate(absf.tolist())])
+        "row_i,col_i,row_j,col_j,F_ij\r\n"
+        + "".join([pair + text + "\r\n" for pair, text in zip(pairs, texts)]), newline="")
+    # integrated histogram of |F_ij| over the finite entries: repr(|x|) is
+    # repr(x) without its sign, so only the cumulative fractions are formatted
+    finite = np.flatnonzero(np.isfinite(offdiag))
+    order = finite[np.argsort(np.abs(offdiag[finite]), kind="stable")]
+    absf = np.abs(offdiag[order])
+    fractions = map(repr, (np.arange(1, len(order) + 1) / len(order)).tolist())
+    (out / "cross_fidelity_hist.csv").write_text(
+        "abs_F,cumulative_fraction\r\n"
+        + "".join([texts[k].lstrip("-") + "," + fraction + "\r\n"
+                   for k, fraction in zip(order.tolist(), fractions)]), newline="")
     b = report.budget
     _write_csv(out / "budget.csv", ["component", "probability"],
                [(name, getattr(b, name)) for name in
@@ -450,7 +533,8 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
 def cmd_benchmark(args) -> int:
     graph = _load_graph(args.device)
     try:
-        result = result_from_dict(parse_yaml(_read_text(args.results)))
+        result = result_from_dict(
+            parse_with(_read_results, _emit_results, _read_text(args.results)))
     except (yaml.YAMLError, ValueError) as exc:
         raise ValueError(f"{args.results}: {exc}") from None
 

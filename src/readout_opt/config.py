@@ -13,10 +13,11 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .device import DeviceGraph, QubitId, _integer, ghz_to_rad_ns, parse_yaml, rad_ns_to_ghz
+from .device import DeviceGraph, QubitId, _integer, ghz_to_rad_ns, rad_ns_to_ghz
 from .dynamics import StepSizeError, _check_step
 from .error_models import CostModel, CostWeights, ParameterError, require
 from .snake import SearchGrid
+from .yamlio import parse_yaml
 
 
 class OptimizerConfigError(ValueError):

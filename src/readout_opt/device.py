@@ -3,16 +3,30 @@
 Internal units are angular frequencies in rad/ns, rates in 1/ns, and times
 in ns.  Config files use GHz/MHz and rates per microsecond; conversion
 happens once at load.
+
+Device files are one of the two schemas with a direct codec (yamlio):
+serialize_device writes through _emit_device, and load_device reads
+through _read_device whatever text _emit_device would write back byte for
+byte, and anything else, hand-edited files included, through parse_yaml.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import re
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 import yaml
+
+from .yamlio import (
+    NotCanonical,
+    entry_pattern,
+    parse_with,
+    yaml_floats,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,129 +188,54 @@ _REQUIRED_FIELDS = (
 )
 
 
-_TAG = "tag:yaml.org,2002:"
-_STR, _INT, _FLOAT, _BOOL, _NULL, _SEQ, _MAP = (
-    _TAG + t for t in ("str", "int", "float", "bool", "null", "seq", "map"))
+_DEVICE_HEAD = "qubits:\n"
+_DEVICE_FLOATS = ("alpha_GHz", "g_eff", "f_r_GHz", "eta", "kappa_MHz", "amp_ref")
+_DEVICE_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n"
+                 + "".join(f"  {key}: %s\n" for key in _DEVICE_FLOATS)
+                 + "  band_GHz:\n  - %s\n  - %s\n  gamma1_table:\n")
+_KNOT = "  - - %s\n    - %s\n"
+_DEVICE_RE = re.compile(
+    entry_pattern(_DEVICE_ENTRY) + "((?:%s)+)" % entry_pattern(_KNOT, r"\S+"))
+_KNOT_RE = re.compile(entry_pattern(_KNOT))
+_ROLES = frozenset(r.value for r in Role)
 
 
-class _NotPlain(Exception):
-    """A node outside the plain subset that _PlainLoader builds itself."""
+def _emit_device(data: dict) -> str:
+    """yaml.safe_dump's text of a dict serialize_device built; NotCanonical
+    on an unknown role, no qubits or a value that is not a float where a
+    float belongs."""
+    if not data["qubits"]:
+        raise NotCanonical  # safe_dump writes an empty list as []
+    parts = [_DEVICE_HEAD]
+    for e in data["qubits"]:
+        if e["role"] not in _ROLES:
+            raise NotCanonical
+        table = e["gamma1_table"]
+        floats = yaml_floats([*(e[key] for key in _DEVICE_FLOATS), *e["band_GHz"],
+                               *itertools.chain.from_iterable(table)])
+        parts.append(_DEVICE_ENTRY % (e["row"], e["col"], e["role"], *floats[:8]))
+        parts.append(_KNOT * len(table) % tuple(floats[8:]))
+    return "".join(parts)
 
 
-class _PlainLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """yaml.SafeLoader's objects through libyaml's parser, with fewer Python
-    calls per node.
-
-    resolve() resolves each distinct (node kind, scalar value, implicit)
-    once per document.  construct_document() builds a document of plain
-    nodes (str, int, float, bool and null scalars, sequences, mappings with
-    scalar keys) in one recursive walk that keeps one object per node, so
-    aliases come back as the same object.  Any other node (merge keys,
-    timestamps, !!binary, !!set, !!omap, local tags), a list or dict key
-    (unhashable), and any error hand the untouched document to
-    SafeConstructor, which builds or raises as yaml.SafeLoader would.  No
-    state outlives the loader, which yaml.load makes for one call.
-    """
-
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._tags = {}
-
-    def resolve(self, kind, value, implicit):
-        key = kind, value, implicit
-        tag = self._tags.get(key)
-        if tag is None:
-            tag = self._tags[key] = super().resolve(kind, value, implicit)
-        return tag
-
-    def construct_document(self, node):
-        try:
-            return self._build_plain(node)
-        except Exception:  # _NotPlain, or an error SafeConstructor raises in its own order
-            return super().construct_document(node)
-
-    def _build_plain(self, root):
-        built = {}  # node -> its object
-        bool_values = self.bool_values
-        construct_int, construct_float = self.construct_yaml_int, self.construct_yaml_float
-        scalar_node, sequence_node, mapping_node = (
-            yaml.ScalarNode, yaml.SequenceNode, yaml.MappingNode)
-
-        # int() and float() read a scalar's text as the constructors do, an
-        # "_" between digits included, or raise ValueError; the exceptions
-        # are text the constructors read as 0b, 0x or octal, and "-nan",
-        # whose sign float() keeps and the constructor drops
-        def build(node):
-            if node in built:  # an alias, or a collection that holds itself
-                return built[node]
-            tag, kind = node.tag, type(node)
-            if kind is scalar_node:
-                value = node.value
-                if tag == _STR:
-                    data = value
-                elif tag == _FLOAT:
-                    try:
-                        if "n" in value or "N" in value:
-                            raise ValueError
-                        data = float(value)
-                    except ValueError:
-                        data = construct_float(node)
-                elif tag == _INT:
-                    try:
-                        if value.lstrip("+-").startswith("0"):
-                            raise ValueError
-                        data = int(value)
-                    except ValueError:
-                        data = construct_int(node)
-                elif tag == _BOOL:
-                    data = bool_values[value.lower()]
-                elif tag == _NULL:
-                    data = None
-                else:
-                    raise _NotPlain
-                built[node] = data
-            elif kind is sequence_node and tag == _SEQ:
-                data = built[node] = []
-                data.extend([build(item) for item in node.value])
-            elif kind is mapping_node and tag == _MAP:
-                data = built[node] = {}
-                for key_node, value_node in node.value:
-                    data[build(key_node)] = build(value_node)
-            else:
-                raise _NotPlain
-            return data
-
-        try:
-            return build(root)
-        finally:
-            # build's cell refers to build: empty it, so that build, built and
-            # the nodes go now, not at the next cyclic garbage collection
-            del build
-
-
-def parse_yaml(text: str):
-    """yaml.load(text, Loader=yaml.SafeLoader): the same objects, and the
-    same exception and message on bad text.
-
-    It parses through _PlainLoader.  On a YAMLError it reparses with
-    yaml.SafeLoader, whose messages name the alias or character at fault and
-    quote the line; libyaml's do neither.
-    """
-    try:
-        return yaml.load(text, Loader=_PlainLoader)
-    except yaml.YAMLError:
-        return yaml.load(text, Loader=yaml.SafeLoader)
-
-
-#: libyaml's emitter where PyYAML was built with it: the text of
-#: yaml.safe_dump, several times faster
-_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-
-
-def dump_yaml(data) -> str:
-    """yaml.safe_dump(data, sort_keys=False) through libyaml's emitter when
-    it is available."""
-    return yaml.dump(data, Dumper=_YAML_DUMPER, sort_keys=False)
+def _read_device(text: str) -> dict | None:
+    """The dict of a text _emit_device may have written."""
+    if not text.startswith(_DEVICE_HEAD):
+        return None
+    entries = []
+    pos = len(_DEVICE_HEAD)
+    while pos < len(text):
+        m = _DEVICE_RE.match(text, pos)
+        if m is None:
+            return None
+        row, col, role, *values, knots = m.groups()
+        entry = {"row": int(row), "col": int(col), "role": role}
+        entry.update(zip(_DEVICE_FLOATS, map(float, values)))
+        entry["band_GHz"] = [float(values[6]), float(values[7])]
+        entry["gamma1_table"] = [[float(f), float(rate)] for f, rate in _KNOT_RE.findall(knots)]
+        entries.append(entry)
+        pos = m.end()
+    return {"qubits": entries}
 
 
 def _field(entry: dict, key: str, convert, at: str):
@@ -349,7 +288,7 @@ def load_device(config_text: str) -> DeviceGraph:
     A DeviceConfigError names the qubit entry and the key at fault.
     """
     try:
-        raw = parse_yaml(config_text)
+        raw = parse_with(_read_device, _emit_device, config_text)
     except yaml.YAMLError as exc:
         raise DeviceConfigError(f"config parse failure: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("qubits"), list):
@@ -421,4 +360,4 @@ def serialize_device(graph: DeviceGraph) -> str:
                 [rad_ns_to_ghz(f), rate * 1e3] for f, rate in q.gamma1_table
             ],
         })
-    return dump_yaml({"qubits": entries})
+    return _emit_device({"qubits": entries})

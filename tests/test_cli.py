@@ -32,7 +32,9 @@ from readout_opt.cli import (
     result_from_dict,
     result_to_dict,
 )
-from readout_opt.device import dump_yaml, ghz_to_rad_ns, parse_yaml
+from readout_opt import device, yamlio
+from readout_opt.device import ghz_to_rad_ns, serialize_device
+from readout_opt.yamlio import NotCanonical, dump_yaml, parse_with, parse_yaml
 from readout_opt.dynamics import (
     DetuningStepError,
     PoleProximityError,
@@ -127,6 +129,16 @@ class TestValidate:
         path = tmp_path / "bad.yaml"
         path.write_text("qubits: [{row: 0}]")
         assert main(["validate", "--device", str(path)]) == EXIT_IO
+
+    @pytest.mark.parametrize("flag", ["--device", "--opt-config"])
+    def test_parse_failure_names_the_file(self, device_path, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("qubits: [\n")
+        args = {"--device": str(device_path), "--opt-config": None, flag: str(bad)}
+        argv = ["validate"] + [a for k, v in args.items() if v for a in (k, v)]
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: config parse failure: while parsing")
 
     def test_bad_device_value_names_the_field(self, tmp_path, capsys):
         raw = yaml.safe_load((CONFIG_DIR / "device_d3.yaml").read_text())
@@ -831,6 +843,36 @@ class TestCrossFidelityCsv:
             for text in (b",nan\r\n", b",-0.0\r\n", b",5e-324\r\n", b",1e+22\r\n"):
                 assert text in written
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3, 6])
+    def test_histogram_bytes_equal_sorted_abs_values(self, tmp_path, n_qubits):
+        """cross_fidelity_hist.csv and report.txt's mean |F| are those of the
+        sorted finite |F_ij| written by csv.writer, on undefined (NaN) pairs,
+        infinities, -0.0 beside 0.0, subnormals and equal |F| of either sign."""
+        qubits = [QubitId(0, k, Role.DATA) for k in range(n_qubits)]
+        values = [0.25, float("nan"), -0.0, -0.25, 5e-324, 0.0, -5e-324, float("-inf"),
+                  1 / 3, -1e-310, 0.25, -1 / 3, 1e22, float("nan"), -0.125]
+        f = np.array([[values[(5 * i + j) % len(values)] for j in range(n_qubits)]
+                      for i in range(n_qubits)])
+        np.fill_diagonal(f, np.nan)
+        report = BenchmarkReport(
+            config=BenchmarkConfig(), qubits=qubits,
+            p10={q: 0.0 for q in qubits}, p01={q: 0.0 for q in qubits},
+            error={q: 0.0 for q in qubits}, cross_fidelity=f, undefined_pairs=[],
+            budget=ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0))
+        cli._write_benchmark_outputs(tmp_path, report)
+        offdiag = f[~np.eye(n_qubits, dtype=bool)]
+        absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))
+        expected = TestWriteCsv.csv_writer_bytes(
+            tmp_path / "ref.csv", ["abs_F", "cumulative_fraction"],
+            [(v, (k + 1) / len(absf)) for k, v in enumerate(absf.tolist())])
+        assert (tmp_path / "cross_fidelity_hist.csv").read_bytes() == expected
+        mean = float(np.mean(absf)) if len(absf) else float("nan")
+        assert f"mean |F_ij|: {mean:.5f}\n" in (tmp_path / "report.txt").read_text()
+        if n_qubits == 6:
+            written = expected.decode()
+            for text in ("\r\n0.0,", "\r\n5e-324,", "\r\n1e-310,", "\r\n0.25,"):
+                assert text in written
+
 
 def _set(path, value):
     """Edit of a results dict: set the value at a key path, None deletes it."""
@@ -1122,6 +1164,193 @@ class TestParseYaml:
         _assert_matches_safe_loader(f"{tag} '{body}'")
 
 
+#: floats and ints of the codec's drawn documents: PyYAML's special float
+#: texts, -0.0, a subnormal, floats whose repr has no ".", ints past 2**53
+_CODEC_FLOATS = (st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e22])
+                 | st.floats())
+_CODEC_INTS = st.sampled_from([2**53 + 1, -(2**64), 10**30]) | st.integers()
+_ROLE_VALUES = st.sampled_from([r.value for r in Role])
+
+
+def _ordered(schema: dict):
+    """Dicts with schema's keys in schema's order, each value drawn from its
+    strategy (fixed_dictionaries does not keep the order)."""
+    return st.fixed_dictionaries(schema).map(lambda d: {key: d[key] for key in schema})
+
+
+_RESULTS_DOCS = _ordered({
+    "strategy": st.sampled_from([s.value for s in Strategy]),
+    "evaluations": _CODEC_INTS, "scored": _CODEC_INTS,
+    "qubits": st.lists(_ordered({
+        "row": _CODEC_INTS, "col": _CODEC_INTS, "role": _ROLE_VALUES,
+        "traversal_index": _CODEC_INTS, "n_collision_specs": _CODEC_INTS,
+        **{key: _CODEC_FLOATS for key in ("f_q_GHz", "B0", "t_p_ns", "t_r_ns")},
+        "cost": _ordered({key: _CODEC_FLOATS for key in cli._COST_KEYS.values()}),
+    }), min_size=1, max_size=60)})
+_DEVICE_DOCS = _ordered({"qubits": st.lists(_ordered({
+    "row": _CODEC_INTS, "col": _CODEC_INTS, "role": _ROLE_VALUES,
+    **{key: _CODEC_FLOATS for key in (
+        "alpha_GHz", "g_eff", "f_r_GHz", "eta", "kappa_MHz", "amp_ref")},
+    "band_GHz": st.lists(_CODEC_FLOATS, min_size=2, max_size=2),
+    "gamma1_table": st.lists(st.lists(_CODEC_FLOATS, min_size=2, max_size=2),
+                             min_size=1, max_size=12),
+}), min_size=1, max_size=60)})
+
+#: (read, emit) of each schema
+_CODECS = {"device": (device._read_device, device._emit_device),
+           "results": (cli._read_results, cli._emit_results)}
+
+#: tokens that stand for a value in the mutated texts
+_MUTANT_TOKENS = ["0.50", "1e5", "1_0", "+1", "017", ".NaN", "nan", "yes", "~", "1.0E+16"]
+
+
+def _mutants(text):
+    """(name, text) of variants of a canonical text: tokens in place of the
+    value on four lines, and other edits."""
+    lines = text.splitlines(keepends=True)
+    at = {"first value": 1, "role": next(k for k, line in enumerate(lines) if "role:" in line),
+          "float": next(k for k, line in enumerate(lines) if "eta:" in line or "B0:" in line),
+          "last value": len(lines) - 1}
+    for where, k in at.items():
+        prefix = lines[k][:lines[k].rindex(" ") + 1]
+        for token in _MUTANT_TOKENS:
+            yield f"{token} as {where}", "".join(lines[:k] + [prefix + token + "\n"] + lines[k + 1:])
+    yield "comment line", "".join(lines[:2] + ["# note\n"] + lines[2:])
+    yield "CRLF", text.replace("\n", "\r\n")
+    yield "swapped keys", "".join(lines[:2] + [lines[2].replace("  ", "- ", 1),
+                                               lines[1].replace("- ", "  ", 1)] + lines[3:])
+    yield "extra key", "".join(lines[:at["role"] + 1] + ["  extra: 1\n"] + lines[at["role"] + 1:])
+    yield "trailing space", text[:-1] + " \n"
+    yield "no final newline", text[:-1]
+
+
+class TestCodec:
+    """The direct codec of device and results files: its emitters write
+    yaml.safe_dump's text, and its readers return SafeLoader's objects or
+    hand the text to parse_yaml."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_RESULTS_DOCS)
+    def test_results_emitter_is_safe_dump(self, data):
+        assert cli._emit_results(data) == yaml.safe_dump(data, sort_keys=False)
+        assert cli._emit_results(data) == dump_yaml(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_DEVICE_DOCS)
+    def test_device_emitter_is_safe_dump(self, data):
+        assert device._emit_device(data) == yaml.safe_dump(data, sort_keys=False)
+        assert device._emit_device(data) == dump_yaml(data)
+
+    @pytest.fixture
+    def texts(self, results_path):
+        """Canonical texts of each schema: the shipped device, a serialized
+        one and a results file that optimize wrote."""
+        d3 = (CONFIG_DIR / "device_d3.yaml").read_text()
+        return {"device": [d3, serialize_device(load_device(d3))],
+                "results": [results_path.read_text()]}
+
+    @staticmethod
+    def declined(monkeypatch, schema, text):
+        """parse_with's dict, or None where it hands text to parse_yaml."""
+        monkeypatch.setattr(yamlio, "parse_yaml", lambda t: None)
+        try:
+            return parse_with(*_CODECS[schema], text)
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("schema, edit", [
+        ("device", lambda t: "qubits:\n"),
+        ("results", lambda t: t[:t.index("- row:")]),
+        ("results", lambda t: re.sub("^strategy: .*", "strategy: yes", t)),
+        ("results", lambda t: re.sub("^strategy: .*", "strategy: ~", t)),
+        ("device", lambda t: t.replace("role: data", "role: on", 1)),
+        ("results", lambda t: re.sub("role: .*", "role: null", t, count=1)),
+    ], ids=["no qubits", "no results", "strategy yes", "strategy ~", "role on", "role null"])
+    def test_emitter_checks_keep_the_reader_exact(self, texts, schema, edit):
+        """Texts the reader reads but SafeLoader reads otherwise: the emitter
+        declines the reader's dict, so parse_with returns SafeLoader's objects."""
+        text = edit(texts[schema][-1])
+        read, emit = _CODECS[schema]
+        data = read(text)
+        assert data is not None
+        with pytest.raises(NotCanonical):
+            emit(data)
+        _assert_same_objects(parse_with(read, emit, text),
+                             yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("schema, key", [("device", "eta"), ("results", "B0")])
+    def test_emitters_refuse_a_numpy_float(self, texts, schema, key):
+        """A numpy float, whose repr is not YAML, raises rather than being written."""
+        read, emit = _CODECS[schema]
+        data = read(texts[schema][-1])
+        data["qubits"][0][key] = np.float64(0.5)
+        with pytest.raises(NotCanonical):
+            emit(data)
+
+    @pytest.mark.parametrize("schema", ["device", "results"])
+    def test_canonical_texts_are_read_directly(self, monkeypatch, texts, schema):
+        for text in texts[schema]:
+            data = self.declined(monkeypatch, schema, text)
+            assert data is not None
+            _assert_same_objects(data, yaml.load(text, Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("schema", ["device", "results"])
+    def test_mutated_texts_load_as_safe_loader_loads_them(self, monkeypatch, texts, schema):
+        """Each reader returns SafeLoader's objects or declines, and load_device
+        and benchmark's results reading keep their objects and errors."""
+        if schema == "device":
+            def load(t):
+                return load_device(t)
+
+            def load_old(t):
+                with monkeypatch.context() as m:
+                    m.setattr(device, "_read_device", lambda _: None)
+                    return load_device(t)
+        else:
+            def load(t):
+                return result_from_dict(parse_with(*_CODECS[schema], t))
+
+            def load_old(t):
+                return result_from_dict(parse_yaml(t))
+        declined = 0
+        for text in texts[schema]:
+            for name, mutant in _mutants(text):
+                assert mutant != text, name
+                data = self.declined(monkeypatch, schema, mutant)
+                if data is None:
+                    declined += 1
+                else:
+                    _assert_same_objects(data, yaml.load(mutant, Loader=yaml.SafeLoader))
+                assert repr(_outcome(load, mutant)) == repr(_outcome(load_old, mutant)), name
+        assert declined > 0.9 * sum(1 for text in texts[schema] for _ in _mutants(text))
+
+    def test_no_parse_yaml_for_the_programs_own_files(self, monkeypatch, opt_path, tmp_path):
+        """The shipped device, serialize_device's text and a results.yaml that
+        optimize wrote load without parse_yaml."""
+        calls = []
+        real = yamlio.parse_yaml
+
+        def spy(text):
+            calls.append(text)
+            return real(text)
+
+        d3 = (CONFIG_DIR / "device_d3.yaml").read_text()
+        graph = load_device(d3)
+        device_file = tmp_path / "device.yaml"
+        device_file.write_text(serialize_device(graph))
+        assert run_optimize(device_file, opt_path, tmp_path / "run") == EXIT_OK
+        monkeypatch.setattr(yamlio, "parse_yaml", spy)
+        load_device(d3)
+        load_device(device_file.read_text())
+        assert main(["benchmark", "--device", str(device_file),
+                     "--results", str(tmp_path / "run" / "results.yaml"),
+                     "--n-states", "5", "--n-shots", "10",
+                     "--out", str(tmp_path / "bench")]) == EXIT_OK
+        assert calls == []
+        parse_with(*_CODECS["device"], "qubits: []\n")
+        assert calls == ["qubits: []\n"]  # the spy sees a fallback
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -1143,7 +1372,7 @@ def test_parse_yaml_without_libyaml():
 import sys, yaml
 del yaml.CSafeLoader
 sys.path.insert(0, {str(src)!r})
-from readout_opt.device import _PlainLoader, parse_yaml
+from readout_opt.yamlio import _PlainLoader, parse_yaml
 assert yaml.SafeLoader in _PlainLoader.__mro__
 def outcome(load, text):
     try:

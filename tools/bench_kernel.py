@@ -49,9 +49,18 @@ row-major turn, on a 7 x 7 grid with measure qubits where row + col is odd,
 and is written by serialize_device; perfbench's montecarlo_d5 set-up builds
 its d=5 device the same way on a rotated layout, to a text of the same
 size.  The results file has synthetic costs, written as optimize writes
-results.yaml.  Each text is read by
-device.parse_yaml and by yaml.load with yaml.CSafeLoader, over YAML_ROUNDS
-calls each, the two alternating and each after a full garbage collection.
+results.yaml.  Each text is read by the route the program takes (direct:
+yamlio.parse_with with the schema's direct reader and emitter), by
+yamlio.parse_yaml and by yaml.load with yaml.CSafeLoader, over YAML_ROUNDS
+calls each, the loaders alternating and each call after a full garbage
+collection.  So is a non-canonical variant of each text, the same document
+with a 0 appended to its last value: the direct reader reads all of it and
+declines only at the last byte of the re-emitted text, so its time is the
+worst case of the fallback to parse_yaml.
+
+yaml_dump_s times the writing of the same two documents, from the dicts
+the texts load to, by the schema's direct emitter and by yamlio.dump_yaml,
+alike.
 
     python3 tools/bench_kernel.py [--out PATH]
 
@@ -59,7 +68,7 @@ Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
 BENCH_kernel.json at the checkout's root.  The kernel's, the statistics',
 the bound's, the sweep's, the import's, cross_fidelity's and the YAML
-loads' seconds are medians over the rounds, with quartiles.
+loads' and dumps' seconds are medians over the rounds, with quartiles.
 """
 from __future__ import annotations
 
@@ -81,7 +90,12 @@ import yaml  # noqa: E402
 
 from readout_opt import dynamics, error_models  # noqa: E402
 from readout_opt.benchmark import ShotRecords, cross_fidelity  # noqa: E402
-from readout_opt.cli import SWEEP_CHUNK, result_to_dict  # noqa: E402
+from readout_opt.cli import (  # noqa: E402
+    SWEEP_CHUNK,
+    _emit_results,
+    _read_results,
+    result_to_dict,
+)
 from readout_opt.config import (  # noqa: E402
     Strategy,
     build_search_grid,
@@ -92,13 +106,14 @@ from readout_opt.device import (  # noqa: E402
     DeviceGraph,
     QubitId,
     Role,
-    dump_yaml,
+    _emit_device,
+    _read_device,
     load_device,
-    parse_yaml,
     serialize_device,
 )
 from readout_opt.error_models import CostBreakdown, ReadoutParams  # noqa: E402
 from readout_opt.snake import OptimizationResult, QubitResult  # noqa: E402
+from readout_opt.yamlio import dump_yaml, parse_with, parse_yaml  # noqa: E402
 
 N_OMEGAS = 4
 ROUNDS = 12
@@ -221,22 +236,53 @@ def yaml_texts() -> dict[str, str]:
             "results_49": dump_yaml(result_to_dict(result, Strategy.ALL_MODELS))}
 
 
+#: each text's direct reader and emitter
+CODECS = {"device_49": (_read_device, _emit_device),
+          "results_49": (_read_results, _emit_results)}
+
+
+def noncanonical(text: str) -> str:
+    """text with a 0 appended to its last value, a float with a "." and no
+    exponent: the same document, which the direct reader reads in full and
+    declines only when the re-emitted text differs in its last byte."""
+    last = text[text.rindex(" ", 0, -1) + 1:-1]
+    assert "." in last and "e" not in last, last
+    return text[:-1] + "0\n"
+
+
+def timings(calls: dict, arg) -> dict:
+    """Median and quartiles of YAML_ROUNDS calls of each of calls on arg,
+    the calls alternating and each after a full garbage collection."""
+    times = {name: [] for name in calls}
+    for _ in range(YAML_ROUNDS):
+        for name, call in calls.items():
+            gc.collect()  # each call starts from the same heap
+            start = time.perf_counter()
+            call(arg)
+            times[name].append(time.perf_counter() - start)
+    return {name: summary(t) for name, t in times.items()}
+
+
 def yaml_load_timings() -> dict:
-    """Seconds of parse_yaml and of yaml.load with CSafeLoader on each text."""
-    loaders = {"parse_yaml": parse_yaml}
-    if hasattr(yaml, "CSafeLoader"):
-        loaders["CSafeLoader"] = lambda text: yaml.load(text, Loader=yaml.CSafeLoader)
+    """Seconds of the direct codec's read, of parse_yaml and of yaml.load
+    with CSafeLoader on each text and on its non-canonical variant."""
     out = {}
     for name, text in yaml_texts().items():
-        times = {loader: [] for loader in loaders}
-        for _ in range(YAML_ROUNDS):  # the loaders alternate
-            for loader, load in loaders.items():
-                gc.collect()  # each call starts from the same heap
-                start = time.perf_counter()
-                load(text)
-                times[loader].append(time.perf_counter() - start)
-        out[name] = {"bytes": len(text.encode()),
-                     **{loader: summary(t) for loader, t in times.items()}}
+        read, emit = CODECS[name]
+        loaders = {"direct": lambda t: parse_with(read, emit, t), "parse_yaml": parse_yaml}
+        if hasattr(yaml, "CSafeLoader"):
+            loaders["CSafeLoader"] = lambda t: yaml.load(t, Loader=yaml.CSafeLoader)
+        for key, variant in ((name, text), (name + "_noncanonical", noncanonical(text))):
+            out[key] = {"bytes": len(variant.encode()), **timings(loaders, variant)}
+    return {"rounds": YAML_ROUNDS, "texts": out}
+
+
+def yaml_dump_timings() -> dict:
+    """Seconds of the direct emitter and of dump_yaml on each text's data."""
+    out = {}
+    for name, text in yaml_texts().items():
+        out[name] = timings({"direct": CODECS[name][1], "dump_yaml": dump_yaml},
+                            parse_yaml(text))
     return {"rounds": YAML_ROUNDS, "texts": out}
 
 
@@ -289,6 +335,7 @@ def main(argv=None) -> int:
     result["import_s"] = summary(import_times())
     result["cross_fidelity_s"] = cross_fidelity_timings()
     result["yaml_load_s"] = yaml_load_timings()
+    result["yaml_dump_s"] = yaml_dump_timings()
     result["environment"] = {
         "python": platform.python_version(),
         "numpy": np.__version__,
