@@ -80,7 +80,12 @@ SWEEP_CHUNK = 128
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text()
+    """The text of path, or a ValueError that names path on bytes it
+    cannot decode."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _named(path: str, load, error: type[ValueError]):
@@ -532,9 +537,9 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
 
 def cmd_benchmark(args) -> int:
     graph = _load_graph(args.device)
+    text = _read_text(args.results)
     try:
-        result = result_from_dict(
-            parse_with(_read_results, _emit_results, _read_text(args.results)))
+        result = result_from_dict(parse_with(_read_results, _emit_results, text))
     except (yaml.YAMLError, ValueError) as exc:
         raise ValueError(f"{args.results}: {exc}") from None
 

@@ -15,7 +15,7 @@ import enum
 import itertools
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -127,11 +127,6 @@ class QubitPhysical:
                               axis=1, out=m[:n, 1:])
         m.setflags(write=False)
         return m
-
-    def __getstate__(self) -> dict:
-        # a pickle carries the fields only: unpickled arrays would be
-        # writable, so a copy builds its own on first use
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import dataclasses
 import gc
+import itertools
 import math
 import re
 import subprocess
@@ -14,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readout_opt import (
-    OptimizationResult,
     QubitId,
     ReadoutParams,
     Role,
@@ -30,7 +31,6 @@ from readout_opt.cli import (
     SWEEP_CHUNK,
     main,
     result_from_dict,
-    result_to_dict,
 )
 from readout_opt import device, yamlio
 from readout_opt.device import ghz_to_rad_ns, serialize_device
@@ -229,18 +229,37 @@ class TestOptimize:
             raw = yaml.safe_load((out / name).read_text())
             assert (raw["evaluations"], raw["scored"]) == (result.evaluations, result.scored)
 
-    def test_round_trip(self, device_path, opt_path, tmp_path):
-        out = tmp_path / "run"
-        run_optimize(device_path, opt_path, out)
-        raw = yaml.safe_load((out / "results.yaml").read_text())
-        result = result_from_dict(raw)
-        assert isinstance(result, OptimizationResult)
-        again = result_to_dict(result, Strategy(raw["strategy"]))
-        assert again["evaluations"] == raw["evaluations"]
-        for a, b in zip(again["qubits"], raw["qubits"]):
-            assert a["f_q_GHz"] == pytest.approx(b["f_q_GHz"], rel=1e-12)
-            assert a["cost"]["total"] == pytest.approx(
-                b["cost"]["total"], rel=1e-12)
+    def test_round_trip(self, device_path, opt_path, tmp_path, monkeypatch):
+        """results.yaml reads back to the float bits of each qubit's
+        parameters and costs that optimize held, in the same order, under
+        either strategy; the scored count is not written, so it reads back
+        as 0."""
+        held, optimize = [], cli.optimize_device
+        monkeypatch.setattr(cli, "optimize_device",
+                            lambda *a, **k: held.append(optimize(*a, **k)) or held[-1])
+
+        def bits(obj):
+            return [getattr(obj, f.name).hex() for f in dataclasses.fields(obj)]
+
+        shipped = CONFIG_DIR / "device_d3.yaml"
+        runs = [(device_path, opt_path), (shipped, CONFIG_DIR / "optimizer_small.yaml"),
+                (shipped, CONFIG_DIR / "optimizer.yaml")]
+        for k, ((device_file, opt_file), strategy) in enumerate(
+                itertools.product(runs, ["all", "predictive"])):
+            out = tmp_path / f"run{k}"
+            assert run_optimize(device_file, opt_file, out, "--strategy", strategy) == EXIT_OK
+            result = held.pop()
+            text = (out / "results.yaml").read_text()
+            back = result_from_dict(parse_with(cli._read_results, cli._emit_results, text))
+            assert back.order == result.order
+            assert back.per_qubit.keys() == result.per_qubit.keys()
+            for qid, q in result.per_qubit.items():
+                b = back.per_qubit[qid]
+                assert bits(b.params) == bits(q.params), (k, qid)
+                assert bits(b.breakdown) == bits(q.breakdown), (k, qid)
+                assert (b.traversal_index, b.n_collision_specs) == (
+                    q.traversal_index, q.n_collision_specs)
+            assert (back.evaluations, back.scored) == (result.evaluations, 0)
 
     def test_predictive_strategy(self, device_path, opt_path, tmp_path):
         out = tmp_path / "run"
@@ -581,6 +600,24 @@ class TestSweep:
             "--out", str(tmp_path / "sweep"),
         ])
         assert code == EXIT_IO
+
+
+@pytest.mark.parametrize("flag", ["--device", "--opt-config", "--results"])
+def test_undecodable_file_named_once(device_path, opt_path, tmp_path, capsys, flag):
+    """A file that is not UTF-8 exits 2 with its path named once."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"\xffqubits: []\n")
+    if flag == "--results":
+        argv = ["benchmark", "--device", str(device_path), "--results", str(bad),
+                "--n-states", "5", "--n-shots", "10", "--out", str(tmp_path / "bench")]
+    else:
+        args = {"--device": str(device_path), "--opt-config": str(opt_path), flag: str(bad)}
+        argv = ["optimize", *(a for k, v in args.items() for a in (k, v)),
+                "--out", str(tmp_path / "run2")]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count(str(bad)) == 1
 
 
 class TestBenchmark:
@@ -1363,8 +1400,8 @@ class TestParser:
 
 
 def test_parse_yaml_without_libyaml():
-    """Where PyYAML has no libyaml, the loader builds on yaml.SafeLoader and
-    parse_yaml still returns and raises what yaml.SafeLoader does."""
+    """Where PyYAML has no libyaml, parse_yaml loads through yaml.SafeLoader
+    and still returns and raises what yaml.SafeLoader does."""
     src = Path(cli.__file__).resolve().parents[1]
     texts = [(CONFIG_DIR / "device_d3.yaml").read_text(), "a: &x [1, .5]\nb: *x\n",
              "&r [1, *r]", "base: &b {x: 1}\nd: {<<: *b}\n", "!!int abc", "qubits: ["]
@@ -1372,8 +1409,12 @@ def test_parse_yaml_without_libyaml():
 import sys, yaml
 del yaml.CSafeLoader
 sys.path.insert(0, {str(src)!r})
-from readout_opt.yamlio import _PlainLoader, parse_yaml
-assert yaml.SafeLoader in _PlainLoader.__mro__
+from readout_opt.yamlio import parse_yaml
+loaders, load = [], yaml.load
+yaml.load = lambda stream, Loader: loaders.append(Loader) or load(stream, Loader)
+parse_yaml("a: 1")
+yaml.load = load
+assert loaders == [yaml.SafeLoader], loaders
 def outcome(load, text):
     try:
         return repr(load(text))

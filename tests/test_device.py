@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -256,7 +255,7 @@ class TestRelaxationRate:
 
     def test_knot_minima(self):
         """m[i, j] is the least rate of knots i to j - 1, built once per
-        qubit, read-only and left out of a pickle."""
+        qubit and read-only."""
         q = make_qubit(gamma1_table=tuple(
             (TWO_PI * f, r) for f, r in ((5.0, 3e-5), (5.5, 1e-5), (6.0, 4e-5), (6.5, 2e-5))))
         m = q.gamma1_knot_minima
@@ -265,9 +264,6 @@ class TestRelaxationRate:
             for j in range(len(rates) + 1):
                 assert m[i, j] == (min(rates[i:j]) if j > i else math.inf)
         assert q.gamma1_knot_minima is m and not m.flags.writeable
-        copy = pickle.loads(pickle.dumps(q))
-        assert "gamma1_knot_minima" not in vars(copy)
-        np.testing.assert_array_equal(copy.gamma1_knot_minima, m)
 
 
 class TestNeighbors:
