@@ -33,6 +33,7 @@ from .config import (
     Strategy,
     build_search_grid,
     check_dt,
+    check_start,
     config_echo,
     load_optimizer_config,
     snap_length,
@@ -287,8 +288,9 @@ def _write_summary_csv(path: Path, result_dict: dict) -> None:
 
 def cmd_validate(args) -> int:
     graph = _load_graph(args.device)
-    # the default config's dt_ns without --opt-config, as optimize uses it
-    check_dt(graph, _load_opt_config(args.opt_config))
+    cfg = _load_opt_config(args.opt_config)  # the default without --opt-config, as in optimize
+    check_dt(graph, cfg)
+    check_start(graph, cfg)
     n_measure = sum(1 for q in graph.qubits if q.role is Role.MEASURE)
     print(f"device ok: {len(graph.qubits)} qubits "
           f"({n_measure} measure, {len(graph.qubits) - n_measure} data)")
@@ -301,16 +303,11 @@ def cmd_optimize(args) -> int:
     graph = _load_graph(args.device)
     cfg = _load_opt_config(args.opt_config)
     check_dt(graph, cfg)
+    start = check_start(graph, cfg)
     strategy = Strategy(args.strategy)
     model = replace(cfg.model, heuristics=strategy is Strategy.ALL_MODELS)
     out = Path(args.out)
-
     grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
-    start = None
-    if cfg.start is not None:
-        start = graph.at(*cfg.start)
-        if start is None:
-            raise OptimizerConfigError(f"start qubit {cfg.start} not on device")
 
     t_begin = time.perf_counter()
     try:

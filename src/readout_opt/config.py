@@ -13,7 +13,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .device import DeviceGraph, QubitId, _integer, ghz_to_rad_ns, rad_ns_to_ghz
+from .device import DeviceGraph, QubitId, Role, _integer, ghz_to_rad_ns, rad_ns_to_ghz
 from .dynamics import StepSizeError, _check_step
 from .error_models import CostModel, CostWeights, ParameterError, require
 from .snake import SearchGrid
@@ -171,6 +171,18 @@ def check_dt(graph: DeviceGraph, cfg: OptimizerConfig) -> None:
             _check_step(0.0, graph.qubits[qid].kappa, cfg.model.dt)
         except StepSizeError as exc:
             raise OptimizerConfigError(f"dt_ns: qubit {qid}: {exc}") from None
+
+
+def check_start(graph: DeviceGraph, cfg: OptimizerConfig) -> QubitId | None:
+    """The measure qubit of graph that start_qubit names, or None where it
+    names none; else raise OptimizerConfigError, naming start_qubit."""
+    if cfg.start is None:
+        return None
+    start = graph.at(*cfg.start)
+    if start is None or start.role is not Role.MEASURE:
+        fault = "not on device" if start is None else "is not a measure qubit"
+        raise OptimizerConfigError(f"start_qubit: {cfg.start} {fault}")
+    return start
 
 
 def _step_range(lo: float, hi: float, dt: float) -> tuple[int, int]:

@@ -515,7 +515,7 @@ def _elementwise(func, x: np.ndarray) -> np.ndarray:
     The kernel takes erfc and exp from math, so every cell has the bits of
     a one-point evaluation: numpy has no erfc, and np.exp's SIMD loop
     differs from math.exp in the last bit for some inputs.  The bound,
-    which needs no bits, takes the vectorized _erfc instead.
+    which needs no bits, takes the vectorized _erfc_lower instead.
     """
     return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
@@ -582,7 +582,7 @@ class _UnitColumns(NamedTuple):
     p: np.ndarray  # |f|^2 at the last sample
     n_lo: np.ndarray  # the peak of |f|^2, from below
     n_hi: np.ndarray  # and from above
-    k_lo: np.ndarray  # at most the count of samples whose running C is below C/2
+    k_lo: np.ndarray  # at most the count of samples, up to n_p + 1, whose running C is below C/2
 
 
 def _unit_columns(u, powers, n_ps, n_tot, dt) -> _UnitColumns:
@@ -590,36 +590,31 @@ def _unit_columns(u, powers, n_ps, n_tot, dt) -> _UnitColumns:
 
     u and powers hold the planes' unit +chi step responses up to at least
     sample max(n_ps) and the powers of R up to at least n_tot - min(n_ps),
-    n_tot the samples of t_p + t_r, as step_responses returns them; the scorer cell_bound returns reads the
-    same ones.  Each field of the result is a (len(u), len(n_ps)) array.  f
-    is _pulse_rows' field at amplitude 1.0: u up to sample n_p, then the
-    ringdown fl(R^t w), w = u[n_p], t samples on.  Each statistic is read
-    off a few prefix arrays of u and of the powers, never off f's rows:
+    n_tot the samples of t_p + t_r, as step_responses returns them; the
+    scorer cell_bound returns reads the same ones.  Each field of the
+    result is a (len(u), len(n_ps)) array.  f is _pulse_rows' field at
+    amplitude 1.0: u up to sample n_p, then the ringdown fl(R^t w), w =
+    u[n_p], t samples on.  Each statistic is read off a few prefix arrays
+    of u and of the powers, never off f's rows:
 
     - P is the kernel's own last sample, |fl(R^K w)|^2 at K = n_tot - n_p,
       with its bits.
     - Up to n_p, f is u, so there f's |f|^2 and running SNR integral (the
       trapezoid cumsum of (2 Im f)^2) are u's prefixes, with their bits: the
-      running max of |u|^2 and the shared cumsum.
+      running max of |u|^2 and the shared cumsum.  k_lo counts the samples
+      of that cumsum below half of C_lo (1 - 1e-9), up to n_p + 1.
     - After the pulse, f is g_t = R^t w up to the rounding of one complex
-      product, with the kernel's own floats R^t and w.  So N lies between
-      the running max at n_p and that times the largest |R^t|^2 (1 at t =
-      0) and 1 + 8 eps, and f lies within d = 2 eps sqrt(N_hi) of g_t.  Im(g_t)^2 =
+      product (see cell_bound).  So N lies between the running max at n_p
+      and that times the largest |R^t|^2 and 1 + 8 eps, and as Im(g_t)^2 =
       (Im w)^2 (Re R^t)^2 + 2 Re w Im w Re R^t Im R^t + (Re w)^2 (Im R^t)^2,
-      so the ringdown's integral is read off three trapezoid prefix sums
-      of the powers at K.
-    - k_lo counts the samples whose running integral is surely below half
-      of C: a searchsorted in the shared cumsum, or, where half of C lies
-      past the pulse, up to the first ringdown sample whose running
-      integral, taken from above, reaches it.
+      the ringdown's part of C is read off three trapezoid prefix sums of
+      the powers at K, with margins for their rounding and for f's distance
+      d = 2 eps sqrt(N_hi) from g_t.
 
-    C is bracketed by margins that cover d and the three-term form's
-    rounding (see cell_bound).  The planes share every numpy call but the
-    per-plane ones below: every value is an elementwise IEEE operation on
-    its own plane's samples, or a prefix sum, running max or max along
-    them, so a plane's statistics have the same bits in any block.  The
-    searchsorted and the ringdown's running integral, whose matrix product
-    has the shape of the plane's own late columns, are taken per plane.
+    The planes share every numpy call but the searchsorted, one per plane:
+    every value is an elementwise IEEE operation on its own plane's
+    samples, or a prefix sum, running max or max along them, so a plane's
+    statistics have the same bits in any block.
     """
     ur, ui = u[..., 0], u[..., 1]
     n_p = np.asarray(n_ps)
@@ -639,123 +634,59 @@ def _unit_columns(u, powers, n_ps, n_tot, dt) -> _UnitColumns:
     p_max = (terms[:, 0] + terms[:, 2]).max(axis=1)[:, None]
     sums = _running_integral(terms, dt, np.empty_like(terms))
 
-    # the ringdown sum's coefficients of the powers' rows, with its
+    # the ringdown sum's coefficients of the three prefix sums at K, with its
     # rounding margin added (hi) and taken off (lo); |Re p Im p| <= |p|^2/2
-    coef = np.stack([4.0 * wi * wi, 8.0 * wr * wi, 4.0 * wr * wr], axis=1)
-    half_cross = 0.5 * np.abs(coef[:, 1])
-    slack = 2.0 * (n_tot + 10) * _EPS
-    margin = np.stack([coef[:, 0] + half_cross, np.zeros_like(half_cross),
-                       coef[:, 2] + half_cross], axis=1) * slack
-    at_k = sums[:, :, k]
-    hi, lo = (coef + margin) * at_k, (coef - margin) * at_k
-    ring_hi, ring_lo = hi[:, 0] + hi[:, 1] + hi[:, 2], lo[:, 0] + lo[:, 1] + lo[:, 2]
-
-    def gap(ring, t, d):
-        # the kernel's samples are d from g_t: its (2 Im f)^2 moves by at
-        # most 4 (2 |Im g_t| d + d^2), summed by Cauchy-Schwarz
-        t_dt = t * dt
-        return 4.0 * d * np.sqrt(t_dt * np.maximum(ring, 0.0)) + 4.0 * d * d * t_dt
+    c_rr, c_ri, c_ii = 4.0 * wi * wi, 8.0 * wr * wi, 4.0 * wr * wr
+    half_cross, slack = 0.5 * np.abs(c_ri), 2.0 * (n_tot + 10) * _EPS
+    m_rr, m_ii = (c_rr + half_cross) * slack, (c_ii + half_cross) * slack
+    s_rr, s_ri, s_ii = sums[:, 0, k], sums[:, 1, k], sums[:, 2, k]
+    ring_hi = (c_rr + m_rr) * s_rr + c_ri * s_ri + (c_ii + m_ii) * s_ii
+    ring_lo = (c_rr - m_rr) * s_rr + c_ri * s_ri + (c_ii - m_ii) * s_ii
 
     n_lo = peak[:, n_p]
     n_hi = n_lo * p_max * (1.0 + 8.0 * _EPS)
     d = 2.0 * _EPS * np.sqrt(n_hi)
-    gamma, gap_k = (n_tot + 10) * _EPS, gap(ring_hi, k, d)
+    # f is d from g_t: (2 Im f)^2 moves by 4 (2 |Im g_t| d + d^2), summed by Cauchy-Schwarz
+    k_dt = k * dt
+    gap_k = 4.0 * d * np.sqrt(k_dt * np.maximum(ring_hi, 0.0)) + 4.0 * d * d * k_dt
+    gamma = (n_tot + 10) * _EPS
     c_hi = (pre[:, n_p] + ring_hi + gap_k) * (1.0 + gamma)
     c_lo = np.maximum((pre[:, n_p] + ring_lo - gap_k) * (1.0 - gamma), 0.0)
 
     half = 0.5 * c_lo * (1.0 - BOUND_MARGIN)
-    k_lo = np.empty(half.shape, dtype=np.intp)
-    t = np.arange(sums.shape[2], dtype=float)
-    for i in range(len(u)):
-        k_lo[i] = np.searchsorted(pre[i], half[i])
-        late = np.flatnonzero(k_lo[i] > n_p)  # half of C lies past the pulse
-        if len(late):
-            # the running integral from above at every ringdown sample t; the
-            # first that reaches half ends the count, else t = K + 1 does
-            ring = (coef[i] + margin[i])[:, late].T @ sums[i]
-            running = (pre[i, n_p[late], None] + ring + gap(ring, t, d[i, late, None])) \
-                * (1.0 + gamma)
-            over = (running >= half[i, late, None]) | (t > k[late, None])
-            over[:, 0] = False  # sample n_p: pre[n_p] < half
-            first = np.where(over.any(axis=1), over.argmax(axis=1), k[late] + 1)
-            k_lo[i, late] = n_p[late] + first
+    k_lo = np.minimum([np.searchsorted(row, h) for row, h in zip(pre, half)], n_p + 1)
     return _UnitColumns(c_lo, c_hi, fr * fr + fi * fi, n_lo, n_hi, k_lo)
 
 
-#: Cody's rational approximations of erf and erfc (Math. Comp. 23, 631
-#: (1969)), as in his SPECFUN routine CALERF: the coefficients of the
-#: numerator (first row) and denominator, lowest power first
-_ERF_SMALL = np.array([
-    [3.20937758913846947e3, 3.77485237685302021e2, 1.13864154151050156e2,
-     3.16112374387056560e0, 1.85777706184603153e-1],
-    [2.84423683343917062e3, 1.28261652607737228e3, 2.44024637934444173e2,
-     2.36012909523441209e1, 1.0]])
-_ERFC_MID = np.array([
-    [1.23033935479799725e3, 2.05107837782607147e3, 1.71204761263407058e3,
-     8.81952221241769090e2, 2.98635138197400131e2, 6.61191906371416295e1,
-     8.88314979438837594e0, 5.64188496988670089e-1, 2.15311535474403846e-8],
-    [1.23033935480374942e3, 3.43936767414372164e3, 4.36261909014324716e3,
-     3.29079923573345963e3, 1.62138957456669019e3, 5.37181101862009858e2,
-     1.17693950891312499e2, 1.57449261107098347e1, 1.0]])
-_ERFC_LARGE = np.array([
-    [6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
-     3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2],
-    [2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
-     1.87295284992346725e0, 2.56852019228982242e0, 1.0]])
-_SQRT_1_PI = 1.0 / math.sqrt(math.pi)
+_ERFCC = (-1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+          0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277)
 
 
-def _rational(x, coefs):
-    """numerator(x) / denominator(x) at each x >= 0, coefs as _ERFC_MID's.
-
-    Every coefficient is > 0, so the sums cannot cancel: each is within a
-    few eps per term of its exact value, in any order of summation.
-    """
-    powers = np.empty((coefs.shape[1], len(x)))
-    powers[0] = 1.0
-    powers[1] = x
-    for k in range(2, len(powers)):
-        np.multiply(powers[k - 1], x, out=powers[k])
-    num, den = coefs @ powers
-    return num / den
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """erfc at each element of x >= 0, within 1e-12 relative of math.erfc.
-
-    Cody's three forms: 1 - erf below 0.46875, then exp(-x^2) times a
-    rational function of x up to 4 and of 1/x^2 beyond.  The rounding of
-    x^2 moves exp(-x^2) by at most x^2 eps/2 relative, under 1e-13 while
-    erfc is a normal float (x < 26.6); where it underflows, the result is
-    subnormal or 0.
-    """
-    flat = x.ravel()
-    out = np.exp(-flat * flat)
-    small, large = flat <= 0.46875, flat > 4.0
-    mid = ~(small | large)
-    xs, xm, xl = flat[small], flat[mid], flat[large]
-    if len(xs):
-        out[small] = 1.0 - xs * _rational(xs * xs, _ERF_SMALL)
-    out[mid] *= _rational(xm, _ERFC_MID)
-    if len(xl):
-        inv = 1.0 / (xl * xl)
-        out[large] *= (_SQRT_1_PI - inv * _rational(inv, _ERFC_LARGE)) / xl
-    return out.reshape(x.shape)
+def _erfc_lower(x: np.ndarray) -> np.ndarray:
+    """A lower bound on math.erfc at each element of x >= 0: at least 0,
+    and within 4e-7 relative of it where erfc is at least 1e-300.  Numerical
+    Recipes' erfcc (Press et al., 2nd ed. (1992), section 6.2), t exp(-x^2 +
+    poly(t)), t = 1 / (1 + x/2), _ERFCC lowest power first, is within 1.2e-7
+    relative of erfc; 1 - 2e-7 takes it below, with room for math.erfc's
+    last bits and x^2's rounding, under 1e-13 relative while erfc is normal."""
+    t = 1.0 / (1.0 + 0.5 * x)
+    poly = np.full_like(t, _ERFCC[-1])
+    for c in _ERFCC[-2::-1]:  # Horner's rule, in place
+        poly *= t
+        poly += c
+    return t * np.exp(poly - x * x) * (1.0 - 2e-7)
 
 
-def _gamma1_floor(q: QubitPhysical, omega: float, ends, below: bool):
-    """Minimum of the interpolated Gamma1 table between omega and each of
-    ends, all of which lie below omega if below, else above it.
+def _gamma1_floor(q: QubitPhysical, omega: float, ends):
+    """Minimum of the interpolated Gamma1 table between omega and each end.
 
     np.interp is linear between knots and flat past the ends, so the
     minimum is at an end or at a knot between them; the knots' minima come
     from q.gamma1_knot_minima, built once per qubit.
     """
     xp, fp = q.gamma1_arrays
-    if below:
-        lo, hi = np.searchsorted(xp, ends), np.searchsorted(xp, omega, side="right")
-    else:
-        lo, hi = np.searchsorted(xp, omega), np.searchsorted(xp, ends, side="right")
+    lo = np.searchsorted(xp, np.minimum(omega, ends))
+    hi = np.searchsorted(xp, np.maximum(omega, ends), side="right")
     return np.minimum(np.minimum(np.interp(omega, xp, fp), np.interp(ends, xp, fp)),
                       q.gamma1_knot_minima[lo, hi])
 
@@ -857,7 +788,7 @@ def cell_bound(
     of |f|^2) as [C_lo, C_hi] and [N_lo, N_hi], and reads P and k_lo, once
     per pulse length, in plane_statistics; the cell at a gets
 
-      separation  1/2 erfc(sqrt(2 eta kappa a^2 C_hi (1 + 1e-9)) / 2),
+      separation  1/2 _erfc_lower(sqrt(2 eta kappa a^2 C_hi (1 + 1e-9)) / 2),
       photon      a^2 P,
       MIST        the logistic at a^2 N_lo,
       relaxation  max(k_lo - 2, 0) dt times the minimum of the
@@ -890,16 +821,16 @@ def cell_bound(
       times 4 ((Im w)^2 + |Re w Im w|) and 4 ((Re w)^2 + |Re w Im w|) on
       the two squares' sums.  With those margins, and (n + 10) eps for the
       kernel's own sequential cumsum, C_lo <= C <= C_hi, and k_lo counts
-      only samples whose running integral, taken from above, lies below
+      only samples up to the pulse end whose running integral lies below
       half of C_lo.
     - Rounding.  The kernel's SNR integral is a sequential cumsum of
       n_tot nonnegative trapezoids, each a few roundings from a^2 times
       f's; its photon numbers, and so their peak, are a few roundings from
       a^2 |f|^2.  So each is within (n_tot + 5) eps relative of a^2 times
       the unit quantity: under 1e-10 for n_tot < 10^5.  The 1e-9 margins
-      cover that, the last-bit differences of np.exp against the kernel's
-      math.exp and of np.interp, and the bound's erfc, _erfc, which is
-      within 1e-12 relative of the kernel's math.erfc.  The 1e-300 margins
+      cover that and the last-bit differences of np.exp against the
+      kernel's math.exp and of np.interp; the bound's erfc, _erfc_lower,
+      lies at or below math.erfc by its own factor.  The 1e-300 margins
       cover underflow, whose errors are absolute.  Each term is then <= the
       kernel's; rounding is monotone and the weights are >= 0, so each
       weighted term and each partial sum is too.
@@ -943,10 +874,10 @@ def cell_bound(
         return np.maximum(term * (1.0 - BOUND_MARGIN) - BOUND_FLOOR, 0.0)
 
     snr_value = (2.0 * q.eta * q.kappa) * (a2 * unit.c_hi) * (1.0 + BOUND_MARGIN) + BOUND_FLOOR
-    sep = lower(0.5 * _erfc(np.sqrt(snr_value) / 2.0))
+    sep = lower(0.5 * _erfc_lower(np.sqrt(snr_value) / 2.0))
     photon = lower(a2 * unit.p)
     stark_end = omega + (2.0 * chi) * (a2 * unit.n_hi * (1.0 + BOUND_MARGIN))
-    gamma = _gamma1_floor(q, omega, stark_end, chi < 0.0)
+    gamma = _gamma1_floor(q, omega, stark_end)
     steps = np.maximum(unit.k_lo - 2.0, 0.0) * dt
     # the kernel's SNR integral is surely > 0, so it has a relaxation term
     relax = lower(np.where(a2 * unit.c_lo > 1e-280, steps * gamma, 0.0))

@@ -4,8 +4,8 @@ _unit_columns reads each pulse length's unit-amplitude statistics off
 prefix arrays of the step response; row_unit_columns below reads them off
 one full row per pulse length, as the bound did before, and is the oracle.
 plane_statistics computes them for blocks of planes, and each plane must
-have the bits it has alone.  _erfc is held to math.erfc, and _gamma1_floor
-to a brute-force minimum.
+have the bits it has alone.  _erfc_lower is held at or just below
+math.erfc, and _gamma1_floor to a brute-force minimum.
 """
 import math
 from dataclasses import replace
@@ -17,7 +17,7 @@ from readout_opt import build_search_grid, dynamics, error_models, load_device
 from readout_opt import load_optimizer_config
 from readout_opt.error_models import (
     BOUND_MARGIN,
-    _erfc,
+    _erfc_lower,
     _gamma1_floor,
     _pulse_rows,
     _unit_columns,
@@ -55,8 +55,9 @@ N_PS = (1, 2, 5, 20, 60, 100, 120, 250, 480, 499, 500)
 
 def assert_brackets(q, chi, n_ps, n_tot, dt, width):
     """_unit_columns brackets the row oracle's C and peak, with P bit for
-    bit and k_lo at most one below the oracle's; C's bracket is at most
-    width wide relative to C.  Returns the oracle's (c, k_lo)."""
+    bit and k_lo at most one below the oracle's, counted no further than
+    the pulse end; C's bracket is at most width wide relative to C.
+    Returns the oracle's (c, k_lo)."""
     c, p, peak, k_lo = row_unit_columns(q, chi, n_ps, n_tot, dt)
     got = _unit_columns(*step_responses([chi], q.kappa, dt, max(n_ps), n_tot - min(n_ps)),
                         n_ps, n_tot, dt)
@@ -66,7 +67,8 @@ def assert_brackets(q, chi, n_ps, n_tot, dt, width):
     assert (got.c_hi - got.c_lo <= width * c).all()
     assert (got.n_lo <= peak).all() and (peak <= got.n_hi).all()
     assert (got.n_hi - got.n_lo <= 1e-9 * peak).all()
-    assert (got.k_lo <= k_lo).all() and (got.k_lo >= k_lo - 1).all()
+    assert (got.k_lo <= k_lo).all()
+    assert (got.k_lo >= np.minimum(k_lo, np.array(n_ps) + 1) - 1).all()
     return c, k_lo
 
 
@@ -78,6 +80,22 @@ def test_unit_columns_bracket_the_row_oracle(qid):
         _, k_lo = assert_brackets(q, chi, N_PS, 500, 1.0, 1e-9)
         # the searches on both sides of the pulse end are exercised
         assert (k_lo > np.array(N_PS)).any() and (k_lo <= np.array(N_PS)).any()
+
+
+@pytest.mark.parametrize("qid", QIDS[:4], ids=str)
+def test_k_lo_counts_no_further_than_the_pulse_end(qid):
+    """Where half of C lies past the pulse end, k_lo counts every sample up
+    to the pulse end and none after it: u's running integral past n_p is a
+    longer pulse's, not the ringdown's."""
+    q, n_ps = D3.qubits[qid], np.array(N_PS)
+    for omega in np.linspace(*D3.search_band[qid], 3):
+        chi = dynamics.dispersive_shift(q, omega)
+        _, _, _, k_lo = row_unit_columns(q, chi, N_PS, 500, 1.0)
+        got = _unit_columns(*step_responses([chi], q.kappa, 1.0, max(N_PS), 500 - min(N_PS)),
+                            N_PS, 500, 1.0).k_lo[0]
+        late = k_lo > n_ps
+        assert late.any() and (got <= n_ps + 1).all()
+        np.testing.assert_array_equal(got[late], n_ps[late] + 1)
 
 
 def test_unit_columns_on_a_finer_step():
@@ -137,20 +155,20 @@ def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
 
 
 def test_erfc_matches_math_erfc():
-    """Within 1e-12 relative of math.erfc wherever erfc is at least 1e-300,
-    across Cody's three forms and their seams, and within 1e-310 absolute
-    in the underflow tail and beyond."""
+    """At or below math.erfc, and within 4e-7 relative of it, wherever
+    erfc is at least 1e-300; at least 0 and at most 1e-310 above it in the
+    underflow tail and beyond."""
     seams = [s + d for s in (0.46875, 4.0) for d in (-1e-15, 0.0, 1e-15)]
     x = np.concatenate([np.linspace(0.0, 27.3, 100_001), seams,
                         np.linspace(26.0, 27.5, 3001), [30.0, 1e3, 1e150, math.inf]])
-    got = _erfc(x)
+    got = _erfc_lower(x)
     want = np.array([math.erfc(v) for v in x])
-    assert got[0] == 1.0
     normal = want >= 1e-300
     assert normal.sum() > 95_000 and (~normal).sum() > 4_000
-    assert (np.abs(got - want)[normal] <= 1e-12 * want[normal]).all()
-    assert (np.abs(got - want)[~normal] <= 1e-310).all()
-    assert _erfc(x[:12].reshape(3, 4)).shape == (3, 4)
+    assert (got[normal] <= want[normal]).all()
+    assert (got[normal] >= (1.0 - 4e-7) * want[normal]).all()
+    assert (got[~normal] >= 0.0).all() and (got[~normal] <= want[~normal] + 1e-310).all()
+    assert _erfc_lower(x[:12].reshape(3, 4)).shape == (3, 4)
 
 
 @pytest.mark.parametrize("below", [True, False])
@@ -162,7 +180,7 @@ def test_gamma1_floor_is_the_least_rate_between_the_ends(below):
     for omega in (5.9, 6.5, 6.8, 7.0, 7.7, 8.2):
         spread = rng.uniform(0.0, 1.5, 200)
         ends = omega - spread if below else omega + spread
-        got = _gamma1_floor(q, omega, ends, below)
+        got = _gamma1_floor(q, omega, ends)
         for end, floor in zip(ends, got):
             lo, hi = min(omega, end), max(omega, end)
             knots = [r for x, r in zip(xp, fp) if lo <= x <= hi]

@@ -188,6 +188,26 @@ class TestValidate:
         assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["validate", "optimize"])
+@pytest.mark.parametrize("start, message", [
+    ([9, 9], "start_qubit: (9, 9) not on device"),
+    ([1, 1], "start_qubit: (1, 1) is not a measure qubit"),
+])
+def test_bad_start_qubit_rejected_by_validate_and_optimize(tmp_path, capsys, command,
+                                                           start, message):
+    """A start qubit off d3, or on a data qubit, is the same config error,
+    with the same message, in validate as in optimize, before any output."""
+    opt = tmp_path / "opt.yaml"
+    opt.write_text(yaml.safe_dump({**TINY_OPT, "start_qubit": start}))
+    out = ["--out", str(tmp_path / "run")] if command == "optimize" else []
+    assert main([command, "--device", str(CONFIG_DIR / "device_d3.yaml"),
+                 "--opt-config", str(opt), *out]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 class TestOptimize:
     def test_writes_outputs(self, device_path, opt_path, tmp_path):
         out = tmp_path / "run"

@@ -15,7 +15,9 @@ from readout_opt import (
     ReadoutParams,
     Role,
     SearchGrid,
+    build_search_grid,
     collision_specs,
+    load_optimizer_config,
     optimize_device,
     optimize_qubit,
     traversal_order,
@@ -23,7 +25,7 @@ from readout_opt import (
 from readout_opt import error_models, snake
 from readout_opt.error_models import cost_plane
 
-from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
+from conftest import CONFIG_DIR, DEFAULT_BAND, TWO_PI, make_graph, make_qubit
 from oracle import evaluate_cost
 
 WEIGHTS = CostWeights()
@@ -376,6 +378,24 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
     assert pruned >= 1
     assert result.evaluations == sum(grid.size for grid in grids.values())
     assert result.scored == total_scored < result.evaluations
+
+
+@pytest.mark.parametrize("config, heuristics, most", [
+    ("optimizer_small.yaml", True, 344),
+    ("optimizer_small.yaml", False, 165),
+    ("optimizer.yaml", True, 4_784),
+    ("optimizer.yaml", False, 2_679),
+], ids=["small-all", "small-predictive", "full-all", "full-predictive"])
+def test_bound_prunes_the_d3_scan(d3_graph, config, heuristics, most):
+    """The bound leaves at most `most` cells of d3 to score under each
+    shipped config and strategy.  The exactness tests pass for any bound at
+    or below the kernel, however loose: the least rate of the whole Gamma1
+    table in place of _gamma1_floor's scores 597 / 520 cells of the small
+    grid, and no MIST bound 3,627 under all."""
+    cfg = load_optimizer_config((CONFIG_DIR / config).read_text())
+    grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
+    result = optimize_device(d3_graph, grids, replace(cfg.model, heuristics=heuristics))
+    assert 0 < result.scored <= most
 
 
 class TestOptimizeDevice:
