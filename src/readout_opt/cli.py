@@ -319,9 +319,9 @@ def cmd_optimize(args) -> int:
             partial = result_to_dict(exc.partial, strategy)
             (out / "results_partial.yaml").write_text(_emit_results(partial))
         return EXIT_INFEASIBLE
-    elapsed = time.perf_counter() - t_begin
-    log.info("optimized %d qubits: %d grid points, %d scored in %.1f s",
-             len(result.per_qubit), result.evaluations, result.scored, elapsed)
+    elapsed_ms = 1e3 * (time.perf_counter() - t_begin)
+    log.info("optimized %d qubits: %d grid points, %d scored in %.1f ms",
+             len(result.per_qubit), result.evaluations, result.scored, elapsed_ms)
 
     out.mkdir(parents=True, exist_ok=True)
     result_dict = result_to_dict(result, strategy)
@@ -337,7 +337,7 @@ def cmd_optimize(args) -> int:
         "scored": result.scored,
     })
     print(f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
-          f"{result.scored} scored, {elapsed:.1f} s)")
+          f"{result.scored} scored, {elapsed_ms:.1f} ms)")
     return EXIT_OK
 
 

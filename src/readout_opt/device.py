@@ -115,19 +115,6 @@ class QubitPhysical:
         arrays.setflags(write=False)  # shared by every caller
         return arrays[0], arrays[1]
 
-    @cached_property
-    def gamma1_knot_minima(self) -> np.ndarray:
-        """Read-only table m with m[i, j] = min(rates[i:j]) of the Gamma1
-        table's rates, +inf where no knot is in the range."""
-        rates = self.gamma1_arrays[1]
-        n = len(rates)
-        m = np.full((n + 1, n + 1), math.inf)
-        # row i: the running minimum of the rates from knot i on
-        np.minimum.accumulate(np.where(np.tri(n, k=-1, dtype=bool), math.inf, rates),
-                              axis=1, out=m[:n, 1:])
-        m.setflags(write=False)
-        return m
-
 
 @dataclass
 class DeviceGraph:

@@ -8,20 +8,24 @@ and Lorentzian penalties for frequency collisions with neighboring qubits.
 cost_plane is the cost kernel that optimize and sweep score with: the
 whole breakdown of every point of a grid of qubit frequencies x
 amplitudes x pulse lengths, each field defined in its docstring, and
-CostWeights.total their weighted sum.  cell_bound bounds cost_plane's
-total from below, cell by cell, from one unit-amplitude response per
-frequency, so optimize can leave out the cells that cannot win, and hands
-back a scorer that gives cost_plane's cells of that frequency from the
-same response.  The response and its statistics depend on no neighbor:
-plane_statistics computes them for every frequency of a walk up front,
-in blocks of frequencies, and cell_bound reads one frequency's entry.
-Both kernels check each grid of amplitudes and pulse lengths once, before
-any frequency (_check_grid), so an invalid grid raises the same error in
-either, and per frequency check only the pole guard and the step against
-|chi|, which make the frequency infeasible (_feasible_chi).
-separation_error, mist_threshold and coupling_error are the terms that
-are functions of one number: the benchmark reads the first, the kernel
-and the bound the other two.
+CostWeights.total their weighted sum.  Its scoring (_score) takes any list
+of cells, each one amplitude and pulse length on one plane (one qubit's
+frequency) of any qubit, and gives each cell the same bits in any list;
+score_planes runs it on cells of the planes that plane_statistics stored,
+and with_coupling adds the coupling term and the total last, as
+CostWeights.total does.  Only that term depends on the neighbors.  So
+plane_statistics computes, for every plane of a walk up front and in
+blocks of planes, each plane's response and unit-amplitude statistics and
+its neighbor-free bound: cell by cell, the weighted sum of lower bounds on
+the other four terms.  cell_bound adds the coupling term to it, a lower
+bound on cost_plane's total in every cell, so optimize can leave out the
+cells that cannot win.  Both kernels check each grid of amplitudes and
+pulse lengths once, before any frequency (_check_grid), so an invalid
+grid raises the same error in either, and per frequency check only the
+pole guard and the step against |chi|, which make the frequency
+infeasible (_feasible_chi).  separation_error, mist_threshold and
+coupling_error are the terms that are functions of one number: the
+benchmark reads the first, the kernel and the bound the other two.
 """
 from __future__ import annotations
 
@@ -210,6 +214,9 @@ class CostBreakdown:
     total: float
 
 
+_FIELDS = tuple(f.name for f in fields(CostBreakdown))
+
+
 def separation_error(snr_value: float) -> float:
     """Probability of misassigning the state at the given SNR."""
     if snr_value < 0:
@@ -264,15 +271,32 @@ def coupling_error(omega_q: float, specs) -> float:
     return total
 
 
-def _relaxation(cum, stark, half, live, dt, xp, fp):
+def _interp_runs(x, rows, runs):
+    """np.interp of each x[i] in the Gamma1 table of cell rows[i].
+
+    runs holds (start, stop, xp, fp): the cells start to stop - 1 take the
+    table (xp, fp).  rows is ascending.  np.interp is elementwise, so each
+    value has the bits of a call on it alone.
+    """
+    if len(runs) == 1:
+        return np.interp(x, *runs[0][2:])
+    out = np.empty(x.shape)
+    for start, stop, xp, fp in runs:
+        a, b = np.searchsorted(rows, (start, stop))
+        out[a:b] = np.interp(x[a:b], xp, fp)
+    return out
+
+
+def _relaxation(cum, stark, half, live, dt, runs):
     """The half-SNR times t0 and relaxation terms of the live cells, one
     row each, as cost_plane defines them.
 
     Row i of cum is cell i's nondecreasing cumulative integral, of stark its
-    Stark trace, and half[i] half its final integral, > 0 where live.
-    Returns the half-SNR times and relaxation errors, 0 off live, and the
-    mask of cells whose trace up to that time leaves the Gamma1 table
-    (xp, fp).
+    Stark trace, and half[i] half its final integral, > 0 where live.  runs
+    holds (start, stop, xp, fp): the cells start to stop - 1 belong to a
+    qubit with the Gamma1 table (xp, fp), and the runs cover the rows in
+    order.  Returns the half-SNR times and relaxation errors, 0 off live,
+    and the mask of cells whose trace up to that time leaves their table.
     """
     t0, relax = np.zeros(len(live)), np.zeros(len(live))
     bad = np.zeros(len(live), dtype=bool)
@@ -288,10 +312,18 @@ def _relaxation(cum, stark, half, live, dt, xp, fp):
     n_full = np.minimum((t / dt).astype(np.int64), n_tot)
     t_rem = t - n_full * dt
     stark = stark[:, : min(int(n_full.max()) + 2, n_tot + 1)]
-    rates = np.interp(stark, xp, fp)
-    if stark.min() < xp[0] or stark.max() > xp[-1]:
-        bad[rows] = ((np.minimum.accumulate(stark, axis=1)[rows, n_full] < xp[0])
-                     | (np.maximum.accumulate(stark, axis=1)[rows, n_full] > xp[-1]))
+    rates = _interp_runs(stark, np.arange(len(live)), runs)
+    # each cell's table range
+    x_lo, x_hi = np.empty(len(live)), np.empty(len(live))
+    for start, stop, xp, _ in runs:
+        x_lo[start:stop], x_hi[start:stop] = xp[0], xp[-1]
+    leaves = (stark.min(axis=1) < x_lo) | (stark.max(axis=1) > x_hi)
+    out = rows[leaves[rows]]
+    if len(out):
+        trace, m = stark[out], n_full[np.searchsorted(rows, out)]
+        at = np.arange(len(out))
+        bad[out] = ((np.minimum.accumulate(trace, axis=1)[at, m] < x_lo[out])
+                    | (np.maximum.accumulate(trace, axis=1)[at, m] > x_hi[out]))
     # numpy's pairwise sum depends on the length: one row sum per length
     err = np.empty(len(rows))
     lengths, group = np.unique(n_full, return_inverse=True)
@@ -304,8 +336,8 @@ def _relaxation(cum, stark, half, live, dt, xp, fp):
         r, m = rows[part], n_full[part]
         last = stark[r, m]
         omega_end = last + (t_rem[part] / dt) * (stark[r, m + 1] - last)
-        bad[r] |= (omega_end < xp[0]) | (omega_end > xp[-1])
-        err[part] += 0.5 * (rates[r, m] + np.interp(omega_end, xp, fp)) * t_rem[part]
+        bad[r] |= (omega_end < x_lo[r]) | (omega_end > x_hi[r])
+        err[part] += 0.5 * (rates[r, m] + _interp_runs(omega_end, r, runs)) * t_rem[part]
     relax[rows] = err
     return t0, relax, bad
 
@@ -423,26 +455,17 @@ def cost_plane(
 
     The +chi step responses of all feasible omegas up to the longest
     pulse, and the powers of R up to the longest ringdown, come from
-    dynamics.step_responses at once
-    (-chi gives their conjugate, bit for bit).  _pulse_rows gives each cell
-    its own full-length field, one row of n_tot + 1 samples per cell, n_tot
-    the samples of t_p + t_r (one count for the whole grid): the response
-    up to the pulse end, then the ringdown R^t u[n_p] that solve_field
-    forms, through the same dynamics._ringdown.  It computes |beta0|^2 and
-    the sequential trapezoid cumsum of |beta0 - beta1|^2 over all rows.
-    Its transient memory is four arrays of cells x (n_tot + 1) floats; the
-    Gamma1 rates up to the latest half-SNR time take at most one more.
-    Then, once over all rows, with the one-point operations in the same
-    order: the peak photon number and the Stark trace, the SNR and the separation
-    error through math.erfc, the half-SNR index as the count of samples
-    below half the integral (the cumsum is nondecreasing, so that is
-    searchsorted's index), the Gamma1 prefixes summed in groups of equal
-    length (numpy's pairwise sum depends on the length), the Stark-range
-    check from the running min and max, the photon term, and the MIST
-    logistic through math.exp.
+    dynamics.step_responses at once (-chi gives their conjugate, bit for
+    bit).  The feasible cells, omega-major, then amplitude, then pulse
+    length, are then one list of cells to the kernel's scoring, _score,
+    as the scan's cells from any planes of any qubits are: every cell has
+    the same bits in any such list.  Its transient memory is about four
+    arrays of cells x (n_tot + 1) floats.  The coupling term and the total
+    come last, through with_coupling, as the scan adds them to cells it
+    scored before it knew the neighbors.
     """
     shape = (len(omegas), len(amps), len(tp_points))
-    planes = {f.name: np.full(shape, math.nan) for f in fields(CostBreakdown)}
+    planes = {name: np.full(shape, math.nan) for name in _FIELDS}
     planes["total"][:] = math.inf
     counts = _check_grid(amps, q.kappa, tp_points, model)
     chis = [] if counts is None else [_feasible_chi(q, omega, model) for omega in omegas]
@@ -452,9 +475,15 @@ def cost_plane(
         omegas = [w for w, ok in zip(omegas, feasible) if ok]
         n_ps, n_tot = counts
         u, powers = step_responses(chis, q.kappa, model.dt, max(n_ps), n_tot - min(n_ps))
-        scored = _score(q, omegas, chis, u, powers, np.asarray(amps, dtype=float), n_ps,
-                        model, specs)
-        for name, plane in scored.items():
+        per_plane = len(amps) * len(n_ps)
+        plane, i_a = np.divmod(np.arange(len(chis) * per_plane), per_plane)
+        i_a, i_t = np.divmod(i_a, len(n_ps))
+        cells = Cells(plane, np.asarray(amps, dtype=float)[i_a], np.asarray(n_ps)[i_t])
+        scored = _score([q] * len(chis), omegas, chis, u, powers, cells, model)
+        coupling = 0.0
+        if model.heuristics:
+            coupling = np.repeat([coupling_error(w, specs) for w in omegas], per_plane)
+        for name, plane in with_coupling(scored, coupling, model).items():
             planes[name][feasible] = plane.reshape(len(chis), *shape[1:])
     return CostBreakdown(**planes)
 
@@ -470,40 +499,65 @@ def _running_integral(values, dt, out):
     return out
 
 
-def _pulse_rows(u, powers, amps, n_ps, n_tot, dt):
+class Cells(NamedTuple):
+    """Cells for the kernel to score: cell i is plane plane[i] at b0 =
+    amp[i] with a pulse of n_p[i] samples."""
+
+    plane: np.ndarray
+    amp: np.ndarray
+    n_p: np.ndarray
+
+
+def _pulse_rows(u, powers, cells: Cells, n_tot, dt):
     """|beta0|^2 and the running SNR integral of each cell's field, one row each.
 
-    u and powers hold the unit +chi step responses up to at least sample
-    max(n_ps) and the powers of R up to at least n_tot - min(n_ps), one row
-    per omega, as step_responses returns them.  Cells run omega-major, then amplitude,
-    then pulse length: column j is a pulse of n_ps[j] samples.  A cell's
-    field is u up to sample n_p, then the ringdown fl(R^t u[n_p]) at sample
-    n_p + t (dynamics._ringdown; at t = 0 that is u[n_p]), times the
-    amplitude.  Returns the (cells, n_tot + 1) arrays n0 = |beta0|^2 and
-    cum, the sequential trapezoid cumsum of |beta0 - beta1|^2.
+    u and powers hold the unit +chi step responses and the powers of R of
+    the cells' planes, one row per plane, as step_responses returns them:
+    u up to at least sample n_p and the powers up to at least n_tot - n_p
+    for each cell's n_p.  A cell's field is u up to sample n_p, then the
+    ringdown fl(R^t u[n_p]) at sample n_p + t (dynamics._ringdown; at t =
+    0 that is u[n_p]), times the amplitude: one unit row per distinct
+    (plane, n_p), then one product per sample.  Returns the (cells, n_tot
+    + 1) arrays n0 = |beta0|^2 and cum, the sequential trapezoid cumsum of
+    |beta0 - beta1|^2.
 
     beta1 is beta0's conjugate but for a zero's sign (step_responses), so
     cost_plane's quantities of both fields have the same bits from beta0
     alone: |beta1|^2 = |beta0|^2, their max is |beta0|^2, and |beta0 -
     beta1|^2 = (im0 + im0)^2, as the real part's 0.0 squared adds +0.0.
     """
-    n_omegas = len(u)
-    bufs = np.empty((4, n_omegas * len(amps) * len(n_ps), n_tot + 1))
+    n_cells, n_planes = len(cells.plane), len(u)
+    bufs = np.empty((4, n_cells, n_tot + 1))
     re, im, n0, cum = bufs
-    if not len(amps):  # no cells, and no room for the unit responses
+    if not n_cells:  # no cells, and no room for the unit rows
         return n0, cum
-    # the unit responses fit in n0 and cum, which are free until after the
-    # outer product; a separate array cost a 128-omega sweep chunk about a
-    # thousand page faults per call
-    unit = bufs[2:].reshape(-1)[: n_omegas * len(n_ps) * (n_tot + 1) * 2].reshape(
-        n_omegas, len(n_ps), n_tot + 1, 2)
-    for j, n_p in enumerate(n_ps):
-        unit[:, j, :n_p] = u[:, :n_p]
-        _ringdown(u, powers, n_p, unit[:, j, n_p:])
-    # beta0 = b0 * unit response (einsum's outer product: the same single
-    # multiplications, about twice as fast as broadcasting np.multiply)
-    np.einsum("wjnk,a->kwajn", unit, amps,
-              out=bufs[:2].reshape(2, n_omegas, len(amps), len(n_ps), n_tot + 1))
+    # the distinct (plane, n_p) pairs, ordered by n_p, then plane
+    keys = cells.n_p * n_planes + cells.plane
+    direct = bool((keys[1:] > keys[:-1]).all())  # each cell its own pair, in order
+    if direct:  # the unit rows go straight into re and im
+        pairs, unit = keys, bufs[:2].transpose(1, 2, 0)
+    else:
+        # they fit in n0 and cum, which are free until after the products;
+        # a separate array cost a 128-omega sweep chunk about a thousand
+        # page faults per call
+        pairs, row = np.unique(keys, return_inverse=True)
+        unit = bufs[2:].reshape(-1)[: 2 * len(pairs) * (n_tot + 1)].reshape(
+            2, len(pairs), n_tot + 1).transpose(1, 2, 0)
+    pair_np, pair_plane = np.divmod(pairs, n_planes)
+    edges = (np.flatnonzero(pair_np[1:] != pair_np[:-1]) + 1).tolist()
+    for start, stop in zip([0] + edges, edges + [len(pairs)]):
+        n_p = int(pair_np[start])
+        # every plane at this n_p: slices, no copies
+        at = slice(None) if stop - start == n_planes else pair_plane[start:stop]
+        unit[start:stop, :n_p] = u[at, :n_p]
+        _ringdown(u[at, n_p : n_p + 1], powers[at, : n_tot + 1 - n_p], 0,
+                  unit[start:stop, n_p:])
+    if not direct:
+        np.take(unit[..., 0], row, axis=0, out=re)
+        np.take(unit[..., 1], row, axis=0, out=im)
+    # beta0 = b0 * unit row, one IEEE product per sample
+    re *= cells.amp[:, None]
+    im *= cells.amp[:, None]
     np.add(np.square(re, out=n0), np.square(im, out=cum), out=n0)
     mag2 = np.square(np.add(im, im, out=im), out=im)
     return n0, _running_integral(mag2, dt, cum)
@@ -520,51 +574,79 @@ def _elementwise(func, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _score(q, omegas, chis, u, powers, amps, n_ps, model, specs) -> dict:
-    """The breakdown of cost_plane's feasible omegas, one entry per cell.
+def _score(qubits, omegas, chis, u, powers, cells: Cells, model) -> dict:
+    """The kernel's scoring: the neighbor-free breakdown of a list of cells
+    from any planes of any qubits.
 
-    u and powers hold the omegas' unit +chi step responses and powers of R,
-    as _pulse_rows takes them.  Cells run omega-major, then amplitude, then
-    pulse length, as the rows of _pulse_rows: column j is a pulse of
-    n_ps[j] samples.
+    Plane k is qubits[k] at omegas[k], with chi chis[k]; row k of u and
+    powers holds its unit +chi step response and powers of R, as
+    _pulse_rows takes them.  Returns one array per field of CostBreakdown
+    but coupling and total, one entry per cell as cost_plane defines it,
+    and bad, the mask of cells whose Stark trace leaves the Gamma1 table,
+    where every field but snr and separation is NaN.  with_coupling adds
+    the other two fields, once the neighbors are known.
+
+    After _pulse_rows, once over all rows, with the one-point operations
+    in the same order: the peak photon number and the Stark trace, the SNR
+    and the separation error through math.erfc, the half-SNR index as the
+    count of samples below half the integral (the cumsum is nondecreasing,
+    so that is searchsorted's index), the Gamma1 prefixes summed in groups
+    of equal length (numpy's pairwise sum depends on the length), with
+    each run of consecutive cells of one qubit interpolated and
+    range-checked in its own table, the photon term, and the MIST logistic
+    through math.exp.  Each value is an elementwise operation or a
+    reduction along its own cell's row, so a cell has the same bits in any
+    list.  The Gamma1 rates up to the latest half-SNR time take at most
+    one more array of cells x (n_tot + 1) floats.
     """
-    dt, mist = model.dt, model.mist
-    n_cells = len(omegas) * len(amps) * len(n_ps)
-
-    def per_cell(per_omega):
-        return np.repeat(np.array(per_omega, dtype=float), n_cells // len(omegas))
-
-    n0, cum = _pulse_rows(u, powers, amps, n_ps, round(model.total_time / dt), dt)
+    dt, mist, plane = model.dt, model.mist, cells.plane
+    n0, cum = _pulse_rows(u, powers, cells, round(model.total_time / dt), dt)
     n_max = n0.max(axis=1)
     # the photon term, 0.5 * (|beta0|^2 + |beta1|^2) at the last sample
     photon = 0.5 * (n0[:, -1] + n0[:, -1])
-    stark = np.multiply(n0, per_cell([2.0 * chi for chi in chis])[:, None], out=n0)
-    stark += per_cell(omegas)[:, None]
+    stark = np.multiply(n0, np.multiply(2.0, chis)[plane, None], out=n0)
+    stark += np.asarray(omegas, dtype=float)[plane, None]
 
-    snr_value = (2.0 * q.eta * q.kappa) * cum[:, -1]
+    # runs of consecutive cells on consecutive planes of one qubit
+    owner = np.cumsum([q is not p for p, q in zip([None] + qubits, qubits)])[plane]
+    edges = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    runs = [(start, stop, qubits[plane[start]])
+            for start, stop in zip([0] + edges, edges + [len(plane)]) if start < stop]
+    snr_value = np.empty(len(plane))
+    for start, stop, q in runs:
+        np.multiply(2.0 * q.eta * q.kappa, cum[start:stop, -1], out=snr_value[start:stop])
+    runs = [(start, stop, *q.gamma1_arrays) for start, stop, q in runs]
     sep = 0.5 * _elementwise(math.erfc, np.sqrt(snr_value) / 2.0)
-    t0, relax, bad = _relaxation(cum, stark, 0.5 * cum[:, -1], snr_value > 0.0, dt,
-                                 *q.gamma1_arrays)
-    coupling = np.zeros(n_cells)
-    mist_term = np.full(n_cells, mist.ceiling if model.heuristics else 0.0)
+    t0, relax, bad = _relaxation(cum, stark, 0.5 * cum[:, -1], snr_value > 0.0, dt, runs)
+    mist_term = np.full(len(plane), mist.ceiling if model.heuristics else 0.0)
     if model.heuristics:
-        coupling = per_cell([coupling_error(w, specs) for w in omegas])
         # > 0 where the MIST threshold is defined; mist_threshold's domain
-        n_th = per_cell([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
-                         for w in omegas])
+        n_th = np.array([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
+                         for q, w in zip(qubits, omegas)])[plane]
         has = ~(n_th <= 0.0)
         if has.any():
             z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])
             z = np.minimum(np.maximum(z, -500.0), 500.0)
             mist_term[has] = mist.ceiling / (1.0 + _elementwise(math.exp, -z))
-    total = model.weights.total(sep, relax, photon, mist_term, coupling)
-    total[bad] = math.inf
-    planes = dict(relaxation=relax, photon=photon, mist=mist_term, coupling=coupling,
-                  t0=t0, n_max=n_max)
+    scored = dict(relaxation=relax, photon=photon, mist=mist_term, t0=t0, n_max=n_max)
     if bad.any():  # off the table, only snr and separation are defined
-        for name, plane in planes.items():
-            planes[name] = np.where(bad, math.nan, plane)
-    return dict(planes, separation=sep, snr=snr_value, total=total)
+        for name, values in scored.items():
+            scored[name] = np.where(bad, math.nan, values)
+    return dict(scored, separation=sep, snr=snr_value, bad=bad)
+
+
+def with_coupling(scored: dict, coupling, model: CostModel) -> dict:
+    """The CostBreakdown fields of cells _score scored, given their
+    coupling term, one value or one per cell: the coupling term, NaN where
+    the Stark trace leaves the table, and model.weights.total of the five
+    terms, +inf there, as cost_plane has them."""
+    bad = scored["bad"]
+    coupling = np.where(bad, math.nan, coupling)
+    total = model.weights.total(scored["separation"], scored["relaxation"], scored["photon"],
+                                scored["mist"], coupling)
+    total[bad] = math.inf
+    return {name: coupling if name == "coupling" else total if name == "total"
+            else scored[name] for name in _FIELDS}
 
 
 #: relative margin of each term of cell_bound, far above the kernel's rounding
@@ -591,8 +673,8 @@ def _unit_columns(u, powers, n_ps, n_tot, dt) -> _UnitColumns:
     u and powers hold the planes' unit +chi step responses up to at least
     sample max(n_ps) and the powers of R up to at least n_tot - min(n_ps),
     n_tot the samples of t_p + t_r, as step_responses returns them; the
-    scorer cell_bound returns reads the same ones.  Each field of the
-    result is a (len(u), len(n_ps)) array.  f is _pulse_rows' field at
+    kernel's cells of the plane (score_planes) read the same ones.  Each
+    field of the result is a (len(u), len(n_ps)) array.  f is _pulse_rows' field at
     amplitude 1.0: u up to sample n_p, then the ringdown fl(R^t w), w =
     u[n_p], t samples on.  Each statistic is read off a few prefix arrays
     of u and of the powers, never off f's rows:
@@ -668,27 +750,136 @@ def _erfc_lower(x: np.ndarray) -> np.ndarray:
     Recipes' erfcc (Press et al., 2nd ed. (1992), section 6.2), t exp(-x^2 +
     poly(t)), t = 1 / (1 + x/2), _ERFCC lowest power first, is within 1.2e-7
     relative of erfc; 1 - 2e-7 takes it below, with room for math.erfc's
-    last bits and x^2's rounding, under 1e-13 relative while erfc is normal."""
-    t = 1.0 / (1.0 + 0.5 * x)
+    last bits and x^2's rounding, under 1e-13 relative while erfc is normal.
+    Evaluated in place in three new arrays."""
+    t = 0.5 * x
+    t += 1.0
+    np.divide(1.0, t, out=t)
     poly = np.full_like(t, _ERFCC[-1])
-    for c in _ERFCC[-2::-1]:  # Horner's rule, in place
+    for c in _ERFCC[-2::-1]:  # Horner's rule
         poly *= t
         poly += c
-    return t * np.exp(poly - x * x) * (1.0 - 2e-7)
+    poly -= np.square(x, out=np.empty_like(x))
+    poly = np.exp(poly, out=poly)
+    poly *= t
+    poly *= 1.0 - 2e-7
+    return poly
 
 
-def _gamma1_floor(q: QubitPhysical, omega: float, ends):
+def _gamma1_floor(q: QubitPhysical, omega, chi: float, ends):
     """Minimum of the interpolated Gamma1 table between omega and each end.
 
-    np.interp is linear between knots and flat past the ends, so the
-    minimum is at an end or at a knot between them; the knots' minima come
-    from q.gamma1_knot_minima, built once per qubit.
+    omega is one frequency, or one per plane for planes of one qubit,
+    broadcasting against ends.  The ends are Stark shifts omega + 2 chi x
+    with x >= 0, so they all lie on the side of omega that chi's sign
+    gives, and chi is one sign for all.  np.interp is linear between knots
+    and flat past the ends, so the minimum is at an end or at a knot
+    between them: the least of the rates at the two ends, lowered to each
+    knot's rate where the knot lies between them.  Only the knots between
+    the nearest omega and the farthest end are looked at, mostly none.
     """
     xp, fp = q.gamma1_arrays
-    lo = np.searchsorted(xp, np.minimum(omega, ends))
-    hi = np.searchsorted(xp, np.maximum(omega, ends), side="right")
-    return np.minimum(np.minimum(np.interp(omega, xp, fp), np.interp(ends, xp, fp)),
-                      q.gamma1_knot_minima[lo, hi])
+    floor = np.interp(ends, xp, fp)
+    np.minimum(floor, np.interp(omega, xp, fp), out=floor)
+    below = chi < 0.0
+    near = np.max(omega) if below else np.min(omega)
+    far = ends.min() if below else ends.max()
+    lo, hi = (far, near) if below else (near, far)
+    for k in np.flatnonzero((xp >= lo) & (xp <= hi)):
+        if below:
+            between = (ends <= xp[k]) & (omega >= xp[k])
+        else:
+            between = (ends >= xp[k]) & (omega <= xp[k])
+        np.minimum(floor, fp[k], out=floor, where=between)
+    return floor
+
+
+def _lower(term):
+    """term times (1 - BOUND_MARGIN), less BOUND_FLOOR and at least 0, in
+    place: term is an array of its caller's own."""
+    term *= 1.0 - BOUND_MARGIN
+    term -= BOUND_FLOOR
+    return np.maximum(term, 0.0, out=term)
+
+
+def _plane_bounds(qubits, omegas, chis, amps, unit: _UnitColumns, model: CostModel):
+    """The neighbor-free bound of every cell of a block of planes: the
+    weighted sum, in CostWeights.total's order, of cell_bound's lower
+    bounds on the separation, relaxation, photon and MIST terms.
+
+    Plane k is qubits[k] at omegas[k], with chi chis[k], amplitudes
+    amps[k] and unit statistics unit[k].  Returns a (planes, amplitudes,
+    pulse lengths) array.  Every value is an elementwise operation on its
+    own plane's numbers, in the order cell_bound's docstring gives (an
+    in-place product or sum is the same IEEE operation on the same
+    operands), so a plane's bounds have the bits of a block of its own.
+    _gamma1_floor runs once per run of consecutive planes of one qubit
+    whose chis share a sign.  Each term is added to the sum as soon as it
+    is bounded, and the next one reuses its array.
+    """
+    dt, mist, weights = model.dt, model.mist, model.weights
+    a2 = np.square(amps)[:, :, None]
+    c_lo, c_hi, p, n_lo, n_hi, k_lo = (field[:, None, :] for field in unit)
+
+    def per_plane(values):
+        return np.array(values, dtype=float)[:, None, None]
+
+    # separation: 1/2 erfc(sqrt(2 eta kappa a^2 C_hi (1 + margin) + floor) / 2)
+    term = np.multiply(a2, c_hi)
+    term *= per_plane([2.0 * q.eta * q.kappa for q in qubits])
+    term *= 1.0 + BOUND_MARGIN
+    term += BOUND_FLOOR
+    term = np.sqrt(term, out=term)
+    term /= 2.0
+    total = _erfc_lower(term)
+    total *= 0.5
+    total = _lower(total)
+    total *= weights.separation
+    # relaxation: whole steps at the least Gamma1 between omega and the
+    # Stark shift's end
+    om = per_plane(omegas)
+    ends = np.multiply(a2, n_hi, out=term)
+    ends *= 1.0 + BOUND_MARGIN
+    ends *= per_plane([2.0 * chi for chi in chis])
+    ends += om
+    start = 0
+    for stop in range(1, len(qubits) + 1):
+        if (stop == len(qubits) or qubits[stop] is not qubits[start]
+                or (chis[stop] < 0.0) != (chis[start] < 0.0)):
+            ends[start:stop] = _gamma1_floor(qubits[start], om[start:stop], chis[start],
+                                             ends[start:stop])
+            start = stop
+    term = ends
+    term *= np.maximum(k_lo - 2.0, 0.0) * dt
+    # the kernel's SNR integral is surely > 0, so it has a relaxation term
+    if not (a2.min() * c_lo.min() > 1e-280):  # else every cell has one
+        np.putmask(term, a2 * c_lo <= 1e-280, 0.0)
+    term = _lower(term)
+    term *= weights.relaxation
+    total += term
+    # photon
+    term = _lower(np.multiply(a2, p, out=term))
+    term *= weights.photon
+    total += term
+    # MIST: the logistic at a^2 N_lo, the ceiling where there is no threshold
+    if not model.heuristics:
+        term[:] = 0.0
+    else:
+        n_th = per_plane([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
+                          for q, w in zip(qubits, omegas)])
+        has = ~(n_th <= 0.0)
+        n_th = np.where(has, n_th, 1.0)  # no threshold: any value, overwritten
+        z = _lower(np.multiply(a2, n_lo, out=term))
+        z -= n_th
+        z /= mist.sharpness * n_th
+        z = np.minimum(np.maximum(z, -500.0, out=z), 500.0, out=z)
+        z = np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        term = _lower(np.divide(mist.ceiling, z, out=z))
+        term[~has[:, 0, 0]] = mist.ceiling
+    term *= weights.mist
+    total += term
+    return total
 
 
 class PlaneStatistics(NamedTuple):
@@ -700,93 +891,125 @@ class PlaneStatistics(NamedTuple):
     response: np.ndarray  # the unit +chi step response, as a width-1 batch
     powers: np.ndarray  # the powers of R it doubled, likewise
     unit: _UnitColumns  # one entry per pulse length
+    bound: np.ndarray  # the neighbor-free bound, one per (amplitude, pulse length)
 
 
-#: most planes plane_statistics puts through one step_responses pass and
-#: one _unit_columns.  At 500 steps a plane's entry keeps about 11 kB, and
-#: a block's transient arrays take about 40 kB more per plane.
+#: most planes plane_statistics puts through one step_responses pass, one
+#: _unit_columns and one _plane_bounds.  At 500 steps a plane's entry keeps
+#: about 11 kB and 8 bytes per cell, and a block's transient arrays take
+#: about 40 kB and a dozen floats per cell more per plane.
 _BLOCK_PLANES = 32
 
 
 def plane_statistics(scans, model: CostModel) -> list[list]:
-    """cell_bound's per-omega statistics for every plane of a walk.
+    """cell_bound's per-omega statistics and neighbor-free bounds for every
+    plane of a walk.
 
     scans holds one (q, omegas, amps, tp_points) grid per qubit, in walk
     order.  Returns one list per grid with one entry per omega: None where
-    cell_bound's bound is +inf (the omega within model.pole_guard of a chi
-    pole, |chi| too large for model.dt, or an empty axis), else its
-    PlaneStatistics.
+    the omega is infeasible in every cell (within model.pole_guard of a chi
+    pole, or |chi| too large for model.dt) or the grid has no cell, else its
+    PlaneStatistics.  Its bound is cell_bound's per-cell stage: the weighted
+    sum of the separation, relaxation, photon and MIST bounds of each
+    (amplitude, pulse length) cell, in CostWeights.total's order, which
+    cell_bound completes with the coupling term, the only one that depends
+    on the neighbors.
 
     First each grid gets cost_plane's grid checks, in walk order, so an
     invalid grid raises what cost_plane raises on it before any step
     response.  Then each omega gets its chi and the check of dt against
     |chi|.  The feasible planes go in blocks of at most _BLOCK_PLANES
-    consecutive planes with the same sample counts, each block through one
-    step_responses pass at every plane's chi and kappa and one
-    _unit_columns.  Both give a plane's row the same bits in any block, so
-    an entry has the bits it has computed alone.
+    consecutive planes with the same sample counts and amplitude count,
+    each block through one step_responses pass at every plane's chi and
+    kappa, one _unit_columns and one vectorized _plane_bounds.  Each gives
+    a plane's row the same bits in any block, so an entry has the bits it
+    has computed alone.
     """
     counts = [_check_grid(amps, q.kappa, tp_points, model)
               for q, _, amps, tp_points in scans]
     out, block = [], []
 
     def flush():
-        lists, index, qubits, omegas, chis, grid_counts = zip(*block)
-        (n_ps, n_tot), kappas = grid_counts[0], [q.kappa for q in qubits]
-        response, powers = step_responses(chis, kappas, model.dt, max(n_ps),
-                                          n_tot - min(n_ps))
+        lists, index, qubits, omegas, chis, amps, keys = zip(*block)
+        (n_ps, n_tot), _ = keys[0]
+        response, powers = step_responses(chis, [q.kappa for q in qubits], model.dt,
+                                          max(n_ps), n_tot - min(n_ps))
         unit = _unit_columns(response, powers, n_ps, n_tot, model.dt)
+        bound = _plane_bounds(qubits, omegas, chis, np.array(amps, dtype=float), unit, model)
         for j, (entries, i) in enumerate(zip(lists, index)):
             entries[i] = PlaneStatistics(omegas[j], chis[j], n_ps, response[j : j + 1],
                                          powers[j : j + 1],
-                                         _UnitColumns(*(field[j] for field in unit)))
+                                         _UnitColumns(*(field[j] for field in unit)), bound[j])
         block.clear()
 
-    for (q, omegas, _, _), grid_counts in zip(scans, counts):
+    for (q, omegas, amps, _), grid_counts in zip(scans, counts):
         entries = [None] * len(omegas)
         out.append(entries)
         if grid_counts is None:
             continue
+        key = (grid_counts, len(amps))
         for i, omega in enumerate(omegas):
             chi = _feasible_chi(q, omega, model)
             if chi is None:
                 continue
-            if block and (len(block) == _BLOCK_PLANES or block[0][-1] != grid_counts):
+            if block and (len(block) == _BLOCK_PLANES or block[0][-1] != key):
                 flush()
-            block.append((entries, i, q, omega, chi, grid_counts))
+            block.append((entries, i, q, omega, chi, amps, key))
     if block:
         flush()
     return out
 
 
-def cell_bound(
-    q: QubitPhysical,
-    plane,
-    amps,
-    tp_points,
-    model: CostModel,
-    specs=(),
-):
-    """A lower bound on cost_plane's total in each (amplitude, pulse length)
-    cell of one omega, and a scorer of those cells.
+def score_planes(planes, cells: Cells, model: CostModel) -> dict:
+    """The kernel's neighbor-free breakdown of cells of plane_statistics
+    entries, in one call.
 
-    plane is the omega's entry of plane_statistics on this grid and model.
-    Returns (b, score).  b is a (len(amps), len(tp_points)) array with b <=
-    total in every cell where cost_plane(q, [omega], amps, tp_points,
-    model, specs).total is finite, and b = +inf where the whole omega is
-    infeasible: within the pole guard, or with |chi| too large for
-    model.dt.  b is never NaN.  An invalid grid has no entries:
-    plane_statistics raises its error.  score is None where the omega is
-    infeasible; else score(rows, cols) gives the CostBreakdown of the cells
-    amps[rows] x tp_points[cols] as (len(rows), len(cols)) arrays, bit for
-    bit those of cost_plane on that subgrid, from the chi, sample counts
-    and unit step response of plane.  Nothing here integrates.
+    planes holds (q, entry) pairs, entry a PlaneStatistics of q, from any
+    qubits; cell i is on plane cells.plane[i].  Returns _score's fields,
+    which with_coupling completes once the neighbors are known.  The
+    planes' stored responses and powers go to _score as one array, each
+    zero-padded to the longest, so nothing integrates; each cell has the
+    bits cost_plane gives it.
+    """
+    entries = [entry for _, entry in planes]
+    u = _stack([entry.response for entry in entries])
+    powers = _stack([entry.powers for entry in entries])
+    return _score([q for q, _ in planes], [e.omega for e in entries],
+                  [e.chi for e in entries], u, powers, cells, model)
+
+
+def _stack(rows):
+    """Width-1 (1, n, 2) arrays as one array, each zero-padded to the longest."""
+    out = np.zeros((len(rows), max(row.shape[1] for row in rows), 2))
+    for k, row in enumerate(rows):
+        out[k, : row.shape[1]] = row[0]
+    return out
+
+
+def cell_bound(plane: PlaneStatistics, coupling: float, model: CostModel) -> np.ndarray:
+    """A lower bound on cost_plane's total in each (amplitude, pulse length)
+    cell of one omega.
+
+    plane is the omega's entry of plane_statistics on a grid and model,
+    and coupling the omega's coupling term on the neighbors' specs, as
+    cost_plane forms it (0 with model.heuristics False).  Returns a
+    (amplitudes, pulse lengths) array b, never NaN, with b <= total in
+    every cell where cost_plane(q, [omega], amps, tp_points, model,
+    specs).total is finite.  A None entry has no bound to add to: its
+    omega is infeasible in every cell (within the pole guard, or with |chi|
+    too large for model.dt), or its grid has no cell.  An invalid grid has
+    no entries: plane_statistics raises its error.  Only the coupling term
+    depends on the neighbors, and CostWeights.total adds it last: b is
+    (plane.bound + weights.coupling * coupling) (1 - 1e-9), plane.bound
+    the weighted sum of the other four terms' bounds that plane_statistics
+    computes for the whole walk.
 
     The kernel's field is fl(a * f), f the unit pulse response at
     amplitude a, so every quantity it reads is a^2 times f's, up to
     rounding.  _unit_columns brackets C (f's SNR integral) and N (the peak
     of |f|^2) as [C_lo, C_hi] and [N_lo, N_hi], and reads P and k_lo, once
-    per pulse length, in plane_statistics; the cell at a gets
+    per pulse length, and _plane_bounds scales them, once per cell, both in
+    plane_statistics; the cell at a gets
 
       separation  1/2 _erfc_lower(sqrt(2 eta kappa a^2 C_hi (1 + 1e-9)) / 2),
       photon      a^2 P,
@@ -856,39 +1079,4 @@ def cell_bound(
       term; the bound has one only where a^2 C_lo exceeds 1e-280, far
       above anything underflow can round to 0.
     """
-    shape = (len(amps), len(tp_points))
-    if plane is None:
-        return np.full(shape, math.inf), None
-    omega, chi, n_ps, response, powers, unit = plane
-    dt, mist = model.dt, model.mist
-    amps = np.asarray(amps, dtype=float)
-    a2 = np.square(amps)[:, None]
-
-    def score(rows, cols) -> CostBreakdown:
-        planes = _score(q, [omega], [chi], response, powers, amps[rows],
-                        [n_ps[j] for j in cols], model, specs)
-        return CostBreakdown(**{name: plane.reshape(len(rows), len(cols))
-                                for name, plane in planes.items()})
-
-    def lower(term):
-        return np.maximum(term * (1.0 - BOUND_MARGIN) - BOUND_FLOOR, 0.0)
-
-    snr_value = (2.0 * q.eta * q.kappa) * (a2 * unit.c_hi) * (1.0 + BOUND_MARGIN) + BOUND_FLOOR
-    sep = lower(0.5 * _erfc_lower(np.sqrt(snr_value) / 2.0))
-    photon = lower(a2 * unit.p)
-    stark_end = omega + (2.0 * chi) * (a2 * unit.n_hi * (1.0 + BOUND_MARGIN))
-    gamma = _gamma1_floor(q, omega, stark_end)
-    steps = np.maximum(unit.k_lo - 2.0, 0.0) * dt
-    # the kernel's SNR integral is surely > 0, so it has a relaxation term
-    relax = lower(np.where(a2 * unit.c_lo > 1e-280, steps * gamma, 0.0))
-    mist_term = np.full(shape, mist.ceiling if model.heuristics else 0.0)
-    coupling = 0.0
-    if model.heuristics:
-        coupling = coupling_error(omega, specs)
-        n_th = 0.0 if omega <= q.omega_r else mist_threshold(omega, q.omega_r, mist)
-        if not n_th <= 0.0:
-            z = (lower(a2 * unit.n_lo) - n_th) / (mist.sharpness * n_th)
-            z = np.minimum(np.maximum(z, -500.0), 500.0)
-            mist_term = lower(mist.ceiling / (1.0 + np.exp(-z)))
-    total = model.weights.total(sep, relax, photon, mist_term, coupling)
-    return total * (1.0 - BOUND_MARGIN), score
+    return (plane.bound + model.weights.coupling * coupling) * (1.0 - BOUND_MARGIN)

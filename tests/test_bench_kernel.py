@@ -25,6 +25,8 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "CROSS_FIDELITY_QUBITS", (3, 5))
     monkeypatch.setattr(bench, "CROSS_FIDELITY_ROUNDS", 2)
     monkeypatch.setattr(bench, "YAML_ROUNDS", 2)
+    monkeypatch.setattr(bench, "SCAN_CONFIGS", ("optimizer_small.yaml",))
+    monkeypatch.setattr(bench, "SCAN_ROUNDS", 2)
 
     out = tmp_path / "bench.json"
     assert bench.main(["--out", str(out)]) == 0
@@ -32,13 +34,20 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out) == report
     assert set(report) == {
         "kernel", "planes", "points", "rounds", "total_s", "points_per_s",
-        "per_plane_ms", "statistics_s", "bound_s", "sweep_s", "step_response",
-        "import_s", "cross_fidelity_s", "yaml_load_s", "yaml_dump_s", "environment"}
+        "per_plane_ms", "statistics_s", "bound_s", "prescore_s", "scan_s", "sweep_s",
+        "step_response", "import_s", "cross_fidelity_s", "yaml_load_s", "yaml_dump_s",
+        "environment"}
     assert report["rounds"] == 2
     assert report["points"] == report["planes"] * 40 * 39
-    for key in ("total_s", "statistics_s", "bound_s", "sweep_s", "import_s"):
+    for key in ("total_s", "statistics_s", "bound_s", "prescore_s", "sweep_s", "import_s"):
         assert set(report[key]) == {"median", "q1", "q3"}
         assert report[key]["median"] > 0
+    scans = report["scan_s"]
+    assert scans["rounds"] == 2
+    assert set(scans["runs"]) == {"optimizer_small.yaml:all", "optimizer_small.yaml:predictive"}
+    for run in scans["runs"].values():
+        assert set(run) == {"scored", "median", "q1", "q3"}
+        assert run["median"] > 0 and 0 < run["scored"] < 17 * 16 * 12 * 10
     steps = report["step_response"]
     assert set(steps) == {"n_steps", "n_powers", "rounds", "widths"}
     assert (steps["n_steps"], steps["n_powers"]) == (480, 400)

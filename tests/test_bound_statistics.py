@@ -17,6 +17,7 @@ from readout_opt import build_search_grid, dynamics, error_models, load_device
 from readout_opt import load_optimizer_config
 from readout_opt.error_models import (
     BOUND_MARGIN,
+    Cells,
     _erfc_lower,
     _gamma1_floor,
     _pulse_rows,
@@ -41,7 +42,8 @@ def row_unit_columns(q, chi, n_ps, n_tot, dt):
     row, and k_lo, the count of samples whose cum is below C (1 - 1e-9) / 2.
     """
     parts = step_responses([chi], q.kappa, dt, n_tot, n_tot - min(n_ps))
-    n0, cum = _pulse_rows(*parts, np.ones(1), n_ps, n_tot, dt)
+    cells = Cells(np.zeros(len(n_ps), dtype=int), np.ones(len(n_ps)), np.array(n_ps))
+    n0, cum = _pulse_rows(*parts, cells, n_tot, dt)
     c = cum[:, -1]
     k_lo = np.count_nonzero(cum < (0.5 * c * (1.0 - BOUND_MARGIN))[:, None], axis=1)
     return c, n0[:, -1], n0.max(axis=1), k_lo
@@ -119,8 +121,8 @@ def test_unit_columns_with_a_tiny_chi(scale):
 def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
     """Each plane of d3 under optimizer_small.yaml, with a pole-guard
     omega and one whose |chi| is too large for dt among them, has the same
-    chi, sample counts, response and unit statistics, bit for bit, in one
-    block with all the other planes as alone."""
+    chi, sample counts, response, unit statistics and neighbor-free bound,
+    bit for bit, in one block with all the other planes as alone."""
     cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
     dt, scans = cfg.model.dt, []
     for qid in QIDS:
@@ -149,8 +151,8 @@ def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
             assert (entry.omega, entry.chi, entry.n_ps) == (alone.omega, alone.chi, alone.n_ps)
             assert entry.response.shape == (1, 1 + max(entry.n_ps), 2)
             assert entry.powers.shape == (1, 501 - min(entry.n_ps), 2)
-            for got, want in zip((entry.response, entry.powers, *entry.unit),
-                                 (alone.response, alone.powers, *alone.unit)):
+            for got, want in zip((entry.response, entry.powers, *entry.unit, entry.bound),
+                                 (alone.response, alone.powers, *alone.unit, alone.bound)):
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -179,8 +181,9 @@ def test_gamma1_floor_is_the_least_rate_between_the_ends(below):
     rng = np.random.default_rng(7)
     for omega in (5.9, 6.5, 6.8, 7.0, 7.7, 8.2):
         spread = rng.uniform(0.0, 1.5, 200)
+        # the Stark shift's side of omega is chi's sign
         ends = omega - spread if below else omega + spread
-        got = _gamma1_floor(q, omega, ends)
+        got = _gamma1_floor(q, omega, -1.0 if below else 1.0, ends)
         for end, floor in zip(ends, got):
             lo, hi = min(omega, end), max(omega, end)
             knots = [r for x, r in zip(xp, fp) if lo <= x <= hi]

@@ -244,7 +244,7 @@ class TestOptimize:
         assert 0 < result.scored <= result.evaluations == 2 * 4 * 3 * 2
         line = (f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
                 f"{result.scored} scored, ")
-        assert re.fullmatch(re.escape(line) + r"\d+\.\d s\)\n", capsys.readouterr().out)
+        assert re.fullmatch(re.escape(line) + r"\d+\.\d ms\)\n", capsys.readouterr().out)
         for name in ("results.yaml", "manifest.yaml"):
             raw = yaml.safe_load((out / name).read_text())
             assert (raw["evaluations"], raw["scored"]) == (result.evaluations, result.scored)

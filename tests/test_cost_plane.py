@@ -6,8 +6,9 @@ its omega x amplitude x pulse-length grid.  On an invalid grid it must
 raise, whatever its omegas, the error evaluate_cost raises first in
 row-major order on those amplitudes and pulse lengths at an omega whose
 |chi| passes.  cell_bound must stay at or below the kernel's total in
-every finite cell, and its scorer must give the kernel's cells bit for
-bit; plane_statistics and the scan must raise the kernel's error.
+every finite cell, and score_planes with with_coupling, as the scan scores
+cells, must give the kernel's cells bit for bit; plane_statistics and the
+scan must raise the kernel's error.
 """
 import math
 from dataclasses import fields, replace
@@ -36,11 +37,14 @@ from readout_opt import (
 from readout_opt import error_models
 from readout_opt.dynamics import dispersive_shift, photon_number
 from readout_opt.error_models import (
+    Cells,
     ParameterError,
     cell_bound,
     cost_plane,
     coupling_error,
     plane_statistics,
+    score_planes,
+    with_coupling,
 )
 
 from conftest import CONFIG_DIR, TWO_PI
@@ -60,10 +64,32 @@ def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=D
                      total_time=total_time, heuristics=include_heuristics)
 
 
+def kernel_coupling(omega, specs, cost_model):
+    """The coupling term cost_plane gives omega's cells."""
+    return coupling_error(omega, specs) if cost_model.heuristics else 0.0
+
+
 def omega_bound(q, omega, amps, tps, cost_model, specs=()):
-    """cell_bound of one omega, from its own plane_statistics entry."""
+    """cell_bound of one omega, from its own plane_statistics entry, or
+    None where that entry is None."""
     (plane,), = plane_statistics([(q, [omega], amps, tps)], cost_model)
-    return cell_bound(q, plane, amps, tps, cost_model, specs)
+    if plane is None:
+        return None
+    return cell_bound(plane, kernel_coupling(omega, specs, cost_model), cost_model)
+
+
+def score_cells(q, plane, amps, rows, cols, cost_model, specs=()):
+    """The breakdown of the cells amps[rows] x the plane's pulse lengths
+    [cols], as the scan scores them: score_planes, then with_coupling.
+    Each field is a (len(rows), len(cols)) array."""
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    cells = Cells(np.zeros(len(rows) * len(cols), dtype=int),
+                  np.repeat(np.asarray(amps, dtype=float)[rows], len(cols)),
+                  np.tile(np.asarray(plane.n_ps)[cols], len(rows)))
+    scored = with_coupling(score_planes([(q, plane)], cells, cost_model),
+                           kernel_coupling(plane.omega, specs, cost_model), cost_model)
+    return CostBreakdown(**{name: values.reshape(len(rows), len(cols))
+                            for name, values in scored.items()})
 
 
 def oracle(q, omegas, amps, tps, cost_model, specs):
@@ -201,9 +227,10 @@ def test_every_cell_bit_identical_to_evaluate_cost(case):
 @given(grids())
 def test_cell_bound_below_every_finite_cell(case):
     """cell_bound is <= the kernel's total in every finite cell of every
-    omega, +inf where the whole omega is infeasible, never NaN; its scorer,
-    None only where the omega is infeasible, gives the kernel's plane bit
-    for bit.  On an invalid grid plane_statistics raises what the kernel
+    omega, never NaN; plane_statistics has no entry only where the whole
+    omega is infeasible or there is no cell, and score_planes with
+    with_coupling, the scan's scoring, gives the kernel's plane bit for
+    bit.  On an invalid grid plane_statistics raises what the kernel
     raises, and so does the scan on the grid's sorted values."""
     q, omegas, amps, tps, weights, specs, include_heuristics = case
     cost_model = model(weights, include_heuristics)
@@ -220,20 +247,22 @@ def test_cell_bound_below_every_finite_cell(case):
         return
     planes, = plane_statistics([(q, omegas, amps, tps)], cost_model)
     for i, plane in enumerate(planes):
-        bound, score = cell_bound(q, plane, amps, tps, cost_model, specs)
         total = bd.total[i]
+        # snr is NaN only near a pole or with |chi| too large for dt
+        if plane is None:
+            assert np.isnan(bd.snr[i]).all() and np.isposinf(total).all()
+            continue
+        assert not np.isnan(bd.snr[i]).any()
+        bound = cell_bound(plane, kernel_coupling(omegas[i], specs, cost_model), cost_model)
         assert bound.shape == total.shape
         assert not np.isnan(bound).any()
         finite = np.isfinite(total)
         assert (bound[finite] <= total[finite]).all(), (omegas[i], bound, total)
-        # snr is NaN only near a pole or with |chi| too large for dt
-        assert np.isinf(bound[np.isnan(bd.snr[i])]).all()
-        assert (score is None) == np.isnan(bd.snr[i]).all()
-        if score is not None:
-            got = score(np.arange(len(amps)), np.arange(len(tps)))
-            for name in FIELDS:
-                np.testing.assert_array_equal(getattr(got, name).view(np.int64),
-                                              getattr(bd, name)[i].view(np.int64))
+        got = score_cells(q, plane, amps, np.arange(len(amps)), np.arange(len(tps)),
+                          cost_model, specs)
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                          getattr(bd, name)[i].view(np.int64))
 
 
 @pytest.mark.parametrize("t_p", [60.0, 120.0])  # half-SNR index after, before the pulse end
@@ -259,7 +288,7 @@ def test_cell_bound_reads_stark_trace_to_half_snr_index(t_p):
     relaxation_only = model(CostWeights(0.0, 1.0, 0.0, 0.0, 0.0))
     total = cost_plane(cut, [omega], [b0], [t_p], relaxation_only).total[0, 0, 0]
     assert 0.0 < total < (k - 2) * DT * rate
-    assert omega_bound(cut, omega, [b0], [t_p], relaxation_only)[0][0, 0] == 0.0
+    assert omega_bound(cut, omega, [b0], [t_p], relaxation_only)[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("weights", [CostWeights(1.0, 0.0, 0.0, 0.0, 0.0),
@@ -279,7 +308,7 @@ def test_cell_bound_is_tight_on_separation_and_photon(weights):
         planes, = plane_statistics([(q, grid.omega_points, grid.amp_points,
                                      grid.tp_points)], cost_model)
         for omega, plane, total in zip(grid.omega_points, planes, totals):
-            bound, _ = cell_bound(q, plane, grid.amp_points, grid.tp_points, cost_model)
+            bound = cell_bound(plane, 0.0, cost_model)
             finite = np.isfinite(total)
             assert finite.any()
             assert (bound[finite] >= (1.0 - 1e-6) * total[finite]).all(), (qid, omega)
@@ -313,6 +342,60 @@ def test_grid_with_every_kind_of_cell(monkeypatch):
     # a 5 ns pulse rings down for about 30 ns before half the SNR is in
     assert (bd.t0[3:, 2, 0] > 20.0).all()
     assert np.isfinite(bd.total[0, 1:]).all() and np.isfinite(bd.total[3:, 1:]).all()
+
+
+def test_mixed_cells_keep_their_bits_in_any_batch():
+    """One kernel call on cells from planes of several d3 qubits, at mixed
+    amplitudes and pulse lengths, one of them with a Stark trace that
+    leaves the Gamma1 table, gives every field of every cell the bits of
+    the oracle and of a one-cell cost_plane, and the same bits in any
+    order of the cells.  An infeasible omega has no plane to take cells
+    from: the kernel's total is +inf there, everywhere."""
+    cost_model = model()
+    qids = (QIDS[0], QIDS[3], QIDS[6])
+    scans, specs = [], []
+    for k, qid in enumerate(qids):
+        q, (lo, hi) = D3.qubits[qid], D3.search_band[qid]
+        omegas = [lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo)]
+        if k == 0:  # off the table at 5.5 GHz; the resonator pole
+            omegas += [TWO_PI * 5.5, q.omega_r]
+        amps = [0.0, 0.05 * q.amp_ref, 0.2 * q.amp_ref, 3.0 * q.amp_ref]
+        scans.append((q, omegas, amps, [5.0, 120.0, 300.0, 480.0]))
+        nb = D3.qubits[QIDS[k + 1]]
+        specs.append(collision_specs(q, [(nb, ReadoutParams(omegas[0], 0.1, 300.0, 200.0),
+                                          False)]))
+    planes = plane_statistics(scans, cost_model)
+    q, omegas, amps, tps = scans[0]
+    assert planes[0][3] is None
+    assert np.isinf(cost_plane(q, omegas[3:], amps, tps, cost_model).total).all()
+    rng = np.random.default_rng(3)
+    picks = [(k, i, a, j) for k, (_, omegas, amps, tps) in enumerate(scans)
+             for i in range(len(omegas)) for a in range(len(amps)) for j in range(len(tps))
+             if planes[k][i] is not None and rng.random() < 0.3]
+    picks.append((0, 2, 3, 2))  # 3 amp_ref for 300 ns at 5.5 GHz: off the table
+    pairs = sorted({(k, i) for k, i, _, _ in picks})
+    expected = {}
+    for k, i, a, j in picks:
+        q, omegas, amps, tps = scans[k]
+        point = ReadoutParams(omegas[i], amps[a], tps[j], TOTAL - tps[j])
+        want = evaluate_cost(q, point, cost_model, specs[k])
+        one = cost_plane(q, [omegas[i]], [amps[a]], [tps[j]], cost_model, specs[k])
+        for name in FIELDS:
+            assert getattr(one, name)[0, 0, 0].hex() == getattr(want, name).hex(), name
+        expected[k, i, a, j] = [getattr(want, name) for name in FIELDS]
+    assert not math.isfinite(expected[0, 2, 3, 2][-1])
+    for order in (picks, picks[::-1], [picks[n] for n in rng.permutation(len(picks))]):
+        plane = [pairs.index((k, i)) for k, i, _, _ in order]
+        cells = error_models.Cells(np.array(plane),
+                                   np.array([scans[k][2][a] for k, _, a, _ in order]),
+                                   np.array([planes[k][i].n_ps[j] for k, i, _, j in order]))
+        scored = error_models.score_planes([(scans[k][0], planes[k][i]) for k, i in pairs],
+                                           cells, cost_model)
+        coupling = [coupling_error(scans[k][1][i], specs[k]) for k, i, _, _ in order]
+        got = error_models.with_coupling(scored, np.array(coupling), cost_model)
+        for c, key in enumerate(order):
+            for name, want in zip(FIELDS, expected[key]):
+                assert float(got[name][c]).hex() == want.hex(), (key, name)
 
 
 class TestInfeasible:
@@ -431,8 +514,9 @@ class TestEmptyAxes:
 
     @EMPTY_AXES
     def test_cell_bound_gives_an_empty_bound(self, amps, tps):
-        bound, _ = omega_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model())
-        assert bound.shape == (len(amps), len(tps))
+        """No cell, so nothing to bound: the omega has no entry, and the
+        scan passes it by."""
+        assert omega_bound(D3.qubits[QIDS[0]], self.OMEGA, amps, tps, model()) is None
 
 
 def test_separation_is_math_erfc_bit_for_bit():
@@ -531,10 +615,10 @@ class TestPulseGridCache:
 
 
 class TestColumns:
-    """cell_bound's scorer scores the amplitude rows and pulse-length
-    columns it names, bit for bit as cost_plane on those alone, either set
-    possibly empty; an omega that is infeasible everywhere has no scorer
-    and a +inf bound."""
+    """The scan's scoring, score_planes and with_coupling, scores the
+    cells of the amplitude rows and pulse-length columns it is given, bit
+    for bit as cost_plane on those alone, either set possibly empty; an
+    omega that is infeasible everywhere has no entry to score or bound."""
 
     QID = QIDS[3]
     AMPS = [0.0, 0.15, 0.3]
@@ -548,8 +632,8 @@ class TestColumns:
         q = D3.qubits[self.QID]
         for omega in self.omegas():
             for rows in ([1], [2, 0], [0, 1, 2], []):
-                _, score = omega_bound(q, omega, self.AMPS, self.TPS, model())
-                got = score(np.array(rows, dtype=int), np.array(cols, dtype=int))
+                (plane,), = plane_statistics([(q, [omega], self.AMPS, self.TPS)], model())
+                got = score_cells(q, plane, self.AMPS, rows, cols, model())
                 want = cost_plane(q, [omega], [self.AMPS[i] for i in rows],
                                   [self.TPS[j] for j in cols], model())
                 for name in FIELDS:
@@ -562,9 +646,7 @@ class TestColumns:
         omega = {"pole guard": q.omega_r,
                  "|chi| too large": q.omega_r - q.alpha + 0.095}[omega]
         assert np.isinf(cost_plane(q, [omega], self.AMPS, self.TPS, model()).total).all()
-        bound, score = omega_bound(q, omega, self.AMPS, self.TPS, model())
-        assert score is None
-        assert bound.shape == (len(self.AMPS), len(self.TPS)) and np.isposinf(bound).all()
+        assert omega_bound(q, omega, self.AMPS, self.TPS, model()) is None
 
     def test_every_pulse_length_is_checked(self):
         q, tps = D3.qubits[self.QID], self.TPS + [520.0]  # t_r < 0 in the last column

@@ -1,12 +1,12 @@
 import itertools
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from readout_opt import (
-    CostBreakdown,
     CostModel,
     CostWeights,
     InfeasibleQubitError,
@@ -176,114 +176,149 @@ class TestOptimizeQubit:
 class TestPruning:
     """The branch-and-bound scan on designed planes and bounds.
 
-    snake.coupling_error supplies each omega's bound (MODEL weighs coupling
-    by 1), snake.plane_statistics each omega as its plane's entry, and
-    snake.cell_bound each cell's bound (by default its omega's bound) and
-    a scorer of the cells of the (1 omega x 2 amp x 2 t_p) grid that the
-    scan asks for, the same array in every breakdown field.  Every
-    designed plane lies at or above its cell bounds, and those at or above
-    the omega's bound, as the real cost does.
+    coupling_error supplies each omega's coupling term (MODEL weighs it by
+    1, so it is also the omega's bound), snake.plane_statistics each
+    omega's entry, with its neighbor-free bound (by default 0 in every
+    cell), and snake.score_planes, the kernel, each requested cell's
+    designed neighbor-free value as its separation term, the other terms
+    0, and infeasible where that value is not finite.  So a cell's total
+    is its value plus its omega's coupling term, and every designed cell
+    lies at or above its bound, as the real cost does.  Every value is a
+    multiple of 1/64, so every sum is exact.
     """
 
     GRID = SearchGrid((1.0, 2.0, 3.0), (0.1, 0.2), (100.0, 200.0))
 
-    def scan(self, monkeypatch, bounds, planes, cells=None):
-        """The winner's params (None if infeasible), the omegas scored in
-        order, and each scorer call's (omega, amps, tps)."""
-        calls = []
+    class Entry(NamedTuple):
+        omega: float
+        n_ps: tuple
+        bound: np.ndarray
 
-        def fake_bound(q, omega, amps, tps, model, specs):
-            def score(rows, cols):
-                calls.append((omega, tuple(amps[i] for i in rows),
-                               tuple(tps[j] for j in cols)))
-                total = np.array(planes[omega], dtype=float)[np.ix_(rows, cols)]
-                return CostBreakdown(**{f.name: total for f in fields(CostBreakdown)})
+    def scan(self, monkeypatch, couplings, values, bounds=None):
+        """The winner's params (None if infeasible) and each kernel call's
+        (omega, ((amp, t_p), ...)) cells, in order."""
+        bounds, calls = bounds or {}, []
+        n_ps = (1, 2)  # one sample count per pulse length
 
-            if cells is not None and omega in cells:
-                return np.array(cells[omega], dtype=float), score
-            return np.full((len(amps), len(tps)), bounds[omega]), score
+        def fake_kernel(planes, cells, model):
+            omegas = [planes[k][1].omega for k in cells.plane]
+            tps = [self.GRID.tp_points[n_ps.index(n)] for n in cells.n_p]
+            by_omega = {}
+            for omega, amp, t_p in zip(omegas, cells.amp.tolist(), tps):
+                by_omega.setdefault(omega, []).append((amp, t_p))
+            calls.extend(by_omega.items())
+            grid = self.GRID
+            value = np.array([values[w][grid.amp_points.index(a)][grid.tp_points.index(t)]
+                              for w, a, t in zip(omegas, cells.amp.tolist(), tps)])
+            zero = np.zeros(len(value))
+            return dict(separation=value, relaxation=zero, photon=zero, mist=zero, snr=zero,
+                        t0=zero, n_max=zero, bad=~np.isfinite(value))
 
-        monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: bounds[omega])
+        def entry(omega):
+            return self.Entry(omega, n_ps, np.array(bounds.get(omega, np.zeros((2, 2))),
+                                                    dtype=float))
+
+        monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: couplings[omega])
         monkeypatch.setattr(snake, "plane_statistics",
-                            lambda scans, model: [list(scan[1]) for scan in scans])
-        monkeypatch.setattr(snake, "cell_bound", fake_bound)
+                            lambda scans, model: [[entry(w) for w in s[1]] for s in scans])
+        monkeypatch.setattr(snake, "score_planes", fake_kernel)
         try:
-            params, _, _ = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
+            params, _, n_scored = optimize_qubit(make_qubit(), self.GRID, [], MODEL)
         except InfeasibleQubitError:
-            params = None
-        scored = [omega for omega, _, _ in calls]
-        # a plane can take two calls: its bound's minimum first, then the rest
-        scored = [w for i, w in enumerate(scored) if i == 0 or scored[i - 1] != w]
-        return params, scored, calls
+            params, n_scored = None, None
+        if params is not None:
+            assert n_scored == sum(len(cells) for _, cells in calls)
+        return params, [(omega, tuple(cells)) for omega, cells in calls]
+
+    ALL = ((0.1, 100.0), (0.1, 200.0), (0.2, 100.0), (0.2, 200.0))
 
     def test_equal_bound_scored_and_lower_index_wins_tie(self, monkeypatch):
-        bounds = {1.0: 1.0, 2.0: 0.5, 3.0: 1.0}
-        planes = {
-            1.0: [[2.0, 2.0], [1.0, 2.0]],  # ties omega 2.0's best total
-            2.0: [[3.0, 3.0], [3.0, 1.0]],
-            3.0: [[1.0, 2.0], [2.0, 2.0]],
+        couplings = {1.0: 0.5, 2.0: 0.25, 3.0: 1.0}
+        # (0.5000000010000001 + 0.5) (1 - BOUND_MARGIN) is 1.0 exactly
+        tie = 0.5000000010000001
+        assert (tie + 0.5) * (1.0 - error_models.BOUND_MARGIN) == 1.0
+        bounds = {1.0: [[1.5, 1.5], [tie, 1.5]], 3.0: [[0.0, 1.0], [1.0, 1.0]]}
+        values = {
+            1.0: [[1.5, 1.5], [0.5, 1.5]],  # total 1.0 ties omega 2.0's best
+            2.0: [[2.5, 2.5], [2.5, 0.75]],
+            3.0: [[0.0, 1.0], [1.0, 1.0]],  # and so does a cell here
         }
-        params, scored, _ = self.scan(monkeypatch, bounds, planes)
-        assert scored == [2.0, 1.0, 3.0]
+        params, calls = self.scan(monkeypatch, couplings, values, bounds)
+        # omega 2.0 is the seed plane (the least bound minimum at the lowest
+        # index), scored whole before the walk, and the first one the walk
+        # reaches; then omega 1.0, whose one cell with a bound equal to the
+        # best total is scored, and omega 3.0, whose coupling bound is
+        # equal to it, and whose one cell below it ties too
+        assert calls == [(2.0, self.ALL), (1.0, ((0.2, 100.0),)), (3.0, ((0.1, 100.0),))]
         assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.2, 100.0)
 
     def test_bound_above_incumbent_not_scored(self, monkeypatch):
-        bounds = {1.0: 0.2, 2.0: 0.9, 3.0: 0.6}
-        planes = {
-            1.0: [[0.7, 0.5], [0.6, 0.9]],
-            2.0: [[0.9, 0.9], [0.9, 0.9]],
-            3.0: [[0.6, 0.6], [0.6, 0.6]],
+        couplings = {1.0: 0.25, 2.0: 1.0, 3.0: 0.75}
+        values = {
+            1.0: [[0.5, 0.25], [0.375, 0.75]],
+            2.0: [[0.0, 0.0], [0.0, 0.0]],
+            3.0: [[0.0, 0.0], [0.0, 0.0]],
         }
-        params, scored, _ = self.scan(monkeypatch, bounds, planes)
-        assert scored == [1.0]
+        params, calls = self.scan(monkeypatch, couplings, values)
+        assert calls == [(1.0, self.ALL)]
         assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.1, 200.0)
 
     def test_infeasible_plane_never_incumbent(self, monkeypatch):
         inf, nan = math.inf, math.nan
-        bounds = {1.0: 0.0, 2.0: 0.0, 3.0: 0.5}
-        planes = {
+        couplings = {1.0: 0.0, 2.0: 0.0, 3.0: 0.5}
+        values = {
             1.0: [[inf, inf], [inf, inf]],
             2.0: [[nan, inf], [inf, nan]],
-            3.0: [[4.0, 3.0], [2.0, 5.0]],
+            3.0: [[3.5, 2.5], [1.5, 4.5]],
         }
-        params, scored, _ = self.scan(monkeypatch, bounds, planes)
-        assert scored == [1.0, 2.0, 3.0]
+        params, calls = self.scan(monkeypatch, couplings, values)
+        # the seed's cells are all infeasible: no second call before the
+        # walk, and each plane's cells at the bound's minimum (all of them)
+        # until one is feasible
+        assert calls == [(1.0, self.ALL), (2.0, self.ALL), (3.0, self.ALL)]
         assert (params.omega_q, params.b0, params.t_p) == (3.0, 0.2, 100.0)
-        planes[3.0] = [[inf, inf], [inf, inf]]
-        params, scored, _ = self.scan(monkeypatch, bounds, planes)
-        assert params is None and scored == [1.0, 2.0, 3.0]
+        values[3.0] = [[inf, inf], [inf, inf]]
+        params, calls = self.scan(monkeypatch, couplings, values)
+        assert params is None
+        assert calls == [(1.0, self.ALL), (2.0, self.ALL), (3.0, self.ALL)]
 
     def test_infeasible_bound_minimum_scores_rest_of_plane(self, monkeypatch):
         inf = math.inf
-        bounds = {1.0: 0.0, 2.0: 1.0, 3.0: 1.0}
-        cells = {1.0: [[0.1, 0.3], [0.2, 0.4]]}
-        planes = {
-            1.0: [[inf, 0.5], [0.3, 0.6]],  # the bound's minimum is infeasible
-            2.0: [[1.0, 1.0], [1.0, 1.0]],
-            3.0: [[1.0, 1.0], [1.0, 1.0]],
+        couplings = {1.0: 0.0, 2.0: 0.5, 3.0: 0.5}
+        bounds = {1.0: [[0.125, 0.375], [0.25, 0.5]],
+                  2.0: [[0.5, 0.5], [0.5, 0.5]], 3.0: [[0.5, 0.5], [0.5, 0.5]]}
+        values = {
+            1.0: [[inf, 0.625], [0.375, 0.75]],  # the bound's minimum is infeasible
+            2.0: [[0.5, 0.5], [0.5, 0.5]],
+            3.0: [[0.5, 0.5], [0.5, 0.5]],
         }
-        params, scored, calls = self.scan(monkeypatch, bounds, planes, cells)
-        assert scored == [1.0]
-        assert calls == [(1.0, (0.1,), (100.0,)), (1.0, (0.1, 0.2), (100.0, 200.0))]
+        params, calls = self.scan(monkeypatch, couplings, values, bounds)
+        # the seed's one cell at its bound's minimum, before the walk, then
+        # the rest of its plane
+        assert calls == [(1.0, ((0.1, 100.0),)),
+                         (1.0, ((0.1, 200.0), (0.2, 100.0), (0.2, 200.0)))]
         assert (params.omega_q, params.b0, params.t_p) == (1.0, 0.2, 100.0)
 
-    def test_rows_and_columns_above_incumbent_not_scored(self, monkeypatch):
-        bounds = {1.0: 0.0, 2.0: 0.1, 3.0: 0.2}
-        cells = {
-            1.0: [[0.3, 0.3], [0.3, 0.3]],
-            2.0: [[0.4, 0.9], [0.9, 0.9]],
-            3.0: [[0.9, 0.9], [0.9, 0.44]],
+    def test_cells_above_incumbent_not_scored(self, monkeypatch):
+        couplings = {1.0: 0.0, 2.0: 0.125, 3.0: 0.25}
+        bounds = {
+            1.0: [[0.375, 0.375], [0.375, 0.375]],
+            2.0: [[0.375, 1.0], [1.0, 0.375]],
+            3.0: [[1.0, 1.0], [1.0, 0.25]],
         }
-        planes = {
-            1.0: [[0.6, 0.5], [0.7, 0.8]],
-            2.0: [[0.45, 1.0], [1.0, 1.0]],
-            3.0: [[1.0, 1.0], [1.0, 0.44]],
+        values = {
+            1.0: [[0.75, 0.625], [0.875, 1.0]],
+            2.0: [[0.4375, 1.0], [1.0, 0.5]],
+            3.0: [[1.0, 1.0], [1.0, 0.25]],
         }
-        params, scored, calls = self.scan(monkeypatch, bounds, planes, cells)
-        # incumbents 0.5, then 0.45: only the row and column of the one
-        # cell whose bound is at or below it reach the kernel
-        assert calls == [(1.0, (0.1, 0.2), (100.0, 200.0)),
-                         (2.0, (0.1,), (100.0,)), (3.0, (0.2,), (200.0,))]
+        params, calls = self.scan(monkeypatch, couplings, values, bounds)
+        # omega 3.0 is the seed plane, and its one cell at the bound's
+        # minimum, scored before the walk, the incumbent at 0.5.  The walk
+        # scores the first plane's cells at its bound's minimum, then of
+        # omega 2.0 the two diagonal cells whose bound is <= 0.5, not the
+        # rows x columns they span; omega 3.0's cell is served, not scored
+        assert calls == [(3.0, ((0.2, 200.0),)), (1.0, self.ALL),
+                         (2.0, ((0.1, 100.0), (0.2, 200.0)))]
         assert (params.omega_q, params.b0, params.t_p) == (3.0, 0.2, 200.0)
 
 
@@ -330,25 +365,76 @@ def test_scan_reads_its_pulse_checks_from_one_cache_entry(small_run, d3_graph, m
 
 
 @pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
+def test_one_omega_walk_is_scored_before_it_starts(small_run, d3_graph, monkeypatch,
+                                                   heuristics):
+    """With one omega per qubit, each seed plane is the qubit's only
+    plane, and the kernel runs exactly twice, before the walk, for the
+    whole device: never inside the walk.  The walk serves every cell it
+    needs from those two calls, with its coupling added, and gets the
+    result it gets without the spies."""
+    cfg, grids, _ = small_run
+    model = replace(cfg.model, heuristics=heuristics)
+    # a mix of low and high omegas, as perfbench's optimize_dense
+    grids = {qid: SearchGrid((grid.omega_points[(7 * k) % len(grid.omega_points)],),
+                             grid.amp_points, grid.tp_points)
+             for k, (qid, grid) in enumerate(sorted(grids.items()))}
+    want = optimize_device(d3_graph, grids, model)
+    kernel, walk, real_kernel, real_scan = [], [], error_models._score, snake.optimize_qubit
+
+    def kernel_spy(*args):
+        kernel.append(len(args[-2].plane))
+        return real_kernel(*args)
+
+    def scan_spy(*args, **kwargs):
+        before = len(kernel)
+        scan = real_scan(*args, **kwargs)
+        walk.append(len(kernel) - before)
+        return scan
+    monkeypatch.setattr(error_models, "_score", kernel_spy)
+    monkeypatch.setattr(snake, "optimize_qubit", scan_spy)
+    result = optimize_device(d3_graph, grids, model)
+    assert len(kernel) == 2 and walk == [0] * len(grids)
+    assert result.scored == sum(kernel) < result.evaluations
+    assert result.per_qubit == want.per_qubit
+
+
+def test_seed_calls_take_at_most_a_block_of_planes(small_run, d3_graph, monkeypatch):
+    """Before the walk, each kernel call scores the seed cells of at most
+    _BLOCK_PLANES qubits, so its memory stays bounded on any device, and
+    the result is the one the default blocks give."""
+    cfg, grids, _ = small_run
+    grids = {qid: SearchGrid(grid.omega_points[:1], grid.amp_points, grid.tp_points)
+             for qid, grid in grids.items()}
+    want = optimize_device(d3_graph, grids, cfg.model)
+    widths, real_kernel = [], error_models._score
+
+    def kernel_spy(*args):
+        widths.append(len(args[0]))
+        return real_kernel(*args)
+    monkeypatch.setattr(error_models, "_score", kernel_spy)
+    monkeypatch.setattr(snake, "_BLOCK_PLANES", 4)
+    result = optimize_device(d3_graph, grids, cfg.model)
+    assert widths[:5] == [4, 4, 4, 4, 1] and max(widths) <= 4
+    assert result.per_qubit == want.per_qubit and result.scored == want.scored
+
+
+@pytest.mark.parametrize("heuristics", [True, False], ids=["all", "predictive"])
 def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch,
                                                 heuristics):
     """Every qubit of the small d3 walk equals an exhaustive plane scan,
-    under both strategies."""
+    under both strategies, and counts the cells the kernel scored for it,
+    before the walk and in it."""
     cfg, grids, result = small_run
     model = replace(cfg.model, heuristics=heuristics)
     if not heuristics:
         result = optimize_device(d3_graph, grids, model)
-    scored = []
+    scored, real_kernel = [], snake.score_planes
 
-    def counting_bound(*args):
-        bound, score = error_models.cell_bound(*args)
+    def counting_kernel(planes, cells, model):
+        scored.append(len(cells.plane))
+        return real_kernel(planes, cells, model)
 
-        def counting_score(rows, cols):
-            scored.append(len(rows) * len(cols))
-            return score(rows, cols)
-        return bound, score and counting_score
-
-    monkeypatch.setattr(snake, "cell_bound", counting_bound)
+    monkeypatch.setattr(snake, "score_planes", counting_kernel)
     locked_params = {}
     pruned = total_scored = 0
     for qid in result.order:
@@ -381,17 +467,18 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
 
 
 @pytest.mark.parametrize("config, heuristics, most", [
-    ("optimizer_small.yaml", True, 344),
-    ("optimizer_small.yaml", False, 165),
-    ("optimizer.yaml", True, 4_784),
-    ("optimizer.yaml", False, 2_679),
+    ("optimizer_small.yaml", True, 255),
+    ("optimizer_small.yaml", False, 108),
+    ("optimizer.yaml", True, 3_335),
+    ("optimizer.yaml", False, 1_521),
 ], ids=["small-all", "small-predictive", "full-all", "full-predictive"])
 def test_bound_prunes_the_d3_scan(d3_graph, config, heuristics, most):
-    """The bound leaves at most `most` cells of d3 to score under each
-    shipped config and strategy.  The exactness tests pass for any bound at
-    or below the kernel, however loose: the least rate of the whole Gamma1
-    table in place of _gamma1_floor's scores 597 / 520 cells of the small
-    grid, and no MIST bound 3,627 under all."""
+    """The bound leaves at most `most` cells of d3 for the kernel to score,
+    before the walk and in it, under each shipped config and strategy.
+    The exactness tests pass for any bound at or below the kernel, however
+    loose: the least rate of the whole Gamma1 table in place of
+    _gamma1_floor's scores 532 / 502 cells of the small grid, and no MIST
+    bound 4,236 under all."""
     cfg = load_optimizer_config((CONFIG_DIR / config).read_text())
     grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
     result = optimize_device(d3_graph, grids, replace(cfg.model, heuristics=heuristics))

@@ -8,15 +8,21 @@ one kernel call per frequency on its one-frequency grid, each integrating
 its own step response.  One round scores all those planes, after a warm-up
 round that pays the first-call costs.  These are whole planes of 1,560
 cells each; optimize's pruned scan scores a few dozen cells at a time,
-through the scorer error_models.cell_bound returns.
+from any planes, through error_models.score_planes.
 
 statistics_s is error_models.plane_statistics over the same planes, in
-one call: the step responses and unit-amplitude statistics that optimize
-computes for every plane of the device before its walk, in blocks of
-planes.  bound_s is error_models.cell_bound on each of those planes'
-entries: the per-cell lower bound and the scorer that optimize's scan
-computes for every plane it reaches before it scores any cell.  Neither
-is part of total_s.
+one call: the step responses, unit-amplitude statistics and neighbor-free
+bounds that optimize computes for every plane of the device before its
+walk, in blocks of planes.  bound_s is the bound's share of it: the
+batched error_models._plane_bounds on the same blocks, from their stored
+unit statistics.  prescore_s is snake._seed_cells on optimize_dense's own
+grid, one frequency per qubit (each band's middle one of those above):
+the kernel calls that score every qubit's likely winners before the
+walk, two for d3's 17 qubits.  None of them is part of total_s.
+
+scan_s is snake.optimize_device in-process on configs/device_d3.yaml
+under each config of SCAN_CONFIGS and each strategy, SCAN_ROUNDS runs
+each after a warm-up run, with the number of cells the kernel scored.
 
 sweep_s is one error_models.cost_plane call on the shape of a sweep
 command's chunk, as perfbench's sweep_band workload runs it: cli.SWEEP_CHUNK
@@ -67,12 +73,14 @@ alike.
 Run it from anywhere; it imports readout_opt from this checkout's src/.
 It prints one JSON object and writes it to --out, by default
 BENCH_kernel.json at the checkout's root.  The kernel's, the statistics',
-the bound's, the sweep's, the import's, cross_fidelity's and the YAML
-loads' and dumps' seconds are medians over the rounds, with quartiles.
+the bound's, the prescore's, the scans', the sweep's, the import's,
+cross_fidelity's and the YAML loads' and dumps' seconds are medians over
+the rounds, with quartiles.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import platform
@@ -88,7 +96,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from readout_opt import dynamics, error_models  # noqa: E402
+from readout_opt import dynamics, error_models, snake  # noqa: E402
 from readout_opt.benchmark import ShotRecords, cross_fidelity  # noqa: E402
 from readout_opt.cli import (  # noqa: E402
     SWEEP_CHUNK,
@@ -123,6 +131,8 @@ IMPORT_ROUNDS = 7
 CROSS_FIDELITY_QUBITS = (49, 241)
 CROSS_FIDELITY_ROUNDS = 21
 YAML_ROUNDS = 41
+SCAN_CONFIGS = ("optimizer.yaml", "optimizer_small.yaml")
+SCAN_ROUNDS = 7
 
 
 def dense_config():
@@ -143,6 +153,61 @@ def planes():
             out.append((graph.qubits[qid], float(omega), grid.amp_points,
                         grid.tp_points))
     return out, cfg.model
+
+
+def blocks(work, entries):
+    """_plane_bounds' arguments for plane_statistics' blocks of the planes
+    work, from their entries: up to _BLOCK_PLANES consecutive feasible
+    planes each, as the whole work shares its sample counts."""
+    planes = [(q, amps, plane) for (q, _, amps, _), (plane,) in zip(work, entries)
+              if plane is not None]
+    size = error_models._BLOCK_PLANES
+    out = []
+    for start in range(0, len(planes), size):
+        qubits, amps, chunk = zip(*planes[start : start + size])
+        unit = error_models._UnitColumns(*(np.stack(field) for field in
+                                           zip(*(plane.unit for plane in chunk))))
+        out.append((list(qubits), [p.omega for p in chunk], [p.chi for p in chunk],
+                    np.array(amps, dtype=float), unit))
+    return out
+
+
+def prescore_inputs(model):
+    """snake._seed_cells' arguments on optimize_dense's grid: each qubit at
+    the middle one of its N_OMEGAS frequencies, in walk order."""
+    graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
+    cfg = dense_config()
+    qubits, grids = [], []
+    for qid in snake.traversal_order(graph):
+        grid = build_search_grid(graph, qid, cfg)
+        omegas = np.linspace(*graph.search_band[qid], N_OMEGAS + 2)[1:-1]
+        qubits.append(graph.qubits[qid])
+        grids.append(snake.SearchGrid((float(omegas[len(omegas) // 2]),), grid.amp_points,
+                                      grid.tp_points))
+    planes = error_models.plane_statistics(
+        [snake._grid_scan(q, grid) for q, grid in zip(qubits, grids)], model)
+    return qubits, grids, planes
+
+
+def scan_timings() -> dict:
+    """Median, quartiles and scored cells of optimize_device on d3 under
+    each config of SCAN_CONFIGS and each strategy."""
+    graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
+    out = {}
+    for name in SCAN_CONFIGS:
+        cfg = load_optimizer_config((ROOT / "configs" / name).read_text())
+        grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
+        for strategy in Strategy:
+            model = dataclasses.replace(cfg.model,
+                                        heuristics=strategy is Strategy.ALL_MODELS)
+            result = snake.optimize_device(graph, grids, model)  # warm-up
+            times = []
+            for _ in range(SCAN_ROUNDS):
+                start = time.perf_counter()
+                snake.optimize_device(graph, grids, model)
+                times.append(time.perf_counter() - start)
+            out[f"{name}:{strategy.value}"] = {"scored": result.scored, **summary(times)}
+    return {"rounds": SCAN_ROUNDS, "runs": out}
 
 
 def sweep_chunk():
@@ -298,6 +363,8 @@ def main(argv=None) -> int:
 
     work, model = planes()
     scans = [(q, [omega], amps, tps) for q, omega, amps, tps in work]
+    bound_blocks = blocks(work, error_models.plane_statistics(scans, model))
+    seeds = prescore_inputs(model)
     chunk = sweep_chunk()
 
     def one_round():
@@ -306,18 +373,21 @@ def main(argv=None) -> int:
             error_models.cost_plane(q, [omega], amps, tps, model)
         total = time.perf_counter() - start
         start = time.perf_counter()
-        entries = error_models.plane_statistics(scans, model)
+        error_models.plane_statistics(scans, model)
         stats = time.perf_counter() - start
         start = time.perf_counter()
-        for (q, _, amps, tps), (plane,) in zip(work, entries):
-            bound, _ = error_models.cell_bound(q, plane, amps, tps, model)
+        for block in bound_blocks:
+            error_models._plane_bounds(*block, model)
         bounds = time.perf_counter() - start
         start = time.perf_counter()
+        snake._seed_cells(*seeds, model)
+        prescore = time.perf_counter() - start
+        start = time.perf_counter()
         error_models.cost_plane(*chunk, model)
-        return total, stats, bounds, time.perf_counter() - start
+        return total, stats, bounds, prescore, time.perf_counter() - start
 
     one_round()  # warm-up: first-call costs
-    totals, stats, bounds, sweeps = zip(*(one_round() for _ in range(ROUNDS)))
+    totals, stats, bounds, prescores, sweeps = zip(*(one_round() for _ in range(ROUNDS)))
     points = sum(len(a) * len(t) for _, _, a, t in work)
     result = {
         "kernel": "error_models.cost_plane",
@@ -330,6 +400,8 @@ def main(argv=None) -> int:
     }
     result["statistics_s"] = summary(stats)
     result["bound_s"] = summary(bounds)
+    result["prescore_s"] = summary(prescores)
+    result["scan_s"] = scan_timings()
     result["sweep_s"] = summary(sweeps)
     result["step_response"] = step_response_timings()
     result["import_s"] = summary(import_times())
