@@ -66,7 +66,7 @@ class BenchmarkConfig:
                 f"n_states * n_shots must be <= 2**53 for exact tallies, "
                 f"got {self.n_states} * {self.n_shots}")
         if not 0.0 <= self.prep_error <= 1.0:
-            raise ValueError("prep_error must be a probability")
+            raise ValueError(f"prep_error must be a probability, got {self.prep_error}")
 
 
 @dataclass

@@ -12,19 +12,21 @@ CostWeights.total their weighted sum.  Its scoring (_score) takes any list
 of cells, each one amplitude and pulse length on one plane (one qubit's
 frequency) of any qubit, and gives each cell the same bits in any list;
 score_planes runs it on cells of the planes that plane_statistics stored,
-and with_coupling adds the coupling term and the total last, as
-CostWeights.total does.  Only that term depends on the neighbors.  So
-plane_statistics computes, for every plane of a walk up front and in
-blocks of planes, each plane's response and unit-amplitude statistics and
-its neighbor-free bound: cell by cell, the weighted sum of lower bounds on
-the other four terms.  cell_bound adds the coupling term to it, a lower
-bound on cost_plane's total in every cell, so optimize can leave out the
-cells that cannot win.  Both kernels check each grid of amplitudes and
-pulse lengths once, before any frequency (_check_grid), so an invalid
-grid raises the same error in either, and per frequency check only the
-pole guard and the step against |chi|, which make the frequency
-infeasible (_feasible_chi).  separation_error, mist_threshold and
-coupling_error are the terms that are functions of one number: the
+picked by their grid indices, and with_coupling adds the coupling term and
+the total last, as CostWeights.total does.  Only that term depends on the
+neighbors.  So plane_statistics computes, for every plane of a walk up
+front and in blocks of planes, each plane's response and its neighbor-free
+bound: cell by cell, the weighted sum of lower bounds on the other four
+terms.  cell_bound adds the coupling term to it, a lower bound on
+cost_plane's total in every cell, so optimize can leave out the cells that
+cannot win.  The scan's side of this seam is grid indices and the two
+calls: the kernel's cell layout, the planes per kernel call and the
+bound's margins are this module's alone.  Both kernels check each grid
+of amplitudes and pulse lengths once, before any frequency (_check_grid),
+so an invalid grid raises the same error in either, and per frequency
+check only the pole guard and the step against |chi|, which make the
+frequency infeasible (_feasible_chi).  separation_error, mist_threshold
+and coupling_error are the terms that are functions of one number: the
 benchmark reads the first, the kernel and the bound the other two.
 """
 from __future__ import annotations
@@ -278,8 +280,6 @@ def _interp_runs(x, rows, runs):
     table (xp, fp).  rows is ascending.  np.interp is elementwise, so each
     value has the bits of a call on it alone.
     """
-    if len(runs) == 1:
-        return np.interp(x, *runs[0][2:])
     out = np.empty(x.shape)
     for start, stop, xp, fp in runs:
         a, b = np.searchsorted(rows, (start, stop))
@@ -883,21 +883,21 @@ def _plane_bounds(qubits, omegas, chis, amps, unit: _UnitColumns, model: CostMod
 
 
 class PlaneStatistics(NamedTuple):
-    """The part of cell_bound that no neighbor changes, for one omega."""
+    """What cell_bound and score_planes read of one omega; no neighbor changes it."""
 
     omega: float
     chi: float
     n_ps: tuple  # the pulse lengths' sample counts
     response: np.ndarray  # the unit +chi step response, as a width-1 batch
     powers: np.ndarray  # the powers of R it doubled, likewise
-    unit: _UnitColumns  # one entry per pulse length
     bound: np.ndarray  # the neighbor-free bound, one per (amplitude, pulse length)
 
 
 #: most planes plane_statistics puts through one step_responses pass, one
-#: _unit_columns and one _plane_bounds.  At 500 steps a plane's entry keeps
-#: about 11 kB and 8 bytes per cell, and a block's transient arrays take
-#: about 40 kB and a dozen floats per cell more per plane.
+#: _unit_columns and one _plane_bounds, and score_planes through one _score
+#: call.  At 500 steps a plane's entry keeps about 11 kB and 8 bytes per
+#: cell, and a block's transient arrays take about 40 kB and a dozen floats
+#: per cell more per plane.
 _BLOCK_PLANES = 32
 
 
@@ -934,12 +934,11 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
         (n_ps, n_tot), _ = keys[0]
         response, powers = step_responses(chis, [q.kappa for q in qubits], model.dt,
                                           max(n_ps), n_tot - min(n_ps))
-        unit = _unit_columns(response, powers, n_ps, n_tot, model.dt)
-        bound = _plane_bounds(qubits, omegas, chis, np.array(amps, dtype=float), unit, model)
+        bound = _plane_bounds(qubits, omegas, chis, np.array(amps, dtype=float),
+                              _unit_columns(response, powers, n_ps, n_tot, model.dt), model)
         for j, (entries, i) in enumerate(zip(lists, index)):
             entries[i] = PlaneStatistics(omegas[j], chis[j], n_ps, response[j : j + 1],
-                                         powers[j : j + 1],
-                                         _UnitColumns(*(field[j] for field in unit)), bound[j])
+                                         powers[j : j + 1], bound[j])
         block.clear()
 
     for (q, omegas, amps, _), grid_counts in zip(scans, counts):
@@ -960,22 +959,41 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
     return out
 
 
-def score_planes(planes, cells: Cells, model: CostModel) -> dict:
+def score_planes(picks, model: CostModel) -> list[dict]:
     """The kernel's neighbor-free breakdown of cells of plane_statistics
-    entries, in one call.
+    entries.
 
-    planes holds (q, entry) pairs, entry a PlaneStatistics of q, from any
-    qubits; cell i is on plane cells.plane[i].  Returns _score's fields,
-    which with_coupling completes once the neighbors are known.  The
-    planes' stored responses and powers go to _score as one array, each
-    zero-padded to the longest, so nothing integrates; each cell has the
-    bits cost_plane gives it.
+    picks holds (q, entry, amps, flat) tuples, from any qubits: entry a
+    PlaneStatistics of q, amps its grid's amplitudes and flat the row-major
+    (amplitude, pulse length) indices of the cells to score on it.  Returns
+    one dict of _score's fields per pick, one value per index of flat,
+    which with_coupling completes once the neighbors are known.  This is
+    where the scan's cells meet the kernel's layout: each pick's cells go
+    to _score as its Cells, at most _BLOCK_PLANES picks per call, as
+    plane_statistics' blocks, so a call's transient memory does not grow
+    with the device.  The picks' stored responses and powers go as one
+    array, each zero-padded to the longest, so nothing integrates; each
+    cell has the bits cost_plane gives it.
     """
-    entries = [entry for _, entry in planes]
-    u = _stack([entry.response for entry in entries])
-    powers = _stack([entry.powers for entry in entries])
-    return _score([q for q, _ in planes], [e.omega for e in entries],
-                  [e.chi for e in entries], u, powers, cells, model)
+    out = []
+    for start in range(0, len(picks), _BLOCK_PLANES):
+        block = picks[start : start + _BLOCK_PLANES]
+        entries = [entry for _, entry, _, _ in block]
+        amp, n_p = [], []
+        for _, entry, amps, flat in block:
+            i_a, i_t = np.divmod(flat, len(entry.n_ps))
+            amp.append(np.asarray(amps, dtype=float)[i_a])
+            n_p.append(np.asarray(entry.n_ps)[i_t])
+        sizes = [len(flat) for *_, flat in block]
+        cells = Cells(np.repeat(np.arange(len(block)), sizes), np.concatenate(amp),
+                      np.concatenate(n_p))
+        scored = _score([q for q, *_ in block], [e.omega for e in entries],
+                        [e.chi for e in entries], _stack([e.response for e in entries]),
+                        _stack([e.powers for e in entries]), cells, model)
+        ends = np.cumsum(sizes).tolist()
+        out.extend({name: values[start:stop] for name, values in scored.items()}
+                   for start, stop in zip([0] + ends, ends))
+    return out
 
 
 def _stack(rows):

@@ -11,20 +11,22 @@ specs, and with model.heuristics False the neighbors are ignored.
 Before the first qubit is locked, error_models.plane_statistics checks
 every qubit's grid, in walk order, so an invalid grid raises before any
 qubit is locked, and computes what no neighbor changes for every plane
-(one qubit's omega) of the device: its chi, unit step response,
-unit-amplitude statistics and the neighbor-free bound of each cell, in
-blocks of planes.  Then _seed_cells gives each qubit a seed plane, the one
-with the least neighbor-free bound, and scores its likely winners there
-for the whole device in two rounds of kernel calls, one call per
-error_models._BLOCK_PLANES qubits.  The walk prunes omegas by the
-coupling term and cells by error_models.cell_bound, the neighbor-free
-bound plus that term, both exact lower bounds (see optimize_qubit),
-under either strategy.  It serves the seed cells with the coupling its
-locked neighbors give, and scores the other cells whose bound is at or
-below the best total so far in one kernel call per plane, from the
-plane's stored response: nothing integrates inside the walk, and the
-result equals an exhaustive scan's.  The winner's breakdown is its cell
-of the kernel's.
+(one qubit's omega) of the device: its chi, unit step response and the
+neighbor-free bound of each cell, in blocks of planes.  Then _seed_cells
+gives each qubit a seed plane, the one with the least neighbor-free
+bound, and scores its likely winners there for the whole device in two
+rounds of kernel calls.  The walk prunes omegas by the coupling term and
+cells by error_models.cell_bound, the neighbor-free bound plus that term,
+both exact lower bounds (see optimize_qubit), under either strategy.  It
+serves the seed cells with the coupling its locked neighbors give, and
+scores the other cells whose bound is at or below the best total so far,
+one kernel call per plane, from the plane's stored response: nothing
+integrates inside the walk, and the result equals an exhaustive scan's.
+The winner's breakdown is its cell of the kernel's.
+
+This module picks cells by their grid indices and nothing more: the
+kernel's cell layout, how many planes one kernel call takes and the
+bound's margin live in error_models alone (score_planes, cell_bound).
 """
 from __future__ import annotations
 
@@ -36,9 +38,6 @@ import numpy as np
 
 from .device import DeviceGraph, NeighborOrder, QubitId, QubitPhysical, Role, neighbors
 from .error_models import (
-    _BLOCK_PLANES,
-    BOUND_MARGIN,
-    Cells,
     CollisionChannel,
     CostBreakdown,
     CostModel,
@@ -171,14 +170,14 @@ def optimize_qubit(
     weighted coupling term depends on omega alone, so weights.coupling *
     coupling_error(omega, specs) is a lower bound on that omega's whole
     plane; each total is fl(x + bound) with x >= 0, and rounding is
-    monotone, so it holds in floating point too.  Planes are reached in
-    ascending (bound, omega index) order until a bound is strictly above
-    the best total so far.  A reached plane's cells get
-    error_models.cell_bound's lower bound, (plane.bound + that coupling
-    bound) (1 - BOUND_MARGIN), from the neighbor-free bound its entry
-    holds, and the cells whose bound is <= the best total are scored, in
-    one call of the kernel (error_models.score_planes) from the plane's
-    stored response, so the scan integrates nothing.
+    monotone, so it holds in floating point too.  The planes with an
+    entry are reached in ascending (bound, omega index) order until a
+    bound is strictly above the best total so far.  A reached plane's
+    cells get error_models.cell_bound's lower bound, from the
+    neighbor-free bound its entry holds and that coupling term, and the
+    cells whose bound is <= the best total are scored, their flat indices
+    in one call of the kernel (error_models.score_planes) from the
+    plane's stored response, so the scan integrates nothing.
 
     The seeds' cells are served first: each with its coupling term and its
     total formed now, as the kernel forms them (error_models.with_coupling),
@@ -200,8 +199,9 @@ def optimize_qubit(
         seeds, = _seed_cells([q], [grid], [planes], model)
     specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
     coupling = [coupling_error(omega, specs) for omega in grid.omega_points]
-    bounds = sorted((model.weights.coupling * c, i_w) for i_w, c in enumerate(coupling))
-    amps, n_tp = np.asarray(grid.amp_points), len(grid.tp_points)
+    bounds = sorted((model.weights.coupling * c, i_w) for i_w, c in enumerate(coupling)
+                    if planes[i_w] is not None)  # None: infeasible in every cell, or no cell
+    n_tp = len(grid.tp_points)
     best = best_bd = None  # (total, i_omega, flat (amp, t_p) index), breakdown
     done = {}  # per omega index, the mask of its cells scored so far
     scored = 0
@@ -217,7 +217,7 @@ def optimize_qubit(
             best = candidate
             best_bd = CostBreakdown(**{name: float(v[i]) for name, v in cells.items()})
         if i_w not in done:
-            done[i_w] = np.zeros(len(amps) * n_tp, dtype=bool)
+            done[i_w] = np.zeros(len(grid.amp_points) * n_tp, dtype=bool)
         done[i_w][flat] = True
 
     def score(i_w, ask):
@@ -227,26 +227,18 @@ def optimize_qubit(
         flat = np.flatnonzero(ask if i_w not in done else ask & ~done[i_w])
         if len(flat):
             scored += len(flat)
-            i_a, i_t = np.divmod(flat, n_tp)
-            entry = planes[i_w]
-            cells = Cells(np.zeros(len(flat), dtype=int), amps[i_a],
-                          np.asarray(entry.n_ps)[i_t])
-            offer(i_w, flat, score_planes([(q, entry)], cells, model))
+            offer(i_w, flat, *score_planes([(q, planes[i_w], grid.amp_points, flat)], model))
 
     for i_w, flat, cells in seeds or ():
         scored += len(flat)
         offer(i_w, flat, cells)
-    reached = False
-    for bound, i_w in bounds:
+    for n, (bound, i_w) in enumerate(bounds):
         if best is not None and bound > best[0]:
             break
-        if planes[i_w] is None:  # infeasible in every cell, or no cell
-            continue
         cells = cell_bound(planes[i_w], coupling[i_w], model).ravel()
-        if best is None or not reached:
+        if n == 0 or best is None:
             # the first plane, or no incumbent yet: the cells at the bound's
             # minimum first, if it can still win
-            reached = True
             first = cells == cells.min()
             if best is not None:
                 first &= cells <= best[0]
@@ -267,16 +259,15 @@ def _seed_cells(qubits, grids, planes, model: CostModel) -> list[list]:
 
     qubits, grids and planes (plane_statistics' entries) run in walk order.
     A qubit's seed plane is the one whose neighbor-free bound has the least
-    minimum, ties broken by omega index.  A first round of kernel calls
-    scores every seed plane's cells at that minimum; a second one, for
-    each qubit with a finite total among them, the seed plane's other
-    cells whose bound times (1 - BOUND_MARGIN) is <= the least such total,
-    its neighbor-free total (coupling 0).  Each call takes the seed planes
-    of at most _BLOCK_PLANES qubits, as plane_statistics' blocks do, so
-    its transient memory does not grow with the device.  Returns one list
-    per qubit of (omega index, flat cell indices, ascending, score_planes'
-    fields) chunks, for optimize_qubit to serve with the coupling its
-    neighbors give.
+    minimum, ties broken by omega index.  Its cells' bounds are cell_bound's
+    with no coupling term, the expression the walk prunes with.  A first
+    round of kernel calls (score_planes, for all seed planes at once)
+    scores every seed plane's cells at the least of those bounds; a second
+    one, for each qubit with a finite total among them, the seed plane's
+    other cells whose bound is <= the least such total, its neighbor-free
+    total (coupling 0).  Returns one list per qubit of (omega index, flat
+    cell indices, ascending, score_planes' fields) chunks, for
+    optimize_qubit to serve with the coupling its neighbors give.
     """
     seeds = []
     for entries in planes:
@@ -286,24 +277,14 @@ def _seed_cells(qubits, grids, planes, model: CostModel) -> list[list]:
     chunks = [[] for _ in planes]
 
     def call(picks):
-        """Score picks[k], flat indices on qubit k's seed plane, in one
-        kernel call per _BLOCK_PLANES seed planes."""
+        """Score picks[k], flat indices on qubit k's seed plane, if any."""
         ks = [k for k, flat in enumerate(picks) if flat is not None and len(flat)]
-        for group in (ks[i : i + _BLOCK_PLANES] for i in range(0, len(ks), _BLOCK_PLANES)):
-            parts = []
-            for n, k in enumerate(group):
-                i_a, i_t = np.divmod(picks[k], len(grids[k].tp_points))
-                parts.append((np.full(len(i_a), n), np.asarray(grids[k].amp_points)[i_a],
-                              np.asarray(planes[k][seeds[k]].n_ps)[i_t]))
-            scored = score_planes([(qubits[k], planes[k][seeds[k]]) for k in group],
-                                  Cells(*map(np.concatenate, zip(*parts))), model)
-            end = 0
-            for k in group:
-                start, end = end, end + len(picks[k])
-                chunks[k].append((seeds[k], picks[k],
-                                  {name: values[start:end] for name, values in scored.items()}))
+        scored = score_planes([(qubits[k], planes[k][seeds[k]], grids[k].amp_points, picks[k])
+                               for k in ks], model)
+        for k, cells in zip(ks, scored):
+            chunks[k].append((seeds[k], picks[k], cells))
 
-    bounds = [None if i_w is None else entries[i_w].bound.ravel()
+    bounds = [None if i_w is None else cell_bound(entries[i_w], 0.0, model).ravel()
               for i_w, entries in zip(seeds, planes)]
     first = [None if bound is None else np.flatnonzero(bound == bound.min())
              for bound in bounds]
@@ -314,7 +295,7 @@ def _seed_cells(qubits, grids, planes, model: CostModel) -> list[list]:
             total = with_coupling(found[0][2], 0.0, model)["total"]
             least = np.min(np.where(np.isfinite(total), total, math.inf))
             if least < math.inf:
-                keep = bounds[k] * (1.0 - BOUND_MARGIN) <= least
+                keep = bounds[k] <= least
                 keep[first[k]] = False
                 rest[k] = np.flatnonzero(keep)
     call(rest)

@@ -4,8 +4,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import yaml
-
 from readout_opt.cli import result_from_dict
 from readout_opt.device import load_device
 from readout_opt.yamlio import parse_yaml
@@ -61,7 +59,7 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert loads["rounds"] == 2
     assert set(loads["texts"]) == {"device_49", "results_49", "device_49_noncanonical",
                                    "results_49_noncanonical"}
-    loaders = {"direct", "parse_yaml"} | ({"CSafeLoader"} if yaml.__with_libyaml__ else set())
+    loaders = {"direct", "parse_yaml"}
     for name, text in loads["texts"].items():
         assert set(text) == {"bytes"} | loaders
         assert text["bytes"] > 10_000

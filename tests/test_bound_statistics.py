@@ -121,8 +121,8 @@ def test_unit_columns_with_a_tiny_chi(scale):
 def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
     """Each plane of d3 under optimizer_small.yaml, with a pole-guard
     omega and one whose |chi| is too large for dt among them, has the same
-    chi, sample counts, response, unit statistics and neighbor-free bound,
-    bit for bit, in one block with all the other planes as alone."""
+    chi, sample counts, response, powers and neighbor-free bound, bit for
+    bit, in one block with all the other planes as alone."""
     cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
     dt, scans = cfg.model.dt, []
     for qid in QIDS:
@@ -151,8 +151,8 @@ def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
             assert (entry.omega, entry.chi, entry.n_ps) == (alone.omega, alone.chi, alone.n_ps)
             assert entry.response.shape == (1, 1 + max(entry.n_ps), 2)
             assert entry.powers.shape == (1, 501 - min(entry.n_ps), 2)
-            for got, want in zip((entry.response, entry.powers, *entry.unit, entry.bound),
-                                 (alone.response, alone.powers, *alone.unit, alone.bound)):
+            for got, want in zip((entry.response, entry.powers, entry.bound),
+                                 (alone.response, alone.powers, alone.bound)):
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 

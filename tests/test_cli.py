@@ -751,6 +751,7 @@ class TestBenchmark:
         (("--seed", "-1"), "seed must be >= 0, got -1"),
         (("--n-states", "0"), "n_states must be > 0, got 0"),
         (("--n-shots", "-5"), "n_shots must be > 0, got -5"),
+        (("--prep-error", "nan"), "prep_error must be a probability, got nan"),
     ])
     def test_bad_flag_named_before_any_output(self, device_path, results_path, tmp_path,
                                               capsys, args, message):

@@ -10,6 +10,7 @@ every finite cell, and score_planes with with_coupling, as the scan scores
 cells, must give the kernel's cells bit for bit; plane_statistics and the
 scan must raise the kernel's error.
 """
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -37,7 +38,6 @@ from readout_opt import (
 from readout_opt import error_models
 from readout_opt.dynamics import dispersive_shift, photon_number
 from readout_opt.error_models import (
-    Cells,
     ParameterError,
     cell_bound,
     cost_plane,
@@ -83,11 +83,9 @@ def score_cells(q, plane, amps, rows, cols, cost_model, specs=()):
     [cols], as the scan scores them: score_planes, then with_coupling.
     Each field is a (len(rows), len(cols)) array."""
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
-    cells = Cells(np.zeros(len(rows) * len(cols), dtype=int),
-                  np.repeat(np.asarray(amps, dtype=float)[rows], len(cols)),
-                  np.tile(np.asarray(plane.n_ps)[cols], len(rows)))
-    scored = with_coupling(score_planes([(q, plane)], cells, cost_model),
-                           kernel_coupling(plane.omega, specs, cost_model), cost_model)
+    flat = (rows[:, None] * len(plane.n_ps) + cols).ravel()
+    scored, = score_planes([(q, plane, amps, flat)], cost_model)
+    scored = with_coupling(scored, kernel_coupling(plane.omega, specs, cost_model), cost_model)
     return CostBreakdown(**{name: values.reshape(len(rows), len(cols))
                             for name, values in scored.items()})
 
@@ -344,13 +342,14 @@ def test_grid_with_every_kind_of_cell(monkeypatch):
     assert np.isfinite(bd.total[0, 1:]).all() and np.isfinite(bd.total[3:, 1:]).all()
 
 
-def test_mixed_cells_keep_their_bits_in_any_batch():
+def test_mixed_cells_keep_their_bits_in_any_batch(monkeypatch):
     """One kernel call on cells from planes of several d3 qubits, at mixed
     amplitudes and pulse lengths, one of them with a Stark trace that
     leaves the Gamma1 table, gives every field of every cell the bits of
     the oracle and of a one-cell cost_plane, and the same bits in any
-    order of the cells.  An infeasible omega has no plane to take cells
-    from: the kernel's total is +inf there, everywhere."""
+    order of the cells, each run of cells on one plane one pick.  An
+    infeasible omega has no plane to take cells from: the kernel's total
+    is +inf there, everywhere."""
     cost_model = model()
     qids = (QIDS[0], QIDS[3], QIDS[6])
     scans, specs = [], []
@@ -373,7 +372,6 @@ def test_mixed_cells_keep_their_bits_in_any_batch():
              for i in range(len(omegas)) for a in range(len(amps)) for j in range(len(tps))
              if planes[k][i] is not None and rng.random() < 0.3]
     picks.append((0, 2, 3, 2))  # 3 amp_ref for 300 ns at 5.5 GHz: off the table
-    pairs = sorted({(k, i) for k, i, _, _ in picks})
     expected = {}
     for k, i, a, j in picks:
         q, omegas, amps, tps = scans[k]
@@ -384,13 +382,14 @@ def test_mixed_cells_keep_their_bits_in_any_batch():
             assert getattr(one, name)[0, 0, 0].hex() == getattr(want, name).hex(), name
         expected[k, i, a, j] = [getattr(want, name) for name in FIELDS]
     assert not math.isfinite(expected[0, 2, 3, 2][-1])
+    monkeypatch.setattr(error_models, "_BLOCK_PLANES", len(picks))  # one call
     for order in (picks, picks[::-1], [picks[n] for n in rng.permutation(len(picks))]):
-        plane = [pairs.index((k, i)) for k, i, _, _ in order]
-        cells = error_models.Cells(np.array(plane),
-                                   np.array([scans[k][2][a] for k, _, a, _ in order]),
-                                   np.array([planes[k][i].n_ps[j] for k, i, _, j in order]))
-        scored = error_models.score_planes([(scans[k][0], planes[k][i]) for k, i in pairs],
-                                           cells, cost_model)
+        runs = []  # each run of cells on one plane, one pick
+        for (k, i), run in itertools.groupby(order, key=lambda c: c[:2]):
+            flat = np.array([a * len(scans[k][3]) + j for _, _, a, j in run])
+            runs.append((scans[k][0], planes[k][i], scans[k][2], flat))
+        parts = error_models.score_planes(runs, cost_model)
+        scored = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
         coupling = [coupling_error(scans[k][1][i], specs[k]) for k, i, _, _ in order]
         got = error_models.with_coupling(scored, np.array(coupling), cost_model)
         for c, key in enumerate(order):

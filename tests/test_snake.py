@@ -200,19 +200,17 @@ class TestPruning:
         bounds, calls = bounds or {}, []
         n_ps = (1, 2)  # one sample count per pulse length
 
-        def fake_kernel(planes, cells, model):
-            omegas = [planes[k][1].omega for k in cells.plane]
-            tps = [self.GRID.tp_points[n_ps.index(n)] for n in cells.n_p]
-            by_omega = {}
-            for omega, amp, t_p in zip(omegas, cells.amp.tolist(), tps):
-                by_omega.setdefault(omega, []).append((amp, t_p))
-            calls.extend(by_omega.items())
-            grid = self.GRID
-            value = np.array([values[w][grid.amp_points.index(a)][grid.tp_points.index(t)]
-                              for w, a, t in zip(omegas, cells.amp.tolist(), tps)])
-            zero = np.zeros(len(value))
-            return dict(separation=value, relaxation=zero, photon=zero, mist=zero, snr=zero,
-                        t0=zero, n_max=zero, bad=~np.isfinite(value))
+        def fake_kernel(picks, model):
+            out = []
+            for _, entry, amps, flat in picks:
+                i_a, i_t = np.divmod(flat, len(n_ps))
+                calls.append((entry.omega, [(amps[a], self.GRID.tp_points[t])
+                                            for a, t in zip(i_a, i_t)]))
+                value = np.array([values[entry.omega][a][t] for a, t in zip(i_a, i_t)])
+                zero = np.zeros(len(value))
+                out.append(dict(separation=value, relaxation=zero, photon=zero, mist=zero,
+                                snr=zero, t0=zero, n_max=zero, bad=~np.isfinite(value)))
+            return out
 
         def entry(omega):
             return self.Entry(omega, n_ps, np.array(bounds.get(omega, np.zeros((2, 2))),
@@ -412,7 +410,7 @@ def test_seed_calls_take_at_most_a_block_of_planes(small_run, d3_graph, monkeypa
         widths.append(len(args[0]))
         return real_kernel(*args)
     monkeypatch.setattr(error_models, "_score", kernel_spy)
-    monkeypatch.setattr(snake, "_BLOCK_PLANES", 4)
+    monkeypatch.setattr(error_models, "_BLOCK_PLANES", 4)
     result = optimize_device(d3_graph, grids, cfg.model)
     assert widths[:5] == [4, 4, 4, 4, 1] and max(widths) <= 4
     assert result.per_qubit == want.per_qubit and result.scored == want.scored
@@ -430,9 +428,9 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
         result = optimize_device(d3_graph, grids, model)
     scored, real_kernel = [], snake.score_planes
 
-    def counting_kernel(planes, cells, model):
-        scored.append(len(cells.plane))
-        return real_kernel(planes, cells, model)
+    def counting_kernel(picks, model):
+        scored.extend(len(flat) for *_, flat in picks)
+        return real_kernel(picks, model)
 
     monkeypatch.setattr(snake, "score_planes", counting_kernel)
     locked_params = {}
@@ -466,23 +464,32 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
     assert result.scored == total_scored < result.evaluations
 
 
-@pytest.mark.parametrize("config, heuristics, most", [
-    ("optimizer_small.yaml", True, 255),
-    ("optimizer_small.yaml", False, 108),
-    ("optimizer.yaml", True, 3_335),
-    ("optimizer.yaml", False, 1_521),
+@pytest.mark.parametrize("config, heuristics, most, most_calls", [
+    ("optimizer_small.yaml", True, 255, 40),
+    ("optimizer_small.yaml", False, 108, 23),
+    ("optimizer.yaml", True, 3_335, 120),
+    ("optimizer.yaml", False, 1_521, 95),
 ], ids=["small-all", "small-predictive", "full-all", "full-predictive"])
-def test_bound_prunes_the_d3_scan(d3_graph, config, heuristics, most):
+def test_bound_prunes_the_d3_scan(d3_graph, monkeypatch, config, heuristics, most,
+                                  most_calls):
     """The bound leaves at most `most` cells of d3 for the kernel to score,
-    before the walk and in it, under each shipped config and strategy.
-    The exactness tests pass for any bound at or below the kernel, however
-    loose: the least rate of the whole Gamma1 table in place of
-    _gamma1_floor's scores 532 / 502 cells of the small grid, and no MIST
-    bound 4,236 under all."""
+    in at most `most_calls` kernel calls, before the walk and in it, under
+    each shipped config and strategy: a call's overhead is most of a
+    scan's kernel time.  The exactness tests pass for any bound at or
+    below the kernel, however loose: the least rate of the whole Gamma1
+    table in place of _gamma1_floor's scores 532 / 502 cells of the small
+    grid, and no MIST bound 4,236 under all."""
     cfg = load_optimizer_config((CONFIG_DIR / config).read_text())
     grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
+    calls, real_kernel = [], error_models._score
+
+    def kernel_spy(*args):
+        calls.append(args)
+        return real_kernel(*args)
+    monkeypatch.setattr(error_models, "_score", kernel_spy)
     result = optimize_device(d3_graph, grids, replace(cfg.model, heuristics=heuristics))
     assert 0 < result.scored <= most
+    assert 0 < len(calls) <= most_calls
 
 
 class TestOptimizeDevice:

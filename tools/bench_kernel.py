@@ -14,8 +14,9 @@ statistics_s is error_models.plane_statistics over the same planes, in
 one call: the step responses, unit-amplitude statistics and neighbor-free
 bounds that optimize computes for every plane of the device before its
 walk, in blocks of planes.  bound_s is the bound's share of it: the
-batched error_models._plane_bounds on the same blocks, from their stored
-unit statistics.  prescore_s is snake._seed_cells on optimize_dense's own
+batched error_models._plane_bounds on the same blocks, from their unit
+statistics (error_models._unit_columns of the stored responses and powers,
+computed before the rounds).  prescore_s is snake._seed_cells on optimize_dense's own
 grid, one frequency per qubit (each band's middle one of those above):
 the kernel calls that score every qubit's likely winners before the
 walk, two for d3's 17 qubits.  None of them is part of total_s.
@@ -56,13 +57,14 @@ and is written by serialize_device; perfbench's montecarlo_d5 set-up builds
 its d=5 device the same way on a rotated layout, to a text of the same
 size.  The results file has synthetic costs, written as optimize writes
 results.yaml.  Each text is read by the route the program takes (direct:
-yamlio.parse_with with the schema's direct reader and emitter), by
-yamlio.parse_yaml and by yaml.load with yaml.CSafeLoader, over YAML_ROUNDS
-calls each, the loaders alternating and each call after a full garbage
-collection.  So is a non-canonical variant of each text, the same document
-with a 0 appended to its last value: the direct reader reads all of it and
-declines only at the last byte of the re-emitted text, so its time is the
-worst case of the fallback to parse_yaml.
+yamlio.parse_with with the schema's direct reader and emitter) and by
+yamlio.parse_yaml, which is yaml.load with libyaml's yaml.CSafeLoader
+where PyYAML has it, over YAML_ROUNDS calls each, the loaders alternating
+and each call after a full garbage collection.  So is a non-canonical
+variant of each text, the same document with a 0 appended to its last
+value: the direct reader reads all of it and declines only at the last
+byte of the re-emitted text, so its time is the worst case of the
+fallback to parse_yaml.
 
 yaml_dump_s times the writing of the same two documents, from the dicts
 the texts load to, by the schema's direct emitter and by yamlio.dump_yaml,
@@ -155,18 +157,21 @@ def planes():
     return out, cfg.model
 
 
-def blocks(work, entries):
+def blocks(work, entries, model):
     """_plane_bounds' arguments for plane_statistics' blocks of the planes
     work, from their entries: up to _BLOCK_PLANES consecutive feasible
-    planes each, as the whole work shares its sample counts."""
+    planes each, as the whole work shares its sample counts, with the unit
+    statistics recomputed from the stored responses and powers."""
     planes = [(q, amps, plane) for (q, _, amps, _), (plane,) in zip(work, entries)
               if plane is not None]
     size = error_models._BLOCK_PLANES
+    n_tot = round(model.total_time / model.dt)
     out = []
     for start in range(0, len(planes), size):
         qubits, amps, chunk = zip(*planes[start : start + size])
-        unit = error_models._UnitColumns(*(np.stack(field) for field in
-                                           zip(*(plane.unit for plane in chunk))))
+        unit = error_models._unit_columns(np.concatenate([p.response for p in chunk]),
+                                          np.concatenate([p.powers for p in chunk]),
+                                          chunk[0].n_ps, n_tot, model.dt)
         out.append((list(qubits), [p.omega for p in chunk], [p.chi for p in chunk],
                     np.array(amps, dtype=float), unit))
     return out
@@ -329,14 +334,12 @@ def timings(calls: dict, arg) -> dict:
 
 
 def yaml_load_timings() -> dict:
-    """Seconds of the direct codec's read, of parse_yaml and of yaml.load
-    with CSafeLoader on each text and on its non-canonical variant."""
+    """Seconds of the direct codec's read and of parse_yaml on each text
+    and on its non-canonical variant."""
     out = {}
     for name, text in yaml_texts().items():
         read, emit = CODECS[name]
         loaders = {"direct": lambda t: parse_with(read, emit, t), "parse_yaml": parse_yaml}
-        if hasattr(yaml, "CSafeLoader"):
-            loaders["CSafeLoader"] = lambda t: yaml.load(t, Loader=yaml.CSafeLoader)
         for key, variant in ((name, text), (name + "_noncanonical", noncanonical(text))):
             out[key] = {"bytes": len(variant.encode()), **timings(loaders, variant)}
     return {"rounds": YAML_ROUNDS, "texts": out}
@@ -363,7 +366,7 @@ def main(argv=None) -> int:
 
     work, model = planes()
     scans = [(q, [omega], amps, tps) for q, omega, amps, tps in work]
-    bound_blocks = blocks(work, error_models.plane_statistics(scans, model))
+    bound_blocks = blocks(work, error_models.plane_statistics(scans, model), model)
     seeds = prescore_inputs(model)
     chunk = sweep_chunk()
 
