@@ -7,12 +7,14 @@ writes a plain-text report.txt.
 
 results.yaml and results_partial.yaml are written by the results schema's
 direct emitter (_emit_results), and benchmark --results reads them back
-through its direct reader (_read_results); see yamlio.  Manifests go
-through dump_yaml, and optimizer configs through parse_yaml.
+through its direct reader (_read_results), which accepts a text by the
+grammar of its tokens and hands any other to parse_yaml; see yamlio.
+Manifests go through dump_yaml, and optimizer configs through parse_yaml.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import logging
 import math
@@ -61,7 +63,9 @@ from .snake import (
 from .yamlio import (
     NotCanonical,
     dump_yaml,
+    entry_groups,
     entry_pattern,
+    grammatical,
     parse_with,
     yaml_floats,
 )
@@ -190,25 +194,32 @@ def _emit_results(data: dict) -> str:
 
 
 def _read_results(text: str) -> dict | None:
-    """The dict of a text _emit_results may have written."""
+    """yaml.SafeLoader's dict of a text _emit_results may have written, or
+    None where the text or a token is not of that form (see yamlio)."""
     head = _RESULTS_HEAD_RE.match(text)
-    if head is None:
+    entries = head and entry_groups(_RESULTS_RE, text, head.end())
+    if not entries:
         return None
+    strategy, *ints = head.groups()
+    floats = []
+    for row, col, _, index, n_specs, *values in entries:
+        ints += row, col, index, n_specs
+        floats += values
+    if not (strategy in _STRATEGIES and {e[2] for e in entries} <= _ROLES
+            and grammatical(ints, floats)):
+        return None
+    ints, floats = iter(map(int, ints)), list(map(float, floats))
+    evaluations, scored = next(ints), next(ints)
     rows = []
-    pos = head.end()
-    while pos < len(text):
-        m = _RESULTS_RE.match(text, pos)
-        if m is None:
-            return None
-        row, col, role, index, n_specs, *values = m.groups()
-        entry = {"row": int(row), "col": int(col), "role": role,
-                 "traversal_index": int(index), "n_collision_specs": int(n_specs)}
-        entry.update(zip(_RESULTS_FLOATS, map(float, values)))
-        entry["cost"] = dict(zip(_COST_NAMES, map(float, values[4:])))
-        rows.append(entry)
-        pos = m.end()
-    strategy, evaluations, scored = head.groups()
-    return {"strategy": strategy, "evaluations": int(evaluations), "scored": int(scored),
+    width = len(_RESULTS_FLOATS) + len(_COST_NAMES)
+    for k, e in enumerate(entries):
+        values = floats[k * width:(k + 1) * width]
+        row = {"row": next(ints), "col": next(ints), "role": e[2],
+               "traversal_index": next(ints), "n_collision_specs": next(ints)}
+        row.update(zip(_RESULTS_FLOATS, values))
+        row["cost"] = dict(zip(_COST_NAMES, values[4:]))
+        rows.append(row)
+    return {"strategy": strategy, "evaluations": evaluations, "scored": scored,
             "qubits": rows}
 
 
@@ -536,7 +547,7 @@ def cmd_benchmark(args) -> int:
     graph = _load_graph(args.device)
     text = _read_text(args.results)
     try:
-        result = result_from_dict(parse_with(_read_results, _emit_results, text))
+        result = result_from_dict(parse_with(_read_results, text))
     except (yaml.YAMLError, ValueError) as exc:
         raise ValueError(f"{args.results}: {exc}") from None
 
@@ -573,7 +584,10 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: argparse makes a help
+    formatter for each argument it adds, and parsing changes no parser."""
     parser = argparse.ArgumentParser(
         prog="readout-opt",
         description="Model-based optimization of superconducting qubit readout",
@@ -627,8 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # config errors are ValueErrors

@@ -6,6 +6,7 @@ names; everything is converted to rad/ns and ns once at load.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, NamedTuple
@@ -222,6 +223,17 @@ def snap_length(value: float, dt: float, total: float) -> float:
     return snapped
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_axes(g: GridSpec, dt: float) -> tuple[np.ndarray, tuple[float, ...]]:
+    """build_search_grid's qubit-independent axes: the amplitudes in units of
+    amp_ref, read-only, and the pulse lengths, snapped by snap_to_steps."""
+    amp = np.linspace(g.amp_min, g.amp_max, g.n_amp)
+    amp.setflags(write=False)  # shared by every caller
+    tp = snap_to_steps(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
+                       g.tp_min_ns, g.tp_max_ns, dt)
+    return amp, tuple(tp.tolist())
+
+
 def build_search_grid(
     graph: DeviceGraph, qid: QubitId, cfg: OptimizerConfig
 ) -> SearchGrid:
@@ -229,19 +241,15 @@ def build_search_grid(
 
     Pulse lengths are snapped to the nearest multiple of dt inside the
     configured range, duplicates dropped (snap_to_steps), so every reported
-    t_p is the one the dynamics simulate.
+    t_p is the one the dynamics simulate.  The amplitude and pulse-length
+    axes are computed once per grid and dt (_grid_axes).
     """
     lo, hi = graph.search_band[qid]
-    q = graph.qubits[qid]
-    g = cfg.grid
-    omega = np.linspace(lo, hi, g.n_omega)
-    amp = np.linspace(g.amp_min, g.amp_max, g.n_amp) * q.amp_ref
-    tp = snap_to_steps(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
-                       g.tp_min_ns, g.tp_max_ns, cfg.model.dt)
+    amp, tp_points = _grid_axes(cfg.grid, cfg.model.dt)
     return SearchGrid(
-        omega_points=tuple(float(v) for v in omega),
-        amp_points=tuple(float(v) for v in amp),
-        tp_points=tuple(float(v) for v in tp),
+        omega_points=tuple(np.linspace(lo, hi, cfg.grid.n_omega).tolist()),
+        amp_points=tuple((amp * graph.qubits[qid].amp_ref).tolist()),
+        tp_points=tp_points,
     )
 
 

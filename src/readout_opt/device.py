@@ -6,8 +6,9 @@ happens once at load.
 
 Device files are one of the two schemas with a direct codec (yamlio):
 serialize_device writes through _emit_device, and load_device reads
-through _read_device whatever text _emit_device would write back byte for
-byte, and anything else, hand-edited files included, through parse_yaml.
+through _read_device each text of _emit_device's template whose tokens
+pass their grammar, and anything else, most hand-edited files included,
+through parse_yaml.
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ import yaml
 
 from .yamlio import (
     NotCanonical,
+    entry_groups,
     entry_pattern,
+    grammatical,
     parse_with,
     yaml_floats,
 )
@@ -178,7 +181,8 @@ _DEVICE_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n"
 _KNOT = "  - - %s\n    - %s\n"
 _DEVICE_RE = re.compile(
     entry_pattern(_DEVICE_ENTRY) + "((?:%s)+)" % entry_pattern(_KNOT, r"\S+"))
-_KNOT_RE = re.compile(entry_pattern(_KNOT))
+#: a knot block's values, in order, once _DEVICE_RE has matched it
+_KNOT_VALUES_RE = re.compile(r"- (\S+)\n")
 _ROLES = frozenset(r.value for r in Role)
 
 
@@ -201,23 +205,32 @@ def _emit_device(data: dict) -> str:
 
 
 def _read_device(text: str) -> dict | None:
-    """The dict of a text _emit_device may have written."""
-    if not text.startswith(_DEVICE_HEAD):
+    """yaml.SafeLoader's dict of a text _emit_device may have written, or
+    None where the text or a token is not of that form (see yamlio)."""
+    entries = text.startswith(_DEVICE_HEAD) and entry_groups(_DEVICE_RE, text, len(_DEVICE_HEAD))
+    if not entries:
         return None
-    entries = []
-    pos = len(_DEVICE_HEAD)
-    while pos < len(text):
-        m = _DEVICE_RE.match(text, pos)
-        if m is None:
-            return None
-        row, col, role, *values, knots = m.groups()
-        entry = {"row": int(row), "col": int(col), "role": role}
-        entry.update(zip(_DEVICE_FLOATS, map(float, values)))
-        entry["band_GHz"] = [float(values[6]), float(values[7])]
-        entry["gamma1_table"] = [[float(f), float(rate)] for f, rate in _KNOT_RE.findall(knots)]
-        entries.append(entry)
-        pos = m.end()
-    return {"qubits": entries}
+    ints, floats, sizes = [], [], []
+    for row, col, _, *values, knots in entries:
+        knots = _KNOT_VALUES_RE.findall(knots)
+        sizes.append(len(knots))
+        ints += row, col
+        floats += values
+        floats += knots
+    if not ({e[2] for e in entries} <= _ROLES and grammatical(ints, floats)):
+        return None
+    ints, floats = iter(map(int, ints)), list(map(float, floats))
+    qubits = []
+    k = 0
+    for e, n in zip(entries, sizes):
+        entry = {"row": next(ints), "col": next(ints), "role": e[2]}
+        entry.update(zip(_DEVICE_FLOATS, floats[k:k + 6]))
+        entry["band_GHz"] = floats[k + 6:k + 8]
+        knots = iter(floats[k + 8:k + 8 + n])
+        entry["gamma1_table"] = [[f, rate] for f, rate in zip(knots, knots)]
+        qubits.append(entry)
+        k += 8 + n
+    return {"qubits": qubits}
 
 
 def _field(entry: dict, key: str, convert, at: str):
@@ -270,7 +283,7 @@ def load_device(config_text: str) -> DeviceGraph:
     A DeviceConfigError names the qubit entry and the key at fault.
     """
     try:
-        raw = parse_with(_read_device, _emit_device, config_text)
+        raw = parse_with(_read_device, config_text)
     except yaml.YAMLError as exc:
         raise DeviceConfigError(f"config parse failure: {exc}") from exc
     if not isinstance(raw, dict) or not isinstance(raw.get("qubits"), list):

@@ -273,14 +273,15 @@ def coupling_error(omega_q: float, specs) -> float:
     return total
 
 
-def _interp_runs(x, rows, runs):
-    """np.interp of each x[i] in the Gamma1 table of cell rows[i].
+def _interp_runs(x, rows, runs, out=None):
+    """np.interp of each x[i] in the Gamma1 table of cell rows[i], in out
+    when given.
 
     runs holds (start, stop, xp, fp): the cells start to stop - 1 take the
     table (xp, fp).  rows is ascending.  np.interp is elementwise, so each
     value has the bits of a call on it alone.
     """
-    out = np.empty(x.shape)
+    out = np.empty(x.shape) if out is None else out
     for start, stop, xp, fp in runs:
         a, b = np.searchsorted(rows, (start, stop))
         out[a:b] = np.interp(x[a:b], xp, fp)
@@ -312,7 +313,12 @@ def _relaxation(cum, stark, half, live, dt, runs):
     n_full = np.minimum((t / dt).astype(np.int64), n_tot)
     t_rem = t - n_full * dt
     stark = stark[:, : min(int(n_full.max()) + 2, n_tot + 1)]
-    rates = _interp_runs(stark, np.arange(len(live)), runs)
+    # each row of rates after a 0.0, in one flat buffer with a spare slot
+    width = stark.shape[1] + 1
+    padded = np.empty(len(live) * width + 1)
+    grid = padded[:-1].reshape(len(live), width)
+    grid[:, 0] = padded[-1] = 0.0
+    rates = _interp_runs(stark, np.arange(len(live)), runs, out=grid[:, 1:])
     # each cell's table range
     x_lo, x_hi = np.empty(len(live)), np.empty(len(live))
     for start, stop, xp, _ in runs:
@@ -324,12 +330,11 @@ def _relaxation(cum, stark, half, live, dt, runs):
         at = np.arange(len(out))
         bad[out] = ((np.minimum.accumulate(trace, axis=1)[at, m] < x_lo[out])
                     | (np.maximum.accumulate(trace, axis=1)[at, m] > x_hi[out]))
-    # numpy's pairwise sum depends on the length: one row sum per length
-    err = np.empty(len(rows))
-    lengths, group = np.unique(n_full, return_inverse=True)
-    for g, m in enumerate(lengths.tolist()):
-        at = group == g
-        err[at] = rates[rows[at], : m + 1].sum(axis=1)
+    # a row's .sum() is 0.0 + pairwise(row), and reduceat's sum of a segment
+    # a[start] + pairwise(a[start + 1:end]): each live row's prefix up to
+    # n_full after its 0.0 is one segment, and those between are dropped
+    starts = rows * width
+    err = np.add.reduceat(padded, np.stack([starts, starts + n_full + 2], axis=1).ravel())[::2]
     err = dt * (err - 0.5 * (rates[rows, 0] + rates[rows, n_full]))
     part = np.flatnonzero((t_rem > 0.0) & (n_full < n_tot))
     if len(part):
@@ -590,14 +595,15 @@ def _score(qubits, omegas, chis, u, powers, cells: Cells, model) -> dict:
     in the same order: the peak photon number and the Stark trace, the SNR
     and the separation error through math.erfc, the half-SNR index as the
     count of samples below half the integral (the cumsum is nondecreasing,
-    so that is searchsorted's index), the Gamma1 prefixes summed in groups
-    of equal length (numpy's pairwise sum depends on the length), with
-    each run of consecutive cells of one qubit interpolated and
-    range-checked in its own table, the photon term, and the MIST logistic
-    through math.exp.  Each value is an elementwise operation or a
-    reduction along its own cell's row, so a cell has the same bits in any
-    list.  The Gamma1 rates up to the latest half-SNR time take at most
-    one more array of cells x (n_tot + 1) floats.
+    so that is searchsorted's index), the Gamma1 prefixes summed by one
+    np.add.reduceat, each after a 0.0 so that it has the bits of its own
+    row's .sum(), with each run of consecutive cells of one qubit
+    interpolated and range-checked in its own table, the photon term, and
+    the MIST logistic through math.exp.  Each value is an elementwise
+    operation or a reduction along its own cell's row, so a cell has the
+    same bits in any list.  The Gamma1 rates up to the latest half-SNR
+    time, each row after its 0.0 in one buffer, take at most one more
+    array of cells x (n_tot + 2) floats.
     """
     dt, mist, plane = model.dt, model.mist, cells.plane
     n0, cum = _pulse_rows(u, powers, cells, round(model.total_time / dt), dt)

@@ -9,16 +9,22 @@ take a direct codec.
 
 A schema's emitter writes yaml.safe_dump(data, sort_keys=False)'s text from
 one %-template per entry, with yaml_floats for SafeRepresenter's float
-text.  Its domain is the dicts its producer builds, so it checks only what
-parse_with needs: it raises NotCanonical on a role or strategy outside its
-enum, an empty qubit list, or a value that is not a float where a float
-belongs.  Its reader reads an entry's values off one anchored regex made
-from that template (entry_pattern).  parse_with keeps a reader's dict only
-if the emitter rebuilds the input from it byte for byte, and otherwise, or
-on a ValueError, hands the text to parse_yaml, whose objects and errors it
-then is.  This is exact: the emitter is safe_dump on the reader's dicts,
-and safe_dump's text of such a dict loads back to it, so an accepted text
-loads to what yaml.SafeLoader returns.
+text.  Its domain is the dicts its producer builds: it raises NotCanonical
+on a role or strategy outside its enum, an empty qubit list, or a value
+that is not a float where a float belongs.
+
+Its reader reads an entry's tokens off one anchored regex made from that
+template (entry_pattern) and accepts a text only by the grammar of its
+tokens: the text is the schema's templates, with at least one entry
+(safe_dump writes an empty list as []), each role and strategy is a value
+of its enum, each int slot an INT and each float slot a FLOAT, all checked
+in one pass (grammatical) before any is converted.  A plain scalar of those
+forms resolves to the slot's type, and SafeConstructor reads it as
+int(token) or float(token), so an accepted text loads to the objects
+yaml.SafeLoader returns.  On any other text, hand-edited files with a
+comment, CRLF line ends or keys in another order included, the reader
+returns None, and parse_with hands the text to parse_yaml, whose objects
+and errors it then is.
 """
 from __future__ import annotations
 
@@ -57,8 +63,7 @@ def dump_yaml(data) -> str:
 
 
 class NotCanonical(ValueError):
-    """Data a direct emitter does not write: parse_with then takes the
-    PyYAML route."""
+    """Data a direct emitter cannot write as yaml.safe_dump does."""
 
 
 #: yaml.SafeRepresenter.represent_float's text where repr has no "."
@@ -75,21 +80,44 @@ def yaml_floats(values) -> list[str]:
             for text in map(repr, values)]
 
 
+#: PyYAML's first YAML 1.1 float form without "_": SafeConstructor reads
+#: such a token as sign * float(unsigned token), which is float(token),
+#: -0.0 included
+FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
+#: the decimal ints SafeConstructor reads as int(token), of at most 19
+#: digits: int() refuses a token longer than sys.get_int_max_str_digits(),
+#: which is never below 640
+INT = r"-?(?:0|[1-9][0-9]{0,18})"
+_INTS_RE = re.compile(f"(?:{INT})(?: (?:{INT}))*")
+_FLOATS_RE = re.compile(f"(?:{FLOAT})(?: (?:{FLOAT}))*")
+
+
+def grammatical(ints: list[str], floats: list[str]) -> bool:
+    """Whether each of one or more ints is an INT and each of one or more
+    floats a FLOAT, checked by one regex over each joined list."""
+    return bool(_INTS_RE.fullmatch(" ".join(ints)) and _FLOATS_RE.fullmatch(" ".join(floats)))
+
+
 def entry_pattern(template: str, value: str = r"(\S+)") -> str:
     """A regex of template's text with each %s read as value."""
     return re.escape(template).replace("%s", value)
 
 
-def parse_with(read, emit, text: str):
-    """read(text) where emit writes that back as text byte for byte, else
-    parse_yaml(text), whose objects and errors it then is.
+def entry_groups(entry_re: re.Pattern, text: str, pos: int) -> list[tuple] | None:
+    """The groups of each match of entry_re in turn from pos, where the
+    matches cover the rest of text; else None."""
+    entries = []
+    while pos < len(text):
+        m = entry_re.match(text, pos)
+        if m is None:
+            return None
+        entries.append(m.groups())
+        pos = m.end()
+    return entries
 
-    read returns None, or raises ValueError, on text it cannot read.
-    """
-    try:
-        data = read(text)
-        if data is not None and emit(data) == text:
-            return data
-    except ValueError:
-        pass
-    return parse_yaml(text)
+
+def parse_with(read, text: str):
+    """read(text), or parse_yaml(text), whose objects and errors it then
+    is, where read returns None."""
+    data = read(text)
+    return parse_yaml(text) if data is None else data

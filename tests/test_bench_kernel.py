@@ -2,19 +2,25 @@
 to the kernel's signature cannot break the tool unnoticed."""
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 from readout_opt.cli import result_from_dict
 from readout_opt.device import load_device
-from readout_opt.yamlio import parse_yaml
+from readout_opt.yamlio import FLOAT, parse_yaml
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_kernel.py"
 
 
-def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
+def _bench():
     spec = importlib.util.spec_from_file_location("bench_kernel", TOOL)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
+    bench = _bench()
     monkeypatch.setattr(bench, "N_OMEGAS", 1)
     monkeypatch.setattr(bench, "ROUNDS", 2)
     monkeypatch.setattr(bench, "STEP_WIDTHS", (2, 4))
@@ -57,14 +63,16 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
     assert all(t["median"] > 0 for t in pairs["qubits"].values())
     loads = report["yaml_load_s"]
     assert loads["rounds"] == 2
-    assert set(loads["texts"]) == {"device_49", "results_49", "device_49_noncanonical",
-                                   "results_49_noncanonical"}
+    variants = ("_plain_edit", "_declined_at_end")
+    assert set(loads["texts"]) == {name + variant for name in ("device_49", "results_49")
+                                   for variant in ("",) + variants}
     loaders = {"direct", "parse_yaml"}
     for name, text in loads["texts"].items():
         assert set(text) == {"bytes"} | loaders
         assert text["bytes"] > 10_000
-        if name.endswith("_noncanonical"):  # one byte more than its canonical text
-            assert text["bytes"] == loads["texts"][name.removesuffix("_noncanonical")]["bytes"] + 1
+        for variant in variants:  # one byte more than its canonical text
+            if name.endswith(variant):
+                assert text["bytes"] == loads["texts"][name.removesuffix(variant)]["bytes"] + 1
         for loader in loaders:
             assert set(text[loader]) == {"median", "q1", "q3"}
             assert text[loader]["median"] > 0
@@ -81,9 +89,7 @@ def test_bench_kernel_writes_its_report(tmp_path, monkeypatch, capsys):
 
 def test_bench_kernel_texts_load_as_their_files():
     """The 49-qubit texts load as a device and as a results file of it."""
-    spec = importlib.util.spec_from_file_location("bench_kernel", TOOL)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench()
     texts = bench.yaml_texts()
     graph = load_device(texts["device_49"])
     result = result_from_dict(parse_yaml(texts["results_49"]))
@@ -92,15 +98,23 @@ def test_bench_kernel_texts_load_as_their_files():
 
 
 def test_bench_kernel_noncanonical_texts_are_declined_at_the_end():
-    """Each non-canonical variant loads to its text's document, but the
-    direct reader reads it in full and declines it on re-emission."""
-    spec = importlib.util.spec_from_file_location("bench_kernel", TOOL)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    """Each declined variant loads to its text's document and differs from
+    it only in its last value, which is not of the reader's float grammar,
+    so the direct reader reads it in full and declines it."""
+    bench = _bench()
     for name, text in bench.yaml_texts().items():
-        read, emit = bench.CODECS[name]
-        variant = bench.noncanonical(text)
-        data = read(variant)
-        assert data == parse_yaml(variant) == parse_yaml(text)
-        emitted = emit(data)
-        assert emitted == text != variant
+        variant = bench.declined_at_end(text)
+        assert variant.splitlines()[:-1] == text.splitlines()[:-1]
+        assert not re.fullmatch(FLOAT, variant.split()[-1])
+        assert bench.READERS[name](variant) is None
+        assert parse_yaml(variant) == parse_yaml(text)
+
+
+def test_bench_kernel_plain_edits_are_read_directly():
+    """Each plain-edit variant loads to its text's document, and the direct
+    reader reads it to that document."""
+    bench = _bench()
+    for name, text in bench.yaml_texts().items():
+        variant = bench.plain_edit(text)
+        assert variant != text
+        assert bench.READERS[name](variant) == parse_yaml(variant) == parse_yaml(text)

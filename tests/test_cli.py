@@ -270,7 +270,7 @@ class TestOptimize:
             assert run_optimize(device_file, opt_file, out, "--strategy", strategy) == EXIT_OK
             result = held.pop()
             text = (out / "results.yaml").read_text()
-            back = result_from_dict(parse_with(cli._read_results, cli._emit_results, text))
+            back = result_from_dict(parse_with(cli._read_results, text))
             assert back.order == result.order
             assert back.per_qubit.keys() == result.per_qubit.keys()
             for qid, q in result.per_qubit.items():
@@ -1254,12 +1254,19 @@ _DEVICE_DOCS = _ordered({"qubits": st.lists(_ordered({
                              min_size=1, max_size=12),
 }), min_size=1, max_size=60)})
 
-#: (read, emit) of each schema
-_CODECS = {"device": (device._read_device, device._emit_device),
-           "results": (cli._read_results, cli._emit_results)}
+#: the reader and the emitter of each schema
+_READERS = {"device": device._read_device, "results": cli._read_results}
+_EMITTERS = {"device": device._emit_device, "results": cli._emit_results}
 
-#: tokens that stand for a value in the mutated texts
-_MUTANT_TOKENS = ["0.50", "1e5", "1_0", "+1", "017", ".NaN", "nan", "yes", "~", "1.0E+16"]
+#: tokens that stand for a value in the mutated texts: non-canonical texts
+#: of a value, and the edges of the readers' int and float grammars
+_MUTANT_TOKENS = ["0.50", "1e5", "1_0", "+1", "017", ".NaN", "nan", "yes", "~", "1.0E+16",
+                  "1.", "-0.0", "+1.5", "1.5e5", "1.5e+5", ".5", "1_0.0", "00.5", "01", "-0",
+                  "1:30.0", "1.0e+999", "1" + "0" * 18, "1" + "0" * 19, "1" * 5000]
+#: the tokens a reader reads directly in an int slot and in a float slot;
+#: it declines every other token of _MUTANT_TOKENS in any slot
+_DIRECT_INTS = {"-0", "1" + "0" * 18}
+_DIRECT_FLOATS = {"0.50", "1.0E+16", "1.", "-0.0", "+1.5", "1.5e+5", "00.5", "1.0e+999"}
 
 
 def _mutants(text):
@@ -1282,10 +1289,29 @@ def _mutants(text):
     yield "no final newline", text[:-1]
 
 
+#: the names of the mutants a reader reads directly: the first value is an
+#: int in both schemas, the float and last values are floats
+_DIRECT_MUTANTS = ({f"{token} as first value" for token in _DIRECT_INTS}
+                   | {f"{token} as {where}" for token in _DIRECT_FLOATS
+                      for where in ("float", "last value")})
+
+
+def _finite_and_short(data) -> bool:
+    """Whether every float of data is finite and every int has at most 19
+    digits: the documents whose emitted text a reader reads directly."""
+    if isinstance(data, dict):
+        return all(map(_finite_and_short, data.values()))
+    if isinstance(data, list):
+        return all(map(_finite_and_short, data))
+    if isinstance(data, float):
+        return math.isfinite(data)
+    return not isinstance(data, int) or len(str(abs(data))) <= 19
+
+
 class TestCodec:
     """The direct codec of device and results files: its emitters write
     yaml.safe_dump's text, and its readers return SafeLoader's objects or
-    hand the text to parse_yaml."""
+    None, where parse_with hands the text to parse_yaml."""
 
     @settings(max_examples=40, deadline=None)
     @given(_RESULTS_DOCS)
@@ -1299,6 +1325,20 @@ class TestCodec:
         assert device._emit_device(data) == yaml.safe_dump(data, sort_keys=False)
         assert device._emit_device(data) == dump_yaml(data)
 
+    @pytest.mark.parametrize("schema, docs", [("results", _RESULTS_DOCS),
+                                              ("device", _DEVICE_DOCS)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_readers_read_emitted_texts_as_safe_loader(self, schema, docs, data):
+        """An emitted text is read to SafeLoader's objects, or declined for a
+        non-finite float or a long int, whose text is not of the grammar."""
+        doc = data.draw(docs)
+        text = _EMITTERS[schema](doc)
+        read = _READERS[schema](text)
+        assert (read is not None) == _finite_and_short(doc)
+        if read is not None:
+            _assert_same_objects(read, yaml.load(text, Loader=yaml.SafeLoader))
+
     @pytest.fixture
     def texts(self, results_path):
         """Canonical texts of each schema: the shipped device, a serialized
@@ -1306,15 +1346,6 @@ class TestCodec:
         d3 = (CONFIG_DIR / "device_d3.yaml").read_text()
         return {"device": [d3, serialize_device(load_device(d3))],
                 "results": [results_path.read_text()]}
-
-    @staticmethod
-    def declined(monkeypatch, schema, text):
-        """parse_with's dict, or None where it hands text to parse_yaml."""
-        monkeypatch.setattr(yamlio, "parse_yaml", lambda t: None)
-        try:
-            return parse_with(*_CODECS[schema], text)
-        finally:
-            monkeypatch.undo()
 
     @pytest.mark.parametrize("schema, edit", [
         ("device", lambda t: "qubits:\n"),
@@ -1325,37 +1356,34 @@ class TestCodec:
         ("results", lambda t: re.sub("role: .*", "role: null", t, count=1)),
     ], ids=["no qubits", "no results", "strategy yes", "strategy ~", "role on", "role null"])
     def test_emitter_checks_keep_the_reader_exact(self, texts, schema, edit):
-        """Texts the reader reads but SafeLoader reads otherwise: the emitter
-        declines the reader's dict, so parse_with returns SafeLoader's objects."""
+        """Texts of the template that SafeLoader reads otherwise, which the
+        emitter's checks refuse to write: the reader makes the same checks
+        and declines them, so parse_with returns SafeLoader's objects."""
         text = edit(texts[schema][-1])
-        read, emit = _CODECS[schema]
-        data = read(text)
-        assert data is not None
-        with pytest.raises(NotCanonical):
-            emit(data)
-        _assert_same_objects(parse_with(read, emit, text),
+        assert _READERS[schema](text) is None
+        _assert_same_objects(parse_with(_READERS[schema], text),
                              yaml.load(text, Loader=yaml.SafeLoader))
 
     @pytest.mark.parametrize("schema, key", [("device", "eta"), ("results", "B0")])
     def test_emitters_refuse_a_numpy_float(self, texts, schema, key):
         """A numpy float, whose repr is not YAML, raises rather than being written."""
-        read, emit = _CODECS[schema]
-        data = read(texts[schema][-1])
+        data = _READERS[schema](texts[schema][-1])
         data["qubits"][0][key] = np.float64(0.5)
         with pytest.raises(NotCanonical):
-            emit(data)
+            _EMITTERS[schema](data)
 
     @pytest.mark.parametrize("schema", ["device", "results"])
-    def test_canonical_texts_are_read_directly(self, monkeypatch, texts, schema):
+    def test_canonical_texts_are_read_directly(self, texts, schema):
         for text in texts[schema]:
-            data = self.declined(monkeypatch, schema, text)
+            data = _READERS[schema](text)
             assert data is not None
             _assert_same_objects(data, yaml.load(text, Loader=yaml.SafeLoader))
 
     @pytest.mark.parametrize("schema", ["device", "results"])
     def test_mutated_texts_load_as_safe_loader_loads_them(self, monkeypatch, texts, schema):
-        """Each reader returns SafeLoader's objects or declines, and load_device
-        and benchmark's results reading keep their objects and errors."""
+        """Each reader reads exactly the mutants of _DIRECT_MUTANTS, to
+        SafeLoader's objects, and declines the others; load_device and
+        benchmark's results reading keep their objects and errors."""
         if schema == "device":
             def load(t):
                 return load_device(t)
@@ -1366,21 +1394,20 @@ class TestCodec:
                     return load_device(t)
         else:
             def load(t):
-                return result_from_dict(parse_with(*_CODECS[schema], t))
+                return result_from_dict(parse_with(cli._read_results, t))
 
             def load_old(t):
                 return result_from_dict(parse_yaml(t))
-        declined = 0
         for text in texts[schema]:
+            direct = set()
             for name, mutant in _mutants(text):
                 assert mutant != text, name
-                data = self.declined(monkeypatch, schema, mutant)
-                if data is None:
-                    declined += 1
-                else:
+                data = _READERS[schema](mutant)
+                if data is not None:
+                    direct.add(name)
                     _assert_same_objects(data, yaml.load(mutant, Loader=yaml.SafeLoader))
                 assert repr(_outcome(load, mutant)) == repr(_outcome(load_old, mutant)), name
-        assert declined > 0.9 * sum(1 for text in texts[schema] for _ in _mutants(text))
+            assert direct == _DIRECT_MUTANTS
 
     def test_no_parse_yaml_for_the_programs_own_files(self, monkeypatch, opt_path, tmp_path):
         """The shipped device, serialize_device's text and a results.yaml that
@@ -1405,7 +1432,7 @@ class TestCodec:
                      "--n-states", "5", "--n-shots", "10",
                      "--out", str(tmp_path / "bench")]) == EXIT_OK
         assert calls == []
-        parse_with(*_CODECS["device"], "qubits: []\n")
+        parse_with(device._read_device, "qubits: []\n")
         assert calls == ["qubits: []\n"]  # the spy sees a fallback
 
 
@@ -1418,6 +1445,42 @@ class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_one_parser_per_process(self, device_path, opt_path, results_path, tmp_path,
+                                    capsys):
+        """main builds its parser once, and each command run through the
+        reused parser gives the exit code and outputs of a fresh parser."""
+        commands = {
+            "validate": ["validate", "--device", str(device_path),
+                         "--opt-config", str(opt_path)],
+            "optimize": ["optimize", "--device", str(device_path),
+                         "--opt-config", str(opt_path), "--out", "OUT"],
+            "benchmark": ["benchmark", "--device", str(device_path),
+                          "--results", str(results_path), "--n-states", "5",
+                          "--n-shots", "10", "--out", "OUT"],
+            "version": ["--version"],
+            "unknown flag": ["validate", "--device", str(device_path), "--nope"],
+        }
+
+        def run(argv, out: Path):
+            try:
+                code = main([str(out) if arg == "OUT" else arg for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+            printed = [re.sub(r"[0-9.]+ ms", "ms", text.replace(str(out), "OUT"))
+                       for text in capsys.readouterr()]
+            files = {p.name: p.read_bytes() for p in out.glob("*")}
+            return code, printed, files
+
+        cli.build_parser.cache_clear()
+        reused = {name: run(argv, tmp_path / "reused" / name.replace(" ", "_"))
+                  for name, argv in commands.items()}
+        assert cli.build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in reused.values()] == [EXIT_OK] * 4 + [2]
+        assert "results.yaml" in reused["optimize"][2] and "report.txt" in reused["benchmark"][2]
+        for name, argv in commands.items():
+            cli.build_parser.cache_clear()
+            assert run(argv, tmp_path / "fresh" / name.replace(" ", "_")) == reused[name], name
 
 
 def test_parse_yaml_without_libyaml():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -8,12 +9,13 @@ from readout_opt import (
     Strategy,
     build_search_grid,
     collision_specs,
+    load_device,
     load_optimizer_config,
     neighbors,
     optimize_device,
 )
 from readout_opt.cli import EXIT_IO, main, result_to_dict
-from readout_opt.config import OptimizerConfigError, config_echo
+from readout_opt.config import OptimizerConfigError, config_echo, snap_to_steps
 
 from conftest import CONFIG_DIR, TWO_PI, make_graph, make_qubit
 from oracle import evaluate_cost
@@ -113,6 +115,25 @@ class TestBuildSearchGrid:
         assert grid.tp_points[0] == 100.0
         assert grid.tp_points[-1] == 480.0
         assert grid.size == 5 * 3 * 2
+
+    @pytest.mark.parametrize("name", ["optimizer.yaml", "optimizer_small.yaml"])
+    def test_each_qubit_has_its_own_grid_bits(self, name):
+        """Axes computed once per grid and dt give every d3 qubit the bits of
+        its grid computed alone, and a reloaded config the same grids."""
+        graph = load_device((CONFIG_DIR / "device_d3.yaml").read_text())
+        text = (CONFIG_DIR / name).read_text()
+        cfg = load_optimizer_config(text)
+        g = cfg.grid
+        for qid in graph.sorted_ids():
+            lo, hi = graph.search_band[qid]
+            grid = build_search_grid(graph, qid, cfg)
+            assert grid.omega_points == tuple(np.linspace(lo, hi, g.n_omega).tolist())
+            assert grid.amp_points == tuple(
+                (np.linspace(g.amp_min, g.amp_max, g.n_amp) * graph.qubits[qid].amp_ref).tolist())
+            assert grid.tp_points == tuple(snap_to_steps(
+                np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
+                g.tp_min_ns, g.tp_max_ns, cfg.model.dt).tolist())
+            assert build_search_grid(graph, qid, load_optimizer_config(text)) == grid
 
     def one_qubit_grid(self, **grid):
         graph = make_graph([(0, 0, Role.DATA)])

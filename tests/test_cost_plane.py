@@ -664,6 +664,27 @@ def half_time(q, omega, b0, t_p, total_time=TOTAL, dt=DT):
     return half_snr_time(traj, q.eta, q.kappa)
 
 
+def test_padded_reduceat_sums_rows_as_sum():
+    """_relaxation's prefix sums: np.add.reduceat over rows of a flat buffer,
+    each prefix after a 0.0 and other values between the prefixes, gives
+    each prefix the bits of its .sum() as a 1-D row and as a row of a 2-D
+    slice, for random lengths and magnitudes; a numpy whose pairwise sum
+    changes fails here."""
+    rng = np.random.default_rng(7)
+    n_rows, width = 3000, 502
+    padded = np.zeros(n_rows * width + 1)
+    rates = padded[:-1].reshape(n_rows, width)[:, 1:]
+    rates[:] = 10.0 ** rng.uniform(-6.0, 5.0, (n_rows, 1)) * rng.random((n_rows, width - 1))
+    rows = np.flatnonzero(rng.random(n_rows) < 0.8)
+    n_full = rng.integers(0, width - 1, len(rows))
+    starts = rows * width
+    err = np.add.reduceat(padded, np.stack([starts, starts + n_full + 2], axis=1).ravel())[::2]
+    assert err.tolist() == [rates[r, :m + 1].sum() for r, m in zip(rows, n_full.tolist())]
+    for m in np.unique(n_full).tolist():
+        at = n_full == m
+        assert err[at].tolist() == rates[rows[at], :m + 1].sum(axis=1).tolist()
+
+
 class TestKernelPaths:
     """Edge cases of the half-SNR index against the oracle.
 

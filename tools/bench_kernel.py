@@ -57,14 +57,16 @@ and is written by serialize_device; perfbench's montecarlo_d5 set-up builds
 its d=5 device the same way on a rotated layout, to a text of the same
 size.  The results file has synthetic costs, written as optimize writes
 results.yaml.  Each text is read by the route the program takes (direct:
-yamlio.parse_with with the schema's direct reader and emitter) and by
+yamlio.parse_with with the schema's direct reader) and by
 yamlio.parse_yaml, which is yaml.load with libyaml's yaml.CSafeLoader
 where PyYAML has it, over YAML_ROUNDS calls each, the loaders alternating
-and each call after a full garbage collection.  So is a non-canonical
-variant of each text, the same document with a 0 appended to its last
-value: the direct reader reads all of it and declines only at the last
-byte of the re-emitted text, so its time is the worst case of the
-fallback to parse_yaml.
+and each call after a full garbage collection.  So are two variants of
+each text that load to the same document.  The plain edit appends a 0 to
+its last value, a float with a "." and no exponent: a hand edit of a
+plain number, which the reader still reads directly.  The declined one
+puts a "_" before the last digit of its last value: the reader reads it
+in full and declines it only at that token, so its time is the worst case
+of the fallback to parse_yaml.
 
 yaml_dump_s times the writing of the same two documents, from the dicts
 the texts load to, by the schema's direct emitter and by yamlio.dump_yaml,
@@ -307,17 +309,30 @@ def yaml_texts() -> dict[str, str]:
 
 
 #: each text's direct reader and emitter
-CODECS = {"device_49": (_read_device, _emit_device),
-          "results_49": (_read_results, _emit_results)}
+READERS = {"device_49": _read_device, "results_49": _read_results}
+EMITTERS = {"device_49": _emit_device, "results_49": _emit_results}
 
 
-def noncanonical(text: str) -> str:
-    """text with a 0 appended to its last value, a float with a "." and no
-    exponent: the same document, which the direct reader reads in full and
-    declines only when the re-emitted text differs in its last byte."""
+def _check_last_value(text: str) -> None:
+    """Assert that text's last value, which both variants edit, is a float
+    with a "." and no exponent."""
     last = text[text.rindex(" ", 0, -1) + 1:-1]
     assert "." in last and "e" not in last, last
+
+
+def plain_edit(text: str) -> str:
+    """text with a 0 appended to its last value: the same document, still
+    of the reader's grammar."""
+    _check_last_value(text)
     return text[:-1] + "0\n"
+
+
+def declined_at_end(text: str) -> str:
+    """text with a "_" before the last digit of its last value: the same
+    document, which the reader reads in full and declines only at that
+    token, outside its float grammar."""
+    _check_last_value(text)
+    return text[:-2] + "_" + text[-2:]
 
 
 def timings(calls: dict, arg) -> dict:
@@ -335,12 +350,13 @@ def timings(calls: dict, arg) -> dict:
 
 def yaml_load_timings() -> dict:
     """Seconds of the direct codec's read and of parse_yaml on each text
-    and on its non-canonical variant."""
+    and on its two variants."""
     out = {}
     for name, text in yaml_texts().items():
-        read, emit = CODECS[name]
-        loaders = {"direct": lambda t: parse_with(read, emit, t), "parse_yaml": parse_yaml}
-        for key, variant in ((name, text), (name + "_noncanonical", noncanonical(text))):
+        read = READERS[name]
+        loaders = {"direct": lambda t: parse_with(read, t), "parse_yaml": parse_yaml}
+        for key, variant in ((name, text), (name + "_plain_edit", plain_edit(text)),
+                             (name + "_declined_at_end", declined_at_end(text))):
             out[key] = {"bytes": len(variant.encode()), **timings(loaders, variant)}
     return {"rounds": YAML_ROUNDS, "texts": out}
 
@@ -349,7 +365,7 @@ def yaml_dump_timings() -> dict:
     """Seconds of the direct emitter and of dump_yaml on each text's data."""
     out = {}
     for name, text in yaml_texts().items():
-        out[name] = timings({"direct": CODECS[name][1], "dump_yaml": dump_yaml},
+        out[name] = timings({"direct": EMITTERS[name], "dump_yaml": dump_yaml},
                             parse_yaml(text))
     return {"rounds": YAML_ROUNDS, "texts": out}
 
