@@ -10,7 +10,6 @@ from .benchmark import (
     Subset,
     cross_fidelity,
     error_budget,
-    measurement_error,
     run_benchmark,
 )
 from .config import (

@@ -13,8 +13,11 @@ binomial sample instead of shot by shot.
 
 Every tally the reports read is a sum of those counts, at most
 n_states * n_shots.  BenchmarkConfig caps that product at 2**53, so the
-tallies are exact in float64 whatever order BLAS sums them in, and the
-pairwise tallies of ``cross_fidelity`` are two float64 Gram products.
+tallies are exact in float64 whatever order BLAS sums them in.  They are
+counted once, as two float64 Gram products, into one table of miss rates
+conditioned on the prepared bits of a pair of qubits (``_miss_table``):
+the per-qubit error rates are its diagonal, and the cross-fidelity matrix
+is read from the rest.
 """
 from __future__ import annotations
 
@@ -32,17 +35,6 @@ from .snake import OptimizationResult
 class Subset(enum.Enum):
     ALL_QUBITS = "all"
     MEASURE_ONLY = "measure"
-
-
-class UnpreparedStateError(ValueError):
-    """A qubit's column of prepared bits holds one value only; column indexes it."""
-
-    def __init__(self, column: int, bit: int):
-        super().__init__(
-            f"both prepared values must be represented: column {column} "
-            f"holds only |{bit}>")
-        self.column = column
-        self.bit = bit
 
 
 @dataclass(frozen=True)
@@ -122,29 +114,47 @@ def one_probability(
     return (1.0 - c) * p0 + c / 2.0
 
 
-def measurement_error(prepared: np.ndarray, ones: np.ndarray, n_shots: int):
-    """(P(1|0), P(0|1), symmetric error) from per-state tallies.
+def _miss_table(prepared: np.ndarray, ones: np.ndarray, n_shots: int) -> np.ndarray:
+    """Conditional miss rates of every qubit given every qubit's prepared bit.
 
-    1-D arrays are one qubit's tallies and give three floats; (n_states,
-    n_qubits) arrays give three arrays of one rate per column, each equal
-    bit for bit to the 1-D call on that column, since the sums of integer
-    counts below 2**53 are exact in any order.  A column prepared in one
-    state only raises UnpreparedStateError naming the first such column.
+    Entry [y, i, z, j] is the chance of measuring NOT y on qubit i, given
+    that qubit i was prepared in |y> and qubit j in |z>; it is nan where no
+    state prepares that pair of bits.  Its diagonal, j = i and z = y, holds
+    the per-qubit rates P(1|0) and P(0|1).  Every cell is counted at once
+    by two Gram products of the float64 indicator matrix X = [prepared
+    |0>, prepared |1>] of shape (n_states, 2 n_qubits): X.T @ X counts the
+    states of each (y_i, z_j) cell, and X weighted by each column's
+    measured ones counts their measured ones.  Every count is an integer at
+    most n_states * n_shots <= 2**53, so each sum is exact in any order and
+    the rates equal integer tallies' ratios bit for bit.
     """
-    prepared = np.asarray(prepared, dtype=bool)
-    ones = np.asarray(ones, dtype=float)
-    n1 = prepared.sum(axis=0)
-    n0 = len(prepared) - n1
-    lacking = np.flatnonzero((n0 == 0) | (n1 == 0))
-    if lacking.size:
-        column = int(lacking[0])
-        raise UnpreparedStateError(column, bit=int(np.ravel(n1)[column] > 0))
-    p10 = np.where(prepared, 0.0, ones).sum(axis=0) / (n0 * n_shots)
-    p01 = np.where(prepared, n_shots - ones, 0.0).sum(axis=0) / (n1 * n_shots)
-    error = 0.5 * (p10 + p01)
-    if prepared.ndim == 1:
-        return float(p10), float(p01), float(error)
-    return p10, p01, error
+    prep = np.asarray(prepared, dtype=bool)
+    n_q = prep.shape[1]
+    # x[s, y * n_q + i] = 1 where state s prepares qubit i in |y>
+    x = np.concatenate((~prep, prep), axis=1).astype(float)
+    shots = x.T @ x
+    shots *= n_shots
+    # measured ones, then the misses of the rows that prepare |1>
+    miss = (x * np.tile(ones, 2)).T @ x
+    np.subtract(shots[n_q:], miss[n_q:], out=miss[n_q:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss /= shots
+    return miss.reshape(2, n_q, 2, n_q)
+
+
+def _fidelity(table: np.ndarray, qubits: list) -> tuple[np.ndarray, list]:
+    """Cross-fidelity matrix of a _miss_table, and its undefined pairs.
+
+    The table's cells are misassignment probabilities; the formula's
+    second and fourth terms are correct-assignment ones.  A pair with an
+    empty conditioning cell reads nan, as does the diagonal, where no
+    state prepares a qubit in both |0> and |1>.
+    """
+    f = 1.0 - 0.5 * (table[0, :, 0] + (1.0 - table[1, :, 0])
+                     + table[1, :, 1] + (1.0 - table[0, :, 1]))
+    undefined = np.isnan(f)
+    np.fill_diagonal(undefined, False)
+    return f, [(qubits[i], qubits[j]) for i, j in zip(*np.nonzero(undefined))]
 
 
 def cross_fidelity(records: ShotRecords):
@@ -153,48 +163,18 @@ def cross_fidelity(records: ShotRecords):
     F_ij = 1 - [P(1_i|0_i 0_j) + P(1_i|1_i 0_j)
                 + P(0_i|1_i 1_j) + P(0_i|0_i 1_j)] / 2,
     conditioning on the prepared states of both qubits (Heinsoo et al.,
-    PRApplied 10, 034040 (2018)).  Every conditioning cell of every pair
-    is counted at once by two Gram products of the float64 indicator
-    matrix X = [prepared |0>, prepared |1>] of shape (n_states, 2 n_qubits):
-    X.T @ X counts the states of each (y_i, z_j) cell, and X weighted by
-    each column's measured ones gives their measured-one counts.  Every
-    entry is an integer at most n_states * n_shots <= 2**53, so each sum is
-    exact in any order and the ratios equal integer tallies' bit for bit.
-    Entries whose conditioning cell is empty come back as nan and are
-    listed separately, in row-major order.  Records with n_states * n_shots
-    above 2**53 raise ValueError.
+    PRApplied 10, 034040 (2018)), read off _miss_table.  Entries whose
+    conditioning cell is empty come back as nan and are listed separately,
+    in row-major order.  Records with n_states * n_shots above 2**53 raise
+    ValueError.
     """
-    prep = np.asarray(records.prepared, dtype=bool)
     n = records.n_shots
-    if len(prep) * n > 2**53:
+    if len(records.prepared) * n > 2**53:
         raise ValueError(
             f"n_states * n_shots must be <= 2**53 for exact tallies, "
-            f"got {len(prep)} * {n}")
-    ones = np.asarray(records.ones, dtype=float)
-    n_q = len(records.qubits)
-    # x[s, y * n_q + i] = 1 where state s prepares qubit i in |y>
-    x = np.concatenate((~prep, prep), axis=1).astype(float)
-    states = x.T @ x
-    measured = (x * np.concatenate((ones, ones), axis=1)).T @ x
-    off_diagonal = ~np.eye(n_q, dtype=bool)
-    defined = off_diagonal.copy()
-    cells = []
-    # (y_i, z_j); each cell is the probability of measuring NOT y_i
-    for y, z in ((0, 0), (1, 0), (1, 1), (0, 1)):
-        block = np.s_[y * n_q:(y + 1) * n_q, z * n_q:(z + 1) * n_q]
-        shots = states[block] * n
-        ones_yz = measured[block]
-        wrong = ones_yz if y == 0 else shots - ones_yz
-        defined &= shots > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cells.append(wrong / shots)
-    # cells hold misassignment probabilities; the formula's second and
-    # fourth terms are correct-assignment ones.
-    f = 1.0 - 0.5 * (cells[0] + (1.0 - cells[1]) + cells[2] + (1.0 - cells[3]))
-    f[~defined] = np.nan
-    undefined = [(records.qubits[i], records.qubits[j])
-                 for i, j in zip(*np.nonzero(off_diagonal & ~defined))]
-    return f, undefined
+            f"got {len(records.prepared)} * {n}")
+    table = _miss_table(records.prepared, records.ones, n)
+    return _fidelity(table, records.qubits)
 
 
 def error_budget(
@@ -259,31 +239,31 @@ def run_benchmark(
     p = np.take_along_axis(p_one, prepared, axis=0)
     ones = np.random.default_rng(tally_ss).binomial(cfg.n_shots, p)
 
-    records = ShotRecords(qubits, prepared, ones, cfg.n_shots)
-    try:
-        rates = measurement_error(prepared, ones, cfg.n_shots)
-    except UnpreparedStateError as exc:
-        q = qubits[exc.column]
+    table = _miss_table(prepared, ones, cfg.n_shots)
+    # its diagonal: P(1|0) and P(0|1), nan where no state prepares that bit
+    p10, p01 = table.reshape(2 * len(qubits), -1).diagonal().reshape(2, -1)
+    lacking = np.flatnonzero(np.isnan(p10) | np.isnan(p01))
+    if lacking.size:
+        q, bit = qubits[lacking[0]], int(np.isnan(p10[lacking[0]]))
         raise ValueError(
             f"n_states={cfg.n_states} prepares qubit ({q.row},{q.col}) only in "
-            f"|{exc.bit}>: both prepared values must be represented") from None
-    p10, p01, error = (dict(zip(qubits, r.tolist())) for r in rates)
-    fmat, undefined = cross_fidelity(records)
-    observed = float(np.mean(rates[2]))
+            f"|{bit}>: both prepared values must be represented")
+    error = 0.5 * (p10 + p01)
+    fmat, undefined = _fidelity(table, qubits)
     budget = error_budget(
         {qid: result.per_qubit[qid].breakdown for qid in qubits},
-        observed,
+        float(np.mean(error)),
         cfg.prep_error,
         tolerance=3.0 * math.sqrt(0.25 / (cfg.n_states * cfg.n_shots)),
     )
     return BenchmarkReport(
         config=cfg,
         qubits=qubits,
-        p10=p10,
-        p01=p01,
-        error=error,
+        p10=dict(zip(qubits, p10.tolist())),
+        p01=dict(zip(qubits, p01.tolist())),
+        error=dict(zip(qubits, error.tolist())),
         cross_fidelity=fmat,
         undefined_pairs=undefined,
         budget=budget,
-        records=records,
+        records=ShotRecords(qubits, prepared, ones, cfg.n_shots),
     )

@@ -523,12 +523,11 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
                [(name, getattr(b, name)) for name in
                 ("separation", "state_prep", "relaxation", "unknown", "observed")])
 
-    mean_err = float(np.mean(list(report.error.values())))
     mean_absf = float(np.mean(absf)) if len(absf) else float("nan")
     lines = [
         f"qubits benchmarked: {len(report.qubits)}",
         f"states x shots: {report.config.n_states} x {report.config.n_shots}",
-        f"mean measurement error: {mean_err:.4%}",
+        f"mean measurement error: {b.observed:.4%}",
         f"mean |F_ij|: {mean_absf:.5f}",
         "budget: "
         + ", ".join(f"{n}={getattr(b, n):.4%}" for n in

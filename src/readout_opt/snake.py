@@ -204,7 +204,6 @@ def optimize_qubit(
     n_tp = len(grid.tp_points)
     best = best_bd = None  # (total, i_omega, flat (amp, t_p) index), breakdown
     done = {}  # per omega index, the mask of its cells scored so far
-    scored = 0
 
     def offer(i_w, flat, cells):
         """Keep the best finite candidate among cells, flat ascending."""
@@ -223,14 +222,11 @@ def optimize_qubit(
     def score(i_w, ask):
         """Score the cells of omega i_w that ask marks and that are not
         scored yet, in one kernel call."""
-        nonlocal scored
         flat = np.flatnonzero(ask if i_w not in done else ask & ~done[i_w])
         if len(flat):
-            scored += len(flat)
             offer(i_w, flat, *score_planes([(q, planes[i_w], grid.amp_points, flat)], model))
 
     for i_w, flat, cells in seeds or ():
-        scored += len(flat)
         offer(i_w, flat, cells)
     for n, (bound, i_w) in enumerate(bounds):
         if best is not None and bound > best[0]:
@@ -251,7 +247,7 @@ def optimize_qubit(
     t_p = grid.tp_points[i_t]
     params = ReadoutParams(omega_q=grid.omega_points[i_w], b0=grid.amp_points[i_a],
                            t_p=t_p, t_r=model.total_time - t_p)
-    return QubitScan(params, best_bd, scored)
+    return QubitScan(params, best_bd, sum(int(mask.sum()) for mask in done.values()))
 
 
 def _seed_cells(qubits, grids, planes, model: CostModel) -> list[list]:

@@ -20,12 +20,11 @@ from readout_opt import (
     Subset,
     cross_fidelity,
     error_budget,
-    measurement_error,
     optimize_device,
     run_benchmark,
     separation_error,
 )
-from readout_opt.benchmark import UnpreparedStateError, one_probability
+from readout_opt.benchmark import _miss_table, one_probability
 
 from conftest import DEFAULT_BAND, TWO_PI, make_graph, make_qubit
 
@@ -101,46 +100,53 @@ class TestOneProbability:
         assert abs(rate - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-class TestMeasurementError:
+def miss_table_ints(prepared, ones, n_shots):
+    """Oracle: _miss_table cell by cell, as ratios of Python ints."""
+    n_states, n_q = prepared.shape
+    table = np.full((2, n_q, 2, n_q), np.nan)
+    for y, i, z, j in np.ndindex(table.shape):
+        states = [s for s in range(n_states)
+                  if prepared[s, i] == y and prepared[s, j] == z]
+        if states:
+            ones_i = sum(int(ones[s, i]) for s in states)
+            shots = len(states) * n_shots
+            table[y, i, z, j] = (ones_i if y == 0 else shots - ones_i) / shots
+    return table
+
+
+class TestMissTable:
     def test_perfect_readout(self):
-        prepared = np.array([0, 1, 0, 1])
-        ones = np.array([0, 10, 0, 10])
-        p10, p01, err = measurement_error(prepared, ones, 10)
-        assert (p10, p01, err) == (0.0, 0.0, 0.0)
+        prepared = np.array([[0], [1], [0], [1]])
+        ones = np.array([[0], [10], [0], [10]])
+        table = _miss_table(prepared, ones, 10)
+        assert (table[0, 0, 0, 0], table[1, 0, 1, 0]) == (0.0, 0.0)
 
     def test_counts(self):
-        prepared = np.array([0, 1])
-        ones = np.array([2, 9])
-        p10, p01, err = measurement_error(prepared, ones, 10)
+        table = _miss_table(np.array([[0], [1]]), np.array([[2], [9]]), 10)
+        p10, p01 = table[0, 0, 0, 0], table[1, 0, 1, 0]
         assert p10 == pytest.approx(0.2)
         assert p01 == pytest.approx(0.1)
-        assert err == pytest.approx(0.15)
+        assert 0.5 * (p10 + p01) == pytest.approx(0.15)
 
-    def test_single_prepared_value_rejected(self):
-        with pytest.raises(ValueError):
-            measurement_error(np.array([1, 1]), np.array([9, 9]), 10)
+    def test_column_prepared_in_one_state_reads_nan(self):
+        prepared = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+        table = _miss_table(prepared, np.zeros((2, 4), dtype=int), 10)
+        p10, p01 = table.reshape(8, 8).diagonal().reshape(2, 4)
+        assert np.array_equal(np.isnan(p10), [False, True, False, False])
+        assert np.array_equal(np.isnan(p01), [False, False, False, True])
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(n_states=st.integers(2, 40), n_q=st.integers(1, 6),
+    @given(n_states=st.integers(1, 40), n_q=st.integers(1, 6),
            n_shots=st.integers(1, 2**47), seed=st.integers(0, 2**32 - 1))
-    def test_columns_equal_one_dimensional_calls(self, n_states, n_q, n_shots, seed):
+    def test_equals_integer_ratios(self, n_states, n_q, n_shots, seed):
         rng = np.random.default_rng(seed)
         prepared = rng.integers(0, 2, size=(n_states, n_q))
-        prepared[:2] = [[0], [1]]  # every column holds both values
         ones = rng.integers(0, n_shots + 1, size=(n_states, n_q))
-        columns = measurement_error(prepared, ones, n_shots)
-        for j in range(n_q):
-            single = measurement_error(prepared[:, j], ones[:, j], n_shots)
-            assert all(type(v) is float for v in single)
-            assert [c[j].hex() for c in columns] == [v.hex() for v in single]
-
-    def test_first_column_prepared_in_one_state_named(self):
-        prepared = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
-        ones = np.zeros((2, 4), dtype=int)
-        with pytest.raises(UnpreparedStateError) as info:
-            measurement_error(prepared, ones, 10)
-        assert (info.value.column, info.value.bit) == (1, 1)
-        assert "column 1 holds only |1>" in str(info.value)
+        table = _miss_table(prepared, ones, n_shots)
+        expected = miss_table_ints(prepared, ones, n_shots)
+        assert np.array_equal(np.isnan(table), np.isnan(expected))
+        assert [v.hex() for v in table[~np.isnan(table)].tolist()] == \
+            [v.hex() for v in expected[~np.isnan(expected)].tolist()]
 
 
 class TestCrossFidelity:
@@ -323,6 +329,24 @@ class TestRunBenchmark:
         report = run_benchmark(graph, result, cfg)
         assert all(q.role is Role.MEASURE for q in report.qubits)
         assert len(report.qubits) == 1
+
+    def test_qubit_prepared_in_one_state_rejected(self):
+        graph, result = self.graph_and_result()
+
+        def prepared(seed):
+            first = np.random.SeedSequence(seed).spawn(2)[0]
+            return np.random.default_rng(first).integers(0, 2, size=(3, 3))
+
+        # a seed that prepares qubit 0 in both bits and qubits 1 and 2 in
+        # one bit each: the message names qubit 1, the first of those
+        seed = next(s for s in range(100)
+                    if np.ptp(prepared(s), axis=0).tolist() == [1, 0, 0])
+        q, bit = graph.sorted_ids()[1], int(prepared(seed)[0, 1])
+        with pytest.raises(ValueError) as info:
+            run_benchmark(graph, result, BenchmarkConfig(n_states=3, n_shots=10, seed=seed))
+        assert str(info.value) == (
+            f"n_states=3 prepares qubit ({q.row},{q.col}) only in |{bit}>: "
+            f"both prepared values must be represented")
 
     def test_missing_qubit_rejected(self):
         graph, result = self.graph_and_result()

@@ -44,10 +44,11 @@ Each width gets the median of STEP_ROUNDS calls.
 import_s is the start-up every CLI command pays: the time to import
 readout_opt.cli in a fresh interpreter, over IMPORT_ROUNDS interpreters.
 
-cross_fidelity_s times benchmark.cross_fidelity, the pair tallies of the
-benchmark command, on synthetic records of 200 states x 2000 shots for
-each qubit count of CROSS_FIDELITY_QUBITS (49 is the benchmark's d=5
-device, 241 a d=11 one), over CROSS_FIDELITY_ROUNDS calls each.
+cross_fidelity_s times benchmark.cross_fidelity, which counts the benchmark
+command's tallies as run_benchmark does, on synthetic records of 200
+states x 2000 shots for each qubit count of CROSS_FIDELITY_QUBITS (49 is
+the benchmark's d=5 device, 241 a d=11 one), over CROSS_FIDELITY_ROUNDS
+calls each.
 
 yaml_load_s times the reading of the benchmark command's two inputs, on
 two texts: a 49-qubit device and a results file for that device.  The
