@@ -7,8 +7,9 @@ writes a plain-text report.txt.
 
 results.yaml and results_partial.yaml are written by the results schema's
 direct emitter (_emit_results), and benchmark --results reads them back
-through its direct reader (_read_results), which accepts a text by the
-grammar of its tokens and hands any other to parse_yaml; see yamlio.
+through its direct reader (_read_results), which matches the head and
+each entry with a regex whose every slot is a group of that slot's
+grammar, and hands any other text to parse_yaml; see yamlio.
 Manifests go through dump_yaml, and optimizer configs through parse_yaml.
 """
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .device import (
     DeviceGraph,
     QubitId,
     Role,
-    _ROLES,
     _integer,
     ghz_to_rad_ns,
     load_device,
@@ -61,11 +61,12 @@ from .snake import (
     optimize_device,
 )
 from .yamlio import (
+    FLOAT,
+    INT,
     NotCanonical,
     dump_yaml,
     entry_groups,
     entry_pattern,
-    grammatical,
     parse_with,
     yaml_floats,
 )
@@ -170,9 +171,13 @@ _RESULTS_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n  traversal_index: %s\n"
                   + "".join(f"  {key}: %s\n" for key in _RESULTS_FLOATS)
                   + "  cost:\n"
                   + "".join(f"    {key}: %s\n" for key in _COST_NAMES))
-_RESULTS_HEAD_RE = re.compile(entry_pattern(_RESULTS_HEAD))
-_RESULTS_RE = re.compile(entry_pattern(_RESULTS_ENTRY))
 _STRATEGIES = frozenset(s.value for s in Strategy)
+_ROLES = frozenset(r.value for r in Role)
+_RESULTS_HEAD_RE = re.compile(
+    entry_pattern(_RESULTS_HEAD, "|".join(sorted(_STRATEGIES)), INT, INT))
+_RESULTS_RE = re.compile(entry_pattern(
+    _RESULTS_ENTRY, INT, INT, "|".join(sorted(_ROLES)), INT, INT,
+    *[FLOAT] * (len(_RESULTS_FLOATS) + len(_COST_NAMES))))
 
 
 def _emit_results(data: dict) -> str:
@@ -200,26 +205,15 @@ def _read_results(text: str) -> dict | None:
     entries = head and entry_groups(_RESULTS_RE, text, head.end())
     if not entries:
         return None
-    strategy, *ints = head.groups()
-    floats = []
-    for row, col, _, index, n_specs, *values in entries:
-        ints += row, col, index, n_specs
-        floats += values
-    if not (strategy in _STRATEGIES and {e[2] for e in entries} <= _ROLES
-            and grammatical(ints, floats)):
-        return None
-    ints, floats = iter(map(int, ints)), list(map(float, floats))
-    evaluations, scored = next(ints), next(ints)
+    strategy, evaluations, scored = head.groups()
     rows = []
-    width = len(_RESULTS_FLOATS) + len(_COST_NAMES)
-    for k, e in enumerate(entries):
-        values = floats[k * width:(k + 1) * width]
-        row = {"row": next(ints), "col": next(ints), "role": e[2],
-               "traversal_index": next(ints), "n_collision_specs": next(ints)}
-        row.update(zip(_RESULTS_FLOATS, values))
-        row["cost"] = dict(zip(_COST_NAMES, values[4:]))
-        rows.append(row)
-    return {"strategy": strategy, "evaluations": evaluations, "scored": scored,
+    for row, col, role, index, n_specs, *values in entries:
+        values = list(map(float, values))
+        rows.append({"row": int(row), "col": int(col), "role": role,
+                     "traversal_index": int(index), "n_collision_specs": int(n_specs),
+                     **dict(zip(_RESULTS_FLOATS, values)),
+                     "cost": dict(zip(_COST_NAMES, values[4:]))})
+    return {"strategy": strategy, "evaluations": int(evaluations), "scored": int(scored),
             "qubits": rows}
 
 
@@ -550,12 +544,22 @@ def cmd_benchmark(args) -> int:
     except (yaml.YAMLError, ValueError) as exc:
         raise ValueError(f"{args.results}: {exc}") from None
 
+    # QubitId equality ignores the role: coordinates first, then roles
     device_ids = set(graph.qubits)
     result_ids = set(result.per_qubit)
     if device_ids != result_ids:
+        first = min(device_ids ^ result_ids)
         raise ValueError(
             "results file does not match the device: "
-            f"{len(device_ids ^ result_ids)} mismatched qubits")
+            f"{len(device_ids ^ result_ids)} mismatched qubits, the first "
+            f"({first.row},{first.col}) only in the "
+            f"{'device' if first in device_ids else 'results file'}")
+    roles = {(q.row, q.col): q.role for q in result_ids}
+    for q in graph.sorted_ids():
+        if roles[q.row, q.col] is not q.role:
+            raise ValueError(
+                f"results file does not match the device: qubit ({q.row},{q.col}) is "
+                f"{roles[q.row, q.col].value} in the results file, {q.role.value} in the device")
 
     cfg = BenchmarkConfig(
         n_states=args.n_states,

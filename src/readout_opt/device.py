@@ -6,9 +6,9 @@ happens once at load.
 
 Device files are one of the two schemas with a direct codec (yamlio):
 serialize_device writes through _emit_device, and load_device reads
-through _read_device each text of _emit_device's template whose tokens
-pass their grammar, and anything else, most hand-edited files included,
-through parse_yaml.
+through _read_device each text of _emit_device's template, matched by one
+regex per entry whose every slot is a group of that slot's grammar, and
+anything else, most hand-edited files included, through parse_yaml.
 """
 from __future__ import annotations
 
@@ -23,10 +23,11 @@ import numpy as np
 import yaml
 
 from .yamlio import (
+    FLOAT,
+    INT,
     NotCanonical,
     entry_groups,
     entry_pattern,
-    grammatical,
     parse_with,
     yaml_floats,
 )
@@ -179,11 +180,13 @@ _DEVICE_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n"
                  + "".join(f"  {key}: %s\n" for key in _DEVICE_FLOATS)
                  + "  band_GHz:\n  - %s\n  - %s\n  gamma1_table:\n")
 _KNOT = "  - - %s\n    - %s\n"
-_DEVICE_RE = re.compile(
-    entry_pattern(_DEVICE_ENTRY) + "((?:%s)+)" % entry_pattern(_KNOT, r"\S+"))
-#: a knot block's values, in order, once _DEVICE_RE has matched it
-_KNOT_VALUES_RE = re.compile(r"- (\S+)\n")
 _ROLES = frozenset(r.value for r in Role)
+_KNOT_RE = re.compile(entry_pattern(_KNOT, FLOAT, FLOAT))
+#: an entry's groups: its eleven values, its knot block and, again, the
+#: block's last knot
+_DEVICE_RE = re.compile(
+    entry_pattern(_DEVICE_ENTRY, INT, INT, "|".join(sorted(_ROLES)), *[FLOAT] * 8)
+    + f"((?:{_KNOT_RE.pattern})+)")
 
 
 def _emit_device(data: dict) -> str:
@@ -210,26 +213,13 @@ def _read_device(text: str) -> dict | None:
     entries = text.startswith(_DEVICE_HEAD) and entry_groups(_DEVICE_RE, text, len(_DEVICE_HEAD))
     if not entries:
         return None
-    ints, floats, sizes = [], [], []
-    for row, col, _, *values, knots in entries:
-        knots = _KNOT_VALUES_RE.findall(knots)
-        sizes.append(len(knots))
-        ints += row, col
-        floats += values
-        floats += knots
-    if not ({e[2] for e in entries} <= _ROLES and grammatical(ints, floats)):
-        return None
-    ints, floats = iter(map(int, ints)), list(map(float, floats))
     qubits = []
-    k = 0
-    for e, n in zip(entries, sizes):
-        entry = {"row": next(ints), "col": next(ints), "role": e[2]}
-        entry.update(zip(_DEVICE_FLOATS, floats[k:k + 6]))
-        entry["band_GHz"] = floats[k + 6:k + 8]
-        knots = iter(floats[k + 8:k + 8 + n])
-        entry["gamma1_table"] = [[f, rate] for f, rate in zip(knots, knots)]
-        qubits.append(entry)
-        k += 8 + n
+    for row, col, role, *values, knots, _, _ in entries:
+        values = list(map(float, values))
+        qubits.append({"row": int(row), "col": int(col), "role": role,
+                       **dict(zip(_DEVICE_FLOATS, values)), "band_GHz": values[6:],
+                       "gamma1_table": [[float(f), float(rate)]
+                                        for f, rate in _KNOT_RE.findall(knots)]})
     return {"qubits": qubits}
 
 
@@ -332,9 +322,10 @@ def load_device(config_text: str) -> DeviceGraph:
 def serialize_device(graph: DeviceGraph) -> str:
     """Emit a device config (YAML text) that load_device accepts back.
 
-    The round trip is not bit for bit: writing kappa in MHz and the Gamma1
-    rates per us and reading them back can move them by an ulp, so a
-    reloaded device can score differently in the last bit.
+    Every parameter is written as the float it equals, an int's or a numpy
+    float's included.  The round trip is not bit for bit: writing kappa in
+    MHz and the Gamma1 rates per us and reading them back can move them by
+    an ulp, so a reloaded device can score differently in the last bit.
     """
     entries = []
     for qid in graph.sorted_ids():
@@ -344,15 +335,15 @@ def serialize_device(graph: DeviceGraph) -> str:
             "row": qid.row,
             "col": qid.col,
             "role": qid.role.value,
-            "alpha_GHz": rad_ns_to_ghz(q.alpha),
-            "g_eff": q.g_eff,
-            "f_r_GHz": rad_ns_to_ghz(q.omega_r),
-            "eta": q.eta,
-            "kappa_MHz": q.kappa / TWO_PI * 1e3,
-            "amp_ref": q.amp_ref,
-            "band_GHz": [rad_ns_to_ghz(lo), rad_ns_to_ghz(hi)],
+            "alpha_GHz": float(rad_ns_to_ghz(q.alpha)),
+            "g_eff": float(q.g_eff),
+            "f_r_GHz": float(rad_ns_to_ghz(q.omega_r)),
+            "eta": float(q.eta),
+            "kappa_MHz": float(q.kappa / TWO_PI * 1e3),
+            "amp_ref": float(q.amp_ref),
+            "band_GHz": [float(rad_ns_to_ghz(lo)), float(rad_ns_to_ghz(hi))],
             "gamma1_table": [
-                [rad_ns_to_ghz(f), rate * 1e3] for f, rate in q.gamma1_table
+                [float(rad_ns_to_ghz(f)), float(rate * 1e3)] for f, rate in q.gamma1_table
             ],
         })
     return _emit_device({"qubits": entries})

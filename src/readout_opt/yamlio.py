@@ -13,18 +13,19 @@ text.  Its domain is the dicts its producer builds: it raises NotCanonical
 on a role or strategy outside its enum, an empty qubit list, or a value
 that is not a float where a float belongs.
 
-Its reader reads an entry's tokens off one anchored regex made from that
-template (entry_pattern) and accepts a text only by the grammar of its
-tokens: the text is the schema's templates, with at least one entry
-(safe_dump writes an empty list as []), each role and strategy is a value
-of its enum, each int slot an INT and each float slot a FLOAT, all checked
-in one pass (grammatical) before any is converted.  A plain scalar of those
-forms resolves to the slot's type, and SafeConstructor reads it as
-int(token) or float(token), so an accepted text loads to the objects
-yaml.SafeLoader returns.  On any other text, hand-edited files with a
-comment, CRLF line ends or keys in another order included, the reader
-returns None, and parse_with hands the text to parse_yaml, whose objects
-and errors it then is.
+Its reader matches each entry with one anchored regex made from that
+template (entry_pattern), whose k-th slot is a group of that slot's
+grammar: an INT, a FLOAT, or a value of the slot's enum (role, strategy).
+So it accepts a text only if the text is the schema's templates, with at
+least one entry (safe_dump writes an empty list as []), and each token is
+of its slot's grammar: each token ends at a newline, which no grammar
+matches, so a group of grammar G matches it exactly where G fullmatches
+it.  A plain scalar of those forms resolves to the slot's type, and
+SafeConstructor reads it as int(token) or float(token), so an accepted
+text loads to the objects yaml.SafeLoader returns.  On any other text,
+hand-edited files with a comment, CRLF line ends or keys in another order
+included, the reader returns None, and parse_with hands the text to
+parse_yaml, whose objects and errors it then is.
 """
 from __future__ import annotations
 
@@ -88,19 +89,11 @@ FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
 #: digits: int() refuses a token longer than sys.get_int_max_str_digits(),
 #: which is never below 640
 INT = r"-?(?:0|[1-9][0-9]{0,18})"
-_INTS_RE = re.compile(f"(?:{INT})(?: (?:{INT}))*")
-_FLOATS_RE = re.compile(f"(?:{FLOAT})(?: (?:{FLOAT}))*")
 
 
-def grammatical(ints: list[str], floats: list[str]) -> bool:
-    """Whether each of one or more ints is an INT and each of one or more
-    floats a FLOAT, checked by one regex over each joined list."""
-    return bool(_INTS_RE.fullmatch(" ".join(ints)) and _FLOATS_RE.fullmatch(" ".join(floats)))
-
-
-def entry_pattern(template: str, value: str = r"(\S+)") -> str:
-    """A regex of template's text with each %s read as value."""
-    return re.escape(template).replace("%s", value)
+def entry_pattern(template: str, *grammars: str) -> str:
+    """A regex of template's text with its k-th %s a group of grammars[k]."""
+    return re.escape(template) % tuple(f"({grammar})" for grammar in grammars)
 
 
 def entry_groups(entry_re: re.Pattern, text: str, pos: int) -> list[tuple] | None:

@@ -686,7 +686,7 @@ class TestBenchmark:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_results_device_mismatch(self, results_path, tmp_path):
+    def test_results_device_mismatch(self, results_path, tmp_path, capsys):
         other = dict(TWO_QUBIT_DEVICE)
         other["qubits"] = TWO_QUBIT_DEVICE["qubits"][:1]
         other_path = tmp_path / "other.yaml"
@@ -698,6 +698,27 @@ class TestBenchmark:
             "--out", str(tmp_path / "bench"),
         ])
         assert code == EXIT_IO
+        assert ("error: results file does not match the device: 1 mismatched qubits, "
+                "the first (0,1) only in the results file\n") in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
+
+    def test_results_role_mismatch(self, device_path, results_path, tmp_path, capsys):
+        """QubitId equality ignores the role, so the roles are compared on
+        their own; the first qubit at fault is named with both roles."""
+        text = results_path.read_text()
+        assert text.count("role: measure") == 1
+        edited = tmp_path / "edited.yaml"
+        edited.write_text(text.replace("role: measure", "role: data"))
+        code = main([
+            "benchmark", "--device", str(device_path),
+            "--results", str(edited),
+            "--n-states", "5", "--n-shots", "10",
+            "--out", str(tmp_path / "bench"),
+        ])
+        assert code == EXIT_IO
+        assert ("error: results file does not match the device: qubit (0,0) is data "
+                "in the results file, measure in the device\n") in capsys.readouterr().err
+        assert not (tmp_path / "bench").exists()
 
     def test_empty_subset_rejected_before_any_output(self, opt_path, tmp_path,
                                                       capsys):
@@ -1263,37 +1284,51 @@ _EMITTERS = {"device": device._emit_device, "results": cli._emit_results}
 _MUTANT_TOKENS = ["0.50", "1e5", "1_0", "+1", "017", ".NaN", "nan", "yes", "~", "1.0E+16",
                   "1.", "-0.0", "+1.5", "1.5e5", "1.5e+5", ".5", "1_0.0", "00.5", "01", "-0",
                   "1:30.0", "1.0e+999", "1" + "0" * 18, "1" + "0" * 19, "1" * 5000]
-#: the tokens a reader reads directly in an int slot and in a float slot;
-#: it declines every other token of _MUTANT_TOKENS in any slot
-_DIRECT_INTS = {"-0", "1" + "0" * 18}
-_DIRECT_FLOATS = {"0.50", "1.0E+16", "1.", "-0.0", "+1.5", "1.5e+5", "00.5", "1.0e+999"}
+#: the tokens a reader reads directly in each kind of slot; it declines
+#: every other token of _MUTANT_TOKENS in any slot
+_DIRECT_MUTANTS = {
+    "int": {"-0", "1" + "0" * 18},
+    "float": {"0.50", "1.0E+16", "1.", "-0.0", "+1.5", "1.5e+5", "00.5", "1.0e+999"},
+    "enum": set(),
+}
+_INT_KEYS = {"row", "col", "traversal_index", "n_collision_specs", "evaluations", "scored"}
+_ENUM_KEYS = {"role", "strategy"}
+
+
+def _slots(lines):
+    """(line index, kind) of each value slot of the head and the first entry
+    of a canonical text's lines, kind "int", "enum" or "float" by its key (a
+    list item, of the band or the Gamma1 table, is a float)."""
+    entries = [k for k, line in enumerate(lines) if line.startswith("- row:")]
+    for k in range(entries[1] if len(entries) > 1 else len(lines)):
+        if not lines[k].endswith(":\n"):
+            key = re.match(r"[ -]*(?:(\w+): )?", lines[k]).group(1)
+            yield k, "int" if key in _INT_KEYS else "enum" if key in _ENUM_KEYS else "float"
 
 
 def _mutants(text):
-    """(name, text) of variants of a canonical text: tokens in place of the
-    value on four lines, and other edits."""
+    """(name, text, whether a reader reads it directly) of variants of a
+    canonical text: each token of _MUTANT_TOKENS in place of each value of
+    the head and the first entry, and other edits, which the readers decline."""
     lines = text.splitlines(keepends=True)
-    at = {"first value": 1, "role": next(k for k, line in enumerate(lines) if "role:" in line),
-          "float": next(k for k, line in enumerate(lines) if "eta:" in line or "B0:" in line),
-          "last value": len(lines) - 1}
-    for where, k in at.items():
+    for k, kind in _slots(lines):
         prefix = lines[k][:lines[k].rindex(" ") + 1]
         for token in _MUTANT_TOKENS:
-            yield f"{token} as {where}", "".join(lines[:k] + [prefix + token + "\n"] + lines[k + 1:])
-    yield "comment line", "".join(lines[:2] + ["# note\n"] + lines[2:])
-    yield "CRLF", text.replace("\n", "\r\n")
-    yield "swapped keys", "".join(lines[:2] + [lines[2].replace("  ", "- ", 1),
-                                               lines[1].replace("- ", "  ", 1)] + lines[3:])
-    yield "extra key", "".join(lines[:at["role"] + 1] + ["  extra: 1\n"] + lines[at["role"] + 1:])
-    yield "trailing space", text[:-1] + " \n"
-    yield "no final newline", text[:-1]
-
-
-#: the names of the mutants a reader reads directly: the first value is an
-#: int in both schemas, the float and last values are floats
-_DIRECT_MUTANTS = ({f"{token} as first value" for token in _DIRECT_INTS}
-                   | {f"{token} as {where}" for token in _DIRECT_FLOATS
-                      for where in ("float", "last value")})
+            yield (f"{token} as {kind} on line {k}",
+                   "".join(lines[:k] + [prefix + token + "\n"] + lines[k + 1:]),
+                   token in _DIRECT_MUTANTS[kind])
+    role = next(k for k, line in enumerate(lines) if "role:" in line)
+    edits = {
+        "comment line": "".join(lines[:2] + ["# note\n"] + lines[2:]),
+        "CRLF": text.replace("\n", "\r\n"),
+        "swapped keys": "".join(lines[:2] + [lines[2].replace("  ", "- ", 1),
+                                             lines[1].replace("- ", "  ", 1)] + lines[3:]),
+        "extra key": "".join(lines[:role + 1] + ["  extra: 1\n"] + lines[role + 1:]),
+        "trailing space": text[:-1] + " \n",
+        "no final newline": text[:-1],
+    }
+    for name, mutant in edits.items():
+        yield name, mutant, False
 
 
 def _finite_and_short(data) -> bool:
@@ -1381,9 +1416,10 @@ class TestCodec:
 
     @pytest.mark.parametrize("schema", ["device", "results"])
     def test_mutated_texts_load_as_safe_loader_loads_them(self, monkeypatch, texts, schema):
-        """Each reader reads exactly the mutants of _DIRECT_MUTANTS, to
-        SafeLoader's objects, and declines the others; load_device and
-        benchmark's results reading keep their objects and errors."""
+        """Each reader reads exactly the mutants with a token of
+        _DIRECT_MUTANTS in its kind of slot, to SafeLoader's objects, and
+        declines the others; load_device and benchmark's results reading
+        keep their objects and errors."""
         if schema == "device":
             def load(t):
                 return load_device(t)
@@ -1399,15 +1435,17 @@ class TestCodec:
             def load_old(t):
                 return result_from_dict(parse_yaml(t))
         for text in texts[schema]:
-            direct = set()
-            for name, mutant in _mutants(text):
+            direct, expected = set(), set()
+            for name, mutant, read_directly in _mutants(text):
                 assert mutant != text, name
+                if read_directly:
+                    expected.add(name)
                 data = _READERS[schema](mutant)
                 if data is not None:
                     direct.add(name)
                     _assert_same_objects(data, yaml.load(mutant, Loader=yaml.SafeLoader))
                 assert repr(_outcome(load, mutant)) == repr(_outcome(load_old, mutant)), name
-            assert direct == _DIRECT_MUTANTS
+            assert direct == expected
 
     def test_no_parse_yaml_for_the_programs_own_files(self, monkeypatch, opt_path, tmp_path):
         """The shipped device, serialize_device's text and a results.yaml that

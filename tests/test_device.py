@@ -17,7 +17,7 @@ from readout_opt import (
     serialize_device,
 )
 
-from conftest import TWO_PI, grid_3x3, make_graph, make_qubit
+from conftest import DEFAULT_BAND, TWO_PI, grid_3x3, make_graph, make_qubit
 from oracle import FrequencyRangeError, relaxation_rate
 
 MINIMAL_ENTRY = {
@@ -142,6 +142,24 @@ class TestLoadDevice:
             lo2, hi2 = again.search_band[qid]
             assert lo2 == pytest.approx(lo1, rel=1e-12)
             assert hi2 == pytest.approx(hi1, rel=1e-12)
+
+    def test_serialize_ints_and_numpy_floats(self):
+        """Ints and numpy floats, which validate accepts, are written as the
+        floats they equal and load back as the float-valued device."""
+        plain = make_qubit(g_eff=0.0, amp_ref=1.0)
+        odd = make_qubit(
+            alpha=np.float64(plain.alpha), g_eff=0, omega_r=np.float64(plain.omega_r),
+            eta=np.float64(plain.eta), kappa=np.float64(plain.kappa), amp_ref=1,
+            gamma1_table=tuple((np.float64(f), np.float64(rate))
+                               for f, rate in plain.gamma1_table))
+        odd.validate()
+        band = tuple(map(np.float64, DEFAULT_BAND))
+        text = serialize_device(make_graph([(0, 0, Role.DATA, odd, band)]))
+        assert text == serialize_device(make_graph([(0, 0, Role.DATA, plain)]))
+        q = load_device(text).qubits[QubitId(0, 0)]
+        assert (q.g_eff, q.eta, q.amp_ref) == (plain.g_eff, plain.eta, plain.amp_ref)
+        assert all(type(v) is float for v in (q.alpha, q.g_eff, q.omega_r, q.eta,
+                                               q.kappa, q.amp_ref))
 
 
 @st.composite
