@@ -43,6 +43,7 @@ from .config import (
     snap_to_steps,
 )
 from .device import (
+    ROLES,
     DeviceConfigError,
     DeviceGraph,
     QubitId,
@@ -67,6 +68,7 @@ from .yamlio import (
     dump_yaml,
     entry_groups,
     entry_pattern,
+    one_of,
     parse_with,
     yaml_floats,
 )
@@ -172,11 +174,10 @@ _RESULTS_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n  traversal_index: %s\n"
                   + "  cost:\n"
                   + "".join(f"    {key}: %s\n" for key in _COST_NAMES))
 _STRATEGIES = frozenset(s.value for s in Strategy)
-_ROLES = frozenset(r.value for r in Role)
 _RESULTS_HEAD_RE = re.compile(
-    entry_pattern(_RESULTS_HEAD, "|".join(sorted(_STRATEGIES)), INT, INT))
+    entry_pattern(_RESULTS_HEAD, one_of(_STRATEGIES), INT, INT))
 _RESULTS_RE = re.compile(entry_pattern(
-    _RESULTS_ENTRY, INT, INT, "|".join(sorted(_ROLES)), INT, INT,
+    _RESULTS_ENTRY, INT, INT, one_of(ROLES), INT, INT,
     *[FLOAT] * (len(_RESULTS_FLOATS) + len(_COST_NAMES))))
 
 
@@ -188,7 +189,7 @@ def _emit_results(data: dict) -> str:
         raise NotCanonical  # safe_dump writes an empty list as []
     parts = [_RESULTS_HEAD % (data["strategy"], data["evaluations"], data["scored"])]
     for row in data["qubits"]:
-        if row["role"] not in _ROLES:
+        if row["role"] not in ROLES:
             raise NotCanonical
         floats = yaml_floats([*(row[key] for key in _RESULTS_FLOATS),
                                *row["cost"].values()])

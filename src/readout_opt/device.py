@@ -28,6 +28,7 @@ from .yamlio import (
     NotCanonical,
     entry_groups,
     entry_pattern,
+    one_of,
     parse_with,
     yaml_floats,
 )
@@ -180,12 +181,13 @@ _DEVICE_ENTRY = ("- row: %s\n  col: %s\n  role: %s\n"
                  + "".join(f"  {key}: %s\n" for key in _DEVICE_FLOATS)
                  + "  band_GHz:\n  - %s\n  - %s\n  gamma1_table:\n")
 _KNOT = "  - - %s\n    - %s\n"
-_ROLES = frozenset(r.value for r in Role)
+#: the role values, the grammar of a role slot in both schemas
+ROLES = frozenset(r.value for r in Role)
 _KNOT_RE = re.compile(entry_pattern(_KNOT, FLOAT, FLOAT))
 #: an entry's groups: its eleven values, its knot block and, again, the
 #: block's last knot
 _DEVICE_RE = re.compile(
-    entry_pattern(_DEVICE_ENTRY, INT, INT, "|".join(sorted(_ROLES)), *[FLOAT] * 8)
+    entry_pattern(_DEVICE_ENTRY, INT, INT, one_of(ROLES), *[FLOAT] * 8)
     + f"((?:{_KNOT_RE.pattern})+)")
 
 
@@ -197,7 +199,7 @@ def _emit_device(data: dict) -> str:
         raise NotCanonical  # safe_dump writes an empty list as []
     parts = [_DEVICE_HEAD]
     for e in data["qubits"]:
-        if e["role"] not in _ROLES:
+        if e["role"] not in ROLES:
             raise NotCanonical
         table = e["gamma1_table"]
         floats = yaml_floats([*(e[key] for key in _DEVICE_FLOATS), *e["band_GHz"],

@@ -15,7 +15,8 @@ that is not a float where a float belongs.
 
 Its reader matches each entry with one anchored regex made from that
 template (entry_pattern), whose k-th slot is a group of that slot's
-grammar: an INT, a FLOAT, or a value of the slot's enum (role, strategy).
+grammar: an INT, a FLOAT, or a value of the slot's enum (one_of: role,
+strategy).
 So it accepts a text only if the text is the schema's templates, with at
 least one entry (safe_dump writes an empty list as []), and each token is
 of its slot's grammar: each token ends at a newline, which no grammar
@@ -89,6 +90,11 @@ FLOAT = r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?"
 #: digits: int() refuses a token longer than sys.get_int_max_str_digits(),
 #: which is never below 640
 INT = r"-?(?:0|[1-9][0-9]{0,18})"
+
+
+def one_of(values) -> str:
+    """The grammar of a slot whose token is one of values (an enum's)."""
+    return "|".join(sorted(values))
 
 
 def entry_pattern(template: str, *grammars: str) -> str:

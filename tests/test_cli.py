@@ -1295,23 +1295,26 @@ _INT_KEYS = {"row", "col", "traversal_index", "n_collision_specs", "evaluations"
 _ENUM_KEYS = {"role", "strategy"}
 
 
-def _slots(lines):
-    """(line index, kind) of each value slot of the head and the first entry
-    of a canonical text's lines, kind "int", "enum" or "float" by its key (a
-    list item, of the band or the Gamma1 table, is a float)."""
-    entries = [k for k, line in enumerate(lines) if line.startswith("- row:")]
-    for k in range(entries[1] if len(entries) > 1 else len(lines)):
-        if not lines[k].endswith(":\n"):
-            key = re.match(r"[ -]*(?:(\w+): )?", lines[k]).group(1)
-            yield k, "int" if key in _INT_KEYS else "enum" if key in _ENUM_KEYS else "float"
+def _slot_kind(line):
+    """The kind of a value line, "int", "enum" or "float" by its key (a list
+    item, of the band or the Gamma1 table, is a float)."""
+    key = re.match(r"[ -]*(?:(\w+): )?", line).group(1)
+    return "int" if key in _INT_KEYS else "enum" if key in _ENUM_KEYS else "float"
 
 
 def _mutants(text):
     """(name, text, whether a reader reads it directly) of variants of a
-    canonical text: each token of _MUTANT_TOKENS in place of each value of
-    the head and the first entry, and other edits, which the readers decline."""
+    canonical text cut to its first two entries: each token of
+    _MUTANT_TOKENS in place of each value of the head, of the first entry
+    and of the text's last line, and other edits, which the readers decline."""
     lines = text.splitlines(keepends=True)
-    for k, kind in _slots(lines):
+    entries = [k for k, line in enumerate(lines) if line.startswith("- row:")] + [len(lines)] * 2
+    lines = lines[:entries[2]]
+    text = "".join(lines)
+    for k in dict.fromkeys([*range(entries[1]), len(lines) - 1]):
+        if lines[k].endswith(":\n"):
+            continue
+        kind = _slot_kind(lines[k])
         prefix = lines[k][:lines[k].rindex(" ") + 1]
         for token in _MUTANT_TOKENS:
             yield (f"{token} as {kind} on line {k}",
