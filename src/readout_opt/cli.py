@@ -1,9 +1,13 @@
 """Command-line entry point: validate, optimize, sweep, benchmark.
 
-Every command writes a manifest echo with all resolved configuration next
-to its outputs, so a run can be reproduced exactly from the output
-directory alone.  Outputs are YAML and CSV files, and benchmark also
-writes a plain-text report.txt.
+optimize, sweep and benchmark each write a manifest echo with all resolved
+configuration next to their outputs, so a run can be reproduced exactly
+from the output directory alone; validate writes nothing.  Outputs are
+YAML and CSV files, and benchmark also writes a plain-text report.txt.
+One writer owns --out: each command builds its files as text and hands
+them to _write in one call, which creates the directory, writes each file
+as given and removes the files a run leaves stale (an infeasible optimize
+removes results.yaml and summary.csv, a feasible one results_partial.yaml).
 
 results.yaml and results_partial.yaml are written by the results schema's
 direct emitter (_emit_results), and benchmark --results reads them back
@@ -117,8 +121,20 @@ def _load_opt_config(path: str | None) -> OptimizerConfig:
     return _named(path, load_optimizer_config, OptimizerConfigError)
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write tuple rows as csv.writer would, byte for byte.
+def _write(out: Path, files: dict[str, str | None]) -> None:
+    """Create out and write each name -> text into it as given, without
+    newline translation; a None text removes that file.  The only code that
+    creates, writes or clears an output directory."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        if text is None:
+            (out / name).unlink(missing_ok=True)
+        else:
+            (out / name).write_text(text, newline="")
+
+
+def _csv(header, rows) -> str:
+    """The text csv.writer writes for tuple rows, byte for byte.
 
     "%s" gives an int, a float, a numpy float64 or a string the same text
     csv.writer does.  Every field written here is a number or a fixed
@@ -126,13 +142,13 @@ def _write_csv(path: Path, header, rows) -> None:
     needs quoting.
     """
     line = ",".join(["%s"] * len(header)) + "\r\n"
-    path.write_text(",".join(header) + "\r\n" + "".join([line % row for row in rows]),
-                    newline="")
+    return ",".join(header) + "\r\n" + "".join([line % row for row in rows])
 
 
-def _write_manifest(out: Path, name: str, payload: dict) -> None:
-    payload = {"version": __version__, **payload}
-    (out / name).write_text(dump_yaml(payload))
+def _manifest(args, command: str, **fields) -> str:
+    """manifest.yaml's text: the version, command and device, then fields."""
+    return dump_yaml({"version": __version__, "command": command,
+                      "device": str(args.device), **fields})
 
 
 #: CostBreakdown field -> its key in results.yaml and summary.csv
@@ -284,12 +300,12 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def _write_summary_csv(path: Path, result_dict: dict) -> None:
+def _summary_csv(result_dict: dict) -> str:
     rows = []
     for row in result_dict["qubits"]:
         flat = {**row, **row["cost"]}
         rows.append(tuple(flat[column] for column in _SUMMARY_COLUMNS))
-    _write_csv(path, _SUMMARY_COLUMNS, rows)
+    return _csv(_SUMMARY_COLUMNS, rows)
 
 
 def cmd_validate(args) -> int:
@@ -317,31 +333,30 @@ def cmd_optimize(args) -> int:
 
     t_begin = time.perf_counter()
     try:
-        result = optimize_device(graph, grids, model, start=start)
+        result, infeasible = optimize_device(graph, grids, model, start=start), False
     except InfeasibleQubitError as exc:
         log.error("optimization infeasible at qubit %s", exc.qid)
-        if exc.partial is not None and exc.partial.per_qubit:
-            out.mkdir(parents=True, exist_ok=True)
-            partial = result_to_dict(exc.partial, strategy)
-            (out / "results_partial.yaml").write_text(_emit_results(partial))
-        return EXIT_INFEASIBLE
+        result, infeasible = exc.partial, True
     elapsed_ms = 1e3 * (time.perf_counter() - t_begin)
+    result_dict = result_to_dict(result, strategy)
+    manifest = _manifest(
+        args, "optimize", opt_config=str(args.opt_config) if args.opt_config else None,
+        strategy=strategy.value, resolved_config=config_echo(cfg),
+        evaluations=result.evaluations, scored=result.scored)
+    if infeasible:
+        # the qubits locked before the infeasible one, if any, and no file
+        # of an earlier run beside this run's manifest
+        _write(out, {"results.yaml": None, "summary.csv": None,
+                     "results_partial.yaml":
+                         _emit_results(result_dict) if result.per_qubit else None,
+                     "manifest.yaml": manifest})
+        return EXIT_INFEASIBLE
     log.info("optimized %d qubits: %d grid points, %d scored in %.1f ms",
              len(result.per_qubit), result.evaluations, result.scored, elapsed_ms)
 
-    out.mkdir(parents=True, exist_ok=True)
-    result_dict = result_to_dict(result, strategy)
-    (out / "results.yaml").write_text(_emit_results(result_dict))
-    _write_summary_csv(out / "summary.csv", result_dict)
-    _write_manifest(out, "manifest.yaml", {
-        "command": "optimize",
-        "device": str(args.device),
-        "opt_config": str(args.opt_config) if args.opt_config else None,
-        "strategy": strategy.value,
-        "resolved_config": config_echo(cfg),
-        "evaluations": result.evaluations,
-        "scored": result.scored,
-    })
+    _write(out, {"results.yaml": _emit_results(result_dict),
+                 "summary.csv": _summary_csv(result_dict),
+                 "manifest.yaml": manifest, "results_partial.yaml": None})
     print(f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
           f"{result.scored} scored, {elapsed_ms:.1f} ms)")
     return EXIT_OK
@@ -455,68 +470,56 @@ def cmd_sweep(args) -> int:
              *(scored[name][k] for name in _SWEEP_COLUMNS.values()))
             for k, (omega, amp, tp) in enumerate(itertools.product(*grid.values()))]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv",
-               ["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS], rows)
-
     n0, n1 = photon_number(traj.beta0), photon_number(traj.beta1)
-    _write_csv(
-        out / "trajectory.csv",
-        ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"],
-        zip(*(column.tolist() for column in (
-            traj.times, traj.beta0.real, traj.beta0.imag,
-            traj.beta1.real, traj.beta1.imag, n0, n1))))
-
-    _write_manifest(out, "manifest.yaml", {
-        "command": "sweep",
-        "device": str(args.device),
-        "opt_config": str(args.opt_config) if args.opt_config else None,
-        "strategy": strategy.value,
-        "qubit": [qid.row, qid.col],
-        "axis": axis,
-        "range": [float(args.min), float(args.max), int(args.points)],
-        "pins": {
-            "f_GHz": rad_ns_to_ghz(pin_omega),
-            "amp": pin_amp,
-            "t_p_ns": pin_tp,
-        },
-        "resolved_config": config_echo(cfg),
+    out = Path(args.out)
+    _write(out, {
+        "sweep.csv": _csv(["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS],
+                          rows),
+        "trajectory.csv": _csv(
+            ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"],
+            zip(*(column.tolist() for column in (
+                traj.times, traj.beta0.real, traj.beta0.imag,
+                traj.beta1.real, traj.beta1.imag, n0, n1)))),
+        "manifest.yaml": _manifest(
+            args, "sweep", opt_config=str(args.opt_config) if args.opt_config else None,
+            strategy=strategy.value, qubit=[qid.row, qid.col], axis=axis,
+            range=[float(args.min), float(args.max), int(args.points)],
+            pins={"f_GHz": rad_ns_to_ghz(pin_omega), "amp": pin_amp, "t_p_ns": pin_tp},
+            resolved_config=config_echo(cfg)),
     })
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
-    _write_csv(out / "per_qubit_errors.csv",
-               ["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
-               [(qid.row, qid.col, qid.role.value,
-                 report.p10[qid], report.p01[qid], report.error[qid])
-                for qid in report.qubits])
-    # _write_csv's bytes, with each qubit's "row,col," formatted once: a row
+def _benchmark_files(report: BenchmarkReport) -> dict[str, str]:
+    """benchmark's five output files, name -> text."""
+    files = {"per_qubit_errors.csv": _csv(
+        ["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
+        [(qid.row, qid.col, qid.role.value,
+          report.p10[qid], report.p01[qid], report.error[qid])
+         for qid in report.qubits])}
+    # _csv's text, with each qubit's "row,col," formatted once: a row
     # formats only its float, by repr as csv.writer does
     cells = [f"{q.row},{q.col}," for q in report.qubits]
     offdiag = report.cross_fidelity[~np.eye(len(cells), dtype=bool)]  # row-major
     texts = list(map(repr, offdiag.tolist()))
     pairs = [cell_i + cell_j for i, cell_i in enumerate(cells)
              for j, cell_j in enumerate(cells) if i != j]
-    (out / "cross_fidelity.csv").write_text(
-        "row_i,col_i,row_j,col_j,F_ij\r\n"
-        + "".join([pair + text + "\r\n" for pair, text in zip(pairs, texts)]), newline="")
+    files["cross_fidelity.csv"] = "row_i,col_i,row_j,col_j,F_ij\r\n" + "".join(
+        [pair + text + "\r\n" for pair, text in zip(pairs, texts)])
     # integrated histogram of |F_ij| over the finite entries: repr(|x|) is
     # repr(x) without its sign, so only the cumulative fractions are formatted
     finite = np.flatnonzero(np.isfinite(offdiag))
     order = finite[np.argsort(np.abs(offdiag[finite]), kind="stable")]
     absf = np.abs(offdiag[order])
     fractions = map(repr, (np.arange(1, len(order) + 1) / len(order)).tolist())
-    (out / "cross_fidelity_hist.csv").write_text(
-        "abs_F,cumulative_fraction\r\n"
-        + "".join([texts[k].lstrip("-") + "," + fraction + "\r\n"
-                   for k, fraction in zip(order.tolist(), fractions)]), newline="")
+    files["cross_fidelity_hist.csv"] = "abs_F,cumulative_fraction\r\n" + "".join(
+        [texts[k].lstrip("-") + "," + fraction + "\r\n"
+         for k, fraction in zip(order.tolist(), fractions)])
     b = report.budget
-    _write_csv(out / "budget.csv", ["component", "probability"],
-               [(name, getattr(b, name)) for name in
-                ("separation", "state_prep", "relaxation", "unknown", "observed")])
+    files["budget.csv"] = _csv(["component", "probability"], [
+        (name, getattr(b, name))
+        for name in ("separation", "state_prep", "relaxation", "unknown", "observed")])
 
     mean_absf = float(np.mean(absf)) if len(absf) else float("nan")
     lines = [
@@ -534,7 +537,8 @@ def _write_benchmark_outputs(out: Path, report: BenchmarkReport) -> None:
         lines.append("warning: unknown component negative beyond tolerance")
     if report.undefined_pairs:
         lines.append(f"undefined cross-fidelity pairs: {len(report.undefined_pairs)}")
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
+    files["report.txt"] = "\n".join(lines) + "\n"
+    return files
 
 
 def cmd_benchmark(args) -> int:
@@ -572,18 +576,10 @@ def cmd_benchmark(args) -> int:
     report = run_benchmark(graph, result, cfg)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_benchmark_outputs(out, report)
-    _write_manifest(out, "manifest.yaml", {
-        "command": "benchmark",
-        "device": str(args.device),
-        "results": str(args.results),
-        "seed": cfg.seed,
-        "n_states": cfg.n_states,
-        "n_shots": cfg.n_shots,
-        "prep_error": cfg.prep_error,
-        "subset": cfg.subset.value,
-    })
+    _write(out, {**_benchmark_files(report), "manifest.yaml": _manifest(
+        args, "benchmark", results=str(args.results), seed=cfg.seed,
+        n_states=cfg.n_states, n_shots=cfg.n_shots, prep_error=cfg.prep_error,
+        subset=cfg.subset.value)})
     print(f"wrote benchmark report to {out}")
     return EXIT_OK
 

@@ -260,13 +260,23 @@ def _frequency(value) -> float:
     return omega
 
 
+def _pair(value) -> list:
+    """value if it is a list of two items, as a band and a Gamma1 knot are;
+    a string, bytes or mapping would iterate as one, and raises ValueError."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"must be a list of two numbers, got {value!r}")
+    return value
+
+
 def _band(value) -> tuple[float, float]:
-    lo, hi = (_frequency(v) for v in value)
+    lo, hi = (_frequency(v) for v in _pair(value))
     return lo, hi
 
 
 def _gamma1_table(value) -> tuple[tuple[float, float], ...]:
-    return tuple((_finite(f, TWO_PI), _finite(rate) * 1e-3) for f, rate in value)
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list of [f_GHz, rate] knots, got {value!r}")
+    return tuple((_finite(f, TWO_PI), _finite(rate) * 1e-3) for f, rate in map(_pair, value))
 
 
 def load_device(config_text: str) -> DeviceGraph:

@@ -5,15 +5,16 @@ during the informative part of the readout, residual resonator photons,
 a smoothed-step penalty for measurement-induced state transitions (MIST),
 and Lorentzian penalties for frequency collisions with neighboring qubits.
 
-cost_plane is the cost kernel that optimize and sweep score with: the
-whole breakdown of every point of a grid of qubit frequencies x
-amplitudes x pulse lengths, each field defined in its docstring, and
-CostWeights.total their weighted sum.  Its scoring (_score) takes any list
-of cells, each one amplitude and pulse length on one plane (one qubit's
-frequency) of any qubit, and gives each cell the same bits in any list;
-score_planes runs it on cells of the planes that plane_statistics stored,
-picked by their grid indices, and with_coupling adds the coupling term and
-the total last, as CostWeights.total does.  Only that term depends on the
+cost_plane is the cost kernel that sweep scores with and the tests hold
+to the scalar oracle: the whole breakdown of every point of a grid of
+qubit frequencies x amplitudes x pulse lengths, each field defined in its
+docstring, and CostWeights.total their weighted sum.  Its scoring (_score)
+takes any list of cells, each one amplitude and pulse length on one plane
+(one qubit's frequency) of any qubit, and gives each cell the same bits in
+any list; score_planes, which optimize scores with, runs it on cells of
+the planes that plane_statistics stored, picked by their grid indices,
+and with_coupling adds the coupling term and the total last, as
+CostWeights.total does.  Only that term depends on the
 neighbors.  So plane_statistics computes, for every plane of a walk up
 front and in blocks of planes, each plane's response and its neighbor-free
 bound: cell by cell, the weighted sum of lower bounds on the other four

@@ -1,9 +1,11 @@
 """The scalar cost model: the tests' independent oracle for the cost kernel.
 
 Each cost term is one function of one readout point, and evaluate_cost
-composes them.  error_models.cost_plane, the one cost kernel the package
-scores with, must give every field of every cell of its grid the bits of
-evaluate_cost at that point, and the tests compare the two exactly.  The
+composes them.  error_models.cost_plane, the cost kernel that sweep
+scores with (optimize scores through score_planes, which runs cost_plane's
+cell scoring on the cells it picks), must give every field of every cell
+of its grid the bits of evaluate_cost at that point, and the tests compare
+the two exactly.  The
 oracle builds each point's two fields with dynamics.field_pair, one full
 RK4 trajectory per prepared state, and reads every term off them one
 point at a time.

@@ -26,6 +26,7 @@ from readout_opt import (
 from readout_opt import cli
 from readout_opt.benchmark import BenchmarkConfig, BenchmarkReport, ErrorBudget
 from readout_opt.cli import (
+    EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
     SWEEP_CHUNK,
@@ -870,6 +871,62 @@ class TestRerunIntoSameOut:
         assert self.contents(out) == self.contents(fresh)
 
 
+def _in_pole_guard(entry: dict) -> dict:
+    """entry with its band inside the 8 MHz pole guard at f_r - alpha,
+    where every frequency of the grid is infeasible, and a Gamma1 table
+    that spans the band."""
+    pole = entry["f_r_GHz"] - entry["alpha_GHz"]
+    return {**entry, "band_GHz": [pole - 0.005, pole + 0.005],
+            "gamma1_table": [[pole - 0.1, 0.05], [5.8, 0.06], [6.4, 0.05]]}
+
+
+class TestInfeasibleOptimize:
+    """An infeasible optimize (exit 3) leaves in --out its manifest, the
+    qubits it locked before the infeasible one, if any, and no results of
+    an earlier run; a later feasible run removes the partial results."""
+
+    @staticmethod
+    def device(tmp_path, k):
+        """TWO_QUBIT_DEVICE with walk qubit k, (0,0) or (0,1), infeasible."""
+        entries = list(TWO_QUBIT_DEVICE["qubits"])
+        entries[k] = _in_pole_guard(entries[k])
+        path = tmp_path / f"infeasible{k}.yaml"
+        path.write_text(yaml.safe_dump({"qubits": entries}))
+        return path
+
+    def test_rerun_with_the_last_qubit_infeasible(self, device_path, opt_path, tmp_path):
+        out = tmp_path / "out"
+        assert run_optimize(device_path, opt_path, out) == EXIT_OK
+        first = TestRerunIntoSameOut.contents(out)
+        infeasible = self.device(tmp_path, 1)
+        assert run_optimize(infeasible, opt_path, out) == EXIT_INFEASIBLE
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.yaml",
+                                                         "results_partial.yaml"]
+        partial = yaml.safe_load((out / "results_partial.yaml").read_text())
+        assert [(q["row"], q["col"]) for q in partial["qubits"]] == [(0, 0)]
+        assert partial["evaluations"] == 2 * 4 * 3 * 2
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert (manifest["command"], manifest["device"]) == ("optimize", str(infeasible))
+        assert (manifest["evaluations"], manifest["scored"]) == (
+            partial["evaluations"], partial["scored"])
+        assert main(["benchmark", "--device", str(infeasible),
+                     "--results", str(out / "results.yaml"),
+                     "--out", str(tmp_path / "bench")]) == EXIT_IO
+        # a feasible rerun removes the partial results
+        assert run_optimize(device_path, opt_path, out) == EXIT_OK
+        assert TestRerunIntoSameOut.contents(out) == first
+
+    def test_first_qubit_infeasible(self, device_path, opt_path, tmp_path):
+        out = tmp_path / "out"
+        assert run_optimize(device_path, opt_path, out) == EXIT_OK
+        infeasible = self.device(tmp_path, 0)
+        assert run_optimize(infeasible, opt_path, out) == EXIT_INFEASIBLE
+        assert [p.name for p in out.iterdir()] == ["manifest.yaml"]
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["device"] == str(infeasible)
+        assert (manifest["evaluations"], manifest["scored"]) == (4 * 3 * 2, 0)
+
+
 class TestWriteCsv:
     VALUES = (0, 7, -3, 2**60, 0.1, -2.5, np.float64(1 / 3), float("nan"),
               float("inf"), float("-inf"), -0.0, np.float64(-0.0), 5e-324, 1e16,
@@ -888,9 +945,8 @@ class TestWriteCsv:
         header = [f"c{k}" for k in range(len(self.VALUES))]
         # row k rotates the values by k places
         rows = [self.VALUES[k:] + self.VALUES[:k] for k in range(n_rows)]
-        cli._write_csv(tmp_path / "fast.csv", header, rows)
         expected = self.csv_writer_bytes(tmp_path / "ref.csv", header, rows)
-        assert (tmp_path / "fast.csv").read_bytes() == expected
+        assert cli._csv(header, rows).encode() == expected
 
 
 class TestCrossFidelityCsv:
@@ -911,12 +967,11 @@ class TestCrossFidelityCsv:
             p10={q: 0.0 for q in qubits}, p01={q: 0.0 for q in qubits},
             error={q: 0.0 for q in qubits}, cross_fidelity=f, undefined_pairs=[],
             budget=ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0))
-        cli._write_benchmark_outputs(tmp_path, report)
         rows = [(qi.row, qi.col, qj.row, qj.col, f[i, j])
                 for i, qi in enumerate(qubits) for j, qj in enumerate(qubits) if i != j]
         expected = TestWriteCsv.csv_writer_bytes(
             tmp_path / "ref.csv", ["row_i", "col_i", "row_j", "col_j", "F_ij"], rows)
-        written = (tmp_path / "cross_fidelity.csv").read_bytes()
+        written = cli._benchmark_files(report)["cross_fidelity.csv"].encode()
         assert written == expected
         if n_qubits == 5:
             for text in (b",nan\r\n", b",-0.0\r\n", b",5e-324\r\n", b",1e+22\r\n"):
@@ -938,15 +993,15 @@ class TestCrossFidelityCsv:
             p10={q: 0.0 for q in qubits}, p01={q: 0.0 for q in qubits},
             error={q: 0.0 for q in qubits}, cross_fidelity=f, undefined_pairs=[],
             budget=ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0))
-        cli._write_benchmark_outputs(tmp_path, report)
+        files = cli._benchmark_files(report)
         offdiag = f[~np.eye(n_qubits, dtype=bool)]
         absf = np.sort(np.abs(offdiag[np.isfinite(offdiag)]))
         expected = TestWriteCsv.csv_writer_bytes(
             tmp_path / "ref.csv", ["abs_F", "cumulative_fraction"],
             [(v, (k + 1) / len(absf)) for k, v in enumerate(absf.tolist())])
-        assert (tmp_path / "cross_fidelity_hist.csv").read_bytes() == expected
+        assert files["cross_fidelity_hist.csv"].encode() == expected
         mean = float(np.mean(absf)) if len(absf) else float("nan")
-        assert f"mean |F_ij|: {mean:.5f}\n" in (tmp_path / "report.txt").read_text()
+        assert f"mean |F_ij|: {mean:.5f}\n" in files["report.txt"]
         if n_qubits == 6:
             written = expected.decode()
             for text in ("\r\n0.0,", "\r\n5e-324,", "\r\n1e-310,", "\r\n0.25,"):

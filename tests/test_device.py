@@ -94,9 +94,11 @@ class TestLoadDevice:
         ("role", "ancilla", "qubits[0].role: 'ancilla' is not a valid Role"),
         ("alpha_GHz", "x", "qubit (0,0,data): alpha_GHz: could not convert"),
         ("kappa_MHz", None, "qubit (0,0,data): kappa_MHz: float() argument"),
-        ("band_GHz", [5.6, 6.0, 6.3], "qubit (0,0,data): band_GHz: too many values"),
-        ("band_GHz", 5.6, "qubit (0,0,data): band_GHz: 'float' object is not iterable"),
-        ("gamma1_table", [[5.2, 0.05], [5.8]], "qubit (0,0,data): gamma1_table: not enough"),
+        ("band_GHz", [5.6, 6.0, 6.3],
+         "qubit (0,0,data): band_GHz: must be a list of two numbers, got [5.6, 6.0, 6.3]"),
+        ("band_GHz", 5.6, "qubit (0,0,data): band_GHz: must be a list of two numbers, got 5.6"),
+        ("gamma1_table", [[5.2, 0.05], [5.8]],
+         "qubit (0,0,data): gamma1_table: must be a list of two numbers, got [5.8]"),
         ("gamma1_table", [[5.2, 0.05], ["x", 0.06]],
          "qubit (0,0,data): gamma1_table: could not convert"),
         # int() would load row 1.5 and col true as qubit (1,1)
@@ -119,6 +121,16 @@ class TestLoadDevice:
          "qubit (0,0,data): gamma1_table: must be finite, got nan"),
         ("gamma1_table", [[5.2, 0.05], [math.nan, 0.06], [6.4, 0.05]],
          "qubit (0,0,data): gamma1_table: must be finite, got nan"),
+        # a string, bytes or mapping iterates, but is no band, table or knot:
+        # '56' would read as the band [5, 6] GHz and '52' as the knot (5, 2)
+        ("band_GHz", "56", "qubit (0,0,data): band_GHz: must be a list of two numbers, got '56'"),
+        ("band_GHz", {5.6: 0, 6.3: 0}, "qubit (0,0,data): band_GHz: must be a list of two"),
+        ("gamma1_table", ["52", "62", "72"],
+         "qubit (0,0,data): gamma1_table: must be a list of two numbers, got '52'"),
+        ("gamma1_table", b"\x05\x06",
+         "qubit (0,0,data): gamma1_table: must be a list of [f_GHz, rate] knots, got b'"),
+        ("gamma1_table", [[5.2, 0.05, 1.0], [5.8, 0.06], [6.4, 0.05]],
+         "qubit (0,0,data): gamma1_table: must be a list of two numbers, got [5.2, 0.05, 1.0]"),
     ])
     def test_bad_value_names_entry_and_key(self, key, value, message):
         with pytest.raises(DeviceConfigError) as exc:
