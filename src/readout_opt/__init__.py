@@ -42,13 +42,12 @@ from .dynamics import (
 from .error_models import (
     CollisionChannel,
     CollisionDefaults,
-    CollisionSpec,
     CostBreakdown,
     CostModel,
     CostWeights,
     MistParams,
     ReadoutParams,
-    collision_specs,
+    collision_centers,
     coupling_error,
     mist_threshold,
     separation_error,

@@ -37,6 +37,15 @@ class Subset(enum.Enum):
     MEASURE_ONLY = "measure"
 
 
+def _check_exact_tallies(n_states: int, n_shots: int) -> None:
+    """Raise ValueError unless every tally, at most n_states * n_shots, is
+    exact in float64, which holds every integer up to 2**53."""
+    if n_states * n_shots > 2**53:
+        raise ValueError(
+            f"n_states * n_shots must be <= 2**53 for exact tallies, "
+            f"got {n_states} * {n_shots}")
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     n_states: int = 200
@@ -52,11 +61,7 @@ class BenchmarkConfig:
             raise ValueError(f"n_shots must be > 0, got {self.n_shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # float64 holds every integer up to 2**53, so no tally is rounded
-        if self.n_states * self.n_shots > 2**53:
-            raise ValueError(
-                f"n_states * n_shots must be <= 2**53 for exact tallies, "
-                f"got {self.n_states} * {self.n_shots}")
+        _check_exact_tallies(self.n_states, self.n_shots)
         if not 0.0 <= self.prep_error <= 1.0:
             raise ValueError(f"prep_error must be a probability, got {self.prep_error}")
 
@@ -168,12 +173,8 @@ def cross_fidelity(records: ShotRecords):
     in row-major order.  Records with n_states * n_shots above 2**53 raise
     ValueError.
     """
-    n = records.n_shots
-    if len(records.prepared) * n > 2**53:
-        raise ValueError(
-            f"n_states * n_shots must be <= 2**53 for exact tallies, "
-            f"got {len(records.prepared)} * {n}")
-    table = _miss_table(records.prepared, records.ones, n)
+    _check_exact_tallies(len(records.prepared), records.n_shots)
+    table = _miss_table(records.prepared, records.ones, records.n_shots)
     return _fidelity(table, records.qubits)
 
 

@@ -251,6 +251,14 @@ def _finite_non_negative(value) -> float:
     return value
 
 
+def _count(value) -> int:
+    """value if it is an int >= 0; else a ValueError."""
+    value = _integer(value)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 #: cost fields that set the benchmark's shot probabilities
 _SHOT_FIELDS = ("snr", "relaxation", "coupling")
 
@@ -282,15 +290,15 @@ def result_from_dict(raw) -> OptimizationResult:
             t_p=_entry(row, "t_p_ns", float, at),
             t_r=_entry(row, "t_r_ns", float, at),
         )
-        index = _entry(row, "traversal_index", _integer, at)
+        index = _entry(row, "traversal_index", _count, at)
         per_qubit[qid] = QubitResult(
-            params, bd, index, _entry(row, "n_collision_specs", _integer, at))
+            params, bd, index, _entry(row, "n_collision_specs", _count, at))
         order.append((index, qid))
     order.sort()
     return OptimizationResult(
         per_qubit=per_qubit,
         order=[q for _, q in order],
-        evaluations=_entry(raw, "evaluations", _integer),
+        evaluations=_entry(raw, "evaluations", _count),
     )
 
 

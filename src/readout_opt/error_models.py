@@ -26,9 +26,12 @@ bound's margins are this module's alone.  Both kernels check each grid
 of amplitudes and pulse lengths once, before any frequency (_check_grid),
 so an invalid grid raises the same error in either, and per frequency
 check only the pole guard and the step against |chi|, which make the
-frequency infeasible (_feasible_chi).  separation_error, mist_threshold
-and coupling_error are the terms that are functions of one number: the
-benchmark reads the first, the kernel and the bound the other two.
+frequency infeasible (_feasible_chi).  separation_error and
+mist_threshold are terms that are functions of one number: the benchmark
+reads the first, the kernel and the bound the second.  coupling_error is
+the only term that reads the locked neighbors, and the only place that
+decides, on model.heuristics, whether they count; collision_centers gives
+each neighbor's four CollisionChannel frequencies.
 """
 from __future__ import annotations
 
@@ -115,18 +118,6 @@ class CollisionChannel(enum.Enum):
     UP_11_20 = "up_11_20"
     UP_11_02 = "up_11_02"
     HI_12_21 = "hi_12_21"
-
-
-@dataclass(frozen=True)
-class CollisionSpec:
-    channel: CollisionChannel
-    center: float
-    width: float
-    amplitude: float
-
-    def __post_init__(self) -> None:
-        require(self, "> 0", "width")
-        require(self, ">= 0", "amplitude")
 
 
 @dataclass(frozen=True)
@@ -237,41 +228,44 @@ def mist_threshold(omega_q: float, omega_r: float, p: MistParams) -> float:
     return x - math.sqrt(x)
 
 
-def collision_specs(
-    q: QubitPhysical,
-    neighbor_locked,
-    defaults: CollisionDefaults = CollisionDefaults(),
-) -> list[CollisionSpec]:
-    """Four Lorentzian collision channels per locked neighbor.
+def _mist_thresholds(qubits, omegas, mist: MistParams) -> list[float]:
+    """mist_threshold of each plane, qubits[k] at omegas[k], or 0.0 where
+    omega <= omega_r, outside its domain: a plane has a MIST threshold
+    only where this is > 0."""
+    return [0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
+            for q, w in zip(qubits, omegas)]
 
-    neighbor_locked entries are (QubitPhysical, ReadoutParams, next_nearest)
-    triples for neighbors whose parameters the optimizer already fixed.
+
+def collision_centers(q: QubitPhysical, nb: QubitPhysical, omega_nb: float) -> tuple:
+    """The frequencies of q that collide with neighbor nb locked at
+    omega_nb: one center per CollisionChannel, in the enum's order."""
+    return (omega_nb, omega_nb + nb.alpha, omega_nb - q.alpha, omega_nb + nb.alpha - q.alpha)
+
+
+def coupling_error(q: QubitPhysical, omegas, locked, model: CostModel) -> list[float]:
+    """The coupling term of q at each of omegas: 0.0 with model.heuristics
+    False, else the sum of Lorentzian penalties centred on the
+    collision_centers of each locked neighbor.
+
+    locked holds (QubitPhysical, ReadoutParams, next_nearest) triples for
+    neighbors whose parameters the optimizer already fixed; each center
+    gets model.collision's width and the amplitude of the neighbor's order.
+    The sum starts at 0.0 and adds neighbor by neighbor, then channel by
+    channel.
     """
-    specs: list[CollisionSpec] = []
-    for nb, nb_params, next_nearest in neighbor_locked:
-        w_j = nb_params.omega_q
-        width = defaults.width
-        amp = defaults.amplitude(next_nearest)
-        centers = (
-            (CollisionChannel.SWAP_01_10, w_j),
-            (CollisionChannel.UP_11_20, w_j + nb.alpha),
-            (CollisionChannel.UP_11_02, w_j - q.alpha),
-            (CollisionChannel.HI_12_21, w_j + nb.alpha - q.alpha),
-        )
-        for channel, center in centers:
-            specs.append(CollisionSpec(channel, center, width, amp))
-    return specs
-
-
-def coupling_error(omega_q: float, specs) -> float:
-    """Sum of Lorentzian penalties at the candidate qubit frequency."""
-    total = 0.0
-    for s in specs:
-        total += (
-            s.amplitude * (s.width / 2.0) * math.pi
-            / ((omega_q - s.center) ** 2 + s.width**2 / 4.0)
-        )
-    return total
+    if not model.heuristics:
+        return [0.0] * len(omegas)
+    width = model.collision.width
+    terms = [(model.collision.amplitude(next_nearest), collision_centers(q, nb, params.omega_q))
+             for nb, params, next_nearest in locked]
+    out = []
+    for omega in omegas:
+        total = 0.0
+        for amp, centers in terms:
+            for center in centers:
+                total += amp * (width / 2.0) * math.pi / ((omega - center) ** 2 + width**2 / 4.0)
+        out.append(total)
+    return out
 
 
 def _interp_runs(x, rows, runs, out=None):
@@ -406,7 +400,7 @@ def cost_plane(
     amps,
     tp_points,
     model: CostModel,
-    specs=(),
+    locked=(),
 ) -> CostBreakdown:
     """The cost breakdown of the grid omegas x amplitudes x pulse lengths.
 
@@ -438,11 +432,12 @@ def cost_plane(
                   (sharpness n_th) clipped to [-500, 500] and n_th =
                   mist_threshold(omega, q.omega_r, model.mist); the
                   ceiling where omega <= omega_r or n_th <= 0
-      coupling    coupling_error(omega, specs)
+      coupling    coupling_error(q, omegas, locked, model) at omega: the
+                  Lorentzian penalties of the locked neighbors
       total       model.weights.total of the five terms
 
     With model.heuristics False (the predictive-only strategy) mist and
-    coupling are 0 and specs are ignored.  Infeasible points have a +inf
+    coupling are 0 and locked is ignored.  Infeasible points have a +inf
     total and NaN fields: every field at an omega within model.pole_guard
     of a chi pole or with |chi| too large for dt, and every field but snr
     and separation where the Stark trace up to t0 leaves the Gamma1 table.
@@ -486,9 +481,7 @@ def cost_plane(
         i_a, i_t = np.divmod(i_a, len(n_ps))
         cells = Cells(plane, np.asarray(amps, dtype=float)[i_a], np.asarray(n_ps)[i_t])
         scored = _score([q] * len(chis), omegas, chis, u, powers, cells, model)
-        coupling = 0.0
-        if model.heuristics:
-            coupling = np.repeat([coupling_error(w, specs) for w in omegas], per_plane)
+        coupling = np.repeat(coupling_error(q, omegas, locked, model), per_plane)
         for name, plane in with_coupling(scored, coupling, model).items():
             planes[name][feasible] = plane.reshape(len(chis), *shape[1:])
     return CostBreakdown(**planes)
@@ -627,9 +620,7 @@ def _score(qubits, omegas, chis, u, powers, cells: Cells, model) -> dict:
     t0, relax, bad = _relaxation(cum, stark, 0.5 * cum[:, -1], snr_value > 0.0, dt, runs)
     mist_term = np.full(len(plane), mist.ceiling if model.heuristics else 0.0)
     if model.heuristics:
-        # > 0 where the MIST threshold is defined; mist_threshold's domain
-        n_th = np.array([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
-                         for q, w in zip(qubits, omegas)])[plane]
+        n_th = np.array(_mist_thresholds(qubits, omegas, mist))[plane]
         has = ~(n_th <= 0.0)
         if has.any():
             z = (n_max[has] - n_th[has]) / (mist.sharpness * n_th[has])
@@ -872,8 +863,7 @@ def _plane_bounds(qubits, omegas, chis, amps, unit: _UnitColumns, model: CostMod
     if not model.heuristics:
         term[:] = 0.0
     else:
-        n_th = per_plane([0.0 if w <= q.omega_r else mist_threshold(w, q.omega_r, mist)
-                          for q, w in zip(qubits, omegas)])
+        n_th = per_plane(_mist_thresholds(qubits, omegas, mist))
         has = ~(n_th <= 0.0)
         n_th = np.where(has, n_th, 1.0)  # no threshold: any value, overwritten
         z = _lower(np.multiply(a2, n_lo, out=term))
@@ -1016,11 +1006,11 @@ def cell_bound(plane: PlaneStatistics, coupling: float, model: CostModel) -> np.
     cell of one omega.
 
     plane is the omega's entry of plane_statistics on a grid and model,
-    and coupling the omega's coupling term on the neighbors' specs, as
-    cost_plane forms it (0 with model.heuristics False).  Returns a
+    and coupling the omega's coupling term on the locked neighbors, as
+    coupling_error gives it (0 with model.heuristics False).  Returns a
     (amplitudes, pulse lengths) array b, never NaN, with b <= total in
     every cell where cost_plane(q, [omega], amps, tp_points, model,
-    specs).total is finite.  A None entry has no bound to add to: its
+    locked).total is finite.  A None entry has no bound to add to: its
     omega is infeasible in every cell (within the pole guard, or with |chi|
     too large for model.dt), or its grid has no cell.  An invalid grid has
     no entries: plane_statistics raises its error.  Only the coupling term

@@ -5,8 +5,8 @@ possible, then the data qubits.  Each qubit's cost is minimized exactly
 over its (omega_q, amplitude, pulse length) grid while accumulating
 frequency-collision constraints from already-locked neighbors up to
 next-nearest order.  One error_models.CostModel defines the cost for the
-whole walk; its collision defaults turn each locked neighbor into collision
-specs, and with model.heuristics False the neighbors are ignored.
+whole walk; error_models.coupling_error turns the locked neighbors into
+each omega's coupling term, 0 with model.heuristics False.
 
 Before the first qubit is locked, error_models.plane_statistics checks
 every qubit's grid, in walk order, so an invalid grid raises before any
@@ -43,7 +43,6 @@ from .error_models import (
     CostModel,
     ReadoutParams,
     cell_bound,
-    collision_specs,
     coupling_error,
     plane_statistics,
     score_planes,
@@ -167,17 +166,17 @@ def optimize_qubit(
 
     The scan is branch and bound over omega, then over the cells of each
     omega's plane, under either strategy.  Every cost term is >= 0 and the
-    weighted coupling term depends on omega alone, so weights.coupling *
-    coupling_error(omega, specs) is a lower bound on that omega's whole
-    plane; each total is fl(x + bound) with x >= 0, and rounding is
-    monotone, so it holds in floating point too.  The planes with an
-    entry are reached in ascending (bound, omega index) order until a
-    bound is strictly above the best total so far.  A reached plane's
-    cells get error_models.cell_bound's lower bound, from the
-    neighbor-free bound its entry holds and that coupling term, and the
-    cells whose bound is <= the best total are scored, their flat indices
-    in one call of the kernel (error_models.score_planes) from the
-    plane's stored response, so the scan integrates nothing.
+    weighted coupling term depends on omega alone, so weights.coupling
+    times omega's coupling_error is a lower bound on its whole plane; each
+    total is fl(x + bound) with x >= 0, and rounding is monotone, so it
+    holds in floating point too.  The planes with an entry are reached in
+    ascending (bound, omega index) order until a bound is strictly above
+    the best total so far.  A reached plane's cells get
+    error_models.cell_bound's lower bound, from the neighbor-free bound its
+    entry holds and that coupling term, and the cells whose bound is <= the
+    best total are scored, their flat indices in one call of the kernel
+    (error_models.score_planes) from the plane's stored response, so the
+    scan integrates nothing.
 
     The seeds' cells are served first: each with its coupling term and its
     total formed now, as the kernel forms them (error_models.with_coupling),
@@ -197,8 +196,7 @@ def optimize_qubit(
     if planes is None:
         planes, = plane_statistics([_grid_scan(q, grid)], model)
         seeds, = _seed_cells([q], [grid], [planes], model)
-    specs = collision_specs(q, locked, model.collision) if model.heuristics else ()
-    coupling = [coupling_error(omega, specs) for omega in grid.omega_points]
+    coupling = coupling_error(q, grid.omega_points, locked, model)
     bounds = sorted((model.weights.coupling * c, i_w) for i_w, c in enumerate(coupling)
                     if planes[i_w] is not None)  # None: infeasible in every cell, or no cell
     n_tp = len(grid.tp_points)

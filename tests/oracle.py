@@ -170,7 +170,7 @@ def evaluate_cost(
     q: QubitPhysical,
     params: ReadoutParams,
     model: CostModel,
-    specs=(),
+    locked=(),
 ) -> CostBreakdown:
     """All five cost terms for one parameter point under model.
 
@@ -181,9 +181,10 @@ def evaluate_cost(
     back with total = +inf: within model.pole_guard of a chi pole, with
     |chi| too large for the step model.dt, or with the Stark trace leaving
     the Gamma1 table.  An invalid pulse, or a step too coarse for kappa,
-    raises.  specs are the CollisionSpecs of the locked neighbors; with
-    model.heuristics False (the predictive-only strategy) the MIST and
-    coupling terms are zero and specs are ignored.
+    raises.  locked holds the (QubitPhysical, ReadoutParams, next_nearest)
+    triples of the locked neighbors; with model.heuristics False (the
+    predictive-only strategy) the MIST and coupling terms are zero and
+    locked is ignored.
     """
     try:
         traj = field_pair(q, params, model.dt, guard=model.pole_guard)
@@ -213,7 +214,7 @@ def evaluate_cost(
             mist_term = mist_penalty(n_max, n_th, mist.sharpness, mist.ceiling)
         except ValueError:  # omega_q <= omega_r or n_th <= 0: no threshold
             mist_term = mist.ceiling
-        coupling_term = coupling_error(params.omega_q, specs)
+        coupling_term, = coupling_error(q, [params.omega_q], locked, model)
 
     weights = model.weights
     total = (

@@ -28,7 +28,7 @@ from readout_opt import (
     Role,
     SearchGrid,
     Strategy,
-    collision_specs,
+    collision_centers,
     error_budget,
     field_pair,
     load_optimizer_config,
@@ -179,7 +179,6 @@ def test_criterion_05_snr_per_photon_optimum():
 
 def _exhaustive_scan(q, grid, locked, model):
     """Independent brute-force oracle with its own loop and tie-breaking."""
-    specs = collision_specs(q, locked)
     best_key, best = None, None
     for i_w, i_a, i_t in itertools.product(
         range(len(grid.omega_points)),
@@ -192,7 +191,7 @@ def _exhaustive_scan(q, grid, locked, model):
             t_p=grid.tp_points[i_t],
             t_r=model.total_time - grid.tp_points[i_t],
         )
-        bd = evaluate_cost(q, params, model, specs)
+        bd = evaluate_cost(q, params, model, locked)
         if not math.isfinite(bd.total):
             continue
         key = (bd.total, i_w, i_a, i_t)
@@ -272,10 +271,10 @@ def test_criterion_07_collision_avoidance():
         avoided = optimize_device(graph, grids, replace(MODEL, weights=strong))
         w_first = avoided.per_qubit[first].params
         q_second = graph.qubits[second]
-        specs = collision_specs(q_second, [(graph.qubits[first], w_first, False)])
+        centers = collision_centers(q_second, graph.qubits[first], w_first.omega_q)
         w_second = avoided.per_qubit[second].params.omega_q
-        for spec in specs:
-            assert abs(w_second - spec.center) > spec.width / 2.0
+        for center in centers:
+            assert abs(w_second - center) > MODEL.collision.width / 2.0
 
 
 def test_criterion_08_benchmark_self_consistency():

@@ -1068,6 +1068,11 @@ class TestBadResultsFile:
          "qubit (0,1): traversal_index: must be an integer, got '1'"),
         (_set(("qubits", 0, "n_collision_specs"), 2.5),
          "qubit (0,0): n_collision_specs: must be an integer, got 2.5"),
+        (_set(("qubits", 0, "n_collision_specs"), -7),
+         "qubit (0,0): n_collision_specs: must be >= 0, got -7"),
+        (_set(("qubits", 1, "traversal_index"), -3),
+         "qubit (0,1): traversal_index: must be >= 0, got -3"),
+        (_set(("evaluations",), -5), "evaluations: must be >= 0, got -5"),
         (lambda raw: raw["qubits"].append(dict(raw["qubits"][0])),
          "qubit (0,0): duplicate entry"),
     ])

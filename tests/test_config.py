@@ -8,7 +8,6 @@ from readout_opt import (
     OptimizerConfig,
     Strategy,
     build_search_grid,
-    collision_specs,
     load_device,
     load_optimizer_config,
     neighbors,
@@ -275,8 +274,7 @@ class TestShippedConfigsReportWhatTheySimulate:
                 (graph.qubits[nb], locked[nb], nb.row != qid.row and nb.col != qid.col)
                 for nb in neighbors(graph, qid, NeighborOrder.BOTH) if nb in locked
             ]
-            specs = collision_specs(graph.qubits[qid], active, model.collision)
-            again = evaluate_cost(graph.qubits[qid], r.params, model, specs)
+            again = evaluate_cost(graph.qubits[qid], r.params, model, active)
             assert again.total == r.breakdown.total
             locked[qid] = r.params
 

@@ -20,7 +20,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from readout_opt import (
-    CollisionDefaults,
     CostBreakdown,
     CostModel,
     CostWeights,
@@ -29,7 +28,6 @@ from readout_opt import (
     SearchGrid,
     StepSizeError,
     build_search_grid,
-    collision_specs,
     field_pair,
     load_device,
     load_optimizer_config,
@@ -64,33 +62,29 @@ def model(weights=CostWeights(), include_heuristics=True, total_time=TOTAL, dt=D
                      total_time=total_time, heuristics=include_heuristics)
 
 
-def kernel_coupling(omega, specs, cost_model):
-    """The coupling term cost_plane gives omega's cells."""
-    return coupling_error(omega, specs) if cost_model.heuristics else 0.0
-
-
-def omega_bound(q, omega, amps, tps, cost_model, specs=()):
-    """cell_bound of one omega, from its own plane_statistics entry, or
-    None where that entry is None."""
+def omega_bound(q, omega, amps, tps, cost_model):
+    """cell_bound of one omega with no locked neighbor, from its own
+    plane_statistics entry, or None where that entry is None."""
     (plane,), = plane_statistics([(q, [omega], amps, tps)], cost_model)
     if plane is None:
         return None
-    return cell_bound(plane, kernel_coupling(omega, specs, cost_model), cost_model)
+    return cell_bound(plane, 0.0, cost_model)
 
 
-def score_cells(q, plane, amps, rows, cols, cost_model, specs=()):
+def score_cells(q, plane, amps, rows, cols, cost_model, locked=()):
     """The breakdown of the cells amps[rows] x the plane's pulse lengths
     [cols], as the scan scores them: score_planes, then with_coupling.
     Each field is a (len(rows), len(cols)) array."""
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     flat = (rows[:, None] * len(plane.n_ps) + cols).ravel()
     scored, = score_planes([(q, plane, amps, flat)], cost_model)
-    scored = with_coupling(scored, kernel_coupling(plane.omega, specs, cost_model), cost_model)
+    coupling, = coupling_error(q, [plane.omega], locked, cost_model)
+    scored = with_coupling(scored, coupling, cost_model)
     return CostBreakdown(**{name: values.reshape(len(rows), len(cols))
                             for name, values in scored.items()})
 
 
-def oracle(q, omegas, amps, tps, cost_model, specs):
+def oracle(q, omegas, amps, tps, cost_model, locked):
     """evaluate_cost at every cell in row-major order.
 
     Returns ({field: grid}, None), or (None, exception) for the first
@@ -102,7 +96,7 @@ def oracle(q, omegas, amps, tps, cost_model, specs):
             for j, t_p in enumerate(tps):
                 params = ReadoutParams(omega, b0, t_p, cost_model.total_time - t_p)
                 try:
-                    bd = evaluate_cost(q, params, cost_model, specs)
+                    bd = evaluate_cost(q, params, cost_model, locked)
                 except ValueError as exc:
                     return None, exc
                 for name in FIELDS:
@@ -115,11 +109,11 @@ def oracle(q, omegas, amps, tps, cost_model, specs):
 CHECKED_OMEGA = 0.5 * sum(D3.search_band[QIDS[0]])
 
 
-def grid_error(q, amps, tps, cost_model, specs=()):
+def grid_error(q, amps, tps, cost_model, locked=()):
     """The oracle's first error on the grid amps x tps at CHECKED_OMEGA, or
     None: what cost_plane raises on any omegas with those amplitudes and
     pulse lengths."""
-    return oracle(q, [CHECKED_OMEGA], amps, tps, cost_model, specs)[1]
+    return oracle(q, [CHECKED_OMEGA], amps, tps, cost_model, locked)[1]
 
 
 def assert_raises_as(error, func, *args):
@@ -129,19 +123,19 @@ def assert_raises_as(error, func, *args):
     assert (type(got.value), str(got.value)) == (type(error), str(error))
 
 
-def assert_same(q, omegas, amps, tps, weights=CostWeights(), specs=(),
+def assert_same(q, omegas, amps, tps, weights=CostWeights(), locked=(),
                 include_heuristics=True, **kw):
     """Kernel and oracle agree in every field of every cell, or the kernel
     raises the grid's error (grid_error).  Returns the kernel's breakdown,
     or None where it raises."""
     cost_model = model(weights, include_heuristics, **kw)
-    error = grid_error(q, amps, tps, cost_model, specs)
+    error = grid_error(q, amps, tps, cost_model, locked)
     if error is not None:
-        assert_raises_as(error, cost_plane, q, omegas, amps, tps, cost_model, specs)
+        assert_raises_as(error, cost_plane, q, omegas, amps, tps, cost_model, locked)
         return None
-    expected, error = oracle(q, omegas, amps, tps, cost_model, specs)
+    expected, error = oracle(q, omegas, amps, tps, cost_model, locked)
     assert error is None
-    bd = cost_plane(q, omegas, amps, tps, cost_model, specs)
+    bd = cost_plane(q, omegas, amps, tps, cost_model, locked)
     for name in FIELDS:
         grid = getattr(bd, name)
         assert grid.shape == expected[name].shape, name
@@ -205,8 +199,7 @@ def grids(draw):
         nb_omega = omegas[0] + draw(st.floats(-0.3, 0.3))
         locked.append((nb, ReadoutParams(nb_omega, 0.1, 300.0, 200.0),
                        draw(st.booleans())))
-    specs = collision_specs(q, locked, CollisionDefaults())
-    return q, omegas, amps, tps, draw(weights), specs, include_heuristics
+    return q, omegas, amps, tps, draw(weights), locked, include_heuristics
 
 
 # no shrinking: each shrink step reruns the oracle, so a fault would take
@@ -230,10 +223,10 @@ def test_cell_bound_below_every_finite_cell(case):
     with_coupling, the scan's scoring, gives the kernel's plane bit for
     bit.  On an invalid grid plane_statistics raises what the kernel
     raises, and so does the scan on the grid's sorted values."""
-    q, omegas, amps, tps, weights, specs, include_heuristics = case
+    q, omegas, amps, tps, weights, locked, include_heuristics = case
     cost_model = model(weights, include_heuristics)
     try:
-        bd, error = cost_plane(q, omegas, amps, tps, cost_model, specs), None
+        bd, error = cost_plane(q, omegas, amps, tps, cost_model, locked), None
     except ValueError as exc:
         error = exc
     if error is not None:
@@ -244,6 +237,7 @@ def test_cell_bound_below_every_finite_cell(case):
         assert_raises_as(want.value, optimize_qubit, q, grid, [], cost_model)
         return
     planes, = plane_statistics([(q, omegas, amps, tps)], cost_model)
+    coupling = coupling_error(q, omegas, locked, cost_model)
     for i, plane in enumerate(planes):
         total = bd.total[i]
         # snr is NaN only near a pole or with |chi| too large for dt
@@ -251,13 +245,13 @@ def test_cell_bound_below_every_finite_cell(case):
             assert np.isnan(bd.snr[i]).all() and np.isposinf(total).all()
             continue
         assert not np.isnan(bd.snr[i]).any()
-        bound = cell_bound(plane, kernel_coupling(omegas[i], specs, cost_model), cost_model)
+        bound = cell_bound(plane, coupling[i], cost_model)
         assert bound.shape == total.shape
         assert not np.isnan(bound).any()
         finite = np.isfinite(total)
         assert (bound[finite] <= total[finite]).all(), (omegas[i], bound, total)
         got = score_cells(q, plane, amps, np.arange(len(amps)), np.arange(len(tps)),
-                          cost_model, specs)
+                          cost_model, locked)
         for name in FIELDS:
             np.testing.assert_array_equal(getattr(got, name).view(np.int64),
                                           getattr(bd, name)[i].view(np.int64))
@@ -352,7 +346,7 @@ def test_mixed_cells_keep_their_bits_in_any_batch(monkeypatch):
     is +inf there, everywhere."""
     cost_model = model()
     qids = (QIDS[0], QIDS[3], QIDS[6])
-    scans, specs = [], []
+    scans, locked = [], []
     for k, qid in enumerate(qids):
         q, (lo, hi) = D3.qubits[qid], D3.search_band[qid]
         omegas = [lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo)]
@@ -361,8 +355,7 @@ def test_mixed_cells_keep_their_bits_in_any_batch(monkeypatch):
         amps = [0.0, 0.05 * q.amp_ref, 0.2 * q.amp_ref, 3.0 * q.amp_ref]
         scans.append((q, omegas, amps, [5.0, 120.0, 300.0, 480.0]))
         nb = D3.qubits[QIDS[k + 1]]
-        specs.append(collision_specs(q, [(nb, ReadoutParams(omegas[0], 0.1, 300.0, 200.0),
-                                          False)]))
+        locked.append([(nb, ReadoutParams(omegas[0], 0.1, 300.0, 200.0), False)])
     planes = plane_statistics(scans, cost_model)
     q, omegas, amps, tps = scans[0]
     assert planes[0][3] is None
@@ -376,8 +369,8 @@ def test_mixed_cells_keep_their_bits_in_any_batch(monkeypatch):
     for k, i, a, j in picks:
         q, omegas, amps, tps = scans[k]
         point = ReadoutParams(omegas[i], amps[a], tps[j], TOTAL - tps[j])
-        want = evaluate_cost(q, point, cost_model, specs[k])
-        one = cost_plane(q, [omegas[i]], [amps[a]], [tps[j]], cost_model, specs[k])
+        want = evaluate_cost(q, point, cost_model, locked[k])
+        one = cost_plane(q, [omegas[i]], [amps[a]], [tps[j]], cost_model, locked[k])
         for name in FIELDS:
             assert getattr(one, name)[0, 0, 0].hex() == getattr(want, name).hex(), name
         expected[k, i, a, j] = [getattr(want, name) for name in FIELDS]
@@ -390,7 +383,8 @@ def test_mixed_cells_keep_their_bits_in_any_batch(monkeypatch):
             runs.append((scans[k][0], planes[k][i], scans[k][2], flat))
         parts = error_models.score_planes(runs, cost_model)
         scored = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-        coupling = [coupling_error(scans[k][1][i], specs[k]) for k, i, _, _ in order]
+        coupling = [coupling_error(scans[k][0], [scans[k][1][i]], locked[k], cost_model)[0]
+                    for k, i, _, _ in order]
         got = error_models.with_coupling(scored, np.array(coupling), cost_model)
         for c, key in enumerate(order):
             for name, want in zip(FIELDS, expected[key]):
@@ -486,8 +480,8 @@ def test_scan_raises_the_kernels_error_in_any_walk_order():
     grid = SearchGrid((25.0, 31.0), (0.1,), (0.4, 600.0))
     assert abs(dispersive_shift(q, 31.0)) > 0.1 / cost_model.dt
     locked = [(nb, ReadoutParams(25.0, 0.1, 300.0, 200.0), False)]
-    specs = collision_specs(q, locked, cost_model.collision)
-    assert coupling_error(31.0, specs) < coupling_error(25.0, specs)
+    high, low = coupling_error(q, [31.0, 25.0], locked, cost_model)
+    assert high < low
     with pytest.raises(StepSizeError) as kernel:
         cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points, cost_model)
     assert str(kernel.value) == "pulse (t_p=0.4, t_r=499.6) unresolvable at dt=1.0"
@@ -780,9 +774,8 @@ class TestScan:
                    False)]
         params, bd, _ = optimize_qubit(
             q, grid, locked, model(include_heuristics=include_heuristics))
-        specs = collision_specs(q, locked) if include_heuristics else ()
         planes = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
-                            model(include_heuristics=include_heuristics), specs).total
+                            model(include_heuristics=include_heuristics), locked).total
         assert bd.total == planes.min()
         i_w, i_a, i_t = np.unravel_index(np.argmin(planes), planes.shape)
         assert params == ReadoutParams(
@@ -791,7 +784,7 @@ class TestScan:
         assert math.isfinite(bd.total)
         # the breakdown read from the plane is evaluate_cost's
         assert bd == evaluate_cost(
-            q, params, model(include_heuristics=include_heuristics), specs)
+            q, params, model(include_heuristics=include_heuristics), locked)
 
     def test_chi_too_large_for_dt_is_infeasible(self):
         # 0.095 rad/ns above the omega_r - alpha pole: outside the guard, but

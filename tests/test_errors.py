@@ -10,13 +10,12 @@ from scipy.integrate import quad
 from readout_opt import (
     CollisionChannel,
     CollisionDefaults,
-    CollisionSpec,
     CostModel,
     CostWeights,
     FieldTrajectory,
     MistParams,
     ReadoutParams,
-    collision_specs,
+    collision_centers,
     coupling_error,
     field_pair,
     load_device,
@@ -244,60 +243,71 @@ class TestMist:
 
 
 class TestCollisions:
+    Q = make_qubit()  # alpha -0.2 GHz
+    NB = make_qubit(alpha=-TWO_PI * 0.25)
+    W = TWO_PI * 6.0
+    #: 10 kHz wide: the other three centers of a neighbor, 50 MHz and more
+    #: away, add under 1e-7 of the peak
+    NARROW = CostModel(collision=CollisionDefaults(width=TWO_PI * 1e-5, resonance_penalty=0.7))
+
+    def coupling(self, omegas, locked, model=CostModel()):
+        return coupling_error(self.Q, omegas, locked, model)
+
     def test_four_channels_per_neighbor(self):
-        q = make_qubit()
-        nb = make_qubit(alpha=-TWO_PI * 0.25)
-        nb_params = default_params(omega_q=TWO_PI * 6.0)
-        specs = collision_specs(q, [(nb, nb_params, False)])
-        assert len(specs) == 4
-        by_channel = {s.channel: s.center for s in specs}
-        w = nb_params.omega_q
-        assert by_channel[CollisionChannel.SWAP_01_10] == pytest.approx(w)
-        assert by_channel[CollisionChannel.UP_11_20] == pytest.approx(
-            w + nb.alpha)
-        assert by_channel[CollisionChannel.UP_11_02] == pytest.approx(
-            w - q.alpha)
-        assert by_channel[CollisionChannel.HI_12_21] == pytest.approx(
-            w + nb.alpha - q.alpha)
+        centers = collision_centers(self.Q, self.NB, self.W)
+        assert len(centers) == len(CollisionChannel) == 4
+        by_channel = dict(zip(CollisionChannel, centers))
+        assert by_channel == {
+            CollisionChannel.SWAP_01_10: self.W,
+            CollisionChannel.UP_11_20: self.W + self.NB.alpha,
+            CollisionChannel.UP_11_02: self.W - self.Q.alpha,
+            CollisionChannel.HI_12_21: self.W + self.NB.alpha - self.Q.alpha,
+        }
 
     def test_next_nearest_scaled_down(self):
-        q = make_qubit()
-        nb_params = default_params()
-        near = collision_specs(q, [(q, nb_params, False)])
-        far = collision_specs(q, [(q, nb_params, True)])
-        for s_near, s_far in zip(near, far):
-            assert s_far.amplitude == pytest.approx(0.5 * s_near.amplitude)
+        omegas = [self.W + d for d in (-1.0, -0.3, 0.0, 0.1, 0.7)]
+        params = default_params(omega_q=self.W)
+        near = self.coupling(omegas, [(self.NB, params, False)])
+        far = self.coupling(omegas, [(self.NB, params, True)])
+        assert far == pytest.approx([0.5 * v for v in near], rel=1e-12)
 
     def test_resonance_value(self):
-        spec = CollisionSpec(CollisionChannel.SWAP_01_10,
-                             center=10.0, width=0.2, amplitude=0.03)
-        assert coupling_error(10.0, [spec]) == pytest.approx(
-            2 * math.pi * 0.03 / 0.2, rel=1e-12)
+        """A direct hit costs the Lorentzian peak 2*pi*amplitude/width."""
+        d = self.NARROW.collision
+        locked = [(self.NB, default_params(omega_q=self.W), True)]
+        assert self.coupling([self.W], locked, self.NARROW) == pytest.approx(
+            [2 * math.pi * d.amplitude(True) / d.width], rel=1e-6)
 
     def test_default_amplitude_normalizes_resonance_to_penalty(self):
-        d = CollisionDefaults(resonance_penalty=0.7)
-        spec = CollisionSpec(CollisionChannel.SWAP_01_10, center=5.0,
-                             width=d.width, amplitude=d.amplitude(False))
-        assert coupling_error(5.0, [spec]) == pytest.approx(0.7, rel=1e-12)
+        """At each center the value is the default amplitude's resonance_penalty."""
+        locked = [(self.NB, default_params(omega_q=self.W), False)]
+        for center in collision_centers(self.Q, self.NB, self.W):
+            assert self.coupling([center], locked, self.NARROW) == pytest.approx(
+                [0.7], rel=1e-6)
 
     def test_half_width_half_maximum(self):
-        spec = CollisionSpec(CollisionChannel.SWAP_01_10,
-                             center=10.0, width=0.2, amplitude=0.03)
-        peak = coupling_error(10.0, [spec])
-        assert coupling_error(10.1, [spec]) == pytest.approx(
-            peak / 2, rel=1e-12)
+        locked = [(self.NB, default_params(omega_q=self.W), False)]
+        half_width = self.NARROW.collision.width / 2.0
+        peak, below, above = self.coupling(
+            [self.W, self.W - half_width, self.W + half_width], locked, self.NARROW)
+        assert below == pytest.approx(peak / 2, rel=1e-6)
+        assert above == pytest.approx(peak / 2, rel=1e-6)
 
-    def test_sum_over_specs(self):
-        specs = [
-            CollisionSpec(CollisionChannel.SWAP_01_10, 10.0, 0.2, 0.03),
-            CollisionSpec(CollisionChannel.UP_11_20, 11.0, 0.3, 0.02),
-        ]
-        total = coupling_error(10.5, specs)
-        parts = [coupling_error(10.5, [s]) for s in specs]
-        assert total == pytest.approx(sum(parts), rel=1e-12)
+    def test_two_neighbors_sum_to_their_parts(self):
+        a = (self.NB, default_params(omega_q=self.W), False)
+        b = (self.Q, default_params(omega_q=self.W + 0.4), True)
+        omegas = [self.W + d for d in (-0.5, 0.0, 0.2, 0.4)]
+        total = self.coupling(omegas, [a, b])
+        parts = [x + y for x, y in zip(self.coupling(omegas, [a]), self.coupling(omegas, [b]))]
+        assert total == pytest.approx(parts, rel=1e-12)
 
-    def test_empty_specs(self):
-        assert coupling_error(10.0, []) == 0.0
+    def test_no_neighbor(self):
+        assert self.coupling([self.W, self.W + 1.0], []) == [0.0, 0.0]
+
+    def test_predictive_only_is_zero_with_neighbors(self):
+        locked = [(self.NB, default_params(omega_q=self.W), False)]
+        omegas = list(collision_centers(self.Q, self.NB, self.W))
+        assert self.coupling(omegas, locked, CostModel(heuristics=False)) == [0.0] * 4
 
 
 class TestEvaluateCost:
@@ -308,9 +318,8 @@ class TestEvaluateCost:
     def test_matches_component_functions(self):
         q = make_qubit()
         params = default_params()
-        specs = collision_specs(
-            q, [(make_qubit(), default_params(omega_q=TWO_PI * 6.05), False)])
-        out = evaluate_cost(q, params, self.MODEL, specs)
+        locked = [(make_qubit(), default_params(omega_q=TWO_PI * 6.05), False)]
+        out = evaluate_cost(q, params, self.MODEL, locked)
         traj = field_pair(q, params, DT)
         s = snr(traj, q.eta, q.kappa)
         assert out.snr == pytest.approx(s, rel=1e-12)
@@ -326,8 +335,8 @@ class TestEvaluateCost:
         assert out.n_max == pytest.approx(max(n0.max(), n1.max()), rel=1e-12)
         n_th = mist_threshold(params.omega_q, q.omega_r, self.M)
         assert out.mist == pytest.approx(mist_penalty(out.n_max, n_th), rel=1e-12)
-        assert out.coupling == pytest.approx(
-            coupling_error(params.omega_q, specs), rel=1e-12)
+        assert [out.coupling] == pytest.approx(
+            coupling_error(q, [params.omega_q], locked, self.MODEL), rel=1e-12)
         assert out.total == pytest.approx(
             out.separation + out.relaxation + out.photon + out.mist
             + out.coupling, rel=1e-12)
@@ -346,9 +355,8 @@ class TestEvaluateCost:
     def test_predictive_only_drops_heuristics(self):
         q = make_qubit()
         params = default_params()
-        specs = collision_specs(q, [(q, params, False)])
         out = evaluate_cost(q, params, replace(self.MODEL, heuristics=False),
-                            specs)
+                            [(q, params, False)])
         assert out.mist == 0.0
         assert out.coupling == 0.0
         assert out.total == pytest.approx(

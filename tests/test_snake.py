@@ -16,7 +16,6 @@ from readout_opt import (
     Role,
     SearchGrid,
     build_search_grid,
-    collision_specs,
     load_optimizer_config,
     optimize_device,
     optimize_qubit,
@@ -45,7 +44,6 @@ def small_grid(n_omega=5, n_amp=4, n_tp=3):
 
 def brute_force(q, grid, locked, include_heuristics=True):
     """Oracle: independent exhaustive scan with its own tie-breaking."""
-    specs = collision_specs(q, locked) if include_heuristics else ()
     best_key, best = None, None
     indices = itertools.product(
         range(len(grid.omega_points)),
@@ -60,7 +58,7 @@ def brute_force(q, grid, locked, include_heuristics=True):
             t_r=TOTAL - grid.tp_points[i_t],
         )
         bd = evaluate_cost(q, params,
-                           replace(MODEL, heuristics=include_heuristics), specs)
+                           replace(MODEL, heuristics=include_heuristics), locked)
         if not math.isfinite(bd.total):
             continue
         key = (bd.total, i_w, i_a, i_t)
@@ -216,7 +214,8 @@ class TestPruning:
             return self.Entry(omega, n_ps, np.array(bounds.get(omega, np.zeros((2, 2))),
                                                     dtype=float))
 
-        monkeypatch.setattr(snake, "coupling_error", lambda omega, specs: couplings[omega])
+        monkeypatch.setattr(snake, "coupling_error",
+                            lambda q, omegas, locked, model: [couplings[w] for w in omegas])
         monkeypatch.setattr(snake, "plane_statistics",
                             lambda scans, model: [[entry(w) for w in s[1]] for s in scans])
         monkeypatch.setattr(snake, "score_planes", fake_kernel)
@@ -438,11 +437,10 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
     for qid in result.order:
         q, grid = d3_graph.qubits[qid], grids[qid]
         locked = snake._locked_neighbors(d3_graph, qid, locked_params)
-        specs = collision_specs(q, locked, model.collision) if heuristics else ()
         best = None
         for i_w, omega in enumerate(grid.omega_points):
             totals = cost_plane(q, [omega], grid.amp_points, grid.tp_points,
-                                model, specs).total
+                                model, locked).total
             for flat, total in enumerate(totals.flat):
                 if math.isfinite(total) and (best is None or (total, i_w, flat) < best):
                     best = (total, i_w, flat)
