@@ -15,7 +15,7 @@ from .benchmark import (
 from .config import (
     OptimizerConfig,
     Strategy,
-    build_search_grid,
+    build_search_grids,
     load_optimizer_config,
 )
 from .device import (

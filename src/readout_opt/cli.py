@@ -8,6 +8,8 @@ One writer owns --out: each command builds its files as text and hands
 them to _write in one call, which creates the directory, writes each file
 as given and removes the files a run leaves stale (an infeasible optimize
 removes results.yaml and summary.csv, a feasible one results_partial.yaml).
+One table (_OUTPUTS) names each command's files, so _write also refuses an
+--out that holds another command's, and writes nothing there.
 
 results.yaml and results_partial.yaml are written by the results schema's
 direct emitter (_emit_results), and benchmark --results reads them back
@@ -38,7 +40,7 @@ from .config import (
     OptimizerConfig,
     OptimizerConfigError,
     Strategy,
-    build_search_grid,
+    build_search_grids,
     check_dt,
     check_start,
     config_echo,
@@ -121,16 +123,37 @@ def _load_opt_config(path: str | None) -> OptimizerConfig:
     return _named(path, load_optimizer_config, OptimizerConfigError)
 
 
-def _write(out: Path, files: dict[str, str | None]) -> None:
-    """Create out and write each name -> text into it as given, without
-    newline translation; a None text removes that file.  The only code that
-    creates, writes or clears an output directory."""
+#: the files each command writes into --out, in the order _write takes
+#: their texts, besides the manifest.yaml that every command writes
+_OUTPUTS = {
+    "optimize": ("results.yaml", "summary.csv", "results_partial.yaml"),
+    "sweep": ("sweep.csv", "trajectory.csv"),
+    "benchmark": ("per_qubit_errors.csv", "cross_fidelity.csv", "cross_fidelity_hist.csv",
+                  "budget.csv", "report.txt"),
+}
+
+
+def _write(out: Path, command: str, manifest: str, *texts: str | None) -> None:
+    """Create out and write command's files into it, without newline
+    translation: manifest.yaml, and each name of _OUTPUTS[command] with
+    the text at its place in texts.  A name without a text (None, or past
+    the end of texts) is removed, so no file of an earlier run is left
+    beside this run's manifest.  Where out holds a file that another
+    command writes, raises ValueError, naming out and that file, before
+    anything is written.  The only code that creates, writes or clears an
+    output directory."""
+    for other, names in _OUTPUTS.items():
+        for name in names:
+            if other != command and (out / name).exists():
+                raise ValueError(f"--out {out}: holds {name}, which {other} writes; "
+                                 f"{command} needs a directory of its own")
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
+    for name, text in itertools.zip_longest(_OUTPUTS[command], texts):
         if text is None:
             (out / name).unlink(missing_ok=True)
         else:
             (out / name).write_text(text, newline="")
+    (out / "manifest.yaml").write_text(manifest, newline="")
 
 
 def _csv(header, rows) -> str:
@@ -158,7 +181,7 @@ _COST_KEYS = {f.name: "t0_ns" if f.name == "t0" else f.name
 
 def result_to_dict(result: OptimizationResult, strategy: Strategy) -> dict:
     rows = []
-    for qid in sorted(result.per_qubit, key=lambda q: (q.row, q.col)):
+    for qid in sorted(result.per_qubit):
         r = result.per_qubit[qid]
         rows.append({
             "row": qid.row,
@@ -337,7 +360,7 @@ def cmd_optimize(args) -> int:
     strategy = Strategy(args.strategy)
     model = replace(cfg.model, heuristics=strategy is Strategy.ALL_MODELS)
     out = Path(args.out)
-    grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
+    grids = build_search_grids(graph, cfg)
 
     t_begin = time.perf_counter()
     try:
@@ -354,17 +377,13 @@ def cmd_optimize(args) -> int:
     if infeasible:
         # the qubits locked before the infeasible one, if any, and no file
         # of an earlier run beside this run's manifest
-        _write(out, {"results.yaml": None, "summary.csv": None,
-                     "results_partial.yaml":
-                         _emit_results(result_dict) if result.per_qubit else None,
-                     "manifest.yaml": manifest})
+        _write(out, "optimize", manifest, None, None,
+               _emit_results(result_dict) if result.per_qubit else None)
         return EXIT_INFEASIBLE
     log.info("optimized %d qubits: %d grid points, %d scored in %.1f ms",
              len(result.per_qubit), result.evaluations, result.scored, elapsed_ms)
 
-    _write(out, {"results.yaml": _emit_results(result_dict),
-                 "summary.csv": _summary_csv(result_dict),
-                 "manifest.yaml": manifest, "results_partial.yaml": None})
+    _write(out, "optimize", manifest, _emit_results(result_dict), _summary_csv(result_dict))
     print(f"wrote {out / 'results.yaml'} ({result.evaluations} grid points, "
           f"{result.scored} scored, {elapsed_ms:.1f} ms)")
     return EXIT_OK
@@ -480,32 +499,28 @@ def cmd_sweep(args) -> int:
 
     n0, n1 = photon_number(traj.beta0), photon_number(traj.beta1)
     out = Path(args.out)
-    _write(out, {
-        "sweep.csv": _csv(["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS],
-                          rows),
-        "trajectory.csv": _csv(
-            ["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"],
-            zip(*(column.tolist() for column in (
-                traj.times, traj.beta0.real, traj.beta0.imag,
-                traj.beta1.real, traj.beta1.imag, n0, n1)))),
-        "manifest.yaml": _manifest(
-            args, "sweep", opt_config=str(args.opt_config) if args.opt_config else None,
-            strategy=strategy.value, qubit=[qid.row, qid.col], axis=axis,
-            range=[float(args.min), float(args.max), int(args.points)],
-            pins={"f_GHz": rad_ns_to_ghz(pin_omega), "amp": pin_amp, "t_p_ns": pin_tp},
-            resolved_config=config_echo(cfg)),
-    })
+    manifest = _manifest(
+        args, "sweep", opt_config=str(args.opt_config) if args.opt_config else None,
+        strategy=strategy.value, qubit=[qid.row, qid.col], axis=axis,
+        range=[float(args.min), float(args.max), int(args.points)],
+        pins={"f_GHz": rad_ns_to_ghz(pin_omega), "amp": pin_amp, "t_p_ns": pin_tp},
+        resolved_config=config_echo(cfg))
+    _write(out, "sweep", manifest,
+           _csv(["f_q_GHz", "amp", "B0", "t_p_ns", "t_r_ns", *_SWEEP_COLUMNS], rows),
+           _csv(["t_ns", "re_beta0", "im_beta0", "re_beta1", "im_beta1", "n0", "n1"],
+                zip(*(column.tolist() for column in (
+                    traj.times, traj.beta0.real, traj.beta0.imag,
+                    traj.beta1.real, traj.beta1.imag, n0, n1)))))
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
 
 def _benchmark_files(report: BenchmarkReport) -> dict[str, str]:
-    """benchmark's five output files, name -> text."""
-    files = {"per_qubit_errors.csv": _csv(
-        ["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
-        [(qid.row, qid.col, qid.role.value,
-          report.p10[qid], report.p01[qid], report.error[qid])
-         for qid in report.qubits])}
+    """benchmark's five output files, name -> text, in _OUTPUTS' order."""
+    errors = _csv(["row", "col", "role", "p_1_given_0", "p_0_given_1", "error"],
+                  [(qid.row, qid.col, qid.role.value,
+                    report.p10[qid], report.p01[qid], report.error[qid])
+                   for qid in report.qubits])
     # _csv's text, with each qubit's "row,col," formatted once: a row
     # formats only its float, by repr as csv.writer does
     cells = [f"{q.row},{q.col}," for q in report.qubits]
@@ -513,7 +528,7 @@ def _benchmark_files(report: BenchmarkReport) -> dict[str, str]:
     texts = list(map(repr, offdiag.tolist()))
     pairs = [cell_i + cell_j for i, cell_i in enumerate(cells)
              for j, cell_j in enumerate(cells) if i != j]
-    files["cross_fidelity.csv"] = "row_i,col_i,row_j,col_j,F_ij\r\n" + "".join(
+    pair_csv = "row_i,col_i,row_j,col_j,F_ij\r\n" + "".join(
         [pair + text + "\r\n" for pair, text in zip(pairs, texts)])
     # integrated histogram of |F_ij| over the finite entries: repr(|x|) is
     # repr(x) without its sign, so only the cumulative fractions are formatted
@@ -521,11 +536,11 @@ def _benchmark_files(report: BenchmarkReport) -> dict[str, str]:
     order = finite[np.argsort(np.abs(offdiag[finite]), kind="stable")]
     absf = np.abs(offdiag[order])
     fractions = map(repr, (np.arange(1, len(order) + 1) / len(order)).tolist())
-    files["cross_fidelity_hist.csv"] = "abs_F,cumulative_fraction\r\n" + "".join(
+    hist_csv = "abs_F,cumulative_fraction\r\n" + "".join(
         [texts[k].lstrip("-") + "," + fraction + "\r\n"
          for k, fraction in zip(order.tolist(), fractions)])
     b = report.budget
-    files["budget.csv"] = _csv(["component", "probability"], [
+    budget = _csv(["component", "probability"], [
         (name, getattr(b, name))
         for name in ("separation", "state_prep", "relaxation", "unknown", "observed")])
 
@@ -545,8 +560,8 @@ def _benchmark_files(report: BenchmarkReport) -> dict[str, str]:
         lines.append("warning: unknown component negative beyond tolerance")
     if report.undefined_pairs:
         lines.append(f"undefined cross-fidelity pairs: {len(report.undefined_pairs)}")
-    files["report.txt"] = "\n".join(lines) + "\n"
-    return files
+    return dict(zip(_OUTPUTS["benchmark"],
+                    (errors, pair_csv, hist_csv, budget, "\n".join(lines) + "\n")))
 
 
 def cmd_benchmark(args) -> int:
@@ -584,10 +599,10 @@ def cmd_benchmark(args) -> int:
     report = run_benchmark(graph, result, cfg)
 
     out = Path(args.out)
-    _write(out, {**_benchmark_files(report), "manifest.yaml": _manifest(
+    _write(out, "benchmark", _manifest(
         args, "benchmark", results=str(args.results), seed=cfg.seed,
         n_states=cfg.n_states, n_shots=cfg.n_shots, prep_error=cfg.prep_error,
-        subset=cfg.subset.value)})
+        subset=cfg.subset.value), *_benchmark_files(report).values())
     print(f"wrote benchmark report to {out}")
     return EXIT_OK
 

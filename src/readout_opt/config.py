@@ -2,11 +2,12 @@
 
 Like the device config, the file is YAML with explicit units in the field
 names; everything is converted to rad/ns and ns once at load.
+build_search_grids turns a loaded config into every qubit's search grid
+of a device in one call.
 """
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, NamedTuple
@@ -223,34 +224,21 @@ def snap_length(value: float, dt: float, total: float) -> float:
     return snapped
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_axes(g: GridSpec, dt: float) -> tuple[np.ndarray, tuple[float, ...]]:
-    """build_search_grid's qubit-independent axes: the amplitudes in units of
-    amp_ref, read-only, and the pulse lengths, snapped by snap_to_steps."""
-    amp = np.linspace(g.amp_min, g.amp_max, g.n_amp)
-    amp.setflags(write=False)  # shared by every caller
-    tp = snap_to_steps(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
-                       g.tp_min_ns, g.tp_max_ns, dt)
-    return amp, tuple(tp.tolist())
+def build_search_grids(graph: DeviceGraph, cfg: OptimizerConfig) -> dict[QubitId, SearchGrid]:
+    """Every qubit's grid: omega over its search band, amplitudes via its amp_ref.
 
-
-def build_search_grid(
-    graph: DeviceGraph, qid: QubitId, cfg: OptimizerConfig
-) -> SearchGrid:
-    """Per-qubit grid: omega over the search band, amplitudes via amp_ref.
-
-    Pulse lengths are snapped to the nearest multiple of dt inside the
-    configured range, duplicates dropped (snap_to_steps), so every reported
-    t_p is the one the dynamics simulate.  The amplitude and pulse-length
-    axes are computed once per grid and dt (_grid_axes).
+    The amplitude and pulse-length axes are computed once for the whole
+    device.  Pulse lengths are snapped to the nearest multiple of dt inside
+    the configured range, duplicates dropped (snap_to_steps), so every
+    reported t_p is the one the dynamics simulate.
     """
-    lo, hi = graph.search_band[qid]
-    amp, tp_points = _grid_axes(cfg.grid, cfg.model.dt)
-    return SearchGrid(
-        omega_points=tuple(np.linspace(lo, hi, cfg.grid.n_omega).tolist()),
-        amp_points=tuple((amp * graph.qubits[qid].amp_ref).tolist()),
-        tp_points=tp_points,
-    )
+    g = cfg.grid
+    amp = np.linspace(g.amp_min, g.amp_max, g.n_amp)
+    tp_points = tuple(snap_to_steps(np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
+                                    g.tp_min_ns, g.tp_max_ns, cfg.model.dt).tolist())
+    return {qid: SearchGrid(tuple(np.linspace(*graph.search_band[qid], g.n_omega).tolist()),
+                            tuple((amp * q.amp_ref).tolist()), tp_points)
+            for qid, q in graph.qubits.items()}
 
 
 def config_echo(cfg: OptimizerConfig) -> dict:

@@ -133,7 +133,7 @@ class DeviceGraph:
         self._coords = {(q.row, q.col): q for q in self.qubits}
 
     def sorted_ids(self) -> list[QubitId]:
-        return sorted(self.qubits, key=lambda q: (q.row, q.col))
+        return sorted(self.qubits)
 
     def at(self, row: int, col: int) -> QubitId | None:
         return self._coords.get((row, col))
@@ -165,7 +165,7 @@ def neighbors(graph: DeviceGraph, q: QubitId, order: NeighborOrder) -> list[Qubi
         nb = graph.at(q.row + dr, q.col + dc)
         if nb is not None:
             found.append(nb)
-    found.sort(key=lambda n: (n.row, n.col))
+    found.sort()
     return found
 
 

@@ -87,10 +87,6 @@ class ReadoutParams:
     t_p: float
     t_r: float
 
-    @property
-    def total(self) -> float:
-        return self.t_p + self.t_r
-
 
 @dataclass(frozen=True)
 class MistParams:
@@ -880,8 +876,12 @@ def _plane_bounds(qubits, omegas, chis, amps, unit: _UnitColumns, model: CostMod
 
 
 class PlaneStatistics(NamedTuple):
-    """What cell_bound and score_planes read of one omega; no neighbor changes it."""
+    """What cell_bound and score_planes read of one omega of one qubit's
+    grid, the qubit and the grid's amplitudes included; no neighbor
+    changes it."""
 
+    q: QubitPhysical  # the qubit whose grid holds the omega
+    amps: tuple  # that grid's amplitudes
     omega: float
     chi: float
     n_ps: tuple  # the pulse lengths' sample counts
@@ -906,11 +906,12 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
     order.  Returns one list per grid with one entry per omega: None where
     the omega is infeasible in every cell (within model.pole_guard of a chi
     pole, or |chi| too large for model.dt) or the grid has no cell, else its
-    PlaneStatistics.  Its bound is cell_bound's per-cell stage: the weighted
-    sum of the separation, relaxation, photon and MIST bounds of each
-    (amplitude, pulse length) cell, in CostWeights.total's order, which
-    cell_bound completes with the coupling term, the only one that depends
-    on the neighbors.
+    PlaneStatistics, which also holds the grid's q and amps, so a pick of
+    its cells needs nothing else.  Its bound is cell_bound's per-cell
+    stage: the weighted sum of the separation, relaxation, photon and MIST
+    bounds of each (amplitude, pulse length) cell, in CostWeights.total's
+    order, which cell_bound completes with the coupling term, the only one
+    that depends on the neighbors.
 
     First each grid gets cost_plane's grid checks, in walk order, so an
     invalid grid raises what cost_plane raises on it before any step
@@ -934,8 +935,8 @@ def plane_statistics(scans, model: CostModel) -> list[list]:
         bound = _plane_bounds(qubits, omegas, chis, np.array(amps, dtype=float),
                               _unit_columns(response, powers, n_ps, n_tot, model.dt), model)
         for j, (entries, i) in enumerate(zip(lists, index)):
-            entries[i] = PlaneStatistics(omegas[j], chis[j], n_ps, response[j : j + 1],
-                                         powers[j : j + 1], bound[j])
+            entries[i] = PlaneStatistics(qubits[j], amps[j], omegas[j], chis[j], n_ps,
+                                         response[j : j + 1], powers[j : j + 1], bound[j])
         block.clear()
 
     for (q, omegas, amps, _), grid_counts in zip(scans, counts):
@@ -960,31 +961,31 @@ def score_planes(picks, model: CostModel) -> list[dict]:
     """The kernel's neighbor-free breakdown of cells of plane_statistics
     entries.
 
-    picks holds (q, entry, amps, flat) tuples, from any qubits: entry a
-    PlaneStatistics of q, amps its grid's amplitudes and flat the row-major
-    (amplitude, pulse length) indices of the cells to score on it.  Returns
-    one dict of _score's fields per pick, one value per index of flat,
-    which with_coupling completes once the neighbors are known.  This is
-    where the scan's cells meet the kernel's layout: each pick's cells go
-    to _score as its Cells, at most _BLOCK_PLANES picks per call, as
-    plane_statistics' blocks, so a call's transient memory does not grow
-    with the device.  The picks' stored responses and powers go as one
-    array, each zero-padded to the longest, so nothing integrates; each
-    cell has the bits cost_plane gives it.
+    picks holds (entry, flat) pairs, from any qubits: entry a
+    PlaneStatistics, which holds its qubit and amplitudes, and flat the
+    row-major (amplitude, pulse length) indices of the cells to score on
+    it.  Returns one dict of _score's fields per pick, one value per index
+    of flat, which with_coupling completes once the neighbors are known.
+    This is where the scan's cells meet the kernel's layout: each pick's
+    cells go to _score as its Cells, at most _BLOCK_PLANES picks per call,
+    as plane_statistics' blocks, so a call's transient memory does not
+    grow with the device.  The picks' stored responses and powers go as
+    one array, each zero-padded to the longest, so nothing integrates;
+    each cell has the bits cost_plane gives it.
     """
     out = []
     for start in range(0, len(picks), _BLOCK_PLANES):
         block = picks[start : start + _BLOCK_PLANES]
-        entries = [entry for _, entry, _, _ in block]
+        entries = [entry for entry, _ in block]
         amp, n_p = [], []
-        for _, entry, amps, flat in block:
+        for entry, flat in block:
             i_a, i_t = np.divmod(flat, len(entry.n_ps))
-            amp.append(np.asarray(amps, dtype=float)[i_a])
+            amp.append(np.asarray(entry.amps, dtype=float)[i_a])
             n_p.append(np.asarray(entry.n_ps)[i_t])
-        sizes = [len(flat) for *_, flat in block]
+        sizes = [len(flat) for _, flat in block]
         cells = Cells(np.repeat(np.arange(len(block)), sizes), np.concatenate(amp),
                       np.concatenate(n_p))
-        scored = _score([q for q, *_ in block], [e.omega for e in entries],
+        scored = _score([e.q for e in entries], [e.omega for e in entries],
                         [e.chi for e in entries], _stack([e.response for e in entries]),
                         _stack([e.powers for e in entries]), cells, model)
         ends = np.cumsum(sizes).tolist()

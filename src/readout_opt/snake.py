@@ -24,8 +24,9 @@ one kernel call per plane, from the plane's stored response: nothing
 integrates inside the walk, and the result equals an exhaustive scan's.
 The winner's breakdown is its cell of the kernel's.
 
-This module picks cells by their grid indices and nothing more: the
-kernel's cell layout, how many planes one kernel call takes and the
+This module picks cells by their plane's entry, which carries the
+plane's qubit and amplitudes, and their grid indices, and nothing more:
+the kernel's cell layout, how many planes one kernel call takes and the
 bound's margin live in error_models alone (score_planes, cell_bound).
 """
 from __future__ import annotations
@@ -99,10 +100,6 @@ class OptimizationResult:
     scored: int = 0  # grid cells the kernel scored; pruning skips the rest
 
 
-def _row_major(qids) -> list[QubitId]:
-    return sorted(qids, key=lambda q: (q.row, q.col))
-
-
 def traversal_order(graph: DeviceGraph, start: QubitId | None = None) -> list[QubitId]:
     """Measure qubits first (diagonal hops where possible), then data qubits.
 
@@ -110,8 +107,8 @@ def traversal_order(graph: DeviceGraph, start: QubitId | None = None) -> list[Qu
     (row-major tie-break) and falls back to the first unvisited measure
     qubit in row-major order.  Data qubits follow in row-major order.
     """
-    measures = _row_major(q for q in graph.qubits if q.role is Role.MEASURE)
-    datas = _row_major(q for q in graph.qubits if q.role is Role.DATA)
+    measures = sorted(q for q in graph.qubits if q.role is Role.MEASURE)
+    datas = sorted(q for q in graph.qubits if q.role is Role.DATA)
     order: list[QubitId] = []
     if measures:
         if start is None:
@@ -130,7 +127,7 @@ def traversal_order(graph: DeviceGraph, start: QubitId | None = None) -> list[Qu
                 n for n in neighbors(graph, current, NeighborOrder.NEXT_NEAREST)
                 if n in unvisited
             ]
-            current = diag[0] if diag else _row_major(unvisited)[0]
+            current = diag[0] if diag else min(unvisited)
     order.extend(datas)
     return order
 
@@ -195,7 +192,7 @@ def optimize_qubit(
     """
     if planes is None:
         planes, = plane_statistics([_grid_scan(q, grid)], model)
-        seeds, = _seed_cells([q], [grid], [planes], model)
+        seeds, = _seed_cells([planes], model)
     coupling = coupling_error(q, grid.omega_points, locked, model)
     bounds = sorted((model.weights.coupling * c, i_w) for i_w, c in enumerate(coupling)
                     if planes[i_w] is not None)  # None: infeasible in every cell, or no cell
@@ -222,7 +219,7 @@ def optimize_qubit(
         scored yet, in one kernel call."""
         flat = np.flatnonzero(ask if i_w not in done else ask & ~done[i_w])
         if len(flat):
-            offer(i_w, flat, *score_planes([(q, planes[i_w], grid.amp_points, flat)], model))
+            offer(i_w, flat, *score_planes([(planes[i_w], flat)], model))
 
     for i_w, flat, cells in seeds or ():
         offer(i_w, flat, cells)
@@ -248,12 +245,13 @@ def optimize_qubit(
     return QubitScan(params, best_bd, sum(int(mask.sum()) for mask in done.values()))
 
 
-def _seed_cells(qubits, grids, planes, model: CostModel) -> list[list]:
+def _seed_cells(planes, model: CostModel) -> list[list]:
     """Each qubit's likely winners, scored for the whole device before the walk.
 
-    qubits, grids and planes (plane_statistics' entries) run in walk order.
-    A qubit's seed plane is the one whose neighbor-free bound has the least
-    minimum, ties broken by omega index.  Its cells' bounds are cell_bound's
+    planes holds plane_statistics' entries of each qubit, in walk order;
+    each entry carries its qubit and amplitudes.  A qubit's seed plane is
+    the one whose neighbor-free bound has the least minimum, ties broken
+    by omega index.  Its cells' bounds are cell_bound's
     with no coupling term, the expression the walk prunes with.  A first
     round of kernel calls (score_planes, for all seed planes at once)
     scores every seed plane's cells at the least of those bounds; a second
@@ -273,8 +271,7 @@ def _seed_cells(qubits, grids, planes, model: CostModel) -> list[list]:
     def call(picks):
         """Score picks[k], flat indices on qubit k's seed plane, if any."""
         ks = [k for k, flat in enumerate(picks) if flat is not None and len(flat)]
-        scored = score_planes([(qubits[k], planes[k][seeds[k]], grids[k].amp_points, picks[k])
-                               for k in ks], model)
+        scored = score_planes([(planes[k][seeds[k]], picks[k]) for k in ks], model)
         for k, cells in zip(ks, scored):
             chunks[k].append((seeds[k], picks[k], cells))
 
@@ -305,10 +302,9 @@ def optimize_device(
 ) -> OptimizationResult:
     """Run the snake over the whole device, locking qubits as it goes."""
     order = traversal_order(graph, start)
-    qubits, walk_grids = [graph.qubits[qid] for qid in order], [grids[qid] for qid in order]
-    planes = plane_statistics([_grid_scan(q, grid) for q, grid in zip(qubits, walk_grids)],
+    planes = plane_statistics([_grid_scan(graph.qubits[qid], grids[qid]) for qid in order],
                               model)
-    seeds = _seed_cells(qubits, walk_grids, planes, model)
+    seeds = _seed_cells(planes, model)
     locked_params: dict[QubitId, ReadoutParams] = {}
     per_qubit: dict[QubitId, QubitResult] = {}
     evaluations = scored = 0

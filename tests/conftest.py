@@ -8,7 +8,7 @@ from readout_opt import (
     QubitId,
     QubitPhysical,
     Role,
-    build_search_grid,
+    build_search_grids,
     load_device,
     load_optimizer_config,
     optimize_device,
@@ -80,6 +80,6 @@ def optimizer_small_path() -> Path:
 def small_run(d3_graph):
     """One reduced-grid full-device optimization shared by several tests."""
     cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
-    grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
+    grids = build_search_grids(d3_graph, cfg)
     result = optimize_device(d3_graph, grids, cfg.model)
     return cfg, grids, result

@@ -32,7 +32,7 @@ from readout_opt import (
     error_budget,
     field_pair,
     load_optimizer_config,
-    build_search_grid,
+    build_search_grids,
     optimize_device,
     optimize_qubit,
     run_benchmark,
@@ -358,8 +358,7 @@ def test_criterion_09_error_budget_closure():
 def test_criterion_10_performance_full_device(d3_graph):
     with criterion(10, "full 17-qubit optimization within the time budget"):
         cfg = load_optimizer_config((CONFIG_DIR / "optimizer.yaml").read_text())
-        grids = {qid: build_search_grid(d3_graph, qid, cfg)
-                 for qid in d3_graph.qubits}
+        grids = build_search_grids(d3_graph, cfg)
         expected_evals = sum(g.size for g in grids.values())
         assert expected_evals == 17 * 60 * 40 * 42  # 1,713,600
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from readout_opt import build_search_grid, dynamics, error_models, load_device
+from readout_opt import build_search_grids, dynamics, error_models, load_device, snake
 from readout_opt import load_optimizer_config
 from readout_opt.error_models import (
     BOUND_MARGIN,
@@ -125,8 +125,9 @@ def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
     bit, in one block with all the other planes as alone."""
     cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
     dt, scans = cfg.model.dt, []
+    grids = build_search_grids(D3, cfg)
     for qid in QIDS:
-        q, grid = D3.qubits[qid], build_search_grid(D3, qid, cfg)
+        q, grid = D3.qubits[qid], grids[qid]
         too_large = q.omega_r - q.alpha + 0.095
         assert abs(dynamics.dispersive_shift(q, too_large)) > 0.1 / dt
         omegas = list(grid.omega_points)
@@ -154,6 +155,24 @@ def test_plane_entries_have_their_bits_in_any_block(monkeypatch):
             for got, want in zip((entry.response, entry.powers, entry.bound),
                                  (alone.response, alone.powers, alone.bound)):
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_plane_entries_carry_their_qubit_and_amplitudes():
+    """Every entry of d3's walk under optimizer_small.yaml holds its
+    qubit's QubitPhysical and its grid's amplitudes, so a pick of its
+    cells is the entry and the cells' indices."""
+    cfg = load_optimizer_config((CONFIG_DIR / "optimizer_small.yaml").read_text())
+    grids, order = build_search_grids(D3, cfg), snake.traversal_order(D3)
+    planes = plane_statistics([(D3.qubits[qid], grids[qid].omega_points,
+                                grids[qid].amp_points, grids[qid].tp_points)
+                               for qid in order], cfg.model)
+    assert len(set(grid.amp_points for grid in grids.values())) > 1
+    for qid, entries in zip(order, planes):
+        live = [entry for entry in entries if entry is not None]
+        assert live
+        for entry in live:
+            assert entry.q is D3.qubits[qid]
+            assert entry.amps == grids[qid].amp_points
 
 
 def test_erfc_matches_math_erfc():

@@ -831,7 +831,11 @@ class TestPulseRangeBelowOneStep:
 
 
 class TestRerunIntoSameOut:
-    """A rerun into an existing --out rewrites every output file."""
+    """A rerun into an existing --out rewrites every output file.  Another
+    command exits 2 and writes nothing into an --out that holds a file of
+    the first, so a manifest never sits beside files it does not explain;
+    the message names the directory and that file.  Every command writes
+    manifest.yaml, so it never counts."""
 
     @pytest.fixture
     def commands(self, device_path, opt_path, results_path):
@@ -867,6 +871,50 @@ class TestRerunIntoSameOut:
         out.mkdir()
         for name, data in self.contents(fresh).items():
             (out / name).write_bytes(b"stale," * (len(data) + 100))
+        assert main(commands[command] + ["--out", str(out)]) == EXIT_OK
+        assert self.contents(out) == self.contents(fresh)
+
+    @pytest.mark.parametrize("first, second, held", [
+        ("optimize", "sweep", "results.yaml"),
+        ("sweep", "optimize", "sweep.csv"),
+        ("benchmark", "sweep", "per_qubit_errors.csv"),
+    ])
+    def test_another_commands_out_refused(self, commands, tmp_path, capsys, first, second,
+                                          held):
+        out = tmp_path / "out"
+        assert main(commands[first] + ["--out", str(out)]) == EXIT_OK
+        before = self.contents(out)
+        capsys.readouterr()
+        assert main(commands[second] + ["--out", str(out)]) == EXIT_IO
+        assert (f"error: --out {out}: holds {held}, which {first} writes; "
+                f"{second} needs a directory of its own") in capsys.readouterr().err
+        assert self.contents(out) == before
+
+    def test_benchmark_of_results_into_their_own_directory_refused(
+            self, device_path, opt_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_optimize(device_path, opt_path, out) == EXIT_OK
+        before = self.contents(out)
+        capsys.readouterr()
+        assert main(["benchmark", "--device", str(device_path),
+                     "--results", str(out / "results.yaml"),
+                     "--n-states", "10", "--n-shots", "100", "--out", str(out)]) == EXIT_IO
+        assert (f"error: --out {out}: holds results.yaml, which optimize writes; "
+                "benchmark needs a directory of its own") in capsys.readouterr().err
+        assert self.contents(out) == before
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "benchmark"])
+    def test_another_commands_manifest_does_not_count(self, commands, tmp_path, command):
+        """A command writes into a directory whose only file is another
+        command's manifest."""
+        fresh = tmp_path / "fresh"
+        assert main(commands[command] + ["--out", str(fresh)]) == EXIT_OK
+        other = "benchmark" if command == "optimize" else "optimize"
+        out = tmp_path / "out"
+        assert main(commands[other] + ["--out", str(out)]) == EXIT_OK
+        for path in out.iterdir():
+            if path.name != "manifest.yaml":
+                path.unlink()
         assert main(commands[command] + ["--out", str(out)]) == EXIT_OK
         assert self.contents(out) == self.contents(fresh)
 

@@ -7,7 +7,7 @@ from readout_opt import (
     NeighborOrder,
     OptimizerConfig,
     Strategy,
-    build_search_grid,
+    build_search_grids,
     load_device,
     load_optimizer_config,
     neighbors,
@@ -107,7 +107,7 @@ class TestBuildSearchGrid:
             "grid": {"n_omega": 5, "n_amp": 3, "n_tp": 2,
                      "amp_min": 0.1, "amp_max": 0.3},
         }))
-        grid = build_search_grid(graph, qid, cfg)
+        grid, = build_search_grids(graph, cfg).values()
         assert grid.omega_points[0] == pytest.approx(band[0])
         assert grid.omega_points[-1] == pytest.approx(band[1])
         assert grid.amp_points == pytest.approx((0.05, 0.1, 0.15))
@@ -117,29 +117,30 @@ class TestBuildSearchGrid:
 
     @pytest.mark.parametrize("name", ["optimizer.yaml", "optimizer_small.yaml"])
     def test_each_qubit_has_its_own_grid_bits(self, name):
-        """Axes computed once per grid and dt give every d3 qubit the bits of
+        """Axes computed once for the device give every d3 qubit the bits of
         its grid computed alone, and a reloaded config the same grids."""
         graph = load_device((CONFIG_DIR / "device_d3.yaml").read_text())
         text = (CONFIG_DIR / name).read_text()
         cfg = load_optimizer_config(text)
         g = cfg.grid
-        for qid in graph.sorted_ids():
+        grids = build_search_grids(graph, cfg)
+        assert list(grids) == list(graph.qubits)
+        assert build_search_grids(graph, load_optimizer_config(text)) == grids
+        for qid, grid in grids.items():
             lo, hi = graph.search_band[qid]
-            grid = build_search_grid(graph, qid, cfg)
             assert grid.omega_points == tuple(np.linspace(lo, hi, g.n_omega).tolist())
             assert grid.amp_points == tuple(
                 (np.linspace(g.amp_min, g.amp_max, g.n_amp) * graph.qubits[qid].amp_ref).tolist())
             assert grid.tp_points == tuple(snap_to_steps(
                 np.linspace(g.tp_min_ns, g.tp_max_ns, g.n_tp),
                 g.tp_min_ns, g.tp_max_ns, cfg.model.dt).tolist())
-            assert build_search_grid(graph, qid, load_optimizer_config(text)) == grid
 
     def one_qubit_grid(self, **grid):
         graph = make_graph([(0, 0, Role.DATA)])
         dt = grid.pop("dt_ns", 1.0)
         cfg = load_optimizer_config(yaml.safe_dump(
             {"dt_ns": dt, "grid": {"n_omega": 2, "n_amp": 2, **grid}}))
-        return build_search_grid(graph, graph.at(0, 0), cfg).tp_points
+        return build_search_grids(graph, cfg)[graph.at(0, 0)].tp_points
 
     def test_tp_snapped_to_dt(self):
         # linspace(100, 480, 42) steps by 9.268 ns
@@ -257,7 +258,7 @@ class TestShippedConfigsReportWhatTheySimulate:
             graph = DeviceGraph(
                 qubits={q: graph.qubits[q] for q in keep[:n_qubits]},
                 search_band={q: graph.search_band[q] for q in keep[:n_qubits]})
-        grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
+        grids = build_search_grids(graph, cfg)
         assert all(len(g.tp_points) == cfg.grid.n_tp for g in grids.values())
         model = cfg.model
         result = optimize_device(graph, grids, model)

@@ -27,7 +27,7 @@ from readout_opt import (
     ReadoutParams,
     SearchGrid,
     StepSizeError,
-    build_search_grid,
+    build_search_grids,
     field_pair,
     load_device,
     load_optimizer_config,
@@ -71,14 +71,14 @@ def omega_bound(q, omega, amps, tps, cost_model):
     return cell_bound(plane, 0.0, cost_model)
 
 
-def score_cells(q, plane, amps, rows, cols, cost_model, locked=()):
-    """The breakdown of the cells amps[rows] x the plane's pulse lengths
-    [cols], as the scan scores them: score_planes, then with_coupling.
-    Each field is a (len(rows), len(cols)) array."""
+def score_cells(plane, rows, cols, cost_model, locked=()):
+    """The breakdown of the cells plane.amps[rows] x the plane's pulse
+    lengths [cols], as the scan scores them: score_planes, then
+    with_coupling.  Each field is a (len(rows), len(cols)) array."""
     rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
     flat = (rows[:, None] * len(plane.n_ps) + cols).ravel()
-    scored, = score_planes([(q, plane, amps, flat)], cost_model)
-    coupling, = coupling_error(q, [plane.omega], locked, cost_model)
+    scored, = score_planes([(plane, flat)], cost_model)
+    coupling, = coupling_error(plane.q, [plane.omega], locked, cost_model)
     scored = with_coupling(scored, coupling, cost_model)
     return CostBreakdown(**{name: values.reshape(len(rows), len(cols))
                             for name, values in scored.items()})
@@ -250,8 +250,8 @@ def test_cell_bound_below_every_finite_cell(case):
         assert not np.isnan(bound).any()
         finite = np.isfinite(total)
         assert (bound[finite] <= total[finite]).all(), (omegas[i], bound, total)
-        got = score_cells(q, plane, amps, np.arange(len(amps)), np.arange(len(tps)),
-                          cost_model, locked)
+        got = score_cells(plane, np.arange(len(amps)), np.arange(len(tps)), cost_model,
+                          locked)
         for name in FIELDS:
             np.testing.assert_array_equal(getattr(got, name).view(np.int64),
                                           getattr(bd, name)[i].view(np.int64))
@@ -293,8 +293,8 @@ def test_cell_bound_is_tight_on_separation_and_photon(weights):
     cells; this is what fails if the bound loosens."""
     cfg = load_optimizer_config("grid: {n_omega: 3, n_amp: 40, n_tp: 39}")
     cost_model = model(weights)
-    for qid in QIDS:
-        q, grid = D3.qubits[qid], build_search_grid(D3, qid, cfg)
+    for qid, grid in build_search_grids(D3, cfg).items():
+        q = D3.qubits[qid]
         totals = cost_plane(q, grid.omega_points, grid.amp_points, grid.tp_points,
                             cost_model).total
         planes, = plane_statistics([(q, grid.omega_points, grid.amp_points,
@@ -380,7 +380,7 @@ def test_mixed_cells_keep_their_bits_in_any_batch(monkeypatch):
         runs = []  # each run of cells on one plane, one pick
         for (k, i), run in itertools.groupby(order, key=lambda c: c[:2]):
             flat = np.array([a * len(scans[k][3]) + j for _, _, a, j in run])
-            runs.append((scans[k][0], planes[k][i], scans[k][2], flat))
+            runs.append((planes[k][i], flat))
         parts = error_models.score_planes(runs, cost_model)
         scored = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
         coupling = [coupling_error(scans[k][0], [scans[k][1][i]], locked[k], cost_model)[0]
@@ -626,7 +626,7 @@ class TestColumns:
         for omega in self.omegas():
             for rows in ([1], [2, 0], [0, 1, 2], []):
                 (plane,), = plane_statistics([(q, [omega], self.AMPS, self.TPS)], model())
-                got = score_cells(q, plane, self.AMPS, rows, cols, model())
+                got = score_cells(plane, rows, cols, model())
                 want = cost_plane(q, [omega], [self.AMPS[i] for i in rows],
                                   [self.TPS[j] for j in cols], model())
                 for name in FIELDS:

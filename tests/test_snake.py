@@ -15,7 +15,7 @@ from readout_opt import (
     ReadoutParams,
     Role,
     SearchGrid,
-    build_search_grid,
+    build_search_grids,
     load_optimizer_config,
     optimize_device,
     optimize_qubit,
@@ -188,6 +188,7 @@ class TestPruning:
     GRID = SearchGrid((1.0, 2.0, 3.0), (0.1, 0.2), (100.0, 200.0))
 
     class Entry(NamedTuple):
+        amps: tuple
         omega: float
         n_ps: tuple
         bound: np.ndarray
@@ -200,9 +201,9 @@ class TestPruning:
 
         def fake_kernel(picks, model):
             out = []
-            for _, entry, amps, flat in picks:
+            for entry, flat in picks:
                 i_a, i_t = np.divmod(flat, len(n_ps))
-                calls.append((entry.omega, [(amps[a], self.GRID.tp_points[t])
+                calls.append((entry.omega, [(entry.amps[a], self.GRID.tp_points[t])
                                             for a, t in zip(i_a, i_t)]))
                 value = np.array([values[entry.omega][a][t] for a, t in zip(i_a, i_t)])
                 zero = np.zeros(len(value))
@@ -211,8 +212,8 @@ class TestPruning:
             return out
 
         def entry(omega):
-            return self.Entry(omega, n_ps, np.array(bounds.get(omega, np.zeros((2, 2))),
-                                                    dtype=float))
+            return self.Entry(self.GRID.amp_points, omega, n_ps,
+                              np.array(bounds.get(omega, np.zeros((2, 2))), dtype=float))
 
         monkeypatch.setattr(snake, "coupling_error",
                             lambda q, omegas, locked, model: [couplings[w] for w in omegas])
@@ -428,7 +429,7 @@ def test_pruned_walk_matches_unpruned_reference(small_run, d3_graph, monkeypatch
     scored, real_kernel = [], snake.score_planes
 
     def counting_kernel(picks, model):
-        scored.extend(len(flat) for *_, flat in picks)
+        scored.extend(len(flat) for _, flat in picks)
         return real_kernel(picks, model)
 
     monkeypatch.setattr(snake, "score_planes", counting_kernel)
@@ -478,7 +479,7 @@ def test_bound_prunes_the_d3_scan(d3_graph, monkeypatch, config, heuristics, mos
     table in place of _gamma1_floor's scores 532 / 502 cells of the small
     grid, and no MIST bound 4,236 under all."""
     cfg = load_optimizer_config((CONFIG_DIR / config).read_text())
-    grids = {qid: build_search_grid(d3_graph, qid, cfg) for qid in d3_graph.qubits}
+    grids = build_search_grids(d3_graph, cfg)
     calls, real_kernel = [], error_models._score
 
     def kernel_spy(*args):

@@ -111,7 +111,7 @@ from readout_opt.cli import (  # noqa: E402
 )
 from readout_opt.config import (  # noqa: E402
     Strategy,
-    build_search_grid,
+    build_search_grids,
     load_optimizer_config,
     snap_length,
 )
@@ -150,9 +150,9 @@ def planes():
     """(q, omega, amps, tps) for every qubit and N_OMEGAS omegas per band."""
     graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
     cfg = dense_config()
-    out = []
+    grids, out = build_search_grids(graph, cfg), []
     for qid in graph.sorted_ids():
-        grid = build_search_grid(graph, qid, cfg)
+        grid = grids[qid]
         lo, hi = graph.search_band[qid]
         for omega in np.linspace(lo, hi, N_OMEGAS + 2)[1:-1]:
             out.append((graph.qubits[qid], float(omega), grid.amp_points,
@@ -160,41 +160,35 @@ def planes():
     return out, cfg.model
 
 
-def blocks(work, entries, model):
+def blocks(entries, model):
     """_plane_bounds' arguments for plane_statistics' blocks of the planes
-    work, from their entries: up to _BLOCK_PLANES consecutive feasible
+    of entries, one-omega lists: up to _BLOCK_PLANES consecutive feasible
     planes each, as the whole work shares its sample counts, with the unit
     statistics recomputed from the stored responses and powers."""
-    planes = [(q, amps, plane) for (q, _, amps, _), (plane,) in zip(work, entries)
-              if plane is not None]
+    planes = [plane for (plane,) in entries if plane is not None]
     size = error_models._BLOCK_PLANES
     n_tot = round(model.total_time / model.dt)
     out = []
     for start in range(0, len(planes), size):
-        qubits, amps, chunk = zip(*planes[start : start + size])
+        chunk = planes[start : start + size]
         unit = error_models._unit_columns(np.concatenate([p.response for p in chunk]),
                                           np.concatenate([p.powers for p in chunk]),
                                           chunk[0].n_ps, n_tot, model.dt)
-        out.append((list(qubits), [p.omega for p in chunk], [p.chi for p in chunk],
-                    np.array(amps, dtype=float), unit))
+        out.append(([p.q for p in chunk], [p.omega for p in chunk], [p.chi for p in chunk],
+                    np.array([p.amps for p in chunk], dtype=float), unit))
     return out
 
 
 def prescore_inputs(model):
-    """snake._seed_cells' arguments on optimize_dense's grid: each qubit at
+    """snake._seed_cells' planes on optimize_dense's grid: each qubit at
     the middle one of its N_OMEGAS frequencies, in walk order."""
     graph = load_device((ROOT / "configs" / "device_d3.yaml").read_text())
-    cfg = dense_config()
-    qubits, grids = [], []
+    grids, scans = build_search_grids(graph, dense_config()), []
     for qid in snake.traversal_order(graph):
-        grid = build_search_grid(graph, qid, cfg)
         omegas = np.linspace(*graph.search_band[qid], N_OMEGAS + 2)[1:-1]
-        qubits.append(graph.qubits[qid])
-        grids.append(snake.SearchGrid((float(omegas[len(omegas) // 2]),), grid.amp_points,
-                                      grid.tp_points))
-    planes = error_models.plane_statistics(
-        [snake._grid_scan(q, grid) for q, grid in zip(qubits, grids)], model)
-    return qubits, grids, planes
+        scans.append((graph.qubits[qid], [float(omegas[len(omegas) // 2])],
+                      grids[qid].amp_points, grids[qid].tp_points))
+    return error_models.plane_statistics(scans, model)
 
 
 def scan_timings() -> dict:
@@ -204,7 +198,7 @@ def scan_timings() -> dict:
     out = {}
     for name in SCAN_CONFIGS:
         cfg = load_optimizer_config((ROOT / "configs" / name).read_text())
-        grids = {qid: build_search_grid(graph, qid, cfg) for qid in graph.qubits}
+        grids = build_search_grids(graph, cfg)
         for strategy in Strategy:
             model = dataclasses.replace(cfg.model,
                                         heuristics=strategy is Strategy.ALL_MODELS)
@@ -383,7 +377,7 @@ def main(argv=None) -> int:
 
     work, model = planes()
     scans = [(q, [omega], amps, tps) for q, omega, amps, tps in work]
-    bound_blocks = blocks(work, error_models.plane_statistics(scans, model), model)
+    bound_blocks = blocks(error_models.plane_statistics(scans, model), model)
     seeds = prescore_inputs(model)
     chunk = sweep_chunk()
 
@@ -400,7 +394,7 @@ def main(argv=None) -> int:
             error_models._plane_bounds(*block, model)
         bounds = time.perf_counter() - start
         start = time.perf_counter()
-        snake._seed_cells(*seeds, model)
+        snake._seed_cells(seeds, model)
         prescore = time.perf_counter() - start
         start = time.perf_counter()
         error_models.cost_plane(*chunk, model)
